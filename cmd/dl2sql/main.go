@@ -13,11 +13,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/colquery"
 	"repro/internal/hwprofile"
@@ -59,9 +61,14 @@ func main() {
 		fatalf("unknown profile %q", *profile)
 	}
 	ctx.Profile = prof
+	// -trace runs every strategy under one keep-all trace rooted at a
+	// "dl2sql" span; the strategy:* spans are its children. Without it the
+	// store is nil and Enter/Exit no-op.
+	var traces *obs.TraceStore
 	if *trace != "" {
-		ctx.Tracer = obs.New()
+		traces = obs.NewTraceStore(obs.TraceStoreConfig{SampleEvery: 1, MaxSpansPerTrace: 1 << 20})
 	}
+	runCtx, scope := traces.Enter(context.Background(), "dl2sql", "dl2sql", time.Now())
 
 	sql := *query
 	if sql == "" {
@@ -107,7 +114,7 @@ func main() {
 	}
 
 	for _, s := range strats {
-		res, bd, err := s.Execute(context.Background(), ctx, q)
+		res, bd, err := s.Execute(runCtx, ctx, q)
 		if err != nil {
 			fatalf("%s: %v", s.Name(), err)
 		}
@@ -119,16 +126,16 @@ func main() {
 	}
 
 	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			fatalf("creating trace file: %v", err)
+		scope.Exit(time.Now(), "")
+		var buf bytes.Buffer
+		spans, err := traces.WriteChromeTrace(&buf)
+		if err == nil {
+			err = os.WriteFile(*trace, buf.Bytes(), 0o644)
 		}
-		defer f.Close()
-		if err := ctx.Tracer.WriteChromeTrace(f); err != nil {
+		if err != nil {
 			fatalf("writing trace: %v", err)
 		}
-		fmt.Printf("wrote %d spans to %s (load in chrome://tracing or ui.perfetto.dev)\n",
-			ctx.Tracer.SpanCount(), *trace)
+		fmt.Printf("wrote %d spans to %s (load in chrome://tracing or ui.perfetto.dev)\n", spans, *trace)
 	}
 }
 

@@ -149,7 +149,7 @@ func main() {
 		srv.OnDrain(flushSlow)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := srv.HTTPServer(*addr)
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

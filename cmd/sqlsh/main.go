@@ -51,6 +51,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -380,7 +381,9 @@ func (sh *shell) meta(cmd string) bool {
 			return true
 		}
 		sh.traceFile = fields[1]
-		db.Tracer = obs.New()
+		// Keep-all store: every statement's trace is retained (and visible
+		// in sys.traces / sys.spans) until the flush.
+		db.Traces = obs.NewTraceStore(obs.TraceStoreConfig{SampleEvery: 1, MaxTraces: 1 << 16, MaxSpansPerTrace: 1 << 20})
 		fmt.Printf("tracing to %s (\\trace off to write)\n", sh.traceFile)
 		return true
 	case `\save`:
@@ -399,26 +402,32 @@ func (sh *shell) meta(cmd string) bool {
 	return true
 }
 
-// flushTrace writes the active trace (if any) as Chrome trace_event JSON
-// and disables tracing.
+// flushTrace writes the traces retained since \trace PATH (if tracing is
+// active) as Chrome trace_event JSON and disables tracing.
 func (sh *shell) flushTrace() {
-	if sh.traceFile == "" || sh.db.Tracer == nil {
+	if sh.traceFile == "" {
 		return
 	}
-	f, err := os.Create(sh.traceFile)
+	var buf bytes.Buffer
+	spans, err := sh.db.Traces.WriteChromeTrace(&buf)
 	if err != nil {
 		fmt.Printf("trace write failed: %v\n", err)
-		return
+	} else {
+		writeTraceFile(sh.traceFile, buf.Bytes(), fmt.Sprintf("%d spans", spans))
 	}
-	defer f.Close()
-	if err := sh.db.Tracer.WriteChromeTrace(f); err != nil {
+	sh.db.Traces = nil
+	sh.traceFile = ""
+}
+
+// writeTraceFile is the one \trace flush path, shared by the embedded
+// shell (the whole keep-all store) and the -connect shell (one trace
+// fetched from the server).
+func writeTraceFile(path string, chromeJSON []byte, what string) {
+	if err := os.WriteFile(path, chromeJSON, 0o644); err != nil {
 		fmt.Printf("trace write failed: %v\n", err)
 		return
 	}
-	fmt.Printf("wrote %d spans to %s (load in chrome://tracing or ui.perfetto.dev)\n",
-		sh.db.Tracer.SpanCount(), sh.traceFile)
-	sh.db.Tracer = nil
-	sh.traceFile = ""
+	fmt.Printf("wrote %s to %s (load in chrome://tracing or ui.perfetto.dev)\n", what, path)
 }
 
 func (sh *shell) run(sql string) {
@@ -726,9 +735,5 @@ func (sh *cshell) flushTrace(ctx context.Context) {
 		fmt.Printf("trace fetch failed: %v\n", err)
 		return
 	}
-	if err := os.WriteFile(sh.traceFile, raw, 0o644); err != nil {
-		fmt.Printf("trace write failed: %v\n", err)
-		return
-	}
-	fmt.Printf("wrote trace %s to %s (load in chrome://tracing or ui.perfetto.dev)\n", id, sh.traceFile)
+	writeTraceFile(sh.traceFile, raw, "trace "+id)
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Registry is a named collection of counters, gauges, and histograms. Like
-// the tracer, a nil *Registry is a valid disabled registry: lookups return
+// the trace store, a nil *Registry is a valid disabled registry: lookups return
 // nil instruments whose methods are no-ops.
 type Registry struct {
 	mu       sync.Mutex

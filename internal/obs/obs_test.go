@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -9,35 +10,44 @@ import (
 	"time"
 )
 
-func TestNilTracerIsNoOp(t *testing.T) {
-	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
-	sp := tr.StartSpan("root")
-	if sp != nil {
-		t.Fatal("nil tracer returned a live span")
+// keepAll retains every trace with room for large span trees — what
+// sqlsh \trace and dl2sql -trace arm.
+func keepAll() *TraceStore {
+	return NewTraceStore(TraceStoreConfig{Seed: 1, SampleEvery: 1, MaxSpansPerTrace: 1 << 12})
+}
+
+func TestNilStoreIsNoOp(t *testing.T) {
+	var ts *TraceStore
+	ctx, sc := ts.Enter(context.Background(), "root", "child", time.Now())
+	if sc.Span != nil || TraceFromContext(ctx) != nil {
+		t.Fatal("nil store produced a live scope")
 	}
 	// Every downstream call must be safe on the nil span.
+	ctx, sp := StartSpan(ctx, "phase")
+	if sp != nil || SpanFromContext(ctx) != nil {
+		t.Fatal("untraced context produced a live span")
+	}
 	child := sp.StartChild("child")
 	child.SetAttr("k", "v")
 	child.Finish()
 	sp.Finish()
-	if tr.Tree() != "" {
-		t.Fatal("nil tracer rendered a tree")
+	if id := sc.Exit(time.Now(), "error"); id != "" {
+		t.Fatalf("nil scope exit returned trace ID %q", id)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	n, err := ts.WriteChromeTrace(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Fatalf("nil tracer chrome export = %q, want []", buf.String())
+	if n != 0 || strings.TrimSpace(buf.String()) != "[]" {
+		t.Fatalf("nil store chrome export = %d spans, %q; want 0, []", n, buf.String())
 	}
 }
 
 func TestSpanNesting(t *testing.T) {
-	tr := New()
-	root := tr.StartSpan("query")
+	ts := keepAll()
+	tr := ts.StartTrace(context.Background(), "query")
+	root := tr.Root()
 	root.SetAttr("sql", "SELECT 1")
 	scan := root.StartChild("Scan")
 	scan.SetAttr("rows", 10)
@@ -46,64 +56,53 @@ func TestSpanNesting(t *testing.T) {
 	inner := join.StartChild("probe")
 	inner.Finish()
 	join.Finish()
-	root.Finish()
+	if !ts.Finish(tr) {
+		t.Fatal("keep-all store dropped the trace")
+	}
 
-	if got := tr.SpanCount(); got != 4 {
-		t.Fatalf("span count = %d, want 4", got)
+	st, _ := ts.Get(tr.ID())
+	type row struct {
+		name   string
+		parent int
+		attrs  string
 	}
-	if tr.FindSpan("probe") == nil {
-		t.Fatal("nested span not reachable")
+	want := []row{{"query", 0, "sql=SELECT 1"}, {"Scan", 1, "rows=10"}, {"Join", 1, ""}, {"probe", 3, ""}}
+	if len(st.Spans) != len(want) {
+		t.Fatalf("span rows = %d, want %d: %+v", len(st.Spans), len(want), st.Spans)
 	}
-	kids := root.Children()
-	if len(kids) != 2 || kids[0].Name != "Scan" || kids[1].Name != "Join" {
-		t.Fatalf("unexpected children: %+v", kids)
+	for i, w := range want {
+		r := st.Spans[i]
+		if r.SpanID != i+1 || r.Name != w.name || r.ParentID != w.parent || r.Attrs != w.attrs {
+			t.Fatalf("row %d = %+v, want %+v", i, r, w)
+		}
 	}
-	if root.Duration() <= 0 {
-		t.Fatal("finished span has non-positive duration")
+	if st.Spans[0].Dur <= 0 {
+		t.Fatal("finished root has non-positive duration")
 	}
 }
 
-func TestTreeExporter(t *testing.T) {
-	tr := New()
-	root := tr.StartSpan("inference")
-	l1 := root.StartChild("conv2d:conv1")
-	l1.Finish()
-	l2 := root.StartChild("relu:act1")
-	l2.Finish()
-	root.Finish()
-
-	tree := tr.Tree()
-	lines := strings.Split(strings.TrimRight(tree, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("tree has %d lines, want 3:\n%s", len(lines), tree)
+func TestStoreChromeTraceExporter(t *testing.T) {
+	ts := keepAll()
+	for _, name := range []string{"DL2SQL", "DB-UDF"} {
+		ctx, sc := ts.Enter(context.Background(), "strategy", "strategy", time.Now())
+		sc.Span.SetAttr("name", name)
+		_, child := StartSpan(ctx, "loading")
+		time.Sleep(time.Millisecond)
+		child.Finish()
+		sc.Exit(time.Now(), "")
 	}
-	if !strings.HasPrefix(lines[0], "inference") {
-		t.Fatalf("root line = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "  conv2d:conv1") || !strings.HasPrefix(lines[2], "  relu:act1") {
-		t.Fatalf("children not indented under root:\n%s", tree)
-	}
-}
-
-func TestChromeTraceExporter(t *testing.T) {
-	tr := New()
-	root := tr.StartSpan("strategy")
-	root.SetAttr("name", "DL2SQL")
-	child := root.StartChild("loading")
-	time.Sleep(time.Millisecond)
-	child.Finish()
-	root.Finish()
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	n, err := ts.WriteChromeTrace(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("chrome export is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if len(events) != 2 {
-		t.Fatalf("exported %d events, want 2", len(events))
+	if n != 4 || len(events) != 4 {
+		t.Fatalf("exported %d events (reported %d), want 4", len(events), n)
 	}
 	for _, ev := range events {
 		if ev["ph"] != "X" {
@@ -116,23 +115,77 @@ func TestChromeTraceExporter(t *testing.T) {
 			t.Fatalf("event missing numeric dur: %v", ev)
 		}
 	}
-	if events[0]["name"] != "strategy" {
-		t.Fatalf("first event = %v, want root span", events[0]["name"])
+	for i, name := range []string{"DL2SQL", "DB-UDF"} {
+		root, child := events[2*i], events[2*i+1]
+		if root["name"] != "strategy" || child["name"] != "loading" {
+			t.Fatalf("trace %d events = %v, %v; want strategy, loading", i, root["name"], child["name"])
+		}
+		args, ok := root["args"].(map[string]any)
+		if !ok || args["attrs"] != "name="+name {
+			t.Fatalf("root span args not exported: %v", root["args"])
+		}
+		// The child must sit inside the parent's window.
+		if child["ts"].(float64) < root["ts"].(float64) || child["dur"].(float64) > root["dur"].(float64) {
+			t.Fatal("child event escapes its parent")
+		}
 	}
-	args, ok := events[0]["args"].(map[string]any)
-	if !ok || args["name"] != "DL2SQL" {
-		t.Fatalf("root span args not exported: %v", events[0]["args"])
+	// One epoch for the whole file: the second trace starts after the first.
+	if events[2]["ts"].(float64) <= events[0]["ts"].(float64) {
+		t.Fatalf("second trace ts %v not after first %v", events[2]["ts"], events[0]["ts"])
 	}
-	// Child duration must sit inside the parent's window.
-	if events[1]["dur"].(float64) > events[0]["dur"].(float64) {
-		t.Fatal("child event outlasts its parent")
+}
+
+// TestEnterCreatesOrJoins pins the creator hierarchy: the outermost layer
+// creates the trace and owns the tail decision, inner layers join it with a
+// child span under the active span (or the root) and never finish it.
+func TestEnterCreatesOrJoins(t *testing.T) {
+	ts := keepAll()
+	start := time.Now()
+	ctx, outer := ts.Enter(context.Background(), "request", "unused", start)
+	tr := TraceFromContext(ctx)
+	if tr == nil || outer.Span != tr.Root() || SpanFromContext(ctx) != outer.Span {
+		t.Fatal("outermost Enter did not create a trace rooted at its span")
+	}
+
+	// An inner layer joins — on a different (even nil) store — under the
+	// active span.
+	var none *TraceStore
+	ctx2, inner := none.Enter(ctx, "query", "sql", start)
+	if TraceFromContext(ctx2) != tr || SpanFromContext(ctx2) != inner.Span {
+		t.Fatal("inner Enter did not join the context's trace")
+	}
+	// A bare trace attach (no active span) joins under the root.
+	_, bare := ts.Enter(ContextWithTrace(context.Background(), tr), "query", "sql", start)
+
+	if id := inner.Exit(start.Add(time.Millisecond), "timeout"); id != tr.ID() {
+		t.Fatalf("inner exit record ID = %q, want the pending trace's %q", id, tr.ID())
+	}
+	bare.Exit(start.Add(time.Millisecond), "")
+	if ts.Len() != 0 {
+		t.Fatal("an inner layer finished the trace")
+	}
+	if id := outer.Exit(start.Add(2*time.Millisecond), ""); id != tr.ID() {
+		t.Fatalf("outer exit record ID = %q, want %q", id, tr.ID())
+	}
+	st, ok := ts.Get(tr.ID())
+	if !ok || st.Reason != "error" {
+		t.Fatalf("trace retained = %v, reason %q; want kept for the inner layer's error", ok, st.Reason)
+	}
+	if len(st.Spans) != 3 || st.Spans[0].Name != "request" ||
+		st.Spans[1].Name != "sql" || st.Spans[1].ParentID != 1 || st.Spans[1].Attrs != "err=timeout" ||
+		st.Spans[2].Name != "sql" || st.Spans[2].ParentID != 1 || st.Spans[2].Attrs != "" {
+		t.Fatalf("span rows = %+v", st.Spans)
+	}
+	if st.Wall != 2*time.Millisecond || st.Spans[1].Dur != time.Millisecond {
+		t.Fatalf("wall %v / inner dur %v: Exit did not close spans at the lent clock reading", st.Wall, st.Spans[1].Dur)
 	}
 }
 
 func TestConcurrentSpansAndMetrics(t *testing.T) {
-	tr := New()
+	ts := keepAll()
 	reg := NewRegistry()
-	root := tr.StartSpan("parallel")
+	tr := ts.StartTrace(context.Background(), "parallel")
+	root := tr.Root()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -149,8 +202,9 @@ func TestConcurrentSpansAndMetrics(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	root.Finish()
-	if got := len(root.Children()); got != 16*50 {
+	ts.Finish(tr)
+	st, _ := ts.Get(tr.ID())
+	if got := len(st.Spans) - 1; got != 16*50 {
 		t.Fatalf("children = %d, want %d", got, 16*50)
 	}
 	if got := reg.Counter("ops").Value(); got != 16*50 {

@@ -1,21 +1,18 @@
-// Package obs is the repo's stdlib-only observability layer: hierarchical
-// trace spans with tree and Chrome trace_event exporters, plus a metrics
-// registry (counters, gauges, latency histograms).
+// Package obs is the repo's stdlib-only observability layer: request-scoped
+// traces of hierarchical spans retained by a tail-sampling TraceStore (with
+// a Chrome trace_event exporter), plus a metrics registry (counters,
+// gauges, latency histograms).
 //
-// Everything is nil-safe: a nil *Tracer produces nil *Spans, and every
-// method on a nil receiver is a no-op that allocates nothing. Hot paths can
-// therefore call Start/End unconditionally and pay only a nil check when
-// tracing is disabled — the per-operator instrumentation in sqldb, the
-// per-layer instrumentation in nn, and the per-step instrumentation in
-// dl2sql all rely on this.
+// Everything is nil-safe: a nil *TraceStore produces nil *Traces and nil
+// *Spans, and every method on a nil receiver is a no-op that allocates
+// nothing. Hot paths can therefore call StartChild/Finish unconditionally
+// and pay only a nil check when tracing is disabled — the per-operator
+// instrumentation in sqldb, the per-layer instrumentation in nn, and the
+// per-step instrumentation in dl2sql all rely on this.
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -26,29 +23,29 @@ type Attr struct {
 	Value any
 }
 
-// Span is one timed region of work. Spans nest: children created with
-// Start(name) are rendered inside their parent by both exporters.
+// Span is one timed region of work inside a Trace. Spans nest: children
+// created with StartChild(name) become rows under their parent when the
+// trace is retained. Every span lives in its trace's arena; the only way
+// to get one is Trace.Root or StartChild on an existing span.
 //
 // The first annotation and the first child live in inline slots: the
 // always-on tracing path creates many spans that carry exactly one attr
 // ("sql", "rows") and at most one child, and the inline slots keep those
-// spans to a single allocation (zero when arena-backed).
+// spans allocation-free beyond the arena chunk.
 //
 // Ownership contract: a span is mutated (SetAttr, Finish) only by the
 // goroutine that created it. Child creation is the one genuinely
-// concurrent mutation — morsel workers evaluating a traced UDF and the
-// cross-query batch scheduler both open children under a parent they do
-// not own — so linking is serialized (by the trace's arena lock, or by
-// the parent's own mutex for arena-less spans) while everything else is
-// lock-free. Tree walks (Children, Attrs, the exporters) are safe once
-// the walked subtree is quiescent: after the trace finished, or after
-// the statement that owned the spans returned.
+// concurrent mutation — morsel workers evaluating a traced UDF and
+// per-candidate scheduler submissions open children under a parent they
+// do not own — so linking is serialized by the trace's arena lock while
+// everything else is lock-free. Tree walks (Children, Attrs, the flatten
+// step) are safe once the walked subtree is quiescent: after the trace
+// finished, or after the statement that owned the spans returned.
 type Span struct {
 	Name  string
 	Start time.Time
 	End   time.Time
 
-	mu       sync.Mutex // guards child linking on arena-less spans
 	attr0    Attr
 	nattr    int
 	attrs    []Attr // overflow beyond attr0
@@ -77,7 +74,6 @@ type spanArena struct {
 	chunk  []Span
 	used   int
 	pooled *[spanChunkLen]Span
-	pinned bool
 	// total counts spans handed out; once it reaches limit (0 = unbounded)
 	// alloc returns nil and counts the request in dropped. The trace store
 	// sets limit to its MaxSpansPerTrace, so a query that would produce
@@ -140,32 +136,15 @@ func (a *spanArena) newChild(parent *Span, name string, start time.Time) *Span {
 
 // droppedSpans reports how many span allocations the limit suppressed.
 func (a *spanArena) droppedSpans() int {
-	if a == nil {
-		return 0
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.dropped
 }
 
-// pin marks the arena's spans as escaped — adopted into a Tracer whose
-// views outlive the trace — so release() must leave the chunk alone.
-func (a *spanArena) pin() {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.pinned = true
-	a.mu.Unlock()
-}
-
 // release recycles the pooled first chunk after the owning trace is
 // decided and its spans are unreachable (dropped, or kept and flattened
-// into immutable SpanRows). Pinned arenas keep their memory.
+// into immutable SpanRows).
 func (a *spanArena) release() {
-	if a == nil {
-		return
-	}
 	a.mu.Lock()
 	p := a.pooled
 	// A chunk of spanChunkLen is necessarily the pooled one; once the
@@ -174,10 +153,9 @@ func (a *spanArena) release() {
 	if len(a.chunk) == spanChunkLen {
 		used = a.used
 	}
-	pinned := a.pinned
 	a.pooled, a.chunk, a.used = nil, nil, 0
 	a.mu.Unlock()
-	if p == nil || pinned {
+	if p == nil {
 		return
 	}
 	for i := range p[:used] {
@@ -186,57 +164,11 @@ func (a *spanArena) release() {
 	spanChunkPool.Put(p)
 }
 
-// Tracer collects root spans. A nil Tracer is a valid disabled tracer.
-type Tracer struct {
-	mu    sync.Mutex
-	roots []*Span
-	epoch time.Time
-}
-
-// New creates an enabled tracer.
-func New() *Tracer {
-	return &Tracer{epoch: time.Now()}
-}
-
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// StartSpan opens a new root span. On a nil tracer it returns nil, which
-// propagates no-ops through the whole child tree.
-func (t *Tracer) StartSpan(name string) *Span {
-	if t == nil {
-		return nil
-	}
-	s := &Span{Name: name, Start: time.Now()}
-	t.mu.Lock()
-	t.roots = append(t.roots, s)
-	t.mu.Unlock()
-	return s
-}
-
-// Reset discards all recorded spans and restarts the epoch.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.roots = nil
-	t.epoch = time.Now()
-	t.mu.Unlock()
-}
-
-// Roots returns the recorded root spans.
-func (t *Tracer) Roots() []*Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*Span(nil), t.roots...)
-}
-
 // StartChild opens a child span. Safe (and free) on a nil receiver.
 func (s *Span) StartChild(name string) *Span {
+	if s == nil {
+		return nil
+	}
 	return s.StartChildAt(name, time.Now())
 }
 
@@ -248,20 +180,9 @@ func (s *Span) StartChildAt(name string, start time.Time) *Span {
 	if s == nil {
 		return nil
 	}
-	if s.arena != nil {
-		// Returns nil once the trace's span budget is exhausted; the whole
-		// subtree then degrades to nil no-op spans.
-		return s.arena.newChild(s, name, start)
-	}
-	c := &Span{Name: name, Start: start}
-	s.mu.Lock()
-	if s.child0 == nil && s.children == nil {
-		s.child0 = c
-	} else {
-		s.children = append(s.children, c)
-	}
-	s.mu.Unlock()
-	return c
+	// Returns nil once the trace's span budget is exhausted; the whole
+	// subtree then degrades to nil no-op spans.
+	return s.arena.newChild(s, name, start)
 }
 
 // SetAttr annotates the span. Safe on a nil receiver. Owner-only (see the
@@ -335,125 +256,6 @@ func (s *Span) Attrs() []Attr {
 	out := make([]Attr, 0, s.nattr)
 	out = append(out, s.attr0)
 	return append(out, s.attrs...)
-}
-
-// Tree renders the recorded spans as an indented human-readable tree.
-func (t *Tracer) Tree() string {
-	if t == nil {
-		return ""
-	}
-	var sb strings.Builder
-	for _, r := range t.Roots() {
-		writeSpanTree(&sb, r, 0)
-	}
-	return sb.String()
-}
-
-func writeSpanTree(sb *strings.Builder, s *Span, depth int) {
-	sb.WriteString(strings.Repeat("  ", depth))
-	sb.WriteString(s.Name)
-	fmt.Fprintf(sb, " %s", s.Duration().Round(time.Microsecond))
-	for _, a := range s.Attrs() {
-		fmt.Fprintf(sb, " %s=%v", a.Key, a.Value)
-	}
-	sb.WriteByte('\n')
-	for _, c := range s.Children() {
-		writeSpanTree(sb, c, depth+1)
-	}
-}
-
-// chromeEvent is one Chrome trace_event entry ("X" = complete event).
-// Load the exported file at chrome://tracing or https://ui.perfetto.dev.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"`  // microseconds since epoch start
-	Dur   float64        `json:"dur"` // microseconds
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace exports all recorded spans as Chrome trace_event JSON.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, "[]")
-		return err
-	}
-	t.mu.Lock()
-	epoch := t.epoch
-	t.mu.Unlock()
-	var events []chromeEvent
-	for _, r := range t.Roots() {
-		collectChrome(&events, r, epoch)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
-}
-
-func collectChrome(out *[]chromeEvent, s *Span, epoch time.Time) {
-	ev := chromeEvent{
-		Name:  s.Name,
-		Phase: "X",
-		TS:    float64(s.Start.Sub(epoch)) / float64(time.Microsecond),
-		Dur:   float64(s.Duration()) / float64(time.Microsecond),
-		PID:   1,
-		TID:   1,
-	}
-	if attrs := s.Attrs(); len(attrs) > 0 {
-		ev.Args = make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			ev.Args[a.Key] = fmt.Sprint(a.Value)
-		}
-	}
-	*out = append(*out, ev)
-	for _, c := range s.Children() {
-		collectChrome(out, c, epoch)
-	}
-}
-
-// SpanCount returns the total number of spans (all depths), for tests.
-func (t *Tracer) SpanCount() int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	var walk func(*Span)
-	walk = func(s *Span) {
-		n++
-		for _, c := range s.Children() {
-			walk(c)
-		}
-	}
-	for _, r := range t.Roots() {
-		walk(r)
-	}
-	return n
-}
-
-// FindSpan returns the first span (depth-first) whose name matches, or nil.
-func (t *Tracer) FindSpan(name string) *Span {
-	if t == nil {
-		return nil
-	}
-	var find func(*Span) *Span
-	find = func(s *Span) *Span {
-		if s.Name == name {
-			return s
-		}
-		for _, c := range s.Children() {
-			if got := find(c); got != nil {
-				return got
-			}
-		}
-		return nil
-	}
-	for _, r := range t.Roots() {
-		if got := find(r); got != nil {
-			return got
-		}
-	}
-	return nil
 }
 
 // sortedKeys returns map keys in deterministic order (exporter helper).

@@ -10,7 +10,8 @@ package obs
 // breaker rejections) without new plumbing. The outermost layer that sees
 // no trace in its context creates one (server request handling, the
 // strategy fallback entry point, or the engine's statement recorder) and
-// is the only layer that finishes it and runs the tail-sampling decision.
+// is the only layer that finishes it and runs the tail-sampling decision;
+// TraceStore.Enter is that rule.
 //
 // Everything here follows the package's nil-safety contract: a nil *Trace
 // is a valid disabled trace whose methods no-op, so hot paths pay only a
@@ -161,16 +162,19 @@ func ContextWithTraceSpan(ctx context.Context, t *Trace, s *Span) context.Contex
 	return context.WithValue(ctx, traceSpanKey{}, &traceSpanPair{t: t, s: s})
 }
 
-// TraceFromContext recovers the active trace, if any.
-func TraceFromContext(ctx context.Context) *Trace {
-	if ctx == nil {
-		return nil
+// pairFromContext recovers the nearest (trace, span) pair; the zero pair
+// when the context carries none.
+func pairFromContext(ctx context.Context) traceSpanPair {
+	if ctx != nil {
+		if p, _ := ctx.Value(traceSpanKey{}).(*traceSpanPair); p != nil {
+			return *p
+		}
 	}
-	if p, _ := ctx.Value(traceSpanKey{}).(*traceSpanPair); p != nil {
-		return p.t
-	}
-	return nil
+	return traceSpanPair{}
 }
+
+// TraceFromContext recovers the active trace, if any.
+func TraceFromContext(ctx context.Context) *Trace { return pairFromContext(ctx).t }
 
 // TraceIDFromContext is the active trace's ID ("" when untraced) — the
 // value the serving client sends as X-Trace-Id and the scheduler records
@@ -192,15 +196,7 @@ func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 }
 
 // SpanFromContext recovers the active span, if any.
-func SpanFromContext(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	if p, _ := ctx.Value(traceSpanKey{}).(*traceSpanPair); p != nil {
-		return p.s
-	}
-	return nil
-}
+func SpanFromContext(ctx context.Context) *Span { return pairFromContext(ctx).s }
 
 // ContextWithTraceID plants an externally supplied trace ID (the server
 // reads the request's X-Trace-Id header into this) so the trace created
@@ -245,38 +241,67 @@ func ValidTraceID(id string) bool {
 	return true
 }
 
-// StartSpan opens a span as a child of the context's active span when one
-// exists, as a root span on the tracer otherwise. When both are live the
-// span is created under the context parent and additionally adopted into
-// the tracer's root list, so tracer-based views (sqlsh \trace, dl2sql
-// -trace, FindSpan in tests) keep seeing it. Returns the context carrying
-// the new span as the active parent; when neither sink is live it returns
-// ctx unchanged and a nil span (the usual zero-cost disabled path).
-func StartSpan(ctx context.Context, tracer *Tracer, name string) (context.Context, *Span) {
-	parent := SpanFromContext(ctx)
-	if parent == nil {
-		s := tracer.StartSpan(name)
-		if s == nil {
-			return ctx, nil
-		}
-		return ContextWithSpan(ctx, s), s
-	}
-	s := parent.StartChild(name)
-	tracer.Adopt(s)
+// StartSpan opens a span as a child of the context's active span and
+// returns the context carrying the new span as the active parent. With no
+// active span (the query is untraced) it returns ctx unchanged and a nil
+// span — the usual zero-cost disabled path.
+func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+	s := SpanFromContext(ctx).StartChild(name)
 	return ContextWithSpan(ctx, s), s
 }
 
-// Adopt appends an existing span to the tracer's root list so tracer-based
-// exporters render it even though its parent lives in another tree (the
-// request-scoped trace). Safe on nil receiver and nil span.
-func (t *Tracer) Adopt(s *Span) {
-	if t == nil || s == nil {
-		return
+// TraceScope is one layer's stake in a request-scoped trace: the span the
+// layer contributes and, when the layer created the trace, the duty to
+// finish it. The zero value is the untraced scope; all its methods no-op.
+type TraceScope struct {
+	// Span is the layer's own span: the trace root when this layer created
+	// the trace, a child of the context's active span otherwise.
+	Span  *Span
+	trace *Trace
+	owner *TraceStore // non-nil only when this scope created the trace
+}
+
+// Enter is the creator hierarchy in one place. A layer that wants its work
+// traced (server request handling, the strategy fallback entry point, the
+// engine's statement recorder) calls Enter on its store: when the context
+// already carries a trace the layer joins it with a childName span under
+// the active span (or the root) and leaves the tail decision to whoever
+// created the trace; otherwise, with a store armed, the layer is the
+// outermost one — it starts a trace rooted at rootName and Exit runs the
+// tail-sampling decision. The returned context carries the trace and the
+// layer's span. On a nil store with an untraced context it returns ctx
+// and the zero scope.
+func (ts *TraceStore) Enter(ctx context.Context, rootName, childName string, start time.Time) (context.Context, TraceScope) {
+	active := pairFromContext(ctx)
+	sc := TraceScope{trace: active.t}
+	switch {
+	case sc.trace != nil:
+		parent := active.s
+		if parent == nil {
+			parent = sc.trace.Root()
+		}
+		sc.Span = parent.StartChildAt(childName, start)
+	case ts != nil:
+		sc.trace = ts.StartTraceAt(ctx, rootName, start)
+		sc.Span = sc.trace.Root()
+		sc.owner = ts
+	default:
+		return ctx, sc
 	}
-	// The tracer's views (sqlsh \trace) outlive the trace that owns the
-	// span, so its arena chunk must never be recycled.
-	s.arena.pin()
-	t.mu.Lock()
-	t.roots = append(t.roots, s)
-	t.mu.Unlock()
+	return ContextWithTraceSpan(ctx, sc.trace, sc.Span), sc
+}
+
+// Exit closes the scope's span at end, marking span and trace with
+// errClass when the layer's work failed (errClass != ""), and — when this
+// scope created the trace — finishes it and runs the tail decision. It
+// returns the ID to stamp on history records and exemplars (see
+// Trace.RecordID).
+func (sc TraceScope) Exit(end time.Time, errClass string) string {
+	if errClass != "" {
+		sc.Span.SetAttr("err", errClass)
+		sc.trace.MarkError()
+	}
+	sc.Span.FinishAt(end)
+	sc.owner.Finish(sc.trace)
+	return sc.trace.RecordID()
 }

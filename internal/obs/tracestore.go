@@ -234,8 +234,7 @@ func (ts *TraceStore) Finish(t *Trace) bool {
 	if reason == "" {
 		t.state.Store(traceDropped)
 		// The span tree is unreachable from here on: detach it and hand
-		// the chunk back to the pool for the next trace (unless a Tracer
-		// adopted a span, which pins the arena).
+		// the chunk back to the pool for the next trace.
 		t.root = nil
 		t.arena.release()
 		if ts.mDropped != nil {
@@ -396,16 +395,26 @@ func (ts *TraceStore) SlowThreshold() time.Duration {
 	return ts.cfg.slowThreshold()
 }
 
-// WriteChromeTrace exports one retained trace as Chrome trace_event JSON
-// (load it at chrome://tracing or https://ui.perfetto.dev). Timestamps are
-// microseconds relative to the trace start.
-func (st *StoredTrace) WriteChromeTrace(w io.Writer) error {
-	events := make([]chromeEvent, 0, len(st.Spans))
+// chromeEvent is one Chrome trace_event entry ("X" = complete event).
+// Load the exported file at chrome://tracing or https://ui.perfetto.dev.
+type chromeEvent struct {
+	Name  string         `json:"name"`
+	Phase string         `json:"ph"`
+	TS    float64        `json:"ts"`  // microseconds since the export's epoch
+	Dur   float64        `json:"dur"` // microseconds
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	Args  map[string]any `json:"args,omitempty"`
+}
+
+// appendChromeEvents renders the trace's span rows as Chrome events with
+// timestamps relative to epoch.
+func (st *StoredTrace) appendChromeEvents(events []chromeEvent, epoch time.Time) []chromeEvent {
 	for _, r := range st.Spans {
 		ev := chromeEvent{
 			Name:  r.Name,
 			Phase: "X",
-			TS:    float64(r.Start.Sub(st.Start)) / float64(time.Microsecond),
+			TS:    float64(r.Start.Sub(epoch)) / float64(time.Microsecond),
 			Dur:   float64(r.Dur) / float64(time.Microsecond),
 			PID:   1,
 			TID:   1,
@@ -420,5 +429,25 @@ func (st *StoredTrace) WriteChromeTrace(w io.Writer) error {
 		}
 		events = append(events, ev)
 	}
+	return events
+}
+
+// WriteChromeTrace exports one retained trace as Chrome trace_event JSON
+// (load it at chrome://tracing or https://ui.perfetto.dev). Timestamps are
+// microseconds relative to the trace start.
+func (st *StoredTrace) WriteChromeTrace(w io.Writer) error {
+	events := st.appendChromeEvents(make([]chromeEvent, 0, len(st.Spans)), st.Start)
 	return json.NewEncoder(w).Encode(events)
+}
+
+// WriteChromeTrace exports every retained trace, oldest first, as one
+// Chrome trace_event JSON array and reports how many spans it wrote.
+// Timestamps are microseconds relative to the oldest trace's start.
+func (ts *TraceStore) WriteChromeTrace(w io.Writer) (spans int, err error) {
+	events := []chromeEvent{}
+	snap := ts.Snapshot()
+	for _, st := range snap {
+		events = st.appendChromeEvents(events, snap[0].Start)
+	}
+	return len(events), json.NewEncoder(w).Encode(events)
 }

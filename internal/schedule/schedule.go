@@ -205,24 +205,30 @@ type queue struct {
 	timer    *time.Timer
 }
 
-// item is one queued submission. traceID and span link the batch back to
-// the submitting query's trace: runBatch stamps every item's span with the
-// batch size and the distinct trace IDs of all its waiters, so a retained
-// trace shows exactly which other queries shared its forward pass.
+// item is one queued submission. traceID links the batch back to the
+// submitting query's trace (see flight.waiters).
 type item struct {
 	key     Key
 	blob    []byte
 	fl      *flight
 	traceID string
-	span    *obs.Span
 }
 
 // flight is the single-flight rendezvous: followers with the same key and
-// the submitting waiter itself all park on done.
+// the submitting waiter itself all park on done. runBatch fills the other
+// fields before closing done.
 type flight struct {
 	done chan struct{}
 	res  Result
 	err  error
+	// batch is the size of the batch the request rode in and waiters the
+	// distinct trace IDs of all its traced submitters, comma-joined.
+	// Every waiter stamps both on its own sched:infer span after it wakes —
+	// spans are owner-mutated only, and a waiter whose ctx died may have
+	// finished its trace long before the batch completes — so a retained
+	// trace names the queries that shared its forward pass.
+	batch   int
+	waiters string
 }
 
 // New builds a scheduler from the config.
@@ -308,8 +314,7 @@ func (s *Scheduler) Infer(ctx context.Context, be *Backend, model uint64, artifa
 	s.submitted.Add(1)
 	s.count(obs.MetricSchedSubmitted)
 	// Child span under the submitting query's active span (nil and free
-	// when the query is untraced). Finished on every return path; batch
-	// items additionally get batch_size/batch_waiters attrs from runBatch.
+	// when the query is untraced). Finished on every return path.
 	span := obs.SpanFromContext(ctx).StartChild("sched:infer")
 	defer span.Finish()
 	key := Key{Model: model, Input: tensor.HashBytes(blob)}
@@ -336,7 +341,7 @@ func (s *Scheduler) Infer(ctx context.Context, be *Backend, model uint64, artifa
 		s.dedupHits.Add(1)
 		s.count(obs.MetricSchedDedupHits)
 		span.SetAttr("source", "dedup")
-		return s.wait(ctx, fl, true)
+		return s.wait(ctx, fl, span, true)
 	}
 	fl := &flight{done: make(chan struct{})}
 	s.inflight[key] = fl
@@ -348,7 +353,7 @@ func (s *Scheduler) Infer(ctx context.Context, be *Backend, model uint64, artifa
 	}
 	span.SetAttr("source", "batch")
 	q.items = append(q.items, &item{key: key, blob: blob, fl: fl,
-		traceID: obs.TraceIDFromContext(ctx), span: span})
+		traceID: obs.TraceIDFromContext(ctx)})
 	s.noteDepthLocked()
 	var full *queue
 	if len(q.items) >= s.cfg.maxBatch() {
@@ -360,16 +365,22 @@ func (s *Scheduler) Infer(ctx context.Context, be *Backend, model uint64, artifa
 	if full != nil {
 		s.launch(full)
 	}
-	return s.wait(ctx, fl, false)
+	return s.wait(ctx, fl, span, false)
 }
 
-// wait parks on a flight until it completes or ctx dies. Dedup followers
-// report SourceDedup with zero timing shares — they paid no compute.
-func (s *Scheduler) wait(ctx context.Context, fl *flight, dedup bool) (Result, error) {
+// wait parks on a flight until it completes or ctx dies, then stamps the
+// waiter's own sched:infer span with the batch the request rode in. Dedup
+// followers report SourceDedup with zero timing shares — they paid no
+// compute.
+func (s *Scheduler) wait(ctx context.Context, fl *flight, span *obs.Span, dedup bool) (Result, error) {
 	select {
 	case <-fl.done:
 	case <-ctx.Done():
 		return Result{}, qerr.FromContext(ctx.Err())
+	}
+	span.SetAttr("batch_size", fl.batch)
+	if fl.waiters != "" {
+		span.SetAttr("batch_waiters", fl.waiters)
 	}
 	if fl.err != nil {
 		return Result{}, fl.err
@@ -455,9 +466,6 @@ func (s *Scheduler) runBatch(q *queue) {
 		s.cfg.Metrics.Histogram(obs.MetricSchedBatchSize).Observe(float64(n))
 		s.cfg.Metrics.Histogram(obs.MetricSchedBatchSeconds).Observe(wall)
 	}
-	// Stamp every waiter's span with the batch it rode in: its size and
-	// the distinct trace IDs of all traced waiters, so any one retained
-	// trace names the queries that shared this forward pass.
 	var waiters []string
 	seen := map[string]bool{}
 	for _, it := range q.items {
@@ -467,18 +475,10 @@ func (s *Scheduler) runBatch(q *queue) {
 		}
 	}
 	waiterList := strings.Join(waiters, ",")
-	for _, it := range q.items {
-		if it.span == nil {
-			continue
-		}
-		it.span.SetAttr("batch_size", n)
-		if waiterList != "" {
-			it.span.SetAttr("batch_waiters", waiterList)
-		}
-	}
 	s.mu.Lock()
 	for i, it := range q.items {
 		delete(s.inflight, it.key)
+		it.fl.batch, it.fl.waiters = n, waiterList
 		if err != nil {
 			it.fl.err = err
 		} else {

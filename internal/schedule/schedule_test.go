@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -262,6 +263,86 @@ func TestCancelledWaiterDoesNotPoisonBatch(t *testing.T) {
 	// the batch executed under the scheduler's context, all blobs included.
 	if st := s.Stats(); st.Executed != mates+1 {
 		t.Fatalf("executed %d, want %d (cancelled waiter's pass still runs)", st.Executed, mates+1)
+	}
+}
+
+// TestWaitersStampTheirOwnSpans pins the span ownership contract across the
+// scheduler: the batch goroutine never touches a waiter's span. A waiter
+// cancelled mid-batch finishes (and flattens) its trace while the batch is
+// still running — run with -race — and the surviving waiter stamps its own
+// sched:infer span with the batch size and both waiters' trace IDs.
+func TestWaitersStampTheirOwnSpans(t *testing.T) {
+	store := obs.NewTraceStore(obs.TraceStoreConfig{Seed: 1, SampleEvery: 1})
+	s := New(Config{MaxBatch: 2, Window: time.Hour}) // the second submission launches the batch
+	defer s.Drain()
+	cb := &countingBackend{block: make(chan struct{})}
+	be := cb.backend()
+	art := []byte("artifact-A")
+
+	type waiter struct {
+		traceID string
+		err     error
+	}
+	var wg sync.WaitGroup
+	submit := func(ctx context.Context, n int, w *waiter) (inferReturned chan struct{}) {
+		inferReturned = make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, scope := store.Enter(ctx, "query", "query", time.Now())
+			w.traceID = obs.TraceIDFromContext(ctx)
+			_, w.err = s.Infer(ctx, be, 1, art, blobN(n))
+			close(inferReturned)
+			// From here on nothing orders this goroutine against the batch:
+			// Exit flattens the span tree while the backend may still run.
+			scope.Exit(time.Now(), qerr.Class(w.err))
+		}()
+		return inferReturned
+	}
+	var victim, survivor waiter
+	victimCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	victimReturned := submit(victimCtx, 0, &victim)
+	for s.Stats().QueueDepth < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	submit(context.Background(), 1, &survivor)
+	// Both parked in one batch that is blocked inside the backend.
+	for cb.seen() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case <-victimReturned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled waiter did not return while its batch was blocked")
+	}
+	close(cb.block)
+	wg.Wait()
+
+	if !errors.Is(victim.err, qerr.ErrCancelled) {
+		t.Fatalf("victim error %v, want ErrCancelled", victim.err)
+	}
+	if survivor.err != nil {
+		t.Fatalf("survivor: %v", survivor.err)
+	}
+	if st, ok := store.Get(victim.traceID); !ok || st.Reason != "error" {
+		t.Fatalf("victim trace retained=%v (%+v), want kept for its error", ok, st)
+	}
+	st, ok := store.Get(survivor.traceID)
+	if !ok {
+		t.Fatal("survivor trace not retained")
+	}
+	var attrs string
+	for _, r := range st.Spans {
+		if r.Name == "sched:infer" {
+			attrs = r.Attrs
+		}
+	}
+	for _, want := range []string{"source=batch", "batch_size=2", "batch_waiters=", victim.traceID, survivor.traceID} {
+		if !strings.Contains(attrs, want) {
+			t.Fatalf("survivor's sched:infer attrs %q missing %q", attrs, want)
+		}
 	}
 }
 

@@ -162,6 +162,30 @@ func (s *Server) OnDrain(fn func()) { s.onDrain = append(s.onDrain, fn) }
 // into a larger mux).
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Connection-level timeouts of the daemon's HTTP front end. They bound what
+// a client can hold open without sending a request: slow or never-finished
+// headers, a trickled body, an idle keep-alive connection. WriteTimeout is
+// deliberately absent — a query may legitimately run long, and its deadline
+// is the per-session timeout enforced in runQuery.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// HTTPServer builds the net/http server that fronts this Server on addr,
+// with the connection-level timeouts above (readJSON's MaxBytesReader
+// bounds body size; these bound time).
+func (s *Server) HTTPServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // DB exposes the shared engine (the sys-table scans need it).
 func (s *Server) DB() *sqldb.DB { return s.db }
 
@@ -760,33 +784,20 @@ func (s *Server) runQuery(reqCtx context.Context, sess *Session, tenant string,
 	ctx = sqldb.WithMemoryBudget(ctx, budget)
 
 	// The server is the outermost layer: every served request gets its
-	// trace here, and the inner layers (sqldb statement accounting, the
-	// strategy executor) join it through the context instead of creating
-	// their own. A client-supplied X-Trace-Id arrives as a context hint
-	// (traceContext) and is adopted by StartTrace.
-	tr := s.db.Traces.StartTrace(ctx, "request")
-	if tr != nil {
-		if sess != nil {
-			tr.Root().SetAttr("tenant", sess.Tenant)
-		} else {
-			tr.Root().SetAttr("tenant", tenant)
-		}
-		s.db.Tracer.Adopt(tr.Root())
-		ctx = obs.ContextWithTraceSpan(ctx, tr, tr.Root())
-	}
-
+	// trace here (obs.TraceStore.Enter finds none in the context), and the
+	// inner layers (sqldb statement accounting, the strategy executor) join
+	// it through the context instead of creating their own. A
+	// client-supplied X-Trace-Id arrives as a context hint (traceContext)
+	// and is adopted by the new trace.
 	start := time.Now()
+	ctx, scope := s.db.Traces.Enter(ctx, "request", "request", start)
+	scope.Span.SetAttr("tenant", tenant)
+
 	res, err = exec(ctx)
-	if tr != nil {
-		if err != nil {
-			tr.Root().SetAttr("err", qerr.Class(err))
-			tr.MarkError()
-		}
-		s.db.Traces.Finish(tr)
-		traceID = tr.RecordID()
-	}
+	end := time.Now()
+	traceID = scope.Exit(end, qerr.Class(err))
 	if reg != nil {
-		reg.Histogram(obs.MetricServerRequestSeconds).ObserveExemplar(time.Since(start).Seconds(), traceID)
+		reg.Histogram(obs.MetricServerRequestSeconds).ObserveExemplar(end.Sub(start).Seconds(), traceID)
 		if traceID != "" {
 			reg.Counter(obs.MetricTraceExemplars).Add(1)
 		}

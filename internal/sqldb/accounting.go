@@ -114,50 +114,26 @@ func (db *DB) execStmtRecorded(ctx context.Context, st Stmt, sql string, hints *
 // checked that db.History or db.Traces is armed (execStmtRecorded and the
 // prepared-statement fast path do).
 //
-// Trace ownership: when the context already carries a trace (a served
-// request or an enclosing strategy execution), this statement contributes
-// a child span and leaves the tail-sampling decision to the creator. When
-// it does not, this is the outermost traced layer — recordQuery creates
-// the trace and decides retention when the statement finishes.
+// Trace ownership follows obs.TraceStore.Enter: inside a served request or
+// an enclosing strategy execution the statement contributes an "sql" child
+// span; otherwise it is the outermost traced layer and owns a "query"
+// trace.
 func (db *DB) recordQuery(ctx context.Context, sql string, fn func(ctx context.Context) (*Result, error)) (res *Result, err error) {
 	hist := db.History
 	acct := &queryAcct{}
-	// The wall-clock start doubles as the trace/root-span start below, so
-	// arming tracing adds no statement-level clock reads over the
-	// history-only baseline.
+	// The wall-clock start doubles as the trace/span start, so arming
+	// tracing adds no statement-level clock reads over the history-only
+	// baseline.
 	start := time.Now()
-	tr := obs.TraceFromContext(ctx)
-	created := false
-	var span *obs.Span
-	if db.Traces != nil || tr != nil {
-		if tr == nil {
-			tr = db.Traces.StartTraceAt(ctx, "query", start)
-			created = true
-			span = tr.Root()
-			// Adopt the root into the session tracer so tracer-based views
-			// (sqlsh \trace, EXPLAIN-style dumps) keep rendering it.
-			db.Tracer.Adopt(span)
-		} else if parent := obs.SpanFromContext(ctx); parent != nil {
-			span = parent.StartChildAt("sql", start)
-		} else {
-			span = tr.Root().StartChildAt("sql", start)
-		}
-		span.SetAttr("sql", sql)
-		ctx = obs.ContextWithTraceSpan(ctx, tr, span)
-	}
+	ctx, scope := db.Traces.Enter(ctx, "query", "sql", start)
+	scope.Span.SetAttr("sql", sql)
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, qerr.Recovered("sqldb exec", r)
 		}
 		wall := time.Since(start)
-		if err != nil {
-			span.SetAttr("err", qerr.Class(err))
-			tr.MarkError()
-		}
-		span.FinishAt(start.Add(wall))
-		if created {
-			db.Traces.Finish(tr)
-		}
+		errClass := qerr.Class(err)
+		traceID := scope.Exit(start.Add(wall), errClass)
 		rec := obs.QueryRecord{
 			SQL:         sql,
 			Strategy:    "sql",
@@ -169,8 +145,8 @@ func (db *DB) recordQuery(ctx context.Context, sql string, fn func(ctx context.C
 			Morsels:     acct.morsels.Load(),
 			ParallelOps: acct.parallelOps.Load(),
 			UDFCalls:    acct.udfCalls.Load(),
-			ErrClass:    qerr.Class(err),
-			TraceID:     tr.RecordID(),
+			ErrClass:    errClass,
+			TraceID:     traceID,
 		}
 		if err != nil {
 			rec.Err = err.Error()

@@ -414,7 +414,7 @@ func (p *Prepared) QueryContext(ctx context.Context, args ...Datum) (res *Result
 			}
 			acctFrom(ctx).noteCacheState(p.db.cacheStateOf(hit, cacheable))
 			bound, _ := bindPlanParams(plan, args)
-			res, err := p.db.execPlanTraced(ctx, bound)
+			res, err := p.db.execPlan(bound, p.db.newExecCtx(ctx))
 			if err != nil {
 				return nil, err
 			}

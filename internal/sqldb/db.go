@@ -24,11 +24,6 @@ type DB struct {
 	// statement executed on this DB (Fig. 10 uses this).
 	Profile *Profile
 
-	// Tracer, when non-nil, receives one hierarchical span per executed
-	// SELECT with nested per-operator child spans. A nil tracer keeps the
-	// executor on its uninstrumented fast path.
-	Tracer *obs.Tracer
-
 	// Parallelism caps the morsel-driven executor's per-operator worker
 	// count: 0 means the process default (runtime.NumCPU(), adjustable via
 	// par.SetDefaultDegree), 1 forces serial execution, N > 1 uses up to N
@@ -292,7 +287,7 @@ func (db *DB) runSelect(ctx context.Context, sel *SelectStmt, hints *QueryHints)
 		return nil, err
 	}
 	acctFrom(ctx).noteCacheState(db.cacheStateOf(hit, cacheable))
-	res, err := db.execPlanTraced(ctx, plan)
+	res, err := db.execPlan(plan, db.newExecCtx(ctx))
 	if err != nil {
 		return res, err
 	}
@@ -322,24 +317,6 @@ func (db *DB) runSelect(ctx context.Context, sel *SelectStmt, hints *QueryHints)
 		}
 	}
 	return res, nil
-}
-
-// execPlanTraced executes a plan with a fresh execution context and, when
-// tracing is on, a query span carrying the per-operator children (the exec
-// half of runSelect; Prepared statements call it directly with a
-// parameter-bound plan). A request-scoped span already in the context (the
-// statement span recordQuery opened) takes precedence over opening a fresh
-// tracer root, so per-operator spans land inside the query's trace tree.
-func (db *DB) execPlanTraced(ctx context.Context, plan Plan) (*Result, error) {
-	ec := db.newExecCtx(ctx)
-	if sp := obs.SpanFromContext(ctx); sp != nil {
-		ec.span = sp
-	} else if db.Tracer.Enabled() {
-		root := db.Tracer.StartSpan("query")
-		defer root.Finish()
-		ec.span = root
-	}
-	return db.execPlan(plan, ec)
 }
 
 // appendColumn concatenates b's rows onto a copy of a (type-coerced).

@@ -164,8 +164,8 @@ func (ns *NodeStats) ParSkew() float64 {
 
 // execCtx threads the per-query execution context through the plan tree:
 // the session profile, the per-node stats collector (non-nil only under
-// EXPLAIN ANALYZE), the parent trace span (non-nil only when the DB has a
-// tracer attached), the query's parallelism degree, and the plan node
+// EXPLAIN ANALYZE), the parent trace span (non-nil only when the statement
+// runs inside a trace), the query's parallelism degree, and the plan node
 // being executed (set only while collecting per-node stats, so parallel
 // operators can attribute their morsel counts). The common case — nodes
 // and span both nil — costs a single branch per plan node on top of the
@@ -235,16 +235,15 @@ func (db *DB) execPlan(p Plan, ec *execCtx) (*Result, error) {
 	// place instead of heap-copying the execCtx for every node.
 	prevSpan, prevNode := ec.span, ec.node
 	ec.span, ec.node = sp, p
-	// Only the node-stats path pays for its own clock reads; a span-only
-	// run (always-on tracing) reuses the chained stamps.
-	var start time.Time
-	if ec.nodes != nil {
-		start = time.Now()
-	}
 	res, err := db.execPlanNode(p, ec)
 	ec.span, ec.node = prevSpan, prevNode
 	if err == nil {
 		err = ec.charge(res)
+	}
+	if !ec.stamp.After(spStart) {
+		// The node had no accounting site (and no child that ran one): one
+		// fresh read closes its span.
+		ec.stamp = time.Now()
 	}
 	if err == nil {
 		sp.SetAttr("rows", res.NumRows())
@@ -256,13 +255,10 @@ func (db *DB) execPlan(p Plan, ec *execCtx) (*Result, error) {
 			}
 			ns.Calls++
 			ns.Rows += res.NumRows()
-			ns.Nanos += time.Since(start).Nanoseconds()
+			// EXPLAIN ANALYZE reports the span's own interval: the node's
+			// time is read once, by profAdd, whatever sink shows it.
+			ns.Nanos += ec.stamp.Sub(spStart).Nanoseconds()
 		}
-	}
-	if !ec.stamp.After(spStart) {
-		// The node had no accounting site (and no child that ran one): one
-		// fresh read closes its span.
-		ec.stamp = time.Now()
 	}
 	sp.FinishAt(ec.stamp)
 	if err != nil {

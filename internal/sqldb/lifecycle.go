@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/qerr"
 )
@@ -149,13 +150,15 @@ func (db *DB) effectiveBudget(ctx context.Context) int64 {
 	return budget
 }
 
-// newExecCtx assembles the per-query execution context.
+// newExecCtx assembles the per-query execution context. A request-scoped
+// span in the context (the statement span recordQuery opened) becomes the
+// parent of the per-operator spans.
 func (db *DB) newExecCtx(ctx context.Context) *execCtx {
 	deg := db.parDegree()
 	if o := parallelismFrom(ctx); o > 0 {
 		deg = o
 	}
-	ec := &execCtx{prof: db.Profile, par: deg, ctx: normCtx(ctx), faults: db.Faults, acct: acctFrom(ctx)}
+	ec := &execCtx{prof: db.Profile, span: obs.SpanFromContext(ctx), par: deg, ctx: normCtx(ctx), faults: db.Faults, acct: acctFrom(ctx)}
 	if b := db.effectiveBudget(ctx); b > 0 {
 		ec.memBudget = b
 		ec.memUsed = new(atomic.Int64)

@@ -33,11 +33,10 @@ const benchFilterJoinSQL = "SELECT V.videoID, F.grade FROM video V, fabric F " +
 	"WHERE V.fabricID = F.fabricID AND V.score > 50 AND F.grade < 3"
 
 // BenchmarkFilterJoinTracingDisabled measures the hot filter/join path with
-// no tracer attached — the default production configuration. Compare
+// no trace store armed — the default embedded configuration. Compare
 // against BenchmarkFilterJoinTracingEnabled to bound the cost of the
-// instrumentation hooks; the disabled delta versus the pre-instrumentation
-// executor is one nil check per plan node (see BENCH_obs.json for a pinned
-// baseline).
+// instrumentation hooks; the disabled delta versus an uninstrumented
+// executor is one nil check per plan node.
 func BenchmarkFilterJoinTracingDisabled(b *testing.B) {
 	db := benchFilterJoinDB(b)
 	b.ResetTimer()
@@ -48,18 +47,16 @@ func BenchmarkFilterJoinTracingDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkFilterJoinTracingEnabled measures the same path with a live
-// tracer collecting per-operator spans.
+// BenchmarkFilterJoinTracingEnabled measures the same path with a keep-all
+// trace store: every query builds, flattens and retains its per-operator
+// span tree (the store's ring bounds what is kept).
 func BenchmarkFilterJoinTracingEnabled(b *testing.B) {
 	db := benchFilterJoinDB(b)
-	db.Tracer = obs.New()
+	db.Traces = obs.NewTraceStore(obs.TraceStoreConfig{Seed: 1, SampleEvery: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Query(benchFilterJoinSQL); err != nil {
 			b.Fatal(err)
-		}
-		if i%100 == 99 {
-			db.Tracer.Reset() // keep the span tree bounded
 		}
 	}
 }

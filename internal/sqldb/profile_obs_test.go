@@ -3,6 +3,8 @@ package sqldb
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -74,9 +76,35 @@ func TestProfileReset(t *testing.T) {
 	nilProf.Reset() // must not panic
 }
 
-// TestQueryOperatorSpans checks that attaching a tracer to the DB produces
-// one query root span with nested per-operator children, and that the
-// export is Chrome-loadable JSON.
+// keepAllTraces arms a store that retains every statement's trace.
+func keepAllTraces(db *DB) {
+	db.Traces = obs.NewTraceStore(obs.TraceStoreConfig{Seed: 1, SampleEvery: 1})
+}
+
+// lastTrace returns the most recently retained trace.
+func lastTrace(t *testing.T, db *DB) *obs.StoredTrace {
+	t.Helper()
+	snap := db.Traces.Snapshot()
+	if len(snap) == 0 {
+		t.Fatal("no trace retained")
+	}
+	return snap[len(snap)-1]
+}
+
+// childRows returns the direct children of span id, in creation order.
+func childRows(st *obs.StoredTrace, id int) []obs.SpanRow {
+	var out []obs.SpanRow
+	for _, r := range st.Spans {
+		if r.ParentID == id {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestQueryOperatorSpans checks that arming a trace store on the DB
+// produces one query root span with nested per-operator children, and that
+// the export is Chrome-loadable JSON.
 func TestQueryOperatorSpans(t *testing.T) {
 	db := New()
 	for _, sql := range []string{
@@ -89,26 +117,32 @@ func TestQueryOperatorSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Tracer = obs.New()
+	keepAllTraces(db)
 	if _, err := db.Exec("SELECT a.v, b.w FROM a, b WHERE a.id = b.id AND a.v > 1"); err != nil {
 		t.Fatal(err)
 	}
-	roots := db.Tracer.Roots()
-	if len(roots) != 1 || roots[0].Name != "query" {
-		t.Fatalf("roots = %+v, want one query span", roots)
+	if n := db.Traces.Len(); n != 1 {
+		t.Fatalf("retained %d traces, want one per statement", n)
+	}
+	st := lastTrace(t, db)
+	if st.Spans[0].Name != "query" || st.Spans[0].ParentID != 0 {
+		t.Fatalf("root = %+v, want one query span", st.Spans[0])
+	}
+	byName := map[string]obs.SpanRow{}
+	for _, r := range st.Spans {
+		byName[r.Name] = r
 	}
 	for _, name := range []string{"Scan a", "Scan b", "HashJoin", "Project"} {
-		if db.Tracer.FindSpan(name) == nil {
-			t.Fatalf("missing operator span %q in:\n%s", name, db.Tracer.Tree())
+		if _, ok := byName[name]; !ok {
+			t.Fatalf("missing operator span %q in: %+v", name, st.Spans)
 		}
 	}
-	join := db.Tracer.FindSpan("HashJoin")
-	if len(join.Children()) != 2 {
-		t.Fatalf("join span has %d children, want its two scans:\n%s",
-			len(join.Children()), db.Tracer.Tree())
+	join := byName["HashJoin"]
+	if kids := childRows(st, join.SpanID); len(kids) != 2 {
+		t.Fatalf("join span has %d children, want its two scans: %+v", len(kids), st.Spans)
 	}
 	var buf bytes.Buffer
-	if err := db.Tracer.WriteChromeTrace(&buf); err != nil {
+	if _, err := db.Traces.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
@@ -119,19 +153,90 @@ func TestQueryOperatorSpans(t *testing.T) {
 		t.Fatalf("trace export has %d events, want >=5", len(events))
 	}
 	// Row counts ride along as span attributes.
-	found := false
-	for _, a := range join.Attrs() {
-		if a.Key == "rows" {
-			found = true
-		}
+	if !strings.Contains(join.Attrs, "rows=") {
+		t.Fatalf("join span missing rows attribute: %q", join.Attrs)
 	}
-	if !found {
-		t.Fatal("join span missing rows attribute")
-	}
-	// Detaching the tracer restores the silent fast path.
-	db.Tracer = nil
+	// Disarming the store restores the silent fast path.
+	db.Traces = nil
 	if _, err := db.Exec("SELECT * FROM a"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExplainAnalyzeTimesAreSpanDurations pins the one-clock rule: an
+// operator's time is read once (profAdd) and EXPLAIN ANALYZE and the
+// retained span show that same reading. Every plan node's time= must equal
+// the duration of the span with the node's name, and a parent's time covers
+// the sum of its children's, serial and parallel alike.
+func TestExplainAnalyzeTimesAreSpanDurations(t *testing.T) {
+	db := New()
+	mustExecSQL(t, db, "CREATE TABLE video (videoID Int64, fabricID Int64, score Float64)")
+	mustExecSQL(t, db, "CREATE TABLE fabric (fabricID Int64, grade Int64)")
+	var ins strings.Builder
+	ins.WriteString("INSERT INTO video VALUES ")
+	for i := 0; i < 6000; i++ {
+		if i > 0 {
+			ins.WriteByte(',')
+		}
+		fmt.Fprintf(&ins, "(%d, %d, %d.5)", i, i%50, i%100)
+	}
+	mustExecSQL(t, db, ins.String())
+	for i := 0; i < 50; i++ {
+		mustExecSQL(t, db, fmt.Sprintf("INSERT INTO fabric VALUES (%d, %d)", i, i%5))
+	}
+	keepAllTraces(db)
+	nodeLine := regexp.MustCompile(`^( *)(Scan \S+|\S+).*time=([^)]+)\)`)
+
+	for _, par := range []int{1, 4} {
+		db.Parallelism = par
+		res := mustExecSQL(t, db, "EXPLAIN ANALYZE SELECT F.grade, count(*) AS n, sum(V.score) AS s "+
+			"FROM video V, fabric F WHERE V.fabricID = F.fabricID AND V.score > 50 GROUP BY F.grade")
+		st := lastTrace(t, db)
+		// Operator spans in tree order; the explain text lists plan nodes in
+		// the same names, so each line claims the first unclaimed span of
+		// its name.
+		claimed := make([]bool, len(st.Spans))
+		seen := map[string]bool{}
+		for i := 0; i < res.NumRows(); i++ {
+			line := res.Cols[0].Get(i).S
+			m := nodeLine.FindStringSubmatch(line)
+			if m == nil {
+				t.Fatalf("parallelism %d: plan line without actuals: %q", par, line)
+			}
+			name, shown := m[2], m[3]
+			seen[name] = true
+			found := false
+			for j, r := range st.Spans {
+				if claimed[j] || r.Name != name {
+					continue
+				}
+				claimed[j], found = true, true
+				if got := r.Dur.Round(time.Microsecond).String(); got != shown {
+					t.Fatalf("parallelism %d: %s reports time=%s but its span lasted %s", par, name, shown, got)
+				}
+				break
+			}
+			if !found {
+				t.Fatalf("parallelism %d: no span named %q for plan line %q; spans %+v", par, name, line, st.Spans)
+			}
+		}
+		for _, want := range []string{"Aggregate", "HashJoin", "Scan video", "Scan fabric"} {
+			if !seen[want] {
+				t.Fatalf("parallelism %d: plan has no %s node", par, want)
+			}
+		}
+		for j, r := range st.Spans {
+			if j > 0 && !claimed[j] {
+				t.Fatalf("parallelism %d: span %q matches no plan line", par, r.Name)
+			}
+			var kids time.Duration
+			for _, c := range childRows(st, r.SpanID) {
+				kids += c.Dur
+			}
+			if r.Dur < kids {
+				t.Fatalf("parallelism %d: %s lasted %s, less than its children's %s", par, r.Name, r.Dur, kids)
+			}
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	ctx, cancel := env.queryCtx(ctx)
 	defer cancel()
 	db := env.Dataset.DB
-	ctx, root := obs.StartSpan(ctx, env.Tracer, "strategy:"+s.Name())
+	ctx, root := obs.StartSpan(ctx, "strategy:"+s.Name())
 	defer root.Finish()
 
 	// Build hints (DL2SQL-OP only).

@@ -44,7 +44,7 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 	ctx, cancel := env.queryCtx(ctx)
 	defer cancel()
 	db := env.Dataset.DB
-	ctx, root := obs.StartSpan(ctx, env.Tracer, "strategy:"+s.Name())
+	ctx, root := obs.StartSpan(ctx, "strategy:"+s.Name())
 	defer root.Finish()
 
 	// Phase 1 (relational): extract candidates with the database.

@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/schedule"
 )
@@ -64,13 +63,7 @@ func (env *Context) runServingBatch(ctx context.Context, artifact []byte, blobs 
 	for i, b := range blobs {
 		cands[i] = candidate{videoID: int64(i), blob: b}
 	}
-	var span *obs.Span
-	if env.Tracer != nil {
-		span = env.Tracer.StartSpan("scheduler:serving-batch")
-		span.SetAttr("batch", len(blobs))
-		defer span.Finish()
-	}
-	results, stats, err := env.serveWithRetry(ctx, artifact, cands, span)
+	results, stats, err := env.serveWithRetry(ctx, artifact, cands, nil)
 	if err != nil {
 		return nil, schedule.BackendStats{}, err
 	}

@@ -100,11 +100,6 @@ type Context struct {
 	Profile  hwprofile.Profile
 	// HintProvider supplies Eq. 9–10 selectivities for DL2SQL-OP.
 	HintProvider *hints.Provider
-	// Tracer, when non-nil, receives one root span per strategy execution
-	// with nested loading/inference/relational phase spans (and, below
-	// them, per-NN-layer or per-SQL-step spans). Nil disables tracing at
-	// zero cost.
-	Tracer *obs.Tracer
 	// Metrics, when non-nil, accumulates per-strategy phase latency
 	// histograms and query counters across Execute calls.
 	Metrics *obs.Registry
@@ -117,8 +112,11 @@ type Context struct {
 	History *obs.QueryHistory
 	// Traces, when non-nil, arms request-scoped tracing at the strategy
 	// layer: every ExecuteWithFallback call gets (or joins) a trace whose
-	// span tree the store tail-samples. Share the engine's store
-	// (Dataset.DB.Traces) so strategy and statement spans land in one tree.
+	// span tree the store tail-samples — one strategy:* span per strategy
+	// tried with nested loading/inference/relational phase spans (and,
+	// below them, per-NN-layer or per-SQL-step spans). Share the engine's
+	// store (Dataset.DB.Traces) so strategy and statement spans land in
+	// one tree.
 	Traces *obs.TraceStore
 	// InferCache, when non-nil, memoizes (model, keyframe) → class index
 	// for the DB-UDF and DB-PyTorch strategies. Enable with
@@ -320,41 +318,16 @@ func ExecuteWithFallback(ctx context.Context, env *Context, s Strategy, q *colqu
 	// the context (the serving retry loop and both native inference paths
 	// charge it) and leave one QueryRecord behind — including on error.
 	//
-	// Trace ownership mirrors the engine recorder: when the context already
-	// carries a trace (a served request), this execution contributes a
-	// child span; when it does not and a store is armed, this is the
-	// outermost traced layer — it creates the trace and decides retention.
+	// Trace ownership follows obs.TraceStore.Enter: inside a served request
+	// this execution contributes a "colquery" child span; otherwise it is
+	// the outermost traced layer and owns the trace.
 	acct := &stratAcct{}
-	tr := obs.TraceFromContext(ctx)
-	created := false
-	var span *obs.Span
-	if env.Traces != nil || tr != nil {
-		if tr == nil {
-			tr = env.Traces.StartTrace(ctx, "colquery")
-			created = true
-			span = tr.Root()
-			// Adopt the root into the session tracer so tracer-based views
-			// (sqlsh \trace, dl2sql -trace) keep rendering it.
-			env.Tracer.Adopt(span)
-		} else if parent := obs.SpanFromContext(ctx); parent != nil {
-			span = parent.StartChild("colquery")
-		} else {
-			span = tr.Root().StartChild("colquery")
-		}
-		span.SetAttr("sql", q.SQL)
-		ctx = obs.ContextWithTraceSpan(ctx, tr, span)
-	}
 	start := time.Now()
+	ctx, scope := env.Traces.Enter(ctx, "colquery", "colquery", start)
+	scope.Span.SetAttr("sql", q.SQL)
 	res, bd, final, err := executeWithFallback(withStratAcct(ctx, acct), env, s, q)
-	if err != nil {
-		span.SetAttr("err", qerr.Class(err))
-		tr.MarkError()
-	}
-	span.Finish()
-	if created {
-		env.Traces.Finish(tr)
-	}
-	env.recordExecution(q.SQL, final, bd, acct, start, res, err, tr.RecordID())
+	traceID := scope.Exit(time.Now(), qerr.Class(err))
+	env.recordExecution(q.SQL, final, bd, acct, start, res, err, traceID)
 	return res, bd, err
 }
 
@@ -391,7 +364,7 @@ func executeWithFallback(ctx context.Context, env *Context, s Strategy, q *colqu
 			env.Metrics.Counter(obs.MetricFallbackTotal).Add(1)
 		}
 		obs.TraceFromContext(ctx).MarkFallback()
-		_, sp := obs.StartSpan(ctx, env.Tracer, "fallback:"+s.Name()+"->"+next.Name())
+		_, sp := obs.StartSpan(ctx, "fallback:"+s.Name()+"->"+next.Name())
 		sp.SetAttr("cause", err.Error())
 		sp.Finish()
 		s = next

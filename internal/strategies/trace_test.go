@@ -11,44 +11,66 @@ import (
 	"repro/internal/obs"
 )
 
-// collectNames walks a span tree collecting every span name.
-func collectNames(sp *obs.Span, out map[string]int) {
-	if sp == nil {
-		return
+// tracedContext is testContext with a keep-all trace store armed on the
+// strategy layer, sized so per-layer spans survive the span budget.
+func tracedContext(t *testing.T) *Context {
+	t.Helper()
+	ctx := testContext(t)
+	ctx.Traces = obs.NewTraceStore(obs.TraceStoreConfig{Seed: 1, SampleEvery: 1, MaxSpansPerTrace: 1 << 16})
+	return ctx
+}
+
+// tracedExecute runs one strategy as its own retained trace and returns it
+// with its span names counted.
+func tracedExecute(t *testing.T, ctx *Context, s Strategy, q *colquery.Query) (*obs.StoredTrace, map[string]int) {
+	t.Helper()
+	if _, _, err := ExecuteWithFallback(context.Background(), ctx, s, q); err != nil {
+		t.Fatalf("%s: %v", s.Name(), err)
 	}
-	out[sp.Name]++
-	for _, c := range sp.Children() {
-		collectNames(c, out)
+	snap := ctx.Traces.Snapshot()
+	if len(snap) == 0 {
+		t.Fatalf("%s: keep-all store retained nothing", s.Name())
 	}
+	st := snap[len(snap)-1]
+	if st.Truncated() {
+		t.Fatalf("%s: trace truncated at %d of %d spans", s.Name(), len(st.Spans), st.SpanTotal)
+	}
+	names := map[string]int{}
+	for _, r := range st.Spans {
+		names[r.Name]++
+	}
+	return st, names
 }
 
 // TestStrategyTraces is the acceptance test for strategy-level tracing:
-// every strategy executed with a tracer must produce one root span with
-// nested loading / inference / relational phase spans, and the whole tree
-// must export as Chrome-loadable trace_event JSON.
+// every strategy executed under a trace store must produce one trace whose
+// colquery root has a single strategy:* child with nested loading /
+// inference / relational phase spans, and the whole tree must export as
+// Chrome-loadable trace_event JSON.
 func TestStrategyTraces(t *testing.T) {
-	ctx := testContext(t)
-	ctx.Tracer = obs.New()
+	ctx := tracedContext(t)
 	ctx.Metrics = obs.NewRegistry()
 	q, err := colquery.GenerateAnalyzed(colquery.Type1, colquery.TemplateParams{Selectivity: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range All() {
-		ctx.Tracer.Reset()
-		if _, _, err := s.Execute(context.Background(), ctx, q); err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+	for i, s := range All() {
+		st, names := tracedExecute(t, ctx, s, q)
+		if got := ctx.Traces.Len(); got != i+1 {
+			t.Fatalf("%s: %d traces retained after %d executions", s.Name(), got, i+1)
 		}
-		roots := ctx.Tracer.Roots()
-		if len(roots) != 1 {
-			t.Fatalf("%s: want 1 root span, got %d", s.Name(), len(roots))
+		if st.Spans[0].Name != "colquery" {
+			t.Fatalf("root span %q, want colquery", st.Spans[0].Name)
 		}
-		root := roots[0]
-		if want := "strategy:" + s.Name(); root.Name != want {
-			t.Fatalf("root span %q, want %q", root.Name, want)
+		var top []string
+		for _, r := range st.Spans {
+			if r.ParentID == 1 {
+				top = append(top, r.Name)
+			}
 		}
-		names := map[string]int{}
-		collectNames(root, names)
+		if want := "strategy:" + s.Name(); len(top) != 1 || top[0] != want {
+			t.Fatalf("root children %v, want [%s]", top, want)
+		}
 		var hasLoading, hasInference, hasRelational bool
 		for n := range names {
 			hasLoading = hasLoading || strings.HasPrefix(n, "loading:")
@@ -61,15 +83,15 @@ func TestStrategyTraces(t *testing.T) {
 		}
 		// Chrome export must be valid JSON with one complete event per span.
 		var buf bytes.Buffer
-		if err := ctx.Tracer.WriteChromeTrace(&buf); err != nil {
+		if err := st.WriteChromeTrace(&buf); err != nil {
 			t.Fatalf("%s: chrome export: %v", s.Name(), err)
 		}
 		var events []map[string]any
 		if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 			t.Fatalf("%s: chrome trace is not valid JSON: %v", s.Name(), err)
 		}
-		if len(events) != ctx.Tracer.SpanCount() {
-			t.Fatalf("%s: %d chrome events for %d spans", s.Name(), len(events), ctx.Tracer.SpanCount())
+		if len(events) != len(st.Spans) {
+			t.Fatalf("%s: %d chrome events for %d spans", s.Name(), len(events), len(st.Spans))
 		}
 	}
 	// Metrics: every strategy recorded its breakdown.
@@ -88,8 +110,7 @@ func TestStrategyTraces(t *testing.T) {
 // (DB-UDF's in-database UDF and DB-PyTorch's serving component) emit one
 // span per NN layer, and DL2SQL emits one span per SQL pipeline step.
 func TestPerLayerSpans(t *testing.T) {
-	ctx := testContext(t)
-	ctx.Tracer = obs.New()
+	ctx := tracedContext(t)
 	q, err := colquery.GenerateAnalyzed(colquery.Type1, colquery.TemplateParams{Selectivity: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -103,14 +124,7 @@ func TestPerLayerSpans(t *testing.T) {
 		{&DL2SQL{}, "Conv"},
 	}
 	for _, tc := range cases {
-		ctx.Tracer.Reset()
-		if _, _, err := tc.strat.Execute(context.Background(), ctx, q); err != nil {
-			t.Fatalf("%s: %v", tc.strat.Name(), err)
-		}
-		names := map[string]int{}
-		for _, r := range ctx.Tracer.Roots() {
-			collectNames(r, names)
-		}
+		_, names := tracedExecute(t, ctx, tc.strat, q)
 		found := false
 		for n := range names {
 			if strings.HasPrefix(n, tc.marker) {
@@ -124,11 +138,11 @@ func TestPerLayerSpans(t *testing.T) {
 	}
 }
 
-// TestTracingDisabledUnchanged guards the nil fast path: with no tracer the
-// strategies run exactly as before and allocate no spans.
+// TestTracingDisabledUnchanged guards the nil fast path: with no trace
+// store the strategies run exactly as before and allocate no spans.
 func TestTracingDisabledUnchanged(t *testing.T) {
 	ctx := testContext(t)
-	if ctx.Tracer.Enabled() {
+	if ctx.Traces != nil {
 		t.Fatal("fresh context must have tracing disabled")
 	}
 	q, err := colquery.GenerateAnalyzed(colquery.Type1, colquery.TemplateParams{Selectivity: 0.05})

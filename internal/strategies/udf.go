@@ -32,7 +32,7 @@ func (s *DBUDF) Execute(ctx context.Context, env *Context, q *colquery.Query) (*
 	var bd CostBreakdown
 	ctx, cancel := env.queryCtx(ctx)
 	defer cancel()
-	ctx, root := obs.StartSpan(ctx, env.Tracer, "strategy:"+s.Name())
+	ctx, root := obs.StartSpan(ctx, "strategy:"+s.Name())
 	defer root.Finish()
 
 	// Loading: the database "recompilation" — decode each compiled artifact
