@@ -76,16 +76,8 @@ func (t *Translator) encodeBatchForFirstLayer(sm *StoredModel, inputs []*tensor.
 		if conv, ok := sm.layers[0].layer.(*nn.Conv2D); ok {
 			name := t.nextTemp("bfm0")
 			*temps = append(*temps, name)
-			t.dropIfExists(name)
-			tbl, err := t.DB.CreateTable(name, sqldb.Schema{
-				{Name: "SampleID", Type: sqldb.TInt},
-				{Name: "MatrixID", Type: sqldb.TInt},
-				{Name: "OrderID", Type: sqldb.TInt},
-				{Name: "Value", Type: sqldb.TFloat},
-			})
-			if err != nil {
-				return relForm{}, err
-			}
+			var sample, matrix, order []int64
+			var value []float64
 			for sid, input := range inputs {
 				cols, err := tensor.Im2Col(input, conv.K, conv.Stride, conv.Pad)
 				if err != nil {
@@ -94,44 +86,48 @@ func (t *Translator) encodeBatchForFirstLayer(sm *StoredModel, inputs []*tensor.
 				nm, no := cols.Dim(0), cols.Dim(1)
 				for m := 0; m < nm; m++ {
 					for o := 0; o < no; o++ {
-						if err := tbl.AppendRow([]sqldb.Datum{
-							sqldb.Int(int64(sid)), sqldb.Int(int64(m)),
-							sqldb.Int(int64(o)), sqldb.Float(cols.At(m, o)),
-						}); err != nil {
-							return relForm{}, err
-						}
+						sample = append(sample, int64(sid))
+						matrix = append(matrix, int64(m))
+						order = append(order, int64(o))
 					}
 				}
+				value = append(value, cols.Data()...)
+			}
+			if err := t.createTable(name, sqldb.Schema{
+				{Name: "SampleID", Type: sqldb.TInt},
+				{Name: "MatrixID", Type: sqldb.TInt},
+				{Name: "OrderID", Type: sqldb.TInt},
+				{Name: "Value", Type: sqldb.TFloat},
+			}, intCol(sample), intCol(matrix), intCol(order), floatCol(value)); err != nil {
+				return relForm{}, err
 			}
 			return relForm{table: name, flat: false, c: in[0], h: in[1], w: in[2]}, nil
 		}
 	}
 	name := t.nextTemp("bflat0")
 	*temps = append(*temps, name)
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
-		{Name: "SampleID", Type: sqldb.TInt},
-		{Name: "TupleID", Type: sqldb.TInt},
-		{Name: "KernelID", Type: sqldb.TInt},
-		{Name: "Value", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return relForm{}, err
-	}
 	c, h, w := 1, 1, inputs[0].Len()
 	if len(in) == 3 {
 		c, h, w = in[0], in[1], in[2]
 	}
 	per := inputs[0].Len() / c
+	var sample, tuple, kernel []int64
+	var value []float64
 	for sid, input := range inputs {
-		for i, v := range input.Data() {
-			if err := tbl.AppendRow([]sqldb.Datum{
-				sqldb.Int(int64(sid)), sqldb.Int(int64(i)),
-				sqldb.Int(int64(i / per)), sqldb.Float(v),
-			}); err != nil {
-				return relForm{}, err
-			}
+		for i := range input.Data() {
+			sample = append(sample, int64(sid))
+			tuple = append(tuple, int64(i))
+			kernel = append(kernel, int64(i/per))
 		}
+		value = append(value, input.Data()...)
+	}
+	if err := t.createTable(name, sqldb.Schema{
+		{Name: "SampleID", Type: sqldb.TInt},
+		{Name: "TupleID", Type: sqldb.TInt},
+		{Name: "KernelID", Type: sqldb.TInt},
+		{Name: "Value", Type: sqldb.TFloat},
+	}, intCol(sample), intCol(tuple), intCol(kernel), floatCol(value)); err != nil {
+		return relForm{}, err
 	}
 	return relForm{table: name, flat: true, c: c, h: h, w: w}, nil
 }

@@ -20,18 +20,10 @@ import (
 // The mapping depends only on (inShape, k, stride, pad) — as the paper
 // notes, it is generated offline once per layer geometry.
 func (t *Translator) storeConvMapping(name string, inShape []int, k, stride, pad int) error {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
-		{Name: "MatrixID", Type: sqldb.TInt},
-		{Name: "OrderID", Type: sqldb.TInt},
-		{Name: "TupleID", Type: sqldb.TInt},
-	})
-	if err != nil {
-		return err
-	}
 	c, h, w := inShape[0], inShape[1], inShape[2]
 	outH := tensor.ConvOutDim(h, k, stride, pad)
 	outW := tensor.ConvOutDim(w, k, stride, pad)
+	var matrixIDs, orders, tuples []int64
 	matrix := 0
 	for oy := 0; oy < outH; oy++ {
 		for ox := 0; ox < outW; ox++ {
@@ -46,20 +38,20 @@ func (t *Translator) storeConvMapping(name string, inShape []int, k, stride, pad
 						if x < 0 || x >= w {
 							continue
 						}
-						order := ch*k*k + ky*k + kx
-						tuple := ch*h*w + y*w + x
-						if err := tbl.AppendRow([]sqldb.Datum{
-							sqldb.Int(int64(matrix)), sqldb.Int(int64(order)), sqldb.Int(int64(tuple)),
-						}); err != nil {
-							return err
-						}
+						matrixIDs = append(matrixIDs, int64(matrix))
+						orders = append(orders, int64(ch*k*k+ky*k+kx))
+						tuples = append(tuples, int64(ch*h*w+y*w+x))
 					}
 				}
 			}
 			matrix++
 		}
 	}
-	return nil
+	return t.createTable(name, sqldb.Schema{
+		{Name: "MatrixID", Type: sqldb.TInt},
+		{Name: "OrderID", Type: sqldb.TInt},
+		{Name: "TupleID", Type: sqldb.TInt},
+	}, intCol(matrixIDs), intCol(orders), intCol(tuples))
 }
 
 // storePoolMapping creates the pooling window mapping
@@ -67,35 +59,28 @@ func (t *Translator) storeConvMapping(name string, inShape []int, k, stride, pad
 // KernelID aggregates the input elements TupleID. Q3 then reduces it with
 // MAX or AVG grouped by (KernelID, MatrixID). Pooling never pads.
 func (t *Translator) storePoolMapping(name string, inShape []int, k, stride int) error {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
-		{Name: "MatrixID", Type: sqldb.TInt},
-		{Name: "KernelID", Type: sqldb.TInt},
-		{Name: "TupleID", Type: sqldb.TInt},
-	})
-	if err != nil {
-		return err
-	}
 	c, h, w := inShape[0], inShape[1], inShape[2]
 	outH := tensor.ConvOutDim(h, k, stride, 0)
 	outW := tensor.ConvOutDim(w, k, stride, 0)
+	var matrixIDs, kernels, tuples []int64
 	for ch := 0; ch < c; ch++ {
 		matrix := 0
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
 				for ky := 0; ky < k; ky++ {
 					for kx := 0; kx < k; kx++ {
-						tuple := ch*h*w + (oy*stride+ky)*w + (ox*stride + kx)
-						if err := tbl.AppendRow([]sqldb.Datum{
-							sqldb.Int(int64(matrix)), sqldb.Int(int64(ch)), sqldb.Int(int64(tuple)),
-						}); err != nil {
-							return err
-						}
+						matrixIDs = append(matrixIDs, int64(matrix))
+						kernels = append(kernels, int64(ch))
+						tuples = append(tuples, int64(ch*h*w+(oy*stride+ky)*w+(ox*stride+kx)))
 					}
 				}
 				matrix++
 			}
 		}
 	}
-	return nil
+	return t.createTable(name, sqldb.Schema{
+		{Name: "MatrixID", Type: sqldb.TInt},
+		{Name: "KernelID", Type: sqldb.TInt},
+		{Name: "TupleID", Type: sqldb.TInt},
+	}, intCol(matrixIDs), intCol(kernels), intCol(tuples))
 }

@@ -12,9 +12,3 @@ func preJoinedInputSchema() sqldb.Schema {
 		{Name: "Value", Type: sqldb.TFloat},
 	}
 }
-
-func appendPreJoined(tbl *sqldb.Table, kernelID, matrixID int, product float64) error {
-	return tbl.AppendRow([]sqldb.Datum{
-		sqldb.Int(int64(kernelID)), sqldb.Int(int64(matrixID)), sqldb.Float(product),
-	})
-}

@@ -16,8 +16,9 @@ type StoredModel struct {
 	Prefix     string
 	layers     []storedLayer
 	tableNames []string
-	// weightsHash fingerprints the encoded weights at store time; the
-	// pipeline cache mixes it with live table versions (see modelStamp).
+	// weightsHash fingerprints the encoded weights at store time when the
+	// translator has a pipeline cache (attach Cache before StoreModel); the
+	// cache mixes it with live table versions (see modelStamp).
 	weightsHash uint64
 }
 
@@ -50,8 +51,12 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 		return nil, fmt.Errorf("dl2sql: model %s does not validate: %w", m.ModelName, err)
 	}
 	sm := &StoredModel{Model: m, Prefix: t.Prefix}
-	if blob, err := nn.EncodeBytes(m); err == nil {
-		sm.weightsHash = tensor.HashBytes(blob)
+	if t.Cache != nil {
+		// Only the pipeline cache reads the fingerprint; encoding the whole
+		// model costs a full pass over the weights.
+		if blob, err := nn.EncodeBytes(m); err == nil {
+			sm.weightsHash = tensor.HashBytes(blob)
+		}
 	}
 	// Metadata table: one row of hyper-parameters per stored layer.
 	metaName := t.tname("meta")
@@ -69,6 +74,8 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 		return nil, err
 	}
 	sm.tableNames = append(sm.tableNames, metaName)
+	var metaNames, metaKinds []string
+	var metaInts [5][]int64 // InC, OutC, K, Stride, Pad
 
 	convOrdinal := 0
 	var compile func(layers []nn.Layer, inShape []int, tag string) ([]storedLayer, []int, error)
@@ -102,12 +109,10 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 					sl.biasTable = bn
 					sm.tableNames = append(sm.tableNames, bn)
 				}
-				if err := meta.AppendRow([]sqldb.Datum{
-					sqldb.Str(v.Name()), sqldb.Str(v.Kind()),
-					sqldb.Int(int64(v.InC)), sqldb.Int(int64(v.OutC)),
-					sqldb.Int(int64(v.K)), sqldb.Int(int64(v.Stride)), sqldb.Int(int64(v.Pad)),
-				}); err != nil {
-					return nil, nil, err
+				metaNames = append(metaNames, v.Name())
+				metaKinds = append(metaKinds, v.Kind())
+				for i, x := range []int{v.InC, v.OutC, v.K, v.Stride, v.Pad} {
+					metaInts[i] = append(metaInts[i], int64(x))
 				}
 				// Mapping table for every conv except the very first layer
 				// of the model (the input is encoded directly into patch
@@ -246,6 +251,15 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 	if err != nil {
 		return nil, err
 	}
+	metaCols := []*sqldb.Column{
+		{Type: sqldb.TString, Strs: metaNames}, {Type: sqldb.TString, Strs: metaKinds},
+	}
+	for _, v := range metaInts {
+		metaCols = append(metaCols, intCol(v))
+	}
+	if err := meta.AppendColumns(metaCols); err != nil {
+		return nil, err
+	}
 	sm.layers = layers
 	return sm, nil
 }
@@ -267,53 +281,56 @@ func isModelStart(cur, inShape []int) bool {
 // storeKernel vectorizes a convolution's kernels into the Kernel table
 // {KernelID, OrderID, Value}, OrderID following the Im2Col element order.
 func (t *Translator) storeKernel(name string, c *nn.Conv2D) error {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
-		{Name: "KernelID", Type: sqldb.TInt},
-		{Name: "OrderID", Type: sqldb.TInt},
-		{Name: "Value", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return err
-	}
 	n := c.InC * c.K * c.K
+	kernel, order := make([]int64, 0, c.OutC*n), make([]int64, 0, c.OutC*n)
+	value := make([]float64, 0, c.OutC*n)
 	for ch := 0; ch < c.OutC; ch++ {
 		row := c.KernelRow(ch)
 		for o := 0; o < n; o++ {
-			if err := tbl.AppendRow([]sqldb.Datum{
-				sqldb.Int(int64(ch)), sqldb.Int(int64(o)), sqldb.Float(row[o]),
-			}); err != nil {
-				return err
-			}
+			kernel = append(kernel, int64(ch))
+			order = append(order, int64(o))
+			value = append(value, row[o])
 		}
 	}
-	return nil
+	return t.createTable(name, kernelSchema(), intCol(kernel), intCol(order), floatCol(value))
 }
+
+// kernelSchema is the Kernel table layout {KernelID, OrderID, Value}.
+func kernelSchema() sqldb.Schema {
+	return sqldb.Schema{
+		{Name: "KernelID", Type: sqldb.TInt},
+		{Name: "OrderID", Type: sqldb.TInt},
+		{Name: "Value", Type: sqldb.TFloat},
+	}
+}
+
+// createTable (re)creates a table and bulk-loads its columns with one
+// Table.AppendColumns.
+func (t *Translator) createTable(name string, schema sqldb.Schema, cols ...*sqldb.Column) error {
+	t.dropIfExists(name)
+	tbl, err := t.DB.CreateTable(name, schema)
+	if err != nil {
+		return err
+	}
+	return tbl.AppendColumns(cols)
+}
+
+func intCol(v []int64) *sqldb.Column     { return &sqldb.Column{Type: sqldb.TInt, Ints: v} }
+func floatCol(v []float64) *sqldb.Column { return &sqldb.Column{Type: sqldb.TFloat, Floats: v} }
 
 // storeLinearKernel stores a fully-connected weight matrix in kernel form:
 // the paper treats FC as a conv with kernel size 1 over the flattened
 // input, so OrderID is simply the input feature index.
 func (t *Translator) storeLinearKernel(name string, l *nn.Linear) error {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
-		{Name: "KernelID", Type: sqldb.TInt},
-		{Name: "OrderID", Type: sqldb.TInt},
-		{Name: "Value", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return err
-	}
 	w := l.Weight.Data()
+	kernel, order := make([]int64, 0, l.Out*l.In), make([]int64, 0, l.Out*l.In)
 	for o := 0; o < l.Out; o++ {
 		for i := 0; i < l.In; i++ {
-			if err := tbl.AppendRow([]sqldb.Datum{
-				sqldb.Int(int64(o)), sqldb.Int(int64(i)), sqldb.Float(w[o*l.In+i]),
-			}); err != nil {
-				return err
-			}
+			kernel = append(kernel, int64(o))
+			order = append(order, int64(i))
 		}
 	}
-	return nil
+	return t.createTable(name, kernelSchema(), intCol(kernel), intCol(order), floatCol(w[:l.Out*l.In]))
 }
 
 // bnIsIdentity reports whether a batch norm has no learned parameters to
@@ -343,51 +360,37 @@ func instanceNormIsIdentity(in *nn.InstanceNorm) bool {
 // {KernelID, Gamma, Beta, Mean, Var}. Mean/Var are zero/one when the layer
 // normalizes with batch statistics.
 func (t *Translator) storeBNParams(name string, gamma, beta, mean, variance []float64) error {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
+	n := len(gamma)
+	kernel, ms, vs := make([]int64, n), make([]float64, n), make([]float64, n)
+	for i := range gamma {
+		kernel[i] = int64(i)
+		ms[i], vs[i] = 0, 1
+		if mean != nil {
+			ms[i] = mean[i]
+		}
+		if variance != nil {
+			vs[i] = variance[i]
+		}
+	}
+	return t.createTable(name, sqldb.Schema{
 		{Name: "KernelID", Type: sqldb.TInt},
 		{Name: "Gamma", Type: sqldb.TFloat},
 		{Name: "Beta", Type: sqldb.TFloat},
 		{Name: "Mean", Type: sqldb.TFloat},
 		{Name: "Var", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return err
-	}
-	for i := range gamma {
-		m, v := 0.0, 1.0
-		if mean != nil {
-			m = mean[i]
-		}
-		if variance != nil {
-			v = variance[i]
-		}
-		if err := tbl.AppendRow([]sqldb.Datum{
-			sqldb.Int(int64(i)), sqldb.Float(gamma[i]), sqldb.Float(beta[i]),
-			sqldb.Float(m), sqldb.Float(v),
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	}, intCol(kernel), floatCol(gamma), floatCol(beta[:n]), floatCol(ms), floatCol(vs))
 }
 
 // storeBias stores per-output-channel biases.
 func (t *Translator) storeBias(name string, bias []float64) error {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
+	kernel := make([]int64, len(bias))
+	for i := range kernel {
+		kernel[i] = int64(i)
+	}
+	return t.createTable(name, sqldb.Schema{
 		{Name: "KernelID", Type: sqldb.TInt},
 		{Name: "Value", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return err
-	}
-	for i, b := range bias {
-		if err := tbl.AppendRow([]sqldb.Datum{sqldb.Int(int64(i)), sqldb.Float(b)}); err != nil {
-			return err
-		}
-	}
-	return nil
+	}, intCol(kernel), floatCol(bias))
 }
 
 // storeDeconvContrib precomputes the transposed convolution's contribution
@@ -395,20 +398,12 @@ func (t *Translator) storeBias(name string, bias []float64) error {
 // contributes Weight to output element (KernelID, OutID). Inference is then
 // one join + group-by, the natural SQL form of a scatter.
 func (t *Translator) storeDeconvContrib(name string, d *nn.Deconv2D, inShape []int) error {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
-		{Name: "TupleID", Type: sqldb.TInt},
-		{Name: "KernelID", Type: sqldb.TInt},
-		{Name: "OutID", Type: sqldb.TInt},
-		{Name: "Weight", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return err
-	}
 	h, w := inShape[1], inShape[2]
 	oh := (h-1)*d.Stride - 2*d.Pad + d.K
 	ow := (w-1)*d.Stride - 2*d.Pad + d.K
 	wd := d.Weight.Data()
+	var tuple, kernel, outID []int64
+	var weight []float64
 	for ic := 0; ic < d.InC; ic++ {
 		wrow := wd[ic*d.OutC*d.K*d.K : (ic+1)*d.OutC*d.K*d.K]
 		for y := 0; y < h; y++ {
@@ -425,21 +420,22 @@ func (t *Translator) storeDeconvContrib(name string, d *nn.Deconv2D, inShape []i
 							if ox < 0 || ox >= ow {
 								continue
 							}
-							wt := wrow[oc*d.K*d.K+ky*d.K+kx]
-							out := oy*ow + ox
-							if err := tbl.AppendRow([]sqldb.Datum{
-								sqldb.Int(int64(in)), sqldb.Int(int64(oc)),
-								sqldb.Int(int64(out)), sqldb.Float(wt),
-							}); err != nil {
-								return err
-							}
+							tuple = append(tuple, int64(in))
+							kernel = append(kernel, int64(oc))
+							outID = append(outID, int64(oy*ow+ox))
+							weight = append(weight, wrow[oc*d.K*d.K+ky*d.K+kx])
 						}
 					}
 				}
 			}
 		}
 	}
-	return nil
+	return t.createTable(name, sqldb.Schema{
+		{Name: "TupleID", Type: sqldb.TInt},
+		{Name: "KernelID", Type: sqldb.TInt},
+		{Name: "OutID", Type: sqldb.TInt},
+		{Name: "Weight", Type: sqldb.TFloat},
+	}, intCol(tuple), intCol(kernel), intCol(outID), floatCol(weight))
 }
 
 // StorageBytes estimates the relational footprint of the stored model —
@@ -476,53 +472,46 @@ func (sm *StoredModel) TableNames() []string {
 // stride s, padding p). Rows are {MatrixID, OrderID, Value}; overlapping
 // receptive fields duplicate elements, exactly as the paper notes.
 func (t *Translator) EncodeInput(name string, in *tensor.Tensor, k, stride, pad int) (rows int, err error) {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
-		{Name: "MatrixID", Type: sqldb.TInt},
-		{Name: "OrderID", Type: sqldb.TInt},
-		{Name: "Value", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return 0, err
-	}
 	cols, err := tensor.Im2Col(in, k, stride, pad)
 	if err != nil {
+		t.dropIfExists(name)
 		return 0, err
 	}
 	nm, no := cols.Dim(0), cols.Dim(1)
+	matrix, order := make([]int64, 0, nm*no), make([]int64, 0, nm*no)
 	for m := 0; m < nm; m++ {
 		for o := 0; o < no; o++ {
-			if err := tbl.AppendRow([]sqldb.Datum{
-				sqldb.Int(int64(m)), sqldb.Int(int64(o)), sqldb.Float(cols.At(m, o)),
-			}); err != nil {
-				return 0, err
-			}
+			matrix = append(matrix, int64(m))
+			order = append(order, int64(o))
 		}
 	}
+	// Im2Col's row-major data is already the (MatrixID, OrderID) order.
+	if err := t.createTable(name, patchSchema(), intCol(matrix), intCol(order), floatCol(cols.Data())); err != nil {
+		return 0, err
+	}
 	return nm * no, nil
+}
+
+// patchSchema is the FeatureMap layout {MatrixID, OrderID, Value}.
+func patchSchema() sqldb.Schema {
+	return sqldb.Schema{
+		{Name: "MatrixID", Type: sqldb.TInt},
+		{Name: "OrderID", Type: sqldb.TInt},
+		{Name: "Value", Type: sqldb.TFloat},
+	}
 }
 
 // EncodeFlat stores a tensor in flat form {TupleID, KernelID, Value} with
 // TupleID the channel-major flat index.
 func (t *Translator) EncodeFlat(name string, in *tensor.Tensor) error {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
+	per := in.Len() / in.Shape()[0]
+	tuple, kernel := make([]int64, in.Len()), make([]int64, in.Len())
+	for i := range tuple {
+		tuple[i], kernel[i] = int64(i), int64(i/per)
+	}
+	return t.createTable(name, sqldb.Schema{
 		{Name: "TupleID", Type: sqldb.TInt},
 		{Name: "KernelID", Type: sqldb.TInt},
 		{Name: "Value", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return err
-	}
-	shape := in.Shape()
-	c := shape[0]
-	per := in.Len() / c
-	for i, v := range in.Data() {
-		if err := tbl.AppendRow([]sqldb.Datum{
-			sqldb.Int(int64(i)), sqldb.Int(int64(i / per)), sqldb.Float(v),
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	}, intCol(tuple), intCol(kernel), floatCol(in.Data()))
 }

@@ -489,25 +489,24 @@ func (t *Translator) runDeconv(sl *storedLayer, d *nn.Deconv2D, cur relForm, tem
 // is joined with the first kernel during data generation, storing
 // pre-multiplied products {KernelID, MatrixID, Value}.
 func (t *Translator) encodeInputPreJoined(name string, in *tensor.Tensor, conv *nn.Conv2D) error {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, preJoinedInputSchema())
-	if err != nil {
-		return err
-	}
 	cols, err := tensor.Im2Col(in, conv.K, conv.Stride, conv.Pad)
 	if err != nil {
+		t.dropIfExists(name)
 		return err
 	}
 	nm, no := cols.Dim(0), cols.Dim(1)
+	total := conv.OutC * nm * no
+	kernel, matrix := make([]int64, 0, total), make([]int64, 0, total)
+	product := make([]float64, 0, total)
 	for kID := 0; kID < conv.OutC; kID++ {
 		w := conv.KernelRow(kID)
 		for m := 0; m < nm; m++ {
 			for o := 0; o < no; o++ {
-				if err := appendPreJoined(tbl, kID, m, cols.At(m, o)*w[o]); err != nil {
-					return err
-				}
+				kernel = append(kernel, int64(kID))
+				matrix = append(matrix, int64(m))
+				product = append(product, cols.At(m, o)*w[o])
 			}
 		}
 	}
-	return nil
+	return t.createTable(name, preJoinedInputSchema(), intCol(kernel), intCol(matrix), floatCol(product))
 }

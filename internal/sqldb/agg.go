@@ -3,225 +3,283 @@ package sqldb
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/par"
 )
 
-// aggState accumulates one aggregate function over one group.
+// aggState holds one aggregate's counters for one group: the row count of
+// every kind, and the sums of sum/avg and the variances.
 type aggState struct {
-	kind     string
 	count    int64
 	sum      float64
 	sumSq    float64
-	min, max Datum
-	// argVal/argBest back argMax/argMin: argVal is the tracked argument,
-	// argBest the current extreme of the ordering value; argRow is the
-	// input row index that set them, used as the tie-breaker when merging
-	// parallel partials so the merged winner is the first row achieving
-	// the extreme — exactly what the serial scan picks.
-	argVal   Datum
-	argBest  Datum
-	argRow   int
-	distinct map[string]struct{}
-	sawFloat bool
 	intSum   int64
+	sawFloat bool
 }
 
-func newAggState(kind string, distinct bool) *aggState {
-	s := &aggState{kind: kind}
-	if distinct {
-		s.distinct = map[string]struct{}{}
+// aggExtreme is the extra state of min/max (the extreme in best) and
+// argMax/argMin (the ordering value's extreme in best, the argument there
+// in arg, and in argRow the input row that set them — the tie-breaker when
+// merging parallel partials, so the merged winner is the first row
+// achieving the extreme, exactly what the serial scan picks).
+type aggExtreme struct {
+	best, arg Datum
+	argRow    int
+}
+
+// aggStates is one aggregate call's state for every group of a partial,
+// indexed by group id; ext is nil unless the call tracks an extreme.
+type aggStates struct {
+	call *aggCall
+	st   []aggState
+	ext  []aggExtreme
+}
+
+func newAggStates(c *aggCall, groups int) aggStates {
+	s := aggStates{call: c, st: make([]aggState, groups)}
+	switch c.kind {
+	case "min", "max", "argmax", "argmin":
+		s.ext = make([]aggExtreme, groups)
 	}
 	return s
 }
 
-// add folds one row's values into the state; row is the input row index
-// (only argmax/argmin record it, for deterministic parallel merges).
-func (s *aggState) add(vals []Datum, row int) error {
-	if len(vals) == 0 {
-		return fmt.Errorf("sqldb: aggregate %s got no arguments", s.kind)
+// appendFrom adds group g of o as this partial's next group.
+func (s *aggStates) appendFrom(o *aggStates, g int) {
+	s.st = append(s.st, o.st[g])
+	if s.ext != nil {
+		s.ext = append(s.ext, o.ext[g])
 	}
-	v := vals[0]
-	if v.IsNull() {
-		return nil // SQL aggregates skip NULLs
+}
+
+// addNum folds one numeric value into the state.
+func (s *aggState) addNum(kind string, v Datum) error {
+	f, ok := v.AsFloat()
+	if !ok {
+		return fmt.Errorf("sqldb: %s of non-numeric %s", kind, v.T)
 	}
-	if s.distinct != nil {
-		k := v.GroupKey()
-		if _, dup := s.distinct[k]; dup {
-			return nil
-		}
-		s.distinct[k] = struct{}{}
+	if v.T == TFloat {
+		s.sawFloat = true
+	} else {
+		s.intSum += v.I
 	}
-	switch s.kind {
-	case "argmax", "argmin":
-		if len(vals) != 2 {
-			return fmt.Errorf("sqldb: %s expects 2 arguments", s.kind)
+	s.count++
+	s.sum += f
+	s.sumSq += f * f
+	return nil
+}
+
+// accumulate folds rows [lo, hi) of the call's argument vectors (indexed by
+// input row) into the states of their groups (gids, indexed from lo), row
+// by row in input order. skip, when non-nil, marks the rows whose value a
+// DISTINCT aggregate already saw in its group.
+func (s *aggStates) accumulate(gids []int32, args []vec, lo, hi int, skip []bool) error {
+	c := s.call
+	if c.star {
+		for _, g := range gids {
+			s.st[g].count++
 		}
-		ord := vals[1]
-		if ord.IsNull() {
-			return nil
+		return nil
+	}
+	v := args[0]
+	numeric := false
+	switch c.kind {
+	case "sum", "avg", "stddevsamp", "stddevpop", "varsamp", "varpop":
+		numeric = true
+		if col := v.col; col != nil && col.Nulls == nil && skip == nil {
+			// Typed fast paths: values straight from the column vector.
+			switch col.Type {
+			case TFloat:
+				for i, f := range col.Floats[lo:hi] {
+					st := &s.st[gids[i]]
+					st.sawFloat = true
+					st.count++
+					st.sum += f
+					st.sumSq += f * f
+				}
+				return nil
+			case TInt:
+				for i, x := range col.Ints[lo:hi] {
+					st := &s.st[gids[i]]
+					st.intSum += x
+					f := float64(x)
+					st.count++
+					st.sum += f
+					st.sumSq += f * f
+				}
+				return nil
+			case TNull:
+				return nil
+			}
 		}
-		if s.count == 0 {
-			s.argVal, s.argBest, s.argRow = v, ord, row
-		} else {
-			c, err := Compare(ord, s.argBest)
-			if err != nil {
+	case "count", "min", "max", "argmax", "argmin":
+	default:
+		return fmt.Errorf("sqldb: unknown aggregate %q", c.kind)
+	}
+	for r := lo; r < hi; r++ {
+		if v.isNull(r) || (skip != nil && skip[r-lo]) {
+			continue // SQL aggregates skip NULLs
+		}
+		g := gids[r-lo]
+		st := &s.st[g]
+		switch {
+		case numeric:
+			if err := st.addNum(c.kind, v.get(r)); err != nil {
 				return err
 			}
-			if (s.kind == "argmax" && c > 0) || (s.kind == "argmin" && c < 0) {
-				s.argVal, s.argBest, s.argRow = v, ord, row
+		case c.kind == "count":
+			st.count++
+		case c.kind == "min" || c.kind == "max":
+			x, d := &s.ext[g], v.get(r)
+			if st.count == 0 {
+				x.best = d
+			} else if cmp, err := Compare(d, x.best); err != nil {
+				return err
+			} else if (c.kind == "min" && cmp < 0) || (c.kind == "max" && cmp > 0) {
+				x.best = d
 			}
+			st.count++
+		default: // argmax, argmin
+			ord := args[1].get(r)
+			if ord.IsNull() {
+				continue
+			}
+			x := &s.ext[g]
+			if st.count == 0 {
+				x.arg, x.best, x.argRow = v.get(r), ord, r
+			} else {
+				cmp, err := Compare(ord, x.best)
+				if err != nil {
+					return err
+				}
+				if (c.kind == "argmax" && cmp > 0) || (c.kind == "argmin" && cmp < 0) {
+					x.arg, x.best, x.argRow = v.get(r), ord, r
+				}
+			}
+			st.count++
 		}
-		s.count++
-	case "count":
-		s.count++
-	case "sum", "avg", "stddevsamp", "stddevpop", "varsamp", "varpop":
-		f, ok := v.AsFloat()
-		if !ok {
-			return fmt.Errorf("sqldb: %s of non-numeric %s", s.kind, v.T)
-		}
-		if v.T == TFloat {
-			s.sawFloat = true
-		} else {
-			s.intSum += v.I
-		}
-		s.count++
-		s.sum += f
-		s.sumSq += f * f
-	case "min":
-		if s.count == 0 {
-			s.min = v
-		} else if c, err := Compare(v, s.min); err != nil {
-			return err
-		} else if c < 0 {
-			s.min = v
-		}
-		s.count++
-	case "max":
-		if s.count == 0 {
-			s.max = v
-		} else if c, err := Compare(v, s.max); err != nil {
-			return err
-		} else if c > 0 {
-			s.max = v
-		}
-		s.count++
-	default:
-		return fmt.Errorf("sqldb: unknown aggregate %q", s.kind)
 	}
 	return nil
 }
 
-// merge folds another partial state for the same group into s. Partials
-// are merged in ascending chunk order (see execAgg), so float partial sums
+// distinctSkips marks the rows of [lo, hi) whose non-NULL value of v its
+// group (gids, indexed from lo) already saw: COUNT(DISTINCT) and friends
+// dedupe (group, value) pairs through the same key table as GROUP BY.
+func distinctSkips(gids []int32, v vec, lo, hi int) []bool {
+	n := hi - lo
+	g := make([]int64, n)
+	for i, id := range gids {
+		g[i] = int64(id)
+	}
+	keys := []vec{{col: &Column{Type: TInt, Ints: g}}, v.slice(lo, hi)}
+	kt := newKeyTable(keys, n)
+	skip := make([]bool, n)
+	_ = hashBlocks(keys, 0, n, false, func(start int, h []uint64, _ []bool) error {
+		for i, x := range h {
+			if r := start + i; !keys[1].isNull(r) {
+				_, added := kt.insert(x, r)
+				skip[r] = !added
+			}
+		}
+		return nil
+	})
+	return skip
+}
+
+// merge folds group og of another partial into group g. Partials are
+// merged in ascending chunk order (see execAgg), so float partial sums
 // accumulate deterministically and argmax/argmin ties resolve to the
 // lowest contributing row via argRow — matching the serial scan. DISTINCT
 // aggregates never reach merge: per-partial distinct sets would double
 // count, so they force the serial path.
-func (s *aggState) merge(o *aggState) error {
-	switch s.kind {
-	case "argmax", "argmin":
-		if o.count > 0 {
-			if s.count == 0 {
-				s.argVal, s.argBest, s.argRow = o.argVal, o.argBest, o.argRow
-			} else {
-				c, err := Compare(o.argBest, s.argBest)
-				if err != nil {
-					return err
-				}
-				if (s.kind == "argmax" && c > 0) || (s.kind == "argmin" && c < 0) ||
-					(c == 0 && o.argRow < s.argRow) {
-					s.argVal, s.argBest, s.argRow = o.argVal, o.argBest, o.argRow
-				}
-			}
-		}
-	case "min":
-		if o.count > 0 {
-			if s.count == 0 {
-				s.min = o.min
-			} else if c, err := Compare(o.min, s.min); err != nil {
+func (s *aggStates) merge(g int, o *aggStates, og int) error {
+	st, ost := &s.st[g], &o.st[og]
+	if kind := s.call.kind; s.ext != nil && ost.count > 0 {
+		x, ox := &s.ext[g], &o.ext[og]
+		switch {
+		case st.count == 0:
+			*x = *ox
+		case kind == "min" || kind == "max":
+			c, err := Compare(ox.best, x.best)
+			if err != nil {
 				return err
-			} else if c < 0 {
-				s.min = o.min
 			}
-		}
-	case "max":
-		if o.count > 0 {
-			if s.count == 0 {
-				s.max = o.max
-			} else if c, err := Compare(o.max, s.max); err != nil {
+			if (kind == "min" && c < 0) || (kind == "max" && c > 0) {
+				x.best = ox.best
+			}
+		default:
+			c, err := Compare(ox.best, x.best)
+			if err != nil {
 				return err
-			} else if c > 0 {
-				s.max = o.max
+			}
+			if (kind == "argmax" && c > 0) || (kind == "argmin" && c < 0) ||
+				(c == 0 && ox.argRow < x.argRow) {
+				*x = *ox
 			}
 		}
 	}
-	s.count += o.count
-	s.sum += o.sum
-	s.sumSq += o.sumSq
-	s.intSum += o.intSum
-	s.sawFloat = s.sawFloat || o.sawFloat
+	st.count += ost.count
+	st.sum += ost.sum
+	st.sumSq += ost.sumSq
+	st.intSum += ost.intSum
+	st.sawFloat = st.sawFloat || ost.sawFloat
 	return nil
 }
 
-func (s *aggState) result() Datum {
-	switch s.kind {
+// result is the aggregate's value for group g.
+func (s *aggStates) result(g int) Datum {
+	st := &s.st[g]
+	switch kind := s.call.kind; kind {
 	case "argmax", "argmin":
-		if s.count == 0 {
+		if st.count == 0 {
 			return Null()
 		}
-		return s.argVal
+		return s.ext[g].arg
 	case "count":
-		return Int(s.count)
+		return Int(st.count)
 	case "sum":
-		if s.count == 0 {
+		if st.count == 0 {
 			return Null()
 		}
-		if !s.sawFloat {
-			return Int(s.intSum)
+		if !st.sawFloat {
+			return Int(st.intSum)
 		}
-		return Float(s.sum)
+		return Float(st.sum)
 	case "avg":
-		if s.count == 0 {
+		if st.count == 0 {
 			return Null()
 		}
-		return Float(s.sum / float64(s.count))
-	case "min":
-		if s.count == 0 {
+		return Float(st.sum / float64(st.count))
+	case "min", "max":
+		if st.count == 0 {
 			return Null()
 		}
-		return s.min
-	case "max":
-		if s.count == 0 {
-			return Null()
-		}
-		return s.max
+		return s.ext[g].best
 	case "varsamp", "stddevsamp":
-		if s.count < 2 {
+		if st.count < 2 {
 			return Float(0)
 		}
-		n := float64(s.count)
-		v := (s.sumSq - s.sum*s.sum/n) / (n - 1)
+		n := float64(st.count)
+		v := (st.sumSq - st.sum*st.sum/n) / (n - 1)
 		if v < 0 {
 			v = 0 // guard numeric noise
 		}
-		if s.kind == "stddevsamp" {
+		if kind == "stddevsamp" {
 			return Float(math.Sqrt(v))
 		}
 		return Float(v)
 	case "varpop", "stddevpop":
-		if s.count == 0 {
+		if st.count == 0 {
 			return Null()
 		}
-		n := float64(s.count)
-		v := (s.sumSq - s.sum*s.sum/n) / n
+		n := float64(st.count)
+		v := (st.sumSq - st.sum*st.sum/n) / n
 		if v < 0 {
 			v = 0
 		}
-		if s.kind == "stddevpop" {
+		if kind == "stddevpop" {
 			return Float(math.Sqrt(v))
 		}
 		return Float(v)
@@ -339,6 +397,14 @@ func rewriteAggRefs(e Expr, aggCols map[string]string, grpCols map[string]string
 	return e
 }
 
+// aggPartial is the grouping of one chunk of input rows: the key table
+// numbering its groups in first-seen order and, per aggregate call, one
+// state per group.
+type aggPartial struct {
+	kt     *keyTable
+	states []aggStates
+}
+
 // execAgg performs hash aggregation and evaluates the SELECT items over the
 // per-group aggregate values.
 func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
@@ -347,16 +413,6 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-
-	// Compile group-by keys against the child schema.
-	grpFns := make([]evalFn, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		f, err := db.compileExpr(g, child.Schema)
-		if err != nil {
-			return nil, err
-		}
-		grpFns[i] = f
-	}
 
 	// Collect distinct aggregate calls.
 	seen := map[string]*aggCall{}
@@ -369,8 +425,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	if a.Having != nil {
 		collectAggCalls(a.Having, seen, &calls)
 	}
-	argFns := make([][]evalFn, len(calls))
-	for i, c := range calls {
+	for _, c := range calls {
 		if c.star {
 			continue
 		}
@@ -384,101 +439,90 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		if len(c.args) != want {
 			return nil, fmt.Errorf("sqldb: aggregate %s expects %d arguments, got %d", c.kind, want, len(c.args))
 		}
-		for _, a := range c.args {
-			f, err := db.compileExpr(a, child.Schema)
-			if err != nil {
+	}
+
+	n := child.NumRows()
+	deg := ec.parDegreeFor(n)
+	var argExprs []Expr
+	for _, c := range calls {
+		if c.distinct {
+			deg = 1 // per-partial distinct sets would double count
+		}
+		argExprs = append(argExprs, c.args...)
+	}
+	if deg > 1 && !db.exprsParallelSafe(a.GroupBy, argExprs) {
+		deg = 1
+	}
+
+	// Evaluate the group keys and aggregate arguments as vectors over the
+	// whole input; chunks hash their rows' keys a block at a time below.
+	keyX := make([]vecExpr, len(a.GroupBy))
+	for i, g := range a.GroupBy {
+		if keyX[i], err = db.compileVec(g, child.Schema, nil); err != nil {
+			return nil, err
+		}
+	}
+	keys, err := db.evalVecs(ec, keyX, child, n, deg)
+	if err != nil {
+		return nil, err
+	}
+	args := make([][]vec, len(calls))
+	for i, c := range calls {
+		if c.star {
+			continue
+		}
+		argX := make([]vecExpr, len(c.args))
+		for j, e := range c.args {
+			if argX[j], err = db.compileVec(e, child.Schema, nil); err != nil {
 				return nil, err
 			}
-			argFns[i] = append(argFns[i], f)
+		}
+		if args[i], err = db.evalVecs(ec, argX, child, n, deg); err != nil {
+			return nil, err
 		}
 	}
 
 	// Group rows. The serial path scans rows in order; the parallel path
 	// splits the input into at most `deg` contiguous chunks that each
-	// build an independent partial-group map (the per-worker partial
-	// aggregates of morsel-driven engines), merged at the barrier in
-	// ascending chunk order so float partial sums accumulate
-	// deterministically. Each group records the first input row that
-	// created it; sorting merged groups by that row reproduces the serial
-	// first-seen group order exactly.
-	type group struct {
-		keys   []Datum
-		states []*aggState
-		first  int
-	}
-	n := child.NumRows()
-	aggregateRange := func(lo, hi int) (map[string]*group, error) {
-		groups := map[string]*group{}
-		buf := make([]byte, 0, 64)
-		keyBuf := make([]Datum, len(grpFns))
-		valBuf := make([]Datum, 0, 4)
-		for row := lo; row < hi; row++ {
-			if (row-lo)%morselRows == 0 {
-				// Cancellation point: chunks can exceed morselRows (and the
-				// serial path is one full-range chunk), so the row loop
-				// checks the query context every morsel's worth of rows.
-				if err := ec.check(); err != nil {
-					return nil, err
-				}
+	// number their groups in first-seen order and accumulate independent
+	// partial states (the per-worker partial aggregates of morsel-driven
+	// engines), merged at the barrier in ascending chunk order so float
+	// partial sums accumulate deterministically. Chunks are ascending row
+	// ranges, so numbering the merged groups chunk by chunk reproduces the
+	// serial first-seen group order exactly.
+	aggregateRange := func(lo, hi int) (*aggPartial, error) {
+		p := &aggPartial{kt: newKeyTable(keys, 64), states: make([]aggStates, len(calls))}
+		gids := make([]int32, hi-lo)
+		if err := hashBlocks(keys, lo, hi, false, func(start int, h []uint64, _ []bool) error {
+			// Cancellation point: chunks can exceed morselRows (and the
+			// serial path is one full-range chunk), so the row loop checks
+			// the query context every block of rows.
+			if err := ec.check(); err != nil {
+				return err
 			}
-			buf = buf[:0]
-			for i, f := range grpFns {
-				v, err := f(child, row)
-				if err != nil {
-					return nil, err
-				}
-				keyBuf[i] = v
-				buf = v.AppendKey(buf)
+			for i, x := range h {
+				gids[start+i-lo], _ = p.kt.insert(x, start+i)
 			}
-			g := groups[string(buf)]
-			if g == nil {
-				gk := string(buf)
-				g = &group{keys: append([]Datum(nil), keyBuf...), states: make([]*aggState, len(calls)), first: row}
-				for i, c := range calls {
-					g.states[i] = newAggState(c.kind, c.distinct)
-				}
-				groups[gk] = g
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		for i, c := range calls {
+			p.states[i] = newAggStates(c, p.kt.len())
+			var skip []bool
+			if c.distinct && !c.star {
+				skip = distinctSkips(gids, args[i][0], lo, hi)
 			}
-			for i, c := range calls {
-				if c.star {
-					g.states[i].count++
-					continue
-				}
-				valBuf = valBuf[:0]
-				for _, f := range argFns[i] {
-					v, err := f(child, row)
-					if err != nil {
-						return nil, err
-					}
-					valBuf = append(valBuf, v)
-				}
-				if err := g.states[i].add(valBuf, row); err != nil {
-					return nil, err
-				}
+			if err := p.states[i].accumulate(gids, args[i], lo, hi, skip); err != nil {
+				return nil, err
 			}
 		}
-		return groups, nil
+		return p, nil
 	}
 
-	deg := ec.parDegreeFor(n)
-	if deg > 1 {
-		var argExprs []Expr
-		for _, c := range calls {
-			if c.distinct {
-				deg = 1 // per-partial distinct sets would double count
-				break
-			}
-			argExprs = append(argExprs, c.args...)
-		}
-		if deg > 1 && !db.exprsParallelSafe(a.GroupBy, argExprs) {
-			deg = 1
-		}
-	}
-	var groups map[string]*group
+	var groups *aggPartial
 	if deg <= 1 {
-		var err error
-		groups, err = aggregateRange(0, n)
-		if err != nil {
+		if groups, err = aggregateRange(0, n); err != nil {
 			return nil, err
 		}
 	} else {
@@ -486,7 +530,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		if chunk < morselRows {
 			chunk = morselRows
 		}
-		partials := make([]map[string]*group, (n+chunk-1)/chunk)
+		partials := make([]*aggPartial, (n+chunk-1)/chunk)
 		stats, err := par.RunErrCtx(ec.ctx, deg, n, chunk, func(_, lo, hi int) error {
 			p, err := aggregateRange(lo, hi)
 			partials[lo/chunk] = p
@@ -496,70 +540,49 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 			return nil, err
 		}
 		db.notePar(ec, stats)
-		groups = map[string]*group{}
-		for _, p := range partials {
-			for gk, g := range p {
-				mg := groups[gk]
-				if mg == nil {
-					groups[gk] = g
-					continue
-				}
-				if g.first < mg.first {
-					mg.first = g.first
-				}
-				for i := range mg.states {
-					if err := mg.states[i].merge(g.states[i]); err != nil {
+		// The first chunk's groups are the base; later chunks' groups merge
+		// into them or append in their first-seen order.
+		groups = partials[0]
+		for _, p := range partials[1:] {
+			for id, h := range p.kt.hashes {
+				mid, added := groups.kt.insert(h, int(p.kt.rows[id]))
+				for i := range groups.states {
+					if added {
+						groups.states[i].appendFrom(&p.states[i], id)
+					} else if err := groups.states[i].merge(int(mid), &p.states[i], id); err != nil {
 						return nil, err
 					}
 				}
 			}
 		}
 	}
-	order := make([]string, 0, len(groups))
-	for gk := range groups {
-		order = append(order, gk)
-	}
-	sort.Slice(order, func(i, j int) bool { return groups[order[i]].first < groups[order[j]].first })
+	nGroups := groups.kt.len()
 	// Global aggregation over empty input still yields one group.
-	if len(grpFns) == 0 && len(groups) == 0 {
-		g := &group{states: make([]*aggState, len(calls))}
+	if len(a.GroupBy) == 0 && nGroups == 0 {
 		for i, c := range calls {
-			g.states[i] = newAggState(c.kind, c.distinct)
+			groups.states[i] = newAggStates(c, 1)
 		}
-		groups[""] = g
-		order = append(order, "")
+		nGroups = 1
 	}
 
-	// Build intermediate result: $grpN columns then $aggN columns.
+	// Build intermediate result: $grpN columns (each group's first-seen key
+	// values) then $aggN columns.
 	grpCols := map[string]string{}
 	aggCols := map[string]string{}
 	inter := &Result{}
 	for i, g := range a.GroupBy {
 		name := fmt.Sprintf("$grp%d", i)
 		grpCols[g.String()] = name
-		inter.Schema = append(inter.Schema, OutCol{Name: name})
+		col := gatherVec(keys[i], groups.kt.rows)
+		inter.Schema = append(inter.Schema, OutCol{Name: name, Type: col.Type})
+		inter.Cols = append(inter.Cols, col)
 	}
 	for i, c := range calls {
 		name := fmt.Sprintf("$agg%d", i)
 		aggCols[c.repr] = name
-		inter.Schema = append(inter.Schema, OutCol{Name: name})
-	}
-	nCols := len(a.GroupBy) + len(calls)
-	cells := make([][]Datum, nCols)
-	for gi, gk := range order {
-		g := groups[gk]
-		for i := range a.GroupBy {
-			cells[i] = append(cells[i], g.keys[i])
-		}
-		for i := range calls {
-			cells[len(a.GroupBy)+i] = append(cells[len(a.GroupBy)+i], g.states[i].result())
-		}
-		_ = gi
-	}
-	for i := 0; i < nCols; i++ {
-		col := columnFromData(cells[i])
+		col := columnOf(nGroups, groups.states[i].result)
+		inter.Schema = append(inter.Schema, OutCol{Name: name, Type: col.Type})
 		inter.Cols = append(inter.Cols, col)
-		inter.Schema[i].Type = col.Type
 	}
 
 	// Evaluate HAVING over the intermediate result.
@@ -591,36 +614,32 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		// A bare column that isn't a group key or aggregate is invalid SQL;
 		// we resolve it against the group keys by name as a convenience
 		// (matches ClickHouse's leniency for functionally-dependent keys).
-		fn, err := db.compileExpr(rewritten, inter.Schema)
+		x, err := db.compileVec(rewritten, inter.Schema, nil)
 		if err != nil {
 			if cr, ok := it.Expr.(*ColRef); ok {
 				// try matching a group-by expression that is a ColRef with
 				// the same name
-				matched := false
 				for gi, g := range a.GroupBy {
 					if gcr, ok := g.(*ColRef); ok && strings.EqualFold(gcr.Name, cr.Name) {
-						rewritten = &ColRef{Name: fmt.Sprintf("$grp%d", gi)}
-						matched = true
+						x, err = db.compileVec(&ColRef{Name: fmt.Sprintf("$grp%d", gi)}, inter.Schema, nil)
 						break
 					}
 				}
-				if matched {
-					fn, err = db.compileExpr(rewritten, inter.Schema)
-				}
 			}
 			if err != nil {
 				return nil, err
 			}
 		}
-		data := make([]Datum, rows)
-		for i := 0; i < rows; i++ {
-			v, err := fn(inter, i)
-			if err != nil {
-				return nil, err
-			}
-			data[i] = v
+		v, err := x.eval(inter, 0, rows)
+		if err != nil {
+			return nil, err
 		}
-		col := columnFromData(data)
+		var col *Column
+		if v.col != nil {
+			col = settleType(v.col)
+		} else {
+			col = columnFromData(v.ds)
+		}
 		out.Cols = append(out.Cols, col)
 		out.Schema = append(out.Schema, OutCol{Name: name, Type: col.Type})
 	}
@@ -628,28 +647,65 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	return out, nil
 }
 
+// gatherVec builds the column of a vector's values at the given rows, typed
+// as a build from those values would type it (see columnFromData).
+func gatherVec(v vec, rows []int32) *Column {
+	if v.col == nil {
+		data := make([]Datum, len(rows))
+		for i, r := range rows {
+			data[i] = v.ds[r]
+		}
+		return columnFromData(data)
+	}
+	return settleType(gather(v.col, rows))
+}
+
+// settleType returns c, or an all-NULL TNull column of c's length when c
+// holds no non-NULL value: the type a row-at-a-time build of the same
+// values infers (the first non-NULL value's type, NULL when there is none).
+func settleType(c *Column) *Column {
+	n := c.Len()
+	if c.Type == TNull {
+		return c
+	}
+	if c.Nulls == nil && n > 0 {
+		return c
+	}
+	for i := 0; i < n; i++ {
+		if !c.Nulls[i] {
+			return c
+		}
+	}
+	return &Column{Type: TNull, Nulls: trues(n)}
+}
+
 // columnFromData builds a column from a datum slice, inferring the type
 // from the first non-null value.
 func columnFromData(data []Datum) *Column {
+	return columnOf(len(data), func(i int) Datum { return data[i] })
+}
+
+// columnOf builds a column of n values, typed by the first non-null value
+// with mixed Int/Float promoted to Float.
+func columnOf(n int, at func(int) Datum) *Column {
 	t := TNull
-	for _, d := range data {
-		if !d.IsNull() {
+	for i := 0; i < n; i++ {
+		if d := at(i); !d.IsNull() {
 			t = d.T
 			break
 		}
 	}
-	// Promote mixed int/float to float.
 	if t == TInt {
-		for _, d := range data {
-			if d.T == TFloat {
+		for i := 0; i < n; i++ {
+			if at(i).T == TFloat {
 				t = TFloat
 				break
 			}
 		}
 	}
 	col := NewColumn(t)
-	for _, d := range data {
-		_ = col.Append(d)
+	for i := 0; i < n; i++ {
+		_ = col.Append(at(i))
 	}
 	return col
 }

@@ -377,17 +377,10 @@ func (db *DB) runCreateTable(ctx context.Context, st *CreateTableStmt, hints *Qu
 		return err
 	}
 	start := time.Now()
-	n := res.NumRows()
-	row := make([]Datum, len(res.Cols))
-	for i := 0; i < n; i++ {
-		for j, c := range res.Cols {
-			row[j] = c.Get(i)
-		}
-		if err := t.AppendRow(row); err != nil {
-			return err
-		}
+	if err := t.AppendColumns(res.Cols); err != nil {
+		return err
 	}
-	db.Profile.add(OpInsert, n, time.Since(start))
+	db.Profile.add(OpInsert, res.NumRows(), time.Since(start))
 	return nil
 }
 
@@ -427,38 +420,44 @@ func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints) 
 		}
 	}
 	start := time.Now()
-	count := 0
-	appendMapped := func(vals []Datum) error {
-		if len(vals) != len(mapping) {
-			return fmt.Errorf("sqldb: INSERT into %s expects %d values, got %d", st.Table, len(mapping), len(vals))
-		}
-		row := make([]Datum, len(t.Schema))
-		for i := range row {
-			row[i] = Null()
-		}
-		for i, v := range vals {
-			row[mapping[i]] = v
-		}
-		count++
-		return t.AppendRow(row)
-	}
+	cols := make([]*Column, len(t.Schema))
 	if st.Query != nil {
 		res, err := db.runSelect(ctx, st.Query, hints)
 		if err != nil {
 			return err
 		}
 		n := res.NumRows()
-		for i := 0; i < n; i++ {
-			if err := appendMapped(res.GetRow(i)); err != nil {
-				return err
+		if n > 0 && len(res.Cols) != len(mapping) {
+			return fmt.Errorf("sqldb: INSERT into %s expects %d values, got %d", st.Table, len(mapping), len(res.Cols))
+		}
+		for i := range cols {
+			cols[i] = &Column{Type: TNull, Nulls: trues(n)}
+		}
+		for i, m := range mapping {
+			if i < len(res.Cols) {
+				cols[m] = res.Cols[i]
 			}
 		}
-		db.Profile.add(OpInsert, count, time.Since(start))
+		if err := t.AppendColumns(cols); err != nil {
+			return err
+		}
+		db.Profile.add(OpInsert, n, time.Since(start))
 		return nil
 	}
+	// VALUES rows are staged column-wise in the table's types, then
+	// appended in one call: the statement inserts all of its rows or none.
+	for i, c := range t.Schema {
+		cols[i] = NewColumn(c.Type)
+	}
 	empty := &Result{}
+	row := make([]Datum, len(t.Schema))
 	for _, rowExprs := range st.Values {
-		vals := make([]Datum, len(rowExprs))
+		if len(rowExprs) != len(mapping) {
+			return fmt.Errorf("sqldb: INSERT into %s expects %d values, got %d", st.Table, len(mapping), len(rowExprs))
+		}
+		for i := range row {
+			row[i] = Null()
+		}
 		for i, e := range rowExprs {
 			fn, err := db.compileExpr(e, nil)
 			if err != nil {
@@ -468,13 +467,18 @@ func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints) 
 			if err != nil {
 				return err
 			}
-			vals[i] = v
+			row[mapping[i]] = v
 		}
-		if err := appendMapped(vals); err != nil {
-			return err
+		for i, v := range row {
+			if err := cols[i].Append(v); err != nil {
+				return fmt.Errorf("sqldb: table %s column %s: %w", t.Name, t.Schema[i].Name, err)
+			}
 		}
 	}
-	db.Profile.add(OpInsert, count, time.Since(start))
+	if err := t.AppendColumns(cols); err != nil {
+		return err
+	}
+	db.Profile.add(OpInsert, len(st.Values), time.Since(start))
 	return nil
 }
 
@@ -618,23 +622,24 @@ func (db *DB) runDelete(ctx context.Context, st *DeleteStmt, hints *QueryHints) 
 	if err != nil {
 		return err
 	}
+	// Find and remove under one write lock: a writer slipping in between
+	// would shift the row indices found.
 	start := time.Now()
-	t.mu.RLock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	view := &Result{Schema: schema, Cols: t.Cols}
 	n := view.NumRows()
 	var dead []int
 	for i := 0; i < n; i++ {
 		v, err := where(view, i)
 		if err != nil {
-			t.mu.RUnlock()
 			return err
 		}
 		if b, ok := v.AsBool(); ok && b {
 			dead = append(dead, i)
 		}
 	}
-	t.mu.RUnlock()
-	t.DeleteRows(dead)
+	t.deleteRowsLocked(dead)
 	db.Profile.add(OpDelete, len(dead), time.Since(start))
 	return nil
 }

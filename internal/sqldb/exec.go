@@ -504,18 +504,16 @@ func (db *DB) execProject(p *LProject, ec *execCtx) (*Result, error) {
 		n = child.NumRows()
 	}
 	out := &Result{}
-	// Expand stars and compile items.
-	type proj struct {
-		fn   evalFn
-		col  int  // >=0 for direct column pass-through
-		expr Expr // source expression for computed items
-	}
-	var projs []proj
+	// Expand stars; bare columns pass through, computed items compile to
+	// vector expressions.
+	var computed []vecExpr
+	var exprs []Expr
+	src := make([]int, 0, len(p.Items)) // >= 0: child column; < 0: -1-index into computed
 	for _, it := range p.Items {
 		if it.Star {
 			for ci := range child.Schema {
 				out.Schema = append(out.Schema, child.Schema[ci])
-				projs = append(projs, proj{col: ci})
+				src = append(src, ci)
 			}
 			continue
 		}
@@ -530,82 +528,70 @@ func (db *DB) execProject(p *LProject, ec *execCtx) (*Result, error) {
 		out.Schema = append(out.Schema, OutCol{Name: name})
 		if cr, ok := it.Expr.(*ColRef); ok && p.Child != nil {
 			if ci, err := child.ColIndex(cr.Table, cr.Name); err == nil {
-				projs = append(projs, proj{col: ci})
+				src = append(src, ci)
 				continue
 			}
 		}
-		fn, err := db.compileExpr(it.Expr, child.Schema)
+		x, err := db.compileVec(it.Expr, child.Schema, ec)
 		if err != nil {
 			return nil, err
 		}
-		fn = ec.countUDFs(len(db.exprUDFs(it.Expr)), fn)
-		projs = append(projs, proj{fn: fn, col: -1, expr: it.Expr})
+		src = append(src, -1-len(computed))
+		computed = append(computed, x)
+		exprs = append(exprs, it.Expr)
 	}
-	// Computed items are evaluated column-at-a-time into datum slices —
-	// fanned out as row-range morsels when the input is large and every
-	// referenced UDF is parallel-safe (this is where nUDF inference calls
-	// spread across cores) — then appended through the serial
-	// type-inference path so parallel and serial projections build
-	// identical columns.
+	// Computed items are evaluated as vectors — row-evaluated parts fanned
+	// out as row-range morsels when the input is large and every referenced
+	// UDF is parallel-safe (this is where nUDF inference calls spread across
+	// cores) — and typed as a row-at-a-time build types them, so parallel
+	// and serial projections build identical columns.
 	deg := ec.parDegreeFor(n)
-	if deg > 1 {
-		var exprs []Expr
-		for _, pr := range projs {
-			if pr.col < 0 {
-				exprs = append(exprs, pr.expr)
-			}
-		}
-		if !db.exprsParallelSafe(exprs) {
-			deg = 1
-		}
+	if deg > 1 && !db.exprsParallelSafe(exprs) {
+		deg = 1
 	}
-	for pi, pr := range projs {
-		if pr.col >= 0 {
+	vals, err := db.evalVecs(ec, computed, child, n, deg)
+	if err != nil {
+		return nil, err
+	}
+	for pi, ci := range src {
+		if ci >= 0 {
 			// Zero-copy column pass-through.
-			out.Cols = append(out.Cols, child.Cols[pr.col])
-			out.Schema[pi].Type = child.Schema[pr.col].Type
+			out.Cols = append(out.Cols, child.Cols[ci])
+			out.Schema[pi].Type = child.Schema[ci].Type
 			continue
 		}
-		data := make([]Datum, n)
-		stats, err := db.runMorsels(ec, deg, n, func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				v, err := pr.fn(child, i)
-				if err != nil {
-					return err
-				}
-				data[i] = v
-			}
-			return nil
-		})
+		col, err := projectColumn(vals[-1-ci])
 		if err != nil {
 			return nil, err
-		}
-		db.notePar(ec, stats)
-		col := &Column{Type: TNull}
-		first := true
-		for i := 0; i < n; i++ {
-			v := data[i]
-			if first && !v.IsNull() {
-				col.Type = v.T
-				first = false
-				// backfill earlier nulls
-				col2 := NewColumn(v.T)
-				for j := 0; j < i; j++ {
-					if err := col2.Append(Null()); err != nil {
-						return nil, err
-					}
-				}
-				col = col2
-			}
-			if err := col.Append(v); err != nil {
-				return nil, err
-			}
 		}
 		out.Cols = append(out.Cols, col)
 		out.Schema[pi].Type = col.Type
 	}
 	ec.profAdd(OpProject, n, start)
 	return out, nil
+}
+
+// projectColumn settles a computed projection's vector into its output
+// column. Mixed-type values take the first non-NULL value's type and
+// coerce the rest into it (a coercion that cannot hold the value fails).
+func projectColumn(v vec) (*Column, error) {
+	if v.col != nil {
+		return settleType(v.col), nil
+	}
+	t := TNull
+	for _, d := range v.ds {
+		if !d.IsNull() {
+			t = d.T
+			break
+		}
+	}
+	col := NewColumn(t)
+	for _, d := range v.ds {
+		if err := col.Append(d); err != nil {
+			return nil, err
+		}
+	}
+	return col, nil
 }
 
 // execDistinct keeps the FIRST occurrence of each duplicate row, in input
@@ -617,20 +603,20 @@ func (db *DB) execProject(p *LProject, ec *execCtx) (*Result, error) {
 func (db *DB) execDistinct(in *Result, ec *execCtx) (*Result, error) {
 	start := time.Now()
 	n := in.NumRows()
-	seen := make(map[string]struct{}, n)
-	keep := make([]int, 0, n)
-	buf := make([]byte, 0, 64)
-	for i := 0; i < n; i++ {
-		buf = buf[:0]
-		for _, c := range in.Cols {
-			buf = c.Get(i).AppendKey(buf)
-		}
-		if _, dup := seen[string(buf)]; dup {
-			continue
-		}
-		seen[string(buf)] = struct{}{}
-		keep = append(keep, i)
+	keys := make([]vec, len(in.Cols))
+	for i, c := range in.Cols {
+		keys[i] = vec{col: c}
 	}
+	kt := newKeyTable(keys, 64)
+	keep := make([]int, 0, n)
+	_ = hashBlocks(keys, 0, n, false, func(start int, h []uint64, _ []bool) error {
+		for i, x := range h {
+			if _, added := kt.insert(x, start+i); added {
+				keep = append(keep, start+i)
+			}
+		}
+		return nil
+	})
 	out := &Result{Schema: in.Schema, Cols: make([]*Column, len(in.Cols))}
 	for i, c := range in.Cols {
 		out.Cols[i] = c.Gather(keep)

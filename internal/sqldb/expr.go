@@ -117,23 +117,10 @@ func (db *DB) compileExpr(e Expr, schema []OutCol) (evalFn, error) {
 	case *Param:
 		return nil, fmt.Errorf("sqldb: unbound parameter ?%d — execute through Prepare and bind arguments", t.Idx+1)
 	case *ColRef:
-		idx := -1
-		for i, c := range schema {
-			if !strings.EqualFold(c.Name, t.Name) {
-				continue
-			}
-			if t.Table != "" && !strings.EqualFold(c.Table, t.Table) {
-				continue
-			}
-			if idx >= 0 {
-				return nil, fmt.Errorf("sqldb: ambiguous column %q", t.String())
-			}
-			idx = i
+		i, err := resolveCol(t, schema)
+		if err != nil {
+			return nil, err
 		}
-		if idx < 0 {
-			return nil, fmt.Errorf("sqldb: unknown column %q", t.String())
-		}
-		i := idx
 		return func(r *Result, row int) (Datum, error) { return r.Cols[i].Get(row), nil }, nil
 	case *UnaryExpr:
 		sub, err := db.compileExpr(t.E, schema)

@@ -29,202 +29,218 @@ func (db *DB) execJoin(j *LJoin, ec *execCtx) (*Result, error) {
 	}
 }
 
-// joinKeys evaluates the key expressions for every row of a side,
-// concatenating multi-key values into one string key. Rows are fanned out
-// as morsels when the side is large; each worker writes disjoint slots of
-// the keys slice.
-func (db *DB) joinKeys(in *Result, exprs []Expr, ec *execCtx) ([]string, error) {
-	fns := make([]evalFn, len(exprs))
+// joinSide is one join input's key vectors. Rows are hashed a block at a
+// time where they are inserted or probed, so no per-row hash array is
+// materialized.
+type joinSide struct {
+	keys     []vec
+	ints     [][]int64 // intKeys(keys)
+	nullable bool      // some key can be NULL (such rows never match)
+}
+
+// joinSide evaluates a side's key expressions as vectors. Row-evaluated
+// keys fan out as morsels when the side is large.
+func (db *DB) joinSide(in *Result, exprs []Expr, ec *execCtx) (*joinSide, error) {
+	vx := make([]vecExpr, len(exprs))
 	for i, e := range exprs {
-		f, err := db.compileExpr(e, in.Schema)
+		x, err := db.compileVec(e, in.Schema, nil)
 		if err != nil {
 			return nil, err
 		}
-		fns[i] = f
+		vx[i] = x
 	}
 	n := in.NumRows()
-	keys := make([]string, n)
 	deg := ec.parDegreeFor(n)
 	if deg > 1 && !db.exprsParallelSafe(exprs) {
 		deg = 1
 	}
-	_, err := db.runMorsels(ec, deg, n, func(_, lo, hi int) error {
-		buf := make([]byte, 0, 64)
-		for i := lo; i < hi; i++ {
-			buf = buf[:0]
-			null := false
-			for _, f := range fns {
-				v, err := f(in, i)
-				if err != nil {
-					return err
-				}
-				if v.IsNull() {
-					null = true
-					break
-				}
-				buf = v.AppendKey(buf)
-			}
-			if null {
-				keys[i] = "" // NULL keys never match
-			} else {
-				keys[i] = string(buf)
-			}
-		}
-		return nil
-	})
+	keys, err := db.evalVecs(ec, vx, in, n, deg)
 	if err != nil {
 		return nil, err
 	}
-	return keys, nil
-}
-
-// hashKey is FNV-1a over the string key, used to partition the build side
-// so workers can populate disjoint hash maps without locks.
-func hashKey(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+	s := &joinSide{keys: keys, ints: intKeys(keys)}
+	for _, k := range keys {
+		if k.col == nil || k.col.Type == TNull || k.col.Nulls != nil {
+			s.nullable = true
+		}
 	}
-	return h
+	return s, nil
 }
 
-// joinTable is the build side of a hash join. With one partition it is the
-// classic single map; with P partitions each key lives in partition
-// hash(key) % P, so a parallel build assigns each worker a set of whole
-// partitions and never takes a lock. Per-key index slices are ascending in
-// either layout (partition builds scan the key slice in row order), which
-// keeps probe output identical to the serial join.
-type joinTable struct {
-	parts []map[string][]int32
+func (s *joinSide) len() int {
+	if len(s.keys) == 0 {
+		return 0
+	}
+	return s.keys[0].len()
 }
 
-// buildJoinTable hashes the build side. A done ctx stops the partition
-// workers early and leaves the table incomplete — callers must check the
+// joinPart is one partition of a hash join's build side: its distinct keys,
+// and per key the first and last build row carrying it; the rows in between
+// chain through joinIndex.next in ascending order.
+type joinPart struct {
+	kt         *keyTable
+	head, tail []int32
+	count      []int32 // chain length per key
+}
+
+// add appends build row r (key hash h) to its key's chain.
+func (jp *joinPart) add(h uint64, r int, next []int32) {
+	id, added := jp.kt.insert(h, r)
+	next[r] = -1
+	if added {
+		jp.head = append(jp.head, int32(r))
+		jp.tail = append(jp.tail, int32(r))
+		jp.count = append(jp.count, 1)
+		return
+	}
+	next[jp.tail[id]] = int32(r)
+	jp.tail[id] = int32(r)
+	jp.count[id]++
+}
+
+// first returns the first build row whose key equals row of the probe
+// side and the number of build rows with that key, or -1, 0.
+func (jp *joinPart) first(h uint64, probe *joinSide, row int) (int32, int) {
+	if jp.kt == nil {
+		return -1, 0 // partition skipped by a cancelled build
+	}
+	if id := jp.kt.find(h, probe.keys, probe.ints, row); id >= 0 {
+		return jp.head[id], int(jp.count[id])
+	}
+	return -1, 0
+}
+
+// joinIndex is the build side of a hash join. With one partition it is one
+// keyTable; with P partitions each key lives in partition hash % P, so a
+// parallel build assigns each worker whole partitions and never takes a
+// lock. Chains are ascending in either layout (partition builds scan the
+// rows in order), which keeps probe output identical to the serial join.
+type joinIndex struct {
+	parts []joinPart
+	next  []int32
+}
+
+func partOf(h uint64, p int) int {
+	if p == 1 {
+		return 0
+	}
+	return int((h >> 32) % uint64(p))
+}
+
+// buildJoinIndex hashes the build side. A done ctx stops the partition
+// workers early and leaves the index incomplete — callers must check the
 // query context (ec.check) before trusting the result.
-func buildJoinTable(ctx context.Context, keys []string, degree int) *joinTable {
-	if degree <= 1 {
-		m := make(map[string][]int32, len(keys))
-		for i, k := range keys {
-			if k == "" {
-				continue
-			}
-			m[k] = append(m[k], int32(i))
-		}
-		return &joinTable{parts: []map[string][]int32{m}}
-	}
+func buildJoinIndex(ctx context.Context, b *joinSide, degree int) *joinIndex {
+	n := b.len()
 	p := degree
-	hs := make([]uint32, len(keys))
-	par.RunCtx(ctx, degree, len(keys), morselRows, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if keys[i] != "" {
-				hs[i] = hashKey(keys[i])
-			}
-		}
-	})
-	parts := make([]map[string][]int32, p)
+	if p < 1 {
+		p = 1
+	}
+	ix := &joinIndex{parts: make([]joinPart, p), next: make([]int32, n)}
 	par.RunCtx(ctx, degree, p, 1, func(_, lo, hi int) {
 		for pi := lo; pi < hi; pi++ {
-			m := make(map[string][]int32, len(keys)/p+1)
-			for i, k := range keys {
-				if k == "" || int(hs[i]%uint32(p)) != pi {
-					continue
+			jp := joinPart{kt: newKeyTable(b.keys, 0)}
+			_ = hashBlocks(b.keys, 0, n, b.nullable, func(start int, h []uint64, null []bool) error {
+				for i, x := range h {
+					if (null == nil || !null[i]) && partOf(x, p) == pi {
+						jp.add(x, start+i, ix.next)
+					}
 				}
-				m[k] = append(m[k], int32(i))
-			}
-			parts[pi] = m
+				return nil
+			})
+			ix.parts[pi] = jp
 		}
 	})
-	return &joinTable{parts: parts}
+	return ix
 }
 
-func (t *joinTable) lookup(k string) []int32 {
-	if len(t.parts) == 1 {
-		return t.parts[0][k]
+// probeJoin probes every row of p against the build index in two
+// morsel-parallel passes: the first finds each probe row's first match and
+// counts every morsel's output pairs, the second writes each morsel's pairs
+// at its offset in exactly-sized outputs. Morsel order is row order, so the
+// output reproduces the serial probe loop's exactly. With outer=true, probe
+// rows with no match emit one pair with build index -1 (NULL padding).
+func (db *DB) probeJoin(ec *execCtx, ix *joinIndex, p *joinSide, deg int, outer bool) ([]int32, []int32, error) {
+	n := p.len()
+	heads := make([]int32, n)
+	offsets := make([]int, (n+morselRows-1)/morselRows+1)
+	stats, err := db.runMorsels(ec, deg, n, func(_, lo, hi int) error {
+		pairs := 0
+		_ = hashBlocks(p.keys, lo, hi, p.nullable, func(start int, h []uint64, null []bool) error {
+			for i, x := range h {
+				head, count := int32(-1), 0
+				if null == nil || !null[i] {
+					head, count = ix.parts[partOf(x, len(ix.parts))].first(x, p, start+i)
+				}
+				heads[start+i] = head
+				if count == 0 && outer {
+					count = 1
+				}
+				pairs += count
+			}
+			return nil
+		})
+		offsets[lo/morselRows+1] = pairs
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return t.parts[hashKey(k)%uint32(len(t.parts))][k]
-}
-
-// probeJoin probes pKeys against the build table, morsel by morsel. Each
-// morsel collects its matched (probe, build) index pairs locally; the
-// per-morsel buffers are concatenated in morsel order, reproducing the
-// serial probe loop's output order exactly. With outer=true, probe rows
-// with no match emit one pair with build index -1 (NULL padding). A done
-// ctx stops the probe early; callers discard the partial result via their
-// query-context check.
-func probeJoin(ctx context.Context, ht *joinTable, pKeys []string, deg int, outer bool) ([]int, []int, par.Stats) {
-	n := len(pKeys)
-	type pairs struct{ p, b []int }
-	morsels := (n + morselRows - 1) / morselRows
-	out := make([]pairs, morsels)
-	stats := par.RunCtx(ctx, deg, n, morselRows, func(_, lo, hi int) {
-		var pr pairs
+	db.notePar(ec, stats)
+	for m := 1; m < len(offsets); m++ {
+		offsets[m] += offsets[m-1]
+	}
+	total := offsets[len(offsets)-1]
+	pIdx, bIdx := make([]int32, total), make([]int32, total)
+	if _, err := db.runMorsels(ec, deg, n, func(_, lo, hi int) error {
+		o := offsets[lo/morselRows]
 		for pi := lo; pi < hi; pi++ {
-			k := pKeys[pi]
-			if k == "" {
-				if outer {
-					pr.p = append(pr.p, pi)
-					pr.b = append(pr.b, -1)
-				}
-				continue
+			bi := heads[pi]
+			if bi < 0 && outer {
+				pIdx[o], bIdx[o] = int32(pi), -1
+				o++
 			}
-			matches := ht.lookup(k)
-			if len(matches) == 0 {
-				if outer {
-					pr.p = append(pr.p, pi)
-					pr.b = append(pr.b, -1)
-				}
-				continue
-			}
-			for _, bi := range matches {
-				pr.p = append(pr.p, pi)
-				pr.b = append(pr.b, int(bi))
+			for ; bi >= 0; bi = ix.next[bi] {
+				pIdx[o], bIdx[o] = int32(pi), bi
+				o++
 			}
 		}
-		out[lo/morselRows] = pr
-	})
-	total := 0
-	for _, pr := range out {
-		total += len(pr.p)
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
-	pIdx := make([]int, 0, total)
-	bIdx := make([]int, 0, total)
-	for _, pr := range out {
-		pIdx = append(pIdx, pr.p...)
-		bIdx = append(bIdx, pr.b...)
-	}
-	return pIdx, bIdx, stats
+	return pIdx, bIdx, nil
 }
 
 // hashJoin is the classic build/probe equi-join: build on the smaller side,
 // probe from the larger. Both phases are morsel-parallel — the build via
-// hash-partitioned sub-tables, the probe via per-morsel match buffers
-// concatenated in morsel order — and produce the same match list as the
-// serial loops.
+// hash-partitioned sub-tables, the probe via per-morsel pair counts that
+// place each morsel's matches in morsel order — and produce the same match
+// list as the serial loops.
 func (db *DB) hashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Result, error) {
 	start := time.Now()
-	lKeys, err := db.joinKeys(left, j.EquiL, ec)
+	l, err := db.joinSide(left, j.EquiL, ec)
 	if err != nil {
 		return nil, err
 	}
-	rKeys, err := db.joinKeys(right, j.EquiR, ec)
+	r, err := db.joinSide(right, j.EquiR, ec)
 	if err != nil {
 		return nil, err
 	}
 	buildLeft := left.NumRows() <= right.NumRows()
-	var bKeys, pKeys []string
-	if buildLeft {
-		bKeys, pKeys = lKeys, rKeys
-	} else {
-		bKeys, pKeys = rKeys, lKeys
+	b, p := l, r
+	if !buildLeft {
+		b, p = r, l
 	}
-	ht := buildJoinTable(ec.ctx, bKeys, ec.parDegreeFor(len(bKeys)))
-	pIdx, bIdx, stats := probeJoin(ec.ctx, ht, pKeys, ec.parDegreeFor(len(pKeys)), false)
-	db.notePar(ec, stats)
+	ix := buildJoinIndex(ec.ctx, b, ec.parDegreeFor(b.len()))
 	if err := ec.check(); err != nil {
-		return nil, err // build/probe may be partial after cancellation
+		return nil, err // the build may be partial after cancellation
 	}
-	var lIdx, rIdx []int
+	pIdx, bIdx, err := db.probeJoin(ec, ix, p, ec.parDegreeFor(p.len()), false)
+	if err != nil {
+		return nil, err
+	}
+	var lIdx, rIdx []int32
 	if buildLeft {
 		lIdx, rIdx = bIdx, pIdx
 	} else {
@@ -242,19 +258,21 @@ func (db *DB) hashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Result, err
 // unmatched left rows are emitted once with NULL-padded right columns.
 func (db *DB) leftOuterHashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Result, error) {
 	start := time.Now()
-	lKeys, err := db.joinKeys(left, j.EquiL, ec)
+	l, err := db.joinSide(left, j.EquiL, ec)
 	if err != nil {
 		return nil, err
 	}
-	rKeys, err := db.joinKeys(right, j.EquiR, ec)
+	r, err := db.joinSide(right, j.EquiR, ec)
 	if err != nil {
 		return nil, err
 	}
-	ht := buildJoinTable(ec.ctx, rKeys, ec.parDegreeFor(len(rKeys)))
-	lIdx, rIdx, stats := probeJoin(ec.ctx, ht, lKeys, ec.parDegreeFor(len(lKeys)), true)
-	db.notePar(ec, stats)
+	ix := buildJoinIndex(ec.ctx, r, ec.parDegreeFor(r.len()))
 	if err := ec.check(); err != nil {
-		return nil, err // build/probe may be partial after cancellation
+		return nil, err // the build may be partial after cancellation
+	}
+	lIdx, rIdx, err := db.probeJoin(ec, ix, l, ec.parDegreeFor(l.len()), true)
+	if err != nil {
+		return nil, err
 	}
 	out := gatherJoin(left, right, lIdx, rIdx)
 	ec.profAdd(OpJoin, out.NumRows(), start)
@@ -274,18 +292,29 @@ func (db *DB) leftOuterHashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Re
 // join always runs serially (its key evaluation still parallelizes).
 func (db *DB) symmetricHashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Result, error) {
 	start := time.Now()
-	lKeys, err := db.joinKeys(left, j.EquiL, ec)
+	l, err := db.joinSide(left, j.EquiL, ec)
 	if err != nil {
 		return nil, err
 	}
-	rKeys, err := db.joinKeys(right, j.EquiR, ec)
+	r, err := db.joinSide(right, j.EquiR, ec)
 	if err != nil {
 		return nil, err
 	}
-	lHT := make(map[string][]int32)
-	rHT := make(map[string][]int32)
-	var lIdx, rIdx []int
-	ln, rn := left.NumRows(), right.NumRows()
+	ln, rn := l.len(), r.len()
+	lHash, rHash := make([]uint64, ln), make([]uint64, rn)
+	var lNull, rNull []bool
+	if l.nullable {
+		lNull = make([]bool, ln)
+	}
+	if r.nullable {
+		rNull = make([]bool, rn)
+	}
+	hashVecs(l.keys, 0, lHash, lNull)
+	hashVecs(r.keys, 0, rHash, rNull)
+	lHT := joinPart{kt: newKeyTable(l.keys, 0)}
+	rHT := joinPart{kt: newKeyTable(r.keys, 0)}
+	lNext, rNext := make([]int32, ln), make([]int32, rn)
+	var lIdx, rIdx []int32
 	max := ln
 	if rn > max {
 		max = rn
@@ -299,21 +328,23 @@ func (db *DB) symmetricHashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Re
 				return nil, err
 			}
 		}
-		if i < ln && lKeys[i] != "" {
-			k := lKeys[i]
-			for _, ri := range rHT[k] {
-				lIdx = append(lIdx, i)
-				rIdx = append(rIdx, int(ri))
+		if i < ln && (lNull == nil || !lNull[i]) {
+			h := lHash[i]
+			ri, _ := rHT.first(h, l, i)
+			for ; ri >= 0; ri = rNext[ri] {
+				lIdx = append(lIdx, int32(i))
+				rIdx = append(rIdx, ri)
 			}
-			lHT[k] = append(lHT[k], int32(i))
+			lHT.add(h, i, lNext)
 		}
-		if i < rn && rKeys[i] != "" {
-			k := rKeys[i]
-			for _, li := range lHT[k] {
-				lIdx = append(lIdx, int(li))
-				rIdx = append(rIdx, i)
+		if i < rn && (rNull == nil || !rNull[i]) {
+			h := rHash[i]
+			li, _ := lHT.first(h, r, i)
+			for ; li >= 0; li = lNext[li] {
+				lIdx = append(lIdx, li)
+				rIdx = append(rIdx, int32(i))
 			}
-			rHT[k] = append(rHT[k], int32(i))
+			rHT.add(h, i, rNext)
 		}
 	}
 	out := gatherJoin(left, right, lIdx, rIdx)
@@ -333,8 +364,8 @@ func (db *DB) symmetricHashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Re
 func (db *DB) nestedLoopJoin(left, right *Result, residual []Expr, ec *execCtx) (*Result, error) {
 	start := time.Now()
 	ln, rn := left.NumRows(), right.NumRows()
-	lIdx := make([]int, ln*rn)
-	rIdx := make([]int, ln*rn)
+	lIdx := make([]int32, ln*rn)
+	rIdx := make([]int32, ln*rn)
 	deg := 1
 	if rn > 0 {
 		deg = ec.parDegreeFor(ln * rn)
@@ -347,8 +378,8 @@ func (db *DB) nestedLoopJoin(left, right *Result, residual []Expr, ec *execCtx) 
 		for i := lo; i < hi; i++ {
 			base := i * rn
 			for k := 0; k < rn; k++ {
-				lIdx[base+k] = i
-				rIdx[base+k] = k
+				lIdx[base+k] = int32(i)
+				rIdx[base+k] = int32(k)
 			}
 		}
 	})
@@ -365,7 +396,7 @@ func (db *DB) nestedLoopJoin(left, right *Result, residual []Expr, ec *execCtx) 
 }
 
 // gatherJoin materializes the joined result from matched index pairs.
-func gatherJoin(left, right *Result, lIdx, rIdx []int) *Result {
+func gatherJoin(left, right *Result, lIdx, rIdx []int32) *Result {
 	out := &Result{
 		Schema: make([]OutCol, 0, len(left.Schema)+len(right.Schema)),
 		Cols:   make([]*Column, 0, len(left.Cols)+len(right.Cols)),
@@ -373,10 +404,10 @@ func gatherJoin(left, right *Result, lIdx, rIdx []int) *Result {
 	out.Schema = append(out.Schema, left.Schema...)
 	out.Schema = append(out.Schema, right.Schema...)
 	for _, c := range left.Cols {
-		out.Cols = append(out.Cols, c.Gather(lIdx))
+		out.Cols = append(out.Cols, gather(c, lIdx))
 	}
 	for _, c := range right.Cols {
-		out.Cols = append(out.Cols, c.Gather(rIdx))
+		out.Cols = append(out.Cols, gather(c, rIdx))
 	}
 	return out
 }

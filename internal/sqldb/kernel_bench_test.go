@@ -1,0 +1,93 @@
+package sqldb
+
+import (
+	"testing"
+)
+
+// Per-operator microbenchmarks of the typed hash kernels, sized like one
+// DL2SQL convolution of the side-16 student model (conv2: 16 output
+// positions × 144 receptive-field elements against 32 kernels).
+
+const (
+	benchPositions = 16
+	benchOrders    = 144
+	benchKernels   = 32
+)
+
+// q1Tables loads the FeatureMap {MatrixID, OrderID, Value} and Kernel
+// {KernelID, OrderID, Value} tables of one Q1.
+func q1Tables(b *testing.B) *DB {
+	b.Helper()
+	db := New()
+	fm, err := db.CreateTable("fm", Schema{{Name: "MatrixID", Type: TInt}, {Name: "OrderID", Type: TInt}, {Name: "Value", Type: TFloat}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for m := 0; m < benchPositions; m++ {
+		for o := 0; o < benchOrders; o++ {
+			if err := fm.AppendRow([]Datum{Int(int64(m)), Int(int64(o)), Float(float64(m*o%7) - 3)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	k, err := db.CreateTable("k", Schema{{Name: "KernelID", Type: TInt}, {Name: "OrderID", Type: TInt}, {Name: "Value", Type: TFloat}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for c := 0; c < benchKernels; c++ {
+		for o := 0; o < benchOrders; o++ {
+			if err := k.AppendRow([]Datum{Int(int64(c)), Int(int64(o)), Float(float64(c+o%5) / 10)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// BenchmarkHashJoin is Q1's FeatureMap ⋈ Kernel on the Int OrderID key.
+func BenchmarkHashJoin(b *testing.B) {
+	db := q1Tables(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := db.Query(`SELECT A.MatrixID, B.KernelID, A.Value, B.Value FROM fm A INNER JOIN k B ON A.OrderID = B.OrderID`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.NumRows() != benchPositions*benchOrders*benchKernels {
+			b.Fatalf("join rows = %d", res.NumRows())
+		}
+	}
+}
+
+// BenchmarkGroupBySum is Q1's aggregation: two Int keys, SUM of a Float
+// product, over the join's output.
+func BenchmarkGroupBySum(b *testing.B) {
+	db := q1Tables(b)
+	if _, err := db.Exec(`CREATE TABLE j AS SELECT A.MatrixID AS MatrixID, B.KernelID AS KernelID, A.Value AS a, B.Value AS b FROM fm A INNER JOIN k B ON A.OrderID = B.OrderID`); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.Query(`SELECT KernelID, MatrixID, SUM(a * b) AS Value FROM j GROUP BY KernelID, MatrixID`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.NumRows() != benchPositions*benchKernels {
+			b.Fatalf("groups = %d", res.NumRows())
+		}
+	}
+}
+
+// BenchmarkCreateTableAs materializes a query result into a new table (the
+// DL2SQL pipeline's per-step CREATE TEMP TABLE … AS SELECT).
+func BenchmarkCreateTableAs(b *testing.B) {
+	db := q1Tables(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Exec(`CREATE TEMP TABLE c AS SELECT KernelID * 144 + OrderID AS TupleID, KernelID, Value FROM k`); err != nil {
+			b.Fatal(err)
+		}
+		db.DropTable("c")
+	}
+}

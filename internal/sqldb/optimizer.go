@@ -198,8 +198,7 @@ func (db *DB) joinSelectivity(lRel, rRel planRel, cond *equiCond) float64 {
 		if t == nil {
 			return 100
 		}
-		st := t.Stats()
-		if d, ok := st.Distinct[strings.ToLower(col.Name)]; ok {
+		if d, ok := t.Distinct(col.Name); ok {
 			return float64(d)
 		}
 		return 100

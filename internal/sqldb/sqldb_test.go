@@ -628,29 +628,19 @@ func TestBlobStorage(t *testing.T) {
 
 func TestTableStatsDistinct(t *testing.T) {
 	db := newTestDB(t)
-	st := db.GetTable("emp").Stats()
-	if st.Rows != 5 {
-		t.Fatalf("stats rows = %d", st.Rows)
+	emp := db.GetTable("emp")
+	for col, want := range map[string]int{"dept": 3, "id": 5, "active": 2} {
+		if d, ok := emp.Distinct(col); !ok || d != want {
+			t.Fatalf("%s distinct = %d (%v), want %d", col, d, ok, want)
+		}
 	}
-	if st.Distinct["dept"] != 3 {
-		t.Fatalf("dept distinct = %d", st.Distinct["dept"])
+	if _, ok := emp.Distinct("nosuch"); ok {
+		t.Fatal("unknown column must report no statistics")
 	}
-	if st.Distinct["id"] != 5 {
-		t.Fatalf("id distinct = %d", st.Distinct["id"])
-	}
-}
-
-func TestEnsureIndex(t *testing.T) {
-	db := newTestDB(t)
-	idx, err := db.GetTable("emp").EnsureIndex("dept")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx.Rows[Str("eng").GroupKey()]) != 2 {
-		t.Fatalf("index eng rows = %v", idx.Rows[Str("eng").GroupKey()])
-	}
-	if _, err := db.GetTable("emp").EnsureIndex("nosuch"); err == nil {
-		t.Fatal("expected error for missing column")
+	// Cached until the next write.
+	mustExec(t, db, `INSERT INTO emp VALUES (6, 'fay', 'ops', 50.0, TRUE)`)
+	if d, _ := emp.Distinct("dept"); d != 4 {
+		t.Fatalf("dept distinct after insert = %d, want 4", d)
 	}
 }
 

@@ -186,7 +186,11 @@ func (c *Column) Clone() *Column {
 
 // Gather builds a new column holding rows[i] = c[idx[i]]. A negative index
 // produces a NULL row (used by outer joins to pad unmatched sides).
-func (c *Column) Gather(idx []int) *Column {
+func (c *Column) Gather(idx []int) *Column { return gather(c, idx) }
+
+// gather is Gather over either index width: joins carry their match pairs
+// as int32, half the bytes of the rest of the executor's []int row lists.
+func gather[I int | int32](c *Column, idx []I) *Column {
 	out := NewColumn(c.Type)
 	hasNeg := false
 	for _, j := range idx {
@@ -268,12 +272,13 @@ func (t *Table) SnapshotCols() []*Column {
 
 // Table is an in-memory columnar table.
 type Table struct {
-	Name    string
-	Schema  Schema
-	Cols    []*Column
-	mu      sync.RWMutex
-	stats   *TableStats
-	indexes map[string]*HashIndex
+	Name   string
+	Schema Schema
+	Cols   []*Column
+	mu     sync.RWMutex
+	// distinct caches per-column distinct-value counts for the optimizer
+	// (0 = not computed yet); every write drops it.
+	distinct []int
 	// version counts writes (append/update/delete/truncate). The plan cache
 	// records it per dependency and replans when it moves — the
 	// "invalidated on DDL/INSERT" half of the cache contract.
@@ -288,7 +293,7 @@ func (t *Table) Version() int64 { return t.version.Load() }
 
 // NewTable creates an empty table with the given schema.
 func NewTable(name string, schema Schema) *Table {
-	t := &Table{Name: name, Schema: schema, indexes: map[string]*HashIndex{}}
+	t := &Table{Name: name, Schema: schema}
 	for _, c := range schema {
 		t.Cols = append(t.Cols, NewColumn(c.Type))
 	}
@@ -325,13 +330,57 @@ func (t *Table) appendRowLocked(row []Datum) error {
 	return nil
 }
 
-// AppendRows bulk-appends rows.
-func (t *Table) AppendRows(rows [][]Datum) error {
+// AppendColumns bulk-appends rows given column-wise: one column per schema
+// column, all of one length. It takes the table lock once and bumps the
+// version once, and it copies the input, so callers may reuse or mutate
+// their columns afterwards. Columns of another type are coerced as
+// AppendRow coerces values; a column that cannot be coerced fails the whole
+// call before anything is appended.
+func (t *Table) AppendColumns(cols []*Column) error {
+	if len(cols) != len(t.Schema) {
+		return fmt.Errorf("sqldb: table %s expects %d columns, got %d", t.Name, len(t.Schema), len(cols))
+	}
+	n := 0
+	for i, c := range cols {
+		if i == 0 {
+			n = c.Len()
+		} else if c.Len() != n {
+			return fmt.Errorf("sqldb: table %s: column %s has %d rows, column %s has %d",
+				t.Name, t.Schema[0].Name, n, t.Schema[i].Name, c.Len())
+		}
+		if err := storable(c, t.Schema[i].Type); err != nil {
+			return fmt.Errorf("sqldb: table %s column %s: %w", t.Name, t.Schema[i].Name, err)
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, r := range rows {
-		if err := t.appendRowLocked(r); err != nil {
-			return err
+	for i, c := range cols {
+		dst := t.Cols[i]
+		if c.Type == dst.Type || c.Type == TNull {
+			dst.appendFrom(c)
+			continue
+		}
+		for r := 0; r < n; r++ {
+			_ = dst.Append(c.Get(r)) // storable checked the coercion
+		}
+	}
+	t.invalidateDerivedLocked()
+	return nil
+}
+
+// storable reports whether every value of c can be appended to a column of
+// type t: same type, numeric/boolean into numeric/boolean, or NULL.
+func storable(c *Column, t Type) error {
+	if c.Type == t || c.Type == TNull {
+		return nil
+	}
+	numeric := func(x Type) bool { return x == TInt || x == TFloat || x == TBool }
+	if numeric(c.Type) && numeric(t) {
+		return nil
+	}
+	for r, n := 0, c.Len(); r < n; r++ {
+		if c.Nulls == nil || !c.Nulls[r] {
+			return fmt.Errorf("sqldb: cannot store %s in %s column", c.Type, t)
 		}
 	}
 	return nil
@@ -348,19 +397,16 @@ func (t *Table) GetRow(i int) []Datum {
 	return row
 }
 
-// invalidateDerivedLocked drops cached statistics and indexes after a write
-// and advances the version counter the plan cache validates against.
+// invalidateDerivedLocked drops cached statistics after a write and
+// advances the version counter the plan cache validates against.
 func (t *Table) invalidateDerivedLocked() {
-	t.stats = nil
-	for k := range t.indexes {
-		delete(t.indexes, k)
-	}
+	t.distinct = nil
 	t.version.Add(1)
 }
 
 // ReplaceData swaps in fully-built columns wholesale (a bulk load). The
 // column count and types must match the schema. Like any other write it
-// bumps the version and drops derived statistics and indexes; dl2sql's
+// bumps the version and drops derived statistics; dl2sql's
 // intermediate cache uses it to rehydrate a materialized FeatureMap table
 // without row-at-a-time SQL.
 func (t *Table) ReplaceData(cols []*Column) error {
@@ -390,13 +436,13 @@ func (t *Table) Truncate() {
 	t.invalidateDerivedLocked()
 }
 
-// DeleteRows removes the given row indices (sorted or not).
-func (t *Table) DeleteRows(idx []int) {
+// deleteRowsLocked removes the given row indices (sorted or not). The
+// caller holds the write lock it found the rows under, so no other writer
+// can shift them in between.
+func (t *Table) deleteRowsLocked(idx []int) {
 	if len(idx) == 0 {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	dead := make(map[int]bool, len(idx))
 	for _, i := range idx {
 		dead[i] = true
@@ -414,84 +460,49 @@ func (t *Table) DeleteRows(idx []int) {
 	t.invalidateDerivedLocked()
 }
 
-// TableStats carries optimizer statistics: row count and per-column
-// distinct-value estimates (exact when computed; the engine recomputes them
-// lazily after writes).
-type TableStats struct {
-	Rows     int
-	Distinct map[string]int
-}
-
-// Stats computes (or returns cached) statistics for the table.
-func (t *Table) Stats() *TableStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stats != nil {
-		return t.stats
-	}
-	s := &TableStats{Distinct: map[string]int{}}
-	if len(t.Cols) > 0 {
-		s.Rows = t.Cols[0].Len()
-	}
-	// Exact distinct counts; for blob columns we skip (never join keys).
-	for i, def := range t.Schema {
-		if def.Type == TBlob {
-			continue
-		}
-		col := t.Cols[i]
-		seen := make(map[string]struct{}, 64)
-		n := col.Len()
-		// Cap the scan for very large columns: sample the first 64k rows and
-		// extrapolate, which is how production engines keep stats cheap.
-		limit := n
-		const sampleCap = 65536
-		if limit > sampleCap {
-			limit = sampleCap
-		}
-		for r := 0; r < limit; r++ {
-			seen[col.Get(r).GroupKey()] = struct{}{}
-		}
-		d := len(seen)
-		if n > limit && d > limit/2 {
-			// Looks near-unique in the sample; assume it scales.
-			d = d * n / limit
-		}
-		if d == 0 {
-			d = 1
-		}
-		s.Distinct[strings.ToLower(def.Name)] = d
-	}
-	t.stats = s
-	return s
-}
-
-// HashIndex maps a column's group keys to row indices, standing in for the
-// paper's indices on MatrixID/OrderID/KernelID.
-type HashIndex struct {
-	Col  string
-	Rows map[string][]int
-}
-
-// EnsureIndex builds (or returns) a hash index on the named column.
-func (t *Table) EnsureIndex(col string) (*HashIndex, error) {
-	key := strings.ToLower(col)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if idx, ok := t.indexes[key]; ok {
-		return idx, nil
-	}
+// Distinct returns the optimizer's distinct-value count for the named
+// column, computed on first use and cached until the next write; ok is
+// false for unknown and Blob columns (never join keys). The count is exact
+// over the first 64k rows and extrapolated when the sample looks
+// near-unique, which is how production engines keep statistics cheap.
+func (t *Table) Distinct(col string) (d int, ok bool) {
 	ci := t.Schema.ColIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("sqldb: no column %s in table %s", col, t.Name)
+	if ci < 0 || t.Schema[ci].Type == TBlob {
+		return 0, false
 	}
-	idx := &HashIndex{Col: key, Rows: map[string][]int{}}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.distinct == nil {
+		t.distinct = make([]int, len(t.Schema))
+	}
+	if d := t.distinct[ci]; d > 0 {
+		return d, true
+	}
 	c := t.Cols[ci]
-	for i, n := 0, c.Len(); i < n; i++ {
-		k := c.Get(i).GroupKey()
-		idx.Rows[k] = append(idx.Rows[k], i)
+	n := c.Len()
+	limit := n
+	const sampleCap = 65536
+	if limit > sampleCap {
+		limit = sampleCap
 	}
-	t.indexes[key] = idx
-	return idx, nil
+	keys := []vec{{col: c}}
+	kt := newKeyTable(keys, 64)
+	_ = hashBlocks(keys, 0, limit, false, func(start int, h []uint64, _ []bool) error {
+		for i, x := range h {
+			kt.insert(x, start+i)
+		}
+		return nil
+	})
+	d = kt.len()
+	if n > limit && d > limit/2 {
+		// Looks near-unique in the sample; assume it scales.
+		d = d * n / limit
+	}
+	if d == 0 {
+		d = 1
+	}
+	t.distinct[ci] = d
+	return d, true
 }
 
 // SortedColumnNames lists schema columns alphabetically (used in error text

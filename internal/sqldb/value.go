@@ -9,9 +9,7 @@
 package sqldb
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -179,55 +177,6 @@ func Equal(a, b Datum) bool {
 	}
 	c, err := Compare(a, b)
 	return err == nil && c == 0
-}
-
-// AppendKey appends a binary hash key for the datum to b and returns the
-// extended slice. Distinct values map to distinct keys within a type class;
-// ints and equal-valued floats intentionally collide so numeric equality
-// works across the int/float boundary. The encoding is self-delimiting, so
-// multi-column keys can be appended back to back. This is the hot path of
-// hash joins and hash aggregation — no formatting, just fixed-width bytes.
-func (d Datum) AppendKey(b []byte) []byte {
-	switch d.T {
-	case TNull:
-		return append(b, 0)
-	case TInt, TBool:
-		return appendIntKey(b, d.I)
-	case TFloat:
-		if d.F == float64(int64(d.F)) {
-			return appendIntKey(b, int64(d.F))
-		}
-		var buf [9]byte
-		buf[0] = 2
-		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(d.F))
-		return append(b, buf[:]...)
-	case TString:
-		b = append(b, 3)
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(d.S)))
-		b = append(b, l[:]...)
-		return append(b, d.S...)
-	case TBlob:
-		b = append(b, 4)
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(d.B)))
-		b = append(b, l[:]...)
-		return append(b, d.B...)
-	}
-	return append(b, 5)
-}
-
-func appendIntKey(b []byte, v int64) []byte {
-	var buf [9]byte
-	buf[0] = 1
-	binary.LittleEndian.PutUint64(buf[1:], uint64(v))
-	return append(b, buf[:]...)
-}
-
-// GroupKey renders the datum's hash key as a string (convenience wrapper
-// over AppendKey for index structures).
-func (d Datum) GroupKey() string {
-	return string(d.AppendKey(nil))
 }
 
 // String renders the datum for result display.

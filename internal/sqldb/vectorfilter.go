@@ -1,7 +1,5 @@
 package sqldb
 
-import "strings"
-
 // Vectorized filter fast paths. The generic filter evaluates a compiled
 // expression tree per row; for the overwhelmingly common shape
 // `column <op> literal` on a typed column this file provides specialized
@@ -43,23 +41,10 @@ func compileVectorPred(e Expr, schema []OutCol) vectorPred {
 	default:
 		return nil
 	}
-	idx := -1
-	for i, c := range schema {
-		if !strings.EqualFold(c.Name, cr.Name) {
-			continue
-		}
-		if cr.Table != "" && !strings.EqualFold(c.Table, cr.Table) {
-			continue
-		}
-		if idx >= 0 {
-			return nil // ambiguous: let the generic path raise the error
-		}
-		idx = i
+	ci, err := resolveCol(cr, schema)
+	if err != nil {
+		return nil // unknown or ambiguous: let the generic path raise the error
 	}
-	if idx < 0 {
-		return nil
-	}
-	ci := idx
 	val := lv.Val
 	switch schema[ci].Type {
 	case TInt:

@@ -15,7 +15,10 @@ const parFlopThreshold = 1 << 17
 // multiplies fan the output rows across the shared worker pool (for the
 // conv2d lowering the rows are the output channels); every output row is
 // computed wholly by one worker, so the parallel product is bit-identical
-// to the serial one.
+// to the serial one. The inner loop is unrolled 4-wide over an output row
+// with the B row re-sliced to its length, so it compiles without bounds
+// checks and its speed does not hinge on where the linker places it; each
+// output element still gets its multiply-adds in k order.
 func MatMul(a, b *Tensor) (*Tensor, error) {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		return nil, fmt.Errorf("%w: MatMul needs rank-2 tensors, got %v and %v", ErrShape, a.shape, b.shape)
@@ -45,7 +48,16 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 					continue
 				}
 				brow := b.data[kk*n : (kk+1)*n]
-				for j := 0; j < n; j++ {
+				brow = brow[:len(orow)]
+				j := 0
+				for ; j+4 <= len(orow); j += 4 {
+					o, bb := orow[j:j+4:j+4], brow[j:j+4:j+4]
+					o[0] += av * bb[0]
+					o[1] += av * bb[1]
+					o[2] += av * bb[2]
+					o[3] += av * bb[3]
+				}
+				for ; j < len(orow); j++ {
 					orow[j] += av * brow[j]
 				}
 			}
