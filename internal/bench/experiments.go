@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -183,6 +185,16 @@ func (s *Suite) Fig10RelOps() (*Table, error) {
 
 // Fig11PreJoin reproduces Fig. 11: the cost of the CNN blocks under the
 // three pre-join strategies.
+//
+// The strategies differ by a few hundred microseconds per inference, about
+// what one GC cycle, one scheduler stall or a different heap layout of the
+// model tables costs. So the strategies share one database and one stored
+// model (pre-joining happens at inference time, not in the stored tables),
+// every strategy is warmed up once, the timed inferences alternate between
+// strategies on the same inputs, the heap is collected before each and not
+// during it (otherwise the collection owed by one strategy's untimed input
+// encoding lands in its SQL steps), and every pipeline step reports its
+// median run, which a stall in any one run does not move.
 func (s *Suite) Fig11PreJoin() (*Table, error) {
 	t := &Table{
 		ID:      "Fig. 11",
@@ -193,29 +205,59 @@ func (s *Suite) Fig11PreJoin() (*Table, error) {
 		},
 	}
 	model := s.Ctx.Bindings["nudf_detect"].Entry.Model
-	for _, strat := range []dl2sql.PreJoinStrategy{dl2sql.PreJoinNone, dl2sql.PreJoinMapping, dl2sql.PreJoinInput} {
-		db := sqldb.New()
-		db.Profile = sqldb.NewProfile()
-		tr := dl2sql.NewTranslator(db, "fig11")
+	strats := []dl2sql.PreJoinStrategy{dl2sql.PreJoinNone, dl2sql.PreJoinMapping, dl2sql.PreJoinInput}
+	db := sqldb.New()
+	db.Profile = sqldb.NewProfile()
+	tr := dl2sql.NewTranslator(db, "fig11")
+	sm, err := tr.StoreModel(model)
+	if err != nil {
+		return nil, err
+	}
+	for _, strat := range strats {
 		tr.PreJoin = strat
-		sm, err := tr.StoreModel(model)
-		if err != nil {
+		if _, _, err := tr.Infer(sm, randomInput(model.InputShape, s.Cfg.Seed)); err != nil {
 			return nil, err
 		}
-		const runs = 3
-		for i := 0; i < runs; i++ {
-			in := randomInput(model.InputShape, s.Cfg.Seed+int64(i))
+	}
+	// Collections run between inferences, never inside one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 15
+	// steps[i] is strategy i's step sequence, the same in every run, and
+	// secs[i][j] its step j's time over the runs.
+	steps := make([][]dl2sql.StepCost, len(strats))
+	secs := make([][][]float64, len(strats))
+	for r := 0; r < runs; r++ {
+		in := randomInput(model.InputShape, s.Cfg.Seed+int64(r))
+		for k := range strats {
+			i := (r + k) % len(strats) // each strategy leads a third of the rounds
+			strat := strats[i]
+			tr.PreJoin = strat
+			tr.Steps = nil
+			runtime.GC()
 			if _, _, err := tr.Infer(sm, in); err != nil {
 				return nil, err
 			}
+			if r == 0 {
+				steps[i] = tr.Steps
+				secs[i] = make([][]float64, len(tr.Steps))
+			} else if len(tr.Steps) != len(steps[i]) {
+				return nil, fmt.Errorf("bench: fig11 %s ran %d steps, first run %d", strat, len(tr.Steps), len(steps[i]))
+			}
+			for j, step := range tr.Steps {
+				secs[i][j] = append(secs[i][j], step.Time.Seconds())
+			}
 		}
+	}
+	runtime.GC()
+	for i, strat := range strats {
 		var convSecs, otherSecs float64
-		for _, step := range tr.Steps {
-			sec := step.Time.Seconds() / runs
+		for j, step := range steps[i] {
+			v := secs[i][j]
+			sort.Float64s(v)
 			if strings.HasPrefix(step.Label, "Conv") || strings.HasPrefix(step.Label, "Reshape") {
-				convSecs += sec
+				convSecs += v[len(v)/2]
 			} else {
-				otherSecs += sec
+				otherSecs += v[len(v)/2]
 			}
 		}
 		t.AddRow(strat.String(), f6(convSecs), f6(otherSecs), f6(convSecs+otherSecs))
