@@ -1,6 +1,6 @@
 // Command sqlserved runs the serving front end: one process hosting the
 // embedded engine behind the HTTP/JSON API in internal/server, so many
-// clients (sqlsh -connect, servebench, curl) share one database, one
+// clients (sqlsh -connect, server.Client, curl) share one database, one
 // statement/plan cache, and one admission controller.
 //
 // Usage:

@@ -139,9 +139,9 @@ func TestChaosFallbackLadderEndToEnd(t *testing.T) {
 // TestDeadlineFuzzSmoke sprays randomized tiny deadlines over the
 // collaborative query template corpus at parallelism 2. Every run must end
 // in a correct result or a typed lifecycle error within the deadline's
-// order of magnitude, and the worker pool must not leak goroutines. This
-// is the CI chaos job's smoke layer: it hunts deadline races at arbitrary
-// points in the query lifecycle rather than at hand-picked ones.
+// order of magnitude, and the worker pool must not leak goroutines. CI runs
+// it as a smoke step: it hunts deadline races at arbitrary points in the
+// query lifecycle rather than at hand-picked ones.
 func TestDeadlineFuzzSmoke(t *testing.T) {
 	env, ds := chaosEnv(t)
 	ds.DB.Parallelism = 2

@@ -1,0 +1,470 @@
+package bench
+
+// Gate benchmarks: the performance targets CI asserts, one function each.
+// A gate measures once per call whatever b.N is (it is a verdict, not a
+// rate), reports the ratio it judges with b.ReportMetric and fails when the
+// target is missed. They run only under -bench, never in `go test ./...`:
+//
+//	go test -run '^$' -bench Gate -benchtime 1x ./internal/bench
+//
+// The speed-up gates need real cores: with fewer than gateCPUs the workers
+// time-slice and the ratio measures only overhead, so they skip.
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"syscall"
+	"testing"
+	"time"
+
+	"repro/internal/cache"
+	"repro/internal/colquery"
+	"repro/internal/iotdata"
+	"repro/internal/modelrepo"
+	"repro/internal/nn"
+	"repro/internal/obs"
+	"repro/internal/schedule"
+	"repro/internal/server"
+	"repro/internal/sqldb"
+	"repro/internal/strategies"
+	"repro/internal/tensor"
+)
+
+const gateCPUs = 4
+
+func needCores(b *testing.B) {
+	b.Helper()
+	if n := runtime.NumCPU(); n < gateCPUs {
+		b.Skipf("speed-up gate needs >= %d CPUs, have %d", gateCPUs, n)
+	}
+}
+
+// samples holds a gate's measurements: base[i] and cand[i] ran back to
+// back in round i. Each value is a cost, so lower is better.
+type samples struct{ base, cand []float64 }
+
+// alternate runs one discarded warm-up of each side, then `rounds` rounds
+// of base and cand back to back. Which side runs first swaps every round,
+// so drift and order effects land on both, and a collection precedes every
+// run, so neither side is billed for the other's garbage.
+func alternate(rounds int, base, cand func() float64) samples {
+	runtime.GC()
+	base()
+	runtime.GC()
+	cand()
+	var s samples
+	for i := 0; i < rounds; i++ {
+		first, second := &s.base, &s.cand
+		runFirst, runSecond := base, cand
+		if i%2 == 1 {
+			first, second = second, first
+			runFirst, runSecond = runSecond, runFirst
+		}
+		runtime.GC()
+		*first = append(*first, runFirst())
+		runtime.GC()
+		*second = append(*second, runSecond())
+	}
+	return s
+}
+
+// ratio is the median over rounds of cand/base: the two runs of a round
+// are close in time, so each ratio cancels the machine's drift.
+func (s samples) ratio() float64 {
+	ratios := make([]float64, len(s.base))
+	for i := range ratios {
+		ratios[i] = s.cand[i] / s.base[i]
+	}
+	return median(ratios)
+}
+
+func median(xs []float64) float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	n := len(sorted)
+	if n%2 == 1 {
+		return sorted[n/2]
+	}
+	return (sorted[n/2-1] + sorted[n/2]) / 2
+}
+
+func gateSpeedup(b *testing.B, s samples, target float64) {
+	b.Helper()
+	got := 1 / s.ratio()
+	b.ReportMetric(got, "speedup")
+	if got < target {
+		b.Fatalf("speed-up %.2fx is below the %.0fx target on %d CPUs", got, target, runtime.NumCPU())
+	}
+}
+
+// closedLoop runs op from `clients` goroutines, each calling again as soon
+// as its previous call returns, for a 200 ms warm-up and then for window.
+// It returns the wall seconds per call completed in the window.
+func closedLoop(b *testing.B, clients int, window time.Duration, op func(client int) error) float64 {
+	b.Helper()
+	var (
+		stop atomic.Bool
+		done atomic.Int64
+		wg   sync.WaitGroup
+	)
+	errs := make([]error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for !stop.Load() {
+				if err := op(c); err != nil {
+					errs[c] = err
+					return
+				}
+				done.Add(1)
+			}
+		}(c)
+	}
+	time.Sleep(200 * time.Millisecond)
+	n0, start := done.Load(), time.Now()
+	time.Sleep(window)
+	n, elapsed := done.Load()-n0, time.Since(start)
+	stop.Store(true)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n == 0 {
+		b.Fatalf("no call completed in %v", window)
+	}
+	return elapsed.Seconds() / float64(n)
+}
+
+// xorshift is the fixtures' deterministic generator.
+func xorshift(state *uint64) uint64 {
+	*state ^= *state << 13
+	*state ^= *state >> 7
+	*state ^= *state << 17
+	return *state
+}
+
+// BenchmarkGateMorselSpeedup: the filter + hash join + grouped aggregate
+// over a 300k-row fact table runs at least 2x faster at executor
+// parallelism 4 than serially.
+func BenchmarkGateMorselSpeedup(b *testing.B) {
+	needCores(b)
+	const rows = 300000
+	db := sqldb.New()
+	db.Profile = sqldb.NewProfile()
+	if _, err := db.Exec(`CREATE TABLE big (a Int64, b Float64, g Int64); CREATE TABLE dim (g Int64, name String)`); err != nil {
+		b.Fatal(err)
+	}
+	state := uint64(12345)
+	a, v, g := make([]int64, rows), make([]float64, rows), make([]int64, rows)
+	for i := range a {
+		a[i] = int64(xorshift(&state) % 1000)
+		v[i] = float64(xorshift(&state)%10000) / 100
+		g[i] = int64(xorshift(&state) % 500)
+	}
+	dimG, dimName := make([]int64, 500), make([]string, 500)
+	for i := range dimG {
+		dimG[i], dimName[i] = int64(i), fmt.Sprintf("grp_%03d", i%37)
+	}
+	if err := db.GetTable("big").AppendColumns([]*sqldb.Column{
+		{Type: sqldb.TInt, Ints: a}, {Type: sqldb.TFloat, Floats: v}, {Type: sqldb.TInt, Ints: g},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.GetTable("dim").AppendColumns([]*sqldb.Column{
+		{Type: sqldb.TInt, Ints: dimG}, {Type: sqldb.TString, Strs: dimName},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	const q = `SELECT d.name, count(*) AS n, sum(b.b) AS s, avg(b.a) AS m
+	           FROM big b INNER JOIN dim d ON b.g = d.g
+	           WHERE b.a > 250 AND b.b < 75.0
+	           GROUP BY d.name ORDER BY name`
+	at := func(parallelism int) func() float64 {
+		return func() float64 {
+			db.Parallelism = parallelism
+			start := time.Now()
+			if _, err := db.Query(q); err != nil {
+				b.Fatal(err)
+			}
+			return time.Since(start).Seconds()
+		}
+	}
+	gateSpeedup(b, alternate(5, at(1), at(4)), 2)
+}
+
+// BenchmarkGateServeSpeedup: an in-process server over a 50k-row table
+// completes at least 3x the queries per second with 8 closed-loop client
+// sessions as with one.
+func BenchmarkGateServeSpeedup(b *testing.B) {
+	needCores(b)
+	const rows = 50000
+	db := sqldb.New()
+	db.Metrics = obs.NewRegistry()
+	db.Parallelism = 1 // inter-query parallelism is what this gate scales
+	db.EnableCache(128)
+	db.EnableSysCatalog()
+	if _, err := db.Exec(`CREATE TABLE pt (id Int64, grp Int64, v Float64)`); err != nil {
+		b.Fatal(err)
+	}
+	state := uint64(12345)
+	id, grp, v := make([]int64, rows), make([]int64, rows), make([]float64, rows)
+	for i := range id {
+		id[i] = int64(i)
+		grp[i] = int64(xorshift(&state) % 37)
+		v[i] = float64(xorshift(&state)%10000) / 100
+	}
+	if err := db.GetTable("pt").AppendColumns([]*sqldb.Column{
+		{Type: sqldb.TInt, Ints: id}, {Type: sqldb.TInt, Ints: grp}, {Type: sqldb.TFloat, Floats: v},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	// MaxConcurrent sits above the client fan-out so admission is not
+	// what limits throughput.
+	srv := server.New(db, nil, server.Config{
+		Admission: server.AdmissionConfig{MaxConcurrent: 64, MaxQueue: 4096},
+	})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	defer srv.Drain()
+
+	const q = `SELECT grp, count(*) AS c, avg(v) AS m FROM pt WHERE v > 10 GROUP BY grp ORDER BY grp`
+	sessions := func(n int) func() float64 {
+		return func() float64 {
+			ctx := context.Background()
+			clients := make([]*server.Client, n)
+			for i := range clients {
+				clients[i] = server.Dial(hs.URL).WithHTTPClient(hs.Client())
+				if err := clients[i].Connect(ctx, fmt.Sprintf("gate-%d", i%4)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			defer func() {
+				for _, cli := range clients {
+					cli.Close(ctx)
+				}
+			}()
+			return closedLoop(b, n, 2*time.Second, func(c int) error {
+				_, err := clients[c].Query(ctx, q)
+				return err
+			})
+		}
+	}
+	gateSpeedup(b, alternate(3, sessions(1), sessions(8)), 3)
+}
+
+// BenchmarkGateSchedulerSpeedup: 8 closed-loop workers drawing keyframes
+// from a pool of 64 complete at least 2x the inferences per second through
+// one shared scheduler (coalesced batches, single-flight, prediction cache)
+// as with a forward pass of their own per request.
+func BenchmarkGateSchedulerSpeedup(b *testing.B) {
+	needCores(b)
+	const side, pool, workers = 8, 64, 8
+	model := modelrepo.NewRepository(side, 99).ForTask(modelrepo.TaskPatternRecog).Model
+	art, err := nn.EncodeBytes(model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	artHash := tensor.HashBytes(art)
+	blobs := make([][]byte, pool)
+	rng := rand.New(rand.NewSource(7))
+	for i := range blobs {
+		kf := tensor.New(3, side, side)
+		for j := range kf.Data() {
+			kf.Data()[j] = rng.Float64()
+		}
+		blobs[i] = iotdata.KeyframeBytes(kf)
+	}
+	// Every run replays the same per-worker request sequence.
+	states := make([]uint64, workers)
+	pick := func(w int) []byte { return blobs[xorshift(&states[w])%pool] }
+	reset := func() {
+		for w := range states {
+			states[w] = uint64(w*2654435761 + 1)
+		}
+	}
+	direct := func() float64 {
+		reset()
+		return closedLoop(b, workers, time.Second, func(w int) error {
+			in, err := iotdata.KeyframeTensor(pick(w))
+			if err != nil {
+				return err
+			}
+			mc := *model // shallow per-call copy, as the UDF path makes
+			_, _, err = mc.Predict(in)
+			return err
+		})
+	}
+	scheduled := func() float64 {
+		reset()
+		sched := schedule.New(schedule.Config{Cache: cache.New[schedule.Key, int](4096), Metrics: obs.NewRegistry()})
+		defer sched.Drain()
+		be := schedule.NewNativeBackend(4)
+		return closedLoop(b, workers, time.Second, func(w int) error {
+			_, err := sched.Infer(context.Background(), be, artHash, art, pick(w))
+			return err
+		})
+	}
+	gateSpeedup(b, alternate(3, direct, scheduled), 2)
+}
+
+// collabEnv binds the default models over an IoT dataset of the given
+// scale, the fixture of the overhead gates.
+func collabEnv(b *testing.B, scale int) (*strategies.Context, *sqldb.DB) {
+	b.Helper()
+	ds, err := iotdata.Generate(iotdata.Config{Scale: scale, KeyframeSide: 8, Seed: 7, PatternCount: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := strategies.NewContext(ds)
+	if err := env.BindDefaults(modelrepo.NewRepository(8, 99), 20); err != nil {
+		b.Fatal(err)
+	}
+	return env, ds.DB
+}
+
+// collabQuery returns a run of one query of the given template type
+// through DB-UDF with the fallback ladder.
+func collabQuery(b *testing.B, env *strategies.Context, ty colquery.QueryType) func() {
+	b.Helper()
+	q, err := colquery.GenerateAnalyzed(ty, colquery.TemplateParams{Selectivity: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return func() {
+		if _, _, err := strategies.ExecuteWithFallback(context.Background(), env, &strategies.DBUDF{}, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The overhead gates take one query per sample over many rounds: the two
+// runs of a round are then close enough in time to see the same machine
+// speed, which longer samples do not, and the median of the per-round
+// ratios settles within about a percent.
+
+// BenchmarkGateAccountingOverhead: always-on accounting (engine and
+// strategy metrics, a 256-entry query-history ring, the sys.* catalog)
+// costs at most 2% wall time on each of the Type 1-4 collaborative queries
+// through DB-UDF. The two sides flip only the History/Metrics pointers, so
+// the delta is exactly the accounting path.
+func BenchmarkGateAccountingOverhead(b *testing.B) {
+	env, db := collabEnv(b, 2)
+	metrics, history := obs.NewRegistry(), obs.NewQueryHistory(256)
+	arm := func(on bool) {
+		db.Metrics, db.History, env.Metrics, env.History = nil, nil, nil, nil
+		if on {
+			db.Metrics, db.History, env.Metrics, env.History = metrics, history, metrics, history
+		}
+	}
+	arm(true)
+	db.EnableSysCatalog()
+	env.AttachObservability(db)
+	arm(false)
+
+	var over []string
+	for _, ty := range []colquery.QueryType{colquery.Type1, colquery.Type2, colquery.Type3, colquery.Type4} {
+		run := collabQuery(b, env, ty)
+		timed := func(observed bool) func() float64 {
+			return func() float64 {
+				arm(observed)
+				defer arm(false)
+				start := time.Now()
+				run()
+				return time.Since(start).Seconds()
+			}
+		}
+		pct := 100 * (alternate(401, timed(false), timed(true)).ratio() - 1)
+		b.ReportMetric(pct, fmt.Sprintf("type%d_overhead_%%", ty))
+		if pct > 2 {
+			over = append(over, fmt.Sprintf("Type %d %+.2f%%", ty, pct))
+		}
+	}
+	if len(over) > 0 {
+		b.Fatalf("accounting overhead over the 2%% budget: %v", over)
+	}
+}
+
+// BenchmarkGateTracingOverhead: always-on tracing (span trees plus the
+// default 1-in-64 tail sampler), on top of armed accounting, costs at most
+// 2% CPU time on the Type 1 and Type 3 collaborative queries and at most
+// 5 µs per query on a sub-100 µs SQL join + aggregate. That microquery is
+// gated on the absolute delta because the fixed per-trace cost is a visible
+// fraction of a query so small; a ratio would only measure its smallness.
+//
+// Samples are process CPU time, which does not bill the process for time a
+// shared core spent on someone else. The collector is off inside a sample,
+// because CPU time bills a whole cycle's background work to whichever
+// sample it lands in.
+func BenchmarkGateTracingOverhead(b *testing.B) {
+	env, db := collabEnv(b, 20)
+	db.Metrics, db.History = obs.NewRegistry(), obs.NewQueryHistory(256)
+	env.Metrics, env.History = db.Metrics, db.History
+	db.EnableSysCatalog()
+	env.AttachObservability(db)
+	traces := obs.NewTraceStore(obs.TraceStoreConfig{Seed: 1, Metrics: db.Metrics})
+
+	cpuNsPerQuery := func(run func(), queries int) func(traced bool) func() float64 {
+		return func(traced bool) func() float64 {
+			return func() float64 {
+				if traced {
+					db.Traces, env.Traces = traces, traces
+					defer func() { db.Traces, env.Traces = nil, nil }()
+				}
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				start := cpuTime(b)
+				run()
+				return float64(cpuTime(b)-start) / float64(queries)
+			}
+		}
+	}
+	var over []string
+	for _, ty := range []colquery.QueryType{colquery.Type1, colquery.Type3} {
+		cell := cpuNsPerQuery(collabQuery(b, env, ty), 1)
+		pct := 100 * (alternate(151, cell(false), cell(true)).ratio() - 1)
+		b.ReportMetric(pct, fmt.Sprintf("type%d_overhead_%%", ty))
+		if pct > 2 {
+			over = append(over, fmt.Sprintf("Type %d %+.2f%% > 2%%", ty, pct))
+		}
+	}
+
+	const sqlQuery = `SELECT F.patternID p, count(*) c, avg(F.meter) m
+FROM fabric F, device D
+WHERE F.transID = D.transID AND F.temperature > 20.0
+GROUP BY F.patternID`
+	const sqlBatch = 64 // a few milliseconds per sample
+	cell := cpuNsPerQuery(func() {
+		for i := 0; i < sqlBatch; i++ {
+			if _, err := db.ExecContext(context.Background(), sqlQuery); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}, sqlBatch)
+	s := alternate(151, cell(false), cell(true))
+	delta := median(s.cand) - median(s.base)
+	b.ReportMetric(delta, "sql_delta_ns/query")
+	if delta > 5000 {
+		over = append(over, fmt.Sprintf("SQL microquery %+.0f ns > 5000 ns", delta))
+	}
+	if len(over) > 0 {
+		b.Fatalf("tracing overhead over budget: %v", over)
+	}
+}
+
+// cpuTime reads the process's consumed CPU time, user plus system.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}

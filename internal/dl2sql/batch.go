@@ -69,13 +69,20 @@ func (t *Translator) InferBatch(sm *StoredModel, inputs []*tensor.Tensor) ([]int
 }
 
 // encodeBatchForFirstLayer bulk-loads the whole batch into one relational
-// table (Algorithm 1 per sample, sharing the table).
+// table (Algorithm 1 per sample, sharing the table). Under PreJoinInput the
+// encoding is pre-multiplied with the first kernel.
 func (t *Translator) encodeBatchForFirstLayer(sm *StoredModel, inputs []*tensor.Tensor, temps *[]string) (relForm, error) {
 	in := sm.Model.InputShape
 	if len(sm.layers) > 0 && sm.layers[0].mappingTable == "" {
 		if conv, ok := sm.layers[0].layer.(*nn.Conv2D); ok {
 			name := t.nextTemp("bfm0")
 			*temps = append(*temps, name)
+			if t.PreJoin == PreJoinInput {
+				if err := t.encodeBatchPreJoined(name, inputs, conv); err != nil {
+					return relForm{}, err
+				}
+				return relForm{table: name, flat: false, c: in[0], h: in[1], w: in[2]}, nil
+			}
 			var sample, matrix, order []int64
 			var value []float64
 			for sid, input := range inputs {
@@ -130,6 +137,26 @@ func (t *Translator) encodeBatchForFirstLayer(sm *StoredModel, inputs []*tensor.
 		return relForm{}, err
 	}
 	return relForm{table: name, flat: true, c: c, h: h, w: w}, nil
+}
+
+// encodeBatchPreJoined is encodeInputPreJoined for a batch:
+// {SampleID, KernelID, MatrixID, Value}.
+func (t *Translator) encodeBatchPreJoined(name string, inputs []*tensor.Tensor, conv *nn.Conv2D) error {
+	var sample, kernel, matrix []int64
+	var product []float64
+	for sid, input := range inputs {
+		n := len(kernel)
+		var err error
+		kernel, matrix, product, err = appendPreJoined(kernel, matrix, product, input, conv)
+		if err != nil {
+			return err
+		}
+		for range kernel[n:] {
+			sample = append(sample, int64(sid))
+		}
+	}
+	schema := append(sqldb.Schema{{Name: "SampleID", Type: sqldb.TInt}}, preJoinedInputSchema()...)
+	return t.createTable(name, schema, intCol(sample), intCol(kernel), intCol(matrix), floatCol(product))
 }
 
 func (t *Translator) runBatchChain(layers []storedLayer, cur relForm, temps *[]string, lastConv *int) (relForm, error) {
@@ -212,9 +239,19 @@ func (t *Translator) runBatchConv(sl *storedLayer, conv *nn.Conv2D, cur relForm,
 		}
 		out = t.nextTemp("bconv")
 		*temps = append(*temps, out)
-		sql := fmt.Sprintf(
-			`CREATE TEMP TABLE %s AS SELECT A.SampleID AS SampleID, B.KernelID * %d + A.MatrixID AS TupleID, B.KernelID AS KernelID, SUM(A.Value * B.Value) AS Value FROM %s A INNER JOIN %s B ON A.OrderID = B.OrderID GROUP BY A.SampleID, B.KernelID, A.MatrixID`,
-			out, ohw, cur.table, sl.kernelTable)
+		var sql string
+		if t.PreJoin == PreJoinInput && sl.mappingTable == "" {
+			// Strategy 3 on the first layer: the batch was encoded
+			// pre-multiplied — only the aggregation remains.
+			sql = fmt.Sprintf(
+				`CREATE TEMP TABLE %s AS SELECT SampleID, KernelID * %d + MatrixID AS TupleID, KernelID AS KernelID, SUM(Value) AS Value FROM %s GROUP BY SampleID, KernelID, MatrixID`,
+				out, ohw, cur.table)
+		} else {
+			// Q1: the convolution join.
+			sql = fmt.Sprintf(
+				`CREATE TEMP TABLE %s AS SELECT A.SampleID AS SampleID, B.KernelID * %d + A.MatrixID AS TupleID, B.KernelID AS KernelID, SUM(A.Value * B.Value) AS Value FROM %s A INNER JOIN %s B ON A.OrderID = B.OrderID GROUP BY A.SampleID, B.KernelID, A.MatrixID`,
+				out, ohw, cur.table, sl.kernelTable)
+		}
 		if err := t.execToTable(label, out, sql); err != nil {
 			return cur, err
 		}

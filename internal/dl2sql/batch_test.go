@@ -1,6 +1,7 @@
 package dl2sql
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/modelrepo"
@@ -123,11 +124,12 @@ func TestBatchPreJoinStrategies(t *testing.T) {
 	for i, in := range inputs {
 		want[i], _, _ = m.Predict(in)
 	}
-	for _, strat := range []PreJoinStrategy{PreJoinNone, PreJoinMapping} {
+	for _, strat := range []PreJoinStrategy{PreJoinNone, PreJoinMapping, PreJoinInput} {
 		db := sqldb.New()
 		db.Profile = sqldb.NewProfile()
 		tr := NewTranslator(db, "m")
 		tr.PreJoin = strat
+		tr.Trace = true
 		sm, err := tr.StoreModel(m)
 		if err != nil {
 			t.Fatal(err)
@@ -140,6 +142,13 @@ func TestBatchPreJoinStrategies(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("%v sample %d: %d vs %d", strat, i, got[i], want[i])
 			}
+		}
+		// The model opens with a conv, so the first statement is Conv1:
+		// under PreJoinInput the input was encoded pre-multiplied and the
+		// kernel join is gone.
+		first := tr.TraceSQL[0]
+		if !strings.Contains(first, "SUM(") || (strat == PreJoinInput) == strings.Contains(first, "JOIN") {
+			t.Fatalf("%v: first conv statement %q", strat, first)
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 func TestPipelineCacheResultMemo(t *testing.T) {
 	m := modelrepo.NewStudentModel(modelrepo.TaskPatternRecog, 8, 400)
 	tr := newTr(t)
-	tr.Cache = NewPipelineCache(32, 256)
+	tr.Cache = NewPipelineCache(32)
+	tr.Trace = true
 	sm, err := tr.StoreModel(m)
 	if err != nil {
 		t.Fatal(err)
@@ -21,13 +22,10 @@ func TestPipelineCacheResultMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, steps := tr.Cache.Stats()
-	if results.Len != 1 {
+	if results := tr.Cache.Stats(); results.Len != 1 {
 		t.Fatalf("result memo not populated: %+v", results)
 	}
-	if steps.Len == 0 {
-		t.Fatalf("step cache not populated: %+v", steps)
-	}
+	tr.ResetSteps()
 	idx2, score2, err := tr.Infer(sm, in)
 	if err != nil {
 		t.Fatal(err)
@@ -35,9 +33,11 @@ func TestPipelineCacheResultMemo(t *testing.T) {
 	if idx1 != idx2 || score1 != score2 {
 		t.Fatalf("memoized inference diverged: (%d,%v) vs (%d,%v)", idx1, score1, idx2, score2)
 	}
-	results, _ = tr.Cache.Stats()
-	if results.Hits != 1 {
+	if results := tr.Cache.Stats(); results.Hits != 1 {
 		t.Fatalf("second Infer should hit the result memo: %+v", results)
+	}
+	if len(tr.TraceSQL) != 0 || len(tr.Steps) != 1 || tr.Steps[0].Label != "Inference [cached]" {
+		t.Fatalf("a memo hit must run no SQL: steps %+v, SQL %q", tr.Steps, tr.TraceSQL)
 	}
 	// Against the native engine: still the correct class.
 	want, _, err := m.Predict(in)
@@ -54,7 +54,7 @@ func TestPipelineCacheResultMemo(t *testing.T) {
 // every strategies.Execute creates) must reuse the cache.
 func TestPipelineCacheSharedAcrossTranslators(t *testing.T) {
 	m := modelrepo.NewStudentModel(modelrepo.TaskPatternRecog, 8, 401)
-	pc := NewPipelineCache(32, 256)
+	pc := NewPipelineCache(32)
 	in := randTensor([]int{3, 8, 8}, 501)
 
 	tr1 := newTr(t)
@@ -81,8 +81,7 @@ func TestPipelineCacheSharedAcrossTranslators(t *testing.T) {
 	if idx1 != idx2 {
 		t.Fatalf("cross-translator memo diverged: %d vs %d", idx1, idx2)
 	}
-	results, _ := pc.Stats()
-	if results.Hits == 0 {
+	if results := pc.Stats(); results.Hits == 0 {
 		t.Fatalf("second translator should hit the shared memo: %+v", results)
 	}
 	for _, sm := range []*StoredModel{sm1, sm2} {
@@ -98,7 +97,7 @@ func TestPipelineCacheSharedAcrossTranslators(t *testing.T) {
 func TestPipelineCacheInvalidatedByKernelMutation(t *testing.T) {
 	m := modelrepo.NewStudentModel(modelrepo.TaskDefectDetection, 8, 402)
 	tr := newTr(t)
-	tr.Cache = NewPipelineCache(32, 256)
+	tr.Cache = NewPipelineCache(32)
 	sm, err := tr.StoreModel(m)
 	if err != nil {
 		t.Fatal(err)
@@ -126,65 +125,21 @@ func TestPipelineCacheInvalidatedByKernelMutation(t *testing.T) {
 	if tr.modelStamp(sm) == stampBefore {
 		t.Fatal("model stamp unchanged after kernel mutation")
 	}
-	results, _ := tr.Cache.Stats()
-	hitsBefore := results.Hits
+	hitsBefore := tr.Cache.Stats().Hits
 	if _, _, err := tr.Infer(sm, in); err != nil {
 		t.Fatal(err)
 	}
-	results, _ = tr.Cache.Stats()
-	if results.Hits != hitsBefore {
+	if tr.Cache.Stats().Hits != hitsBefore {
 		t.Fatal("mutated model served a stale memoized result")
 	}
 }
 
-// TestPipelineCacheStepReuseSameModelDifferentStore: a second store of
-// the same weights misses the result memo only if the input differs, but
-// identical inputs reuse materialized steps even mid-pipeline. Here we
-// purge the result memo to force the chain to run and verify step hits.
-func TestPipelineCacheStepReuse(t *testing.T) {
-	m := modelrepo.NewStudentModel(modelrepo.TaskPatternRecog, 8, 403)
-	tr := newTr(t)
-	tr.Cache = NewPipelineCache(32, 256)
-	sm, err := tr.StoreModel(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := randTensor([]int{3, 8, 8}, 503)
-	want, _, err := tr.Infer(sm, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop only the result memo; the materialized steps remain.
-	tr.Cache.results.Purge()
-	tr.ResetSteps()
-	got, _, err := tr.Infer(sm, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("step-cached rerun diverged: %d vs %d", got, want)
-	}
-	_, steps := tr.Cache.Stats()
-	if steps.Hits == 0 {
-		t.Fatalf("rerun should hit materialized steps: %+v", steps)
-	}
-	var cachedSteps int
-	for _, s := range tr.Steps {
-		if strings.HasSuffix(s.Label, " [cached]") {
-			cachedSteps++
-		}
-	}
-	if cachedSteps == 0 {
-		t.Fatal("no step recorded as [cached]")
-	}
-}
-
-// TestPipelineCacheTempTablesCleanedUp: rehydrated cache-hit tables are
-// temps and must not leak.
+// TestPipelineCacheTempTablesCleanedUp: a cached translator's runs, the
+// miss after a purge included, leave no temp tables behind.
 func TestPipelineCacheTempTablesCleanedUp(t *testing.T) {
 	m := modelrepo.NewStudentModel(modelrepo.TaskDefectDetection, 8, 404)
 	tr := newTr(t)
-	tr.Cache = NewPipelineCache(32, 256)
+	tr.Cache = NewPipelineCache(32)
 	sm, err := tr.StoreModel(m)
 	if err != nil {
 		t.Fatal(err)

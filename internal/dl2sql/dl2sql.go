@@ -102,10 +102,9 @@ type Translator struct {
 	// step (Conv1, Reshape1, BN1, Classification, ...), nesting the SQL
 	// inference pipeline under the caller's trace.
 	Span *obs.Span
-	// Cache, when non-nil, memoizes whole inferences and materialized
-	// per-layer intermediates across Infer calls (see PipelineCache).
-	// Cached steps are recorded with a " [cached]" label suffix. Batch
-	// inference (InferBatch) is never cached.
+	// Cache, when non-nil, memoizes whole inferences across Infer calls
+	// (see PipelineCache); a hit is recorded as one "Inference [cached]"
+	// step. InferTensor and InferBatch are never cached.
 	Cache *PipelineCache
 	// Ctx, when non-nil, is threaded to every generated SQL statement, so
 	// a caller's cancellation or deadline aborts the pipeline between (and,

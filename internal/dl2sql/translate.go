@@ -13,11 +13,11 @@ import (
 // and returns the argmax class index and its score. Step costs are
 // appended to t.Steps.
 func (t *Translator) Infer(sm *StoredModel, input *tensor.Tensor) (int, float64, error) {
-	var chainKey uint64
+	var key uint64
 	if t.Cache != nil {
 		start := time.Now()
-		chainKey = tensor.HashMix(t.modelStamp(sm), input.Hash(), uint64(t.PreJoin))
-		if r, ok := t.Cache.results.Get(chainKey); ok {
+		key = tensor.HashMix(t.modelStamp(sm), input.Hash(), uint64(t.PreJoin))
+		if r, ok := t.Cache.results.Get(key); ok {
 			t.record("Inference [cached]", 1, time.Since(start))
 			return r.idx, r.score, nil
 		}
@@ -35,11 +35,7 @@ func (t *Translator) Infer(sm *StoredModel, input *tensor.Tensor) (int, float64,
 		return 0, 0, err
 	}
 	lastConv := 0
-	if t.Cache != nil {
-		cur, err = t.runChainCached(sm.layers, cur, &temps, &lastConv, chainKey)
-	} else {
-		cur, err = t.runChain(sm.layers, cur, &temps, &lastConv)
-	}
+	cur, err = t.runChain(sm.layers, cur, &temps, &lastConv)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -58,13 +54,13 @@ func (t *Translator) Infer(sm *StoredModel, input *tensor.Tensor) (int, float64,
 	// later queries would otherwise observe state from a run that was
 	// abandoned partway through.
 	if t.Cache != nil && t.ctx().Err() == nil {
-		t.Cache.results.Put(chainKey, cachedResult{idx: int(idx), score: score})
+		t.Cache.results.Put(key, cachedResult{idx: int(idx), score: score})
 	}
 	return int(idx), score, nil
 }
 
-// InferTensor runs the SQL pipeline and materializes the final layer's
-// output as a tensor (used by the equivalence tests).
+// InferTensor runs the SQL pipeline, uncached, and materializes the final
+// layer's output as a tensor (used by the equivalence tests).
 func (t *Translator) InferTensor(sm *StoredModel, input *tensor.Tensor) (*tensor.Tensor, error) {
 	var temps []string
 	defer func() {
@@ -77,12 +73,7 @@ func (t *Translator) InferTensor(sm *StoredModel, input *tensor.Tensor) (*tensor
 		return nil, err
 	}
 	lastConv := 0
-	if t.Cache != nil {
-		key := tensor.HashMix(t.modelStamp(sm), input.Hash(), uint64(t.PreJoin))
-		cur, err = t.runChainCached(sm.layers, cur, &temps, &lastConv, key)
-	} else {
-		cur, err = t.runChain(sm.layers, cur, &temps, &lastConv)
-	}
+	cur, err = t.runChain(sm.layers, cur, &temps, &lastConv)
 	if err != nil {
 		return nil, err
 	}
@@ -489,24 +480,9 @@ func (t *Translator) runDeconv(sl *storedLayer, d *nn.Deconv2D, cur relForm, tem
 // is joined with the first kernel during data generation, storing
 // pre-multiplied products {KernelID, MatrixID, Value}.
 func (t *Translator) encodeInputPreJoined(name string, in *tensor.Tensor, conv *nn.Conv2D) error {
-	cols, err := tensor.Im2Col(in, conv.K, conv.Stride, conv.Pad)
+	kernel, matrix, product, err := appendPreJoined(nil, nil, nil, in, conv)
 	if err != nil {
-		t.dropIfExists(name)
 		return err
-	}
-	nm, no := cols.Dim(0), cols.Dim(1)
-	total := conv.OutC * nm * no
-	kernel, matrix := make([]int64, 0, total), make([]int64, 0, total)
-	product := make([]float64, 0, total)
-	for kID := 0; kID < conv.OutC; kID++ {
-		w := conv.KernelRow(kID)
-		for m := 0; m < nm; m++ {
-			for o := 0; o < no; o++ {
-				kernel = append(kernel, int64(kID))
-				matrix = append(matrix, int64(m))
-				product = append(product, cols.At(m, o)*w[o])
-			}
-		}
 	}
 	return t.createTable(name, preJoinedInputSchema(), intCol(kernel), intCol(matrix), floatCol(product))
 }

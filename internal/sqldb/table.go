@@ -154,36 +154,6 @@ func (c *Column) ensureNulls() {
 	}
 }
 
-// Clone deep-copies the column: the result shares no backing arrays with
-// the receiver, so in-place writes (UPDATE, e.g. DL2SQL's ReLU) to either
-// side cannot be observed through the other. The cache layers use it to
-// materialize and rehydrate intermediate results safely.
-func (c *Column) Clone() *Column {
-	out := &Column{Type: c.Type}
-	if c.Ints != nil {
-		out.Ints = append([]int64(nil), c.Ints...)
-	}
-	if c.Floats != nil {
-		out.Floats = append([]float64(nil), c.Floats...)
-	}
-	if c.Strs != nil {
-		out.Strs = append([]string(nil), c.Strs...)
-	}
-	if c.Bools != nil {
-		out.Bools = append([]bool(nil), c.Bools...)
-	}
-	if c.Blobs != nil {
-		out.Blobs = make([][]byte, len(c.Blobs))
-		for i, b := range c.Blobs {
-			out.Blobs[i] = append([]byte(nil), b...)
-		}
-	}
-	if c.Nulls != nil {
-		out.Nulls = append([]bool(nil), c.Nulls...)
-	}
-	return out
-}
-
 // Gather builds a new column holding rows[i] = c[idx[i]]. A negative index
 // produces a NULL row (used by outer joins to pad unmatched sides).
 func (c *Column) Gather(idx []int) *Column { return gather(c, idx) }
@@ -402,28 +372,6 @@ func (t *Table) GetRow(i int) []Datum {
 func (t *Table) invalidateDerivedLocked() {
 	t.distinct = nil
 	t.version.Add(1)
-}
-
-// ReplaceData swaps in fully-built columns wholesale (a bulk load). The
-// column count and types must match the schema. Like any other write it
-// bumps the version and drops derived statistics; dl2sql's
-// intermediate cache uses it to rehydrate a materialized FeatureMap table
-// without row-at-a-time SQL.
-func (t *Table) ReplaceData(cols []*Column) error {
-	if len(cols) != len(t.Schema) {
-		return fmt.Errorf("sqldb: ReplaceData on %s: %d columns, schema has %d", t.Name, len(cols), len(t.Schema))
-	}
-	for i, c := range cols {
-		if c.Type != t.Schema[i].Type {
-			return fmt.Errorf("sqldb: ReplaceData on %s: column %s is %s, schema wants %s",
-				t.Name, t.Schema[i].Name, c.Type, t.Schema[i].Type)
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.Cols = cols
-	t.invalidateDerivedLocked()
-	return nil
 }
 
 // Truncate removes all rows, keeping the schema.

@@ -131,10 +131,8 @@ func TestCancelledQueryDoesNotPopulateInferCaches(t *testing.T) {
 	if n := env.InferCache.Len(); n != 0 {
 		t.Fatalf("cancelled queries left %d InferCache entries", n)
 	}
-	results, steps := env.SQLCache.Stats()
-	if results.Len != 0 || steps.Len != 0 {
-		t.Fatalf("cancelled queries left dl2sql cache entries: results=%d steps=%d",
-			results.Len, steps.Len)
+	if n := env.SQLCache.Stats().Len; n != 0 {
+		t.Fatalf("cancelled queries left %d dl2sql cache entries", n)
 	}
 	if st := env.Dataset.DB.CacheStats(); st.Plan.Len != 0 {
 		t.Fatalf("cancelled queries left %d plan cache entries", st.Plan.Len)
@@ -151,7 +149,7 @@ func TestCancelledQueryDoesNotPopulateInferCaches(t *testing.T) {
 	if env.InferCache.Len() == 0 {
 		t.Fatal("live run did not populate InferCache")
 	}
-	if results, _ := env.SQLCache.Stats(); results.Len == 0 {
+	if env.SQLCache.Stats().Len == 0 {
 		t.Fatal("live run did not populate the dl2sql results cache")
 	}
 }
@@ -175,7 +173,7 @@ func TestMidQueryTimeoutLeavesResultCachesEmpty(t *testing.T) {
 	if !errors.Is(err, qerr.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	if results, _ := env.SQLCache.Stats(); results.Len != 0 {
-		t.Fatalf("timed-out query memoized %d whole inferences", results.Len)
+	if n := env.SQLCache.Stats().Len; n != 0 {
+		t.Fatalf("timed-out query memoized %d whole inferences", n)
 	}
 }

@@ -10,10 +10,10 @@ package strategies
 // strategies share hits (the decoded tensor is a pure function of the
 // blob, and predictions are deterministic).
 //
-// The DL2SQL strategies memoize one level lower, inside the SQL pipeline
-// itself (see dl2sql.PipelineCache wired through Context.SQLCache),
-// because their unit of reuse is a materialized intermediate relation
-// rather than a class index.
+// The DL2SQL strategies memoize inside the SQL pipeline itself (see
+// dl2sql.PipelineCache wired through Context.SQLCache), because their
+// model lives in tables a statement can mutate: that key folds in the
+// stored tables' versions.
 
 import (
 	"repro/internal/cache"
@@ -32,9 +32,9 @@ type InferKey = schedule.Key
 // EnableInferCache switches on inference memoization for all four
 // strategies: an LRU of class predictions for DB-UDF / DB-PyTorch
 // (capacity entries) and a dl2sql PipelineCache for the DL2SQL pair
-// (capacity memoized inferences + capacity materialized intermediates).
-// capacity <= 0 disables both. When env.Metrics is set, hit/miss/eviction
-// counters appear under "strategies.infercache.*" and "dl2sql.cache.*";
+// (capacity memoized inferences). capacity <= 0 disables both. When
+// env.Metrics is set, hit/miss/eviction counters appear under
+// "strategies.infercache.*" and "dl2sql.cache.results.*";
 // set Metrics before calling EnableInferCache.
 func (env *Context) EnableInferCache(capacity int) {
 	if capacity <= 0 {
@@ -44,7 +44,7 @@ func (env *Context) EnableInferCache(capacity int) {
 	}
 	env.InferCache = cache.New[InferKey, int](capacity)
 	env.InferCache.Instrument(env.Metrics, obs.CachePrefixInfer)
-	env.SQLCache = dl2sql.NewPipelineCache(capacity, capacity)
+	env.SQLCache = dl2sql.NewPipelineCache(capacity)
 	env.SQLCache.Instrument(env.Metrics)
 }
 

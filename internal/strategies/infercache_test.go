@@ -114,7 +114,7 @@ func TestSQLCacheReusesPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _ := ctx.SQLCache.Stats()
+	results := ctx.SQLCache.Stats()
 	if results.Len == 0 {
 		t.Fatalf("first DL2SQL run should populate the result memo: %+v", results)
 	}
@@ -125,7 +125,7 @@ func TestSQLCacheReusesPipeline(t *testing.T) {
 	if resultKey(res1) != resultKey(res2) {
 		t.Fatal("cached DL2SQL run returned different rows")
 	}
-	results2, _ := ctx.SQLCache.Stats()
+	results2 := ctx.SQLCache.Stats()
 	if results2.Hits == 0 {
 		t.Fatalf("second DL2SQL run should hit the result memo: %+v", results2)
 	}
