@@ -22,6 +22,13 @@
 //   - flat form ("Layer_Output"): {TupleID, KernelID, Value} — one row per
 //     output element; TupleID = channel*H*W + y*W + x.
 //
+// One set of layer templates renders both single-sample and batched
+// inference. A batch (InferBatch with more than one input) leads both forms
+// with a SampleID column — {SampleID, MatrixID, OrderID, Value} and
+// {SampleID, TupleID, KernelID, Value} — and adds SampleID to every GROUP
+// BY and join, so each layer is one statement for the whole batch; one
+// input renders the same statements without it.
+//
 // IDs are zero-based (the paper's figures are one-based; the arithmetic is
 // otherwise identical).
 package dl2sql
@@ -35,7 +42,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/sqldb"
-	"repro/internal/tensor"
 )
 
 // ErrUnsupported is returned for operators outside Table II's supported set
@@ -161,12 +167,6 @@ func (t *Translator) tname(parts ...string) string {
 	return name
 }
 
-// nextTemp returns a fresh temp-table name.
-func (t *Translator) nextTemp(tag string) string {
-	t.seq++
-	return fmt.Sprintf("%s_tmp_%s_%d", t.Prefix, tag, t.seq)
-}
-
 // exec runs SQL with the translator's hints, timing it under the label.
 func (t *Translator) exec(label, sql string) (*sqldb.Result, error) {
 	if t.Trace {
@@ -185,8 +185,8 @@ func (t *Translator) exec(label, sql string) (*sqldb.Result, error) {
 	return res, nil
 }
 
-// execCountTarget runs DDL/DML producing a table and records the created
-// table's row count.
+// execToTable runs DDL/DML producing table and records the table's row
+// count under the label.
 func (t *Translator) execToTable(label, table, sql string) error {
 	if t.Trace {
 		t.TraceSQL = append(t.TraceSQL, sql)
@@ -214,11 +214,6 @@ type relForm struct {
 
 func (r relForm) size() int { return r.c * r.h * r.w }
 
-// dropIfExists removes a table silently.
-func (t *Translator) dropIfExists(name string) {
-	t.DB.DropTable(name)
-}
-
 // Supported reports whether the translator can compile the given layer
 // (Table II's support matrix).
 func Supported(l nn.Layer) bool {
@@ -230,24 +225,4 @@ func Supported(l nn.Layer) bool {
 		return true
 	}
 	return false
-}
-
-// tensorFromFlat reads a flat-form table back into a tensor (used by tests
-// to verify numerical equivalence and by Infer for final extraction).
-func (t *Translator) tensorFromFlat(table string, c, h, w int) (*tensor.Tensor, error) {
-	res, err := t.DB.QueryContext(t.ctx(), fmt.Sprintf(`SELECT TupleID, Value FROM %s ORDER BY TupleID`, table))
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.New(c, h, w)
-	n := res.NumRows()
-	for i := 0; i < n; i++ {
-		id, _ := res.Cols[0].Get(i).AsInt()
-		v, _ := res.Cols[1].Get(i).AsFloat()
-		if id < 0 || int(id) >= out.Len() {
-			return nil, fmt.Errorf("dl2sql: TupleID %d out of range for shape [%d %d %d]", id, c, h, w)
-		}
-		out.Data()[id] = v
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package dl2sql
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -32,7 +33,9 @@ func randTensor(shape []int, seed int64) *tensor.Tensor {
 }
 
 // checkEquivalence stores the model, runs both the native and the SQL
-// pipeline on the same input, and compares outputs elementwise.
+// pipeline on the same input, and compares outputs elementwise. It then
+// runs a 3-sample batch (the input and two more) through the batched
+// rendering of the same pipeline and compares every sample's full output.
 func checkEquivalence(t *testing.T, m *nn.Model, in *tensor.Tensor, eps float64) {
 	t.Helper()
 	tr := newTr(t)
@@ -40,21 +43,74 @@ func checkEquivalence(t *testing.T, m *nn.Model, in *tensor.Tensor, eps float64)
 	if err != nil {
 		t.Fatalf("StoreModel: %v", err)
 	}
-	want, err := m.Forward(in)
-	if err != nil {
-		t.Fatalf("native forward: %v", err)
-	}
 	got, err := tr.InferTensor(sm, in)
 	if err != nil {
 		t.Fatalf("SQL forward: %v", err)
 	}
+	checkClose(t, "single", m, in, got, eps)
+
+	ins := []*tensor.Tensor{in, randTensor(in.Shape(), 1001), randTensor(in.Shape(), 1002)}
+	var outs []*tensor.Tensor
+	if err := tr.run(sm, ins, func(p *pipeline, out relForm) (err error) {
+		outs, err = p.tensors(out, len(ins))
+		return err
+	}); err != nil {
+		t.Fatalf("batched SQL forward: %v", err)
+	}
+	for i, in := range ins {
+		checkClose(t, fmt.Sprintf("batch sample %d", i), m, in, outs[i], eps)
+	}
+}
+
+// checkClose compares got with the native forward pass of in.
+func checkClose(t *testing.T, what string, m *nn.Model, in, got *tensor.Tensor, eps float64) {
+	t.Helper()
+	want, err := m.Forward(in)
+	if err != nil {
+		t.Fatalf("%s: native forward: %v", what, err)
+	}
 	if got.Len() != want.Len() {
-		t.Fatalf("size mismatch: sql %v vs native %v", got.Shape(), want.Shape())
+		t.Fatalf("%s: size mismatch: sql %v vs native %v", what, got.Shape(), want.Shape())
 	}
 	for i := range want.Data() {
 		if math.Abs(got.Data()[i]-want.Data()[i]) > eps {
-			t.Fatalf("element %d: sql %v vs native %v", i, got.Data()[i], want.Data()[i])
+			t.Fatalf("%s: element %d: sql %v vs native %v", what, i, got.Data()[i], want.Data()[i])
 		}
+	}
+}
+
+func TestEveryOperatorEquivalence(t *testing.T) {
+	checkEquivalence(t, everyOperatorModel(), randTensor([]int{2, 6, 6}, 93), 1e-9)
+}
+
+// TestWrongInputShapeRejected: every entry point refuses an input whose
+// shape differs from the model's, alone or beside a well-shaped input in a
+// batch, and leaves no temp table behind.
+func TestWrongInputShapeRejected(t *testing.T) {
+	m := modelrepo.NewStudentModel(modelrepo.TaskDefectDetection, 8, 7)
+	tr := newTr(t)
+	sm, err := tr.StoreModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(tr.DB.TableNames())
+	good := randTensor([]int{3, 8, 8}, 1)
+	for _, shape := range [][]int{{1, 8, 8}, {3, 4, 4}, {3, 16, 16}} {
+		bad := randTensor(shape, 2)
+		if idx, p, err := tr.Infer(sm, bad); err == nil {
+			t.Errorf("Infer accepted a %v input: class %d, p = %v", shape, idx, p)
+		}
+		if _, err := tr.InferTensor(sm, bad); err == nil {
+			t.Errorf("InferTensor accepted a %v input", shape)
+		}
+		for _, batch := range [][]*tensor.Tensor{{bad}, {bad, bad}, {good, bad}} {
+			if _, err := tr.InferBatch(sm, batch); err == nil {
+				t.Errorf("InferBatch accepted a batch holding a %v input (batch of %d)", shape, len(batch))
+			}
+		}
+	}
+	if after := len(tr.DB.TableNames()); after != before {
+		t.Fatalf("temp tables leaked: %d before, %d after", before, after)
 	}
 }
 

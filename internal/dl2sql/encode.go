@@ -1,0 +1,138 @@
+package dl2sql
+
+import (
+	"repro/internal/nn"
+	"repro/internal/sqldb"
+	"repro/internal/tensor"
+)
+
+// The input encoders implement the loading step. Each writes all of a
+// run's inputs into one relation; a batch leads every row with its
+// SampleID, a single input has no such column.
+
+// EncodeInput implements Algorithm 1: it turns an input tensor into the
+// patch-form FeatureMap table for the model's first convolution (kernel k,
+// stride s, padding p). Rows are {MatrixID, OrderID, Value}; overlapping
+// receptive fields duplicate elements, exactly as the paper notes.
+func (t *Translator) EncodeInput(name string, in *tensor.Tensor, k, stride, pad int) (rows int, err error) {
+	return (&pipeline{Translator: t}).encodePatch(name, []*tensor.Tensor{in}, k, stride, pad)
+}
+
+// encodePatch is Algorithm 1 over every input. On error it leaves no table
+// named name behind.
+func (p *pipeline) encodePatch(name string, inputs []*tensor.Tensor, k, stride, pad int) (rows int, err error) {
+	tbl, err := p.createInput(name, sqldb.Schema{
+		{Name: "MatrixID", Type: sqldb.TInt},
+		{Name: "OrderID", Type: sqldb.TInt},
+		{Name: "Value", Type: sqldb.TFloat},
+	})
+	if err != nil {
+		return 0, err
+	}
+	for sid, in := range inputs {
+		cols, err := tensor.Im2Col(in, k, stride, pad)
+		if err != nil {
+			p.DB.DropTable(name)
+			return 0, err
+		}
+		nm, no := cols.Dim(0), cols.Dim(1)
+		matrix, order := make([]int64, 0, nm*no), make([]int64, 0, nm*no)
+		for m := 0; m < nm; m++ {
+			for o := 0; o < no; o++ {
+				matrix = append(matrix, int64(m))
+				order = append(order, int64(o))
+			}
+		}
+		// Im2Col's row-major data is already the (MatrixID, OrderID) order.
+		if err := p.appendInput(tbl, sid, intCol(matrix), intCol(order), floatCol(cols.Data())); err != nil {
+			return 0, err
+		}
+		rows += nm * no
+	}
+	return rows, nil
+}
+
+// encodeFlat stores every input in flat form {TupleID, KernelID, Value}
+// with TupleID the channel-major flat index.
+func (p *pipeline) encodeFlat(name string, inputs []*tensor.Tensor) error {
+	tbl, err := p.createInput(name, sqldb.Schema{
+		{Name: "TupleID", Type: sqldb.TInt},
+		{Name: "KernelID", Type: sqldb.TInt},
+		{Name: "Value", Type: sqldb.TFloat},
+	})
+	if err != nil {
+		return err
+	}
+	for sid, in := range inputs {
+		per := in.Len() / in.Shape()[0]
+		tuple, kernel := make([]int64, in.Len()), make([]int64, in.Len())
+		for i := range tuple {
+			tuple[i], kernel[i] = int64(i), int64(i/per)
+		}
+		if err := p.appendInput(tbl, sid, intCol(tuple), intCol(kernel), floatCol(in.Data())); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodePreJoined implements pre-join strategy 3: the input encoding is
+// joined with the first kernel during data generation. Every im2col patch
+// element is multiplied by the kernel's matching weight, one row
+// {KernelID, MatrixID, Value} per (KernelID, MatrixID, OrderID); only the
+// grouped SUM of Q1 remains at inference time.
+func (p *pipeline) encodePreJoined(name string, inputs []*tensor.Tensor, conv *nn.Conv2D) error {
+	tbl, err := p.createInput(name, sqldb.Schema{
+		{Name: "KernelID", Type: sqldb.TInt},
+		{Name: "MatrixID", Type: sqldb.TInt},
+		{Name: "Value", Type: sqldb.TFloat},
+	})
+	if err != nil {
+		return err
+	}
+	for sid, in := range inputs {
+		cols, err := tensor.Im2Col(in, conv.K, conv.Stride, conv.Pad)
+		if err != nil {
+			return err
+		}
+		nm, no := cols.Dim(0), cols.Dim(1)
+		rows := conv.OutC * nm * no
+		kernel, matrix, product := make([]int64, 0, rows), make([]int64, 0, rows), make([]float64, 0, rows)
+		for kID := 0; kID < conv.OutC; kID++ {
+			w := conv.KernelRow(kID)
+			for m := 0; m < nm; m++ {
+				for o := 0; o < no; o++ {
+					kernel = append(kernel, int64(kID))
+					matrix = append(matrix, int64(m))
+					product = append(product, cols.At(m, o)*w[o])
+				}
+			}
+		}
+		if err := p.appendInput(tbl, sid, intCol(kernel), intCol(matrix), floatCol(product)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// createInput (re)creates an encoded-input relation, led by a SampleID
+// column when the run is a batch.
+func (p *pipeline) createInput(name string, schema sqldb.Schema) (*sqldb.Table, error) {
+	if p.key {
+		schema = append(sqldb.Schema{{Name: "SampleID", Type: sqldb.TInt}}, schema...)
+	}
+	p.DB.DropTable(name)
+	return p.DB.CreateTable(name, schema)
+}
+
+// appendInput appends input sid's rows to an encoded-input relation.
+func (p *pipeline) appendInput(tbl *sqldb.Table, sid int, cols ...*sqldb.Column) error {
+	if p.key {
+		ids := make([]int64, cols[0].Len())
+		for i := range ids {
+			ids[i] = int64(sid)
+		}
+		cols = append([]*sqldb.Column{intCol(ids)}, cols...)
+	}
+	return tbl.AppendColumns(cols)
+}

@@ -60,7 +60,7 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 	}
 	// Metadata table: one row of hyper-parameters per stored layer.
 	metaName := t.tname("meta")
-	t.dropIfExists(metaName)
+	t.DB.DropTable(metaName)
 	meta, err := t.DB.CreateTable(metaName, sqldb.Schema{
 		{Name: "LayerName", Type: sqldb.TString},
 		{Name: "Kind", Type: sqldb.TString},
@@ -211,16 +211,14 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 				sl.mappingTable = mt
 				sm.tableNames = append(sm.tableNames, mt)
 			case *nn.ResidualBlock:
-				mainLayers, mainOut, err := compile(v.Main, cur, tag+"rm")
+				mainLayers, _, err := compile(v.Main, cur, tag+"rm")
 				if err != nil {
 					return nil, nil, err
 				}
-				scLayers, scOut, err := compile(v.Shortcut, cur, tag+"rs")
+				scLayers, _, err := compile(v.Shortcut, cur, tag+"rs")
 				if err != nil {
 					return nil, nil, err
 				}
-				_ = mainOut
-				_ = scOut
 				sl.main = mainLayers
 				sl.shortcut = scLayers
 			case *nn.DenseBlock:
@@ -307,7 +305,7 @@ func kernelSchema() sqldb.Schema {
 // createTable (re)creates a table and bulk-loads its columns with one
 // Table.AppendColumns.
 func (t *Translator) createTable(name string, schema sqldb.Schema, cols ...*sqldb.Column) error {
-	t.dropIfExists(name)
+	t.DB.DropTable(name)
 	tbl, err := t.DB.CreateTable(name, schema)
 	if err != nil {
 		return err
@@ -465,53 +463,4 @@ func (sm *StoredModel) StorageBytes(db *sqldb.DB) int64 {
 // TableNames lists every relational table backing the stored model.
 func (sm *StoredModel) TableNames() []string {
 	return append([]string(nil), sm.tableNames...)
-}
-
-// EncodeInput implements Algorithm 1: it turns an input tensor into the
-// patch-form FeatureMap table for the model's first convolution (kernel k,
-// stride s, padding p). Rows are {MatrixID, OrderID, Value}; overlapping
-// receptive fields duplicate elements, exactly as the paper notes.
-func (t *Translator) EncodeInput(name string, in *tensor.Tensor, k, stride, pad int) (rows int, err error) {
-	cols, err := tensor.Im2Col(in, k, stride, pad)
-	if err != nil {
-		t.dropIfExists(name)
-		return 0, err
-	}
-	nm, no := cols.Dim(0), cols.Dim(1)
-	matrix, order := make([]int64, 0, nm*no), make([]int64, 0, nm*no)
-	for m := 0; m < nm; m++ {
-		for o := 0; o < no; o++ {
-			matrix = append(matrix, int64(m))
-			order = append(order, int64(o))
-		}
-	}
-	// Im2Col's row-major data is already the (MatrixID, OrderID) order.
-	if err := t.createTable(name, patchSchema(), intCol(matrix), intCol(order), floatCol(cols.Data())); err != nil {
-		return 0, err
-	}
-	return nm * no, nil
-}
-
-// patchSchema is the FeatureMap layout {MatrixID, OrderID, Value}.
-func patchSchema() sqldb.Schema {
-	return sqldb.Schema{
-		{Name: "MatrixID", Type: sqldb.TInt},
-		{Name: "OrderID", Type: sqldb.TInt},
-		{Name: "Value", Type: sqldb.TFloat},
-	}
-}
-
-// EncodeFlat stores a tensor in flat form {TupleID, KernelID, Value} with
-// TupleID the channel-major flat index.
-func (t *Translator) EncodeFlat(name string, in *tensor.Tensor) error {
-	per := in.Len() / in.Shape()[0]
-	tuple, kernel := make([]int64, in.Len()), make([]int64, in.Len())
-	for i := range tuple {
-		tuple[i], kernel[i] = int64(i), int64(i/per)
-	}
-	return t.createTable(name, sqldb.Schema{
-		{Name: "TupleID", Type: sqldb.TInt},
-		{Name: "KernelID", Type: sqldb.TInt},
-		{Name: "Value", Type: sqldb.TFloat},
-	}, intCol(tuple), intCol(kernel), floatCol(in.Data()))
 }

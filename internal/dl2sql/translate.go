@@ -2,6 +2,7 @@ package dl2sql
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/nn"
@@ -22,467 +23,546 @@ func (t *Translator) Infer(sm *StoredModel, input *tensor.Tensor) (int, float64,
 			return r.idx, r.score, nil
 		}
 	}
-
-	var temps []string
-	defer func() {
-		for _, name := range temps {
-			t.DB.DropTable(name)
+	var r cachedResult
+	err := t.run(sm, []*tensor.Tensor{input}, func(p *pipeline, out relForm) error {
+		classes, score, err := p.classify(out, 1)
+		if err == nil {
+			r = cachedResult{idx: classes[0], score: score}
 		}
-	}()
-
-	cur, err := t.encodeForFirstLayer(sm, input, &temps)
+		return err
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	lastConv := 0
-	cur, err = t.runChain(sm.layers, cur, &temps, &lastConv)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Argmax over the final score table.
-	res, err := t.exec("Classification", fmt.Sprintf(
-		`SELECT TupleID, Value FROM %s ORDER BY Value DESC, TupleID LIMIT 1`, cur.table))
-	if err != nil {
-		return 0, 0, err
-	}
-	if res.NumRows() == 0 {
-		return 0, 0, fmt.Errorf("dl2sql: empty final score table")
-	}
-	idx, _ := res.Cols[0].Get(0).AsInt()
-	score, _ := res.Cols[1].Get(0).AsFloat()
 	// A query on a dying context must not publish into the shared cache:
 	// later queries would otherwise observe state from a run that was
 	// abandoned partway through.
 	if t.Cache != nil && t.ctx().Err() == nil {
-		t.Cache.results.Put(key, cachedResult{idx: int(idx), score: score})
+		t.Cache.results.Put(key, r)
 	}
-	return int(idx), score, nil
+	return r.idx, r.score, nil
 }
 
 // InferTensor runs the SQL pipeline, uncached, and materializes the final
-// layer's output as a tensor (used by the equivalence tests).
+// layer's output as a tensor (used by Verify and the equivalence tests).
 func (t *Translator) InferTensor(sm *StoredModel, input *tensor.Tensor) (*tensor.Tensor, error) {
-	var temps []string
+	var outs []*tensor.Tensor
+	err := t.run(sm, []*tensor.Tensor{input}, func(p *pipeline, out relForm) (err error) {
+		outs, err = p.tensors(out, 1)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// InferBatch runs SQL inference for a batch of inputs, returning the
+// argmax class index per sample (in input order). The paper performs
+// nUDFs "in a batch manner": every layer runs as one statement for the
+// whole batch, amortizing per-statement planning and materialization the
+// way the paper's batching amortizes model invocation. It is never cached.
+func (t *Translator) InferBatch(sm *StoredModel, inputs []*tensor.Tensor) ([]int, error) {
+	if len(inputs) == 0 {
+		return nil, nil
+	}
+	var classes []int
+	err := t.run(sm, inputs, func(p *pipeline, out relForm) (err error) {
+		classes, _, err = p.classify(out, len(inputs))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return classes, nil
+}
+
+// sampleKey renders the SampleID parts of a layer statement. A batch
+// threads SampleID through every relation, so each layer stays one
+// statement for all samples; a single input needs no such column, and for
+// it every part is the empty string.
+type sampleKey bool
+
+// by is the SampleID column of relation alias a ("" for an unaliased
+// relation) as a GROUP BY or ORDER BY prefix.
+func (k sampleKey) by(a string) string {
+	if !k {
+		return ""
+	}
+	if a == "" {
+		return "SampleID, "
+	}
+	return a + ".SampleID, "
+}
+
+// col is the SampleID select column taken from alias a.
+func (k sampleKey) col(a string) string {
+	if !k || a == "" {
+		return k.by(a)
+	}
+	return a + ".SampleID AS SampleID, "
+}
+
+// eq is the join condition pairing the samples of aliases a and b, placed
+// ahead of the statement's own conditions.
+func (k sampleKey) eq(a, b string) string {
+	if !k {
+		return ""
+	}
+	return a + ".SampleID = " + b + ".SampleID AND "
+}
+
+// pipeline is the state of one inference run.
+type pipeline struct {
+	*Translator
+	key      sampleKey
+	temps    []string // temp tables to drop when the run ends
+	lastConv int      // ordinal of the last convolution, for step labels
+}
+
+// run executes the pipeline over inputs, which must all have the model's
+// input shape: it encodes them, runs the layer chain, hands the final
+// relation to read and drops every temp table. More than one input adds
+// the SampleID column to every statement.
+func (t *Translator) run(sm *StoredModel, inputs []*tensor.Tensor, read func(p *pipeline, out relForm) error) error {
+	for i, in := range inputs {
+		if !slices.Equal(in.Shape(), sm.Model.InputShape) {
+			return fmt.Errorf("dl2sql: input %d has shape %v, model %s expects %v", i, in.Shape(), sm.Model.ModelName, sm.Model.InputShape)
+		}
+	}
+	p := &pipeline{Translator: t, key: sampleKey(len(inputs) > 1)}
 	defer func() {
-		for _, name := range temps {
+		for _, name := range p.temps {
 			t.DB.DropTable(name)
 		}
 	}()
-	cur, err := t.encodeForFirstLayer(sm, input, &temps)
+	cur, err := p.encode(sm, inputs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	lastConv := 0
-	cur, err = t.runChain(sm.layers, cur, &temps, &lastConv)
-	if err != nil {
-		return nil, err
+	if cur, err = p.chain(sm.layers, cur); err != nil {
+		return err
 	}
-	return t.tensorFromFlat(cur.table, cur.c, cur.h, cur.w)
+	return read(p, cur)
 }
 
-// encodeForFirstLayer implements the loading step: Algorithm 1 (patch form)
-// when the model starts with a convolution, flat form otherwise. Under
-// PreJoinInput the encoding is pre-multiplied with the first kernel.
-func (t *Translator) encodeForFirstLayer(sm *StoredModel, input *tensor.Tensor, temps *[]string) (relForm, error) {
+// temp returns a fresh temp-table name, dropped when the run ends.
+func (p *pipeline) temp(tag string) string {
+	p.seq++
+	name := fmt.Sprintf("%s_tmp_%s_%d", p.Prefix, tag, p.seq)
+	p.temps = append(p.temps, name)
+	return name
+}
+
+// create materializes one step's SELECT into a fresh temp table.
+func (p *pipeline) create(label, tag, sel string) (string, error) {
+	out := p.temp(tag)
+	return out, p.execToTable(label, out, "CREATE TEMP TABLE "+out+" AS "+sel)
+}
+
+// flatOut is the flat relation holding sl's output.
+func flatOut(table string, sl *storedLayer) relForm {
+	r := relForm{table: table, flat: true, c: sl.outShape[0], h: 1, w: 1}
+	if len(sl.outShape) == 3 {
+		r.h, r.w = sl.outShape[1], sl.outShape[2]
+	}
+	return r
+}
+
+// encode implements the loading step: Algorithm 1 (patch form) when the
+// model starts with a convolution, flat form otherwise. Under PreJoinInput
+// the patch encoding is pre-multiplied with the first kernel.
+func (p *pipeline) encode(sm *StoredModel, inputs []*tensor.Tensor) (relForm, error) {
 	in := sm.Model.InputShape
 	if len(sm.layers) > 0 && sm.layers[0].mappingTable == "" {
 		if conv, ok := sm.layers[0].layer.(*nn.Conv2D); ok {
-			name := t.nextTemp("fm0")
-			*temps = append(*temps, name)
-			if t.PreJoin == PreJoinInput {
-				if err := t.encodeInputPreJoined(name, input, conv); err != nil {
-					return relForm{}, err
-				}
-				return relForm{table: name, flat: false, c: in[0], h: in[1], w: in[2]}, nil
+			name := p.temp("fm0")
+			var err error
+			if p.PreJoin == PreJoinInput {
+				err = p.encodePreJoined(name, inputs, conv)
+			} else {
+				_, err = p.encodePatch(name, inputs, conv.K, conv.Stride, conv.Pad)
 			}
-			if _, err := t.EncodeInput(name, input, conv.K, conv.Stride, conv.Pad); err != nil {
-				return relForm{}, err
-			}
-			return relForm{table: name, flat: false, c: in[0], h: in[1], w: in[2]}, nil
+			return relForm{table: name, c: in[0], h: in[1], w: in[2]}, err
 		}
 	}
-	name := t.nextTemp("flat0")
-	*temps = append(*temps, name)
-	if err := t.EncodeFlat(name, input); err != nil {
-		return relForm{}, err
-	}
-	c, h, w := 1, 1, input.Len()
+	name := p.temp("flat0")
+	c, h, w := 1, 1, inputs[0].Len()
 	if len(in) == 3 {
 		c, h, w = in[0], in[1], in[2]
 	}
-	return relForm{table: name, flat: true, c: c, h: h, w: w}, nil
+	return relForm{table: name, flat: true, c: c, h: h, w: w}, p.encodeFlat(name, inputs)
 }
 
-// runChain executes a compiled layer chain.
-func (t *Translator) runChain(layers []storedLayer, cur relForm, temps *[]string, lastConv *int) (relForm, error) {
+// chain executes a compiled layer chain.
+func (p *pipeline) chain(layers []storedLayer, cur relForm) (relForm, error) {
 	var err error
 	for i := range layers {
-		cur, err = t.runLayer(&layers[i], cur, temps, lastConv)
-		if err != nil {
+		if cur, err = p.layer(&layers[i], cur); err != nil {
 			return cur, err
 		}
 	}
 	return cur, nil
 }
 
-func (t *Translator) runLayer(sl *storedLayer, cur relForm, temps *[]string, lastConv *int) (relForm, error) {
+func (p *pipeline) layer(sl *storedLayer, cur relForm) (relForm, error) {
+	// Only a model-opening convolution reads the patch-form input encoding.
+	if _, conv := sl.layer.(*nn.Conv2D); !cur.flat && !conv {
+		return cur, fmt.Errorf("dl2sql: %s %s needs flat input", sl.layer.Kind(), sl.layer.Name())
+	}
 	switch v := sl.layer.(type) {
 	case *nn.Conv2D:
-		*lastConv = sl.ordinal
-		return t.runConv(sl, v, cur, temps)
+		p.lastConv = sl.ordinal
+		return p.conv(sl, cur)
 	case *nn.Linear:
-		return t.runLinear(sl, v, cur, temps)
+		return p.linear(sl, cur)
 	case *nn.BatchNorm, *nn.InstanceNorm:
-		return t.runNorm(sl, cur, temps, *lastConv)
+		return p.norm(sl, cur)
 	case *nn.ReLU:
-		return t.runReLU(cur, *lastConv)
+		return p.relu(cur)
 	case *nn.Sigmoid:
-		return t.runSigmoid(cur, temps)
+		return p.sigmoid(cur)
 	case *nn.MaxPool:
-		return t.runPool(sl, cur, temps, "MAX")
+		return p.pool(sl, cur, "MAX")
 	case *nn.AvgPool:
-		return t.runPool(sl, cur, temps, "AVG")
+		return p.pool(sl, cur, "AVG")
 	case *nn.GlobalAvgPool:
-		return t.runGlobalAvg(sl, cur, temps)
+		return p.globalAvg(sl, cur)
 	case *nn.Flatten:
 		// Flat TupleIDs already enumerate features channel-major.
 		return relForm{table: cur.table, flat: true, c: cur.size(), h: 1, w: 1}, nil
 	case *nn.Softmax:
-		return t.runSoftmax(cur, temps)
+		return p.softmax(cur)
 	case *nn.ResidualBlock:
-		return t.runResidual(sl, cur, temps, lastConv)
+		return p.residual(sl, cur)
 	case *nn.DenseBlock:
-		return t.runDense(sl, v, cur, temps, lastConv)
+		return p.dense(sl, v.Growth, cur)
 	case *nn.BasicAttention:
-		return t.runAttention(sl, v, cur, temps)
+		return p.attention(sl, cur)
 	case *nn.Deconv2D:
-		*lastConv = sl.ordinal
-		return t.runDeconv(sl, v, cur, temps)
+		p.lastConv = sl.ordinal
+		return p.deconv(sl, cur)
 	}
 	return cur, fmt.Errorf("%w: %s (%s)", ErrUnsupported, sl.layer.Name(), sl.layer.Kind())
 }
 
-// runConv emits Q2 (when the input is flat) and Q1, plus the bias join.
-func (t *Translator) runConv(sl *storedLayer, conv *nn.Conv2D, cur relForm, temps *[]string) (relForm, error) {
-	outC, outH, outW := sl.outShape[0], sl.outShape[1], sl.outShape[2]
-	ohw := outH * outW
+// conv emits Q2 (when the input is flat) and Q1, plus the bias join.
+func (p *pipeline) conv(sl *storedLayer, cur relForm) (relForm, error) {
+	k := p.key
 	label := fmt.Sprintf("Conv%d", sl.ordinal)
-	var out string
-
+	ohw := sl.outShape[1] * sl.outShape[2]
+	var sql string
 	switch {
-	case cur.flat && sl.mappingTable != "" && t.PreJoin != PreJoinNone:
+	case cur.flat && p.PreJoin != PreJoinNone:
 		// Strategy 2/3: the mapping process (Q2) is fused into the
-		// convolution statement as a subquery — the intermediate FeatureMap
-		// table is never materialized.
-		out = t.nextTemp("conv")
-		*temps = append(*temps, out)
-		sql := fmt.Sprintf(
-			`CREATE TEMP TABLE %s AS SELECT K.KernelID * %d + X.MatrixID AS TupleID, K.KernelID AS KernelID, SUM(X.Value * K.Value) AS Value FROM (SELECT B.MatrixID AS MatrixID, B.OrderID AS OrderID, A.Value AS Value FROM %s A, %s B WHERE A.TupleID = B.TupleID) X INNER JOIN %s K ON X.OrderID = K.OrderID GROUP BY K.KernelID, X.MatrixID`,
-			out, ohw, cur.table, sl.mappingTable, sl.kernelTable)
-		if err := t.execToTable(label, out, sql); err != nil {
-			return cur, err
-		}
-	case cur.flat:
-		// Q2: reshape flat output into the next patch layout.
-		fm := t.nextTemp("fm")
-		*temps = append(*temps, fm)
-		sqlQ2 := fmt.Sprintf(
-			`CREATE TEMP TABLE %s AS SELECT B.MatrixID AS MatrixID, B.OrderID AS OrderID, A.Value AS Value FROM %s A, %s B WHERE A.TupleID = B.TupleID`,
-			fm, cur.table, sl.mappingTable)
-		if err := t.execToTable(fmt.Sprintf("Reshape%d", sl.ordinal-1), fm, sqlQ2); err != nil {
-			return cur, err
-		}
-		cur = relForm{table: fm, flat: false, c: cur.c, h: cur.h, w: cur.w}
-		fallthrough
+		// convolution statement as a subquery — the intermediate
+		// FeatureMap table is never materialized.
+		sql = fmt.Sprintf(
+			`SELECT %sK.KernelID * %d + X.MatrixID AS TupleID, K.KernelID AS KernelID, SUM(X.Value * K.Value) AS Value FROM (%s) X INNER JOIN %s K ON X.OrderID = K.OrderID GROUP BY %sK.KernelID, X.MatrixID`,
+			k.col("X"), ohw, p.reshape(sl, cur), sl.kernelTable, k.by("X"))
+	case p.PreJoin == PreJoinInput && sl.mappingTable == "":
+		// Strategy 3 on the first layer: the input was encoded
+		// pre-multiplied — only the aggregation remains.
+		sql = fmt.Sprintf(
+			`SELECT %sKernelID * %d + MatrixID AS TupleID, KernelID AS KernelID, SUM(Value) AS Value FROM %s GROUP BY %sKernelID, MatrixID`,
+			k.col(""), ohw, cur.table, k.by(""))
 	default:
 		if cur.flat {
-			return cur, fmt.Errorf("dl2sql: conv %s received flat input without a mapping table", conv.Name())
-		}
-		if t.PreJoin == PreJoinInput && sl.mappingTable == "" {
-			// Strategy 3 on the first layer: input was encoded
-			// pre-multiplied — only the aggregation remains.
-			out = t.nextTemp("conv")
-			*temps = append(*temps, out)
-			sql := fmt.Sprintf(
-				`CREATE TEMP TABLE %s AS SELECT KernelID * %d + MatrixID AS TupleID, KernelID AS KernelID, SUM(Value) AS Value FROM %s GROUP BY KernelID, MatrixID`,
-				out, ohw, cur.table)
-			if err := t.execToTable(label, out, sql); err != nil {
+			fm, err := p.create(fmt.Sprintf("Reshape%d", sl.ordinal-1), "fm", p.reshape(sl, cur))
+			if err != nil {
 				return cur, err
 			}
-		} else {
-			// Q1: the convolution join.
-			out = t.nextTemp("conv")
-			*temps = append(*temps, out)
-			sql := fmt.Sprintf(
-				`CREATE TEMP TABLE %s AS SELECT B.KernelID * %d + A.MatrixID AS TupleID, B.KernelID AS KernelID, SUM(A.Value * B.Value) AS Value FROM %s A INNER JOIN %s B ON A.OrderID = B.OrderID GROUP BY B.KernelID, A.MatrixID`,
-				out, ohw, cur.table, sl.kernelTable)
-			if err := t.execToTable(label, out, sql); err != nil {
-				return cur, err
-			}
+			cur = relForm{table: fm}
 		}
+		// Q1: the convolution join.
+		sql = fmt.Sprintf(
+			`SELECT %sB.KernelID * %d + A.MatrixID AS TupleID, B.KernelID AS KernelID, SUM(A.Value * B.Value) AS Value FROM %s A INNER JOIN %s B ON A.OrderID = B.OrderID GROUP BY %sB.KernelID, A.MatrixID`,
+			k.col("A"), ohw, cur.table, sl.kernelTable, k.by("A"))
 	}
-	next := relForm{table: out, flat: true, c: outC, h: outH, w: outW}
-	return t.applyBias(sl, next, temps, label)
+	out, err := p.create(label, "conv", sql)
+	if err != nil {
+		return cur, err
+	}
+	return p.bias(sl, flatOut(out, sl), label)
 }
 
-// applyBias joins per-channel biases onto a flat relation.
-func (t *Translator) applyBias(sl *storedLayer, cur relForm, temps *[]string, label string) (relForm, error) {
+// reshape is Q2: the mapping join that re-indexes a flat relation into
+// sl's patch layout {MatrixID, OrderID, Value}.
+func (p *pipeline) reshape(sl *storedLayer, cur relForm) string {
+	return fmt.Sprintf(
+		`SELECT %sB.MatrixID AS MatrixID, B.OrderID AS OrderID, A.Value AS Value FROM %s A, %s B WHERE A.TupleID = B.TupleID`,
+		p.key.col("A"), cur.table, sl.mappingTable)
+}
+
+// bias joins per-channel biases onto a flat relation.
+func (p *pipeline) bias(sl *storedLayer, cur relForm, label string) (relForm, error) {
 	if sl.biasTable == "" {
 		return cur, nil
 	}
-	out := t.nextTemp("bias")
-	*temps = append(*temps, out)
-	sql := fmt.Sprintf(
-		`CREATE TEMP TABLE %s AS SELECT A.TupleID AS TupleID, A.KernelID AS KernelID, A.Value + B.Value AS Value FROM %s A, %s B WHERE A.KernelID = B.KernelID`,
-		out, cur.table, sl.biasTable)
-	if err := t.execToTable(label, out, sql); err != nil {
-		return cur, err
-	}
-	cur.table = out
-	return cur, nil
+	var err error
+	cur.table, err = p.create(label, "bias", fmt.Sprintf(
+		`SELECT %sA.TupleID AS TupleID, A.KernelID AS KernelID, A.Value + B.Value AS Value FROM %s A, %s B WHERE A.KernelID = B.KernelID`,
+		p.key.col("A"), cur.table, sl.biasTable))
+	return cur, err
 }
 
-// runLinear treats full connection as a kernel-size-1 convolution over the
+// linear treats full connection as a kernel-size-1 convolution over the
 // flattened input: a single join on the feature index.
-func (t *Translator) runLinear(sl *storedLayer, lin *nn.Linear, cur relForm, temps *[]string) (relForm, error) {
-	if !cur.flat {
-		return cur, fmt.Errorf("dl2sql: linear %s needs flat input", lin.Name())
-	}
-	out := t.nextTemp("fc")
-	*temps = append(*temps, out)
-	sql := fmt.Sprintf(
-		`CREATE TEMP TABLE %s AS SELECT B.KernelID AS TupleID, B.KernelID AS KernelID, SUM(A.Value * B.Value) AS Value FROM %s A, %s B WHERE A.TupleID = B.OrderID GROUP BY B.KernelID`,
-		out, cur.table, sl.kernelTable)
-	if err := t.execToTable("FC", out, sql); err != nil {
+func (p *pipeline) linear(sl *storedLayer, cur relForm) (relForm, error) {
+	out, err := p.create("FC", "fc", fmt.Sprintf(
+		`SELECT %sB.KernelID AS TupleID, B.KernelID AS KernelID, SUM(A.Value * B.Value) AS Value FROM %s A, %s B WHERE A.TupleID = B.OrderID GROUP BY %sB.KernelID`,
+		p.key.col("A"), cur.table, sl.kernelTable, p.key.by("A")))
+	if err != nil {
 		return cur, err
 	}
-	next := relForm{table: out, flat: true, c: lin.Out, h: 1, w: 1}
-	return t.applyBias(sl, next, temps, "FC")
+	return p.bias(sl, flatOut(out, sl), "FC")
 }
 
-// runNorm emits the paper's Q4 batch-normalization: per-channel
+// norm emits the paper's Q4 batch-normalization: per-channel
 // (Value − AVG)/(stddevSamp + ε). Channels live in separate logical
 // feature tables in the paper (footnote 4); here the KernelID column plays
-// that role and the statistics come from a grouped subquery. Learned γ/β
-// and frozen running statistics, when present, come from the layer's
-// parameter table.
-func (t *Translator) runNorm(sl *storedLayer, cur relForm, temps *[]string, lastConv int) (relForm, error) {
-	if !cur.flat {
-		return cur, fmt.Errorf("dl2sql: norm %s needs flat input", sl.layer.Name())
-	}
+// that role and the statistics come from a grouped subquery, per sample.
+// Learned γ/β and frozen running statistics, when present, come from the
+// layer's parameter table.
+func (p *pipeline) norm(sl *storedLayer, cur relForm) (relForm, error) {
+	k := p.key
 	useBatchStats := true
 	if bn, ok := sl.layer.(*nn.BatchNorm); ok {
 		useBatchStats = bn.UseBatchStats
 	}
-	out := t.nextTemp("bn")
-	*temps = append(*temps, out)
+	stats := fmt.Sprintf(`(SELECT %sKernelID, AVG(Value) AS mu, stddevSamp(Value) AS sd FROM %s GROUP BY %sKernelID) S`,
+		k.col(""), cur.table, k.by(""))
 	var sql string
 	switch {
 	case sl.kernelTable == "":
 		// Identity batch-stat norm: the paper's literal Q4.
 		sql = fmt.Sprintf(
-			`CREATE TEMP TABLE %s AS SELECT A.TupleID AS TupleID, A.KernelID AS KernelID, ((A.Value - S.mu) / (S.sd + %g)) AS Value FROM %s A, (SELECT KernelID, AVG(Value) AS mu, stddevSamp(Value) AS sd FROM %s GROUP BY KernelID) S WHERE A.KernelID = S.KernelID`,
-			out, nn.BNEpsilon, cur.table, cur.table)
+			`SELECT %sA.TupleID AS TupleID, A.KernelID AS KernelID, ((A.Value - S.mu) / (S.sd + %g)) AS Value FROM %s A, %s WHERE %sA.KernelID = S.KernelID`,
+			k.col("A"), nn.BNEpsilon, cur.table, stats, k.eq("A", "S"))
 	case useBatchStats:
 		// Learned γ/β over batch statistics.
 		sql = fmt.Sprintf(
-			`CREATE TEMP TABLE %s AS SELECT A.TupleID AS TupleID, A.KernelID AS KernelID, (P.Gamma * (A.Value - S.mu) / (S.sd + %g)) + P.Beta AS Value FROM %s A, (SELECT KernelID, AVG(Value) AS mu, stddevSamp(Value) AS sd FROM %s GROUP BY KernelID) S, %s P WHERE A.KernelID = S.KernelID AND A.KernelID = P.KernelID`,
-			out, nn.BNEpsilon, cur.table, cur.table, sl.kernelTable)
+			`SELECT %sA.TupleID AS TupleID, A.KernelID AS KernelID, (P.Gamma * (A.Value - S.mu) / (S.sd + %g)) + P.Beta AS Value FROM %s A, %s, %s P WHERE %sA.KernelID = S.KernelID AND A.KernelID = P.KernelID`,
+			k.col("A"), nn.BNEpsilon, cur.table, stats, sl.kernelTable, k.eq("A", "S"))
 	default:
 		// Frozen running statistics: γ(x−μ)/√(σ²+ε) + β.
 		sql = fmt.Sprintf(
-			`CREATE TEMP TABLE %s AS SELECT A.TupleID AS TupleID, A.KernelID AS KernelID, (P.Gamma * (A.Value - P.Mean) / sqrt(P.Var + %g)) + P.Beta AS Value FROM %s A, %s P WHERE A.KernelID = P.KernelID`,
-			out, nn.BNEpsilon, cur.table, sl.kernelTable)
+			`SELECT %sA.TupleID AS TupleID, A.KernelID AS KernelID, (P.Gamma * (A.Value - P.Mean) / sqrt(P.Var + %g)) + P.Beta AS Value FROM %s A, %s P WHERE A.KernelID = P.KernelID`,
+			k.col("A"), nn.BNEpsilon, cur.table, sl.kernelTable)
 	}
-	if err := t.execToTable(fmt.Sprintf("BN%d", lastConv), out, sql); err != nil {
-		return cur, err
-	}
-	cur.table = out
-	return cur, nil
+	var err error
+	cur.table, err = p.create(fmt.Sprintf("BN%d", p.lastConv), "bn", sql)
+	return cur, err
 }
 
-// runReLU applies the paper's UPDATE-based rectification in place.
-func (t *Translator) runReLU(cur relForm, lastConv int) (relForm, error) {
-	if !cur.flat {
-		return cur, fmt.Errorf("dl2sql: relu needs flat input")
-	}
-	sql := fmt.Sprintf(`UPDATE %s SET Value = 0 WHERE Value < 0`, cur.table)
-	if _, err := t.exec(fmt.Sprintf("ReLU%d", lastConv), sql); err != nil {
-		return cur, err
-	}
-	return cur, nil
+// relu applies the paper's UPDATE-based rectification in place.
+func (p *pipeline) relu(cur relForm) (relForm, error) {
+	_, err := p.exec(fmt.Sprintf("ReLU%d", p.lastConv), fmt.Sprintf(`UPDATE %s SET Value = 0 WHERE Value < 0`, cur.table))
+	return cur, err
 }
 
-func (t *Translator) runSigmoid(cur relForm, temps *[]string) (relForm, error) {
-	out := t.nextTemp("sig")
-	*temps = append(*temps, out)
-	sql := fmt.Sprintf(
-		`CREATE TEMP TABLE %s AS SELECT TupleID, KernelID, 1 / (1 + exp(0 - Value)) AS Value FROM %s`,
-		out, cur.table)
-	if err := t.execToTable("Sigmoid", out, sql); err != nil {
-		return cur, err
-	}
-	cur.table = out
-	return cur, nil
+func (p *pipeline) sigmoid(cur relForm) (relForm, error) {
+	var err error
+	cur.table, err = p.create("Sigmoid", "sig", fmt.Sprintf(
+		`SELECT %sTupleID, KernelID, 1 / (1 + exp(0 - Value)) AS Value FROM %s`, p.key.col(""), cur.table))
+	return cur, err
 }
 
-// runPool emits Q3: the pooling mapping join plus a grouped MAX/AVG.
-func (t *Translator) runPool(sl *storedLayer, cur relForm, temps *[]string, agg string) (relForm, error) {
-	if !cur.flat {
-		return cur, fmt.Errorf("dl2sql: pooling needs flat input")
-	}
-	outC, outH, outW := sl.outShape[0], sl.outShape[1], sl.outShape[2]
-	ohw := outH * outW
-	out := t.nextTemp("pool")
-	*temps = append(*temps, out)
-	sql := fmt.Sprintf(
-		`CREATE TEMP TABLE %s AS SELECT B.KernelID * %d + B.MatrixID AS TupleID, B.KernelID AS KernelID, %s(A.Value) AS Value FROM %s A, %s B WHERE A.TupleID = B.TupleID GROUP BY B.KernelID, B.MatrixID`,
-		out, ohw, agg, cur.table, sl.mappingTable)
-	if err := t.execToTable("Pool", out, sql); err != nil {
-		return cur, err
-	}
-	return relForm{table: out, flat: true, c: outC, h: outH, w: outW}, nil
+// pool emits Q3: the pooling mapping join plus a grouped MAX/AVG.
+func (p *pipeline) pool(sl *storedLayer, cur relForm, agg string) (relForm, error) {
+	out, err := p.create("Pool", "pool", fmt.Sprintf(
+		`SELECT %sB.KernelID * %d + B.MatrixID AS TupleID, B.KernelID AS KernelID, %s(A.Value) AS Value FROM %s A, %s B WHERE A.TupleID = B.TupleID GROUP BY %sB.KernelID, B.MatrixID`,
+		p.key.col("A"), sl.outShape[1]*sl.outShape[2], agg, cur.table, sl.mappingTable, p.key.by("A")))
+	return flatOut(out, sl), err
 }
 
-func (t *Translator) runGlobalAvg(sl *storedLayer, cur relForm, temps *[]string) (relForm, error) {
-	out := t.nextTemp("gap")
-	*temps = append(*temps, out)
-	sql := fmt.Sprintf(
-		`CREATE TEMP TABLE %s AS SELECT KernelID AS TupleID, KernelID AS KernelID, AVG(Value) AS Value FROM %s GROUP BY KernelID`,
-		out, cur.table)
-	if err := t.execToTable("Pool", out, sql); err != nil {
-		return cur, err
-	}
-	return relForm{table: out, flat: true, c: sl.outShape[0], h: 1, w: 1}, nil
+func (p *pipeline) globalAvg(sl *storedLayer, cur relForm) (relForm, error) {
+	out, err := p.create("Pool", "gap", fmt.Sprintf(
+		`SELECT %sKernelID AS TupleID, KernelID AS KernelID, AVG(Value) AS Value FROM %s GROUP BY %sKernelID`,
+		p.key.col(""), cur.table, p.key.by("")))
+	return flatOut(out, sl), err
 }
 
-// runSoftmax emits the classification head: a numerically-stabilized
-// exp/SUM over the logit table.
-func (t *Translator) runSoftmax(cur relForm, temps *[]string) (relForm, error) {
-	out := t.nextTemp("sm")
-	*temps = append(*temps, out)
-	sql := fmt.Sprintf(
-		`CREATE TEMP TABLE %s AS SELECT TupleID, KernelID, exp(Value - (SELECT MAX(Value) FROM %s)) / (SELECT SUM(exp(Value - (SELECT MAX(Value) FROM %s))) FROM %s) AS Value FROM %s`,
-		out, cur.table, cur.table, cur.table, cur.table)
-	if err := t.execToTable("Classification", out, sql); err != nil {
+// softmax emits the classification head: a numerically-stabilized exp/SUM
+// over the logit table. One input takes its max and sum from scalar
+// subqueries; a batch needs them per sample, which takes two grouped
+// statements.
+func (p *pipeline) softmax(cur relForm) (relForm, error) {
+	var err error
+	if !p.key {
+		cur.table, err = p.create("Classification", "sm", fmt.Sprintf(
+			`SELECT TupleID, KernelID, exp(Value - (SELECT MAX(Value) FROM %s)) / (SELECT SUM(exp(Value - (SELECT MAX(Value) FROM %s))) FROM %s) AS Value FROM %s`,
+			cur.table, cur.table, cur.table, cur.table))
 		return cur, err
 	}
-	cur.table = out
-	return cur, nil
-}
-
-// runResidual executes the paper's Q5: both paths from the same input,
-// elementwise sum, then the UPDATE-based ReLU.
-func (t *Translator) runResidual(sl *storedLayer, cur relForm, temps *[]string, lastConv *int) (relForm, error) {
-	mainOut, err := t.runChain(sl.main, cur, temps, lastConv)
+	shifted, err := p.create("Classification", "sm", fmt.Sprintf(
+		`SELECT A.SampleID AS SampleID, A.TupleID AS TupleID, A.KernelID AS KernelID, exp(A.Value - S.mx) AS Value FROM %s A, (SELECT SampleID, MAX(Value) AS mx FROM %s GROUP BY SampleID) S WHERE A.SampleID = S.SampleID`,
+		cur.table, cur.table))
 	if err != nil {
 		return cur, err
 	}
-	shortOut := cur
+	cur.table, err = p.create("Classification", "sm", fmt.Sprintf(
+		`SELECT A.SampleID AS SampleID, A.TupleID AS TupleID, A.KernelID AS KernelID, A.Value / S.sm AS Value FROM %s A, (SELECT SampleID, SUM(Value) AS sm FROM %s GROUP BY SampleID) S WHERE A.SampleID = S.SampleID`,
+		shifted, shifted))
+	return cur, err
+}
+
+// elementwise combines two flat relations of one shape element by element
+// with op.
+func (p *pipeline) elementwise(label, tag, op, a, b string) (string, error) {
+	return p.create(label, tag, fmt.Sprintf(
+		`SELECT %sA.TupleID AS TupleID, A.KernelID AS KernelID, A.Value %s B.Value AS Value FROM %s A, %s B WHERE %sA.TupleID = B.TupleID`,
+		p.key.col("A"), op, a, b, p.key.eq("A", "B")))
+}
+
+// residual executes the paper's Q5: both paths from the same input,
+// elementwise sum, then the UPDATE-based ReLU.
+func (p *pipeline) residual(sl *storedLayer, cur relForm) (relForm, error) {
+	main, err := p.chain(sl.main, cur)
+	if err != nil {
+		return cur, err
+	}
+	short := cur
 	if len(sl.shortcut) > 0 {
-		shortOut, err = t.runChain(sl.shortcut, cur, temps, lastConv)
-		if err != nil {
+		if short, err = p.chain(sl.shortcut, cur); err != nil {
 			return cur, err
 		}
 	}
-	out := t.nextTemp("res")
-	*temps = append(*temps, out)
-	sql := fmt.Sprintf(
-		`CREATE TEMP TABLE %s AS SELECT A.TupleID AS TupleID, A.KernelID AS KernelID, A.Value + B.Value AS Value FROM %s A, %s B WHERE A.TupleID = B.TupleID`,
-		out, mainOut.table, shortOut.table)
-	if err := t.execToTable(fmt.Sprintf("Residual%d", *lastConv), out, sql); err != nil {
+	if main.table, err = p.elementwise(fmt.Sprintf("Residual%d", p.lastConv), "res", "+", main.table, short.table); err != nil {
 		return cur, err
 	}
-	next := relForm{table: out, flat: true, c: mainOut.c, h: mainOut.h, w: mainOut.w}
-	return t.runReLU(next, *lastConv)
+	return p.relu(main)
 }
 
-// runDense executes a dense block: each stage convolves the accumulated
+// dense executes a dense block: each stage convolves the accumulated
 // concatenation, and the stage output is appended with shifted channel and
 // tuple IDs.
-func (t *Translator) runDense(sl *storedLayer, blk *nn.DenseBlock, cur relForm, temps *[]string, lastConv *int) (relForm, error) {
+func (p *pipeline) dense(sl *storedLayer, growth int, cur relForm) (relForm, error) {
 	acc := cur
+	s := p.key.col("")
 	for i := range sl.main {
 		stage := &sl.main[i]
-		conv := stage.layer.(*nn.Conv2D)
-		*lastConv = stage.ordinal
-		stageOut, err := t.runConv(stage, conv, acc, temps)
+		p.lastConv = stage.ordinal
+		stageOut, err := p.conv(stage, acc)
 		if err != nil {
 			return cur, err
 		}
 		// Concatenate along channels.
-		concat := t.nextTemp("cat")
-		*temps = append(*temps, concat)
-		hw := acc.h * acc.w
+		concat := p.temp("cat")
 		sqls := fmt.Sprintf(
-			`CREATE TEMP TABLE %s AS SELECT TupleID, KernelID, Value FROM %s;
-			 INSERT INTO %s (SELECT TupleID + %d, KernelID + %d, Value FROM %s);`,
-			concat, acc.table,
-			concat, acc.c*hw, acc.c, stageOut.table)
-		if err := t.execToTable(fmt.Sprintf("Dense%d", *lastConv), concat, sqls); err != nil {
+			`CREATE TEMP TABLE %s AS SELECT %sTupleID, KernelID, Value FROM %s;
+			 INSERT INTO %s (SELECT %sTupleID + %d, KernelID + %d, Value FROM %s);`,
+			concat, s, acc.table,
+			concat, s, acc.size(), acc.c, stageOut.table)
+		if err := p.execToTable(fmt.Sprintf("Dense%d", p.lastConv), concat, sqls); err != nil {
 			return cur, err
 		}
-		acc = relForm{table: concat, flat: true, c: acc.c + blk.Growth, h: acc.h, w: acc.w}
+		acc = relForm{table: concat, flat: true, c: acc.c + growth, h: acc.h, w: acc.w}
 	}
 	return acc, nil
 }
 
-// runAttention executes basic attention as two FC joins, a softmax, and an
+// attention executes basic attention as two FC joins, a softmax, and an
 // elementwise product — the derivation from full connection the paper
 // describes.
-func (t *Translator) runAttention(sl *storedLayer, att *nn.BasicAttention, cur relForm, temps *[]string) (relForm, error) {
-	scoreLayer := &storedLayer{kernelTable: sl.kernelTable, outShape: []int{att.Dim, 1, 1}}
-	scores, err := t.runLinear(scoreLayer, &nn.Linear{LayerName: att.Name() + "_score", In: att.Dim, Out: att.Dim}, cur, temps)
+func (p *pipeline) attention(sl *storedLayer, cur relForm) (relForm, error) {
+	scores, err := p.linear(&storedLayer{layer: sl.layer, kernelTable: sl.kernelTable, outShape: sl.outShape}, cur)
 	if err != nil {
 		return cur, err
 	}
-	scores, err = t.runSoftmax(scores, temps)
+	if scores, err = p.softmax(scores); err != nil {
+		return cur, err
+	}
+	values, err := p.linear(&storedLayer{layer: sl.layer, kernelTable: sl.biasTable, outShape: sl.outShape}, cur)
 	if err != nil {
 		return cur, err
 	}
-	valueLayer := &storedLayer{kernelTable: sl.biasTable, outShape: []int{att.Dim, 1, 1}}
-	values, err := t.runLinear(valueLayer, &nn.Linear{LayerName: att.Name() + "_value", In: att.Dim, Out: att.Dim}, cur, temps)
-	if err != nil {
-		return cur, err
-	}
-	out := t.nextTemp("attn")
-	*temps = append(*temps, out)
-	sql := fmt.Sprintf(
-		`CREATE TEMP TABLE %s AS SELECT A.TupleID AS TupleID, A.KernelID AS KernelID, A.Value * B.Value AS Value FROM %s A, %s B WHERE A.TupleID = B.TupleID`,
-		out, scores.table, values.table)
-	if err := t.execToTable("Attention", out, sql); err != nil {
-		return cur, err
-	}
-	return relForm{table: out, flat: true, c: att.Dim, h: 1, w: 1}, nil
+	out, err := p.elementwise("Attention", "attn", "*", scores.table, values.table)
+	return flatOut(out, sl), err
 }
 
-// runDeconv executes transposed convolution via the precomputed
-// contribution table: one join + grouped SUM.
-func (t *Translator) runDeconv(sl *storedLayer, d *nn.Deconv2D, cur relForm, temps *[]string) (relForm, error) {
-	if !cur.flat {
-		return cur, fmt.Errorf("dl2sql: deconv %s needs flat input", d.Name())
-	}
-	outC, outH, outW := sl.outShape[0], sl.outShape[1], sl.outShape[2]
-	ohw := outH * outW
-	out := t.nextTemp("deconv")
-	*temps = append(*temps, out)
-	sql := fmt.Sprintf(
-		`CREATE TEMP TABLE %s AS SELECT C.KernelID * %d + C.OutID AS TupleID, C.KernelID AS KernelID, SUM(A.Value * C.Weight) AS Value FROM %s A, %s C WHERE A.TupleID = C.TupleID GROUP BY C.KernelID, C.OutID`,
-		out, ohw, cur.table, sl.kernelTable)
-	if err := t.execToTable(fmt.Sprintf("Deconv%d", sl.ordinal), out, sql); err != nil {
+// deconv executes transposed convolution via the precomputed contribution
+// table: one join + grouped SUM.
+func (p *pipeline) deconv(sl *storedLayer, cur relForm) (relForm, error) {
+	label := fmt.Sprintf("Deconv%d", sl.ordinal)
+	out, err := p.create(label, "deconv", fmt.Sprintf(
+		`SELECT %sC.KernelID * %d + C.OutID AS TupleID, C.KernelID AS KernelID, SUM(A.Value * C.Weight) AS Value FROM %s A, %s C WHERE A.TupleID = C.TupleID GROUP BY %sC.KernelID, C.OutID`,
+		p.key.col("A"), sl.outShape[1]*sl.outShape[2], cur.table, sl.kernelTable, p.key.by("A")))
+	if err != nil {
 		return cur, err
 	}
-	next := relForm{table: out, flat: true, c: outC, h: outH, w: outW}
-	return t.applyBias(sl, next, temps, fmt.Sprintf("Deconv%d", sl.ordinal))
+	return p.bias(sl, flatOut(out, sl), label)
 }
 
-// encodeInputPreJoined implements pre-join strategy 3: the input encoding
-// is joined with the first kernel during data generation, storing
-// pre-multiplied products {KernelID, MatrixID, Value}.
-func (t *Translator) encodeInputPreJoined(name string, in *tensor.Tensor, conv *nn.Conv2D) error {
-	kernel, matrix, product, err := appendPreJoined(nil, nil, nil, in, conv)
-	if err != nil {
-		return err
+// classify runs the argmax over the final score table and returns one
+// class per sample. One input reads its top row, which also yields the
+// score; a batch joins each sample's rows with its maximum and reports the
+// classes only.
+func (p *pipeline) classify(out relForm, n int) ([]int, float64, error) {
+	if !p.key {
+		res, err := p.exec("Classification", fmt.Sprintf(
+			`SELECT TupleID, Value FROM %s ORDER BY Value DESC, TupleID LIMIT 1`, out.table))
+		if err != nil {
+			return nil, 0, err
+		}
+		if res.NumRows() == 0 {
+			return nil, 0, fmt.Errorf("dl2sql: empty final score table")
+		}
+		idx, _ := res.Cols[0].Get(0).AsInt()
+		score, _ := res.Cols[1].Get(0).AsFloat()
+		return []int{int(idx)}, score, nil
 	}
-	return t.createTable(name, preJoinedInputSchema(), intCol(kernel), intCol(matrix), floatCol(product))
+	res, err := p.exec("Classification", fmt.Sprintf(
+		`SELECT A.SampleID AS SampleID, MIN(A.TupleID) AS TupleID FROM %s A, (SELECT SampleID, MAX(Value) AS mx FROM %s GROUP BY SampleID) S WHERE A.SampleID = S.SampleID AND A.Value = S.mx GROUP BY A.SampleID`,
+		out.table, out.table))
+	if err != nil {
+		return nil, 0, err
+	}
+	classes := make([]int, n)
+	for i := range classes {
+		classes[i] = -1
+	}
+	for r := 0; r < res.NumRows(); r++ {
+		sid, _ := res.Cols[0].Get(r).AsInt()
+		cls, _ := res.Cols[1].Get(r).AsInt()
+		if sid >= 0 && int(sid) < n {
+			classes[sid] = int(cls)
+		}
+	}
+	for i, c := range classes {
+		if c < 0 {
+			return nil, 0, fmt.Errorf("dl2sql: batch inference lost sample %d", i)
+		}
+	}
+	return classes, 0, nil
+}
+
+// tensors reads the final flat relation back into one tensor per sample.
+func (p *pipeline) tensors(out relForm, n int) ([]*tensor.Tensor, error) {
+	res, err := p.DB.QueryContext(p.ctx(), fmt.Sprintf(`SELECT %sTupleID, Value FROM %s ORDER BY %sTupleID`,
+		p.key.col(""), out.table, p.key.by("")))
+	if err != nil {
+		return nil, err
+	}
+	ts := make([]*tensor.Tensor, n)
+	for i := range ts {
+		ts[i] = tensor.New(out.c, out.h, out.w)
+	}
+	ids, vals := res.Cols[0], res.Cols[1]
+	if p.key {
+		ids, vals = res.Cols[1], res.Cols[2]
+	}
+	for r := 0; r < res.NumRows(); r++ {
+		var sid int64
+		if p.key {
+			sid, _ = res.Cols[0].Get(r).AsInt()
+		}
+		id, _ := ids.Get(r).AsInt()
+		v, _ := vals.Get(r).AsFloat()
+		if sid < 0 || int(sid) >= n || id < 0 || int(id) >= ts[sid].Len() {
+			return nil, fmt.Errorf("dl2sql: row (sample %d, TupleID %d) out of range for %d samples of shape [%d %d %d]", sid, id, n, out.c, out.h, out.w)
+		}
+		ts[sid].Data()[id] = v
+	}
+	return ts, nil
 }

@@ -92,11 +92,10 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	bd.Loading += time.Since(loadStart).Seconds()
 	loadSpan.Finish()
 	defer func() {
-		for name, sm := range stored {
+		for _, sm := range stored {
 			for _, t := range sm.TableNames() {
 				db.DropTable(t)
 			}
-			_ = name
 		}
 	}()
 
@@ -120,11 +119,17 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	}
 	bd.Relational += relDur.Seconds()
 
-	// SQL inference per candidate per model.
+	// SQL inference per model over sample groups: every candidate in one
+	// group when batched, one candidate per group (through Infer's result
+	// cache) otherwise.
 	preds := make(map[int64]map[string]sqldb.Datum, len(cands))
 	s.LastSteps = nil
 	for _, c := range cands {
 		preds[c.videoID] = map[string]sqldb.Datum{}
+	}
+	size := 1
+	if s.Batched {
+		size = max(len(cands), 1)
 	}
 	infSpan := root.StartChild("inference")
 	for _, name := range q.UDFNames {
@@ -133,9 +138,10 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 		b := env.Bindings[name]
 		modelSpan := infSpan.StartChild("model:" + name)
 		tr.Span = modelSpan
-		if s.Batched && len(cands) > 0 {
-			ins := make([]*tensor.Tensor, len(cands))
-			for i, c := range cands {
+		for lo := 0; lo < len(cands); lo += size {
+			group := cands[lo:min(lo+size, len(cands))]
+			ins := make([]*tensor.Tensor, len(group))
+			for i, c := range group {
 				in, err := iotdata.KeyframeTensor(c.blob)
 				if err != nil {
 					return nil, bd, fmt.Errorf("strategies: keyframe %d: %w", c.videoID, err)
@@ -144,29 +150,15 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 			}
 			tr.ResetSteps()
 			wallStart := time.Now()
-			idxs, err := tr.InferBatch(sm, ins)
-			wall := time.Since(wallStart).Seconds()
-			if err != nil {
-				return nil, bd, fmt.Errorf("strategies: batched SQL inference for %s: %w", name, err)
+			var idxs []int
+			var err error
+			if s.Batched {
+				idxs, err = tr.InferBatch(sm, ins)
+			} else {
+				var idx int
+				idx, _, err = tr.Infer(sm, ins[0])
+				idxs = []int{idx}
 			}
-			sqlSecs := tr.StepTotal().Seconds()
-			bd.Inference += env.Profile.ScaleRelational(sqlSecs)
-			bd.Loading += wall - sqlSecs
-			s.LastSteps = append(s.LastSteps, tr.Steps...)
-			for i, c := range cands {
-				preds[c.videoID][name] = b.predictionDatum(idxs[i])
-			}
-			modelSpan.Finish()
-			continue
-		}
-		for _, c := range cands {
-			in, err := iotdata.KeyframeTensor(c.blob)
-			if err != nil {
-				return nil, bd, fmt.Errorf("strategies: keyframe %d: %w", c.videoID, err)
-			}
-			tr.ResetSteps()
-			wallStart := time.Now()
-			idx, _, err := tr.Infer(sm, in)
 			wall := time.Since(wallStart).Seconds()
 			if err != nil {
 				return nil, bd, fmt.Errorf("strategies: SQL inference for %s: %w", name, err)
@@ -177,7 +169,9 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 			bd.Inference += env.Profile.ScaleRelational(sqlSecs)
 			bd.Loading += wall - sqlSecs
 			s.LastSteps = append(s.LastSteps, tr.Steps...)
-			preds[c.videoID][name] = b.predictionDatum(idx)
+			for i, c := range group {
+				preds[c.videoID][name] = b.predictionDatum(idxs[i])
+			}
 		}
 		modelSpan.Finish()
 	}
