@@ -46,13 +46,8 @@ func main() {
 	demo := `SELECT F.patternID FROM fabric F, video V WHERE nUDF_recog(V.keyframe) = F.patternID`
 	hintsOn := &sqldb.QueryHints{SymmetricJoin: true}
 
-	// Register a stand-in UDF so the plan compiles (the real strategies
-	// register the bound models themselves).
-	ctx.Dataset.DB.RegisterUDF(&sqldb.ScalarUDF{
-		Name: "nudf_recog", Arity: 1,
-		Fn:   func(args []sqldb.Datum) (sqldb.Datum, error) { return sqldb.Int(0), nil },
-		Cost: 1e6,
-	})
+	// BindDefaults registered nudf_recog in the database, so the demo plans
+	// against the bound nUDF.
 	planOff, err := ctx.Dataset.DB.PlanSelect(demo, nil)
 	if err != nil {
 		log.Fatal(err)
@@ -61,7 +56,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx.Dataset.DB.UnregisterUDF("nudf_recog")
 	fmt.Println("plan without hints:")
 	fmt.Println(sqldb.Explain(planOff))
 	fmt.Println("plan with hint rule 3 (symmetric hash join):")

@@ -66,7 +66,7 @@ func (s *Suite) AblationSymmetricJoin() (*Table, error) {
 	// nUDF without dominating the timing.
 	db.RegisterUDF(&sqldb.ScalarUDF{
 		Name: "nudf_keyid", Arity: 1,
-		Fn: func(args []sqldb.Datum) (sqldb.Datum, error) {
+		Fn: func(_ context.Context, args []sqldb.Datum) (sqldb.Datum, error) {
 			v, _ := args[0].AsInt()
 			return sqldb.Int(v % 6), nil
 		},
@@ -123,7 +123,7 @@ func (s *Suite) AblationPredicateOrdering() (*Table, error) {
 	calls := 0
 	db.RegisterUDF(&sqldb.ScalarUDF{
 		Name: "nudf_slowcheck", Arity: 1,
-		Fn: func(args []sqldb.Datum) (sqldb.Datum, error) {
+		Fn: func(_ context.Context, args []sqldb.Datum) (sqldb.Datum, error) {
 			calls++
 			time.Sleep(50 * time.Microsecond) // simulated expensive model call
 			return sqldb.Bool(true), nil

@@ -87,18 +87,6 @@ type Server struct {
 	sess *sessions
 	mux  *http.ServeMux
 
-	// colMu serializes collaborative-query strategy executions that mutate
-	// shared engine state: DB-UDF registers its nUDFs on the shared DB for
-	// the duration of one execution, so two concurrent DB-UDF colqueries
-	// would race on the UDF registry (and any strategy running with the
-	// fallback ladder may degrade into DB-UDF). DB-PyTorch without
-	// fallback touches no shared registry — its predictions tables get
-	// unique names — so it runs without the lock; that is the path whose
-	// concurrent requests coalesce in the inference scheduler. Plain SQL
-	// (including SQL that calls persistently registered UDFs) is never
-	// serialized.
-	colMu sync.Mutex
-
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	// drainMu orders enter() against Drain: once draining flips under the
@@ -115,8 +103,6 @@ type Server struct {
 
 	// onDrain hooks run after in-flight queries are gone (slow-log flush).
 	onDrain []func()
-
-	strategies map[string]strategies.Strategy
 }
 
 // New assembles a server over a DB. env may be nil (plain SQL serving
@@ -139,10 +125,6 @@ func New(db *sqldb.DB, env *strategies.Context, cfg Config) *Server {
 		sess:       newSessions(),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
-		strategies: map[string]strategies.Strategy{},
-	}
-	for _, st := range strategies.All() {
-		s.strategies[strings.ToLower(st.Name())] = st
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -364,6 +346,7 @@ type colQueryResponse struct {
 	InferenceS   float64     `json:"inference_s"`
 	RelationalS  float64     `json:"relational_s"`
 	WallMs       float64     `json:"wall_ms"`
+	Queued       bool        `json:"queued,omitempty"`
 	TraceID      string      `json:"trace_id,omitempty"`
 }
 
@@ -633,8 +616,15 @@ func (s *Server) handleColQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errors.New("this server has no inference context (started without a dataset binding)"))
 		return
 	}
-	strat, ok := s.strategies[strings.ToLower(req.Strategy)]
-	if !ok {
+	// A fresh strategy value per request: strategies carry per-execution
+	// state (DL2SQL.LastSteps), so concurrent requests must not share one.
+	var strat strategies.Strategy
+	for _, st := range strategies.All() {
+		if strings.EqualFold(st.Name(), req.Strategy) {
+			strat = st
+		}
+	}
+	if strat == nil {
 		writeError(w, fmt.Errorf("unknown strategy %q (want DL2SQL, DL2SQL-OP, DB-UDF, or DB-PyTorch)", req.Strategy))
 		return
 	}
@@ -652,14 +642,6 @@ func (s *Server) handleColQuery(w http.ResponseWriter, r *http.Request) {
 	var bd strategies.CostBreakdown
 	finalStrategy := strat.Name()
 	res, queued, traceID, err := s.runQuery(traceContext(r), sess, tenant, func(ctx context.Context) (*sqldb.Result, error) {
-		// DB-PyTorch without the fallback ladder mutates no shared engine
-		// state, so concurrent requests run unserialized and their
-		// inference submissions coalesce in the scheduler; everything else
-		// may register UDFs and takes colMu.
-		if _, lockFree := strat.(*strategies.DBPyTorch); !lockFree || req.Fallback {
-			s.colMu.Lock()
-			defer s.colMu.Unlock()
-		}
 		var res *sqldb.Result
 		var execErr error
 		if req.Fallback {
@@ -687,9 +669,9 @@ func (s *Server) handleColQuery(w http.ResponseWriter, r *http.Request) {
 		InferenceS:   bd.Inference,
 		RelationalS:  bd.Relational,
 		WallMs:       float64(time.Since(start)) / float64(time.Millisecond),
+		Queued:       queued,
 		TraceID:      traceID,
 	})
-	_ = queued
 }
 
 // resolveSession maps an optional session ID (or explicit tenant, for

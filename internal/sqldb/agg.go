@@ -458,7 +458,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	// whole input; chunks hash their rows' keys a block at a time below.
 	keyX := make([]vecExpr, len(a.GroupBy))
 	for i, g := range a.GroupBy {
-		if keyX[i], err = db.compileVec(g, child.Schema, nil); err != nil {
+		if keyX[i], err = db.compileVec(ec.ctx, g, child.Schema, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -473,7 +473,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		}
 		argX := make([]vecExpr, len(c.args))
 		for j, e := range c.args {
-			if argX[j], err = db.compileVec(e, child.Schema, nil); err != nil {
+			if argX[j], err = db.compileVec(ec.ctx, e, child.Schema, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -614,14 +614,14 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		// A bare column that isn't a group key or aggregate is invalid SQL;
 		// we resolve it against the group keys by name as a convenience
 		// (matches ClickHouse's leniency for functionally-dependent keys).
-		x, err := db.compileVec(rewritten, inter.Schema, nil)
+		x, err := db.compileVec(ec.ctx, rewritten, inter.Schema, nil)
 		if err != nil {
 			if cr, ok := it.Expr.(*ColRef); ok {
 				// try matching a group-by expression that is a ColRef with
 				// the same name
 				for gi, g := range a.GroupBy {
 					if gcr, ok := g.(*ColRef); ok && strings.EqualFold(gcr.Name, cr.Name) {
-						x, err = db.compileVec(&ColRef{Name: fmt.Sprintf("$grp%d", gi)}, inter.Schema, nil)
+						x, err = db.compileVec(ec.ctx, &ColRef{Name: fmt.Sprintf("$grp%d", gi)}, inter.Schema, nil)
 						break
 					}
 				}

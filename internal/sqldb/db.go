@@ -115,13 +115,9 @@ func (db *DB) lookupUDF(name string) *ScalarUDF {
 	return db.udfs[strings.ToLower(name)]
 }
 
-func (db *DB) noteUDFCall(name string) {
-	db.Profile.noteUDF(name)
-}
-
 // RegisterUDF installs (or replaces) a scalar UDF. This is the engine's
-// loose-integration extension point: the DB-UDF strategy registers its
-// compiled neural models here.
+// loose-integration extension point: binding a model for the DB-UDF
+// strategy registers its nUDF here, once.
 func (db *DB) RegisterUDF(udf *ScalarUDF) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -459,7 +455,7 @@ func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints) 
 			row[i] = Null()
 		}
 		for i, e := range rowExprs {
-			fn, err := db.compileExpr(e, nil)
+			fn, err := db.compileExpr(ctx, e, nil)
 			if err != nil {
 				return err
 			}
@@ -498,7 +494,7 @@ func (db *DB) runUpdate(ctx context.Context, st *UpdateStmt, hints *QueryHints) 
 		if rerr != nil {
 			return rerr
 		}
-		where, err = db.compileExpr(rewritten, schema)
+		where, err = db.compileExpr(ctx, rewritten, schema)
 		if err != nil {
 			return err
 		}
@@ -517,7 +513,7 @@ func (db *DB) runUpdate(ctx context.Context, st *UpdateStmt, hints *QueryHints) 
 		if rerr != nil {
 			return rerr
 		}
-		fn, err := db.compileExpr(rewritten, schema)
+		fn, err := db.compileExpr(ctx, rewritten, schema)
 		if err != nil {
 			return err
 		}
@@ -618,7 +614,7 @@ func (db *DB) runDelete(ctx context.Context, st *DeleteStmt, hints *QueryHints) 
 	if err != nil {
 		return err
 	}
-	where, err := db.compileExpr(rewritten, schema)
+	where, err := db.compileExpr(ctx, rewritten, schema)
 	if err != nil {
 		return err
 	}

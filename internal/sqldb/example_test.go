@@ -1,6 +1,7 @@
 package sqldb_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/sqldb"
@@ -39,7 +40,7 @@ func ExampleDB_RegisterUDF() {
 	db.RegisterUDF(&sqldb.ScalarUDF{
 		Name:  "square",
 		Arity: 1,
-		Fn: func(args []sqldb.Datum) (sqldb.Datum, error) {
+		Fn: func(_ context.Context, args []sqldb.Datum) (sqldb.Datum, error) {
 			v, _ := args[0].AsInt()
 			return sqldb.Int(v * v), nil
 		},

@@ -402,7 +402,7 @@ func (db *DB) execFilter(in *Result, conds []Expr, ec *execCtx, opName string) (
 	}
 	preds := make([]evalFn, len(generic))
 	for i, c := range generic {
-		f, err := db.compileExpr(c, in.Schema)
+		f, err := db.compileExpr(ec.ctx, c, in.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -532,7 +532,7 @@ func (db *DB) execProject(p *LProject, ec *execCtx) (*Result, error) {
 				continue
 			}
 		}
-		x, err := db.compileVec(it.Expr, child.Schema, ec)
+		x, err := db.compileVec(ec.ctx, it.Expr, child.Schema, ec)
 		if err != nil {
 			return nil, err
 		}
@@ -635,7 +635,7 @@ func (db *DB) execSort(in *Result, keys []OrderItem, ec *execCtx) (*Result, erro
 	fns := make([]evalFn, len(keys))
 	keyExprs := make([]Expr, len(keys))
 	for i, k := range keys {
-		f, err := db.compileExpr(k.Expr, in.Schema)
+		f, err := db.compileExpr(ec.ctx, k.Expr, in.Schema)
 		if err != nil {
 			return nil, err
 		}

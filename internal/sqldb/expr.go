@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -12,13 +13,13 @@ import (
 // UDF that panics (shape mismatch in a tensor kernel, malformed artifact,
 // out-of-range index) fails just the query with a typed qerr.ErrInternal
 // instead of killing the worker goroutine — and with it, the process.
-func safeUDFCall(name string, fn func([]Datum) (Datum, error), vals []Datum) (d Datum, err error) {
+func safeUDFCall(ctx context.Context, name string, fn func(context.Context, []Datum) (Datum, error), vals []Datum) (d Datum, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			d, err = Null(), qerr.Recovered("udf "+name, r)
 		}
 	}()
-	return fn(vals)
+	return fn(ctx, vals)
 }
 
 // OutCol names one column of an intermediate result: the producing
@@ -87,13 +88,14 @@ func (r *Result) GetRow(i int) []Datum {
 type evalFn func(r *Result, row int) (Datum, error)
 
 // ScalarUDF is a user-registered scalar function — the engine's nUDF
-// extension point. Cost is the optimizer's per-call cost estimate in
-// abstract cost units; EstimateSelectivity (optional) reports the fraction
-// of rows expected to satisfy `udf(x) = value` predicates, per Eq. (10).
+// extension point. Fn receives the calling statement's context. Cost is
+// the optimizer's per-call cost estimate in abstract cost units;
+// EstimateSelectivity (optional) reports the fraction of rows expected to
+// satisfy `udf(x) = value` predicates, per Eq. (10).
 type ScalarUDF struct {
 	Name                string
 	Arity               int
-	Fn                  func(args []Datum) (Datum, error)
+	Fn                  func(ctx context.Context, args []Datum) (Datum, error)
 	Cost                float64
 	EstimateSelectivity func(equalsTo Datum) float64
 
@@ -109,7 +111,8 @@ type ScalarUDF struct {
 // evaluator closure. Scalar subqueries must already have been replaced by
 // literals (the planner executes them up front — only uncorrelated
 // subqueries are supported, which covers the paper's Q4 batch-norm pattern).
-func (db *DB) compileExpr(e Expr, schema []OutCol) (evalFn, error) {
+// Every UDF the expression calls gets ctx (nil means context.Background()).
+func (db *DB) compileExpr(ctx context.Context, e Expr, schema []OutCol) (evalFn, error) {
 	switch t := e.(type) {
 	case *Lit:
 		v := t.Val
@@ -123,7 +126,7 @@ func (db *DB) compileExpr(e Expr, schema []OutCol) (evalFn, error) {
 		}
 		return func(r *Result, row int) (Datum, error) { return r.Cols[i].Get(row), nil }, nil
 	case *UnaryExpr:
-		sub, err := db.compileExpr(t.E, schema)
+		sub, err := db.compileExpr(ctx, t.E, schema)
 		if err != nil {
 			return nil, err
 		}
@@ -160,17 +163,17 @@ func (db *DB) compileExpr(e Expr, schema []OutCol) (evalFn, error) {
 		}
 		return nil, fmt.Errorf("sqldb: unknown unary op %q", t.Op)
 	case *BinExpr:
-		return db.compileBin(t, schema)
+		return db.compileBin(ctx, t, schema)
 	case *FuncCall:
-		return db.compileFunc(t, schema)
+		return db.compileFunc(ctx, t, schema)
 	case *CaseExpr:
 		whens := make([]struct{ cond, then evalFn }, len(t.Whens))
 		for i, w := range t.Whens {
-			c, err := db.compileExpr(w.Cond, schema)
+			c, err := db.compileExpr(ctx, w.Cond, schema)
 			if err != nil {
 				return nil, err
 			}
-			th, err := db.compileExpr(w.Then, schema)
+			th, err := db.compileExpr(ctx, w.Then, schema)
 			if err != nil {
 				return nil, err
 			}
@@ -179,7 +182,7 @@ func (db *DB) compileExpr(e Expr, schema []OutCol) (evalFn, error) {
 		var els evalFn
 		if t.Else != nil {
 			var err error
-			if els, err = db.compileExpr(t.Else, schema); err != nil {
+			if els, err = db.compileExpr(ctx, t.Else, schema); err != nil {
 				return nil, err
 			}
 		}
@@ -199,13 +202,13 @@ func (db *DB) compileExpr(e Expr, schema []OutCol) (evalFn, error) {
 			return Null(), nil
 		}, nil
 	case *InExpr:
-		sub, err := db.compileExpr(t.E, schema)
+		sub, err := db.compileExpr(ctx, t.E, schema)
 		if err != nil {
 			return nil, err
 		}
 		items := make([]evalFn, len(t.List))
 		for i, x := range t.List {
-			if items[i], err = db.compileExpr(x, schema); err != nil {
+			if items[i], err = db.compileExpr(ctx, x, schema); err != nil {
 				return nil, err
 			}
 		}
@@ -230,15 +233,15 @@ func (db *DB) compileExpr(e Expr, schema []OutCol) (evalFn, error) {
 			return Bool(not), nil
 		}, nil
 	case *BetweenExpr:
-		sub, err := db.compileExpr(t.E, schema)
+		sub, err := db.compileExpr(ctx, t.E, schema)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := db.compileExpr(t.Lo, schema)
+		lo, err := db.compileExpr(ctx, t.Lo, schema)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := db.compileExpr(t.Hi, schema)
+		hi, err := db.compileExpr(ctx, t.Hi, schema)
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +271,7 @@ func (db *DB) compileExpr(e Expr, schema []OutCol) (evalFn, error) {
 			return Bool(in != not), nil
 		}, nil
 	case *IsNullExpr:
-		sub, err := db.compileExpr(t.E, schema)
+		sub, err := db.compileExpr(ctx, t.E, schema)
 		if err != nil {
 			return nil, err
 		}
@@ -286,12 +289,12 @@ func (db *DB) compileExpr(e Expr, schema []OutCol) (evalFn, error) {
 	return nil, fmt.Errorf("sqldb: cannot compile expression %T", e)
 }
 
-func (db *DB) compileBin(t *BinExpr, schema []OutCol) (evalFn, error) {
-	l, err := db.compileExpr(t.L, schema)
+func (db *DB) compileBin(ctx context.Context, t *BinExpr, schema []OutCol) (evalFn, error) {
+	l, err := db.compileExpr(ctx, t.L, schema)
 	if err != nil {
 		return nil, err
 	}
-	r, err := db.compileExpr(t.R, schema)
+	r, err := db.compileExpr(ctx, t.R, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -446,14 +449,14 @@ func arith(op string, a, b Datum) (Datum, error) {
 	return Null(), fmt.Errorf("sqldb: unknown arithmetic op %q", op)
 }
 
-func (db *DB) compileFunc(t *FuncCall, schema []OutCol) (evalFn, error) {
+func (db *DB) compileFunc(ctx context.Context, t *FuncCall, schema []OutCol) (evalFn, error) {
 	name := strings.ToLower(t.Name)
 	if isAggregateName(name) {
 		return nil, fmt.Errorf("sqldb: aggregate %s used outside aggregation context", name)
 	}
 	args := make([]evalFn, len(t.Args))
 	for i, a := range t.Args {
-		f, err := db.compileExpr(a, schema)
+		f, err := db.compileExpr(ctx, a, schema)
 		if err != nil {
 			return nil, err
 		}
@@ -474,13 +477,16 @@ func (db *DB) compileFunc(t *FuncCall, schema []OutCol) (evalFn, error) {
 		if udf.Arity >= 0 && len(args) != udf.Arity {
 			return nil, fmt.Errorf("sqldb: %s expects %d arguments, got %d", name, udf.Arity, len(args))
 		}
+		if ctx == nil {
+			ctx = context.Background()
+		}
 		return func(r *Result, row int) (Datum, error) {
 			vals, err := evalArgs(r, row)
 			if err != nil {
 				return Null(), err
 			}
-			db.noteUDFCall(name)
-			return safeUDFCall(name, udf.Fn, vals)
+			db.Profile.noteUDF(name)
+			return safeUDFCall(ctx, name, udf.Fn, vals)
 		}, nil
 	}
 	fn, ok := builtinScalars[name]

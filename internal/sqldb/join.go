@@ -43,7 +43,7 @@ type joinSide struct {
 func (db *DB) joinSide(in *Result, exprs []Expr, ec *execCtx) (*joinSide, error) {
 	vx := make([]vecExpr, len(exprs))
 	for i, e := range exprs {
-		x, err := db.compileVec(e, in.Schema, nil)
+		x, err := db.compileVec(ec.ctx, e, in.Schema, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -181,7 +181,7 @@ func TestUDFPanicBecomesTypedError(t *testing.T) {
 			Name:         "boom",
 			Arity:        1,
 			ParallelSafe: true,
-			Fn: func(args []Datum) (Datum, error) {
+			Fn: func(_ context.Context, args []Datum) (Datum, error) {
 				id, _ := args[0].AsInt()
 				if id == 17777 {
 					panic("kernel shape mismatch")

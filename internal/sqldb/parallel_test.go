@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -169,7 +170,7 @@ func TestParallelUDFGating(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "unsafe_probe",
 		Arity: 1,
-		Fn: func(args []Datum) (Datum, error) {
+		Fn: func(_ context.Context, args []Datum) (Datum, error) {
 			cur := atomic.AddInt64(&inFlight, 1)
 			for {
 				prev := atomic.LoadInt64(&maxSeen)
@@ -198,7 +199,7 @@ func TestParallelUDFGating(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:         "safe_probe",
 		Arity:        1,
-		Fn:           func(args []Datum) (Datum, error) { return Int(args[0].I % 13), nil },
+		Fn:           func(_ context.Context, args []Datum) (Datum, error) { return Int(args[0].I % 13), nil },
 		ParallelSafe: true,
 	})
 	const q = "SELECT id, safe_probe(id) AS p FROM pt WHERE safe_probe(g) < 7"

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -380,7 +381,7 @@ func TestUDFRegistrationAndCall(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "doubler",
 		Arity: 1,
-		Fn: func(args []Datum) (Datum, error) {
+		Fn: func(_ context.Context, args []Datum) (Datum, error) {
 			f, _ := args[0].AsFloat()
 			return Float(f * 2), nil
 		},
@@ -401,7 +402,7 @@ func TestUDFInPredicate(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "is_even",
 		Arity: 1,
-		Fn: func(args []Datum) (Datum, error) {
+		Fn: func(_ context.Context, args []Datum) (Datum, error) {
 			calls++
 			v, _ := args[0].AsInt()
 			return Bool(v%2 == 0), nil
@@ -426,7 +427,7 @@ func TestExpensiveUDFOrderedLast(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "slow_check",
 		Arity: 1,
-		Fn: func(args []Datum) (Datum, error) {
+		Fn: func(_ context.Context, args []Datum) (Datum, error) {
 			calls++
 			return Bool(true), nil
 		},
@@ -448,7 +449,7 @@ func TestDelayUDFsHint(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "cheap_udf",
 		Arity: 1,
-		Fn: func(args []Datum) (Datum, error) {
+		Fn: func(_ context.Context, args []Datum) (Datum, error) {
 			calls++
 			return Bool(true), nil
 		},
@@ -473,7 +474,7 @@ func TestSymmetricJoinHint(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "ident",
 		Arity: 1,
-		Fn:    func(args []Datum) (Datum, error) { return args[0], nil },
+		Fn:    func(_ context.Context, args []Datum) (Datum, error) { return args[0], nil },
 		Cost:  100,
 	})
 	mustExec(t, db, `CREATE TABLE pat (pid Int64, label String)`)

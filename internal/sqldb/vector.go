@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"strings"
 )
@@ -62,10 +63,11 @@ type vecExpr struct {
 	rowLeaf bool
 }
 
-// compileVec binds an expression to a schema for vector evaluation. When
+// compileVec binds an expression to a schema for vector evaluation; ctx is
+// the statement's context, passed to UDFs in row-evaluated leaves. When
 // counted is non-nil, row-evaluated leaves charge its statement's UDF-call
 // tally exactly as a row-compiled expression would.
-func (db *DB) compileVec(e Expr, schema []OutCol, counted *execCtx) (vecExpr, error) {
+func (db *DB) compileVec(ctx context.Context, e Expr, schema []OutCol, counted *execCtx) (vecExpr, error) {
 	switch t := e.(type) {
 	case *ColRef:
 		ci, err := resolveCol(t, schema)
@@ -83,11 +85,11 @@ func (db *DB) compileVec(e Expr, schema []OutCol, counted *execCtx) (vecExpr, er
 	case *BinExpr:
 		switch t.Op {
 		case "+", "-", "*", "/":
-			l, err := db.compileVec(t.L, schema, counted)
+			l, err := db.compileVec(ctx, t.L, schema, counted)
 			if err != nil {
 				return vecExpr{}, err
 			}
-			r, err := db.compileVec(t.R, schema, counted)
+			r, err := db.compileVec(ctx, t.R, schema, counted)
 			if err != nil {
 				return vecExpr{}, err
 			}
@@ -105,7 +107,7 @@ func (db *DB) compileVec(e Expr, schema []OutCol, counted *execCtx) (vecExpr, er
 			}}, nil
 		}
 	}
-	fn, err := db.compileExpr(e, schema)
+	fn, err := db.compileExpr(ctx, e, schema)
 	if err != nil {
 		return vecExpr{}, err
 	}

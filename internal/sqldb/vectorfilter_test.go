@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
@@ -53,7 +54,7 @@ func TestVectorFilterCombinesWithUDF(t *testing.T) {
 	calls := 0
 	db.RegisterUDF(&ScalarUDF{
 		Name: "probe", Arity: 1,
-		Fn: func(args []Datum) (Datum, error) {
+		Fn: func(_ context.Context, args []Datum) (Datum, error) {
 			calls++
 			return Bool(true), nil
 		},

@@ -172,7 +172,8 @@ func stripFromUDFs(ref *sqldb.TableRef) *sqldb.TableRef {
 	return &sqldb.TableRef{Join: join}
 }
 
-// predTableName is the per-execution predictions table.
+// predAlias is the alias rewriteWithPredictions gives the predictions
+// table in the rewritten query.
 const predAlias = "NPRED"
 
 // predTableSeq makes prediction-table names collision-free under

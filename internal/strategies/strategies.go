@@ -187,16 +187,20 @@ func NewContext(ds *iotdata.Dataset) *Context {
 	}
 }
 
-// Bind registers a model for an nUDF name, compiling its artifact.
+// Bind registers a model for an nUDF name, compiling its artifact, and
+// installs the nUDF in the dataset's database for DB-UDF to call: a black
+// box, with no cost or selectivity for the optimizer.
 func (env *Context) Bind(name string, entry *modelrepo.Entry, kind UDFKind) error {
 	blob, err := nn.EncodeBytes(entry.Model)
 	if err != nil {
 		return fmt.Errorf("strategies: compiling %s: %w", name, err)
 	}
-	env.Bindings[strings.ToLower(name)] = &UDFBinding{
-		Name: strings.ToLower(name), Entry: entry, Kind: kind, Artifact: blob,
+	name = strings.ToLower(name)
+	env.Bindings[name] = &UDFBinding{
+		Name: name, Entry: entry, Kind: kind, Artifact: blob,
 		artifactHash: tensor.HashBytes(blob),
 	}
+	env.Dataset.DB.RegisterUDF(&sqldb.ScalarUDF{Name: name, Arity: 1, ParallelSafe: true, Fn: nudfFn(name)})
 	return nil
 }
 
