@@ -66,10 +66,10 @@ func (s *Suite) AblationSymmetricJoin() (*Table, error) {
 	// nUDF without dominating the timing.
 	db.RegisterUDF(&sqldb.ScalarUDF{
 		Name: "nudf_keyid", Arity: 1,
-		Fn: func(_ context.Context, args []sqldb.Datum) (sqldb.Datum, error) {
+		Fn: sqldb.RowUDF(func(_ context.Context, args []sqldb.Datum) (sqldb.Datum, error) {
 			v, _ := args[0].AsInt()
 			return sqldb.Int(v % 6), nil
-		},
+		}),
 		Cost: 10,
 	})
 	defer db.UnregisterUDF("nudf_keyid")
@@ -123,11 +123,11 @@ func (s *Suite) AblationPredicateOrdering() (*Table, error) {
 	calls := 0
 	db.RegisterUDF(&sqldb.ScalarUDF{
 		Name: "nudf_slowcheck", Arity: 1,
-		Fn: func(_ context.Context, args []sqldb.Datum) (sqldb.Datum, error) {
+		Fn: sqldb.RowUDF(func(_ context.Context, args []sqldb.Datum) (sqldb.Datum, error) {
 			calls++
 			time.Sleep(50 * time.Microsecond) // simulated expensive model call
 			return sqldb.Bool(true), nil
-		},
+		}),
 		Cost: 1e6,
 	})
 	defer db.UnregisterUDF("nudf_slowcheck")

@@ -17,13 +17,17 @@ func (r *ReLU) OutShape(in []int) ([]int, error) { return in, nil }
 
 func (r *ReLU) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	out := in.Clone()
-	d := out.Data()
+	return out, r.forwardInPlace(out)
+}
+
+func (r *ReLU) forwardInPlace(t *tensor.Tensor) error {
+	d := t.Data()
 	for i, v := range d {
 		if v < 0 {
 			d[i] = 0
 		}
 	}
-	return out, nil
+	return nil
 }
 
 func (r *ReLU) ParamCount() int64    { return 0 }

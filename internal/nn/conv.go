@@ -58,37 +58,13 @@ func (c *Conv2D) OutShape(in []int) ([]int, error) {
 	return []int{c.OutC, oh, ow}, nil
 }
 
+// Forward is ForwardBatch over a batch of one.
 func (c *Conv2D) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out, err := c.OutShape(in.Shape())
+	outs, err := c.ForwardBatch([]*tensor.Tensor{in})
 	if err != nil {
 		return nil, err
 	}
-	oh, ow := out[1], out[2]
-	cols, err := tensor.Im2Col(in, c.K, c.Stride, c.Pad) // (oh*ow) x (inC*k*k)
-	if err != nil {
-		return nil, err
-	}
-	colsT, err := tensor.Transpose(cols) // (inC*k*k) x (oh*ow)
-	if err != nil {
-		return nil, err
-	}
-	// outC x (oh*ow); MatMul fans its rows — the output channels — across
-	// the shared worker pool for large layers.
-	res, err := tensor.MatMul(c.Weight, colsT)
-	if err != nil {
-		return nil, err
-	}
-	if c.Bias != nil {
-		d := res.Data()
-		for ch := 0; ch < c.OutC; ch++ {
-			b := c.Bias[ch]
-			row := d[ch*oh*ow : (ch+1)*oh*ow]
-			for i := range row {
-				row[i] += b
-			}
-		}
-	}
-	return res.Reshape(c.OutC, oh, ow), nil
+	return outs[0], nil
 }
 
 func (c *Conv2D) ParamCount() int64 {

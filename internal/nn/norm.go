@@ -58,12 +58,26 @@ func (b *BatchNorm) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	if _, err := b.OutShape(in.Shape()); err != nil {
 		return nil, err
 	}
-	h, w := in.Dim(1), in.Dim(2)
-	out := tensor.New(b.C, h, w)
-	n := h * w
+	out := tensor.New(in.Shape()...)
+	b.normalize(out.Data(), in.Data(), in.Dim(1)*in.Dim(2))
+	return out, nil
+}
+
+func (b *BatchNorm) forwardInPlace(t *tensor.Tensor) error {
+	if _, err := b.OutShape(t.Shape()); err != nil {
+		return err
+	}
+	b.normalize(t.Data(), t.Data(), t.Dim(1)*t.Dim(2))
+	return nil
+}
+
+// normalize writes the normalized channels of in to out, n values per
+// channel; out may be in, as each channel's statistics are read before it
+// is written.
+func (b *BatchNorm) normalize(out, in []float64, n int) {
 	for c := 0; c < b.C; c++ {
-		src := in.Data()[c*n : (c+1)*n]
-		dst := out.Data()[c*n : (c+1)*n]
+		src := in[c*n : (c+1)*n]
+		dst := out[c*n : (c+1)*n]
 		var shift, scale float64
 		if b.UseBatchStats {
 			mean := 0.0
@@ -91,7 +105,6 @@ func (b *BatchNorm) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 			dst[i] = g*(v-shift)*scale + be
 		}
 	}
-	return out, nil
 }
 
 func (b *BatchNorm) ParamCount() int64 { return int64(2 * b.C) }

@@ -37,11 +37,11 @@ type Backend struct {
 
 // NewNativeBackend builds the in-process backend used by the DB-UDF path:
 // artifacts decode through an LRU keyed on the artifact hash (so a hot
-// model decodes once, not once per batch), blobs decode via
-// iotdata.KeyframeTensor, and the whole batch runs through
-// nn.PredictBatch — one stacked MatMul per batch-aware layer,
-// bit-identical to per-sample forwards. modelCacheCap bounds the decoded-
-// model LRU (<= 0 disables it and every batch re-decodes).
+// model decodes once, not once per batch), and the batch's blobs decode and
+// run through PredictKeyframes — one stacked MatMul per batch-aware layer
+// per nn.MaxStack samples, bit-identical to per-sample forwards.
+// modelCacheCap bounds the decoded-model LRU (<= 0 disables it and every
+// batch re-decodes).
 func NewNativeBackend(modelCacheCap int) *Backend {
 	models := cache.New[uint64, *nn.Model](modelCacheCap)
 	return &Backend{
@@ -66,24 +66,44 @@ func NewNativeBackend(modelCacheCap int) *Backend {
 				}
 				models.Put(hash, m)
 			}
-			ins := make([]*tensor.Tensor, len(blobs))
-			for i, b := range blobs {
-				in, err := iotdata.KeyframeTensor(b)
-				if err != nil {
-					// A malformed input blob is a data error, not an
-					// availability one — it must not trip the breaker or the
-					// fallback ladder.
-					return nil, stats, fmt.Errorf("native backend: keyframe %d: %w", i, err)
-				}
-				ins[i] = in
-			}
-			start := time.Now()
-			idxs, err := m.PredictBatch(ins)
-			stats.InferSeconds = time.Since(start).Seconds()
+			// A malformed input blob is a data error, not an availability
+			// one — it must not trip the breaker or the fallback ladder.
+			idxs, secs, err := PredictKeyframes(m, blobs)
+			stats.InferSeconds = secs
 			if err != nil {
 				return nil, stats, fmt.Errorf("native backend: %w", err)
 			}
 			return idxs, stats, nil
 		},
 	}
+}
+
+// PredictKeyframes decodes keyframe blobs and predicts their classes with
+// m, one nn.MaxStack-sized chunk at a time: a chunk is decoded, then run as
+// one PredictBatch, so no more than one chunk of decoded inputs is alive.
+// It is the one decode-and-predict step of every native inference path:
+// the native backend here, DB-UDF's nUDFs and DB-PyTorch's serving loop.
+// It also returns the seconds spent in forward passes, decoding excluded.
+func PredictKeyframes(m *nn.Model, blobs [][]byte) ([]int, float64, error) {
+	idxs := make([]int, 0, len(blobs))
+	ins := make([]*tensor.Tensor, 0, min(len(blobs), nn.MaxStack))
+	var secs float64
+	for lo := 0; lo < len(blobs); lo += nn.MaxStack {
+		ins = ins[:0]
+		for i, b := range blobs[lo:min(lo+nn.MaxStack, len(blobs))] {
+			in, err := iotdata.KeyframeTensor(b)
+			if err != nil {
+				return nil, secs, fmt.Errorf("keyframe %d: %w", lo+i, err)
+			}
+			ins = append(ins, in)
+		}
+		start := time.Now()
+		chunk, err := m.PredictBatch(ins)
+		secs += time.Since(start).Seconds()
+		if err != nil {
+			return nil, secs, err
+		}
+		idxs = append(idxs, chunk...)
+	}
+	return idxs, secs, nil
 }

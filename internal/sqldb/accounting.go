@@ -79,20 +79,12 @@ func (ec *execCtx) profAdd(op string, rows int, start time.Time) {
 	}
 }
 
-// countUDFs wraps a compiled expression evaluator so each evaluation
-// charges the statement's UDF-call tally. n is the number of UDF
-// references in the source expression (each is invoked once per row
-// evaluation). Returns fn unchanged when no accounting is attached or the
-// expression calls no UDFs, so the common path allocates nothing.
-func (ec *execCtx) countUDFs(n int, fn evalFn) evalFn {
-	a := ec.acct
-	if a == nil || n == 0 {
-		return fn
-	}
-	nn := int64(n)
-	return func(r *Result, row int) (Datum, error) {
-		a.udfCalls.Add(nn)
-		return fn(r, row)
+// countUDFs charges the statement's UDF-call tally for rows evaluations
+// of an expression with n UDF references: each reference counts once per
+// row evaluated, whether or not that row's evaluation reaches it.
+func (ec *execCtx) countUDFs(n, rows int) {
+	if a := ec.acct; a != nil && n > 0 {
+		a.udfCalls.Add(int64(n * rows))
 	}
 }
 

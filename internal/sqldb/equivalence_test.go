@@ -66,7 +66,7 @@ func TestSymmetricJoinEquivalenceProperty(t *testing.T) {
 		// A dummy UDF makes the join condition eligible for rule 3.
 		db.RegisterUDF(&ScalarUDF{
 			Name: "nudf_id", Arity: 1,
-			Fn:   func(_ context.Context, args []Datum) (Datum, error) { return args[0], nil },
+			Fn:   RowUDF(func(_ context.Context, args []Datum) (Datum, error) { return args[0], nil }),
 			Cost: 1,
 		})
 		q := `SELECT sum(r.v) sv, sum(l.w) sw, count(*) c FROM r, l WHERE nudf_id(r.k) = l.k`

@@ -40,10 +40,10 @@ func ExampleDB_RegisterUDF() {
 	db.RegisterUDF(&sqldb.ScalarUDF{
 		Name:  "square",
 		Arity: 1,
-		Fn: func(_ context.Context, args []sqldb.Datum) (sqldb.Datum, error) {
+		Fn: sqldb.RowUDF(func(_ context.Context, args []sqldb.Datum) (sqldb.Datum, error) {
 			v, _ := args[0].AsInt()
 			return sqldb.Int(v * v), nil
-		},
+		}),
 	})
 	res, err := db.Query(`SELECT sum(square(x)) AS s FROM t`)
 	if err != nil {

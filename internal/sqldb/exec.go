@@ -107,13 +107,13 @@ func (p *Profile) String() string {
 	return sb.String()
 }
 
-// noteUDF records one UDF invocation.
-func (p *Profile) noteUDF(name string) {
+// noteUDF records n UDF invocations.
+func (p *Profile) noteUDF(name string, n int) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.UDFCalls[name]++
+	p.UDFCalls[name] += n
 	p.mu.Unlock()
 }
 
@@ -386,9 +386,9 @@ func (db *DB) execScan(s *LScan, ec *execCtx) (*Result, error) {
 // execFilter applies conjuncts, producing a compacted result. Conjuncts of
 // the shape `column op literal` run through vectorized kernels streaming
 // over the column vectors (their results intersected); remaining conjuncts
-// — UDF calls, multi-column predicates — fall back to row-at-a-time
-// evaluation over the surviving rows only, preserving the optimizer's
-// expensive-predicate ordering among them.
+// — UDF calls, multi-column predicates — are evaluated one at a time over
+// the rows the earlier ones kept, preserving the optimizer's
+// expensive-predicate ordering among them, with their UDF calls batched.
 func (db *DB) execFilter(in *Result, conds []Expr, ec *execCtx, opName string) (*Result, error) {
 	start := time.Now()
 	var vecs []vectorPred
@@ -400,13 +400,13 @@ func (db *DB) execFilter(in *Result, conds []Expr, ec *execCtx, opName string) (
 			generic = append(generic, c)
 		}
 	}
-	preds := make([]evalFn, len(generic))
+	preds := make([]filterPred, len(generic))
 	for i, c := range generic {
-		f, err := db.compileExpr(ec.ctx, c, in.Schema)
+		x, err := db.compileBatch(ec.ctx, c, in.Schema)
 		if err != nil {
 			return nil, err
 		}
-		preds[i] = ec.countUDFs(len(db.exprUDFs(c)), f)
+		preds[i] = filterPred{x: x, udfs: len(db.exprUDFs(c))}
 	}
 	n := in.NumRows()
 
@@ -423,7 +423,7 @@ func (db *DB) execFilter(in *Result, conds []Expr, ec *execCtx, opName string) (
 	// when one is.
 	keeps := make([][]int, (n+morselRows-1)/morselRows)
 	stats, err := db.runMorsels(ec, deg, n, func(_, lo, hi int) error {
-		k, err := filterRange(in, vecs, preds, lo, hi)
+		k, err := filterRange(ec, in, vecs, preds, lo, hi)
 		keeps[lo/morselRows] = k
 		return err
 	})
@@ -447,9 +447,16 @@ func (db *DB) execFilter(in *Result, conds []Expr, ec *execCtx, opName string) (
 	return out, nil
 }
 
+// filterPred is a generic filter conjunct and its number of UDF
+// references.
+type filterPred struct {
+	x    batchExpr
+	udfs int
+}
+
 // filterRange evaluates the compiled vectorized and generic predicates
 // over rows [lo, hi), returning the qualifying indices in ascending order.
-func filterRange(in *Result, vecs []vectorPred, preds []evalFn, lo, hi int) ([]int, error) {
+func filterRange(ec *execCtx, in *Result, vecs []vectorPred, preds []filterPred, lo, hi int) ([]int, error) {
 	var keep []int
 	if len(vecs) > 0 {
 		keep = vecs[0](in, lo, hi, make([]int, 0, (hi-lo)/4+1))
@@ -466,23 +473,17 @@ func filterRange(in *Result, vecs []vectorPred, preds []evalFn, lo, hi int) ([]i
 			keep[i] = lo + i
 		}
 	}
-	if len(preds) > 0 {
-		filtered := keep[:0]
-	rows:
-		for _, i := range keep {
-			for _, pred := range preds {
-				v, err := pred(in, i)
-				if err != nil {
-					return nil, err
-				}
-				b, ok := v.AsBool()
-				if !ok || !b {
-					continue rows
-				}
-			}
-			filtered = append(filtered, i)
+	// Conjunct by conjunct over the survivors: a row reaches a conjunct iff
+	// every earlier one kept it, as with row-at-a-time short-circuiting.
+	for _, p := range preds {
+		if len(keep) == 0 {
+			break
 		}
-		keep = filtered
+		ec.countUDFs(p.udfs, len(keep))
+		var err error
+		if keep, err = p.x.filter(in, keep); err != nil {
+			return nil, err
+		}
 	}
 	return keep, nil
 }
@@ -632,14 +633,14 @@ func (db *DB) execDistinct(in *Result, ec *execCtx) (*Result, error) {
 // loop itself stays serial; only key pre-evaluation fans out.
 func (db *DB) execSort(in *Result, keys []OrderItem, ec *execCtx) (*Result, error) {
 	start := time.Now()
-	fns := make([]evalFn, len(keys))
+	xs := make([]batchExpr, len(keys))
 	keyExprs := make([]Expr, len(keys))
 	for i, k := range keys {
-		f, err := db.compileExpr(ec.ctx, k.Expr, in.Schema)
+		x, err := db.compileBatch(ec.ctx, k.Expr, in.Schema)
 		if err != nil {
 			return nil, err
 		}
-		fns[i] = ec.countUDFs(len(db.exprUDFs(k.Expr)), f)
+		xs[i] = x
 		keyExprs[i] = k.Expr
 	}
 	n := in.NumRows()
@@ -653,18 +654,12 @@ func (db *DB) execSort(in *Result, keys []OrderItem, ec *execCtx) (*Result, erro
 	}
 	// Pre-evaluate keys to avoid O(n log n) expression evaluations.
 	keyVals := make([][]Datum, len(keys))
-	for ki, f := range fns {
-		f := f
+	for ki := range xs {
+		x, udfs := &xs[ki], len(db.exprUDFs(keyExprs[ki]))
 		vals := make([]Datum, n)
 		stats, err := db.runMorsels(ec, deg, n, func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				v, err := f(in, i)
-				if err != nil {
-					return err
-				}
-				vals[i] = v
-			}
-			return nil
+			ec.countUDFs(udfs, hi-lo)
+			return x.evalRange(in, lo, hi, vals[lo:hi])
 		})
 		if err != nil {
 			return nil, err

@@ -9,17 +9,22 @@ import (
 	"repro/internal/qerr"
 )
 
-// safeUDFCall invokes a user-defined scalar function with a panic fence: a
-// UDF that panics (shape mismatch in a tensor kernel, malformed artifact,
-// out-of-range index) fails just the query with a typed qerr.ErrInternal
-// instead of killing the worker goroutine — and with it, the process.
-func safeUDFCall(ctx context.Context, name string, fn func(context.Context, []Datum) (Datum, error), vals []Datum) (d Datum, err error) {
+// safeUDFCall invokes a user-defined scalar function on a batch of calls
+// with a panic fence: a UDF that panics (shape mismatch in a tensor
+// kernel, malformed artifact, out-of-range index) fails just the query
+// with a typed qerr.ErrInternal instead of killing the worker goroutine —
+// and with it, the process. A UDF must answer every call of the batch.
+func safeUDFCall(ctx context.Context, name string, fn UDFFunc, calls [][]Datum) (out []Datum, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			d, err = Null(), qerr.Recovered("udf "+name, r)
+			out, err = nil, qerr.Recovered("udf "+name, r)
 		}
 	}()
-	return fn(ctx, vals)
+	out, err = fn(ctx, calls)
+	if err == nil && len(out) != len(calls) {
+		return nil, fmt.Errorf("sqldb: udf %s returned %d values for %d calls", name, len(out), len(calls))
+	}
+	return out, err
 }
 
 // OutCol names one column of an intermediate result: the producing
@@ -87,15 +92,39 @@ func (r *Result) GetRow(i int) []Datum {
 // evalFn evaluates an expression against one row of a result.
 type evalFn func(r *Result, row int) (Datum, error)
 
+// UDFFunc evaluates a batch of calls to a scalar UDF: calls[i] holds the
+// arguments of call i, and the function returns one value per call, in
+// order. ctx is the calling statement's context.
+type UDFFunc func(ctx context.Context, calls [][]Datum) ([]Datum, error)
+
+// RowUDF adapts a function of one call's arguments to a UDFFunc that
+// answers a batch call by call, stopping at the first error.
+func RowUDF(f func(ctx context.Context, args []Datum) (Datum, error)) UDFFunc {
+	return func(ctx context.Context, calls [][]Datum) ([]Datum, error) {
+		out := make([]Datum, len(calls))
+		for i, args := range calls {
+			v, err := f(ctx, args)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
+}
+
 // ScalarUDF is a user-registered scalar function — the engine's nUDF
-// extension point. Fn receives the calling statement's context. Cost is
-// the optimizer's per-call cost estimate in abstract cost units;
-// EstimateSelectivity (optional) reports the fraction of rows expected to
-// satisfy `udf(x) = value` predicates, per Eq. (10).
+// extension point. The executor calls Fn on batches of the rows that reach
+// the call: one Fn call per chunk of rows where every evaluation of the
+// expression reaches it, a batch of one where only some do (see
+// batchExpr); wrap a per-row function with RowUDF. Cost is the optimizer's
+// per-call cost estimate in abstract cost units; EstimateSelectivity
+// (optional) reports the fraction of rows expected to satisfy
+// `udf(x) = value` predicates, per Eq. (10).
 type ScalarUDF struct {
 	Name                string
 	Arity               int
-	Fn                  func(ctx context.Context, args []Datum) (Datum, error)
+	Fn                  UDFFunc
 	Cost                float64
 	EstimateSelectivity func(equalsTo Datum) float64
 
@@ -113,6 +142,13 @@ type ScalarUDF struct {
 // subqueries are supported, which covers the paper's Q4 batch-norm pattern).
 // Every UDF the expression calls gets ctx (nil means context.Background()).
 func (db *DB) compileExpr(ctx context.Context, e Expr, schema []OutCol) (evalFn, error) {
+	return db.compile(ctx, e, schema, nil)
+}
+
+// compile is compileExpr for a batchExpr's chunk: each UDF call in hoisted
+// reads its result for row i of the chunk from hoisted instead of calling
+// the UDF.
+func (db *DB) compile(ctx context.Context, e Expr, schema []OutCol, hoisted map[*FuncCall][]Datum) (evalFn, error) {
 	switch t := e.(type) {
 	case *Lit:
 		v := t.Val
@@ -126,7 +162,7 @@ func (db *DB) compileExpr(ctx context.Context, e Expr, schema []OutCol) (evalFn,
 		}
 		return func(r *Result, row int) (Datum, error) { return r.Cols[i].Get(row), nil }, nil
 	case *UnaryExpr:
-		sub, err := db.compileExpr(ctx, t.E, schema)
+		sub, err := db.compile(ctx, t.E, schema, hoisted)
 		if err != nil {
 			return nil, err
 		}
@@ -163,17 +199,17 @@ func (db *DB) compileExpr(ctx context.Context, e Expr, schema []OutCol) (evalFn,
 		}
 		return nil, fmt.Errorf("sqldb: unknown unary op %q", t.Op)
 	case *BinExpr:
-		return db.compileBin(ctx, t, schema)
+		return db.compileBin(ctx, t, schema, hoisted)
 	case *FuncCall:
-		return db.compileFunc(ctx, t, schema)
+		return db.compileFunc(ctx, t, schema, hoisted)
 	case *CaseExpr:
 		whens := make([]struct{ cond, then evalFn }, len(t.Whens))
 		for i, w := range t.Whens {
-			c, err := db.compileExpr(ctx, w.Cond, schema)
+			c, err := db.compile(ctx, w.Cond, schema, hoisted)
 			if err != nil {
 				return nil, err
 			}
-			th, err := db.compileExpr(ctx, w.Then, schema)
+			th, err := db.compile(ctx, w.Then, schema, hoisted)
 			if err != nil {
 				return nil, err
 			}
@@ -182,7 +218,7 @@ func (db *DB) compileExpr(ctx context.Context, e Expr, schema []OutCol) (evalFn,
 		var els evalFn
 		if t.Else != nil {
 			var err error
-			if els, err = db.compileExpr(ctx, t.Else, schema); err != nil {
+			if els, err = db.compile(ctx, t.Else, schema, hoisted); err != nil {
 				return nil, err
 			}
 		}
@@ -202,13 +238,13 @@ func (db *DB) compileExpr(ctx context.Context, e Expr, schema []OutCol) (evalFn,
 			return Null(), nil
 		}, nil
 	case *InExpr:
-		sub, err := db.compileExpr(ctx, t.E, schema)
+		sub, err := db.compile(ctx, t.E, schema, hoisted)
 		if err != nil {
 			return nil, err
 		}
 		items := make([]evalFn, len(t.List))
 		for i, x := range t.List {
-			if items[i], err = db.compileExpr(ctx, x, schema); err != nil {
+			if items[i], err = db.compile(ctx, x, schema, hoisted); err != nil {
 				return nil, err
 			}
 		}
@@ -233,15 +269,15 @@ func (db *DB) compileExpr(ctx context.Context, e Expr, schema []OutCol) (evalFn,
 			return Bool(not), nil
 		}, nil
 	case *BetweenExpr:
-		sub, err := db.compileExpr(ctx, t.E, schema)
+		sub, err := db.compile(ctx, t.E, schema, hoisted)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := db.compileExpr(ctx, t.Lo, schema)
+		lo, err := db.compile(ctx, t.Lo, schema, hoisted)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := db.compileExpr(ctx, t.Hi, schema)
+		hi, err := db.compile(ctx, t.Hi, schema, hoisted)
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +307,7 @@ func (db *DB) compileExpr(ctx context.Context, e Expr, schema []OutCol) (evalFn,
 			return Bool(in != not), nil
 		}, nil
 	case *IsNullExpr:
-		sub, err := db.compileExpr(ctx, t.E, schema)
+		sub, err := db.compile(ctx, t.E, schema, hoisted)
 		if err != nil {
 			return nil, err
 		}
@@ -289,12 +325,12 @@ func (db *DB) compileExpr(ctx context.Context, e Expr, schema []OutCol) (evalFn,
 	return nil, fmt.Errorf("sqldb: cannot compile expression %T", e)
 }
 
-func (db *DB) compileBin(ctx context.Context, t *BinExpr, schema []OutCol) (evalFn, error) {
-	l, err := db.compileExpr(ctx, t.L, schema)
+func (db *DB) compileBin(ctx context.Context, t *BinExpr, schema []OutCol, hoisted map[*FuncCall][]Datum) (evalFn, error) {
+	l, err := db.compile(ctx, t.L, schema, hoisted)
 	if err != nil {
 		return nil, err
 	}
-	r, err := db.compileExpr(ctx, t.R, schema)
+	r, err := db.compile(ctx, t.R, schema, hoisted)
 	if err != nil {
 		return nil, err
 	}
@@ -449,57 +485,100 @@ func arith(op string, a, b Datum) (Datum, error) {
 	return Null(), fmt.Errorf("sqldb: unknown arithmetic op %q", op)
 }
 
-func (db *DB) compileFunc(ctx context.Context, t *FuncCall, schema []OutCol) (evalFn, error) {
+func (db *DB) compileFunc(ctx context.Context, t *FuncCall, schema []OutCol, hoisted map[*FuncCall][]Datum) (evalFn, error) {
 	name := strings.ToLower(t.Name)
 	if isAggregateName(name) {
 		return nil, fmt.Errorf("sqldb: aggregate %s used outside aggregation context", name)
 	}
+	if vals, ok := hoisted[t]; ok {
+		return func(_ *Result, row int) (Datum, error) { return vals[row], nil }, nil
+	}
+	if udf := db.lookupUDF(name); udf != nil {
+		c, err := db.compileUDFCall(ctx, t, udf, schema, hoisted)
+		if err != nil {
+			return nil, err
+		}
+		return func(r *Result, row int) (Datum, error) {
+			out, err := c.eval(r, row, row+1)
+			if err != nil {
+				return Null(), err
+			}
+			return out[0], nil
+		}, nil
+	}
 	args := make([]evalFn, len(t.Args))
 	for i, a := range t.Args {
-		f, err := db.compileExpr(ctx, a, schema)
+		f, err := db.compile(ctx, a, schema, hoisted)
 		if err != nil {
 			return nil, err
 		}
 		args[i] = f
-	}
-	evalArgs := func(r *Result, row int) ([]Datum, error) {
-		vals := make([]Datum, len(args))
-		for i, f := range args {
-			v, err := f(r, row)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		return vals, nil
-	}
-	if udf := db.lookupUDF(name); udf != nil {
-		if udf.Arity >= 0 && len(args) != udf.Arity {
-			return nil, fmt.Errorf("sqldb: %s expects %d arguments, got %d", name, udf.Arity, len(args))
-		}
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		return func(r *Result, row int) (Datum, error) {
-			vals, err := evalArgs(r, row)
-			if err != nil {
-				return Null(), err
-			}
-			db.Profile.noteUDF(name)
-			return safeUDFCall(ctx, name, udf.Fn, vals)
-		}, nil
 	}
 	fn, ok := builtinScalars[name]
 	if !ok {
 		return nil, fmt.Errorf("sqldb: unknown function %q", name)
 	}
 	return func(r *Result, row int) (Datum, error) {
-		vals, err := evalArgs(r, row)
-		if err != nil {
-			return Null(), err
+		vals := make([]Datum, len(args))
+		for i, f := range args {
+			v, err := f(r, row)
+			if err != nil {
+				return Null(), err
+			}
+			vals[i] = v
 		}
 		return fn(vals)
 	}, nil
+}
+
+// udfCall is one compiled call site of a registered UDF.
+type udfCall struct {
+	db   *DB
+	ctx  context.Context
+	name string
+	fn   UDFFunc
+	args []evalFn
+}
+
+// compileUDFCall compiles a call of udf; hoisted is as for compile.
+func (db *DB) compileUDFCall(ctx context.Context, t *FuncCall, udf *ScalarUDF, schema []OutCol, hoisted map[*FuncCall][]Datum) (*udfCall, error) {
+	name := strings.ToLower(t.Name)
+	if udf.Arity >= 0 && len(t.Args) != udf.Arity {
+		return nil, fmt.Errorf("sqldb: %s expects %d arguments, got %d", name, udf.Arity, len(t.Args))
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	c := &udfCall{db: db, ctx: ctx, name: name, fn: udf.Fn, args: make([]evalFn, len(t.Args))}
+	for i, a := range t.Args {
+		f, err := db.compile(ctx, a, schema, hoisted)
+		if err != nil {
+			return nil, err
+		}
+		c.args[i] = f
+	}
+	return c, nil
+}
+
+// eval evaluates the arguments at rows [lo, hi) of r and calls the UDF
+// once on that batch.
+func (c *udfCall) eval(r *Result, lo, hi int) ([]Datum, error) {
+	n, width := hi-lo, len(c.args)
+	vals := make([]Datum, n*width)
+	calls := make([][]Datum, n)
+	for i := range calls {
+		args := vals[i*width : (i+1)*width : (i+1)*width]
+		for j, f := range c.args {
+			v, err := f(r, lo+i)
+			if err != nil {
+				return nil, err
+			}
+			args[j] = v
+		}
+		calls[i] = args
+	}
+	c.db.Profile.noteUDF(c.name, n)
+	return safeUDFCall(c.ctx, c.name, c.fn, calls)
 }
 
 // builtinScalars is the scalar function library (ClickHouse-flavoured

@@ -124,7 +124,7 @@ func keySemDB(t *testing.T, par int) (*DB, []keySemRow, []keySemRow) {
 	db.Parallelism = par
 	db.RegisterUDF(&ScalarUDF{
 		Name: "ident", Arity: 1, ParallelSafe: true,
-		Fn: func(_ context.Context, args []Datum) (Datum, error) { return args[0], nil },
+		Fn: RowUDF(func(_ context.Context, args []Datum) (Datum, error) { return args[0], nil }),
 	})
 	a := keySemTable(t, db, "a", 6000, 0)
 	c := keySemTable(t, db, "c", 60, 3)

@@ -181,13 +181,13 @@ func TestUDFPanicBecomesTypedError(t *testing.T) {
 			Name:         "boom",
 			Arity:        1,
 			ParallelSafe: true,
-			Fn: func(_ context.Context, args []Datum) (Datum, error) {
+			Fn: RowUDF(func(_ context.Context, args []Datum) (Datum, error) {
 				id, _ := args[0].AsInt()
 				if id == 17777 {
 					panic("kernel shape mismatch")
 				}
 				return Int(id), nil
-			},
+			}),
 		})
 		_, err := db.QueryContext(context.Background(), "SELECT boom(id) b FROM pt")
 		if !errors.Is(err, qerr.ErrInternal) {

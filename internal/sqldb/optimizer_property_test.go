@@ -50,7 +50,7 @@ func TestOptimizerHintsPreserveResults(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:         "is_mod3",
 		Arity:        1,
-		Fn:           func(_ context.Context, args []Datum) (Datum, error) { return Bool(args[0].I%3 == 0), nil },
+		Fn:           RowUDF(func(_ context.Context, args []Datum) (Datum, error) { return Bool(args[0].I%3 == 0), nil }),
 		Cost:         40,
 		ParallelSafe: true,
 	})

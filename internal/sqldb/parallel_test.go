@@ -170,7 +170,7 @@ func TestParallelUDFGating(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "unsafe_probe",
 		Arity: 1,
-		Fn: func(_ context.Context, args []Datum) (Datum, error) {
+		Fn: RowUDF(func(_ context.Context, args []Datum) (Datum, error) {
 			cur := atomic.AddInt64(&inFlight, 1)
 			for {
 				prev := atomic.LoadInt64(&maxSeen)
@@ -181,7 +181,7 @@ func TestParallelUDFGating(t *testing.T) {
 			d := args[0]
 			atomic.AddInt64(&inFlight, -1)
 			return Int(d.I * 2), nil
-		},
+		}),
 		// ParallelSafe deliberately left false.
 	})
 	res, err := db.Query("SELECT id, unsafe_probe(id) AS p FROM pt WHERE unsafe_probe(g) > 40")
@@ -199,7 +199,7 @@ func TestParallelUDFGating(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:         "safe_probe",
 		Arity:        1,
-		Fn:           func(_ context.Context, args []Datum) (Datum, error) { return Int(args[0].I % 13), nil },
+		Fn:           RowUDF(func(_ context.Context, args []Datum) (Datum, error) { return Int(args[0].I % 13), nil }),
 		ParallelSafe: true,
 	})
 	const q = "SELECT id, safe_probe(id) AS p FROM pt WHERE safe_probe(g) < 7"

@@ -25,7 +25,7 @@ func TestProfileConcurrentAddMerge(t *testing.T) {
 			o := NewProfile()
 			for i := 0; i < 200; i++ {
 				p.add(OpScan, 1, time.Microsecond)
-				p.noteUDF("nudf_detect")
+				p.noteUDF("nudf_detect", 1)
 				o.add(OpJoin, 2, time.Microsecond)
 				if i%50 == 0 {
 					p.Merge(o)

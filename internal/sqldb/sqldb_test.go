@@ -2,7 +2,9 @@ package sqldb
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -381,10 +383,10 @@ func TestUDFRegistrationAndCall(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "doubler",
 		Arity: 1,
-		Fn: func(_ context.Context, args []Datum) (Datum, error) {
+		Fn: RowUDF(func(_ context.Context, args []Datum) (Datum, error) {
 			f, _ := args[0].AsFloat()
 			return Float(f * 2), nil
-		},
+		}),
 		Cost: 10,
 	})
 	res := mustExec(t, db, `SELECT doubler(salary) ds FROM emp WHERE id = 3`)
@@ -402,11 +404,11 @@ func TestUDFInPredicate(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "is_even",
 		Arity: 1,
-		Fn: func(_ context.Context, args []Datum) (Datum, error) {
+		Fn: RowUDF(func(_ context.Context, args []Datum) (Datum, error) {
 			calls++
 			v, _ := args[0].AsInt()
 			return Bool(v%2 == 0), nil
-		},
+		}),
 		Cost: 1000,
 	})
 	res := mustExec(t, db, `SELECT count(*) c FROM emp WHERE is_even(id) AND salary > 0`)
@@ -421,16 +423,109 @@ func TestUDFInPredicate(t *testing.T) {
 	}
 }
 
+// TestUDFConditionalPositionsCallOnlyReachingRows: a UDF under an OR or
+// AND operand or in a CASE branch runs only on the rows whose evaluation
+// reaches it, and each such call is counted once.
+func TestUDFConditionalPositionsCallOnlyReachingRows(t *testing.T) {
+	db := newTestDB(t)
+	var seen []int64
+	db.RegisterUDF(&ScalarUDF{
+		Name:  "probe",
+		Arity: 1,
+		Fn: RowUDF(func(_ context.Context, args []Datum) (Datum, error) {
+			seen = append(seen, args[0].I)
+			return Bool(args[0].I%2 == 1), nil
+		}),
+	})
+	cases := []struct {
+		sql  string
+		want []int64
+	}{
+		{`SELECT count(*) c FROM emp WHERE salary > 85 OR probe(id)`, []int64{3, 4, 5}},
+		{`SELECT if(salary > 85 AND probe(id), 1, 0) AS x FROM emp`, []int64{1, 2}},
+		{`SELECT CASE WHEN salary > 85 THEN 0 WHEN probe(id) THEN 1 ELSE 2 END AS x FROM emp`, []int64{3, 4, 5}},
+		{`SELECT CASE WHEN active THEN probe(id) ELSE FALSE END AS x FROM emp`, []int64{1, 2, 4, 5}},
+	}
+	for _, c := range cases {
+		seen = nil
+		db.Profile.Reset()
+		mustExec(t, db, c.sql)
+		sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
+		if fmt.Sprint(seen) != fmt.Sprint(c.want) {
+			t.Errorf("%s: probe called on ids %v, want %v", c.sql, seen, c.want)
+		}
+		if got := db.Profile.UDFCalls["probe"]; got != len(c.want) {
+			t.Errorf("%s: %d calls counted, want %d", c.sql, got, len(c.want))
+		}
+	}
+}
+
+// TestUDFCallsBatchedPerChunk: a UDF that every evaluation reaches — in a
+// filter conjunct, an aggregate argument, a projection, a sort key — gets
+// one Fn call per chunk of at most udfBatchRows rows, covering exactly the
+// rows that reach it.
+func TestUDFCallsBatchedPerChunk(t *testing.T) {
+	db := New()
+	db.Profile = NewProfile()
+	mustExec(t, db, `CREATE TABLE t (x Int64, y Int64)`)
+	var vals []string
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d)", i, i%10))
+	}
+	mustExec(t, db, `INSERT INTO t VALUES `+strings.Join(vals, ", "))
+	var batches []int
+	db.RegisterUDF(&ScalarUDF{
+		Name:  "probe",
+		Arity: 1,
+		Fn: func(_ context.Context, calls [][]Datum) ([]Datum, error) {
+			batches = append(batches, len(calls))
+			out := make([]Datum, len(calls))
+			for i, args := range calls {
+				out[i] = Int(args[0].I % 3)
+			}
+			return out, nil
+		},
+	})
+	cases := []struct {
+		sql  string
+		rows int
+	}{
+		{`SELECT count(*) c FROM t WHERE y < 5 AND probe(x) = 1`, 500},
+		{`SELECT sum(if(probe(x) = 1, 1, 0)) s FROM t`, 1000},
+		{`SELECT probe(x) + 1 AS p FROM t`, 1000},
+		{`SELECT x FROM t ORDER BY probe(x), x`, 1000},
+	}
+	for _, c := range cases {
+		batches = nil
+		db.Profile.Reset()
+		mustExec(t, db, c.sql)
+		want := (c.rows + udfBatchRows - 1) / udfBatchRows
+		total := 0
+		for _, n := range batches {
+			total += n
+			if n > udfBatchRows {
+				t.Errorf("%s: a batch of %d calls, bound %d", c.sql, n, udfBatchRows)
+			}
+		}
+		if total != c.rows || len(batches) != want {
+			t.Errorf("%s: %d calls in %d batches, want %d in %d", c.sql, total, len(batches), c.rows, want)
+		}
+		if got := db.Profile.UDFCalls["probe"]; got != c.rows {
+			t.Errorf("%s: %d calls counted, want %d", c.sql, got, c.rows)
+		}
+	}
+}
+
 func TestExpensiveUDFOrderedLast(t *testing.T) {
 	db := newTestDB(t)
 	calls := 0
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "slow_check",
 		Arity: 1,
-		Fn: func(_ context.Context, args []Datum) (Datum, error) {
+		Fn: RowUDF(func(_ context.Context, args []Datum) (Datum, error) {
 			calls++
 			return Bool(true), nil
-		},
+		}),
 		Cost: 1e6,
 	})
 	// salary > 95 keeps only alice; the UDF should then run once, not 5x.
@@ -449,10 +544,10 @@ func TestDelayUDFsHint(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "cheap_udf",
 		Arity: 1,
-		Fn: func(_ context.Context, args []Datum) (Datum, error) {
+		Fn: RowUDF(func(_ context.Context, args []Datum) (Datum, error) {
 			calls++
 			return Bool(true), nil
-		},
+		}),
 		Cost: 0.001, // so cheap the rank order would put it first
 	})
 	delay := true
@@ -474,7 +569,7 @@ func TestSymmetricJoinHint(t *testing.T) {
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "ident",
 		Arity: 1,
-		Fn:    func(_ context.Context, args []Datum) (Datum, error) { return args[0], nil },
+		Fn:    RowUDF(func(_ context.Context, args []Datum) (Datum, error) { return args[0], nil }),
 		Cost:  100,
 	})
 	mustExec(t, db, `CREATE TABLE pat (pid Int64, label String)`)

@@ -137,7 +137,7 @@ func TestSysQueriesResourceAccounting(t *testing.T) {
 	db.EnableSysCatalog()
 	db.RegisterUDF(&ScalarUDF{
 		Name: "bump", Arity: 1,
-		Fn:           func(_ context.Context, args []Datum) (Datum, error) { return Float(args[0].F + 1), nil },
+		Fn:           RowUDF(func(_ context.Context, args []Datum) (Datum, error) { return Float(args[0].F + 1), nil }),
 		Cost:         1,
 		ParallelSafe: true,
 	})

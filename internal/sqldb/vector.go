@@ -12,7 +12,8 @@ import (
 // its column, a literal is broadcast, and + - * / over Int/Float vectors
 // run as typed loops with arith's promotion and NULL rules. Every other
 // expression is a leaf the existing row evaluator computes over the range,
-// and its datums become a typed vector again when they share one type.
+// with its UDF calls batched (see batchExpr), and its datums become a typed
+// vector again when they share one type.
 
 // vec holds one expression's values over a row range: a typed column, or —
 // when a row-evaluated leaf yields values of more than one type — the
@@ -107,21 +108,21 @@ func (db *DB) compileVec(ctx context.Context, e Expr, schema []OutCol, counted *
 			}}, nil
 		}
 	}
-	fn, err := db.compileExpr(ctx, e, schema)
+	x, err := db.compileBatch(ctx, e, schema)
 	if err != nil {
 		return vecExpr{}, err
 	}
+	udfs := 0
 	if counted != nil {
-		fn = counted.countUDFs(len(db.exprUDFs(e)), fn)
+		udfs = len(db.exprUDFs(e))
 	}
 	return vecExpr{rowLeaf: true, eval: func(in *Result, lo, hi int) (vec, error) {
+		if udfs > 0 {
+			counted.countUDFs(udfs, hi-lo)
+		}
 		ds := make([]Datum, hi-lo)
-		for i := range ds {
-			v, err := fn(in, lo+i)
-			if err != nil {
-				return vec{}, err
-			}
-			ds[i] = v
+		if err := x.evalRange(in, lo, hi, ds); err != nil {
+			return vec{}, err
 		}
 		return vecOf(ds), nil
 	}}, nil

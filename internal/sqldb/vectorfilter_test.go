@@ -54,10 +54,10 @@ func TestVectorFilterCombinesWithUDF(t *testing.T) {
 	calls := 0
 	db.RegisterUDF(&ScalarUDF{
 		Name: "probe", Arity: 1,
-		Fn: func(_ context.Context, args []Datum) (Datum, error) {
+		Fn: RowUDF(func(_ context.Context, args []Datum) (Datum, error) {
 			calls++
 			return Bool(true), nil
-		},
+		}),
 		Cost: 1e6,
 	})
 	r := mustExec(t, db, `SELECT count(*) c FROM emp WHERE probe(id) AND salary > 95`)

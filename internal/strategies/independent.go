@@ -10,10 +10,10 @@ import (
 
 	"repro/internal/colquery"
 	"repro/internal/faults"
-	"repro/internal/iotdata"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/qerr"
+	"repro/internal/schedule"
 	"repro/internal/sqldb"
 	"repro/internal/tensor"
 )
@@ -22,7 +22,8 @@ import (
 // serving system are separate components, and the application layer
 // coordinates them. The cross-system boundary is real — candidate keyframes
 // are serialized over a byte pipe to a serving goroutine, which deserializes
-// them, runs batch inference, and streams serialized predictions back. The
+// them, runs batch inference (one stacked forward pass per nn.MaxStack
+// keyframes), and streams serialized predictions back. The
 // serialization, transfer, and model-load time land in the loading bucket;
 // only the forward passes count as inference; the two relational phases
 // (candidate extraction and final merge query) count as relational cost.
@@ -286,7 +287,8 @@ func serveBatch(ctx context.Context, inj *faults.Injector, artifact []byte, cand
 }
 
 // servingLoop is the DL system: it loads the model artifact, reads
-// serialized keyframes, runs inference, and writes serialized predictions.
+// serialized keyframes, runs batch inference — one PredictBatch per chunk
+// of nn.MaxStack requests — and writes serialized predictions.
 // A panic anywhere in the loop (malformed artifact, tensor shape bug) is
 // recovered and reported as a serving failure rather than crashing the
 // process.
@@ -325,42 +327,51 @@ func servingLoop(ctx context.Context, inj *faults.Injector, artifact []byte, req
 	infSpan := span.StartChild("inference")
 	model.Trace = infSpan
 	defer infSpan.Finish()
+	// Requests are read and predicted a chunk of nn.MaxStack at a time. The
+	// blob buffers are reused from chunk to chunk: decoding copies each
+	// keyframe out of its buffer.
 	var hdr [12]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return servingPipeErr(fmt.Sprintf("reading request %d", i), err)
-		}
-		id := int64(binary.LittleEndian.Uint64(hdr[:8]))
-		blen := int(binary.LittleEndian.Uint32(hdr[8:12]))
-		blob := make([]byte, blen)
-		if _, err := io.ReadFull(r, blob); err != nil {
-			return servingPipeErr(fmt.Sprintf("reading blob %d", i), err)
-		}
-		in, err := iotdata.KeyframeTensor(blob)
-		if err != nil {
-			return fmt.Errorf("serving: decoding keyframe %d: %w", i, err)
-		}
-		start := time.Now()
-		idx, _, err := model.Predict(in)
-		stats.inferSecs += time.Since(start).Seconds()
-		stratAcctFrom(ctx).noteInfer(1)
-		if err != nil {
-			return fmt.Errorf("serving: inference %d: %w", i, err)
-		}
-		// The partial-response fault kills the serving component mid-batch:
-		// the response stream is truncated (everything buffered so far is
-		// flushed, then the pipe closes) and the application side sees a
-		// short read.
-		if n > 1 && i == n/2 && inj.Active(faults.PointServingPartial) {
-			if ferr := inj.Hit(ctx, faults.PointServingPartial); ferr != nil {
-				w.Flush()
-				return fmt.Errorf("serving: died mid-batch after %d of %d predictions: %w", i, n, ferr)
+	ids := make([]int64, nn.MaxStack)
+	blobs := make([][]byte, nn.MaxStack)
+	for lo := 0; lo < n; lo += nn.MaxStack {
+		chunk := min(nn.MaxStack, n-lo)
+		for j := 0; j < chunk; j++ {
+			if _, err := io.ReadFull(r, hdr[:]); err != nil {
+				return servingPipeErr(fmt.Sprintf("reading request %d", lo+j), err)
+			}
+			ids[j] = int64(binary.LittleEndian.Uint64(hdr[:8]))
+			blen := int(binary.LittleEndian.Uint32(hdr[8:12]))
+			if cap(blobs[j]) < blen {
+				blobs[j] = make([]byte, blen)
+			}
+			blobs[j] = blobs[j][:blen]
+			if _, err := io.ReadFull(r, blobs[j]); err != nil {
+				return servingPipeErr(fmt.Sprintf("reading blob %d", lo+j), err)
 			}
 		}
-		binary.LittleEndian.PutUint64(hdr[:8], uint64(id))
-		binary.LittleEndian.PutUint32(hdr[8:12], uint32(int32(idx)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return servingPipeErr(fmt.Sprintf("writing prediction %d", i), err)
+		idxs, secs, err := schedule.PredictKeyframes(model, blobs[:chunk])
+		stats.inferSecs += secs
+		if err != nil {
+			return fmt.Errorf("serving: requests %d to %d: %w", lo, lo+chunk-1, err)
+		}
+		stratAcctFrom(ctx).noteInfer(int64(chunk))
+		for j, idx := range idxs {
+			i := lo + j
+			// The partial-response fault kills the serving component
+			// mid-batch: the response stream is truncated (everything
+			// buffered so far is flushed, then the pipe closes) and the
+			// application side sees a short read.
+			if n > 1 && i == n/2 && inj.Active(faults.PointServingPartial) {
+				if ferr := inj.Hit(ctx, faults.PointServingPartial); ferr != nil {
+					w.Flush()
+					return fmt.Errorf("serving: died mid-batch after %d of %d predictions: %w", i, n, ferr)
+				}
+			}
+			binary.LittleEndian.PutUint64(hdr[:8], uint64(ids[j]))
+			binary.LittleEndian.PutUint32(hdr[8:12], uint32(int32(idx)))
+			if _, err := w.Write(hdr[:]); err != nil {
+				return servingPipeErr(fmt.Sprintf("writing prediction %d", i), err)
+			}
 		}
 	}
 	if err := w.Flush(); err != nil {

@@ -19,6 +19,7 @@ package strategies
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/qerr"
 	"repro/internal/schedule"
@@ -80,52 +81,58 @@ func (env *Context) runServingBatch(ctx context.Context, artifact []byte, blobs 
 }
 
 // schedServeCandidates routes one model's cache-missing candidates
-// through the scheduler's serving backend, one submission per candidate,
-// all in flight at once so they coalesce — with each other and with
-// concurrent queries' submissions — into large serving batches. It
-// returns videoID→class predictions plus this query's cost shares:
-// serving stats (decode/infer share), total batch-wall share, and the
-// number of physical forward passes charged to this query. The first
-// submission error wins (remaining submissions still drain; their batches
-// complete under the scheduler's own context).
+// through the scheduler's serving backend (see schedInferAll). It returns
+// videoID→class predictions plus this query's cost shares: serving stats
+// (decode/infer share), total batch-wall share, and the number of
+// physical forward passes charged to this query.
 func (env *Context) schedServeCandidates(ctx context.Context, b *UDFBinding, cands []candidate) (map[int64]int, servingStats, float64, int, error) {
-	type schedOut struct {
-		i   int
-		r   schedule.Result
-		err error
-	}
-	ch := make(chan schedOut, len(cands))
+	blobs := make([][]byte, len(cands))
 	for i, c := range cands {
-		go func(i int, blob []byte) {
-			r, err := env.schedInfer(ctx, env.schedServing, b, blob)
-			ch <- schedOut{i: i, r: r, err: err}
-		}(i, c.blob)
+		blobs[i] = c.blob
+	}
+	rs, err := env.schedInferAll(ctx, env.schedServing, b, blobs)
+	if err != nil {
+		return nil, servingStats{}, 0, 0, err
 	}
 	results := make(map[int64]int, len(cands))
 	var stats servingStats
 	var wallShare float64
 	var executed int
-	var firstErr error
-	for range cands {
-		out := <-ch
-		if out.err != nil {
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			continue
-		}
-		results[cands[out.i].videoID] = out.r.Class
-		if out.r.Source == schedule.SourceBatch {
-			stats.inferSecs += out.r.InferSeconds
-			stats.decodeSecs += out.r.DecodeSeconds
-			wallShare += out.r.WallSeconds
+	for i, r := range rs {
+		results[cands[i].videoID] = r.Class
+		if r.Source == schedule.SourceBatch {
+			stats.inferSecs += r.InferSeconds
+			stats.decodeSecs += r.DecodeSeconds
+			wallShare += r.WallSeconds
 			executed++
 		}
 	}
-	if firstErr != nil {
-		return nil, servingStats{}, 0, 0, firstErr
-	}
 	return results, stats, wallShare, executed, nil
+}
+
+// schedInferAll submits one inference per blob, all in flight at once so
+// they coalesce — with each other and with concurrent queries'
+// submissions — into large batches, and returns the results in blob
+// order. The first failed submission's error wins; the others still
+// drain, and their batches complete under the scheduler's own context.
+func (env *Context) schedInferAll(ctx context.Context, be *schedule.Backend, b *UDFBinding, blobs [][]byte) ([]schedule.Result, error) {
+	rs := make([]schedule.Result, len(blobs))
+	errs := make([]error, len(blobs))
+	var wg sync.WaitGroup
+	for i, blob := range blobs {
+		wg.Add(1)
+		go func(i int, blob []byte) {
+			defer wg.Done()
+			rs[i], errs[i] = env.schedInfer(ctx, be, b, blob)
+		}(i, blob)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rs, nil
 }
 
 // schedInfer submits one inference through the scheduler and charges the

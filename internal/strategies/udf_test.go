@@ -2,7 +2,10 @@ package strategies
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +13,12 @@ import (
 
 	"repro/internal/colquery"
 	"repro/internal/faults"
+	"repro/internal/hwprofile"
+	"repro/internal/iotdata"
+	"repro/internal/modelrepo"
+	"repro/internal/obs"
 	"repro/internal/qerr"
+	"repro/internal/sqldb"
 )
 
 // udfRunOutcome is what one DB-UDF execution reports: its answer, its
@@ -94,6 +102,168 @@ func TestDBUDFConcurrentExecutions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// windowContext is a dataset whose full-quarter window holds 4,200 video
+// rows, above the executor's 4,096-row fan-out threshold, so the filter,
+// join and aggregate operators that call the nUDFs split into parallel
+// morsels at Parallelism > 1.
+func windowContext(t *testing.T) *Context {
+	t.Helper()
+	ds, err := iotdata.Generate(iotdata.Config{Scale: 42, KeyframeSide: 8, Seed: 7, PatternCount: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewContext(ds)
+	if err := env.BindDefaults(modelrepo.NewRepository(8, 99), 20); err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// windowQuery is a Type 1–4 template over the whole quarter for Types 2–4.
+// Type 1 keeps January: its fabric and video sides are cross-joined, and a
+// quarter of each would be a 300k-row product.
+func windowQuery(t *testing.T, typ colquery.QueryType) *colquery.Query {
+	t.Helper()
+	p := colquery.TemplateParams{Selectivity: 0.05}
+	if typ != colquery.Type1 {
+		p.DateLo, p.DateHi = "2020-12-31", "2021-04-01"
+	}
+	q, err := colquery.GenerateAnalyzed(typ, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// resultBits hashes a result's values in row order, floats by their bits.
+func resultBits(res *sqldb.Result) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for i, n := 0, res.NumRows(); i < n; i++ {
+		for _, c := range res.Cols {
+			d := c.Get(i)
+			b[0] = byte(d.T)
+			h.Write(b[:1])
+			binary.LittleEndian.PutUint64(b[:], uint64(d.I))
+			h.Write(b[:])
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(d.F))
+			h.Write(b[:])
+			h.Write([]byte(d.S))
+			h.Write(d.B)
+		}
+	}
+	return h.Sum64()
+}
+
+// udfAccounting is what one DB-UDF execution reports about its calls.
+type udfAccounting struct {
+	profileCalls  int    // Profile.UDFCalls, summed over the bound nUDFs
+	queriesCalls  int64  // sys.queries.udf_calls of the statement
+	forwardPasses int    // the DLCallOverhead(calls) term, in calls
+	result        uint64 // resultBits of the answer
+}
+
+// TestDBUDFCallAccountingPinned pins DB-UDF's per-call accounting on Types
+// 1–4 at Parallelism 1 and 4 to values recorded before nUDF calls were
+// batched: physical batching must not change how many calls the engine
+// counts, how many forward passes the hardware profile charges dispatch
+// overhead for, or any bit of the answer.
+func TestDBUDFCallAccountingPinned(t *testing.T) {
+	env := windowContext(t)
+	// A per-call overhead far above any measured forward pass makes the
+	// inference bucket's per-call share exact: floor(Inference / overhead).
+	const perCall = 1000.0
+	env.Profile.DLPerCallOverheadSec = perCall
+	db := env.Dataset.DB
+	db.History = obs.NewQueryHistory(16)
+	// Recorded with row-at-a-time nUDF calls; the same at both degrees. An
+	// aggregate argument's UDF calls (Type 2) never reached sys.queries.
+	want := map[colquery.QueryType]udfAccounting{
+		colquery.Type1: {profileCalls: 1379, queriesCalls: 1379, forwardPasses: 1379, result: 0x4dfa4cffd1f7979f},
+		colquery.Type2: {profileCalls: 4200, queriesCalls: 0, forwardPasses: 4200, result: 0x4a966ebb3513a2a2},
+		colquery.Type3: {profileCalls: 4200, queriesCalls: 4200, forwardPasses: 4200, result: 0xb804c896d238603d},
+		colquery.Type4: {profileCalls: 4200, queriesCalls: 4200, forwardPasses: 4200, result: 0x337a1f5eba60992d},
+	}
+	for _, par := range []int{1, 4} {
+		db.Parallelism = par
+		for typ := colquery.Type1; typ <= colquery.Type4; typ++ {
+			db.Profile = sqldb.NewProfile()
+			res, bd, err := (&DBUDF{}).Execute(context.Background(), env, windowQuery(t, typ))
+			if err != nil {
+				t.Fatalf("%v at Parallelism %d: %v", typ, par, err)
+			}
+			recs := db.History.Snapshot()
+			got := udfAccounting{
+				queriesCalls:  recs[len(recs)-1].UDFCalls,
+				forwardPasses: int(bd.Inference / perCall),
+				result:        resultBits(res),
+			}
+			for _, n := range db.Profile.UDFCalls {
+				got.profileCalls += n
+			}
+			if got != want[typ] {
+				t.Errorf("%v at Parallelism %d: got %+v, want %+v", typ, par, got, want[typ])
+			}
+		}
+	}
+}
+
+// TestDBUDFBucketsNonNegativeParallel runs DB-UDF with its nUDF calls spread
+// over parallel morsels. The workers' inference intervals overlap, so their
+// summed seconds can exceed the statement's wall time; the relational bucket
+// must still be what the wall time minus inference leaves, never negative.
+func TestDBUDFBucketsNonNegativeParallel(t *testing.T) {
+	env := windowContext(t)
+	env.Profile = hwprofile.Profile{Name: "host", InferenceSpeedup: 1, RelationalSpeedup: 1, DLModelLoadFactor: 1}
+	for _, par := range []int{2, 4} {
+		env.Dataset.DB.Parallelism = par
+		for typ := colquery.Type1; typ <= colquery.Type4; typ++ {
+			_, bd, err := (&DBUDF{}).Execute(context.Background(), env, windowQuery(t, typ))
+			if err != nil {
+				t.Fatalf("%v at Parallelism %d: %v", typ, par, err)
+			}
+			if bd.Loading < 0 || bd.Inference < 0 || bd.Relational < 0 {
+				t.Errorf("%v at Parallelism %d: negative bucket %+v", typ, par, bd)
+			}
+		}
+	}
+}
+
+// TestDBUDFMemoizesDuplicatesWithinBatch doubles every video row, so each
+// keyframe reaches the nUDF twice in one batch. With memoization on, the
+// second call is answered by the first's forward pass, as a cache hit
+// answered it when calls came one row at a time: forward passes are half
+// the calls, and the answer is the uncached one.
+func TestDBUDFMemoizesDuplicatesWithinBatch(t *testing.T) {
+	env := testContext(t)
+	db := env.Dataset.DB
+	if _, err := db.Exec(`INSERT INTO video SELECT * FROM video`); err != nil {
+		t.Fatal(err)
+	}
+	q, err := colquery.GenerateAnalyzed(colquery.Type3, colquery.TemplateParams{Selectivity: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (string, int, int64) {
+		db.Profile = sqldb.NewProfile()
+		acct := &stratAcct{}
+		res, _, err := (&DBUDF{}).Execute(withStratAcct(context.Background(), acct), env, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultKey(res), db.Profile.UDFCalls["nudf_detect"], acct.inferCalls.Load()
+	}
+	want, calls, passes := run()
+	if calls == 0 || passes != int64(calls) {
+		t.Fatalf("uncached: %d calls, %d forward passes", calls, passes)
+	}
+	env.EnableInferCache(4096)
+	got, calls, passes := run()
+	if got != want || passes != int64(calls/2) {
+		t.Fatalf("cached: %d calls, %d forward passes (want %d); same answer: %v", calls, passes, calls/2, got == want)
 	}
 }
 
