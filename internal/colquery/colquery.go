@@ -8,6 +8,7 @@ package colquery
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/sqldb"
@@ -97,24 +98,15 @@ func Analyze(sql string) (*Query, error) {
 	}
 	q := &Query{SQL: sql, Stmt: sel}
 
-	// Relations in FROM, for join detection.
-	aliases := map[string]bool{}
-	collectAliases(sel.From, aliases)
-
-	// WHERE conjuncts (plus join ON conditions).
-	var conds []sqldb.Expr
-	collectJoinConds(sel.From, &conds)
-	conds = append(conds, splitAnd(sel.Where)...)
-
 	// filteredRels: relations carrying single-relation non-UDF predicates;
 	// joinEdges: equi-join pairs between relations.
 	filteredRels := map[string]bool{}
 	type edge struct{ a, b string }
 	var joinEdges []edge
-	for _, c := range conds {
-		udfs := findUDFCalls(c)
+	for _, c := range WhereConjuncts(sel) {
+		udfs := NUDFCalls(c)
 		if len(udfs) == 0 {
-			rels := relationRefs(c)
+			rels := Qualifiers(c)
 			if len(rels) == 1 {
 				filteredRels[rels[0]] = true
 			}
@@ -145,7 +137,7 @@ func Analyze(sql string) (*Query, error) {
 		if it.Star {
 			continue
 		}
-		for _, call := range findUDFCalls(it.Expr) {
+		for _, call := range NUDFCalls(it.Expr) {
 			usage := UDFUsage{Name: strings.ToLower(call.Name), InSelect: true}
 			if len(call.Args) > 0 {
 				usage.Arg = call.Args[0].String()
@@ -215,160 +207,75 @@ func Analyze(sql string) (*Query, error) {
 	return q, nil
 }
 
-func collectAliases(ref *sqldb.TableRef, out map[string]bool) {
-	if ref == nil {
-		return
-	}
-	if ref.Join != nil {
-		collectAliases(ref.Join.L, out)
-		collectAliases(ref.Join.R, out)
-		return
-	}
-	if ref.Alias != "" {
-		out[strings.ToLower(ref.Alias)] = true
-	} else if ref.Table != "" {
-		out[strings.ToLower(ref.Table)] = true
-	}
-}
-
-func collectJoinConds(ref *sqldb.TableRef, out *[]sqldb.Expr) {
-	if ref == nil || ref.Join == nil {
-		return
-	}
-	collectJoinConds(ref.Join.L, out)
-	collectJoinConds(ref.Join.R, out)
-	if ref.Join.Cond != nil {
-		*out = append(*out, splitAnd(ref.Join.Cond)...)
-	}
-}
-
-func splitAnd(e sqldb.Expr) []sqldb.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sqldb.BinExpr); ok && b.Op == "and" {
-		return append(splitAnd(b.L), splitAnd(b.R)...)
-	}
-	return []sqldb.Expr{e}
-}
-
-// findUDFCalls returns all nUDF_* function calls in an expression.
-func findUDFCalls(e sqldb.Expr) []*sqldb.FuncCall {
-	var out []*sqldb.FuncCall
-	var walk func(sqldb.Expr)
-	walk = func(x sqldb.Expr) {
-		switch t := x.(type) {
-		case *sqldb.FuncCall:
-			if IsNUDF(t.Name) {
-				out = append(out, t)
-			}
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *sqldb.BinExpr:
-			walk(t.L)
-			walk(t.R)
-		case *sqldb.UnaryExpr:
-			walk(t.E)
-		case *sqldb.CaseExpr:
-			for _, w := range t.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			if t.Else != nil {
-				walk(t.Else)
-			}
-		case *sqldb.InExpr:
-			walk(t.E)
-			for _, i := range t.List {
-				walk(i)
-			}
-		case *sqldb.BetweenExpr:
-			walk(t.E)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *sqldb.IsNullExpr:
-			walk(t.E)
+// WhereConjuncts returns the join ON conditions and the WHERE clause of a
+// SELECT, split on AND.
+func WhereConjuncts(sel *sqldb.SelectStmt) []sqldb.Expr {
+	var out []sqldb.Expr
+	var on func(ref *sqldb.TableRef)
+	on = func(ref *sqldb.TableRef) {
+		if ref == nil || ref.Join == nil {
+			return
 		}
+		on(ref.Join.L)
+		on(ref.Join.R)
+		out = append(out, sqldb.Conjuncts(ref.Join.Cond)...)
 	}
-	walk(e)
+	on(sel.From)
+	return append(out, sqldb.Conjuncts(sel.Where)...)
+}
+
+// NUDFCalls returns the nUDF calls in an expression, in pre-order.
+func NUDFCalls(e sqldb.Expr) []*sqldb.FuncCall {
+	var out []*sqldb.FuncCall
+	sqldb.Walk(e, func(x sqldb.Expr) bool {
+		if fc, ok := x.(*sqldb.FuncCall); ok && IsNUDF(fc.Name) {
+			out = append(out, fc)
+		}
+		return true
+	})
 	return out
 }
 
 // comparedLiteral returns the literal a UDF call is compared to when the
-// expression contains `call OP literal` (or the mirror).
+// expression contains `call OP literal` (or the mirror) along a chain of
+// binary operators from its root.
 func comparedLiteral(e sqldb.Expr, call *sqldb.FuncCall) *sqldb.Datum {
 	var found *sqldb.Datum
-	var walk func(sqldb.Expr)
-	walk = func(x sqldb.Expr) {
-		if found != nil {
-			return
-		}
+	sqldb.Walk(e, func(x sqldb.Expr) bool {
 		b, ok := x.(*sqldb.BinExpr)
-		if !ok {
-			return
+		if !ok || found != nil {
+			return false
 		}
-		switch b.Op {
-		case "=", "!=":
-			if fc, ok := b.L.(*sqldb.FuncCall); ok && fc == call {
-				if lit, ok := b.R.(*sqldb.Lit); ok {
-					v := lit.Val
-					found = &v
-					return
-				}
-			}
-			if fc, ok := b.R.(*sqldb.FuncCall); ok && fc == call {
-				if lit, ok := b.L.(*sqldb.Lit); ok {
-					v := lit.Val
-					found = &v
-					return
-				}
-			}
+		// other is the operand facing the call, if the call is one.
+		var other sqldb.Expr
+		switch sqldb.Expr(call) {
+		case b.L:
+			other = b.R
+		case b.R:
+			other = b.L
 		}
-		walk(b.L)
-		walk(b.R)
-	}
-	walk(e)
+		if lit, ok := other.(*sqldb.Lit); ok && (b.Op == "=" || b.Op == "!=") {
+			v := lit.Val
+			found = &v
+		}
+		return found == nil
+	})
 	return found
 }
 
-// relationRefs lists the table qualifiers referenced by an expression
-// (qualified references only — good enough for the template queries, which
-// always qualify).
-func relationRefs(e sqldb.Expr) []string {
+// Qualifiers lists, lower-cased and each once, the table qualifiers of the
+// column references in an expression (unqualified references are skipped;
+// the template queries always qualify).
+func Qualifiers(e sqldb.Expr) []string {
 	var out []string
-	var walk func(sqldb.Expr)
-	seen := map[string]bool{}
-	walk = func(x sqldb.Expr) {
-		switch t := x.(type) {
-		case *sqldb.ColRef:
-			if t.Table != "" && !seen[strings.ToLower(t.Table)] {
-				seen[strings.ToLower(t.Table)] = true
-				out = append(out, strings.ToLower(t.Table))
+	sqldb.Walk(e, func(x sqldb.Expr) bool {
+		if c, ok := x.(*sqldb.ColRef); ok && c.Table != "" {
+			if q := strings.ToLower(c.Table); !slices.Contains(out, q) {
+				out = append(out, q)
 			}
-		case *sqldb.BinExpr:
-			walk(t.L)
-			walk(t.R)
-		case *sqldb.UnaryExpr:
-			walk(t.E)
-		case *sqldb.FuncCall:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *sqldb.InExpr:
-			walk(t.E)
-			for _, i := range t.List {
-				walk(i)
-			}
-		case *sqldb.BetweenExpr:
-			walk(t.E)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *sqldb.IsNullExpr:
-			walk(t.E)
 		}
-	}
-	walk(e)
+		return true
+	})
 	return out
 }
 
@@ -376,49 +283,13 @@ func relationRefs(e sqldb.Expr) []string {
 // also references a column outside the UDF's own arguments (Type 4's
 // `F.patternID != nUDF_recog(V.keyframe)` pattern).
 func referencesOtherRelation(cond sqldb.Expr, call *sqldb.FuncCall) bool {
-	argRels := map[string]bool{}
-	for _, a := range call.Args {
-		for _, r := range relationRefs(a) {
-			argRels[r] = true
+	argRels := Qualifiers(call)
+	other := false
+	sqldb.Walk(cond, func(x sqldb.Expr) bool {
+		if c, ok := x.(*sqldb.ColRef); ok && c.Table != "" && !slices.Contains(argRels, strings.ToLower(c.Table)) {
+			other = true
 		}
-	}
-	// Collect refs in the conjunct excluding those inside the call itself.
-	var outside []string
-	var walk func(x sqldb.Expr, inCall bool)
-	walk = func(x sqldb.Expr, inCall bool) {
-		switch t := x.(type) {
-		case *sqldb.ColRef:
-			if !inCall && t.Table != "" {
-				outside = append(outside, strings.ToLower(t.Table))
-			}
-		case *sqldb.FuncCall:
-			child := inCall || t == call
-			for _, a := range t.Args {
-				walk(a, child)
-			}
-		case *sqldb.BinExpr:
-			walk(t.L, inCall)
-			walk(t.R, inCall)
-		case *sqldb.UnaryExpr:
-			walk(t.E, inCall)
-		case *sqldb.InExpr:
-			walk(t.E, inCall)
-			for _, i := range t.List {
-				walk(i, inCall)
-			}
-		case *sqldb.BetweenExpr:
-			walk(t.E, inCall)
-			walk(t.Lo, inCall)
-			walk(t.Hi, inCall)
-		case *sqldb.IsNullExpr:
-			walk(t.E, inCall)
-		}
-	}
-	walk(cond, false)
-	for _, r := range outside {
-		if !argRels[r] {
-			return true
-		}
-	}
-	return false
+		return x != sqldb.Expr(call) && !other
+	})
+	return other
 }

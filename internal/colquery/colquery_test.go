@@ -76,6 +76,35 @@ func TestPaperType4Example(t *testing.T) {
 	}
 }
 
+// The classifier's relation collectors must see through CASE: a
+// CASE-wrapped Type 4 comparison still joins the nUDF output against a
+// fabric column, and a CASE-wrapped fabric filter still gates which
+// keyframes reach the model.
+func TestCaseWrappedPredicatesClassify(t *testing.T) {
+	q, err := Analyze(`SELECT patternID FROM fabric F, video V
+		WHERE F.printdate > '2021-01-01' and F.printdate < '2021-1-31'
+		and F.transID = V.transID
+		and V.date > '2021-01-01' and V.date < '2021-1-31'
+		and CASE WHEN F.patternID != nUDF_recog(V.keyframe) THEN 1 ELSE 0 END = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Type != Type4 || !q.UDFs[0].InJoin {
+		t.Fatalf("CASE-wrapped join usage: type = %v, InJoin = %v; want Type 4 in a join", q.Type, q.UDFs[0].InJoin)
+	}
+	q, err = Analyze(`SELECT patternID, F.transID AS transID FROM fabric F, video V
+		WHERE CASE WHEN F.meter > 10 THEN 1 ELSE 0 END = 1
+		and F.transID = V.transID
+		and V.date > '2021-01-01' and V.date < '2021-1-31'
+		and nUDF_detect(V.keyframe) = FALSE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Type != Type3 {
+		t.Fatalf("CASE-wrapped fabric filter: type = %v, want Type 3", q.Type)
+	}
+}
+
 func TestIntroQueryClassifiesType3(t *testing.T) {
 	// The paper's opening printing-fault query.
 	q, err := Analyze(`SELECT patternID, transID FROM fabric F, video V

@@ -300,101 +300,41 @@ type aggCall struct {
 // collectAggCalls walks an expression collecting aggregate invocations,
 // deduplicated by textual representation.
 func collectAggCalls(e Expr, seen map[string]*aggCall, out *[]*aggCall) {
-	switch t := e.(type) {
-	case *FuncCall:
-		name := strings.ToLower(t.Name)
-		if isAggregateName(name) {
-			repr := t.String()
-			if _, dup := seen[repr]; !dup {
-				call := &aggCall{repr: repr, kind: name, distinct: t.Distinct, star: t.Star, args: t.Args}
-				seen[repr] = call
-				*out = append(*out, call)
-			}
-			return // don't descend into aggregate args
+	Walk(e, func(x Expr) bool {
+		fc, ok := x.(*FuncCall)
+		if !ok {
+			return true
 		}
-		for _, a := range t.Args {
-			collectAggCalls(a, seen, out)
+		name := strings.ToLower(fc.Name)
+		if !isAggregateName(name) {
+			return true
 		}
-	case *BinExpr:
-		collectAggCalls(t.L, seen, out)
-		collectAggCalls(t.R, seen, out)
-	case *UnaryExpr:
-		collectAggCalls(t.E, seen, out)
-	case *CaseExpr:
-		for _, w := range t.Whens {
-			collectAggCalls(w.Cond, seen, out)
-			collectAggCalls(w.Then, seen, out)
+		repr := fc.String()
+		if _, dup := seen[repr]; !dup {
+			call := &aggCall{repr: repr, kind: name, distinct: fc.Distinct, star: fc.Star, args: fc.Args}
+			seen[repr] = call
+			*out = append(*out, call)
 		}
-		if t.Else != nil {
-			collectAggCalls(t.Else, seen, out)
-		}
-	case *InExpr:
-		collectAggCalls(t.E, seen, out)
-		for _, x := range t.List {
-			collectAggCalls(x, seen, out)
-		}
-	case *BetweenExpr:
-		collectAggCalls(t.E, seen, out)
-		collectAggCalls(t.Lo, seen, out)
-		collectAggCalls(t.Hi, seen, out)
-	case *IsNullExpr:
-		collectAggCalls(t.E, seen, out)
-	}
+		return false // don't descend into aggregate args
+	})
 }
 
 // rewriteAggRefs replaces aggregate calls with references to the synthetic
 // columns "$aggN" and group-by expressions with "$grpN" references, so item
 // expressions can be evaluated over the aggregated intermediate result.
 func rewriteAggRefs(e Expr, aggCols map[string]string, grpCols map[string]string) Expr {
-	if name, ok := grpCols[e.String()]; ok {
-		return &ColRef{Name: name}
-	}
-	switch t := e.(type) {
-	case *FuncCall:
-		if isAggregateName(strings.ToLower(t.Name)) {
-			if name, ok := aggCols[t.String()]; ok {
-				return &ColRef{Name: name}
+	out, _ := Rewrite(e, func(x Expr) (Expr, error) { // never fails
+		if name, ok := grpCols[x.String()]; ok {
+			return &ColRef{Name: name}, nil
+		}
+		if fc, ok := x.(*FuncCall); ok && isAggregateName(strings.ToLower(fc.Name)) {
+			if name, ok := aggCols[fc.String()]; ok {
+				return &ColRef{Name: name}, nil
 			}
-			return e
 		}
-		out := &FuncCall{Name: t.Name, Distinct: t.Distinct, Star: t.Star}
-		for _, a := range t.Args {
-			out.Args = append(out.Args, rewriteAggRefs(a, aggCols, grpCols))
-		}
-		return out
-	case *BinExpr:
-		return &BinExpr{Op: t.Op, L: rewriteAggRefs(t.L, aggCols, grpCols), R: rewriteAggRefs(t.R, aggCols, grpCols)}
-	case *UnaryExpr:
-		return &UnaryExpr{Op: t.Op, E: rewriteAggRefs(t.E, aggCols, grpCols)}
-	case *CaseExpr:
-		out := &CaseExpr{}
-		for _, w := range t.Whens {
-			out.Whens = append(out.Whens, WhenClause{
-				Cond: rewriteAggRefs(w.Cond, aggCols, grpCols),
-				Then: rewriteAggRefs(w.Then, aggCols, grpCols),
-			})
-		}
-		if t.Else != nil {
-			out.Else = rewriteAggRefs(t.Else, aggCols, grpCols)
-		}
-		return out
-	case *InExpr:
-		out := &InExpr{E: rewriteAggRefs(t.E, aggCols, grpCols), Not: t.Not}
-		for _, x := range t.List {
-			out.List = append(out.List, rewriteAggRefs(x, aggCols, grpCols))
-		}
-		return out
-	case *BetweenExpr:
-		return &BetweenExpr{
-			E:   rewriteAggRefs(t.E, aggCols, grpCols),
-			Lo:  rewriteAggRefs(t.Lo, aggCols, grpCols),
-			Hi:  rewriteAggRefs(t.Hi, aggCols, grpCols),
-			Not: t.Not,
-		}
-	case *IsNullExpr:
-		return &IsNullExpr{E: rewriteAggRefs(t.E, aggCols, grpCols), Not: t.Not}
-	}
-	return e
+		return x, nil
+	})
+	return out
 }
 
 // aggPartial is the grouping of one chunk of input rows: the key table

@@ -254,12 +254,8 @@ func (db *DB) depsValid(deps []planDep) bool {
 func (db *DB) collectSelectDeps(sel *SelectStmt) (deps []planDep, ok bool) {
 	seen := map[string]bool{}
 	ok = true
-	var addRel func(name string)
 	var walkSel func(s *SelectStmt)
-	var walkExpr func(e Expr)
-	var walkFrom func(r *TableRef)
-
-	addRel = func(name string) {
+	addRel := func(name string) {
 		key := strings.ToLower(name)
 		if seen[key] {
 			return
@@ -276,79 +272,17 @@ func (db *DB) collectSelectDeps(sel *SelectStmt) (deps []planDep, ok bool) {
 		}
 		ok = false
 	}
-	walkFrom = func(r *TableRef) {
-		if r == nil {
-			return
-		}
-		switch {
-		case r.Join != nil:
-			walkFrom(r.Join.L)
-			walkFrom(r.Join.R)
-			walkExpr(r.Join.Cond)
-		case r.Sub != nil:
-			walkSel(r.Sub)
-		default:
-			addRel(r.Table)
-		}
-	}
-	walkExpr = func(e Expr) {
+	subqueries := func(e Expr) (Expr, error) {
 		switch t := e.(type) {
-		case nil:
-		case *BinExpr:
-			walkExpr(t.L)
-			walkExpr(t.R)
-		case *UnaryExpr:
-			walkExpr(t.E)
-		case *FuncCall:
-			for _, a := range t.Args {
-				walkExpr(a)
-			}
-		case *CaseExpr:
-			for _, w := range t.Whens {
-				walkExpr(w.Cond)
-				walkExpr(w.Then)
-			}
-			walkExpr(t.Else)
 		case *InExpr:
-			walkExpr(t.E)
-			for _, x := range t.List {
-				walkExpr(x)
-			}
-			if t.Sub != nil {
-				walkSel(t.Sub)
-			}
-		case *BetweenExpr:
-			walkExpr(t.E)
-			walkExpr(t.Lo)
-			walkExpr(t.Hi)
-		case *IsNullExpr:
-			walkExpr(t.E)
+			walkSel(t.Sub)
 		case *SubqueryExpr:
 			walkSel(t.Query)
 		}
+		return e, nil
 	}
-	walkSel = func(s *SelectStmt) {
-		if s == nil {
-			return
-		}
-		for _, it := range s.Items {
-			if !it.Star {
-				walkExpr(it.Expr)
-			}
-		}
-		walkFrom(s.From)
-		walkExpr(s.Where)
-		for _, g := range s.GroupBy {
-			walkExpr(g)
-		}
-		walkExpr(s.Having)
-		for _, o := range s.OrderBy {
-			walkExpr(o.Expr)
-		}
-		for _, u := range s.UnionAll {
-			walkSel(u)
-		}
-	}
+	// subqueries never fails.
+	walkSel = func(s *SelectStmt) { _, _ = rewriteSelect(s, subqueries, addRel) }
 	walkSel(sel)
 	return deps, ok
 }
@@ -413,7 +347,7 @@ func (p *Prepared) QueryContext(ctx context.Context, args ...Datum) (res *Result
 				return nil, err
 			}
 			acctFrom(ctx).noteCacheState(p.db.cacheStateOf(hit, cacheable))
-			bound, _ := bindPlanParams(plan, args)
+			bound := bindPlanParams(plan, args)
 			res, err := p.db.execPlan(bound, p.db.newExecCtx(ctx))
 			if err != nil {
 				return nil, err
@@ -428,10 +362,7 @@ func (p *Prepared) QueryContext(ctx context.Context, args ...Datum) (res *Result
 	}
 	// Parameters inside subqueries (or non-SELECT statements): substitute
 	// into a copy of the AST and run the normal path.
-	st, err := bindStmtParams(p.stmt, args)
-	if err != nil {
-		return nil, err
-	}
+	st := bindStmtParams(p.stmt, args)
 	return p.db.execStmtRecorded(ctx, st, st.String(), nil)
 }
 
@@ -457,10 +388,7 @@ func (p *Prepared) ExecContext(ctx context.Context, args ...Datum) (res *Result,
 	if _, isSel := p.stmt.(*SelectStmt); isSel {
 		return p.QueryContext(ctx, args...)
 	}
-	st, err := bindStmtParams(p.stmt, args)
-	if err != nil {
-		return nil, err
-	}
+	st := bindStmtParams(p.stmt, args)
 	return p.db.execStmtRecorded(ctx, st, st.String(), nil)
 }
 
@@ -468,456 +396,140 @@ func (p *Prepared) ExecContext(ctx context.Context, args ...Datum) (res *Result,
 // inside a scalar or IN subquery (those are folded to literals at plan
 // time, forcing AST-level binding).
 func countStmtParams(st Stmt) (n int, inSub bool) {
-	var walkExpr func(e Expr, sub bool)
-	var walkSel func(s *SelectStmt, sub bool)
-	walkExpr = func(e Expr, sub bool) {
-		switch t := e.(type) {
-		case nil:
-		case *Param:
-			n++
-			if sub {
-				inSub = true
+	// count never fails, so the traversals' errors are dropped.
+	var count func(sub bool) func(Expr) (Expr, error)
+	count = func(sub bool) func(Expr) (Expr, error) {
+		return func(e Expr) (Expr, error) {
+			switch t := e.(type) {
+			case *Param:
+				n++
+				inSub = inSub || sub
+			case *InExpr:
+				_, _ = RewriteSelect(t.Sub, count(true))
+			case *SubqueryExpr:
+				_, _ = RewriteSelect(t.Query, count(true))
 			}
-		case *BinExpr:
-			walkExpr(t.L, sub)
-			walkExpr(t.R, sub)
-		case *UnaryExpr:
-			walkExpr(t.E, sub)
-		case *FuncCall:
-			for _, a := range t.Args {
-				walkExpr(a, sub)
-			}
-		case *CaseExpr:
-			for _, w := range t.Whens {
-				walkExpr(w.Cond, sub)
-				walkExpr(w.Then, sub)
-			}
-			walkExpr(t.Else, sub)
-		case *InExpr:
-			walkExpr(t.E, sub)
-			for _, x := range t.List {
-				walkExpr(x, sub)
-			}
-			if t.Sub != nil {
-				walkSel(t.Sub, true)
-			}
-		case *BetweenExpr:
-			walkExpr(t.E, sub)
-			walkExpr(t.Lo, sub)
-			walkExpr(t.Hi, sub)
-		case *IsNullExpr:
-			walkExpr(t.E, sub)
-		case *SubqueryExpr:
-			walkSel(t.Query, true)
+			return e, nil
 		}
 	}
-	var walkFrom func(r *TableRef, sub bool)
-	walkFrom = func(r *TableRef, sub bool) {
-		if r == nil {
-			return
-		}
-		switch {
-		case r.Join != nil:
-			walkFrom(r.Join.L, sub)
-			walkFrom(r.Join.R, sub)
-			walkExpr(r.Join.Cond, sub)
-		case r.Sub != nil:
-			walkSel(r.Sub, sub)
-		}
-	}
-	walkSel = func(s *SelectStmt, sub bool) {
-		if s == nil {
-			return
-		}
-		for _, it := range s.Items {
-			if !it.Star {
-				walkExpr(it.Expr, sub)
-			}
-		}
-		walkFrom(s.From, sub)
-		walkExpr(s.Where, sub)
-		for _, g := range s.GroupBy {
-			walkExpr(g, sub)
-		}
-		walkExpr(s.Having, sub)
-		for _, o := range s.OrderBy {
-			walkExpr(o.Expr, sub)
-		}
-		for _, u := range s.UnionAll {
-			walkSel(u, sub)
-		}
-	}
-	switch t := st.(type) {
-	case *SelectStmt:
-		walkSel(t, false)
-	case *InsertStmt:
-		for _, row := range t.Values {
-			for _, e := range row {
-				walkExpr(e, false)
-			}
-		}
-		walkSel(t.Query, false)
-	case *UpdateStmt:
-		for _, e := range t.Set {
-			walkExpr(e, false)
-		}
-		walkExpr(t.Where, false)
-	case *DeleteStmt:
-		walkExpr(t.Where, false)
-	case *ExplainStmt:
-		walkSel(t.Query, false)
-	}
+	_, _ = rewriteStmt(st, count(false))
 	return n, inSub
 }
 
 // ---- plan-level parameter binding (copy-on-write) ----
 
+// bindParams returns the Rewrite function that substitutes args for the
+// Params of an expression, subqueries included. It never fails, so neither
+// do the traversals it runs and those it is handed to.
+func bindParams(args []Datum) func(Expr) (Expr, error) {
+	var bind func(Expr) (Expr, error)
+	bind = func(e Expr) (Expr, error) {
+		switch t := e.(type) {
+		case *Param:
+			return &Lit{Val: args[t.Idx]}, nil
+		case *InExpr:
+			if sub, _ := RewriteSelect(t.Sub, bind); sub != t.Sub {
+				// The replacement's operand is not visited: bind it here.
+				x, _ := Rewrite(t.E, bind)
+				return &InExpr{E: x, Sub: sub, Not: t.Not}, nil
+			}
+		case *SubqueryExpr:
+			if q, _ := RewriteSelect(t.Query, bind); q != t.Query {
+				return &SubqueryExpr{Query: q}, nil
+			}
+		}
+		return e, nil
+	}
+	return bind
+}
+
 // bindPlanParams returns a plan with every Param replaced by the matching
 // argument literal. Nodes without parameters are shared with the input, so
 // the cached plan stays immutable.
-func bindPlanParams(p Plan, args []Datum) (Plan, bool) {
+func bindPlanParams(p Plan, args []Datum) Plan {
+	var err error // stays nil: bindParams never fails
+	rw := rewriter{fn: bindParams(args), err: &err}
+	out, _ := rw.plan(p)
+	return out
+}
+
+// plan applies the rewriter to every expression of a plan tree.
+func (rw *rewriter) plan(p Plan) (Plan, bool) {
 	switch t := p.(type) {
-	case nil:
-		return nil, false
 	case *LScan:
-		fs, ch := bindExprSlice(t.Filters, args)
-		if !ch {
-			return t, false
+		if fs, ch := each(t.Filters, rw.expr); ch {
+			c := *t
+			c.Filters = fs
+			return &c, true
 		}
-		c := *t
-		c.Filters = fs
-		return &c, true
 	case *LFilter:
-		child, c1 := bindPlanParams(t.Child, args)
-		conds, c2 := bindExprSlice(t.Conds, args)
-		if !c1 && !c2 {
-			return t, false
+		child, c1 := rw.plan(t.Child)
+		conds, c2 := each(t.Conds, rw.expr)
+		if c1 || c2 {
+			c := *t
+			c.Child, c.Conds = child, conds
+			return &c, true
 		}
-		c := *t
-		c.Child, c.Conds = child, conds
-		return &c, true
 	case *LJoin:
-		l, c1 := bindPlanParams(t.L, args)
-		r, c2 := bindPlanParams(t.R, args)
-		el, c3 := bindExprSlice(t.EquiL, args)
-		er, c4 := bindExprSlice(t.EquiR, args)
-		res, c5 := bindExprSlice(t.Residual, args)
-		if !(c1 || c2 || c3 || c4 || c5) {
-			return t, false
+		l, c1 := rw.plan(t.L)
+		r, c2 := rw.plan(t.R)
+		el, c3 := each(t.EquiL, rw.expr)
+		er, c4 := each(t.EquiR, rw.expr)
+		res, c5 := each(t.Residual, rw.expr)
+		if c1 || c2 || c3 || c4 || c5 {
+			c := *t
+			c.L, c.R, c.EquiL, c.EquiR, c.Residual = l, r, el, er, res
+			return &c, true
 		}
-		c := *t
-		c.L, c.R, c.EquiL, c.EquiR, c.Residual = l, r, el, er, res
-		return &c, true
 	case *LProject:
-		child, c1 := bindPlanParams(t.Child, args)
-		items, c2 := bindItems(t.Items, args)
-		if !c1 && !c2 {
-			return t, false
+		child, c1 := rw.plan(t.Child)
+		items, c2 := each(t.Items, rw.item)
+		if c1 || c2 {
+			c := *t
+			c.Child, c.Items = child, items
+			return &c, true
 		}
-		c := *t
-		c.Child, c.Items = child, items
-		return &c, true
 	case *LAgg:
-		child, c1 := bindPlanParams(t.Child, args)
-		gb, c2 := bindExprSlice(t.GroupBy, args)
-		items, c3 := bindItems(t.Items, args)
-		having, c4 := bindExpr(t.Having, args)
-		if !(c1 || c2 || c3 || c4) {
-			return t, false
+		child, c1 := rw.plan(t.Child)
+		gb, c2 := each(t.GroupBy, rw.expr)
+		items, c3 := each(t.Items, rw.item)
+		having, c4 := rw.expr(t.Having)
+		if c1 || c2 || c3 || c4 {
+			c := *t
+			c.Child, c.GroupBy, c.Items, c.Having = child, gb, items, having
+			return &c, true
 		}
-		c := *t
-		c.Child, c.GroupBy, c.Items, c.Having = child, gb, items, having
-		return &c, true
 	case *LDistinct:
-		child, ch := bindPlanParams(t.Child, args)
-		if !ch {
-			return t, false
+		if child, ch := rw.plan(t.Child); ch {
+			return &LDistinct{Child: child}, true
 		}
-		return &LDistinct{Child: child}, true
 	case *LSort:
-		child, c1 := bindPlanParams(t.Child, args)
-		keys := t.Keys
-		c2 := false
-		for i, k := range t.Keys {
-			e, ch := bindExpr(k.Expr, args)
-			if ch && !c2 {
-				keys = append([]OrderItem(nil), t.Keys...)
-				c2 = true
-			}
-			if ch {
-				keys[i].Expr = e
-			}
+		child, c1 := rw.plan(t.Child)
+		keys, c2 := each(t.Keys, rw.order)
+		if c1 || c2 {
+			c := *t
+			c.Child, c.Keys = child, keys
+			return &c, true
 		}
-		if !c1 && !c2 {
-			return t, false
-		}
-		c := *t
-		c.Child, c.Keys = child, keys
-		return &c, true
 	case *LLimit:
-		child, ch := bindPlanParams(t.Child, args)
-		if !ch {
-			return t, false
+		if child, ch := rw.plan(t.Child); ch {
+			c := *t
+			c.Child = child
+			return &c, true
 		}
-		c := *t
-		c.Child = child
-		return &c, true
 	case *aliasPlan:
-		child, ch := bindPlanParams(t.Child, args)
-		if !ch {
-			return t, false
+		if child, ch := rw.plan(t.Child); ch {
+			c := *t
+			c.Child = child
+			return &c, true
 		}
-		c := *t
-		c.Child = child
-		return &c, true
 	}
 	return p, false
 }
 
-func bindItems(items []SelectItem, args []Datum) ([]SelectItem, bool) {
-	out := items
-	changed := false
-	for i, it := range items {
-		if it.Star {
-			continue
-		}
-		e, ch := bindExpr(it.Expr, args)
-		if ch && !changed {
-			out = append([]SelectItem(nil), items...)
-			changed = true
-		}
-		if ch {
-			out[i].Expr = e
-		}
-	}
-	return out, changed
-}
-
-func bindExprSlice(es []Expr, args []Datum) ([]Expr, bool) {
-	out := es
-	changed := false
-	for i, e := range es {
-		b, ch := bindExpr(e, args)
-		if ch && !changed {
-			out = append([]Expr(nil), es...)
-			changed = true
-		}
-		if ch {
-			out[i] = b
-		}
-	}
-	return out, changed
-}
-
-// bindExpr substitutes Params with literals, sharing unchanged subtrees.
-func bindExpr(e Expr, args []Datum) (Expr, bool) {
-	switch t := e.(type) {
-	case nil:
-		return nil, false
-	case *Param:
-		return &Lit{Val: args[t.Idx]}, true
-	case *BinExpr:
-		l, c1 := bindExpr(t.L, args)
-		r, c2 := bindExpr(t.R, args)
-		if !c1 && !c2 {
-			return t, false
-		}
-		return &BinExpr{Op: t.Op, L: l, R: r}, true
-	case *UnaryExpr:
-		sub, ch := bindExpr(t.E, args)
-		if !ch {
-			return t, false
-		}
-		return &UnaryExpr{Op: t.Op, E: sub}, true
-	case *FuncCall:
-		as, ch := bindExprSlice(t.Args, args)
-		if !ch {
-			return t, false
-		}
-		return &FuncCall{Name: t.Name, Args: as, Distinct: t.Distinct, Star: t.Star}, true
-	case *CaseExpr:
-		changed := false
-		whens := t.Whens
-		for i, w := range t.Whens {
-			c, c1 := bindExpr(w.Cond, args)
-			th, c2 := bindExpr(w.Then, args)
-			if (c1 || c2) && !changed {
-				whens = append([]WhenClause(nil), t.Whens...)
-				changed = true
-			}
-			if c1 || c2 {
-				whens[i] = WhenClause{Cond: c, Then: th}
-			}
-		}
-		els, c3 := bindExpr(t.Else, args)
-		if !changed && !c3 {
-			return t, false
-		}
-		return &CaseExpr{Whens: whens, Else: els}, true
-	case *InExpr:
-		sub, c1 := bindExpr(t.E, args)
-		list, c2 := bindExprSlice(t.List, args)
-		q, c3 := bindSelParams(t.Sub, args)
-		if !(c1 || c2 || c3) {
-			return t, false
-		}
-		return &InExpr{E: sub, List: list, Sub: q, Not: t.Not}, true
-	case *BetweenExpr:
-		sub, c1 := bindExpr(t.E, args)
-		lo, c2 := bindExpr(t.Lo, args)
-		hi, c3 := bindExpr(t.Hi, args)
-		if !(c1 || c2 || c3) {
-			return t, false
-		}
-		return &BetweenExpr{E: sub, Lo: lo, Hi: hi, Not: t.Not}, true
-	case *IsNullExpr:
-		sub, ch := bindExpr(t.E, args)
-		if !ch {
-			return t, false
-		}
-		return &IsNullExpr{E: sub, Not: t.Not}, true
-	case *SubqueryExpr:
-		q, ch := bindSelParams(t.Query, args)
-		if !ch {
-			return t, false
-		}
-		return &SubqueryExpr{Query: q}, true
-	}
-	return e, false
-}
-
-// bindSelParams rewrites a SELECT subtree copy-on-write.
-func bindSelParams(s *SelectStmt, args []Datum) (*SelectStmt, bool) {
-	if s == nil {
-		return nil, false
-	}
-	changed := false
-	out := *s
-	items, ch := bindItems(s.Items, args)
-	changed = changed || ch
-	out.Items = items
-	from, ch := bindFromParams(s.From, args)
-	changed = changed || ch
-	out.From = from
-	w, ch := bindExpr(s.Where, args)
-	changed = changed || ch
-	out.Where = w
-	gb, ch := bindExprSlice(s.GroupBy, args)
-	changed = changed || ch
-	out.GroupBy = gb
-	h, ch := bindExpr(s.Having, args)
-	changed = changed || ch
-	out.Having = h
-	ob := s.OrderBy
-	obChanged := false
-	for i, o := range s.OrderBy {
-		e, ch := bindExpr(o.Expr, args)
-		if ch && !obChanged {
-			ob = append([]OrderItem(nil), s.OrderBy...)
-			obChanged = true
-		}
-		if ch {
-			ob[i].Expr = e
-		}
-	}
-	changed = changed || obChanged
-	out.OrderBy = ob
-	ua := s.UnionAll
-	uaChanged := false
-	for i, u := range s.UnionAll {
-		b, ch := bindSelParams(u, args)
-		if ch && !uaChanged {
-			ua = append([]*SelectStmt(nil), s.UnionAll...)
-			uaChanged = true
-		}
-		if ch {
-			ua[i] = b
-		}
-	}
-	changed = changed || uaChanged
-	out.UnionAll = ua
-	if !changed {
-		return s, false
-	}
-	return &out, true
-}
-
-func bindFromParams(r *TableRef, args []Datum) (*TableRef, bool) {
-	if r == nil {
-		return nil, false
-	}
-	switch {
-	case r.Join != nil:
-		l, c1 := bindFromParams(r.Join.L, args)
-		rr, c2 := bindFromParams(r.Join.R, args)
-		cond, c3 := bindExpr(r.Join.Cond, args)
-		if !(c1 || c2 || c3) {
-			return r, false
-		}
-		out := *r
-		out.Join = &JoinRef{L: l, R: rr, Cond: cond, Left: r.Join.Left}
-		return &out, true
-	case r.Sub != nil:
-		sub, ch := bindSelParams(r.Sub, args)
-		if !ch {
-			return r, false
-		}
-		out := *r
-		out.Sub = sub
-		return &out, true
-	default:
-		return r, false
-	}
-}
-
 // bindStmtParams substitutes arguments into a full statement (the fallback
 // path for DML and for parameters inside plan-time-folded subqueries).
-func bindStmtParams(st Stmt, args []Datum) (Stmt, error) {
-	switch t := st.(type) {
-	case *SelectStmt:
-		out, _ := bindSelParams(t, args)
-		return out, nil
-	case *InsertStmt:
-		out := *t
-		changed := false
-		if len(t.Values) > 0 {
-			vals := make([][]Expr, len(t.Values))
-			for i, row := range t.Values {
-				r, ch := bindExprSlice(row, args)
-				vals[i] = r
-				changed = changed || ch
-			}
-			out.Values = vals
-		}
-		q, ch := bindSelParams(t.Query, args)
-		out.Query = q
-		changed = changed || ch
-		if !changed {
-			return t, nil
-		}
-		return &out, nil
-	case *UpdateStmt:
-		out := *t
-		set := make(map[string]Expr, len(t.Set))
-		for k, e := range t.Set {
-			b, _ := bindExpr(e, args)
-			set[k] = b
-		}
-		out.Set = set
-		w, _ := bindExpr(t.Where, args)
-		out.Where = w
-		return &out, nil
-	case *DeleteStmt:
-		out := *t
-		w, _ := bindExpr(t.Where, args)
-		out.Where = w
-		return &out, nil
-	case *ExplainStmt:
-		out := *t
-		q, _ := bindSelParams(t.Query, args)
-		out.Query = q
-		return &out, nil
-	default:
-		return st, nil
-	}
+func bindStmtParams(st Stmt, args []Datum) Stmt {
+	out, _ := rewriteStmt(st, bindParams(args))
+	return out
 }

@@ -348,25 +348,29 @@ func TestPreparedParamInSubquery(t *testing.T) {
 func TestPreparedDML(t *testing.T) {
 	db := cacheFixture(t)
 	db.EnableCache(64)
-	ins, err := db.Prepare("INSERT INTO u VALUES (?, ?)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ins.Exec(Int(4), Str("four")); err != nil {
-		t.Fatal(err)
-	}
-	if got := queryString(t, db, "SELECT name FROM u WHERE a = 4"); got != "four|\n" {
-		t.Fatalf("insert missing: %q", got)
-	}
-	del, err := db.Prepare("DELETE FROM u WHERE a = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := del.Exec(Int(4)); err != nil {
-		t.Fatal(err)
-	}
-	if got := queryString(t, db, "SELECT count(*) c FROM u"); got != "3|\n" {
-		t.Fatalf("delete missing: %q", got)
+	for _, c := range []struct {
+		stmt        string
+		args        []Datum
+		check, want string
+	}{
+		{"INSERT INTO u VALUES (?, ?)", []Datum{Int(4), Str("four")}, "SELECT name FROM u WHERE a = 4", "four|\n"},
+		{"DELETE FROM u WHERE a = ?", []Datum{Int(4)}, "SELECT count(*) c FROM u", "3|\n"},
+		{"CREATE TABLE t2 AS SELECT a FROM t WHERE a = ?", []Datum{Int(7)}, "SELECT a FROM t2", "7|\n"},
+		{"CREATE VIEW v2 AS SELECT a FROM t WHERE a > ?", []Datum{Int(17)}, "SELECT a FROM v2 ORDER BY a", "18|\n19|\n"},
+	} {
+		ps, err := db.Prepare(c.stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps.NumParams() != len(c.args) {
+			t.Fatalf("%q: NumParams = %d, want %d", c.stmt, ps.NumParams(), len(c.args))
+		}
+		if _, err := ps.Exec(c.args...); err != nil {
+			t.Fatalf("%q: %v", c.stmt, err)
+		}
+		if got := queryString(t, db, c.check); got != c.want {
+			t.Fatalf("after %q: %s = %q, want %q", c.stmt, c.check, got, c.want)
+		}
 	}
 }
 

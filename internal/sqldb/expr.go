@@ -763,44 +763,14 @@ func isAggregateName(name string) bool {
 	return false
 }
 
-// exprHasAggregate walks an expression tree looking for aggregate calls.
+// exprHasAggregate reports whether an expression calls an aggregate.
 func exprHasAggregate(e Expr) bool {
-	switch t := e.(type) {
-	case *FuncCall:
-		if isAggregateName(strings.ToLower(t.Name)) {
-			return true
+	found := false
+	Walk(e, func(x Expr) bool {
+		if fc, ok := x.(*FuncCall); ok && isAggregateName(strings.ToLower(fc.Name)) {
+			found = true
 		}
-		for _, a := range t.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-	case *BinExpr:
-		return exprHasAggregate(t.L) || exprHasAggregate(t.R)
-	case *UnaryExpr:
-		return exprHasAggregate(t.E)
-	case *CaseExpr:
-		for _, w := range t.Whens {
-			if exprHasAggregate(w.Cond) || exprHasAggregate(w.Then) {
-				return true
-			}
-		}
-		if t.Else != nil {
-			return exprHasAggregate(t.Else)
-		}
-	case *InExpr:
-		if exprHasAggregate(t.E) {
-			return true
-		}
-		for _, x := range t.List {
-			if exprHasAggregate(x) {
-				return true
-			}
-		}
-	case *BetweenExpr:
-		return exprHasAggregate(t.E) || exprHasAggregate(t.Lo) || exprHasAggregate(t.Hi)
-	case *IsNullExpr:
-		return exprHasAggregate(t.E)
-	}
-	return false
+		return !found
+	})
+	return found
 }

@@ -2,6 +2,23 @@ package sqldb
 
 import "testing"
 
+// parseSeeds are FuzzParse's inline seeds; FuzzRewrite starts from them
+// too.
+var parseSeeds = []string{
+	"SELECT 1",
+	"SELECT a, b FROM t WHERE x = 1 AND y < 'z' GROUP BY a HAVING count(*) > 0 ORDER BY b DESC LIMIT 5",
+	"CREATE TEMP TABLE t(SELECT MatrixID, SUM(A.Value * B.Value) FROM fm A INNER JOIN k B ON A.OrderID = B.OrderID GROUP BY KernelID, MatrixID)",
+	"UPDATE cb_output SET Value = 0 WHERE Value < 0",
+	"INSERT INTO t VALUES (1, 'a'), (2, 'b')",
+	"SELECT CASE WHEN a THEN 1 ELSE 2 END FROM t",
+	"SELECT * FROM (SELECT 1 AS x) s WHERE x BETWEEN 0 AND 2",
+	"EXPLAIN SELECT 1",
+	"SELECT '''; DROP TABLE t; --'",
+	"SELECT 1e309, -0.0, .5",
+	"((((",
+	"SELECT \xff\xfe",
+}
+
 // FuzzParse asserts two properties over arbitrary input:
 //
 //  1. the lexer/parser never panic — they either produce a statement or
@@ -16,21 +33,7 @@ import "testing"
 // checked-in corpus generated from the paper's collaborative-query
 // templates lives in testdata/fuzz/FuzzParse (see cmd/genfuzzcorpus).
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"SELECT 1",
-		"SELECT a, b FROM t WHERE x = 1 AND y < 'z' GROUP BY a HAVING count(*) > 0 ORDER BY b DESC LIMIT 5",
-		"CREATE TEMP TABLE t(SELECT MatrixID, SUM(A.Value * B.Value) FROM fm A INNER JOIN k B ON A.OrderID = B.OrderID GROUP BY KernelID, MatrixID)",
-		"UPDATE cb_output SET Value = 0 WHERE Value < 0",
-		"INSERT INTO t VALUES (1, 'a'), (2, 'b')",
-		"SELECT CASE WHEN a THEN 1 ELSE 2 END FROM t",
-		"SELECT * FROM (SELECT 1 AS x) s WHERE x BETWEEN 0 AND 2",
-		"EXPLAIN SELECT 1",
-		"SELECT '''; DROP TABLE t; --'",
-		"SELECT 1e309, -0.0, .5",
-		"((((",
-		"SELECT \xff\xfe",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {

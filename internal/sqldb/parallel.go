@@ -54,52 +54,15 @@ func (db *DB) exprsParallelSafe(lists ...[]Expr) bool {
 
 func (db *DB) exprParallelSafe(e Expr) bool {
 	safe := true
-	walkExpr(e, func(x Expr) {
-		fc, ok := x.(*FuncCall)
-		if !ok {
-			return
+	Walk(e, func(x Expr) bool {
+		if fc, ok := x.(*FuncCall); ok {
+			if udf := db.lookupUDF(strings.ToLower(fc.Name)); udf != nil && !udf.ParallelSafe {
+				safe = false
+			}
 		}
-		if udf := db.lookupUDF(strings.ToLower(fc.Name)); udf != nil && !udf.ParallelSafe {
-			safe = false
-		}
+		return safe
 	})
 	return safe
-}
-
-// walkExpr invokes fn on e and every sub-expression of e.
-func walkExpr(e Expr, fn func(Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch t := e.(type) {
-	case *UnaryExpr:
-		walkExpr(t.E, fn)
-	case *BinExpr:
-		walkExpr(t.L, fn)
-		walkExpr(t.R, fn)
-	case *FuncCall:
-		for _, a := range t.Args {
-			walkExpr(a, fn)
-		}
-	case *CaseExpr:
-		for _, w := range t.Whens {
-			walkExpr(w.Cond, fn)
-			walkExpr(w.Then, fn)
-		}
-		walkExpr(t.Else, fn)
-	case *InExpr:
-		walkExpr(t.E, fn)
-		for _, x := range t.List {
-			walkExpr(x, fn)
-		}
-	case *BetweenExpr:
-		walkExpr(t.E, fn)
-		walkExpr(t.Lo, fn)
-		walkExpr(t.Hi, fn)
-	case *IsNullExpr:
-		walkExpr(t.E, fn)
-	}
 }
 
 // notePar records a parallel operator run: per-plan-node worker/morsel

@@ -180,7 +180,7 @@ func TestParseCaseInOrderLimit(t *testing.T) {
 
 func TestParseIsNull(t *testing.T) {
 	sel := parseSelect(t, "SELECT a FROM t WHERE a IS NULL AND b IS NOT NULL")
-	conds := conjuncts(sel.Where)
+	conds := Conjuncts(sel.Where)
 	if len(conds) != 2 {
 		t.Fatalf("conds: %v", conds)
 	}

@@ -139,7 +139,7 @@ func (db *DB) planSelect(st *SelectStmt, hints *QueryHints) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	conds := append(onConds, conjuncts(st.Where)...)
+	conds := append(onConds, Conjuncts(st.Where)...)
 
 	plan, residual, err := db.buildJoinTree(rels, conds, hints)
 	if err != nil {
@@ -149,17 +149,26 @@ func (db *DB) planSelect(st *SelectStmt, hints *QueryHints) (Plan, error) {
 		plan = &LFilter{Child: plan, Conds: db.orderPredicates(residual, hints)}
 	}
 
-	// ORDER BY ordinals: an integer literal key selects the Nth item.
-	for i, k := range st.OrderBy {
+	// ORDER BY ordinals: an integer literal key selects the Nth item. The
+	// substitution is copy-on-write, as st may be a cached statement.
+	var ordErr error
+	orderBy, _ := each(st.OrderBy, func(k OrderItem) (OrderItem, bool) {
 		lit, ok := k.Expr.(*Lit)
 		if !ok || lit.Val.T != TInt {
-			continue
+			return k, false
 		}
 		n := int(lit.Val.I)
 		if n < 1 || n > len(st.Items) || st.Items[n-1].Star {
-			return nil, fmt.Errorf("sqldb: ORDER BY position %d out of range", n)
+			if ordErr == nil {
+				ordErr = fmt.Errorf("sqldb: ORDER BY position %d out of range", n)
+			}
+			return k, false
 		}
-		st.OrderBy[i].Expr = st.Items[n-1].Expr
+		k.Expr = st.Items[n-1].Expr
+		return k, true
+	})
+	if ordErr != nil {
+		return nil, ordErr
 	}
 
 	// Aggregation?
@@ -176,17 +185,17 @@ func (db *DB) planSelect(st *SelectStmt, hints *QueryHints) (Plan, error) {
 		if st.Distinct {
 			plan = &LDistinct{Child: plan}
 		}
-		if len(st.OrderBy) > 0 {
-			plan = &LSort{Child: plan, Keys: st.OrderBy}
+		if len(orderBy) > 0 {
+			plan = &LSort{Child: plan, Keys: orderBy}
 		}
 	} else {
 		star := len(st.Items) == 1 && st.Items[0].Star
-		if len(st.OrderBy) > 0 && !st.Distinct {
+		if len(orderBy) > 0 && !st.Distinct {
 			// Sort below the projection so ORDER BY can reference source
 			// columns that are not projected; output-alias references are
 			// rewritten to the underlying item expressions first.
-			keys := make([]OrderItem, len(st.OrderBy))
-			for i, k := range st.OrderBy {
+			keys := make([]OrderItem, len(orderBy))
+			for i, k := range orderBy {
 				keys[i] = k
 				if cr, ok := k.Expr.(*ColRef); ok && cr.Table == "" {
 					for _, it := range st.Items {
@@ -204,8 +213,8 @@ func (db *DB) planSelect(st *SelectStmt, hints *QueryHints) (Plan, error) {
 		}
 		if st.Distinct {
 			plan = &LDistinct{Child: plan}
-			if len(st.OrderBy) > 0 {
-				plan = &LSort{Child: plan, Keys: st.OrderBy}
+			if len(orderBy) > 0 {
+				plan = &LSort{Child: plan, Keys: orderBy}
 			}
 		}
 	}
@@ -259,7 +268,7 @@ func (db *DB) flattenFrom(ref *TableRef, hints *QueryHints) ([]planRel, []Expr, 
 		rels := append(lRels, rRels...)
 		conds := append(lConds, rConds...)
 		if ref.Join.Cond != nil {
-			conds = append(conds, conjuncts(ref.Join.Cond)...)
+			conds = append(conds, Conjuncts(ref.Join.Cond)...)
 		}
 		return rels, conds, nil
 	case ref.Sub != nil:
@@ -311,7 +320,7 @@ func (db *DB) planLeftJoin(j *JoinRef, hints *QueryHints) ([]planRel, []Expr, er
 		return nil, nil, err
 	}
 	join := &LJoin{L: lPlan, R: rPlan, LeftOuter: true}
-	for _, c := range conjuncts(j.Cond) {
+	for _, c := range Conjuncts(j.Cond) {
 		b, ok := c.(*BinExpr)
 		if !ok || b.Op != "=" {
 			return nil, nil, fmt.Errorf("sqldb: LEFT JOIN requires equi ON conditions, got %s", c)
@@ -342,8 +351,7 @@ func (db *DB) planLeftJoin(j *JoinRef, hints *QueryHints) ([]planRel, []Expr, er
 // exprResolvesIn reports whether every column reference in e resolves
 // against the schema.
 func exprResolvesIn(e Expr, schema []OutCol) bool {
-	var refs []*ColRef
-	collectColRefs(e, &refs)
+	refs := colRefs(e)
 	if len(refs) == 0 {
 		return false
 	}
@@ -399,61 +407,24 @@ func (db *DB) newScan(table, alias string) (Plan, error) {
 	return &LScan{Table: t.Name, Alias: alias, schema: schema, EstRows: float64(t.NumRows())}, nil
 }
 
-// conjuncts splits an expression on AND.
-func conjuncts(e Expr) []Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*BinExpr); ok && b.Op == "and" {
-		return append(conjuncts(b.L), conjuncts(b.R)...)
-	}
-	return []Expr{e}
-}
-
-// collectColRefs gathers every column reference in an expression.
-func collectColRefs(e Expr, out *[]*ColRef) {
-	switch t := e.(type) {
-	case *ColRef:
-		*out = append(*out, t)
-	case *BinExpr:
-		collectColRefs(t.L, out)
-		collectColRefs(t.R, out)
-	case *UnaryExpr:
-		collectColRefs(t.E, out)
-	case *FuncCall:
-		for _, a := range t.Args {
-			collectColRefs(a, out)
+// colRefs lists every column reference in an expression.
+func colRefs(e Expr) []*ColRef {
+	var out []*ColRef
+	Walk(e, func(x Expr) bool {
+		if c, ok := x.(*ColRef); ok {
+			out = append(out, c)
 		}
-	case *CaseExpr:
-		for _, w := range t.Whens {
-			collectColRefs(w.Cond, out)
-			collectColRefs(w.Then, out)
-		}
-		if t.Else != nil {
-			collectColRefs(t.Else, out)
-		}
-	case *InExpr:
-		collectColRefs(t.E, out)
-		for _, x := range t.List {
-			collectColRefs(x, out)
-		}
-	case *BetweenExpr:
-		collectColRefs(t.E, out)
-		collectColRefs(t.Lo, out)
-		collectColRefs(t.Hi, out)
-	case *IsNullExpr:
-		collectColRefs(t.E, out)
-	}
+		return true
+	})
+	return out
 }
 
 // relsOf returns the set of relation aliases an expression touches, given
 // the per-relation schemas. Unqualified names resolve to whichever relation
 // has the column; ambiguity across relations is an error.
 func relsOf(e Expr, rels []planRel) (map[string]bool, error) {
-	var refs []*ColRef
-	collectColRefs(e, &refs)
 	out := map[string]bool{}
-	for _, ref := range refs {
+	for _, ref := range colRefs(e) {
 		matched := ""
 		for _, rel := range rels {
 			for _, c := range rel.plan.OutSchema() {
@@ -484,81 +455,37 @@ func relsOf(e Expr, rels []planRel) (map[string]bool, error) {
 // exprUDFs returns the registered UDF names appearing in the expression.
 func (db *DB) exprUDFs(e Expr) []string {
 	var out []string
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch t := x.(type) {
-		case *FuncCall:
-			if db.lookupUDF(strings.ToLower(t.Name)) != nil {
-				out = append(out, strings.ToLower(t.Name))
-			}
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *BinExpr:
-			walk(t.L)
-			walk(t.R)
-		case *UnaryExpr:
-			walk(t.E)
-		case *CaseExpr:
-			for _, w := range t.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			if t.Else != nil {
-				walk(t.Else)
-			}
-		case *InExpr:
-			walk(t.E)
-			for _, i := range t.List {
-				walk(i)
-			}
-		case *BetweenExpr:
-			walk(t.E)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *IsNullExpr:
-			walk(t.E)
+	Walk(e, func(x Expr) bool {
+		if fc, ok := x.(*FuncCall); ok && db.lookupUDF(strings.ToLower(fc.Name)) != nil {
+			out = append(out, strings.ToLower(fc.Name))
 		}
-	}
-	walk(e)
+		return true
+	})
 	return out
 }
 
-// resolveSubqueries executes uncorrelated scalar subqueries and substitutes
-// their values as literals, returning a rewritten statement.
+// resolveSubqueries folds the uncorrelated scalar and IN subqueries in the
+// expressions of one SELECT block (its derived tables included) into
+// literals, returning a rewritten statement that shares everything else.
 func (db *DB) resolveSubqueries(st *SelectStmt, hints *QueryHints) (*SelectStmt, error) {
-	rewrite := func(e Expr) (Expr, error) { return db.rewriteSubqueries(e, hints) }
-	out := *st
-	out.Items = append([]SelectItem(nil), st.Items...)
-	// Copy OrderBy too: planSelect rewrites ordinal keys in place, and with
-	// cached statements the original AST is shared across executions — the
-	// rewrite must land on this private copy, not the shared backing array.
-	out.OrderBy = append([]OrderItem(nil), st.OrderBy...)
-	for i := range out.Items {
-		if out.Items[i].Star {
-			continue
-		}
-		e, err := rewrite(out.Items[i].Expr)
-		if err != nil {
-			return nil, err
-		}
-		out.Items[i].Expr = e
+	if len(st.UnionAll) > 0 {
+		// runSelect plans each UNION ALL branch on its own.
+		blk := *st
+		blk.UnionAll = nil
+		st = &blk
 	}
-	var err error
-	if st.Where != nil {
-		if out.Where, err = rewrite(st.Where); err != nil {
-			return nil, err
-		}
-	}
-	if st.Having != nil {
-		if out.Having, err = rewrite(st.Having); err != nil {
-			return nil, err
-		}
-	}
-	return &out, nil
+	return RewriteSelect(st, func(e Expr) (Expr, error) { return db.foldSubquery(e, hints) })
 }
 
+// rewriteSubqueries is resolveSubqueries for one expression.
 func (db *DB) rewriteSubqueries(e Expr, hints *QueryHints) (Expr, error) {
+	return Rewrite(e, func(x Expr) (Expr, error) { return db.foldSubquery(x, hints) })
+}
+
+// foldSubquery executes a scalar subquery and returns its value as a
+// literal, or executes an IN subquery and returns the IN over the literal
+// list of its values; it returns any other node as is.
+func (db *DB) foldSubquery(e Expr, hints *QueryHints) (Expr, error) {
 	switch t := e.(type) {
 	case *SubqueryExpr:
 		res, err := db.runSelect(context.Background(), t.Query, hints)
@@ -575,104 +502,27 @@ func (db *DB) rewriteSubqueries(e Expr, hints *QueryHints) (Expr, error) {
 			return nil, fmt.Errorf("sqldb: scalar subquery returns %d rows", res.NumRows())
 		}
 		return &Lit{Val: res.Cols[0].Get(0)}, nil
-	case *BinExpr:
-		l, err := db.rewriteSubqueries(t.L, hints)
-		if err != nil {
-			return nil, err
-		}
-		r, err := db.rewriteSubqueries(t.R, hints)
-		if err != nil {
-			return nil, err
-		}
-		return &BinExpr{Op: t.Op, L: l, R: r}, nil
-	case *UnaryExpr:
-		sub, err := db.rewriteSubqueries(t.E, hints)
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: t.Op, E: sub}, nil
-	case *FuncCall:
-		out := &FuncCall{Name: t.Name, Distinct: t.Distinct, Star: t.Star}
-		for _, a := range t.Args {
-			ra, err := db.rewriteSubqueries(a, hints)
-			if err != nil {
-				return nil, err
-			}
-			out.Args = append(out.Args, ra)
-		}
-		return out, nil
-	case *CaseExpr:
-		out := &CaseExpr{}
-		for _, w := range t.Whens {
-			c, err := db.rewriteSubqueries(w.Cond, hints)
-			if err != nil {
-				return nil, err
-			}
-			th, err := db.rewriteSubqueries(w.Then, hints)
-			if err != nil {
-				return nil, err
-			}
-			out.Whens = append(out.Whens, WhenClause{Cond: c, Then: th})
-		}
-		if t.Else != nil {
-			e2, err := db.rewriteSubqueries(t.Else, hints)
-			if err != nil {
-				return nil, err
-			}
-			out.Else = e2
-		}
-		return out, nil
 	case *InExpr:
-		sub, err := db.rewriteSubqueries(t.E, hints)
+		if t.Sub == nil {
+			return e, nil
+		}
+		// The replacement's operand is not visited: fold it here.
+		x, err := db.rewriteSubqueries(t.E, hints)
 		if err != nil {
 			return nil, err
 		}
-		out := &InExpr{E: sub, Not: t.Not}
-		if t.Sub != nil {
-			// Materialize the (uncorrelated) IN-subquery into a literal
-			// list; the expression evaluator then probes it like any IN.
-			res, err := db.runSelect(context.Background(), t.Sub, hints)
-			if err != nil {
-				return nil, fmt.Errorf("sqldb: IN subquery: %w", err)
-			}
-			if len(res.Cols) != 1 {
-				return nil, fmt.Errorf("sqldb: IN subquery returns %d columns, want 1", len(res.Cols))
-			}
-			n := res.NumRows()
-			for i := 0; i < n; i++ {
-				out.List = append(out.List, &Lit{Val: res.Cols[0].Get(i)})
-			}
-			return out, nil
+		res, err := db.runSelect(context.Background(), t.Sub, hints)
+		if err != nil {
+			return nil, fmt.Errorf("sqldb: IN subquery: %w", err)
 		}
-		for _, x := range t.List {
-			rx, err := db.rewriteSubqueries(x, hints)
-			if err != nil {
-				return nil, err
-			}
-			out.List = append(out.List, rx)
+		if len(res.Cols) != 1 {
+			return nil, fmt.Errorf("sqldb: IN subquery returns %d columns, want 1", len(res.Cols))
+		}
+		out := &InExpr{E: x, Not: t.Not}
+		for i := 0; i < res.NumRows(); i++ {
+			out.List = append(out.List, &Lit{Val: res.Cols[0].Get(i)})
 		}
 		return out, nil
-	case *BetweenExpr:
-		sub, err := db.rewriteSubqueries(t.E, hints)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := db.rewriteSubqueries(t.Lo, hints)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := db.rewriteSubqueries(t.Hi, hints)
-		if err != nil {
-			return nil, err
-		}
-		return &BetweenExpr{E: sub, Lo: lo, Hi: hi, Not: t.Not}, nil
-	case *IsNullExpr:
-		sub, err := db.rewriteSubqueries(t.E, hints)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNullExpr{E: sub, Not: t.Not}, nil
-	default:
-		return e, nil
 	}
+	return e, nil
 }

@@ -48,14 +48,12 @@ func (db *DB) compileBatch(ctx context.Context, e Expr, schema []OutCol) (batchE
 		return x, err
 	}
 	seen := map[int]bool{}
-	walkExpr(e, func(n Expr) {
-		if cr, ok := n.(*ColRef); ok {
-			if i, err := resolveCol(cr, schema); err == nil && !seen[i] {
-				seen[i] = true
-				x.cols = append(x.cols, i)
-			}
+	for _, cr := range colRefs(e) {
+		if i, err := resolveCol(cr, schema); err == nil && !seen[i] {
+			seen[i] = true
+			x.cols = append(x.cols, i)
 		}
-	})
+	}
 	return x, nil
 }
 

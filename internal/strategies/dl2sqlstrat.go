@@ -205,11 +205,11 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 func estimateRelationalSelectivity(ctx context.Context, env *Context, q *colquery.Query) float64 {
 	db := env.Dataset.DB
 	var fabricConds []string
-	for _, c := range whereConjuncts(q.Stmt) {
-		if len(findNUDFs(c)) > 0 {
+	for _, c := range colquery.WhereConjuncts(q.Stmt) {
+		if len(colquery.NUDFCalls(c)) > 0 {
 			continue
 		}
-		rels := exprRelations(c)
+		rels := colquery.Qualifiers(c)
 		if len(rels) == 1 && rels[0] == "f" {
 			fabricConds = append(fabricConds, c.String())
 		}

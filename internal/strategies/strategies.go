@@ -122,9 +122,9 @@ type Context struct {
 	// for the DB-UDF and DB-PyTorch strategies. Enable with
 	// EnableInferCache; nil disables memoization at zero cost.
 	InferCache *cache.LRU[InferKey, int]
-	// SQLCache, when non-nil, is attached to every DL2SQL translator so
-	// repeated SQL inferences reuse memoized results and materialized
-	// intermediates. Enabled together with InferCache.
+	// SQLCache, when non-nil, is attached to every DL2SQL translator so a
+	// repeated SQL inference of the same model and input returns its
+	// memoized result. Enabled together with InferCache.
 	SQLCache *dl2sql.PipelineCache
 	// Timeout, when positive, bounds every Execute call: the strategy runs
 	// under a context.WithTimeout derived from the caller's context, and
@@ -451,11 +451,11 @@ func keyframeAlias(q *colquery.Query) string {
 // videoConds renders the single-relation conjuncts on the keyframe alias.
 func videoConds(q *colquery.Query, alias string) []string {
 	var out []string
-	for _, c := range whereConjuncts(q.Stmt) {
-		if len(findNUDFs(c)) > 0 {
+	for _, c := range colquery.WhereConjuncts(q.Stmt) {
+		if len(colquery.NUDFCalls(c)) > 0 {
 			continue
 		}
-		rels := exprRelations(c)
+		rels := colquery.Qualifiers(c)
 		if len(rels) == 1 && strings.EqualFold(rels[0], alias) {
 			out = append(out, c.String())
 		}

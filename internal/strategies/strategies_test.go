@@ -64,11 +64,31 @@ func TestAllStrategiesAgreeType4(t *testing.T) { agreeOnType(t, colquery.Type4) 
 
 func agreeOnType(t *testing.T, typ colquery.QueryType) {
 	t.Helper()
-	ctx := testContext(t)
 	q, err := colquery.GenerateAnalyzed(typ, colquery.TemplateParams{Selectivity: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
+	agreeOn(t, q)
+}
+
+// TestAllStrategiesAgreeCaseAcrossRelations: a conjunct whose CASE reads
+// the fabric relation is not a video-only predicate, so no strategy may
+// push it into its video-side candidate scan.
+func TestAllStrategiesAgreeCaseAcrossRelations(t *testing.T) {
+	q, err := colquery.Analyze(`SELECT patternID, F.transID AS transID FROM fabric F, video V
+		WHERE F.transID = V.transID
+		and V.videoID + CASE WHEN F.meter > 0 THEN 0 ELSE 0 END >= 0
+		and nUDF_detect(V.keyframe) = TRUE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agreeOn(t, q)
+}
+
+// agreeOn requires every strategy to return the same rows for q.
+func agreeOn(t *testing.T, q *colquery.Query) {
+	t.Helper()
+	ctx := testContext(t)
 	var wantKey string
 	var wantFrom string
 	for _, s := range All() {
@@ -86,7 +106,7 @@ func agreeOnType(t *testing.T, typ colquery.QueryType) {
 		}
 		if key != wantKey {
 			t.Fatalf("%s result differs from %s on %v:\n--- %s ---\n%s\n--- %s ---\n%s",
-				s.Name(), wantFrom, typ, wantFrom, wantKey, s.Name(), key)
+				s.Name(), wantFrom, q.Type, wantFrom, wantKey, s.Name(), key)
 		}
 	}
 }
