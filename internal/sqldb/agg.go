@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,6 +47,16 @@ func newAggStates(c *aggCall, groups int) aggStates {
 	return s
 }
 
+// grow extends the states to n groups.
+func (s *aggStates) grow(n int) {
+	if n > len(s.st) {
+		s.st = slices.Grow(s.st, n-len(s.st))[:n]
+		if s.ext != nil {
+			s.ext = slices.Grow(s.ext, n-len(s.ext))[:n]
+		}
+	}
+}
+
 // appendFrom adds group g of o as this partial's next group.
 func (s *aggStates) appendFrom(o *aggStates, g int) {
 	s.st = append(s.st, o.st[g])
@@ -71,12 +82,13 @@ func (s *aggState) addNum(kind string, v Datum) error {
 	return nil
 }
 
-// accumulate folds rows [lo, hi) of the call's argument vectors (indexed by
-// input row) into the states of their groups (gids, indexed from lo), row
-// by row in input order. skip, when non-nil, marks the rows whose value a
-// DISTINCT aggregate already saw in its group.
-func (s *aggStates) accumulate(gids []int32, args []vec, lo, hi int, skip []bool) error {
-	c := s.call
+// accumulate folds one block of input rows into the states of their
+// groups, row by row in input order: gids are the rows' groups, args the
+// call's argument vectors over the block, and row0 the block's first input
+// row. skip, when non-nil, marks the rows whose value a DISTINCT aggregate
+// already saw in its group.
+func (s *aggStates) accumulate(gids []int32, args []vec, row0 int, skip []bool) error {
+	c, n := s.call, len(gids)
 	if c.star {
 		for _, g := range gids {
 			s.st[g].count++
@@ -92,7 +104,7 @@ func (s *aggStates) accumulate(gids []int32, args []vec, lo, hi int, skip []bool
 			// Typed fast paths: values straight from the column vector.
 			switch col.Type {
 			case TFloat:
-				for i, f := range col.Floats[lo:hi] {
+				for i, f := range col.Floats[:n] {
 					st := &s.st[gids[i]]
 					st.sawFloat = true
 					st.count++
@@ -101,7 +113,7 @@ func (s *aggStates) accumulate(gids []int32, args []vec, lo, hi int, skip []bool
 				}
 				return nil
 			case TInt:
-				for i, x := range col.Ints[lo:hi] {
+				for i, x := range col.Ints[:n] {
 					st := &s.st[gids[i]]
 					st.intSum += x
 					f := float64(x)
@@ -118,11 +130,11 @@ func (s *aggStates) accumulate(gids []int32, args []vec, lo, hi int, skip []bool
 	default:
 		return fmt.Errorf("sqldb: unknown aggregate %q", c.kind)
 	}
-	for r := lo; r < hi; r++ {
-		if v.isNull(r) || (skip != nil && skip[r-lo]) {
+	for r := 0; r < n; r++ {
+		if v.isNull(r) || (skip != nil && skip[r]) {
 			continue // SQL aggregates skip NULLs
 		}
-		g := gids[r-lo]
+		g := gids[r]
 		st := &s.st[g]
 		switch {
 		case numeric:
@@ -148,14 +160,14 @@ func (s *aggStates) accumulate(gids []int32, args []vec, lo, hi int, skip []bool
 			}
 			x := &s.ext[g]
 			if st.count == 0 {
-				x.arg, x.best, x.argRow = v.get(r), ord, r
+				x.arg, x.best, x.argRow = v.get(r), ord, row0+r
 			} else {
 				cmp, err := Compare(ord, x.best)
 				if err != nil {
 					return err
 				}
 				if (c.kind == "argmax" && cmp > 0) || (c.kind == "argmin" && cmp < 0) {
-					x.arg, x.best, x.argRow = v.get(r), ord, r
+					x.arg, x.best, x.argRow = v.get(r), ord, row0+r
 				}
 			}
 			st.count++
@@ -164,16 +176,16 @@ func (s *aggStates) accumulate(gids []int32, args []vec, lo, hi int, skip []bool
 	return nil
 }
 
-// distinctSkips marks the rows of [lo, hi) whose non-NULL value of v its
-// group (gids, indexed from lo) already saw: COUNT(DISTINCT) and friends
-// dedupe (group, value) pairs through the same key table as GROUP BY.
-func distinctSkips(gids []int32, v vec, lo, hi int) []bool {
-	n := hi - lo
+// distinctSkips marks the rows whose non-NULL value of v their group (gids)
+// already saw: COUNT(DISTINCT) and friends dedupe (group, value) pairs
+// through the same key table as GROUP BY.
+func distinctSkips(gids []int32, v vec) []bool {
+	n := len(gids)
 	g := make([]int64, n)
 	for i, id := range gids {
 		g[i] = int64(id)
 	}
-	keys := []vec{{col: &Column{Type: TInt, Ints: g}}, v.slice(lo, hi)}
+	keys := []vec{{col: &Column{Type: TInt, Ints: g}}, v}
 	kt := newKeyTable(keys, n)
 	skip := make([]bool, n)
 	_ = hashBlocks(keys, 0, n, false, func(start int, h []uint64, _ []bool) error {
@@ -345,10 +357,81 @@ type aggPartial struct {
 	states []aggStates
 }
 
+// aggInput is the rows an aggregate reads: its child's Result or, when the
+// child is a join, the join's match pairs, so the join's output is never
+// materialised. res holds the columns the group keys read: the child's
+// Result itself, or those columns gathered at the pairs.
+type aggInput struct {
+	res *Result
+	m   *joinMatch // nil unless the child is a join
+	n   int
+}
+
+// execAggInput runs the aggregate's child. A join child runs under its own
+// plan node — span, actuals and memory charge (its pairs and the key
+// columns) stay the join's.
+func (db *DB) execAggInput(a *LAgg, ec *execCtx) (*aggInput, error) {
+	j, ok := a.Child.(*LJoin)
+	if !ok {
+		res, err := db.execPlan(a.Child, ec)
+		if err != nil {
+			return nil, err
+		}
+		return &aggInput{res: res, n: res.NumRows()}, nil
+	}
+	in := &aggInput{}
+	err := db.node(j, ec, func() (int, error) {
+		m, start, err := db.matchJoin(j, ec)
+		if err != nil {
+			return 0, err
+		}
+		schema := j.OutSchema()
+		in.m, in.n = m, len(m.lIdx)
+		in.res = m.gather(readBy(make([]bool, len(schema)), schema, a.GroupBy...))
+		ec.profAdd(OpJoin, in.n, start)
+		if err := ec.chargeBytes(8 * int64(in.n)); err != nil {
+			return 0, err
+		}
+		return in.n, ec.charge(in.res)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// block returns a Result for one block of the input's rows of the columns
+// at positions cols, each in a column header (and, over a join, buffers)
+// of its own that every fill reuses.
+func (in *aggInput) block(cols []int) *Result {
+	b := &Result{Schema: in.res.Schema, Cols: make([]*Column, len(in.res.Schema))}
+	for _, ci := range cols {
+		b.Cols[ci] = &Column{}
+	}
+	return b
+}
+
+// fill loads input rows [lo, hi) of the columns at positions cols into
+// block b: slices of the child's columns, or the values at the join's
+// match pairs.
+func (in *aggInput) fill(b *Result, cols []int, lo, hi int) {
+	b.rows = hi - lo
+	for _, ci := range cols {
+		switch m := in.m; {
+		case m == nil:
+			in.res.Cols[ci].sliceInto(b.Cols[ci], lo, hi)
+		case ci < len(m.left.Cols):
+			gatherInto(b.Cols[ci], m.left.Cols[ci], m.lIdx[lo:hi])
+		default:
+			gatherInto(b.Cols[ci], m.right.Cols[ci-len(m.left.Cols)], m.rIdx[lo:hi])
+		}
+	}
+}
+
 // execAgg performs hash aggregation and evaluates the SELECT items over the
 // per-group aggregate values.
 func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
-	child, err := db.execPlan(a.Child, ec)
+	in, err := db.execAggInput(a, ec)
 	if err != nil {
 		return nil, err
 	}
@@ -381,11 +464,13 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		}
 	}
 
-	n := child.NumRows()
+	n := in.n
 	deg := ec.parDegreeFor(n)
 	var argExprs []Expr
+	hasDistinct := false
 	for _, c := range calls {
 		if c.distinct {
+			hasDistinct = true
 			deg = 1 // per-partial distinct sets would double count
 		}
 		argExprs = append(argExprs, c.args...)
@@ -394,31 +479,23 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		deg = 1
 	}
 
-	// Evaluate the group keys and aggregate arguments as vectors over the
-	// whole input; chunks hash their rows' keys a block at a time below.
+	// Evaluate the group keys as vectors over the whole input; chunks hash
+	// their rows' keys a block at a time below.
+	schema := in.res.Schema
 	keyX := make([]vecExpr, len(a.GroupBy))
 	for i, g := range a.GroupBy {
-		if keyX[i], err = db.compileVec(ec.ctx, g, child.Schema, nil); err != nil {
+		if keyX[i], err = db.compileVec(ec.ctx, g, schema, nil); err != nil {
 			return nil, err
 		}
 	}
-	keys, err := db.evalVecs(ec, keyX, child, n, deg)
+	keys, err := db.evalVecs(ec, keyX, in.res, n, deg)
 	if err != nil {
 		return nil, err
 	}
-	args := make([][]vec, len(calls))
-	for i, c := range calls {
-		if c.star {
-			continue
-		}
-		argX := make([]vecExpr, len(c.args))
-		for j, e := range c.args {
-			if argX[j], err = db.compileVec(ec.ctx, e, child.Schema, nil); err != nil {
-				return nil, err
-			}
-		}
-		if args[i], err = db.evalVecs(ec, argX, child, n, deg); err != nil {
-			return nil, err
+	var argCols []int // the input columns the arguments read
+	for i, read := range readBy(make([]bool, len(schema)), schema, argExprs...) {
+		if read {
+			argCols = append(argCols, i)
 		}
 	}
 
@@ -430,9 +507,39 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	// partial sums accumulate deterministically. Chunks are ascending row
 	// ranges, so numbering the merged groups chunk by chunk reproduces the
 	// serial first-seen group order exactly.
+	//
+	// A chunk runs one block of hashBlock rows at a time: it numbers the
+	// block's groups, loads the block's argument columns into buffers it
+	// reuses, evaluates the arguments over them into buffers of their own
+	// and folds the values into the group states, so no argument vector over
+	// the whole input exists. A DISTINCT argument is kept for its chunk, the
+	// dedupe's representative rows.
 	aggregateRange := func(lo, hi int) (*aggPartial, error) {
 		p := &aggPartial{kt: newKeyTable(keys, 64), states: make([]aggStates, len(calls))}
-		gids := make([]int32, hi-lo)
+		argX := make([][]vecExpr, len(calls))
+		for i, c := range calls {
+			p.states[i] = newAggStates(c, 0)
+			if c.star {
+				continue
+			}
+			argX[i] = make([]vecExpr, len(c.args))
+			for j, e := range c.args {
+				x, err := db.compileVecBuf(ec.ctx, e, schema, nil, !c.distinct)
+				if err != nil {
+					return nil, err
+				}
+				argX[i][j] = x
+			}
+		}
+		blk := in.block(argCols)
+		// Group ids live for a block, but for the chunk when a DISTINCT
+		// aggregate dedupes it.
+		gids := make([]int32, min(hi-lo, hashBlock))
+		if hasDistinct {
+			gids = make([]int32, hi-lo)
+		}
+		args := make([]vec, 2)
+		distinct := make([][]vec, len(calls))
 		if err := hashBlocks(keys, lo, hi, false, func(start int, h []uint64, _ []bool) error {
 			// Cancellation point: chunks can exceed morselRows (and the
 			// serial path is one full-range chunk), so the row loop checks
@@ -440,21 +547,43 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 			if err := ec.check(); err != nil {
 				return err
 			}
+			g := gids[:len(h)]
+			if hasDistinct {
+				g = gids[start-lo:][:len(h)]
+			}
 			for i, x := range h {
-				gids[start+i-lo], _ = p.kt.insert(x, start+i)
+				g[i], _ = p.kt.insert(x, start+i)
+			}
+			in.fill(blk, argCols, start, start+len(h))
+			for i, c := range calls {
+				args := args[:len(argX[i])]
+				for j, x := range argX[i] {
+					v, err := x.eval(blk, 0, len(h))
+					if err != nil {
+						return err
+					}
+					args[j] = v
+				}
+				if c.distinct && !c.star {
+					distinct[i] = append(distinct[i], args[0].clone())
+					continue
+				}
+				p.states[i].grow(p.kt.len())
+				if err := p.states[i].accumulate(g, args, start, nil); err != nil {
+					return err
+				}
 			}
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		for i, c := range calls {
-			p.states[i] = newAggStates(c, p.kt.len())
-			var skip []bool
-			if c.distinct && !c.star {
-				skip = distinctSkips(gids, args[i][0], lo, hi)
-			}
-			if err := p.states[i].accumulate(gids, args[i], lo, hi, skip); err != nil {
-				return nil, err
+		for i := range calls {
+			p.states[i].grow(p.kt.len())
+			if distinct[i] != nil {
+				v := concatVecs(distinct[i], hi-lo)
+				if err := p.states[i].accumulate(gids, []vec{v}, lo, distinctSkips(gids, v)); err != nil {
+					return nil, err
+				}
 			}
 		}
 		return p, nil
@@ -528,7 +657,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	// Evaluate HAVING over the intermediate result.
 	if a.Having != nil {
 		hav := rewriteAggRefs(a.Having, aggCols, grpCols)
-		filtered, err := db.execFilter(inter, []Expr{hav}, ec, OpFilter)
+		filtered, err := db.execFilter(inter, []Expr{hav}, ec, nil)
 		if err != nil {
 			return nil, err
 		}

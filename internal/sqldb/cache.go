@@ -475,10 +475,9 @@ func (rw *rewriter) plan(p Plan) (Plan, bool) {
 		r, c2 := rw.plan(t.R)
 		el, c3 := each(t.EquiL, rw.expr)
 		er, c4 := each(t.EquiR, rw.expr)
-		res, c5 := each(t.Residual, rw.expr)
-		if c1 || c2 || c3 || c4 || c5 {
+		if c1 || c2 || c3 || c4 {
 			c := *t
-			c.L, c.R, c.EquiL, c.EquiR, c.Residual = l, r, el, er, res
+			c.L, c.R, c.EquiL, c.EquiR = l, r, el, er
 			return &c, true
 		}
 	case *LProject:

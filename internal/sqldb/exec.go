@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -173,8 +172,9 @@ func (ns *NodeStats) ParSkew() float64 {
 //
 // The lifecycle fields follow the same zero-cost discipline: ctx is nil
 // unless the caller passed a cancellable context (checked once per plan
-// node and at every morsel boundary), memUsed is nil unless a memory
-// budget is armed, and faults is nil outside chaos tests.
+// node and at every morsel boundary), charged is nil unless a memory
+// budget is armed, and faults is nil outside chaos tests. The budget's
+// fields are only touched on the statement's own goroutine.
 type execCtx struct {
 	prof  *Profile
 	nodes map[Plan]*NodeStats
@@ -184,7 +184,8 @@ type execCtx struct {
 
 	ctx       context.Context
 	memBudget int64
-	memUsed   *atomic.Int64
+	memUsed   int64
+	charged   map[*Column]bool // the columns memUsed counts
 	faults    *faults.Injector
 
 	// acct is the statement's resource accounting, non-nil only when the
@@ -199,24 +200,35 @@ type execCtx struct {
 	stamp time.Time
 }
 
-// execPlan evaluates a plan tree to a materialized result, recording
-// per-node actuals and emitting operator spans when the context asks for
-// them. It is also the executor's per-node lifecycle gate: the query
-// context is checked before the node runs, and the node's materialized
-// output is charged against the memory budget after it.
-func (db *DB) execPlan(p Plan, ec *execCtx) (*Result, error) {
-	if err := ec.check(); err != nil {
+// execPlan evaluates a plan tree to a result, recording per-node actuals
+// and emitting operator spans when the context asks for them (see node).
+// The node's output is charged against the memory budget.
+func (db *DB) execPlan(p Plan, ec *execCtx) (res *Result, err error) {
+	err = db.node(p, ec, func() (int, error) {
+		var err error
+		if res, err = db.execPlanNode(p, ec); err != nil {
+			return 0, err
+		}
+		return res.NumRows(), ec.charge(res)
+	})
+	if err != nil {
 		return nil, err
 	}
+	return res, nil
+}
+
+// node runs plan node p's operator, run, which returns the node's output
+// row count. It is the executor's per-node lifecycle gate: the query
+// context is checked before the node runs, and when the statement is
+// traced or analysed, run executes inside the node's span and its rows
+// and time are recorded as the node's actuals.
+func (db *DB) node(p Plan, ec *execCtx, run func() (int, error)) error {
+	if err := ec.check(); err != nil {
+		return err
+	}
 	if ec.nodes == nil && ec.span == nil {
-		res, err := db.execPlanNode(p, ec)
-		if err != nil {
-			return nil, err
-		}
-		if err := ec.charge(res); err != nil {
-			return nil, err
-		}
-		return res, nil
+		_, err := run()
+		return err
 	}
 	// Span timestamps chain through ec.stamp: every operator's profAdd
 	// accounting already reads the clock at its node boundary, so the traced
@@ -235,18 +247,15 @@ func (db *DB) execPlan(p Plan, ec *execCtx) (*Result, error) {
 	// place instead of heap-copying the execCtx for every node.
 	prevSpan, prevNode := ec.span, ec.node
 	ec.span, ec.node = sp, p
-	res, err := db.execPlanNode(p, ec)
+	rows, err := run()
 	ec.span, ec.node = prevSpan, prevNode
-	if err == nil {
-		err = ec.charge(res)
-	}
 	if !ec.stamp.After(spStart) {
 		// The node had no accounting site (and no child that ran one): one
 		// fresh read closes its span.
 		ec.stamp = time.Now()
 	}
 	if err == nil {
-		sp.SetAttr("rows", res.NumRows())
+		sp.SetAttr("rows", rows)
 		if ec.nodes != nil {
 			ns := ec.nodes[p]
 			if ns == nil {
@@ -254,17 +263,14 @@ func (db *DB) execPlan(p Plan, ec *execCtx) (*Result, error) {
 				ec.nodes[p] = ns
 			}
 			ns.Calls++
-			ns.Rows += res.NumRows()
+			ns.Rows += rows
 			// EXPLAIN ANALYZE reports the span's own interval: the node's
 			// time is read once, by profAdd, whatever sink shows it.
 			ns.Nanos += ec.stamp.Sub(spStart).Nanoseconds()
 		}
 	}
 	sp.FinishAt(ec.stamp)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return err
 }
 
 // scanLabels caches "Scan <table>" / "SysScan <name>" strings: the label
@@ -330,7 +336,7 @@ func (db *DB) execPlanNode(p Plan, ec *execCtx) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return db.execFilter(child, t.Conds, ec, OpFilter)
+		return db.execFilter(child, t.Conds, ec, nil)
 	case *LJoin:
 		return db.execJoin(t, ec)
 	case *LProject:
@@ -360,7 +366,7 @@ func (db *DB) execPlanNode(p Plan, ec *execCtx) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Schema: t.schema, Cols: child.Cols}, nil
+		return &Result{Schema: t.schema, Cols: child.Cols, rows: child.NumRows()}, nil
 	}
 	return nil, fmt.Errorf("sqldb: cannot execute plan node %T", p)
 }
@@ -376,20 +382,27 @@ func (db *DB) execScan(s *LScan, ec *execCtx) (*Result, error) {
 	// lengths (appends write at indices beyond every snapshot's length;
 	// in-place UPDATEs still require external coordination).
 	res := &Result{Schema: s.schema, Cols: t.SnapshotCols()}
-	ec.profAdd(OpScan, res.NumRows(), start)
+	res.rows = res.NumRows()
+	ec.profAdd(OpScan, res.rows, start)
 	if len(s.Filters) > 0 {
-		return db.execFilter(res, s.Filters, ec, OpFilter)
+		return db.execFilter(res, s.Filters, ec, s.used)
+	}
+	for i := range res.Cols {
+		if i < len(s.used) && !s.used[i] {
+			res.Cols[i] = nil // no ancestor reads it
+		}
 	}
 	return res, nil
 }
 
-// execFilter applies conjuncts, producing a compacted result. Conjuncts of
-// the shape `column op literal` run through vectorized kernels streaming
-// over the column vectors (their results intersected); remaining conjuncts
-// — UDF calls, multi-column predicates — are evaluated one at a time over
-// the rows the earlier ones kept, preserving the optimizer's
+// execFilter applies conjuncts, producing a compacted result of the
+// columns at the positions used marks (nil: every materialised column).
+// Conjuncts of the shape `column op literal` run through vectorized kernels
+// streaming over the column vectors (their results intersected); remaining
+// conjuncts — UDF calls, multi-column predicates — are evaluated one at a
+// time over the rows the earlier ones kept, preserving the optimizer's
 // expensive-predicate ordering among them, with their UDF calls batched.
-func (db *DB) execFilter(in *Result, conds []Expr, ec *execCtx, opName string) (*Result, error) {
+func (db *DB) execFilter(in *Result, conds []Expr, ec *execCtx, used []bool) (*Result, error) {
 	start := time.Now()
 	var vecs []vectorPred
 	var generic []Expr
@@ -439,11 +452,8 @@ func (db *DB) execFilter(in *Result, conds []Expr, ec *execCtx, opName string) (
 	for _, k := range keeps {
 		keep = append(keep, k...)
 	}
-	out := &Result{Schema: in.Schema, Cols: make([]*Column, len(in.Cols))}
-	for i, c := range in.Cols {
-		out.Cols[i] = c.Gather(keep)
-	}
-	ec.profAdd(opName, n, start)
+	out := gatherRows(in, keep, used)
+	ec.profAdd(OpFilter, n, start)
 	return out, nil
 }
 
@@ -618,10 +628,7 @@ func (db *DB) execDistinct(in *Result, ec *execCtx) (*Result, error) {
 		}
 		return nil
 	})
-	out := &Result{Schema: in.Schema, Cols: make([]*Column, len(in.Cols))}
-	for i, c := range in.Cols {
-		out.Cols[i] = c.Gather(keep)
-	}
+	out := gatherRows(in, keep, nil)
 	ec.profAdd(OpDistinct, n, start)
 	return out, nil
 }
@@ -687,10 +694,7 @@ func (db *DB) execSort(in *Result, keys []OrderItem, ec *execCtx) (*Result, erro
 	if sortErr != nil {
 		return nil, sortErr
 	}
-	out := &Result{Schema: in.Schema, Cols: make([]*Column, len(in.Cols))}
-	for i, c := range in.Cols {
-		out.Cols[i] = c.Gather(idx)
-	}
+	out := gatherRows(in, idx, nil)
 	ec.profAdd(OpSort, n, start)
 	return out, nil
 }
@@ -714,10 +718,7 @@ func (db *DB) execLimit(in *Result, limit, offset int, ec *execCtx) (*Result, er
 	for i := lo; i < hi; i++ {
 		idx = append(idx, i)
 	}
-	out := &Result{Schema: in.Schema, Cols: make([]*Column, len(in.Cols))}
-	for i, c := range in.Cols {
-		out.Cols[i] = c.Gather(idx)
-	}
+	out := gatherRows(in, idx, nil)
 	ec.profAdd(OpLimit, n, start)
 	return out, nil
 }

@@ -41,14 +41,37 @@ type OutCol struct {
 type Result struct {
 	Schema []OutCol
 	Cols   []*Column
+	// rows counts the rows when no column is materialised: inside a query,
+	// operators leave nil the columns no ancestor reads (see prune.go).
+	rows int
 }
 
 // NumRows returns the row count of the result.
 func (r *Result) NumRows() int {
-	if len(r.Cols) == 0 {
-		return 0
+	for _, c := range r.Cols {
+		if c != nil {
+			return c.Len()
+		}
 	}
-	return r.Cols[0].Len()
+	return r.rows
+}
+
+// gatherRows returns rows idx of in, gathering its materialised columns at
+// the positions used marks (nil: every position).
+func gatherRows[I int | int32](in *Result, idx []I, used []bool) *Result {
+	out := &Result{Schema: in.Schema, Cols: make([]*Column, len(in.Cols)), rows: len(idx)}
+	gatherCols(out.Cols, in.Cols, idx, used)
+	return out
+}
+
+// gatherCols sets dst[i] to rows idx of src[i] for every materialised
+// column at a position used marks (nil: every position).
+func gatherCols[I int | int32](dst, src []*Column, idx []I, used []bool) {
+	for i, c := range src {
+		if c != nil && (used == nil || used[i]) {
+			dst[i] = gather(c, idx)
+		}
+	}
 }
 
 // ColIndex resolves a possibly-qualified column name against the result

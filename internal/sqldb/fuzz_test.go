@@ -1,6 +1,11 @@
 package sqldb
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/qerr"
+)
 
 // parseSeeds are FuzzParse's inline seeds; FuzzRewrite starts from them
 // too.
@@ -58,22 +63,38 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzExec runs arbitrary statements against a small database: any outcome
-// except a panic is acceptable.
+// FuzzExec runs arbitrary statements against a small database of two
+// joinable tables. Any outcome but an engine fault is acceptable: Exec
+// recovers panics into qerr.ErrInternal, so the target fails on that error
+// class.
 func FuzzExec(f *testing.F) {
+	for _, s := range parseSeeds {
+		f.Add(s)
+	}
 	f.Add("SELECT id FROM emp WHERE salary > 50")
 	f.Add("SELECT count(*) FROM emp GROUP BY dept")
 	f.Add("UPDATE emp SET salary = salary * 2 WHERE id = 1")
 	f.Add("SELECT 1/0, abs('x')")
+	f.Add("SELECT e.name, d.floor FROM emp e JOIN dept d ON e.dept = d.name WHERE d.floor > 1")
+	f.Add("SELECT d.floor, sum(e.salary * d.floor) AS s, count(DISTINCT e.name) FROM emp e, dept d WHERE e.dept = d.name GROUP BY d.floor HAVING count(*) > 0")
+	f.Add("SELECT count(*) FROM emp e LEFT JOIN dept d ON e.dept = d.name")
+	f.Add("SELECT x.n FROM (SELECT * FROM emp e, dept d WHERE e.id < d.floor) x ORDER BY x.salary")
+	f.Add("SELECT e.id, d.name FROM emp e, dept d WHERE e.dept = d.name UNION ALL SELECT 1, 'z'")
 	f.Fuzz(func(t *testing.T, sql string) {
 		db := New()
 		db.Profile = NewProfile()
-		if _, err := db.Exec(`CREATE TABLE emp (id Int64, name String, dept String, salary Float64)`); err != nil {
-			t.Fatal(err)
+		for _, s := range []string{
+			`CREATE TABLE emp (id Int64, name String, dept String, salary Float64)`,
+			`INSERT INTO emp VALUES (1, 'a', 'x', 10.0), (2, 'b', 'y', 20.0), (3, 'c', 'x', NULL)`,
+			`CREATE TABLE dept (name String, floor Int64, n Int64)`,
+			`INSERT INTO dept VALUES ('x', 1, 7), ('y', 2, NULL), ('z', 3, 9)`,
+		} {
+			if _, err := db.Exec(s); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := db.Exec(`INSERT INTO emp VALUES (1, 'a', 'x', 10.0), (2, 'b', 'y', 20.0)`); err != nil {
-			t.Fatal(err)
+		if _, err := db.Exec(sql); errors.Is(err, qerr.ErrInternal) {
+			t.Fatalf("%q: %v", sql, err)
 		}
-		_, _ = db.Exec(sql)
 	})
 }

@@ -7,26 +7,67 @@ import (
 	"repro/internal/par"
 )
 
-// execJoin dispatches to the hash, symmetric-hash, or nested-loop join.
-func (db *DB) execJoin(j *LJoin, ec *execCtx) (*Result, error) {
-	left, err := db.execPlan(j.L, ec)
-	if err != nil {
-		return nil, err
+// joinMatch is a join's output before materialisation: its inputs and its
+// match pairs. Output row i is row lIdx[i] of left beside row rIdx[i] of
+// right; rIdx -1 pads an outer join's unmatched row with NULLs.
+type joinMatch struct {
+	left, right *Result
+	lIdx, rIdx  []int32
+}
+
+// matchJoin runs a join's inputs and matches their rows with the hash,
+// symmetric-hash or nested-loop join; start is when the join's own work
+// began.
+func (db *DB) matchJoin(j *LJoin, ec *execCtx) (m *joinMatch, start time.Time, err error) {
+	m = &joinMatch{}
+	if m.left, err = db.execPlan(j.L, ec); err != nil {
+		return nil, start, err
 	}
-	right, err := db.execPlan(j.R, ec)
-	if err != nil {
-		return nil, err
+	if m.right, err = db.execPlan(j.R, ec); err != nil {
+		return nil, start, err
 	}
+	start = time.Now()
 	switch {
 	case j.LeftOuter:
-		return db.leftOuterHashJoin(left, right, j, ec)
+		m.lIdx, m.rIdx, err = db.leftOuterHashJoin(m.left, m.right, j, ec)
 	case len(j.EquiL) == 0:
-		return db.nestedLoopJoin(left, right, j.Residual, ec)
+		m.lIdx, m.rIdx, err = db.nestedLoopJoin(m.left, m.right, ec)
 	case j.Symmetric:
-		return db.symmetricHashJoin(left, right, j, ec)
+		m.lIdx, m.rIdx, err = db.symmetricHashJoin(m.left, m.right, j, ec)
 	default:
-		return db.hashJoin(left, right, j, ec)
+		m.lIdx, m.rIdx, err = db.hashJoin(m.left, m.right, j, ec)
 	}
+	if err != nil {
+		return nil, start, err
+	}
+	return m, start, nil
+}
+
+// gather materialises the join's output columns at the positions used
+// marks (nil: every position).
+func (m *joinMatch) gather(used []bool) *Result {
+	nl, n := len(m.left.Schema), len(m.left.Schema)+len(m.right.Schema)
+	out := &Result{Schema: make([]OutCol, 0, n), Cols: make([]*Column, n), rows: len(m.lIdx)}
+	out.Schema = append(append(out.Schema, m.left.Schema...), m.right.Schema...)
+	var lu, ru []bool
+	if used != nil {
+		lu, ru = used[:nl], used[nl:]
+	}
+	gatherCols(out.Cols[:nl], m.left.Cols, m.lIdx, lu)
+	gatherCols(out.Cols[nl:], m.right.Cols, m.rIdx, ru)
+	return out
+}
+
+// execJoin materialises the columns of a join's output that its ancestors
+// read.
+func (db *DB) execJoin(j *LJoin, ec *execCtx) (*Result, error) {
+	m, start, err := db.matchJoin(j, ec)
+	if err != nil {
+		return nil, err
+	}
+	out := m.gather(j.used)
+	ec.profAdd(OpJoin, out.NumRows(), start)
+	return out, nil
 }
 
 // joinSide is one join input's key vectors. Rows are hashed a block at a
@@ -217,15 +258,14 @@ func (db *DB) probeJoin(ec *execCtx, ix *joinIndex, p *joinSide, deg int, outer 
 // hash-partitioned sub-tables, the probe via per-morsel pair counts that
 // place each morsel's matches in morsel order — and produce the same match
 // list as the serial loops.
-func (db *DB) hashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Result, error) {
-	start := time.Now()
+func (db *DB) hashJoin(left, right *Result, j *LJoin, ec *execCtx) (lIdx, rIdx []int32, err error) {
 	l, err := db.joinSide(left, j.EquiL, ec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r, err := db.joinSide(right, j.EquiR, ec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	buildLeft := left.NumRows() <= right.NumRows()
 	b, p := l, r
@@ -234,52 +274,34 @@ func (db *DB) hashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Result, err
 	}
 	ix := buildJoinIndex(ec.ctx, b, ec.parDegreeFor(b.len()))
 	if err := ec.check(); err != nil {
-		return nil, err // the build may be partial after cancellation
+		return nil, nil, err // the build may be partial after cancellation
 	}
 	pIdx, bIdx, err := db.probeJoin(ec, ix, p, ec.parDegreeFor(p.len()), false)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var lIdx, rIdx []int32
 	if buildLeft {
-		lIdx, rIdx = bIdx, pIdx
-	} else {
-		lIdx, rIdx = pIdx, bIdx
+		return bIdx, pIdx, nil
 	}
-	out := gatherJoin(left, right, lIdx, rIdx)
-	ec.profAdd(OpJoin, out.NumRows(), start)
-	if len(j.Residual) > 0 {
-		return db.execFilter(out, j.Residual, ec, OpFilter)
-	}
-	return out, nil
+	return pIdx, bIdx, nil
 }
 
 // leftOuterHashJoin builds on the right side and probes from the left;
 // unmatched left rows are emitted once with NULL-padded right columns.
-func (db *DB) leftOuterHashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Result, error) {
-	start := time.Now()
+func (db *DB) leftOuterHashJoin(left, right *Result, j *LJoin, ec *execCtx) (lIdx, rIdx []int32, err error) {
 	l, err := db.joinSide(left, j.EquiL, ec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r, err := db.joinSide(right, j.EquiR, ec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ix := buildJoinIndex(ec.ctx, r, ec.parDegreeFor(r.len()))
 	if err := ec.check(); err != nil {
-		return nil, err // the build may be partial after cancellation
+		return nil, nil, err // the build may be partial after cancellation
 	}
-	lIdx, rIdx, err := db.probeJoin(ec, ix, l, ec.parDegreeFor(l.len()), true)
-	if err != nil {
-		return nil, err
-	}
-	out := gatherJoin(left, right, lIdx, rIdx)
-	ec.profAdd(OpJoin, out.NumRows(), start)
-	if len(j.Residual) > 0 {
-		return db.execFilter(out, j.Residual, ec, OpFilter)
-	}
-	return out, nil
+	return db.probeJoin(ec, ix, l, ec.parDegreeFor(l.len()), true)
 }
 
 // symmetricHashJoin implements the paper's hint rule 3: both inputs are
@@ -290,15 +312,14 @@ func (db *DB) leftOuterHashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Re
 // behaviour of the paper is modelled by processing in bucket-grouped order.
 // The alternating insert/probe schedule is inherently sequential, so this
 // join always runs serially (its key evaluation still parallelizes).
-func (db *DB) symmetricHashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Result, error) {
-	start := time.Now()
+func (db *DB) symmetricHashJoin(left, right *Result, j *LJoin, ec *execCtx) (lIdx, rIdx []int32, err error) {
 	l, err := db.joinSide(left, j.EquiL, ec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r, err := db.joinSide(right, j.EquiR, ec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ln, rn := l.len(), r.len()
 	lHash, rHash := make([]uint64, ln), make([]uint64, rn)
@@ -314,7 +335,6 @@ func (db *DB) symmetricHashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Re
 	lHT := joinPart{kt: newKeyTable(l.keys, 0)}
 	rHT := joinPart{kt: newKeyTable(r.keys, 0)}
 	lNext, rNext := make([]int32, ln), make([]int32, rn)
-	var lIdx, rIdx []int32
 	max := ln
 	if rn > max {
 		max = rn
@@ -325,7 +345,7 @@ func (db *DB) symmetricHashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Re
 	for i := 0; i < max; i++ {
 		if i%morselRows == 0 {
 			if err := ec.check(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		if i < ln && (lNull == nil || !lNull[i]) {
@@ -347,25 +367,20 @@ func (db *DB) symmetricHashJoin(left, right *Result, j *LJoin, ec *execCtx) (*Re
 			rHT.add(h, i, rNext)
 		}
 	}
-	out := gatherJoin(left, right, lIdx, rIdx)
-	ec.profAdd(OpJoin, out.NumRows(), start)
-	if len(j.Residual) > 0 {
-		return db.execFilter(out, j.Residual, ec, OpFilter)
-	}
-	return out, nil
+	return lIdx, rIdx, nil
 }
 
 // nestedLoopJoin handles joins without equi conditions (cross joins and
 // non-equi predicates such as the paper's Type 4
-// `F.patternID != nUDF_recog(V.keyframe)`). The cross product is fanned
-// out over left-row morsels; each morsel's pair block is a contiguous,
-// position-computable slice of the full product, so workers write disjoint
-// regions of the final index slices directly.
-func (db *DB) nestedLoopJoin(left, right *Result, residual []Expr, ec *execCtx) (*Result, error) {
-	start := time.Now()
+// `F.patternID != nUDF_recog(V.keyframe)`, which an LFilter applies above
+// the join). The cross product is fanned out over left-row morsels; each
+// morsel's pair block is a contiguous, position-computable slice of the
+// full product, so workers write disjoint regions of the final index
+// slices directly.
+func (db *DB) nestedLoopJoin(left, right *Result, ec *execCtx) (lIdx, rIdx []int32, err error) {
 	ln, rn := left.NumRows(), right.NumRows()
-	lIdx := make([]int32, ln*rn)
-	rIdx := make([]int32, ln*rn)
+	lIdx = make([]int32, ln*rn)
+	rIdx = make([]int32, ln*rn)
 	deg := 1
 	if rn > 0 {
 		deg = ec.parDegreeFor(ln * rn)
@@ -385,29 +400,7 @@ func (db *DB) nestedLoopJoin(left, right *Result, residual []Expr, ec *execCtx) 
 	})
 	db.notePar(ec, stats)
 	if err := ec.check(); err != nil {
-		return nil, err // the cross-product fill may be partial
+		return nil, nil, err // the cross-product fill may be partial
 	}
-	out := gatherJoin(left, right, lIdx, rIdx)
-	ec.profAdd(OpJoin, out.NumRows(), start)
-	if len(residual) > 0 {
-		return db.execFilter(out, residual, ec, OpFilter)
-	}
-	return out, nil
-}
-
-// gatherJoin materializes the joined result from matched index pairs.
-func gatherJoin(left, right *Result, lIdx, rIdx []int32) *Result {
-	out := &Result{
-		Schema: make([]OutCol, 0, len(left.Schema)+len(right.Schema)),
-		Cols:   make([]*Column, 0, len(left.Cols)+len(right.Cols)),
-	}
-	out.Schema = append(out.Schema, left.Schema...)
-	out.Schema = append(out.Schema, right.Schema...)
-	for _, c := range left.Cols {
-		out.Cols = append(out.Cols, gather(c, lIdx))
-	}
-	for _, c := range right.Cols {
-		out.Cols = append(out.Cols, gather(c, rIdx))
-	}
-	return out
+	return lIdx, rIdx, nil
 }

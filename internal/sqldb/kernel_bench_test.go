@@ -16,7 +16,7 @@ const (
 
 // q1Tables loads the FeatureMap {MatrixID, OrderID, Value} and Kernel
 // {KernelID, OrderID, Value} tables of one Q1.
-func q1Tables(b *testing.B) *DB {
+func q1Tables(b testing.TB) *DB {
 	b.Helper()
 	db := New()
 	fm, err := db.CreateTable("fm", Schema{{Name: "MatrixID", Type: TInt}, {Name: "OrderID", Type: TInt}, {Name: "Value", Type: TFloat}})
@@ -55,6 +55,26 @@ func BenchmarkHashJoin(b *testing.B) {
 		}
 		if res.NumRows() != benchPositions*benchOrders*benchKernels {
 			b.Fatalf("join rows = %d", res.NumRows())
+		}
+	}
+}
+
+// q1SQL is one whole DL2SQL convolution, as the translator renders it: the
+// FeatureMap ⋈ Kernel join and the GROUP BY summing its products.
+const q1SQL = `SELECT B.KernelID * 144 + A.MatrixID AS TupleID, B.KernelID AS KernelID, SUM(A.Value * B.Value) AS Value FROM fm A INNER JOIN k B ON A.OrderID = B.OrderID GROUP BY B.KernelID, A.MatrixID`
+
+// BenchmarkJoinGroupBy is Q1 as one statement: the aggregate reads the
+// join's match pairs.
+func BenchmarkJoinGroupBy(b *testing.B) {
+	db := q1Tables(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := db.Query(q1SQL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.NumRows() != benchPositions*benchKernels {
+			b.Fatalf("groups = %d", res.NumRows())
 		}
 	}
 }

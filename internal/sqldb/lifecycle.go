@@ -15,9 +15,12 @@ package sqldb
 // The memory budget (DB.MemoryBudget, or the faults "mem.pressure" point)
 // bounds the bytes a query may materialize across operator outputs; when
 // the running total exceeds the budget the query fails with
-// qerr.ErrMemoryBudget instead of OOMing the process. Column byte sizes
-// are only computed while a budget is armed, so the disabled path costs a
-// single branch per plan node.
+// qerr.ErrMemoryBudget instead of OOMing the process. Each column is
+// charged once, where it first enters the query (a scan's snapshot or an
+// operator's output), so a column passed through projections and FROM
+// subqueries counts once. Column byte sizes are only computed while a
+// budget is armed, so the disabled path costs a single branch per plan
+// node.
 //
 // Panics escaping the executor or a scalar UDF (shape mismatches in tensor
 // kernels, malformed artifacts, engine bugs) are recovered at the public
@@ -28,7 +31,6 @@ package sqldb
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -64,20 +66,32 @@ func (ec *execCtx) check() error {
 	return qerr.FromContext(ec.ctx.Err())
 }
 
-// charge adds a node output's approximate materialized size to the query's
-// running total and fails the query once the budget is exceeded. A zero
-// budget (the default) is one branch.
+// charge adds the approximate size of a node output's columns that no
+// earlier node produced to the query's running total (see chargeBytes). A
+// zero budget (the default) is one branch.
 func (ec *execCtx) charge(res *Result) error {
 	if ec.memBudget <= 0 || res == nil {
 		return nil
 	}
 	var bytes int64
 	for _, c := range res.Cols {
-		bytes += c.ApproxBytes()
+		if c != nil && !ec.charged[c] {
+			ec.charged[c] = true
+			bytes += c.ApproxBytes()
+		}
 	}
-	if used := ec.memUsed.Add(bytes); used > ec.memBudget {
+	return ec.chargeBytes(bytes)
+}
+
+// chargeBytes adds n bytes to the query's running total and fails the
+// query once the budget is exceeded.
+func (ec *execCtx) chargeBytes(n int64) error {
+	if ec.memBudget <= 0 {
+		return nil
+	}
+	if ec.memUsed += n; ec.memUsed > ec.memBudget {
 		return fmt.Errorf("%w: materialized ~%d bytes across operators, budget %d",
-			qerr.ErrMemoryBudget, used, ec.memBudget)
+			qerr.ErrMemoryBudget, ec.memUsed, ec.memBudget)
 	}
 	return nil
 }
@@ -161,7 +175,7 @@ func (db *DB) newExecCtx(ctx context.Context) *execCtx {
 	ec := &execCtx{prof: db.Profile, span: obs.SpanFromContext(ctx), par: deg, ctx: normCtx(ctx), faults: db.Faults, acct: acctFrom(ctx)}
 	if b := db.effectiveBudget(ctx); b > 0 {
 		ec.memBudget = b
-		ec.memUsed = new(atomic.Int64)
+		ec.charged = map[*Column]bool{}
 	}
 	return ec
 }

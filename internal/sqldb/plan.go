@@ -6,10 +6,11 @@ import (
 	"strings"
 )
 
-// Logical plan nodes. The engine executes plans by full materialization —
-// each operator drains its child and produces a Result — which mirrors a
-// block-at-a-time columnar pipeline that has been fully consumed and keeps
-// per-operator profiling (Fig. 10) exact.
+// Logical plan nodes. Each operator drains its child and produces a Result
+// — a block-at-a-time columnar pipeline that has been fully consumed, which
+// keeps per-operator profiling (Fig. 10) exact — but materialisation is
+// late: scans and joins produce only the columns their ancestors read, and
+// an aggregate over a join reads its match pairs (see prune.go).
 
 // Plan is a logical/physical query plan node.
 type Plan interface {
@@ -27,6 +28,7 @@ type LScan struct {
 	// EstRows is the optimizer's cardinality estimate, kept for EXPLAIN and
 	// tests.
 	EstRows float64
+	used    []bool // output positions an ancestor reads, nil = all (prune)
 }
 
 // LFilter applies residual conjuncts.
@@ -36,18 +38,18 @@ type LFilter struct {
 }
 
 // LJoin is a binary join. EquiL/EquiR are matching key expressions (over
-// the left/right child schemas respectively); when empty the join degrades
-// to a nested-loop cross join filtered by Residual.
+// the left/right child schemas respectively); when empty the join is a
+// nested-loop cross join, which an LFilter above it narrows.
 type LJoin struct {
 	L, R      Plan
 	EquiL     []Expr
 	EquiR     []Expr
-	Residual  []Expr
 	Symmetric bool // use the symmetric hash join algorithm (hint rule 3)
 	// LeftOuter preserves unmatched left rows, padding the right side with
 	// NULLs (LEFT OUTER JOIN).
 	LeftOuter bool
 	EstRows   float64
+	used      []bool // output positions an ancestor reads, nil = all (prune)
 }
 
 // LProject computes the SELECT items.
@@ -225,6 +227,7 @@ func (db *DB) planSelect(st *SelectStmt, hints *QueryHints) (Plan, error) {
 		}
 		plan = &LLimit{Child: plan, N: n, Offset: st.Offset}
 	}
+	prune(plan, nil)
 	return plan, nil
 }
 

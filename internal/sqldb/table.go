@@ -161,7 +161,15 @@ func (c *Column) Gather(idx []int) *Column { return gather(c, idx) }
 // gather is Gather over either index width: joins carry their match pairs
 // as int32, half the bytes of the rest of the executor's []int row lists.
 func gather[I int | int32](c *Column, idx []I) *Column {
-	out := NewColumn(c.Type)
+	out := &Column{}
+	gatherInto(out, c, idx)
+	return out
+}
+
+// gatherInto is gather into out, reusing its slices where they are large
+// enough: the aggregate's block loop gathers every block into the same
+// buffers.
+func gatherInto[I int | int32](out, c *Column, idx []I) {
 	hasNeg := false
 	for _, j := range idx {
 		if j < 0 {
@@ -169,60 +177,64 @@ func gather[I int | int32](c *Column, idx []I) *Column {
 			break
 		}
 	}
+	*out = Column{Type: c.Type, Ints: out.Ints[:0], Floats: out.Floats[:0], Strs: out.Strs[:0],
+		Bools: out.Bools[:0], Blobs: out.Blobs[:0], Nulls: out.Nulls[:0]}
 	switch c.Type {
 	case TInt:
-		out.Ints = make([]int64, len(idx))
-		for i, j := range idx {
-			if j >= 0 {
-				out.Ints[i] = c.Ints[j]
-			}
-		}
+		out.Ints = gatherVals(out.Ints, c.Ints, idx, hasNeg)
 	case TFloat:
-		out.Floats = make([]float64, len(idx))
-		for i, j := range idx {
-			if j >= 0 {
-				out.Floats[i] = c.Floats[j]
-			}
-		}
+		out.Floats = gatherVals(out.Floats, c.Floats, idx, hasNeg)
 	case TString:
-		out.Strs = make([]string, len(idx))
-		for i, j := range idx {
-			if j >= 0 {
-				out.Strs[i] = c.Strs[j]
-			}
-		}
+		out.Strs = gatherVals(out.Strs, c.Strs, idx, hasNeg)
 	case TBool:
-		out.Bools = make([]bool, len(idx))
-		for i, j := range idx {
-			if j >= 0 {
-				out.Bools[i] = c.Bools[j]
-			}
-		}
+		out.Bools = gatherVals(out.Bools, c.Bools, idx, hasNeg)
 	case TBlob:
-		out.Blobs = make([][]byte, len(idx))
-		for i, j := range idx {
-			if j >= 0 {
-				out.Blobs[i] = c.Blobs[j]
-			}
-		}
+		out.Blobs = gatherVals(out.Blobs, c.Blobs, idx, hasNeg)
 	case TNull:
-		out.Nulls = make([]bool, len(idx))
-		for i := range idx {
+		out.Nulls = resize(out.Nulls, len(idx))
+		for i := range out.Nulls {
 			out.Nulls[i] = true
 		}
-		return out
+		return
 	}
-	if c.Nulls != nil || hasNeg {
-		out.Nulls = make([]bool, len(idx))
+	if c.Nulls == nil && !hasNeg {
+		out.Nulls = nil
+		return
+	}
+	out.Nulls = resize(out.Nulls, len(idx))
+	for i, j := range idx {
+		out.Nulls[i] = j < 0 || (c.Nulls != nil && c.Nulls[j])
+	}
+}
+
+// gatherVals sets dst to src's values at idx, a negative index giving the
+// zero value.
+func gatherVals[T any, I int | int32](dst, src []T, idx []I, hasNeg bool) []T {
+	dst = resize(dst, len(idx))
+	if !hasNeg {
 		for i, j := range idx {
-			if j < 0 {
-				out.Nulls[i] = true
-			} else if c.Nulls != nil {
-				out.Nulls[i] = c.Nulls[j]
-			}
+			dst[i] = src[j]
+		}
+		return dst
+	}
+	var zero T
+	for i, j := range idx {
+		if j >= 0 {
+			dst[i] = src[j]
+		} else {
+			dst[i] = zero
 		}
 	}
-	return out
+	return dst
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // SnapshotCols returns stable shallow copies of the table's column headers:

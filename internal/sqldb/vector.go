@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -44,6 +45,16 @@ func (v vec) slice(lo, hi int) vec {
 	return vec{ds: v.ds[lo:hi]}
 }
 
+// clone copies the vector's values into storage of its own.
+func (v vec) clone() vec {
+	if v.col == nil {
+		return vec{ds: slices.Clone(v.ds)}
+	}
+	c := NewColumn(v.col.Type)
+	c.appendFrom(v.col)
+	return vec{col: c}
+}
+
 func (v vec) isNull(i int) bool {
 	if v.col != nil {
 		return v.col.Type == TNull || (v.col.Nulls != nil && v.col.Nulls[i])
@@ -69,6 +80,14 @@ type vecExpr struct {
 // counted is non-nil, row-evaluated leaves charge its statement's UDF-call
 // tally exactly as a row-compiled expression would.
 func (db *DB) compileVec(ctx context.Context, e Expr, schema []OutCol, counted *execCtx) (vecExpr, error) {
+	return db.compileVecBuf(ctx, e, schema, counted, false)
+}
+
+// compileVecBuf is compileVec; with reuse set, literal and arithmetic
+// nodes keep their result in a buffer of their own that every evaluation
+// overwrites, so the compiled expression serves one goroutine and a result
+// is valid until its next evaluation.
+func (db *DB) compileVecBuf(ctx context.Context, e Expr, schema []OutCol, counted *execCtx, reuse bool) (vecExpr, error) {
 	switch t := e.(type) {
 	case *ColRef:
 		ci, err := resolveCol(t, schema)
@@ -80,21 +99,34 @@ func (db *DB) compileVec(ctx context.Context, e Expr, schema []OutCol, counted *
 		}}, nil
 	case *Lit:
 		v := t.Val
+		if reuse {
+			var c *Column
+			return vecExpr{eval: func(_ *Result, lo, hi int) (vec, error) {
+				if c == nil || c.Len() != hi-lo {
+					c = broadcast(v, hi-lo)
+				}
+				return vec{col: c}, nil
+			}}, nil
+		}
 		return vecExpr{eval: func(_ *Result, lo, hi int) (vec, error) {
 			return vec{col: broadcast(v, hi-lo)}, nil
 		}}, nil
 	case *BinExpr:
 		switch t.Op {
 		case "+", "-", "*", "/":
-			l, err := db.compileVec(ctx, t.L, schema, counted)
+			l, err := db.compileVecBuf(ctx, t.L, schema, counted, reuse)
 			if err != nil {
 				return vecExpr{}, err
 			}
-			r, err := db.compileVec(ctx, t.R, schema, counted)
+			r, err := db.compileVecBuf(ctx, t.R, schema, counted, reuse)
 			if err != nil {
 				return vecExpr{}, err
 			}
 			op := t.Op
+			var out *Column // nil: a fresh column per evaluation
+			if reuse {
+				out = &Column{}
+			}
 			return vecExpr{rowLeaf: l.rowLeaf || r.rowLeaf, eval: func(in *Result, lo, hi int) (vec, error) {
 				lv, err := l.eval(in, lo, hi)
 				if err != nil {
@@ -104,7 +136,7 @@ func (db *DB) compileVec(ctx context.Context, e Expr, schema []OutCol, counted *
 				if err != nil {
 					return vec{}, err
 				}
-				return arithVec(op, lv, rv)
+				return arithVec(op, lv, rv, out)
 			}}, nil
 		}
 	}
@@ -183,7 +215,14 @@ func (c *Column) slice(lo, hi int) *Column {
 	if lo == 0 && hi == c.Len() {
 		return c
 	}
-	out := &Column{Type: c.Type}
+	out := &Column{}
+	c.sliceInto(out, lo, hi)
+	return out
+}
+
+// sliceInto points the column header out at rows [lo, hi) of c.
+func (c *Column) sliceInto(out *Column, lo, hi int) {
+	*out = Column{Type: c.Type}
 	switch c.Type {
 	case TInt:
 		out.Ints = c.Ints[lo:hi:hi]
@@ -199,7 +238,6 @@ func (c *Column) slice(lo, hi int) *Column {
 	if c.Nulls != nil {
 		out.Nulls = c.Nulls[lo:hi:hi]
 	}
-	return out
 }
 
 // broadcast repeats one value n times.
@@ -359,8 +397,9 @@ func (c *Column) appendFrom(src *Column) {
 // arithVec applies + - * / to two vectors. Int/Float (and all-NULL)
 // operands run typed: Int op Int stays Int except for /, anything with a
 // Float is Float, x/0 is NULL, and a NULL operand yields NULL — arith's
-// rules. Other operand types go through arith value by value.
-func arithVec(op string, l, r vec) (vec, error) {
+// rules. Other operand types go through arith value by value. A typed
+// result goes into out, reusing its buffers, when out is non-nil.
+func arithVec(op string, l, r vec, out *Column) (vec, error) {
 	lc, rc := l.col, r.col
 	if lc == nil || rc == nil || !numericVec(lc.Type) || !numericVec(rc.Type) {
 		n := l.len()
@@ -379,49 +418,53 @@ func arithVec(op string, l, r vec) (vec, error) {
 		return vec{col: &Column{Type: TNull, Nulls: trues(n)}}, nil
 	}
 	nulls := orNulls(lc.Nulls, rc.Nulls, n)
+	if out == nil {
+		out = &Column{}
+	}
 	if lc.Type == TInt && rc.Type == TInt && op != "/" {
 		a, b := lc.Ints[:n], rc.Ints[:n]
-		out := make([]int64, n)
+		ints := resize(out.Ints, n)
+		*out = Column{Type: TInt, Ints: ints, Floats: out.Floats[:0], Nulls: nulls}
 		switch op {
 		case "+":
-			for i := range out {
-				out[i] = a[i] + b[i]
+			for i := range ints {
+				ints[i] = a[i] + b[i]
 			}
 		case "-":
-			for i := range out {
-				out[i] = a[i] - b[i]
+			for i := range ints {
+				ints[i] = a[i] - b[i]
 			}
 		case "*":
-			for i := range out {
-				out[i] = a[i] * b[i]
+			for i := range ints {
+				ints[i] = a[i] * b[i]
 			}
 		}
 		if nulls != nil {
 			for i, null := range nulls {
 				if null {
-					out[i] = 0
+					ints[i] = 0
 				}
 			}
 		}
-		return vec{col: &Column{Type: TInt, Ints: out, Nulls: nulls}}, nil
+		return vec{col: out}, nil
 	}
 	a, b := floatsOf(lc), floatsOf(rc)
-	out := make([]float64, n)
+	fs := resize(out.Floats, n)
 	switch op {
 	case "+":
-		for i := range out {
-			out[i] = a[i] + b[i]
+		for i := range fs {
+			fs[i] = a[i] + b[i]
 		}
 	case "-":
-		for i := range out {
-			out[i] = a[i] - b[i]
+		for i := range fs {
+			fs[i] = a[i] - b[i]
 		}
 	case "*":
-		for i := range out {
-			out[i] = a[i] * b[i]
+		for i := range fs {
+			fs[i] = a[i] * b[i]
 		}
 	case "/":
-		for i := range out {
+		for i := range fs {
 			if b[i] == 0 {
 				if nulls == nil {
 					nulls = make([]bool, n)
@@ -429,17 +472,18 @@ func arithVec(op string, l, r vec) (vec, error) {
 				nulls[i] = true
 				continue
 			}
-			out[i] = a[i] / b[i]
+			fs[i] = a[i] / b[i]
 		}
 	}
 	if nulls != nil {
 		for i, null := range nulls {
 			if null {
-				out[i] = 0
+				fs[i] = 0
 			}
 		}
 	}
-	return vec{col: &Column{Type: TFloat, Floats: out, Nulls: nulls}}, nil
+	*out = Column{Type: TFloat, Ints: out.Ints[:0], Floats: fs, Nulls: nulls}
+	return vec{col: out}, nil
 }
 
 func numericVec(t Type) bool { return t == TInt || t == TFloat || t == TNull }
