@@ -8,11 +8,13 @@ package bench
 //	go test -run '^$' -bench Gate -benchtime 1x ./internal/bench
 //
 // The speed-up gates need real cores: with fewer than gateCPUs the workers
-// time-slice and the ratio measures only overhead, so they skip.
+// time-slice and the ratio measures only overhead, so they skip. The
+// allocation gate counts bytes, which do not depend on the cores.
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"runtime"
@@ -26,6 +28,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/colquery"
+	"repro/internal/dl2sql"
 	"repro/internal/iotdata"
 	"repro/internal/modelrepo"
 	"repro/internal/nn"
@@ -467,4 +470,52 @@ func cpuTime(b *testing.B) time.Duration {
 		b.Fatal(err)
 	}
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// joinAggregateAllocCeiling is BenchmarkGateJoinAggregateAllocs' bound:
+// the 823,680 bytes one block allocated when joins began handing their
+// pairs to the aggregate a block at a time (1,476,744 before), plus 10%.
+const joinAggregateAllocCeiling = 906_048
+
+// BenchmarkGateJoinAggregateAllocs: one Conv+BN+ReLU block of the side-16
+// student model through the SQL pipeline (BenchmarkConvLayerSQL's batch=1
+// shape: input encoding, Q1's FeatureMap ⋈ Kernel summed by GROUP BY, the
+// BN statement and the UPDATE-based ReLU) allocates at most
+// joinAggregateAllocCeiling bytes. Executor parallelism is fixed at 2 and
+// allocation counts repeat run to run, so unlike the speed-up gates this
+// one runs on any number of CPUs; it reports the least of five runs.
+func BenchmarkGateJoinAggregateAllocs(b *testing.B) {
+	student := modelrepo.NewStudentModel(modelrepo.TaskDefectDetection, 16, 3)
+	block := nn.NewModel("conv_block", student.InputShape, student.Classes)
+	block.Add(student.Layers[:3]...)
+	db := sqldb.New()
+	db.Parallelism = 2
+	tr := dl2sql.NewTranslator(db, "b")
+	sm, err := tr.StoreModel(block)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := tensor.New(student.InputShape...)
+	rng := rand.New(rand.NewSource(5))
+	for i := range in.Data() {
+		in.Data()[i] = rng.Float64()*2 - 1
+	}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := tr.InferTensor(sm, in); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run()
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		least = min(least, run())
+	}
+	b.ReportMetric(float64(least), "B/block")
+	if least > joinAggregateAllocCeiling {
+		b.Fatalf("one conv block allocated %d bytes, above the %d-byte ceiling", least, joinAggregateAllocCeiling)
+	}
 }

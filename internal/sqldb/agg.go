@@ -1,5 +1,15 @@
 package sqldb
 
+// Hash aggregation. GROUP BY reads its input a block of at most hashBlock
+// rows at a time: the child's columns sliced in place or, over a join,
+// the join's match pairs as the join hands them on (join.go), gathered
+// into buffers the aggregation reuses. Each block's group keys and
+// arguments are evaluated into per-node buffers, its keys hashed and
+// numbered in a keyTable that keeps its own copy of every group's key,
+// and its values folded into per-group states. The parallel path cuts the
+// input into at most deg contiguous chunks whose partial states merge by
+// key in chunk order, so results are deterministic at every degree.
+
 import (
 	"fmt"
 	"math"
@@ -350,8 +360,8 @@ func rewriteAggRefs(e Expr, aggCols map[string]string, grpCols map[string]string
 }
 
 // aggPartial is the grouping of one chunk of input rows: the key table
-// numbering its groups in first-seen order and, per aggregate call, one
-// state per group.
+// numbering its groups in first-seen order, with its own copy of each
+// group's key, and, per aggregate call, one state per group.
 type aggPartial struct {
 	kt     *keyTable
 	states []aggStates
@@ -359,17 +369,17 @@ type aggPartial struct {
 
 // aggInput is the rows an aggregate reads: its child's Result or, when the
 // child is a join, the join's match pairs, so the join's output is never
-// materialised. res holds the columns the group keys read: the child's
-// Result itself, or those columns gathered at the pairs.
+// materialised.
 type aggInput struct {
-	res *Result
-	m   *joinMatch // nil unless the child is a join
-	n   int
+	schema []OutCol
+	res    *Result    // nil when the child is a join
+	m      *joinMatch // nil unless the child is a join
+	n      int
 }
 
 // execAggInput runs the aggregate's child. A join child runs under its own
-// plan node — span, actuals and memory charge (its pairs and the key
-// columns) stay the join's.
+// plan node: the span, the actuals and the memory charge of its build
+// index stay the join's.
 func (db *DB) execAggInput(a *LAgg, ec *execCtx) (*aggInput, error) {
 	j, ok := a.Child.(*LJoin)
 	if !ok {
@@ -377,22 +387,17 @@ func (db *DB) execAggInput(a *LAgg, ec *execCtx) (*aggInput, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &aggInput{res: res, n: res.NumRows()}, nil
+		return &aggInput{schema: res.Schema, res: res, n: res.NumRows()}, nil
 	}
-	in := &aggInput{}
+	in := &aggInput{schema: j.OutSchema()}
 	err := db.node(j, ec, func() (int, error) {
 		m, start, err := db.matchJoin(j, ec)
 		if err != nil {
 			return 0, err
 		}
-		schema := j.OutSchema()
-		in.m, in.n = m, len(m.lIdx)
-		in.res = m.gather(readBy(make([]bool, len(schema)), schema, a.GroupBy...))
+		in.m, in.n = m, m.n
 		ec.profAdd(OpJoin, in.n, start)
-		if err := ec.chargeBytes(8 * int64(in.n)); err != nil {
-			return 0, err
-		}
-		return in.n, ec.charge(in.res)
+		return in.n, nil
 	})
 	if err != nil {
 		return nil, err
@@ -400,32 +405,52 @@ func (db *DB) execAggInput(a *LAgg, ec *execCtx) (*aggInput, error) {
 	return in, nil
 }
 
-// block returns a Result for one block of the input's rows of the columns
-// at positions cols, each in a column header (and, over a join, buffers)
-// of its own that every fill reuses.
-func (in *aggInput) block(cols []int) *Result {
-	b := &Result{Schema: in.res.Schema, Cols: make([]*Column, len(in.res.Schema))}
+// blockBytes is the memory one reader of the input's blocks holds for
+// the columns at positions cols: over a join, a pair block and a gather
+// buffer per column.
+func (in *aggInput) blockBytes(cols []int) int64 {
+	if in.m == nil {
+		return 0
+	}
+	return pairBlockBytes + int64(8*hashBlock*len(cols))
+}
+
+// blocks calls fn with input rows [lo, hi) a block of at most hashBlock
+// rows at a time, in order: start is the block's first row and b holds
+// its columns at positions cols, as slices of the child's columns or
+// gathered from the join's inputs at the block's pairs into column
+// buffers every block reuses. The other positions of b are nil.
+func (in *aggInput) blocks(lo, hi int, cols []int, fn func(start int, b *Result) error) error {
+	b := &Result{Schema: in.schema, Cols: make([]*Column, len(in.schema))}
 	for _, ci := range cols {
 		b.Cols[ci] = &Column{}
 	}
-	return b
-}
-
-// fill loads input rows [lo, hi) of the columns at positions cols into
-// block b: slices of the child's columns, or the values at the join's
-// match pairs.
-func (in *aggInput) fill(b *Result, cols []int, lo, hi int) {
-	b.rows = hi - lo
-	for _, ci := range cols {
-		switch m := in.m; {
-		case m == nil:
-			in.res.Cols[ci].sliceInto(b.Cols[ci], lo, hi)
-		case ci < len(m.left.Cols):
-			gatherInto(b.Cols[ci], m.left.Cols[ci], m.lIdx[lo:hi])
-		default:
-			gatherInto(b.Cols[ci], m.right.Cols[ci-len(m.left.Cols)], m.rIdx[lo:hi])
+	m := in.m
+	if m == nil {
+		for start := lo; start < hi; start += hashBlock {
+			end := min(start+hashBlock, hi)
+			for _, ci := range cols {
+				in.res.Cols[ci].sliceInto(b.Cols[ci], start, end)
+			}
+			b.rows = end - start
+			if err := fn(start, b); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
+	nl := len(m.left.Cols)
+	return newPairBlock(hi-lo, func(off int, l, r []int32) error {
+		for _, ci := range cols {
+			if ci < nl {
+				gatherInto(b.Cols[ci], m.left.Cols[ci], l)
+			} else {
+				gatherInto(b.Cols[ci], m.right.Cols[ci-nl], r)
+			}
+		}
+		b.rows = len(l)
+		return fn(off, b)
+	}).emit(m.src, lo, hi)
 }
 
 // execAgg performs hash aggregation and evaluates the SELECT items over the
@@ -478,25 +503,20 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	if deg > 1 && !db.exprsParallelSafe(a.GroupBy, argExprs) {
 		deg = 1
 	}
-
-	// Evaluate the group keys as vectors over the whole input; chunks hash
-	// their rows' keys a block at a time below.
-	schema := in.res.Schema
-	keyX := make([]vecExpr, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		if keyX[i], err = db.compileVec(ec.ctx, g, schema, nil); err != nil {
-			return nil, err
-		}
-	}
-	keys, err := db.evalVecs(ec, keyX, in.res, n, deg)
-	if err != nil {
-		return nil, err
-	}
-	var argCols []int // the input columns the arguments read
-	for i, read := range readBy(make([]bool, len(schema)), schema, argExprs...) {
+	schema := in.schema
+	var cols []int // the input columns the group keys and arguments read
+	for i, read := range readBy(readBy(make([]bool, len(schema)), schema, a.GroupBy...), schema, argExprs...) {
 		if read {
-			argCols = append(argCols, i)
+			cols = append(cols, i)
 		}
+	}
+	chunk, readers := n, 1
+	if deg > 1 {
+		chunk = max((n+deg-1)/deg, morselRows)
+		readers = min(deg, (n+chunk-1)/chunk)
+	}
+	if err := ec.chargeBytes(int64(readers) * in.blockBytes(cols)); err != nil {
+		return nil, err
 	}
 
 	// Group rows. The serial path scans rows in order; the parallel path
@@ -508,14 +528,24 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	// ranges, so numbering the merged groups chunk by chunk reproduces the
 	// serial first-seen group order exactly.
 	//
-	// A chunk runs one block of hashBlock rows at a time: it numbers the
-	// block's groups, loads the block's argument columns into buffers it
-	// reuses, evaluates the arguments over them into buffers of their own
-	// and folds the values into the group states, so no argument vector over
-	// the whole input exists. A DISTINCT argument is kept for its chunk, the
-	// dedupe's representative rows.
+	// A chunk runs one block of at most hashBlock rows at a time: it loads
+	// the block's key and argument columns into buffers it reuses (over a
+	// join, from the block's match pairs), evaluates the keys and the
+	// arguments over them into buffers of their own, numbers the block's
+	// groups — a new group's key is copied into the chunk's key table —
+	// and folds the values into the group states, so no key or argument
+	// vector over the whole input exists. A DISTINCT argument is kept for
+	// its chunk, the dedupe's representative rows.
 	aggregateRange := func(lo, hi int) (*aggPartial, error) {
-		p := &aggPartial{kt: newKeyTable(keys, 64), states: make([]aggStates, len(calls))}
+		p := &aggPartial{kt: newOwnedKeyTable(len(a.GroupBy), 64), states: make([]aggStates, len(calls))}
+		keyX := make([]vecExpr, len(a.GroupBy))
+		for i, g := range a.GroupBy {
+			x, err := db.compileVecBuf(ec.ctx, g, schema, nil, true)
+			if err != nil {
+				return nil, err
+			}
+			keyX[i] = x
+		}
 		argX := make([][]vecExpr, len(calls))
 		for i, c := range calls {
 			p.states[i] = newAggStates(c, 0)
@@ -531,34 +561,53 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 				argX[i][j] = x
 			}
 		}
-		blk := in.block(argCols)
 		// Group ids live for a block, but for the chunk when a DISTINCT
 		// aggregate dedupes it.
 		gids := make([]int32, min(hi-lo, hashBlock))
 		if hasDistinct {
 			gids = make([]int32, hi-lo)
 		}
+		scratch := getHashScratch()
+		defer hashScratch.Put(scratch)
+		keys, ints := make([]vec, len(keyX)), make([][]int64, len(keyX))
 		args := make([]vec, 2)
 		distinct := make([][]vec, len(calls))
-		if err := hashBlocks(keys, lo, hi, false, func(start int, h []uint64, _ []bool) error {
+		if err := in.blocks(lo, hi, cols, func(start int, blk *Result) error {
 			// Cancellation point: chunks can exceed morselRows (and the
 			// serial path is one full-range chunk), so the row loop checks
 			// the query context every block of rows.
 			if err := ec.check(); err != nil {
 				return err
 			}
-			g := gids[:len(h)]
+			k := blk.rows
+			g := gids[:k]
 			if hasDistinct {
-				g = gids[start-lo:][:len(h)]
+				g = gids[start-lo:][:k]
 			}
-			for i, x := range h {
-				g[i], _ = p.kt.insert(x, start+i)
+			if len(keyX) == 0 {
+				// A global aggregate has one group, id 0 (gids start
+				// zeroed): no key to evaluate or hash.
+				if p.kt.len() == 0 {
+					p.kt.insertFrom(hashInit, nil, nil, 0)
+				}
+			} else {
+				for i, x := range keyX {
+					v, err := x.eval(blk, 0, k)
+					if err != nil {
+						return err
+					}
+					keys[i] = v
+				}
+				h, ki := scratch.h[:k], intKeysInto(ints, keys)
+				hashVecs(keys, 0, h, nil)
+				for i, x := range h {
+					g[i], _ = p.kt.insertFrom(x, keys, ki, i)
+				}
 			}
-			in.fill(blk, argCols, start, start+len(h))
 			for i, c := range calls {
 				args := args[:len(argX[i])]
 				for j, x := range argX[i] {
-					v, err := x.eval(blk, 0, len(h))
+					v, err := x.eval(blk, 0, k)
 					if err != nil {
 						return err
 					}
@@ -595,10 +644,6 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 			return nil, err
 		}
 	} else {
-		chunk := (n + deg - 1) / deg
-		if chunk < morselRows {
-			chunk = morselRows
-		}
 		partials := make([]*aggPartial, (n+chunk-1)/chunk)
 		stats, err := par.RunErrCtx(ec.ctx, deg, n, chunk, func(_, lo, hi int) error {
 			p, err := aggregateRange(lo, hi)
@@ -610,11 +655,11 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		}
 		db.notePar(ec, stats)
 		// The first chunk's groups are the base; later chunks' groups merge
-		// into them or append in their first-seen order.
+		// into them by key or append in their first-seen order.
 		groups = partials[0]
 		for _, p := range partials[1:] {
 			for id, h := range p.kt.hashes {
-				mid, added := groups.kt.insert(h, int(p.kt.rows[id]))
+				mid, added := groups.kt.insertFrom(h, p.kt.keys, p.kt.ints, id)
 				for i := range groups.states {
 					if added {
 						groups.states[i].appendFrom(&p.states[i], id)
@@ -642,7 +687,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	for i, g := range a.GroupBy {
 		name := fmt.Sprintf("$grp%d", i)
 		grpCols[g.String()] = name
-		col := gatherVec(keys[i], groups.kt.rows)
+		col := groups.kt.keyColumn(i)
 		inter.Schema = append(inter.Schema, OutCol{Name: name, Type: col.Type})
 		inter.Cols = append(inter.Cols, col)
 	}
@@ -714,19 +759,6 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	}
 	ec.profAdd(OpGroupBy, n, start)
 	return out, nil
-}
-
-// gatherVec builds the column of a vector's values at the given rows, typed
-// as a build from those values would type it (see columnFromData).
-func gatherVec(v vec, rows []int32) *Column {
-	if v.col == nil {
-		data := make([]Datum, len(rows))
-		for i, r := range rows {
-			data[i] = v.ds[r]
-		}
-		return columnFromData(data)
-	}
-	return settleType(gather(v.col, rows))
 }
 
 // settleType returns c, or an all-NULL TNull column of c's length when c

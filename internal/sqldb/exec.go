@@ -448,11 +448,22 @@ func (db *DB) execFilter(in *Result, conds []Expr, ec *execCtx, used []bool) (*R
 	for _, k := range keeps {
 		total += len(k)
 	}
-	keep := make([]int, 0, total)
-	for _, k := range keeps {
-		keep = append(keep, k...)
+	var out *Result
+	if total == n {
+		// Every row qualifies: the columns pass through uncopied.
+		out = &Result{Schema: in.Schema, Cols: make([]*Column, len(in.Cols)), rows: n}
+		for i, c := range in.Cols {
+			if used == nil || used[i] {
+				out.Cols[i] = c
+			}
+		}
+	} else {
+		keep := make([]int, 0, total)
+		for _, k := range keeps {
+			keep = append(keep, k...)
+		}
+		out = gatherRows(in, keep, used)
 	}
-	out := gatherRows(in, keep, used)
 	ec.profAdd(OpFilter, n, start)
 	return out, nil
 }

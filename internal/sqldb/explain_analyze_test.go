@@ -50,7 +50,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 Limit 5 offset 0 (actual rows=2 calls=1 time=T)
   Sort keys=1 (actual rows=2 calls=1 time=T)
     Aggregate groupby=1 items=2 (actual rows=2 calls=1 time=T)
-      HashJoin (est 0 rows) (actual rows=9 calls=1 time=T)
+      HashJoin (est 3 rows) (actual rows=9 calls=1 time=T)
         Scan dept as D (est 3 rows) (actual rows=3 calls=1 time=T)
         Scan emp as E (est 3 rows) filters=1: [(E.salary > 1000)] (actual rows=9 calls=1 time=T)
 `)
@@ -124,5 +124,28 @@ func TestExplainSymmetricLeftOuterJoin(t *testing.T) {
 	j.Symmetric = true
 	if !strings.Contains(Explain(j), "SymmetricHashJoin") {
 		t.Fatalf("symmetric label drifted:\n%s", Explain(j))
+	}
+}
+
+// TestJoinSelectivityEitherOrder: an equi-join's NDVs are looked up in each
+// side's own relation, so the estimate does not depend on which side the
+// condition names first. emp.deptID has 2 distinct values and dept.id 3, so
+// 3 dept rows × 10 emp rows / max(2, 3) = 10.
+func TestJoinSelectivityEitherOrder(t *testing.T) {
+	db := explainAnalyzeFixture(t)
+	for _, sql := range []string{
+		`EXPLAIN SELECT E.id FROM emp E, dept D WHERE E.deptID = D.id`,
+		`EXPLAIN SELECT E.id FROM emp E, dept D WHERE D.id = E.deptID`,
+		`EXPLAIN SELECT E.id FROM dept D, emp E WHERE E.deptID = D.id`,
+		`EXPLAIN SELECT E.id FROM emp E JOIN dept D ON E.deptID = D.id`,
+		`EXPLAIN SELECT E.id FROM emp E JOIN dept D ON D.id = E.deptID`,
+	} {
+		res, err := db.Exec(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Cols[0].Get(1).String(); !strings.Contains(got, "HashJoin (est 10 rows)") {
+			t.Errorf("%s: join line %q, want est 10 rows", sql, got)
+		}
 	}
 }

@@ -58,20 +58,14 @@ func (r *Result) NumRows() int {
 
 // gatherRows returns rows idx of in, gathering its materialised columns at
 // the positions used marks (nil: every position).
-func gatherRows[I int | int32](in *Result, idx []I, used []bool) *Result {
+func gatherRows(in *Result, idx []int, used []bool) *Result {
 	out := &Result{Schema: in.Schema, Cols: make([]*Column, len(in.Cols)), rows: len(idx)}
-	gatherCols(out.Cols, in.Cols, idx, used)
-	return out
-}
-
-// gatherCols sets dst[i] to rows idx of src[i] for every materialised
-// column at a position used marks (nil: every position).
-func gatherCols[I int | int32](dst, src []*Column, idx []I, used []bool) {
-	for i, c := range src {
+	for i, c := range in.Cols {
 		if c != nil && (used == nil || used[i]) {
-			dst[i] = gather(c, idx)
+			out.Cols[i] = c.Gather(idx)
 		}
 	}
+	return out
 }
 
 // ColIndex resolves a possibly-qualified column name against the result

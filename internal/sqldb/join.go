@@ -1,23 +1,98 @@
 package sqldb
 
+// Joins. A join runs in two steps. Matching evaluates both sides' keys,
+// builds the hash index (or, for a symmetric join, runs its alternating
+// insert/probe schedule) and counts every probe row's match pairs, so the
+// join's output size and each row's first output position are known
+// before any pair exists. Emission then walks the build chains and hands
+// the pairs at any range of output positions to the join's consumer, a
+// block of at most hashBlock pairs at a time through reused buffers: no
+// operator holds the join's whole pair list. execJoin gathers each block
+// into its exactly-sized output columns at the block's offset; an
+// aggregate over the join (agg.go) folds each block straight into its
+// groups. Pairs come out in one order for every consumer and degree:
+// probe row (or schedule step) ascending, then build chain ascending.
+
 import (
 	"context"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/par"
 )
 
-// joinMatch is a join's output before materialisation: its inputs and its
-// match pairs. Output row i is row lIdx[i] of left beside row rIdx[i] of
-// right; rIdx -1 pads an outer join's unmatched row with NULLs.
+// joinMatch is a matched join: its inputs, its output size and its pairs.
+// Output row i is a row of left beside a row of right; a right row of -1
+// pads an outer join's unmatched left row with NULLs.
 type joinMatch struct {
 	left, right *Result
-	lIdx, rIdx  []int32
+	n           int  // output rows
+	padded      bool // some output row has right row -1
+	src         pairSource
+}
+
+// pairSource enumerates a join's match pairs by output position.
+type pairSource interface {
+	// pairs adds the pairs at output positions [lo, hi) to b, in order;
+	// lo < hi.
+	pairs(lo, hi int, b *pairBlock) error
+}
+
+// pairBlock collects match pairs in reused buffers and hands them to fn a
+// block at a time: off is the output position of the block's first pair,
+// l and r its left and right rows.
+type pairBlock struct {
+	l, r []int32
+	k    int // pairs buffered
+	off  int
+	fn   func(off int, l, r []int32) error
+}
+
+// pairBlockBytes is the memory a pairBlock holds.
+const pairBlockBytes = 8 * hashBlock
+
+// newPairBlock returns a block for ranges of up to n pairs.
+func newPairBlock(n int, fn func(off int, l, r []int32) error) *pairBlock {
+	n = min(n, hashBlock)
+	return &pairBlock{l: make([]int32, n), r: make([]int32, n), fn: fn}
+}
+
+// emit runs src's pairs at output positions [lo, hi) through the block and
+// hands on its last, partial block.
+func (b *pairBlock) emit(src pairSource, lo, hi int) error {
+	if lo >= hi {
+		return nil
+	}
+	b.k, b.off = 0, lo
+	if err := src.pairs(lo, hi, b); err != nil {
+		return err
+	}
+	return b.flush()
+}
+
+// add buffers one pair and reports whether the block is full, when the
+// caller must flush it.
+func (b *pairBlock) add(l, r int32) (full bool) {
+	b.l[b.k], b.r[b.k] = l, r
+	b.k++
+	return b.k == len(b.l)
+}
+
+func (b *pairBlock) flush() error {
+	if b.k == 0 {
+		return nil
+	}
+	k := b.k
+	b.k = 0
+	err := b.fn(b.off, b.l[:k], b.r[:k])
+	b.off += k
+	return err
 }
 
 // matchJoin runs a join's inputs and matches their rows with the hash,
-// symmetric-hash or nested-loop join; start is when the join's own work
-// began.
+// symmetric-hash or nested-loop join, charging what the match keeps alive
+// to the query's memory budget; start is when the join's own work began.
 func (db *DB) matchJoin(j *LJoin, ec *execCtx) (m *joinMatch, start time.Time, err error) {
 	m = &joinMatch{}
 	if m.left, err = db.execPlan(j.L, ec); err != nil {
@@ -27,46 +102,82 @@ func (db *DB) matchJoin(j *LJoin, ec *execCtx) (m *joinMatch, start time.Time, e
 		return nil, start, err
 	}
 	start = time.Now()
+	var bytes int64
 	switch {
 	case j.LeftOuter:
-		m.lIdx, m.rIdx, err = db.leftOuterHashJoin(m.left, m.right, j, ec)
+		bytes, err = db.leftOuterHashJoin(m, j, ec)
 	case len(j.EquiL) == 0:
-		m.lIdx, m.rIdx, err = db.nestedLoopJoin(m.left, m.right, ec)
+		ln, rn := m.left.NumRows(), m.right.NumRows()
+		m.n, m.src = ln*rn, crossPairs{rn: rn}
 	case j.Symmetric:
-		m.lIdx, m.rIdx, err = db.symmetricHashJoin(m.left, m.right, j, ec)
+		bytes, err = db.symmetricHashJoin(m, j, ec)
 	default:
-		m.lIdx, m.rIdx, err = db.hashJoin(m.left, m.right, j, ec)
+		bytes, err = db.hashJoin(m, j, ec)
 	}
 	if err != nil {
+		return nil, start, err
+	}
+	if err := ec.chargeBytes(bytes); err != nil {
 		return nil, start, err
 	}
 	return m, start, nil
 }
 
-// gather materialises the join's output columns at the positions used
-// marks (nil: every position).
-func (m *joinMatch) gather(used []bool) *Result {
-	nl, n := len(m.left.Schema), len(m.left.Schema)+len(m.right.Schema)
-	out := &Result{Schema: make([]OutCol, 0, n), Cols: make([]*Column, n), rows: len(m.lIdx)}
-	out.Schema = append(append(out.Schema, m.left.Schema...), m.right.Schema...)
-	var lu, ru []bool
-	if used != nil {
-		lu, ru = used[:nl], used[nl:]
-	}
-	gatherCols(out.Cols[:nl], m.left.Cols, m.lIdx, lu)
-	gatherCols(out.Cols[nl:], m.right.Cols, m.rIdx, ru)
-	return out
-}
-
 // execJoin materialises the columns of a join's output that its ancestors
-// read.
+// read: every pair block is gathered straight into exactly-sized output
+// columns at its offset, so workers fill disjoint ranges.
 func (db *DB) execJoin(j *LJoin, ec *execCtx) (*Result, error) {
 	m, start, err := db.matchJoin(j, ec)
 	if err != nil {
 		return nil, err
 	}
-	out := m.gather(j.used)
-	ec.profAdd(OpJoin, out.NumRows(), start)
+	nl, nc := len(m.left.Schema), len(m.left.Schema)+len(m.right.Schema)
+	out := &Result{Schema: make([]OutCol, 0, nc), Cols: make([]*Column, nc), rows: m.n}
+	out.Schema = append(append(out.Schema, m.left.Schema...), m.right.Schema...)
+	var lCols, rCols []int // output positions gathered from each side
+	for i := range out.Cols {
+		switch {
+		case j.used != nil && !j.used[i]:
+		case i < nl:
+			if c := m.left.Cols[i]; c != nil {
+				out.Cols[i] = newGatherColumn(c, m.n, false)
+				lCols = append(lCols, i)
+			}
+		default:
+			if c := m.right.Cols[i-nl]; c != nil {
+				out.Cols[i] = newGatherColumn(c, m.n, m.padded)
+				rCols = append(rCols, i)
+			}
+		}
+	}
+	if len(lCols)+len(rCols) == 0 {
+		ec.profAdd(OpJoin, m.n, start)
+		return out, nil // no column read: the pair count is the output
+	}
+	deg := ec.parDegreeFor(m.n)
+	blocks := make([]*pairBlock, max(deg, 1))
+	if err := ec.chargeBytes(int64(len(blocks)) * pairBlockBytes); err != nil {
+		return nil, err
+	}
+	stats, err := db.runMorsels(ec, deg, m.n, func(w, lo, hi int) error {
+		if blocks[w] == nil {
+			blocks[w] = newPairBlock(m.n, func(off int, l, r []int32) error {
+				for _, ci := range lCols {
+					gatherAt(out.Cols[ci], off, m.left.Cols[ci], l)
+				}
+				for _, ci := range rCols {
+					gatherAt(out.Cols[ci], off, m.right.Cols[ci-nl], r)
+				}
+				return nil
+			})
+		}
+		return blocks[w].emit(m.src, lo, hi)
+	})
+	if err != nil {
+		return nil, err
+	}
+	db.notePar(ec, stats)
+	ec.profAdd(OpJoin, m.n, start)
 	return out, nil
 }
 
@@ -139,16 +250,21 @@ func (jp *joinPart) add(h uint64, r int, next []int32) {
 	jp.count[id]++
 }
 
-// first returns the first build row whose key equals row of the probe
-// side and the number of build rows with that key, or -1, 0.
-func (jp *joinPart) first(h uint64, probe *joinSide, row int) (int32, int) {
+// find returns the id of the key equal to row of the probe side, or -1.
+func (jp *joinPart) find(h uint64, probe *joinSide, row int) int32 {
 	if jp.kt == nil {
-		return -1, 0 // partition skipped by a cancelled build
+		return -1 // partition skipped by a cancelled build
 	}
-	if id := jp.kt.find(h, probe.keys, probe.ints, row); id >= 0 {
-		return jp.head[id], int(jp.count[id])
+	return jp.kt.find(h, probe.keys, probe.ints, row)
+}
+
+// first returns the first build row whose key equals row of the probe
+// side, or -1.
+func (jp *joinPart) first(h uint64, probe *joinSide, row int) int32 {
+	if id := jp.find(h, probe, row); id >= 0 {
+		return jp.head[id]
 	}
-	return -1, 0
+	return -1
 }
 
 // joinIndex is the build side of a hash join. With one partition it is one
@@ -157,8 +273,25 @@ func (jp *joinPart) first(h uint64, probe *joinSide, row int) (int32, int) {
 // lock. Chains are ascending in either layout (partition builds scan the
 // rows in order), which keeps probe output identical to the serial join.
 type joinIndex struct {
-	parts []joinPart
-	next  []int32
+	parts     []joinPart
+	next, rem []int32 // per build row: next chain row, rows from it to the chain's end
+}
+
+// bytes is the memory the index holds: its chains and its partitions'
+// tables.
+func (ix *joinIndex) bytes() int64 {
+	b := int64(8 * len(ix.next))
+	for i := range ix.parts {
+		b += ix.parts[i].bytes()
+	}
+	return b
+}
+
+func (jp *joinPart) bytes() int64 {
+	if jp.kt == nil {
+		return 0
+	}
+	return jp.kt.bytes() + int64(12*len(jp.head))
 }
 
 func partOf(h uint64, p int) int {
@@ -177,7 +310,7 @@ func buildJoinIndex(ctx context.Context, b *joinSide, degree int) *joinIndex {
 	if p < 1 {
 		p = 1
 	}
-	ix := &joinIndex{parts: make([]joinPart, p), next: make([]int32, n)}
+	ix := &joinIndex{parts: make([]joinPart, p), next: make([]int32, n), rem: make([]int32, n)}
 	par.RunCtx(ctx, degree, p, 1, func(_, lo, hi int) {
 		for pi := lo; pi < hi; pi++ {
 			jp := joinPart{kt: newKeyTable(b.keys, 0)}
@@ -189,137 +322,228 @@ func buildJoinIndex(ctx context.Context, b *joinSide, degree int) *joinIndex {
 				}
 				return nil
 			})
+			for id, r := range jp.head {
+				for c := jp.count[id]; r >= 0; r, c = ix.next[r], c-1 {
+					ix.rem[r] = c
+				}
+			}
 			ix.parts[pi] = jp
 		}
 	})
 	return ix
 }
 
-// probeJoin probes every row of p against the build index in two
-// morsel-parallel passes: the first finds each probe row's first match and
-// counts every morsel's output pairs, the second writes each morsel's pairs
-// at its offset in exactly-sized outputs. Morsel order is row order, so the
-// output reproduces the serial probe loop's exactly. With outer=true, probe
-// rows with no match emit one pair with build index -1 (NULL padding).
-func (db *DB) probeJoin(ec *execCtx, ix *joinIndex, p *joinSide, deg int, outer bool) ([]int32, []int32, error) {
+// hashPairs is a hash join's pairs: per probe row its first build match,
+// and per probe morsel the output position of its first pair. A build
+// row's rem counts the pairs from it to the end of its chain, so a probe
+// row's pair count is its head's rem. An outer join's probe row without a
+// match has one pair, against build row -1.
+type hashPairs struct {
+	heads     []int32 // per probe row: first matching build row, -1 none
+	offs      []int   // per probe morsel: output position of its first pair; the last entry is the pair count
+	next, rem []int32 // per build row: next chain row, pairs to the chain's end
+	outer     bool
+	buildLeft bool // the build side is the join's left input
+}
+
+// count is probe row i's number of pairs.
+func (hp *hashPairs) count(i int) int {
+	if h := hp.heads[i]; h >= 0 {
+		return int(hp.rem[h])
+	}
+	if hp.outer {
+		return 1
+	}
+	return 0
+}
+
+func (hp *hashPairs) pairs(lo, hi int, b *pairBlock) error {
+	// Seek lo: its probe morsel, its probe row, its link in the row's chain.
+	m := sort.Search(len(hp.offs)-1, func(i int) bool { return hp.offs[i+1] > lo })
+	row, pos := m*morselRows, hp.offs[m]
+	for c := hp.count(row); pos+c <= lo; c = hp.count(row) {
+		pos += c
+		row++
+	}
+	bi := hp.heads[row]
+	for ; pos < lo; pos++ {
+		bi = hp.next[bi]
+	}
+	for {
+		if bi < 0 && hp.outer && hp.heads[row] < 0 {
+			if b.add(int32(row), -1) {
+				if err := b.flush(); err != nil {
+					return err
+				}
+			}
+			pos++
+		}
+		for ; bi >= 0 && pos < hi; bi = hp.next[bi] {
+			l, r := int32(row), bi
+			if hp.buildLeft {
+				l, r = bi, int32(row)
+			}
+			if b.add(l, r) {
+				if err := b.flush(); err != nil {
+					return err
+				}
+			}
+			pos++
+		}
+		if pos >= hi {
+			return nil
+		}
+		row++
+		bi = hp.heads[row]
+	}
+}
+
+// probeJoin probes every row of p against the build index in one
+// morsel-parallel pass that records each probe row's first match and each
+// morsel's pair count; a prefix sum turns the counts into the morsels'
+// output positions. With outer=true, probe rows with no match count one
+// pair (NULL padding), and padded reports whether there is one.
+func (db *DB) probeJoin(ec *execCtx, ix *joinIndex, p *joinSide, deg int, outer bool) (hp *hashPairs, padded bool, err error) {
 	n := p.len()
-	heads := make([]int32, n)
-	offsets := make([]int, (n+morselRows-1)/morselRows+1)
+	hp = &hashPairs{heads: make([]int32, n), offs: make([]int, (n+morselRows-1)/morselRows+1),
+		next: ix.next, rem: ix.rem, outer: outer}
 	stats, err := db.runMorsels(ec, deg, n, func(_, lo, hi int) error {
-		pairs := 0
-		_ = hashBlocks(p.keys, lo, hi, p.nullable, func(start int, h []uint64, null []bool) error {
+		// A call covers whole morsels (the last maybe short), so calls
+		// never share a count.
+		return hashBlocks(p.keys, lo, hi, p.nullable, func(start int, h []uint64, null []bool) error {
 			for i, x := range h {
-				head, count := int32(-1), 0
+				r, head := start+i, int32(-1)
 				if null == nil || !null[i] {
-					head, count = ix.parts[partOf(x, len(ix.parts))].first(x, p, start+i)
+					head = ix.parts[partOf(x, len(ix.parts))].first(x, p, r)
 				}
-				heads[start+i] = head
-				if count == 0 && outer {
-					count = 1
-				}
-				pairs += count
+				hp.heads[r] = head
+				hp.offs[r/morselRows+1] += hp.count(r)
 			}
 			return nil
 		})
-		offsets[lo/morselRows+1] = pairs
-		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
 	db.notePar(ec, stats)
-	for m := 1; m < len(offsets); m++ {
-		offsets[m] += offsets[m-1]
+	for m := 1; m < len(hp.offs); m++ {
+		hp.offs[m] += hp.offs[m-1]
 	}
-	total := offsets[len(offsets)-1]
-	pIdx, bIdx := make([]int32, total), make([]int32, total)
-	if _, err := db.runMorsels(ec, deg, n, func(_, lo, hi int) error {
-		o := offsets[lo/morselRows]
-		for pi := lo; pi < hi; pi++ {
-			bi := heads[pi]
-			if bi < 0 && outer {
-				pIdx[o], bIdx[o] = int32(pi), -1
-				o++
-			}
-			for ; bi >= 0; bi = ix.next[bi] {
-				pIdx[o], bIdx[o] = int32(pi), bi
-				o++
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	return pIdx, bIdx, nil
+	return hp, outer && slices.Contains(hp.heads, -1), nil
 }
+
+// bytes is what the pairs keep alive besides the build index.
+func (hp *hashPairs) bytes() int64 { return int64(4*len(hp.heads) + 8*len(hp.offs)) }
 
 // hashJoin is the classic build/probe equi-join: build on the smaller side,
 // probe from the larger. Both phases are morsel-parallel — the build via
-// hash-partitioned sub-tables, the probe via per-morsel pair counts that
-// place each morsel's matches in morsel order — and produce the same match
-// list as the serial loops.
-func (db *DB) hashJoin(left, right *Result, j *LJoin, ec *execCtx) (lIdx, rIdx []int32, err error) {
-	l, err := db.joinSide(left, j.EquiL, ec)
+// hash-partitioned sub-tables, the probe via per-row pair counts — and
+// the pairs come out in the serial probe loop's order.
+func (db *DB) hashJoin(m *joinMatch, j *LJoin, ec *execCtx) (int64, error) {
+	l, err := db.joinSide(m.left, j.EquiL, ec)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	r, err := db.joinSide(right, j.EquiR, ec)
+	r, err := db.joinSide(m.right, j.EquiR, ec)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	buildLeft := left.NumRows() <= right.NumRows()
+	buildLeft := m.left.NumRows() <= m.right.NumRows()
 	b, p := l, r
 	if !buildLeft {
 		b, p = r, l
 	}
 	ix := buildJoinIndex(ec.ctx, b, ec.parDegreeFor(b.len()))
 	if err := ec.check(); err != nil {
-		return nil, nil, err // the build may be partial after cancellation
+		return 0, err // the build may be partial after cancellation
 	}
-	pIdx, bIdx, err := db.probeJoin(ec, ix, p, ec.parDegreeFor(p.len()), false)
+	hp, _, err := db.probeJoin(ec, ix, p, ec.parDegreeFor(p.len()), false)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	if buildLeft {
-		return bIdx, pIdx, nil
-	}
-	return pIdx, bIdx, nil
+	hp.buildLeft = buildLeft
+	m.n, m.src = hp.offs[len(hp.offs)-1], hp
+	return ix.bytes() + hp.bytes(), nil
 }
 
 // leftOuterHashJoin builds on the right side and probes from the left;
 // unmatched left rows are emitted once with NULL-padded right columns.
-func (db *DB) leftOuterHashJoin(left, right *Result, j *LJoin, ec *execCtx) (lIdx, rIdx []int32, err error) {
-	l, err := db.joinSide(left, j.EquiL, ec)
+func (db *DB) leftOuterHashJoin(m *joinMatch, j *LJoin, ec *execCtx) (int64, error) {
+	l, err := db.joinSide(m.left, j.EquiL, ec)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	r, err := db.joinSide(right, j.EquiR, ec)
+	r, err := db.joinSide(m.right, j.EquiR, ec)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	ix := buildJoinIndex(ec.ctx, r, ec.parDegreeFor(r.len()))
 	if err := ec.check(); err != nil {
-		return nil, nil, err // the build may be partial after cancellation
+		return 0, err // the build may be partial after cancellation
 	}
-	return db.probeJoin(ec, ix, l, ec.parDegreeFor(l.len()), true)
+	hp, padded, err := db.probeJoin(ec, ix, l, ec.parDegreeFor(l.len()), true)
+	if err != nil {
+		return 0, err
+	}
+	m.n, m.padded, m.src = hp.offs[len(hp.offs)-1], padded, hp
+	return ix.bytes() + hp.bytes(), nil
+}
+
+// symPairs is a symmetric hash join's pairs, by schedule step: at step i
+// left row i meets the right rows before it, then right row i meets the
+// left rows up to and including it. lHead/rHead hold each step's first
+// match in the other side's chains, which stay ascending, so a step's
+// pairs are a prefix of each chain.
+type symPairs struct {
+	lHead, rHead []int32 // per step: left row i's first right match, right row i's first left match
+	lNext, rNext []int32
+	offs         []int // per step: output position of its first pair
+}
+
+func (sp *symPairs) pairs(lo, hi int, b *pairBlock) error {
+	step := sort.Search(len(sp.lHead), func(i int) bool { return sp.offs[i+1] > lo })
+	for pos := sp.offs[step]; pos < hi; step++ {
+		i := int32(step)
+		for r := sp.lHead[step]; r >= 0 && r < i && pos < hi; r = sp.rNext[r] {
+			if pos++; pos > lo {
+				if b.add(i, r) {
+					if err := b.flush(); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		for l := sp.rHead[step]; l >= 0 && l <= i && pos < hi; l = sp.lNext[l] {
+			if pos++; pos > lo {
+				if b.add(l, i) {
+					if err := b.flush(); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // symmetricHashJoin implements the paper's hint rule 3: both inputs are
-// consumed incrementally (block-at-a-time here), each row is inserted into
+// consumed incrementally (row-at-a-time here), each row is inserted into
 // its side's hash table and immediately probed against the other side's
 // table. With one side being nUDF outputs arriving in batches, this starts
 // producing joined tuples before either side is complete. The LRU bucket
 // behaviour of the paper is modelled by processing in bucket-grouped order.
-// The alternating insert/probe schedule is inherently sequential, so this
-// join always runs serially (its key evaluation still parallelizes).
-func (db *DB) symmetricHashJoin(left, right *Result, j *LJoin, ec *execCtx) (lIdx, rIdx []int32, err error) {
-	l, err := db.joinSide(left, j.EquiL, ec)
+// The alternating insert/probe schedule is inherently sequential, so it
+// runs serially (its key evaluation still parallelizes); it records each
+// step's first matches and pair count, from which the pairs are emitted
+// in schedule order.
+func (db *DB) symmetricHashJoin(m *joinMatch, j *LJoin, ec *execCtx) (int64, error) {
+	l, err := db.joinSide(m.left, j.EquiL, ec)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	r, err := db.joinSide(right, j.EquiR, ec)
+	r, err := db.joinSide(m.right, j.EquiR, ec)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	ln, rn := l.len(), r.len()
 	lHash, rHash := make([]uint64, ln), make([]uint64, rn)
@@ -334,73 +558,58 @@ func (db *DB) symmetricHashJoin(left, right *Result, j *LJoin, ec *execCtx) (lId
 	hashVecs(r.keys, 0, rHash, rNull)
 	lHT := joinPart{kt: newKeyTable(l.keys, 0)}
 	rHT := joinPart{kt: newKeyTable(r.keys, 0)}
-	lNext, rNext := make([]int32, ln), make([]int32, rn)
-	max := ln
-	if rn > max {
-		max = rn
-	}
+	steps := max(ln, rn)
+	sp := &symPairs{lHead: make([]int32, steps), rHead: make([]int32, steps),
+		lNext: make([]int32, ln), rNext: make([]int32, rn), offs: make([]int, steps+1)}
 	// Alternate consuming one row from each side (the streaming schedule).
 	// The schedule is inherently serial, so the cancellation point is a
 	// ctx check every morselRows iterations.
-	for i := 0; i < max; i++ {
+	for i := 0; i < steps; i++ {
 		if i%morselRows == 0 {
 			if err := ec.check(); err != nil {
-				return nil, nil, err
+				return 0, err
 			}
 		}
+		lh, rh, pairs := int32(-1), int32(-1), 0
 		if i < ln && (lNull == nil || !lNull[i]) {
 			h := lHash[i]
-			ri, _ := rHT.first(h, l, i)
-			for ; ri >= 0; ri = rNext[ri] {
-				lIdx = append(lIdx, int32(i))
-				rIdx = append(rIdx, ri)
+			if id := rHT.find(h, l, i); id >= 0 {
+				lh, pairs = rHT.head[id], pairs+int(rHT.count[id])
 			}
-			lHT.add(h, i, lNext)
+			lHT.add(h, i, sp.lNext)
 		}
 		if i < rn && (rNull == nil || !rNull[i]) {
 			h := rHash[i]
-			li, _ := lHT.first(h, r, i)
-			for ; li >= 0; li = lNext[li] {
-				lIdx = append(lIdx, li)
-				rIdx = append(rIdx, int32(i))
+			if id := lHT.find(h, r, i); id >= 0 {
+				rh, pairs = lHT.head[id], pairs+int(lHT.count[id])
 			}
-			rHT.add(h, i, rNext)
+			rHT.add(h, i, sp.rNext)
 		}
+		sp.lHead[i], sp.rHead[i] = lh, rh
+		sp.offs[i+1] = sp.offs[i] + pairs
 	}
-	return lIdx, rIdx, nil
+	m.n, m.src = sp.offs[steps], sp
+	return int64(16*steps+12*(ln+rn)+8) + lHT.bytes() + rHT.bytes(), nil
 }
 
-// nestedLoopJoin handles joins without equi conditions (cross joins and
-// non-equi predicates such as the paper's Type 4
-// `F.patternID != nUDF_recog(V.keyframe)`, which an LFilter applies above
-// the join). The cross product is fanned out over left-row morsels; each
-// morsel's pair block is a contiguous, position-computable slice of the
-// full product, so workers write disjoint regions of the final index
-// slices directly.
-func (db *DB) nestedLoopJoin(left, right *Result, ec *execCtx) (lIdx, rIdx []int32, err error) {
-	ln, rn := left.NumRows(), right.NumRows()
-	lIdx = make([]int32, ln*rn)
-	rIdx = make([]int32, ln*rn)
-	deg := 1
-	if rn > 0 {
-		deg = ec.parDegreeFor(ln * rn)
-	}
-	morsel := morselRows / (rn + 1)
-	if morsel < 1 {
-		morsel = 1
-	}
-	stats := par.RunCtx(ec.ctx, deg, ln, morsel, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			base := i * rn
-			for k := 0; k < rn; k++ {
-				lIdx[base+k] = int32(i)
-				rIdx[base+k] = int32(k)
+// crossPairs is a nested-loop join's pairs: the cross product, left row
+// major. It handles joins without equi conditions (cross joins and non-equi
+// predicates such as the paper's Type 4 `F.patternID != nUDF_recog(V.keyframe)`,
+// which an LFilter applies above the join); output position p is left row
+// p / rn beside right row p % rn, so any range is computed, not stored.
+type crossPairs struct{ rn int }
+
+func (c crossPairs) pairs(lo, hi int, b *pairBlock) error {
+	i, k := lo/c.rn, lo%c.rn
+	for pos := lo; pos < hi; pos++ {
+		if b.add(int32(i), int32(k)) {
+			if err := b.flush(); err != nil {
+				return err
 			}
 		}
-	})
-	db.notePar(ec, stats)
-	if err := ec.check(); err != nil {
-		return nil, nil, err // the cross-product fill may be partial
+		if k++; k == c.rn {
+			i, k = i+1, 0
+		}
 	}
-	return lIdx, rIdx, nil
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/maphash"
 	"math"
+	"sync"
 )
 
 // Typed key hashing for the hash operators (join, GROUP BY, DISTINCT,
@@ -122,11 +123,12 @@ const hashBlock = 256
 // hashes and, when withNull is set, its rows' NULL-key flags, in row order.
 // An error from fn ends the walk.
 func hashBlocks(keys []vec, lo, hi int, withNull bool, fn func(start int, h []uint64, null []bool) error) error {
-	n := min(hi-lo, hashBlock)
-	h := make([]uint64, n)
+	s := getHashScratch()
+	defer hashScratch.Put(s)
+	h := s.h[:]
 	var null []bool
 	if withNull {
-		null = make([]bool, n)
+		null = s.null[:]
 	}
 	for b := lo; b < hi; b += hashBlock {
 		e := min(b+hashBlock, hi)
@@ -142,6 +144,19 @@ func hashBlocks(keys []vec, lo, hi int, withNull bool, fn func(start int, h []ui
 	}
 	return nil
 }
+
+// hashBuffers is one block's scratch for hashing keys: the rows' hashes
+// and NULL-key flags.
+type hashBuffers struct {
+	h    [hashBlock]uint64
+	null [hashBlock]bool
+}
+
+// hashScratch recycles hashBuffers across calls and queries, so hashing a
+// block of keys allocates nothing once the pool is warm.
+var hashScratch = sync.Pool{New: func() any { return new(hashBuffers) }}
+
+func getHashScratch() *hashBuffers { return hashScratch.Get().(*hashBuffers) }
 
 // keyClass is a value's equality class under the key contract, with the
 // integer (Int/Bool/integral Float) or bit pattern (other Float) it carries.
@@ -219,28 +234,36 @@ func keysEq(a []vec, i int, b []vec, j int) bool {
 // intKeys returns the keys' Int slices when every key is a NULL-free Int
 // column (DL2SQL's IDs), so equality is a loop of integer compares; nil
 // otherwise.
-func intKeys(keys []vec) [][]int64 {
-	ints := make([][]int64, len(keys))
+func intKeys(keys []vec) [][]int64 { return intKeysInto(make([][]int64, len(keys)), keys) }
+
+// intKeysInto is intKeys into dst, a slice of len(keys).
+func intKeysInto(dst [][]int64, keys []vec) [][]int64 {
 	for i, k := range keys {
 		if k.col == nil || k.col.Type != TInt || k.col.Nulls != nil {
 			return nil
 		}
-		ints[i] = k.col.Ints
+		dst[i] = k.col.Ints
 	}
-	return ints
+	return dst
 }
 
 // keyTable is the hash operators' one hash table: it numbers the distinct
-// key tuples it is given 0, 1, 2, … in insertion order. A key is stored as
-// the row of keys that first carried it; lookups verify candidates against
-// that row by typed equality, so no key is ever materialized as bytes.
+// key tuples it is given 0, 1, 2, … in insertion order and verifies
+// candidates by typed equality, so no key is ever materialized as bytes.
+// A table from newKeyTable stores each key as the row of its key vectors
+// that first carried it (the join build side, DISTINCT, statistics). A
+// table from newOwnedKeyTable keeps its own copy of each distinct key,
+// appended when the key is first seen, so its input can arrive a block at
+// a time in buffers that are then reused (GROUP BY).
 type keyTable struct {
-	keys   []vec
+	keys   []vec     // the stored keys: the input's vectors, or the owned copies
 	ints   [][]int64 // intKeys(keys)
 	slots  []int32   // open addressing: id+1, 0 = empty
 	mask   uint64
 	hashes []uint64 // per id
-	rows   []int32  // per id: the representative row of keys
+	rows   []int32  // per id: the row of keys carrying it (unless owned)
+	own    bool
+	intBuf [][]int64 // ints' backing slice when owned
 }
 
 func newKeyTable(keys []vec, sizeHint int) *keyTable {
@@ -251,9 +274,26 @@ func newKeyTable(keys []vec, sizeHint int) *keyTable {
 	return &keyTable{keys: keys, ints: intKeys(keys), slots: make([]int32, size), mask: uint64(size - 1)}
 }
 
-// eq reports whether the key stored at row i equals row j of keys (ints
+// newOwnedKeyTable returns an empty table that owns copies of nkeys-part
+// keys; its key vectors start as empty all-NULL columns.
+func newOwnedKeyTable(nkeys, sizeHint int) *keyTable {
+	keys := make([]vec, nkeys)
+	for i := range keys {
+		keys[i] = vec{col: &Column{Type: TNull}}
+	}
+	t := newKeyTable(keys, sizeHint)
+	t.own, t.intBuf = true, make([][]int64, nkeys)
+	t.ints = intKeysInto(t.intBuf, keys)
+	return t
+}
+
+// eq reports whether the key with the given id equals row j of keys (ints
 // being intKeys(keys)).
-func (t *keyTable) eq(i int, keys []vec, ints [][]int64, j int) bool {
+func (t *keyTable) eq(id int32, keys []vec, ints [][]int64, j int) bool {
+	i := int(id)
+	if !t.own {
+		i = int(t.rows[id])
+	}
 	if t.ints != nil && ints != nil {
 		for k, c := range t.ints {
 			if c[i] != ints[k][j] {
@@ -266,23 +306,38 @@ func (t *keyTable) eq(i int, keys []vec, ints [][]int64, j int) bool {
 }
 
 // len returns the number of distinct keys.
-func (t *keyTable) len() int { return len(t.rows) }
+func (t *keyTable) len() int { return len(t.hashes) }
 
-// insert returns the id of row's key (h its hash), numbering it if new.
+// insert returns the id of row's key (h its hash), numbering it if new. The
+// table must not own its keys: row is a row of the table's key vectors.
 func (t *keyTable) insert(h uint64, row int) (id int32, added bool) {
-	if 2*(len(t.rows)+1) > len(t.slots) {
+	return t.insertFrom(h, t.keys, t.ints, row)
+}
+
+// insertFrom returns the id of the key at row of keys (h its hash, ints
+// intKeys(keys)), numbering it if new: an owning table appends a copy of
+// it, any other records row, which must then be a row of its own keys.
+func (t *keyTable) insertFrom(h uint64, keys []vec, ints [][]int64, row int) (id int32, added bool) {
+	if 2*(len(t.hashes)+1) > len(t.slots) {
 		t.grow()
 	}
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
-			id = int32(len(t.rows))
+			id = int32(len(t.hashes))
 			t.slots[i] = id + 1
 			t.hashes = append(t.hashes, h)
-			t.rows = append(t.rows, int32(row))
+			if !t.own {
+				t.rows = append(t.rows, int32(row))
+				return id, true
+			}
+			for k := range t.keys {
+				appendKey(&t.keys[k], keys[k], row)
+			}
+			t.ints = intKeysInto(t.intBuf, t.keys)
 			return id, true
 		}
-		if t.hashes[s-1] == h && t.eq(int(t.rows[s-1]), t.keys, t.ints, row) {
+		if t.hashes[s-1] == h && t.eq(s-1, keys, ints, row) {
 			return s - 1, false
 		}
 	}
@@ -296,7 +351,7 @@ func (t *keyTable) find(h uint64, probe []vec, ints [][]int64, row int) int32 {
 		if s == 0 {
 			return -1
 		}
-		if t.hashes[s-1] == h && t.eq(int(t.rows[s-1]), probe, ints, row) {
+		if t.hashes[s-1] == h && t.eq(s-1, probe, ints, row) {
 			return s - 1
 		}
 	}
@@ -312,5 +367,48 @@ func (t *keyTable) grow() {
 			i = (i + 1) & t.mask
 		}
 		t.slots[i] = int32(id + 1)
+	}
+}
+
+// bytes is the memory the table holds (its input's key vectors aside).
+func (t *keyTable) bytes() int64 {
+	return int64(4*len(t.slots) + 8*len(t.hashes) + 4*len(t.rows))
+}
+
+// keyColumn is an owning table's k-th key part as a column, typed as a
+// build from its values would type it (see columnFromData).
+func (t *keyTable) keyColumn(k int) *Column {
+	v := t.keys[k]
+	if v.col != nil {
+		return settleType(v.col)
+	}
+	return columnFromData(v.ds)
+}
+
+// appendKey appends row r of src to dst, an owned key vector: a typed
+// column while its non-NULL values share one type, their datums once they
+// do not.
+func appendKey(dst *vec, src vec, r int) {
+	if dst.col == nil {
+		dst.ds = append(dst.ds, src.get(r))
+		return
+	}
+	c, d := dst.col, src.get(r)
+	switch {
+	case d.IsNull() || d.T == c.Type:
+		_ = c.Append(d) // NULL or c's type: cannot fail
+	case c.Type == TNull:
+		typed := NewColumn(d.T)
+		for range c.Nulls {
+			_ = typed.Append(Null())
+		}
+		_ = typed.Append(d)
+		dst.col = typed
+	default:
+		ds := make([]Datum, c.Len(), c.Len()+1)
+		for i := range ds {
+			ds[i] = c.Get(i)
+		}
+		*dst = vec{ds: append(ds, d)}
 	}
 }

@@ -187,29 +187,31 @@ filters:
 // the System-R default. This is the component the paper observes
 // "over-estimates the number of join results ... exaggerated exponentially"
 // on neural-operator queries; the customized cost model bypasses it via
-// CardOverrides.
-func (db *DB) joinSelectivity(lRel, rRel planRel, cond *equiCond) float64 {
-	ndv := func(rel planRel, col *ColRef) float64 {
-		s, ok := rel.plan.(*LScan)
+// CardOverrides. Each side's NDV is looked up in the relation its own
+// alias names, whichever order the condition lists the two sides in.
+func (db *DB) joinSelectivity(rels []planRel, cond *equiCond) float64 {
+	ndv := func(alias string, e Expr) float64 {
+		col, ok := e.(*ColRef)
 		if !ok {
 			return 100
 		}
-		t := db.lookupTable(s.Table)
-		if t == nil {
-			return 100
-		}
-		if d, ok := t.Distinct(col.Name); ok {
-			return float64(d)
+		for _, rel := range rels {
+			if !strings.EqualFold(rel.alias, alias) {
+				continue
+			}
+			s, ok := rel.plan.(*LScan)
+			if !ok {
+				return 100
+			}
+			if t := db.lookupTable(s.Table); t != nil {
+				if d, ok := t.Distinct(col.Name); ok {
+					return float64(d)
+				}
+			}
 		}
 		return 100
 	}
-	lN, rN := 100.0, 100.0
-	if lc, ok := cond.lExpr.(*ColRef); ok {
-		lN = ndv(lRel, lc)
-	}
-	if rc, ok := cond.rExpr.(*ColRef); ok {
-		rN = ndv(rRel, rc)
-	}
+	lN, rN := ndv(cond.lAlias, cond.lExpr), ndv(cond.rAlias, cond.rExpr)
 	return 1.0 / math.Max(1, math.Max(lN, rN))
 }
 
@@ -315,17 +317,7 @@ func (db *DB) buildJoinTree(rels []planRel, conds []Expr, hints *QueryHints) (Pl
 			if eq.hasUDF && hints != nil && hints.SymmetricJoin {
 				symmetric = true
 			}
-			// find rel structs for selectivity
-			var lRel, rRel planRel
-			for _, r2 := range rels {
-				if strings.EqualFold(r2.alias, otherAlias) {
-					lRel = r2
-				}
-				if strings.EqualFold(r2.alias, rel.alias) {
-					rRel = r2
-				}
-			}
-			joinSel *= db.joinSelectivity(lRel, rRel, eq)
+			joinSel *= db.joinSelectivity(rels, eq)
 		}
 		relRows := db.relEstimate(rel, pushed[ra], hints)
 		join := &LJoin{L: cur.plan, R: rel.plan, EquiL: eqL, EquiR: eqR, Symmetric: symmetric}

@@ -7,14 +7,17 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/qerr"
 )
 
-// pruneFixture builds three joinable tables — a (3,000 rows, a nullable
-// column), b (60 rows, three per g) and c (20 rows) — a view over a ⋈ b,
-// and two UDFs, so joins run above the parallel threshold.
+// pruneFixture builds five joinable tables — a (3,000 rows, a nullable
+// column), b (60 rows, three per g), c (20 rows), o (4,000 rows) and p (60
+// rows, three per g) — a view over a ⋈ b, and two UDFs, so joins run above
+// the parallel threshold.
 func pruneFixture(t *testing.T, deg int) *DB {
 	t.Helper()
 	db := New()
@@ -47,6 +50,22 @@ func pruneFixture(t *testing.T, deg int) *DB {
 	}
 	for i := 0; i < 20; i++ {
 		if err := c.AppendRow([]Datum{Int(int64(i)), Int(int64(i * i % 9))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// o and p hold floats off the binary grid, so every sum over them
+	// depends on its accumulation order; o.g = i % 25, so a fifth of o
+	// finds no p row.
+	mustExec(t, db, `CREATE TABLE o (id Int64, g Int64, h Int64, z Float64)`)
+	mustExec(t, db, `CREATE TABLE p (id Int64, g Int64, w Float64)`)
+	o, p := db.lookupTable("o"), db.lookupTable("p")
+	for i := 0; i < 4000; i++ {
+		if err := o.AppendRow([]Datum{Int(int64(i)), Int(int64(i % 25)), Int(int64(i % 7)), Float(float64(i) / 3.0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		if err := p.AppendRow([]Datum{Int(int64(i)), Int(int64(i % 20)), Float(0.1 * float64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,8 +106,11 @@ func resultDigest(res *Result) uint64 {
 
 // TestJoinPruningResultsPinned pins the answers of join queries that read
 // only some of their joined columns, at Parallelism 1 and 4. The digests
-// were recorded before joins gathered only the columns their ancestors
-// read, so they show pruning changes no row, value, type or order.
+// over a, b and c were recorded before joins gathered only the columns
+// their ancestors read, so they show pruning changes no row, value, type
+// or order; those over o and p were recorded while joins still returned
+// whole-output pair arrays, so they show that handing pairs on a block at
+// a time changes none either.
 func TestJoinPruningResultsPinned(t *testing.T) {
 	sym := &QueryHints{SymmetricJoin: true}
 	cases := []struct {
@@ -123,6 +145,28 @@ func TestJoinPruningResultsPinned(t *testing.T) {
 		{"distinct", `SELECT DISTINCT a.s, b.t FROM a JOIN b ON a.g = b.g`, nil, [2]uint64{0x18e0c5b7a5a38096, 0x18e0c5b7a5a38096}},
 		{"order by alias", `SELECT a.s, sum(b.y) AS sy FROM a JOIN b ON a.g = b.g GROUP BY a.s ORDER BY sy DESC, s`, nil, [2]uint64{0xab450011b8fb6422, 0xab450011b8fb6422}},
 		{"symmetric", `SELECT a.g, sum(b.y) AS sy FROM a, b WHERE a.g = ident(b.g) GROUP BY a.g`, sym, [2]uint64{0x7a70e388ad5d1aa3, 0x7a70e388ad5d1aa3}},
+		// Order-sensitive sums over o ⋈ p: every join feeds at least 4 ×
+		// morselRows pairs, so Parallelism 4 runs four aggregate partials
+		// (or gathers in parallel), and a change in the order pairs reach
+		// the aggregate or in where its chunks start changes the bits. The
+		// projected cases pin the rows gathered in parallel, the empty ones
+		// joins without pairs.
+		{"o⋈p inner", `SELECT o.h, sum(o.z * p.w) AS s, avg(p.w) AS m, count(*) AS c FROM o JOIN p ON o.g = p.g GROUP BY o.h`, nil, [2]uint64{0xe8fddf6d3db4531c, 0xb9284ed962dc7b5a}},
+		{"o⋈p inner build left", `SELECT p.id % 4 AS k, sum(o.z - p.w) AS s, varPop(o.z) AS v FROM p JOIN o ON p.g = o.g GROUP BY p.id % 4`, nil, [2]uint64{0xf54fc011ac64d0c9, 0x13b52a7e4a4574d8}},
+		{"o⋈p global", `SELECT sum(o.z * p.w) AS s, stddevSamp(p.w * o.z) AS sd FROM o, p WHERE o.g = p.g`, nil, [2]uint64{0xd602adf3902fb66e, 0xdfb1d6f395f6086e}},
+		{"o⋈p left", `SELECT p.id % 3 AS k, sum(o.z * 0.7) AS s, sum(p.w / 3) AS sw, count(p.id) AS c FROM o LEFT JOIN p ON o.g = p.g GROUP BY p.id % 3`, nil, [2]uint64{0xed7316dba5b7d90c, 0xf583cdb361bee6e8}},
+		{"o⋈p symmetric", `SELECT o.h, sum(o.z * p.w) AS s FROM o, p WHERE o.g = ident(p.g) GROUP BY o.h`, sym, [2]uint64{0x99d5f837d334fa3, 0x90028bfcf6e0b540}},
+		{"o⋈p count distinct", `SELECT o.h, count(DISTINCT p.w) AS d, sum(o.z / (p.w + 1)) AS s FROM o JOIN p ON o.g = p.g GROUP BY o.h`, nil, [2]uint64{0x5182d5225c21a610, 0x5182d5225c21a610}},
+		{"o⋈p argmax ties", `SELECT o.h, argMax(o.id * 100 + p.id, p.g) AS am, argMin(o.z, p.id % 3) AS an, sum(o.z) AS s FROM o JOIN p ON o.g = p.g GROUP BY o.h`, nil, [2]uint64{0x47218947b5af8395, 0x67cfb2c878df5114}},
+		{"o⋈p no pairs", `SELECT o.h, sum(o.z) AS s FROM o JOIN p ON o.g = p.g + 100 GROUP BY o.h`, nil, [2]uint64{0x50263f91be3868e2, 0x50263f91be3868e2}},
+		{"o⋈p no pairs global", `SELECT count(*) AS c, sum(o.z * p.w) AS s FROM o JOIN p ON o.id = p.id + 5000`, nil, [2]uint64{0xfa46b170cf9a2f74, 0xfa46b170cf9a2f74}},
+		{"o⋈p no pairs projected", `SELECT o.id, p.w FROM o JOIN p ON o.g = p.g + 100`, nil, [2]uint64{0x350c3a651295fbac, 0x350c3a651295fbac}},
+		{"o⋈p empty left input", `SELECT p.id % 3 AS k, count(*) AS c FROM o LEFT JOIN p ON o.g = p.g WHERE o.id < 0 GROUP BY p.id % 3`, nil, [2]uint64{0x94a5595d1b58a3b7, 0x94a5595d1b58a3b7}},
+		{"o⋈p empty cross input", `SELECT c.w, count(*) AS c FROM o, c WHERE o.id < 0 GROUP BY c.w`, nil, [2]uint64{0x43bcd03e3a5d8d13, 0x43bcd03e3a5d8d13}},
+		{"o⋈p left projected", `SELECT o.id, o.z, p.w FROM o LEFT JOIN p ON o.g = p.g`, nil, [2]uint64{0x8f8f0d46d1825ce0, 0x8f8f0d46d1825ce0}},
+		{"o⋈p symmetric projected", `SELECT o.id, p.id AS pid, p.w FROM o, p WHERE o.g = ident(p.g)`, sym, [2]uint64{0xe942ed60afcc46ac, 0xe942ed60afcc46ac}},
+		{"o⋈p nested loop projected", `SELECT o.id, c.w, o.z * c.g AS zg FROM o, c WHERE o.id < 500`, nil, [2]uint64{0x8f7656f8fdb66ae9, 0x8f7656f8fdb66ae9}},
+		{"o⋈p nested loop", `SELECT c.w, sum(o.z * c.g) AS s, argMax(o.id, c.w) AS am FROM o, c WHERE o.id < 500 GROUP BY c.w`, nil, [2]uint64{0xba257a97612830df, 0xffa5c1941bf21d7d}},
 	}
 	for di, deg := range []int{1, 4} {
 		db := pruneFixture(t, deg)
@@ -185,7 +229,9 @@ func TestMemoryBudgetChargesColumnsOnce(t *testing.T) {
 }
 
 // TestJoinGroupByAllocationShape runs Q1 as one join + GROUP BY statement:
-// it must allocate less than gathering the join's six columns alone would.
+// the join hands its pairs to the aggregate a block at a time, so the
+// statement must allocate less than the join's pair arrays alone would
+// (two int32 row indexes per pair).
 func TestJoinGroupByAllocationShape(t *testing.T) {
 	db := q1Tables(t)
 	db.Parallelism = 1
@@ -207,11 +253,65 @@ func TestJoinGroupByAllocationShape(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	gather := uint64(benchPositions * benchOrders * benchKernels * 6 * 8)
-	if least >= gather {
-		t.Fatalf("Q1 allocated %d bytes, want less than a 6-column gather of its join output (%d)", least, gather)
+	pairs := uint64(benchPositions * benchOrders * benchKernels * 8)
+	if least >= pairs {
+		t.Fatalf("Q1 allocated %d bytes, want less than its join's pair arrays (%d)", least, pairs)
 	}
-	t.Logf("Q1 allocated %d bytes; a 6-column gather of its join output is %d", least, gather)
+	t.Logf("Q1 allocated %d bytes; its join's pair arrays are %d", least, pairs)
+}
+
+// TestJoinUnderAggregateActualsAndBudget: a join feeding an aggregate keeps
+// its own plan node — its EXPLAIN ANALYZE actuals and its span — and is
+// charged for what it keeps alive (the build index and the block buffers),
+// not for its pairs: Q1 runs under a 1 MiB budget its 73,728 pairs and
+// their gathered group keys (about 1.77 MB) would exceed, and still fails
+// cleanly under 64 KiB.
+func TestJoinUnderAggregateActualsAndBudget(t *testing.T) {
+	db := q1Tables(t)
+	res, err := db.Exec("EXPLAIN ANALYZE " + q1SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan []string
+	for i := 0; i < res.NumRows(); i++ {
+		plan = append(plan, res.Cols[0].Get(i).String())
+	}
+	pairs := benchPositions * benchOrders * benchKernels
+	if len(plan) < 2 || !strings.HasPrefix(plan[0], "Aggregate ") ||
+		!strings.HasPrefix(strings.TrimSpace(plan[1]), "HashJoin ") ||
+		!strings.Contains(plan[1], fmt.Sprintf("actual rows=%d calls=1 ", pairs)) {
+		t.Fatalf("join under the aggregate lost its actuals:\n%s", strings.Join(plan, "\n"))
+	}
+
+	db.Traces = obs.NewTraceStore(obs.TraceStoreConfig{Seed: 1, SlowThreshold: -1, SampleEvery: 1})
+	db.EnableSysCatalog()
+	if _, err := db.Query(q1SQL); err != nil {
+		t.Fatal(err)
+	}
+	res, err = db.Query(`SELECT s.name AS name, p.name AS parent FROM sys.spans s, sys.spans p WHERE s.trace_id = p.trace_id AND s.parent_id = p.span_id AND s.name = 'HashJoin'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumRows() != 1 || res.Cols[1].Get(0).String() != "Aggregate" {
+		t.Fatalf("want one HashJoin span under the Aggregate span, got %d rows", res.NumRows())
+	}
+	db.Traces = nil
+
+	for _, deg := range []int{1, 4} {
+		db.Parallelism = deg
+		db.MemoryBudget = 1 << 20
+		res, err := db.Query(q1SQL)
+		if err != nil {
+			t.Fatalf("par %d: Q1 under a 1 MiB budget: %v", deg, err)
+		}
+		if res.NumRows() != benchPositions*benchKernels {
+			t.Fatalf("par %d: groups = %d", deg, res.NumRows())
+		}
+		db.MemoryBudget = 64 * 1024
+		if _, err := db.Query(q1SQL); !errors.Is(err, qerr.ErrMemoryBudget) {
+			t.Fatalf("par %d: Q1 under a 64 KiB budget: err %v, want ErrMemoryBudget", deg, err)
+		}
+	}
 }
 
 // TestPruneDL2SQLJoins checks the columns the pruning pass records for the

@@ -155,20 +155,16 @@ func (c *Column) ensureNulls() {
 }
 
 // Gather builds a new column holding rows[i] = c[idx[i]]. A negative index
-// produces a NULL row (used by outer joins to pad unmatched sides).
-func (c *Column) Gather(idx []int) *Column { return gather(c, idx) }
-
-// gather is Gather over either index width: joins carry their match pairs
-// as int32, half the bytes of the rest of the executor's []int row lists.
-func gather[I int | int32](c *Column, idx []I) *Column {
+// produces a NULL row (an outer join's padding of an unmatched side).
+func (c *Column) Gather(idx []int) *Column {
 	out := &Column{}
 	gatherInto(out, c, idx)
 	return out
 }
 
-// gatherInto is gather into out, reusing its slices where they are large
-// enough: the aggregate's block loop gathers every block into the same
-// buffers.
+// gatherInto is Gather into out, reusing its slices where they are large
+// enough, over either index width: the aggregate's block loop gathers a
+// join's int32 match pairs into the same buffers every block.
 func gatherInto[I int | int32](out, c *Column, idx []I) {
 	hasNeg := false
 	for _, j := range idx {
@@ -204,6 +200,75 @@ func gatherInto[I int | int32](out, c *Column, idx []I) {
 	out.Nulls = resize(out.Nulls, len(idx))
 	for i, j := range idx {
 		out.Nulls[i] = j < 0 || (c.Nulls != nil && c.Nulls[j])
+	}
+}
+
+// newGatherColumn allocates the n-row column that gatherAt fills from c:
+// c's type, with a NULL mask when c has one or, padded, some row is NULL
+// padding — the column gather over the whole index would build.
+func newGatherColumn(c *Column, n int, padded bool) *Column {
+	out := &Column{Type: c.Type}
+	switch c.Type {
+	case TInt:
+		out.Ints = make([]int64, n)
+	case TFloat:
+		out.Floats = make([]float64, n)
+	case TString:
+		out.Strs = make([]string, n)
+	case TBool:
+		out.Bools = make([]bool, n)
+	case TBlob:
+		out.Blobs = make([][]byte, n)
+	case TNull:
+		out.Nulls = trues(n)
+		return out
+	}
+	if c.Nulls != nil || padded {
+		out.Nulls = make([]bool, n)
+	}
+	return out
+}
+
+// gatherAt writes c's values at idx into rows off … off+len(idx)-1 of out,
+// a column newGatherColumn allocated; a negative index leaves its row NULL.
+func gatherAt(out *Column, off int, c *Column, idx []int32) {
+	padded := out.Nulls != nil
+	switch c.Type {
+	case TInt:
+		putVals(out.Ints[off:], c.Ints, idx, padded)
+	case TFloat:
+		putVals(out.Floats[off:], c.Floats, idx, padded)
+	case TString:
+		putVals(out.Strs[off:], c.Strs, idx, padded)
+	case TBool:
+		putVals(out.Bools[off:], c.Bools, idx, padded)
+	case TBlob:
+		putVals(out.Blobs[off:], c.Blobs, idx, padded)
+	case TNull:
+		return
+	}
+	if padded {
+		nulls := out.Nulls[off:]
+		for i, j := range idx {
+			nulls[i] = j < 0 || (c.Nulls != nil && c.Nulls[j])
+		}
+	}
+}
+
+// putVals sets dst[i] to src[idx[i]], leaving dst[i] as it is (zero) for a
+// negative index; only a NULL-padded column (out.Nulls set) can have one.
+func putVals[T any](dst, src []T, idx []int32, padded bool) {
+	dst = dst[:len(idx)]
+	if !padded {
+		for i, j := range idx {
+			dst[i] = src[j]
+		}
+		return
+	}
+	for i, j := range idx {
+		if j >= 0 {
+			dst[i] = src[j]
+		}
 	}
 }
 
