@@ -81,6 +81,7 @@ func (s *Suite) Fig8Overall() (*Table, error) {
 		Columns: []string{"Setting", "Approach", "Loading(s)", "Inference(s)", "Relational(s)", "All(s)"},
 		Notes: []string{
 			"shape check: DL2SQL-OP lowest total on edge-cpu; GPU cuts DB-PyTorch inference but grows loading; DB-UDF gains least from the GPU",
+			"DL2SQL(-OP) loading pays the model store only on an artifact's first use (the paper's offline step); later queries load only their inputs",
 		},
 	}
 	for _, prof := range hwprofile.All() {

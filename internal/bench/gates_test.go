@@ -9,7 +9,7 @@ package bench
 //
 // The speed-up gates need real cores: with fewer than gateCPUs the workers
 // time-slice and the ratio measures only overhead, so they skip. The
-// allocation gate counts bytes, which do not depend on the cores.
+// allocation gates count bytes, which do not depend on the cores.
 
 import (
 	"context"
@@ -517,5 +517,52 @@ func BenchmarkGateJoinAggregateAllocs(b *testing.B) {
 	b.ReportMetric(float64(least), "B/block")
 	if least > joinAggregateAllocCeiling {
 		b.Fatalf("one conv block allocated %d bytes, above the %d-byte ceiling", least, joinAggregateAllocCeiling)
+	}
+}
+
+// dl2sqlExecuteAllocCeiling is BenchmarkGateDL2SQLExecuteAllocs' bound:
+// the 22,001,560 bytes one warm Execute allocated once each model was
+// stored once per artifact and its layer statements compiled once per run
+// slot (27,461,832 before), plus 10%.
+const dl2sqlExecuteAllocCeiling = 24_201_716
+
+// BenchmarkGateDL2SQLExecuteAllocs: one warm DL2SQL-OP Type 1 Execute at
+// scale 1, side 8 allocates at most dl2sqlExecuteAllocCeiling bytes. The
+// warm-up run stores the models and compiles the run slot, so the measured
+// runs neither store weights nor parse a layer statement. Executor
+// parallelism is fixed at 2 and the gate reports the least of five runs,
+// so like the join/aggregate gate it runs on any number of CPUs.
+func BenchmarkGateDL2SQLExecuteAllocs(b *testing.B) {
+	ds, err := iotdata.Generate(iotdata.Config{Scale: 1, KeyframeSide: 8, Seed: 7, PatternCount: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds.DB.Parallelism = 2
+	env := strategies.NewContext(ds)
+	if err := env.BindDefaults(modelrepo.NewRepository(8, 99), 20); err != nil {
+		b.Fatal(err)
+	}
+	q, err := colquery.GenerateAnalyzed(colquery.Type1, colquery.TemplateParams{Selectivity: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	op := &strategies.DL2SQL{Optimized: true}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := op.Execute(context.Background(), env, q); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run()
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		least = min(least, run())
+	}
+	b.ReportMetric(float64(least), "B/execute")
+	if least > dl2sqlExecuteAllocCeiling {
+		b.Fatalf("one warm DL2SQL-OP Execute allocated %d bytes, above the %d-byte ceiling", least, dl2sqlExecuteAllocCeiling)
 	}
 }

@@ -2,9 +2,9 @@ package dl2sql
 
 // Whole-inference memoization for SQL inference.
 //
-// Every strategies.Execute stores the referenced models under a fresh,
-// uniquely-prefixed set of tables, so table names are useless as cache
-// keys. The cache therefore keys on *semantic* content:
+// One model may be stored under several table prefixes (every translator
+// names its own tables), so table names are useless as cache keys. The
+// cache therefore keys on *semantic* content:
 //
 //	modelStamp = hash(encoded weights) ⊕ current version of every stored
 //	             table (catches direct mutation of kernel/bias tables)
@@ -61,7 +61,7 @@ func (pc *PipelineCache) Stats() icache.Stats {
 // direct UPDATE/INSERT against a kernel table invalidates all keys
 // derived from the stamp.
 func (t *Translator) modelStamp(sm *StoredModel) uint64 {
-	h := sm.weightsHash
+	h := sm.weights()
 	for _, name := range sm.tableNames {
 		if tb := t.DB.GetTable(name); tb != nil {
 			h = tensor.HashMix(h, uint64(tb.Version()))

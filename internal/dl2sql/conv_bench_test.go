@@ -25,8 +25,8 @@ func BenchmarkConvLayerSQL(b *testing.B) {
 				b.Fatal(err)
 			}
 			ins := batchInputs([]int{3, 16, 16}, n, 5)
-			read := func(p *pipeline, out relForm) error {
-				_, err := p.tensors(out, n)
+			read := func(prog *program) error {
+				_, err := tr.tensors(prog, n)
 				return err
 			}
 			b.ReportAllocs()

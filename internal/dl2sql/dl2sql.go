@@ -22,6 +22,13 @@
 //   - flat form ("Layer_Output"): {TupleID, KernelID, Value} — one row per
 //     output element; TupleID = channel*H*W + y*W + x.
 //
+// StoreModel is the offline step: it writes the model's tables once, and
+// every later inference reuses them. A StoredModel compiles its layer chain
+// into prepared statements once per run slot and variant (one input or a
+// batch, under one pre-join strategy); a slot owns the temp tables its
+// runs write, so concurrent inferences of one model never share a name,
+// and a run after a slot's first renders and parses nothing.
+//
 // One set of layer templates renders both single-sample and batched
 // inference. A batch (InferBatch with more than one input) leads both forms
 // with a SampleID column — {SampleID, MatrixID, OrderID, Value} and
@@ -91,7 +98,7 @@ type StepCost struct {
 // inference as SQL against an embedded database.
 type Translator struct {
 	DB      *sqldb.DB
-	Prefix  string // namespace for all generated tables
+	Prefix  string // namespace for the tables StoreModel writes
 	PreJoin PreJoinStrategy
 	// Hints, when set, are passed to every generated query (the DL2SQL-OP
 	// configuration).
@@ -116,8 +123,6 @@ type Translator struct {
 	// a caller's cancellation or deadline aborts the pipeline between (and,
 	// at morsel granularity, inside) steps.
 	Ctx context.Context
-
-	seq int // temp-table sequence number
 }
 
 // ctx resolves the translator's context for generated statements.
@@ -165,42 +170,6 @@ func (t *Translator) tname(parts ...string) string {
 		name += "_" + p
 	}
 	return name
-}
-
-// exec runs SQL with the translator's hints, timing it under the label.
-func (t *Translator) exec(label, sql string) (*sqldb.Result, error) {
-	if t.Trace {
-		t.TraceSQL = append(t.TraceSQL, sql)
-	}
-	start := time.Now()
-	res, err := t.DB.ExecHintedContext(t.ctx(), sql, t.Hints)
-	if err != nil {
-		return nil, fmt.Errorf("dl2sql: step %s: %w\nSQL: %s", label, err, sql)
-	}
-	rows := 0
-	if res != nil {
-		rows = res.NumRows()
-	}
-	t.record(label, rows, time.Since(start))
-	return res, nil
-}
-
-// execToTable runs DDL/DML producing table and records the table's row
-// count under the label.
-func (t *Translator) execToTable(label, table, sql string) error {
-	if t.Trace {
-		t.TraceSQL = append(t.TraceSQL, sql)
-	}
-	start := time.Now()
-	if _, err := t.DB.ExecHintedContext(t.ctx(), sql, t.Hints); err != nil {
-		return fmt.Errorf("dl2sql: step %s: %w\nSQL: %s", label, err, sql)
-	}
-	rows := 0
-	if tb := t.DB.GetTable(table); tb != nil {
-		rows = tb.NumRows()
-	}
-	t.record(label, rows, time.Since(start))
-	return nil
 }
 
 // relForm describes the current intermediate relation during inference.

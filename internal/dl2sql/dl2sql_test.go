@@ -51,8 +51,8 @@ func checkEquivalence(t *testing.T, m *nn.Model, in *tensor.Tensor, eps float64)
 
 	ins := []*tensor.Tensor{in, randTensor(in.Shape(), 1001), randTensor(in.Shape(), 1002)}
 	var outs []*tensor.Tensor
-	if err := tr.run(sm, ins, func(p *pipeline, out relForm) (err error) {
-		outs, err = p.tensors(out, len(ins))
+	if err := tr.run(sm, ins, func(prog *program) (err error) {
+		outs, err = tr.tensors(prog, len(ins))
 		return err
 	}); err != nil {
 		t.Fatalf("batched SQL forward: %v", err)

@@ -15,13 +15,13 @@ import (
 // stride s, padding p). Rows are {MatrixID, OrderID, Value}; overlapping
 // receptive fields duplicate elements, exactly as the paper notes.
 func (t *Translator) EncodeInput(name string, in *tensor.Tensor, k, stride, pad int) (rows int, err error) {
-	return (&pipeline{Translator: t}).encodePatch(name, []*tensor.Tensor{in}, k, stride, pad)
+	return t.encodePatch(name, false, []*tensor.Tensor{in}, k, stride, pad)
 }
 
 // encodePatch is Algorithm 1 over every input. On error it leaves no table
 // named name behind.
-func (p *pipeline) encodePatch(name string, inputs []*tensor.Tensor, k, stride, pad int) (rows int, err error) {
-	tbl, err := p.createInput(name, sqldb.Schema{
+func (t *Translator) encodePatch(name string, key sampleKey, inputs []*tensor.Tensor, k, stride, pad int) (rows int, err error) {
+	tbl, err := t.createInput(name, key, sqldb.Schema{
 		{Name: "MatrixID", Type: sqldb.TInt},
 		{Name: "OrderID", Type: sqldb.TInt},
 		{Name: "Value", Type: sqldb.TFloat},
@@ -32,7 +32,7 @@ func (p *pipeline) encodePatch(name string, inputs []*tensor.Tensor, k, stride, 
 	for sid, in := range inputs {
 		cols, err := tensor.Im2Col(in, k, stride, pad)
 		if err != nil {
-			p.DB.DropTable(name)
+			t.DB.DropTable(name)
 			return 0, err
 		}
 		nm, no := cols.Dim(0), cols.Dim(1)
@@ -44,7 +44,7 @@ func (p *pipeline) encodePatch(name string, inputs []*tensor.Tensor, k, stride, 
 			}
 		}
 		// Im2Col's row-major data is already the (MatrixID, OrderID) order.
-		if err := p.appendInput(tbl, sid, intCol(matrix), intCol(order), floatCol(cols.Data())); err != nil {
+		if err := appendInput(tbl, key, sid, intCol(matrix), intCol(order), floatCol(cols.Data())); err != nil {
 			return 0, err
 		}
 		rows += nm * no
@@ -54,8 +54,8 @@ func (p *pipeline) encodePatch(name string, inputs []*tensor.Tensor, k, stride, 
 
 // encodeFlat stores every input in flat form {TupleID, KernelID, Value}
 // with TupleID the channel-major flat index.
-func (p *pipeline) encodeFlat(name string, inputs []*tensor.Tensor) error {
-	tbl, err := p.createInput(name, sqldb.Schema{
+func (t *Translator) encodeFlat(name string, key sampleKey, inputs []*tensor.Tensor) error {
+	tbl, err := t.createInput(name, key, sqldb.Schema{
 		{Name: "TupleID", Type: sqldb.TInt},
 		{Name: "KernelID", Type: sqldb.TInt},
 		{Name: "Value", Type: sqldb.TFloat},
@@ -69,7 +69,7 @@ func (p *pipeline) encodeFlat(name string, inputs []*tensor.Tensor) error {
 		for i := range tuple {
 			tuple[i], kernel[i] = int64(i), int64(i/per)
 		}
-		if err := p.appendInput(tbl, sid, intCol(tuple), intCol(kernel), floatCol(in.Data())); err != nil {
+		if err := appendInput(tbl, key, sid, intCol(tuple), intCol(kernel), floatCol(in.Data())); err != nil {
 			return err
 		}
 	}
@@ -81,8 +81,8 @@ func (p *pipeline) encodeFlat(name string, inputs []*tensor.Tensor) error {
 // element is multiplied by the kernel's matching weight, one row
 // {KernelID, MatrixID, Value} per (KernelID, MatrixID, OrderID); only the
 // grouped SUM of Q1 remains at inference time.
-func (p *pipeline) encodePreJoined(name string, inputs []*tensor.Tensor, conv *nn.Conv2D) error {
-	tbl, err := p.createInput(name, sqldb.Schema{
+func (t *Translator) encodePreJoined(name string, key sampleKey, inputs []*tensor.Tensor, conv *nn.Conv2D) error {
+	tbl, err := t.createInput(name, key, sqldb.Schema{
 		{Name: "KernelID", Type: sqldb.TInt},
 		{Name: "MatrixID", Type: sqldb.TInt},
 		{Name: "Value", Type: sqldb.TFloat},
@@ -108,7 +108,7 @@ func (p *pipeline) encodePreJoined(name string, inputs []*tensor.Tensor, conv *n
 				}
 			}
 		}
-		if err := p.appendInput(tbl, sid, intCol(kernel), intCol(matrix), floatCol(product)); err != nil {
+		if err := appendInput(tbl, key, sid, intCol(kernel), intCol(matrix), floatCol(product)); err != nil {
 			return err
 		}
 	}
@@ -117,17 +117,17 @@ func (p *pipeline) encodePreJoined(name string, inputs []*tensor.Tensor, conv *n
 
 // createInput (re)creates an encoded-input relation, led by a SampleID
 // column when the run is a batch.
-func (p *pipeline) createInput(name string, schema sqldb.Schema) (*sqldb.Table, error) {
-	if p.key {
+func (t *Translator) createInput(name string, key sampleKey, schema sqldb.Schema) (*sqldb.Table, error) {
+	if key {
 		schema = append(sqldb.Schema{{Name: "SampleID", Type: sqldb.TInt}}, schema...)
 	}
-	p.DB.DropTable(name)
-	return p.DB.CreateTable(name, schema)
+	t.DB.DropTable(name)
+	return t.DB.CreateTable(name, schema)
 }
 
 // appendInput appends input sid's rows to an encoded-input relation.
-func (p *pipeline) appendInput(tbl *sqldb.Table, sid int, cols ...*sqldb.Column) error {
-	if p.key {
+func appendInput(tbl *sqldb.Table, key sampleKey, sid int, cols ...*sqldb.Column) error {
+	if key {
 		ids := make([]int64, cols[0].Len())
 		for i := range ids {
 			ids[i] = int64(sid)

@@ -2,6 +2,8 @@ package dl2sql
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/nn"
 	"repro/internal/sqldb"
@@ -10,16 +12,25 @@ import (
 
 // StoredModel is a model compiled into relational tables: the DL2SQL
 // equivalent of a deployed artifact. It records, per layer, the tables the
-// inference pipeline will touch.
+// inference pipeline will touch, and keeps the run slots its inferences
+// execute in (see runSlot): each slot holds the model's layer statements
+// compiled once over that slot's temp tables.
 type StoredModel struct {
 	Model      *nn.Model
 	Prefix     string
+	db         *sqldb.DB // the database holding the model's tables
 	layers     []storedLayer
 	tableNames []string
-	// weightsHash fingerprints the encoded weights at store time when the
-	// translator has a pipeline cache (attach Cache before StoreModel); the
-	// cache mixes it with live table versions (see modelStamp).
+
+	// hashOnce computes weightsHash, the fingerprint of the encoded
+	// weights, on the first cached inference; the pipeline cache mixes it
+	// with live table versions (see modelStamp).
+	hashOnce    sync.Once
 	weightsHash uint64
+
+	mu   sync.Mutex
+	free []*runSlot   // idle run slots, at most one per concurrent run so far
+	seq  atomic.Int64 // numbers temp tables across all slots
 }
 
 // storedLayer carries the compile-time info for one executable layer.
@@ -44,22 +55,21 @@ type storedLayer struct {
 // StoreModel compiles a model into relational tables (kernel, bias,
 // metadata, and mapping tables). This is the offline step of DL2SQL; its
 // cost is part of the paper's "loading" bucket and its footprint is what
-// Table IV measures.
-func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
+// Table IV measures. On error it drops every table it created.
+func (t *Translator) StoreModel(m *nn.Model) (_ *StoredModel, err error) {
 	shapes, err := m.LayerShapes()
 	if err != nil {
 		return nil, fmt.Errorf("dl2sql: model %s does not validate: %w", m.ModelName, err)
 	}
-	sm := &StoredModel{Model: m, Prefix: t.Prefix}
-	if t.Cache != nil {
-		// Only the pipeline cache reads the fingerprint; encoding the whole
-		// model costs a full pass over the weights.
-		if blob, err := nn.EncodeBytes(m); err == nil {
-			sm.weightsHash = tensor.HashBytes(blob)
+	sm := &StoredModel{Model: m, Prefix: t.Prefix, db: t.DB}
+	defer func() {
+		if err != nil {
+			sm.Drop()
 		}
-	}
+	}()
 	// Metadata table: one row of hyper-parameters per stored layer.
 	metaName := t.tname("meta")
+	sm.tableNames = append(sm.tableNames, metaName)
 	t.DB.DropTable(metaName)
 	meta, err := t.DB.CreateTable(metaName, sqldb.Schema{
 		{Name: "LayerName", Type: sqldb.TString},
@@ -73,7 +83,6 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	sm.tableNames = append(sm.tableNames, metaName)
 	var metaNames, metaKinds []string
 	var metaInts [5][]int64 // InC, OutC, K, Stride, Pad
 
@@ -96,18 +105,18 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 				convOrdinal++
 				sl.ordinal = convOrdinal
 				name := t.tname(tag, fmt.Sprintf("kernel%d", convOrdinal))
+				sm.tableNames = append(sm.tableNames, name)
 				if err := t.storeKernel(name, v); err != nil {
 					return nil, nil, err
 				}
 				sl.kernelTable = name
-				sm.tableNames = append(sm.tableNames, name)
 				if v.Bias != nil {
 					bn := name + "_bias"
+					sm.tableNames = append(sm.tableNames, bn)
 					if err := t.storeBias(bn, v.Bias); err != nil {
 						return nil, nil, err
 					}
 					sl.biasTable = bn
-					sm.tableNames = append(sm.tableNames, bn)
 				}
 				metaNames = append(metaNames, v.Name())
 				metaKinds = append(metaKinds, v.Kind())
@@ -119,45 +128,45 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 				// form by Algorithm 1).
 				if !(tag == "m" && li == 0 && len(out) == 0 && isModelStart(cur, inShape)) {
 					mt := name + "_map"
+					sm.tableNames = append(sm.tableNames, mt)
 					if err := t.storeConvMapping(mt, cur, v.K, v.Stride, v.Pad); err != nil {
 						return nil, nil, err
 					}
 					sl.mappingTable = mt
-					sm.tableNames = append(sm.tableNames, mt)
 				}
 			case *nn.Deconv2D:
 				convOrdinal++
 				sl.ordinal = convOrdinal
 				name := t.tname(tag, fmt.Sprintf("deconv%d", convOrdinal))
+				sm.tableNames = append(sm.tableNames, name)
 				if err := t.storeDeconvContrib(name, v, cur); err != nil {
 					return nil, nil, err
 				}
 				sl.kernelTable = name
-				sm.tableNames = append(sm.tableNames, name)
 				if v.Bias != nil {
 					bn := name + "_bias"
+					sm.tableNames = append(sm.tableNames, bn)
 					if err := t.storeBias(bn, v.Bias); err != nil {
 						return nil, nil, err
 					}
 					sl.biasTable = bn
-					sm.tableNames = append(sm.tableNames, bn)
 				}
 			case *nn.Linear:
 				convOrdinal++
 				sl.ordinal = convOrdinal
 				name := t.tname(tag, fmt.Sprintf("fc%d", convOrdinal))
+				sm.tableNames = append(sm.tableNames, name)
 				if err := t.storeLinearKernel(name, v); err != nil {
 					return nil, nil, err
 				}
 				sl.kernelTable = name
-				sm.tableNames = append(sm.tableNames, name)
 				if v.Bias != nil {
 					bn := name + "_bias"
+					sm.tableNames = append(sm.tableNames, bn)
 					if err := t.storeBias(bn, v.Bias); err != nil {
 						return nil, nil, err
 					}
 					sl.biasTable = bn
-					sm.tableNames = append(sm.tableNames, bn)
 				}
 			case *nn.BasicAttention:
 				convOrdinal++
@@ -166,6 +175,7 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 				value := t.tname(tag, fmt.Sprintf("attn%d_value", convOrdinal))
 				ls := &nn.Linear{LayerName: v.Name() + "_score", In: v.Dim, Out: v.Dim, Weight: v.WScore}
 				lv := &nn.Linear{LayerName: v.Name() + "_value", In: v.Dim, Out: v.Dim, Weight: v.WValue}
+				sm.tableNames = append(sm.tableNames, score, value)
 				if err := t.storeLinearKernel(score, ls); err != nil {
 					return nil, nil, err
 				}
@@ -174,42 +184,41 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 				}
 				sl.kernelTable = score
 				sl.biasTable = value // reused as the second weight table
-				sm.tableNames = append(sm.tableNames, score, value)
 			case *nn.BatchNorm:
 				// Identity batch-stat norms need no parameters; anything
 				// else (learned γ/β or frozen running statistics) is stored
 				// in a per-channel parameter table joined at inference.
 				if !bnIsIdentity(v) {
 					name := t.tname(tag, fmt.Sprintf("bnparams%d", len(sm.tableNames)))
+					sm.tableNames = append(sm.tableNames, name)
 					if err := t.storeBNParams(name, v.Gamma, v.Beta, v.Mean, v.Var); err != nil {
 						return nil, nil, err
 					}
 					sl.kernelTable = name
-					sm.tableNames = append(sm.tableNames, name)
 				}
 			case *nn.InstanceNorm:
 				if !instanceNormIsIdentity(v) {
 					name := t.tname(tag, fmt.Sprintf("bnparams%d", len(sm.tableNames)))
+					sm.tableNames = append(sm.tableNames, name)
 					if err := t.storeBNParams(name, v.Gamma, v.Beta, nil, nil); err != nil {
 						return nil, nil, err
 					}
 					sl.kernelTable = name
-					sm.tableNames = append(sm.tableNames, name)
 				}
 			case *nn.MaxPool:
 				mt := t.tname(tag, fmt.Sprintf("poolmap%d", len(sm.tableNames)))
+				sm.tableNames = append(sm.tableNames, mt)
 				if err := t.storePoolMapping(mt, cur, v.K, v.Stride); err != nil {
 					return nil, nil, err
 				}
 				sl.mappingTable = mt
-				sm.tableNames = append(sm.tableNames, mt)
 			case *nn.AvgPool:
 				mt := t.tname(tag, fmt.Sprintf("poolmap%d", len(sm.tableNames)))
+				sm.tableNames = append(sm.tableNames, mt)
 				if err := t.storePoolMapping(mt, cur, v.K, v.Stride); err != nil {
 					return nil, nil, err
 				}
 				sl.mappingTable = mt
-				sm.tableNames = append(sm.tableNames, mt)
 			case *nn.ResidualBlock:
 				mainLayers, _, err := compile(v.Main, cur, tag+"rm")
 				if err != nil {
@@ -463,4 +472,23 @@ func (sm *StoredModel) StorageBytes(db *sqldb.DB) int64 {
 // TableNames lists every relational table backing the stored model.
 func (sm *StoredModel) TableNames() []string {
 	return append([]string(nil), sm.tableNames...)
+}
+
+// Drop removes every relational table backing the stored model. Run slots
+// hold no tables between runs, so nothing else remains.
+func (sm *StoredModel) Drop() {
+	for _, name := range sm.tableNames {
+		sm.db.DropTable(name)
+	}
+}
+
+// weights fingerprints the encoded weights, once: only the pipeline cache
+// reads it, and encoding the whole model costs a full pass over them.
+func (sm *StoredModel) weights() uint64 {
+	sm.hashOnce.Do(func() {
+		if blob, err := nn.EncodeBytes(sm.Model); err == nil {
+			sm.weightsHash = tensor.HashBytes(blob)
+		}
+	})
+	return sm.weightsHash
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/nn"
+	"repro/internal/sqldb"
 	"repro/internal/tensor"
 )
 
@@ -24,8 +25,8 @@ func (t *Translator) Infer(sm *StoredModel, input *tensor.Tensor) (int, float64,
 		}
 	}
 	var r cachedResult
-	err := t.run(sm, []*tensor.Tensor{input}, func(p *pipeline, out relForm) error {
-		classes, score, err := p.classify(out, 1)
+	err := t.run(sm, []*tensor.Tensor{input}, func(prog *program) error {
+		classes, score, err := t.classify(prog, 1)
 		if err == nil {
 			r = cachedResult{idx: classes[0], score: score}
 		}
@@ -47,8 +48,8 @@ func (t *Translator) Infer(sm *StoredModel, input *tensor.Tensor) (int, float64,
 // layer's output as a tensor (used by Verify and the equivalence tests).
 func (t *Translator) InferTensor(sm *StoredModel, input *tensor.Tensor) (*tensor.Tensor, error) {
 	var outs []*tensor.Tensor
-	err := t.run(sm, []*tensor.Tensor{input}, func(p *pipeline, out relForm) (err error) {
-		outs, err = p.tensors(out, 1)
+	err := t.run(sm, []*tensor.Tensor{input}, func(prog *program) (err error) {
+		outs, err = t.tensors(prog, 1)
 		return err
 	})
 	if err != nil {
@@ -67,8 +68,8 @@ func (t *Translator) InferBatch(sm *StoredModel, inputs []*tensor.Tensor) ([]int
 		return nil, nil
 	}
 	var classes []int
-	err := t.run(sm, inputs, func(p *pipeline, out relForm) (err error) {
-		classes, _, err = p.classify(out, len(inputs))
+	err := t.run(sm, inputs, func(prog *program) (err error) {
+		classes, _, err = t.classify(prog, len(inputs))
 		return err
 	})
 	if err != nil {
@@ -112,52 +113,188 @@ func (k sampleKey) eq(a, b string) string {
 	return a + ".SampleID = " + b + ".SampleID AND "
 }
 
-// pipeline is the state of one inference run.
-type pipeline struct {
-	*Translator
+// program is a stored model's layer chain compiled for one variant — one
+// input or a SampleID-keyed batch, under one pre-join strategy — over one
+// run slot's temp tables. Running it encodes the inputs into its input
+// table and executes its steps in order; nothing is rendered or parsed.
+type program struct {
 	key      sampleKey
-	temps    []string // temp tables to drop when the run ends
-	lastConv int      // ordinal of the last convolution, for step labels
+	load     func(t *Translator, inputs []*tensor.Tensor) error // encodes the inputs
+	steps    []step
+	out      relForm // the final relation
+	classify step    // the argmax over out, one class per sample
+	tensors  *sqldb.Prepared
+	temps    []string // every table the program creates, dropped after each run
+}
+
+// step is one compiled pipeline step: its statements, prepared once, run
+// in order and timed under label. text renders them as one script, for
+// Translator.Trace and error messages.
+type step struct {
+	label string
+	table string // the relation the step materializes; "" counts the result's rows
+	text  string
+	stmts []*sqldb.Prepared
+}
+
+// variant names one compiled rendering of a model.
+type variant struct {
+	key     sampleKey
+	preJoin PreJoinStrategy
+}
+
+// runSlot owns one set of temp-table names: the programs compiled over
+// them, one per variant, compiled on first use. A run checks a slot out,
+// so concurrent runs of one model never share a temp table, and checks it
+// back in once it has dropped its temp tables.
+type runSlot struct {
+	progs map[variant]*program
+}
+
+// checkout takes an idle run slot, or a new one when every slot is busy:
+// the slots grow only to the model's peak concurrency.
+func (sm *StoredModel) checkout() *runSlot {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if n := len(sm.free); n > 0 {
+		s := sm.free[n-1]
+		sm.free = sm.free[:n-1]
+		return s
+	}
+	return &runSlot{progs: map[variant]*program{}}
+}
+
+// checkin returns a slot whose run has dropped its temp tables.
+func (sm *StoredModel) checkin(s *runSlot) {
+	sm.mu.Lock()
+	sm.free = append(sm.free, s)
+	sm.mu.Unlock()
 }
 
 // run executes the pipeline over inputs, which must all have the model's
-// input shape: it encodes them, runs the layer chain, hands the final
-// relation to read and drops every temp table. More than one input adds
-// the SampleID column to every statement.
-func (t *Translator) run(sm *StoredModel, inputs []*tensor.Tensor, read func(p *pipeline, out relForm) error) error {
+// input shape: it encodes them, runs the layer chain, hands the compiled
+// program to read and drops every temp table. More than one input runs
+// the SampleID-keyed rendering.
+func (t *Translator) run(sm *StoredModel, inputs []*tensor.Tensor, read func(prog *program) error) error {
 	for i, in := range inputs {
 		if !slices.Equal(in.Shape(), sm.Model.InputShape) {
 			return fmt.Errorf("dl2sql: input %d has shape %v, model %s expects %v", i, in.Shape(), sm.Model.ModelName, sm.Model.InputShape)
 		}
 	}
-	p := &pipeline{Translator: t, key: sampleKey(len(inputs) > 1)}
+	if t.DB != sm.db {
+		return fmt.Errorf("dl2sql: model %s is stored in another database", sm.Model.ModelName)
+	}
+	slot := sm.checkout()
+	defer sm.checkin(slot)
+	v := variant{key: sampleKey(len(inputs) > 1), preJoin: t.PreJoin}
+	prog := slot.progs[v]
+	if prog == nil {
+		var err error
+		if prog, err = sm.compile(v); err != nil {
+			return err
+		}
+		slot.progs[v] = prog
+	}
 	defer func() {
-		for _, name := range p.temps {
+		for _, name := range prog.temps {
 			t.DB.DropTable(name)
 		}
 	}()
-	cur, err := p.encode(sm, inputs)
-	if err != nil {
+	if err := prog.load(t, inputs); err != nil {
 		return err
 	}
-	if cur, err = p.chain(sm.layers, cur); err != nil {
-		return err
+	for i := range prog.steps {
+		if _, err := t.execStep(&prog.steps[i]); err != nil {
+			return err
+		}
 	}
-	return read(p, cur)
+	return read(prog)
 }
 
-// temp returns a fresh temp-table name, dropped when the run ends.
+// execStep runs one compiled step with the translator's hints and records
+// its cost.
+func (t *Translator) execStep(s *step) (*sqldb.Result, error) {
+	if t.Trace {
+		t.TraceSQL = append(t.TraceSQL, s.text)
+	}
+	start := time.Now()
+	var res *sqldb.Result
+	for _, st := range s.stmts {
+		var err error
+		if res, err = st.ExecHintedContext(t.ctx(), t.Hints); err != nil {
+			return nil, fmt.Errorf("dl2sql: step %s: %w\nSQL: %s", s.label, err, s.text)
+		}
+	}
+	rows := 0
+	if s.table != "" {
+		if tb := t.DB.GetTable(s.table); tb != nil {
+			rows = tb.NumRows()
+		}
+	} else if res != nil {
+		rows = res.NumRows()
+	}
+	t.record(s.label, rows, time.Since(start))
+	return res, nil
+}
+
+// pipeline compiles one variant of a stored model's layer chain into a
+// program: each layer method renders its statements and appends them as
+// steps over fresh temp tables.
+type pipeline struct {
+	sm       *StoredModel
+	key      sampleKey
+	preJoin  PreJoinStrategy
+	prog     *program
+	lastConv int // ordinal of the last convolution, for step labels
+}
+
+// compile renders and prepares every statement of one variant of the
+// model, including the reads of its final relation.
+func (sm *StoredModel) compile(v variant) (*program, error) {
+	p := &pipeline{sm: sm, key: v.key, preJoin: v.preJoin, prog: &program{key: v.key}}
+	out, err := p.chain(sm.layers, p.encode())
+	if err == nil {
+		err = p.reads(out)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p.prog, nil
+}
+
+// temp returns a fresh temp-table name, dropped when each run ends.
 func (p *pipeline) temp(tag string) string {
-	p.seq++
-	name := fmt.Sprintf("%s_tmp_%s_%d", p.Prefix, tag, p.seq)
-	p.temps = append(p.temps, name)
+	name := fmt.Sprintf("%s_tmp_%s_%d", p.sm.Prefix, tag, p.sm.seq.Add(1))
+	p.prog.temps = append(p.prog.temps, name)
 	return name
 }
 
-// create materializes one step's SELECT into a fresh temp table.
+// prepare compiles a step from its statements; text is their rendering
+// as one script.
+func (p *pipeline) prepare(label, table, text string, sqls ...string) (step, error) {
+	s := step{label: label, table: table, text: text}
+	for _, sql := range sqls {
+		st, err := p.sm.db.Prepare(sql)
+		if err != nil {
+			return s, fmt.Errorf("dl2sql: step %s: %w\nSQL: %s", label, err, sql)
+		}
+		s.stmts = append(s.stmts, st)
+	}
+	return s, nil
+}
+
+// add appends a one-statement step; table "" counts the rows of its
+// result.
+func (p *pipeline) add(label, table, sql string) error {
+	s, err := p.prepare(label, table, sql, sql)
+	p.prog.steps = append(p.prog.steps, s)
+	return err
+}
+
+// create appends a step materializing one SELECT into a fresh temp table.
 func (p *pipeline) create(label, tag, sel string) (string, error) {
 	out := p.temp(tag)
-	return out, p.execToTable(label, out, "CREATE TEMP TABLE "+out+" AS "+sel)
+	return out, p.add(label, out, "CREATE TEMP TABLE "+out+" AS "+sel)
 }
 
 // flatOut is the flat relation holding sl's output.
@@ -169,29 +306,37 @@ func flatOut(table string, sl *storedLayer) relForm {
 	return r
 }
 
-// encode implements the loading step: Algorithm 1 (patch form) when the
+// encode compiles the loading step: Algorithm 1 (patch form) when the
 // model starts with a convolution, flat form otherwise. Under PreJoinInput
 // the patch encoding is pre-multiplied with the first kernel.
-func (p *pipeline) encode(sm *StoredModel, inputs []*tensor.Tensor) (relForm, error) {
-	in := sm.Model.InputShape
-	if len(sm.layers) > 0 && sm.layers[0].mappingTable == "" {
-		if conv, ok := sm.layers[0].layer.(*nn.Conv2D); ok {
-			name := p.temp("fm0")
-			var err error
-			if p.PreJoin == PreJoinInput {
-				err = p.encodePreJoined(name, inputs, conv)
-			} else {
-				_, err = p.encodePatch(name, inputs, conv.K, conv.Stride, conv.Pad)
+func (p *pipeline) encode() relForm {
+	in, key := p.sm.Model.InputShape, p.key
+	if len(p.sm.layers) > 0 && p.sm.layers[0].mappingTable == "" {
+		if conv, ok := p.sm.layers[0].layer.(*nn.Conv2D); ok {
+			name, preJoined := p.temp("fm0"), p.preJoin == PreJoinInput
+			p.prog.load = func(t *Translator, inputs []*tensor.Tensor) error {
+				if preJoined {
+					return t.encodePreJoined(name, key, inputs, conv)
+				}
+				_, err := t.encodePatch(name, key, inputs, conv.K, conv.Stride, conv.Pad)
+				return err
 			}
-			return relForm{table: name, c: in[0], h: in[1], w: in[2]}, err
+			return relForm{table: name, c: in[0], h: in[1], w: in[2]}
 		}
 	}
 	name := p.temp("flat0")
-	c, h, w := 1, 1, inputs[0].Len()
+	p.prog.load = func(t *Translator, inputs []*tensor.Tensor) error {
+		return t.encodeFlat(name, key, inputs)
+	}
+	c, h, w := 1, 1, 1
 	if len(in) == 3 {
 		c, h, w = in[0], in[1], in[2]
+	} else {
+		for _, d := range in {
+			w *= d
+		}
 	}
-	return relForm{table: name, flat: true, c: c, h: h, w: w}, p.encodeFlat(name, inputs)
+	return relForm{table: name, flat: true, c: c, h: h, w: w}
 }
 
 // chain executes a compiled layer chain.
@@ -253,14 +398,14 @@ func (p *pipeline) conv(sl *storedLayer, cur relForm) (relForm, error) {
 	ohw := sl.outShape[1] * sl.outShape[2]
 	var sql string
 	switch {
-	case cur.flat && p.PreJoin != PreJoinNone:
+	case cur.flat && p.preJoin != PreJoinNone:
 		// Strategy 2/3: the mapping process (Q2) is fused into the
 		// convolution statement as a subquery — the intermediate
 		// FeatureMap table is never materialized.
 		sql = fmt.Sprintf(
 			`SELECT %sK.KernelID * %d + X.MatrixID AS TupleID, K.KernelID AS KernelID, SUM(X.Value * K.Value) AS Value FROM (%s) X INNER JOIN %s K ON X.OrderID = K.OrderID GROUP BY %sK.KernelID, X.MatrixID`,
 			k.col("X"), ohw, p.reshape(sl, cur), sl.kernelTable, k.by("X"))
-	case p.PreJoin == PreJoinInput && sl.mappingTable == "":
+	case p.preJoin == PreJoinInput && sl.mappingTable == "":
 		// Strategy 3 on the first layer: the input was encoded
 		// pre-multiplied — only the aggregation remains.
 		sql = fmt.Sprintf(
@@ -357,8 +502,7 @@ func (p *pipeline) norm(sl *storedLayer, cur relForm) (relForm, error) {
 
 // relu applies the paper's UPDATE-based rectification in place.
 func (p *pipeline) relu(cur relForm) (relForm, error) {
-	_, err := p.exec(fmt.Sprintf("ReLU%d", p.lastConv), fmt.Sprintf(`UPDATE %s SET Value = 0 WHERE Value < 0`, cur.table))
-	return cur, err
+	return cur, p.add(fmt.Sprintf("ReLU%d", p.lastConv), "", fmt.Sprintf(`UPDATE %s SET Value = 0 WHERE Value < 0`, cur.table))
 }
 
 func (p *pipeline) sigmoid(cur relForm) (relForm, error) {
@@ -449,12 +593,12 @@ func (p *pipeline) dense(sl *storedLayer, growth int, cur relForm) (relForm, err
 		}
 		// Concatenate along channels.
 		concat := p.temp("cat")
-		sqls := fmt.Sprintf(
-			`CREATE TEMP TABLE %s AS SELECT %sTupleID, KernelID, Value FROM %s;
-			 INSERT INTO %s (SELECT %sTupleID + %d, KernelID + %d, Value FROM %s);`,
-			concat, s, acc.table,
+		create := fmt.Sprintf(`CREATE TEMP TABLE %s AS SELECT %sTupleID, KernelID, Value FROM %s`, concat, s, acc.table)
+		insert := fmt.Sprintf(`INSERT INTO %s (SELECT %sTupleID + %d, KernelID + %d, Value FROM %s)`,
 			concat, s, acc.size(), acc.c, stageOut.table)
-		if err := p.execToTable(fmt.Sprintf("Dense%d", p.lastConv), concat, sqls); err != nil {
+		st, err := p.prepare(fmt.Sprintf("Dense%d", p.lastConv), concat, create+";\n\t\t\t "+insert+";", create, insert)
+		p.prog.steps = append(p.prog.steps, st)
+		if err != nil {
 			return cur, err
 		}
 		acc = relForm{table: concat, flat: true, c: acc.c + growth, h: acc.h, w: acc.w}
@@ -494,29 +638,40 @@ func (p *pipeline) deconv(sl *storedLayer, cur relForm) (relForm, error) {
 	return p.bias(sl, flatOut(out, sl), label)
 }
 
-// classify runs the argmax over the final score table and returns one
-// class per sample. One input reads its top row, which also yields the
-// score; a batch joins each sample's rows with its maximum and reports the
-// classes only.
-func (p *pipeline) classify(out relForm, n int) ([]int, float64, error) {
-	if !p.key {
-		res, err := p.exec("Classification", fmt.Sprintf(
-			`SELECT TupleID, Value FROM %s ORDER BY Value DESC, TupleID LIMIT 1`, out.table))
-		if err != nil {
-			return nil, 0, err
-		}
+// reads compiles the statements that read the final relation back: the
+// argmax, which one input takes from its top row (also yielding the score)
+// and a batch from each sample's rows joined with its maximum, and the
+// whole relation ordered by TupleID.
+func (p *pipeline) reads(out relForm) (err error) {
+	p.prog.out = out
+	classify := fmt.Sprintf(`SELECT TupleID, Value FROM %s ORDER BY Value DESC, TupleID LIMIT 1`, out.table)
+	if p.key {
+		classify = fmt.Sprintf(
+			`SELECT A.SampleID AS SampleID, MIN(A.TupleID) AS TupleID FROM %s A, (SELECT SampleID, MAX(Value) AS mx FROM %s GROUP BY SampleID) S WHERE A.SampleID = S.SampleID AND A.Value = S.mx GROUP BY A.SampleID`,
+			out.table, out.table)
+	}
+	if p.prog.classify, err = p.prepare("Classification", "", classify, classify); err != nil {
+		return err
+	}
+	p.prog.tensors, err = p.sm.db.Prepare(fmt.Sprintf(`SELECT %sTupleID, Value FROM %s ORDER BY %sTupleID`,
+		p.key.col(""), out.table, p.key.by("")))
+	return err
+}
+
+// classify runs a program's argmax and returns one class per sample, and
+// for one input its score.
+func (t *Translator) classify(prog *program, n int) ([]int, float64, error) {
+	res, err := t.execStep(&prog.classify)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !prog.key {
 		if res.NumRows() == 0 {
 			return nil, 0, fmt.Errorf("dl2sql: empty final score table")
 		}
 		idx, _ := res.Cols[0].Get(0).AsInt()
 		score, _ := res.Cols[1].Get(0).AsFloat()
 		return []int{int(idx)}, score, nil
-	}
-	res, err := p.exec("Classification", fmt.Sprintf(
-		`SELECT A.SampleID AS SampleID, MIN(A.TupleID) AS TupleID FROM %s A, (SELECT SampleID, MAX(Value) AS mx FROM %s GROUP BY SampleID) S WHERE A.SampleID = S.SampleID AND A.Value = S.mx GROUP BY A.SampleID`,
-		out.table, out.table))
-	if err != nil {
-		return nil, 0, err
 	}
 	classes := make([]int, n)
 	for i := range classes {
@@ -537,24 +692,25 @@ func (p *pipeline) classify(out relForm, n int) ([]int, float64, error) {
 	return classes, 0, nil
 }
 
-// tensors reads the final flat relation back into one tensor per sample.
-func (p *pipeline) tensors(out relForm, n int) ([]*tensor.Tensor, error) {
-	res, err := p.DB.QueryContext(p.ctx(), fmt.Sprintf(`SELECT %sTupleID, Value FROM %s ORDER BY %sTupleID`,
-		p.key.col(""), out.table, p.key.by("")))
+// tensors reads a program's final flat relation back into one tensor per
+// sample.
+func (t *Translator) tensors(prog *program, n int) ([]*tensor.Tensor, error) {
+	res, err := prog.tensors.QueryContext(t.ctx())
 	if err != nil {
 		return nil, err
 	}
+	out := prog.out
 	ts := make([]*tensor.Tensor, n)
 	for i := range ts {
 		ts[i] = tensor.New(out.c, out.h, out.w)
 	}
 	ids, vals := res.Cols[0], res.Cols[1]
-	if p.key {
+	if prog.key {
 		ids, vals = res.Cols[1], res.Cols[2]
 	}
 	for r := 0; r < res.NumRows(); r++ {
 		var sid int64
-		if p.key {
+		if prog.key {
 			sid, _ = res.Cols[0].Get(r).AsInt()
 		}
 		id, _ := ids.Get(r).AsInt()

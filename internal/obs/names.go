@@ -46,6 +46,13 @@ const (
 	MetricFallbackTotal = "strategy.fallback.total"
 )
 
+// DL2SQL strategy metrics (internal/strategies).
+const (
+	// MetricDL2SQLModelsStored counts models the DL2SQL strategies stored
+	// as relational tables: one per bound artifact, on its first use.
+	MetricDL2SQLModelsStored = "dl2sql.models_stored"
+)
+
 // Inference-scheduler metrics (internal/schedule).
 const (
 	// MetricSchedSubmitted counts inference requests submitted to the

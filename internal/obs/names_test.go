@@ -17,6 +17,7 @@ func TestValidMetricName(t *testing.T) {
 		MetricServingRetries,
 		MetricServingBreakerRejected,
 		MetricFallbackTotal,
+		MetricDL2SQLModelsStored,
 		StrategyMetric("DB-PyTorch", "total_s"),
 		StrategyMetric("DL2SQL-OP", "queries"),
 		FallbackMetric("DB-PyTorch", "DB-UDF"),

@@ -91,10 +91,15 @@ func (ec *execCtx) countUDFs(n, rows int) {
 // execStmtRecorded is execStmt plus history recording. With no history or
 // trace store armed it is a plain passthrough; otherwise the statement
 // runs with an accounting context and leaves one QueryRecord behind —
-// including on error and on recovered panic.
+// including on error and on recovered panic. sql is the statement's
+// recorded text; when empty, st is rendered, and only when a recorder is
+// armed.
 func (db *DB) execStmtRecorded(ctx context.Context, st Stmt, sql string, hints *QueryHints) (*Result, error) {
 	if db.History == nil && db.Traces == nil {
 		return db.execStmt(ctx, st, hints)
+	}
+	if sql == "" {
+		sql = st.String()
 	}
 	return db.recordQuery(ctx, sql, func(ctx context.Context) (*Result, error) {
 		return db.execStmt(ctx, st, hints)

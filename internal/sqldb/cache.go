@@ -295,9 +295,14 @@ func (db *DB) collectSelectDeps(sel *SelectStmt) (deps []planDep, ok bool) {
 // the plan cache (keyed with the placeholders intact, so one plan serves
 // every binding) and the arguments are substituted into a copy-on-write
 // clone of the plan — repeated executions skip lex, parse, and optimize.
+// A statement without placeholders runs its parsed AST as is, under the
+// text rendered once by Prepare, so repeated executions render nothing.
 type Prepared struct {
 	db   *DB
 	stmt Stmt
+	// text is stmt's canonical rendering, recorded in the query history
+	// for every execution that does not substitute arguments into the AST.
+	text string
 	// n is the number of `?` placeholders; paramsInSub marks placeholders
 	// inside scalar/IN subqueries, which the planner folds at plan time and
 	// must therefore be bound before planning.
@@ -313,7 +318,7 @@ func (db *DB) Prepare(sql string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{db: db, stmt: st}
+	p := &Prepared{db: db, stmt: st, text: st.String()}
 	p.n, p.paramsInSub = countStmtParams(st)
 	return p, nil
 }
@@ -324,14 +329,32 @@ func (p *Prepared) NumParams() int { return p.n }
 // Query executes the prepared statement with the given arguments bound to
 // its `?` placeholders, in order.
 func (p *Prepared) Query(args ...Datum) (*Result, error) {
-	return p.QueryContext(context.Background(), args...)
+	return p.ExecHintedContext(context.Background(), nil, args...)
 }
 
 // QueryContext is Query with cancellation and deadline support.
-func (p *Prepared) QueryContext(ctx context.Context, args ...Datum) (res *Result, err error) {
+func (p *Prepared) QueryContext(ctx context.Context, args ...Datum) (*Result, error) {
+	return p.ExecHintedContext(ctx, nil, args...)
+}
+
+// Exec is Query for statements that may not return rows (INSERT, UPDATE,
+// DELETE, ...).
+func (p *Prepared) Exec(args ...Datum) (*Result, error) {
+	return p.ExecHintedContext(context.Background(), nil, args...)
+}
+
+// ExecContext is Exec with cancellation and deadline support.
+func (p *Prepared) ExecContext(ctx context.Context, args ...Datum) (*Result, error) {
+	return p.ExecHintedContext(ctx, nil, args...)
+}
+
+// ExecHintedContext is ExecContext with optimizer hints (see ExecHinted).
+// A hinted SELECT is planned afresh: the plan cache never serves hinted
+// statements.
+func (p *Prepared) ExecHintedContext(ctx context.Context, hints *QueryHints, args ...Datum) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, qerr.Recovered("sqldb prepared query", r)
+			res, err = nil, qerr.Recovered("sqldb prepared exec", r)
 		}
 	}()
 	if err := ctxErr(ctx); err != nil {
@@ -340,9 +363,12 @@ func (p *Prepared) QueryContext(ctx context.Context, args ...Datum) (res *Result
 	if len(args) != p.n {
 		return nil, fmt.Errorf("sqldb: prepared statement wants %d arguments, got %d", p.n, len(args))
 	}
+	if p.n == 0 {
+		return p.db.execStmtRecorded(ctx, p.stmt, p.text, hints)
+	}
 	if sel, isSel := p.stmt.(*SelectStmt); isSel && !p.paramsInSub && len(sel.UnionAll) == 0 {
 		run := func(ctx context.Context) (*Result, error) {
-			plan, hit, cacheable, commit, err := p.db.planSelectCached(sel, nil)
+			plan, hit, cacheable, commit, err := p.db.planSelectCached(sel, hints)
 			if err != nil {
 				return nil, err
 			}
@@ -356,40 +382,13 @@ func (p *Prepared) QueryContext(ctx context.Context, args ...Datum) (res *Result
 			return res, nil
 		}
 		if p.db.History != nil || p.db.Traces != nil {
-			return p.db.recordQuery(ctx, sel.String(), run)
+			return p.db.recordQuery(ctx, p.text, run)
 		}
 		return run(ctx)
 	}
 	// Parameters inside subqueries (or non-SELECT statements): substitute
 	// into a copy of the AST and run the normal path.
-	st := bindStmtParams(p.stmt, args)
-	return p.db.execStmtRecorded(ctx, st, st.String(), nil)
-}
-
-// Exec is Query for statements that may not return rows (INSERT, UPDATE,
-// DELETE, ...).
-func (p *Prepared) Exec(args ...Datum) (*Result, error) {
-	return p.ExecContext(context.Background(), args...)
-}
-
-// ExecContext is Exec with cancellation and deadline support.
-func (p *Prepared) ExecContext(ctx context.Context, args ...Datum) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, qerr.Recovered("sqldb prepared exec", r)
-		}
-	}()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if len(args) != p.n {
-		return nil, fmt.Errorf("sqldb: prepared statement wants %d arguments, got %d", p.n, len(args))
-	}
-	if _, isSel := p.stmt.(*SelectStmt); isSel {
-		return p.QueryContext(ctx, args...)
-	}
-	st := bindStmtParams(p.stmt, args)
-	return p.db.execStmtRecorded(ctx, st, st.String(), nil)
+	return p.db.execStmtRecorded(ctx, bindStmtParams(p.stmt, args), "", hints)
 }
 
 // countStmtParams counts `?` placeholders and reports whether any sit

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -489,5 +490,64 @@ func TestNormalizeSQL(t *testing.T) {
 		if got := normalizeSQL(in); got != want {
 			t.Fatalf("normalizeSQL(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestStatementTextRenderedOnlyWhenRecorded: with neither the query
+// history nor a trace store armed, running a parsed or prepared statement
+// allocates no more than executing it does — its text is never rendered.
+func TestStatementTextRenderedOnlyWhenRecorded(t *testing.T) {
+	db := cacheFixture(t)
+	ctx := context.Background()
+	for _, sql := range []string{
+		"DROP TABLE IF EXISTS missing",
+		"UPDATE u SET name = 'x' WHERE a > 99",
+	} {
+		st, err := Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := testing.AllocsPerRun(50, func() { _, _ = db.execStmt(ctx, st, nil) })
+		if got := testing.AllocsPerRun(50, func() { _, _ = db.ExecStmtContext(ctx, st, nil) }); got > exec {
+			t.Errorf("%q: ExecStmtContext allocates %v per run, executing alone %v", sql, got, exec)
+		}
+		if got := testing.AllocsPerRun(50, func() { _, _ = ps.ExecContext(ctx) }); got > exec {
+			t.Errorf("%q: Prepared.ExecContext allocates %v per run, executing alone %v", sql, got, exec)
+		}
+	}
+}
+
+// TestPreparedHintedExec: a prepared statement runs under optimizer hints,
+// which bypass the plan cache, and one without placeholders is recorded
+// under the text Prepare rendered.
+func TestPreparedHintedExec(t *testing.T) {
+	db := cacheFixture(t)
+	db.EnableCache(64)
+	db.History = obs.NewQueryHistory(8)
+	ps, err := db.Prepare("select count(*) c from t where a > 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := db.CacheStats().Plan.Hits
+	for i := 0; i < 2; i++ {
+		res, err := ps.ExecHintedContext(context.Background(), &QueryHints{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := res.Cols[0].Get(0).AsInt(); n != 16 {
+			t.Fatalf("count = %d, want 16", n)
+		}
+	}
+	if db.CacheStats().Plan.Hits != hits {
+		t.Fatal("hinted prepared execution was served from the plan cache")
+	}
+	st, _ := Parse("select count(*) c from t where a > 3")
+	recs := db.History.Snapshot()
+	if got, want := recs[len(recs)-1].SQL, st.String(); got != want {
+		t.Fatalf("recorded SQL = %q, want the canonical %q", got, want)
 	}
 }

@@ -222,7 +222,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (res *Result, err er
 	if !ok {
 		return nil, fmt.Errorf("sqldb: Query expects a SELECT, got %T", stmt)
 	}
-	return db.execStmtRecorded(ctx, sel, sel.String(), nil)
+	return db.execStmtRecorded(ctx, sel, "", nil)
 }
 
 // ExecHintedContext is ExecHinted with cancellation and deadline support.
@@ -242,7 +242,7 @@ func (db *DB) ExecHintedContext(ctx context.Context, sql string, hints *QueryHin
 		// Single cached statements skip the lexer and parser entirely;
 		// multi-statement scripts fall through to ParseMulti.
 		if st, ok := sc.Get(normalizeSQL(sql)); ok {
-			return db.execStmtRecorded(ctx, st, st.String(), hints)
+			return db.execStmtRecorded(ctx, st, "", hints)
 		}
 	}
 	stmts, err := ParseMulti(sql)
@@ -256,7 +256,7 @@ func (db *DB) ExecHintedContext(ctx context.Context, sql string, hints *QueryHin
 	}
 	var last *Result
 	for _, st := range stmts {
-		last, err = db.execStmtRecorded(ctx, st, st.String(), hints)
+		last, err = db.execStmtRecorded(ctx, st, "", hints)
 		if err != nil {
 			return nil, err
 		}
@@ -274,5 +274,5 @@ func (db *DB) ExecStmtContext(ctx context.Context, st Stmt, hints *QueryHints) (
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	return db.execStmtRecorded(ctx, st, st.String(), hints)
+	return db.execStmtRecorded(ctx, st, "", hints)
 }

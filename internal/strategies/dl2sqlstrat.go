@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"repro/internal/colquery"
@@ -37,8 +37,6 @@ type DL2SQL struct {
 	LastSteps []dl2sql.StepCost
 }
 
-var dl2sqlSeq atomic.Int64
-
 // Name implements Strategy.
 func (s *DL2SQL) Name() string {
 	if s.Optimized {
@@ -64,9 +62,10 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 		h = env.HintProvider.BuildHints(q, relRows, relSel)
 	}
 
-	// Loading: store every referenced model as relational tables.
-	translators := map[string]*dl2sql.Translator{}
-	stored := map[string]*dl2sql.StoredModel{}
+	// Loading: every referenced model's relational tables, stored on the
+	// artifact's first use (the paper's offline step) and reused after.
+	translators := make(map[string]*dl2sql.Translator, len(q.UDFNames))
+	stored := make(map[string]*dl2sql.StoredModel, len(q.UDFNames))
 	loadSpan := root.StartChild("loading:store-models")
 	loadStart := time.Now()
 	for _, name := range q.UDFNames {
@@ -74,30 +73,23 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 		if b == nil {
 			return nil, bd, fmt.Errorf("strategies: no model bound for %s", name)
 		}
-		tr := dl2sql.NewTranslator(db, fmt.Sprintf("dl2sql_%s_%d", sanitize(name), dl2sqlSeq.Add(1)))
+		if err := env.Faults.Hit(ctx, faults.PointDL2SQLTranslate); err != nil {
+			return nil, bd, fmt.Errorf("strategies: storing model for %s: %w", name, err)
+		}
+		sm, err := env.storedModel(b)
+		if err != nil {
+			return nil, bd, fmt.Errorf("strategies: storing model for %s: %w", name, err)
+		}
+		tr := dl2sql.NewTranslator(db, sm.Prefix)
 		tr.PreJoin = s.PreJoin
 		tr.Hints = h
 		tr.Cache = env.SQLCache
 		tr.Ctx = ctx
-		if err := env.Faults.Hit(ctx, faults.PointDL2SQLTranslate); err != nil {
-			return nil, bd, fmt.Errorf("strategies: storing model for %s: %w", name, err)
-		}
-		sm, err := tr.StoreModel(b.Entry.Model)
-		if err != nil {
-			return nil, bd, fmt.Errorf("strategies: storing model for %s: %w", name, err)
-		}
 		translators[name] = tr
 		stored[name] = sm
 	}
 	bd.Loading += time.Since(loadStart).Seconds()
 	loadSpan.Finish()
-	defer func() {
-		for _, sm := range stored {
-			for _, t := range sm.TableNames() {
-				db.DropTable(t)
-			}
-		}
-	}()
 
 	// Candidate selection: rule 1. Scan-time evaluation infers every
 	// keyframe the video-side predicates keep; delayed evaluation (OP, when
@@ -229,11 +221,72 @@ func estimateRelationalSelectivity(ctx context.Context, env *Context, q *colquer
 	return float64(kept) / float64(total)
 }
 
-func sanitize(name string) string {
-	return strings.Map(func(r rune) rune {
-		if r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '_' {
-			return r
+// modelStore memoises stored DL2SQL models by artifact hash: the first
+// DL2SQL execution that references an artifact stores its model, and every
+// later one, under any nUDF bound to that artifact, reuses the tables.
+type modelStore struct {
+	mu     sync.Mutex
+	byHash map[uint64]*storedEntry
+}
+
+// storedEntry serialises the first store of one artifact. A failed store
+// leaves sm nil, so the next execution retries it.
+type storedEntry struct {
+	mu sync.Mutex
+	sm *dl2sql.StoredModel
+}
+
+// storedModel returns the stored model of b's artifact, storing it under
+// the artifact's own table prefix on first use; concurrent first uses
+// store it once.
+func (env *Context) storedModel(b *UDFBinding) (*dl2sql.StoredModel, error) {
+	ms := &env.dl2sqlModels
+	ms.mu.Lock()
+	if ms.byHash == nil {
+		ms.byHash = map[uint64]*storedEntry{}
+	}
+	e := ms.byHash[b.artifactHash]
+	if e == nil {
+		e = &storedEntry{}
+		ms.byHash[b.artifactHash] = e
+	}
+	ms.mu.Unlock()
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.sm == nil {
+		tr := dl2sql.NewTranslator(env.Dataset.DB, fmt.Sprintf("dl2sql_m%016x", b.artifactHash))
+		sm, err := tr.StoreModel(b.Entry.Model)
+		if err != nil {
+			return nil, err
 		}
-		return '_'
-	}, strings.ToLower(name))
+		e.sm = sm
+		if env.Metrics != nil {
+			env.Metrics.Counter(obs.MetricDL2SQLModelsStored).Add(1)
+		}
+	}
+	return e.sm, nil
+}
+
+// releaseModels drops the stored models of artifacts no binding references
+// any more (a rebound nUDF's previous model).
+func (env *Context) releaseModels() {
+	bound := make(map[uint64]bool, len(env.Bindings))
+	for _, b := range env.Bindings {
+		bound[b.artifactHash] = true
+	}
+	ms := &env.dl2sqlModels
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	for h, e := range ms.byHash {
+		if bound[h] {
+			continue
+		}
+		e.mu.Lock()
+		if e.sm != nil {
+			e.sm.Drop()
+		}
+		e.mu.Unlock()
+		delete(ms.byHash, h)
+	}
 }

@@ -151,6 +151,9 @@ type Context struct {
 	// breaker-guarded serving pipe for DB-PyTorch.
 	schedNative  *schedule.Backend
 	schedServing *schedule.Backend
+	// dl2sqlModels holds the DL2SQL strategies' stored models, one per
+	// bound artifact, each stored on its first use.
+	dl2sqlModels modelStore
 }
 
 // queryCtx derives the per-query context: the caller's ctx bounded by the
@@ -201,6 +204,7 @@ func (env *Context) Bind(name string, entry *modelrepo.Entry, kind UDFKind) erro
 		artifactHash: tensor.HashBytes(blob),
 	}
 	env.Dataset.DB.RegisterUDF(&sqldb.ScalarUDF{Name: name, Arity: 1, ParallelSafe: true, Fn: nudfFn(name)})
+	env.releaseModels()
 	return nil
 }
 
