@@ -79,15 +79,6 @@ func (ec *execCtx) profAdd(op string, rows int, start time.Time) {
 	}
 }
 
-// countUDFs charges the statement's UDF-call tally for rows evaluations
-// of an expression with n UDF references: each reference counts once per
-// row evaluated, whether or not that row's evaluation reaches it.
-func (ec *execCtx) countUDFs(n, rows int) {
-	if a := ec.acct; a != nil && n > 0 {
-		a.udfCalls.Add(int64(n * rows))
-	}
-}
-
 // execStmtRecorded is execStmt plus history recording. With no history or
 // trace store armed it is a plain passthrough; otherwise the statement
 // runs with an accounting context and leaves one QueryRecord behind —

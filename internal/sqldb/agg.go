@@ -540,7 +540,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		p := &aggPartial{kt: newOwnedKeyTable(len(a.GroupBy), 64), states: make([]aggStates, len(calls))}
 		keyX := make([]vecExpr, len(a.GroupBy))
 		for i, g := range a.GroupBy {
-			x, err := db.compileVecBuf(ec.ctx, g, schema, nil, true)
+			x, err := db.compileVecBuf(ec.ctx, g, schema, true)
 			if err != nil {
 				return nil, err
 			}
@@ -554,7 +554,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 			}
 			argX[i] = make([]vecExpr, len(c.args))
 			for j, e := range c.args {
-				x, err := db.compileVecBuf(ec.ctx, e, schema, nil, !c.distinct)
+				x, err := db.compileVecBuf(ec.ctx, e, schema, !c.distinct)
 				if err != nil {
 					return nil, err
 				}
@@ -592,7 +592,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 				}
 			} else {
 				for i, x := range keyX {
-					v, err := x.eval(blk, 0, k)
+					v, err := x.eval(blk, sel{hi: k})
 					if err != nil {
 						return err
 					}
@@ -607,7 +607,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 			for i, c := range calls {
 				args := args[:len(argX[i])]
 				for j, x := range argX[i] {
-					v, err := x.eval(blk, 0, k)
+					v, err := x.eval(blk, sel{hi: k})
 					if err != nil {
 						return err
 					}
@@ -728,14 +728,14 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		// A bare column that isn't a group key or aggregate is invalid SQL;
 		// we resolve it against the group keys by name as a convenience
 		// (matches ClickHouse's leniency for functionally-dependent keys).
-		x, err := db.compileVec(ec.ctx, rewritten, inter.Schema, nil)
+		x, err := db.compileVec(ec.ctx, rewritten, inter.Schema)
 		if err != nil {
 			if cr, ok := it.Expr.(*ColRef); ok {
 				// try matching a group-by expression that is a ColRef with
 				// the same name
 				for gi, g := range a.GroupBy {
 					if gcr, ok := g.(*ColRef); ok && strings.EqualFold(gcr.Name, cr.Name) {
-						x, err = db.compileVec(ec.ctx, &ColRef{Name: fmt.Sprintf("$grp%d", gi)}, inter.Schema, nil)
+						x, err = db.compileVec(ec.ctx, &ColRef{Name: fmt.Sprintf("$grp%d", gi)}, inter.Schema)
 						break
 					}
 				}
@@ -744,7 +744,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 				return nil, err
 			}
 		}
-		v, err := x.eval(inter, 0, rows)
+		v, err := x.eval(inter, sel{hi: rows})
 		if err != nil {
 			return nil, err
 		}

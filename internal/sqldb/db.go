@@ -455,15 +455,15 @@ func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints) 
 			row[i] = Null()
 		}
 		for i, e := range rowExprs {
-			fn, err := db.compileExpr(ctx, e, nil)
+			x, err := db.compileVec(ctx, e, nil)
 			if err != nil {
 				return err
 			}
-			v, err := fn(empty, 0)
+			v, err := x.eval(empty, sel{hi: 1})
 			if err != nil {
 				return err
 			}
-			row[mapping[i]] = v
+			row[mapping[i]] = v.get(0)
 		}
 		for i, v := range row {
 			if err := cols[i].Append(v); err != nil {
@@ -487,21 +487,21 @@ func (db *DB) runUpdate(ctx context.Context, st *UpdateStmt, hints *QueryHints) 
 	for i, c := range t.Schema {
 		schema[i] = OutCol{Table: st.Table, Name: c.Name, Type: c.Type}
 	}
-	var where evalFn
-	var err error
+	var where *vecExpr
 	if st.Where != nil {
-		rewritten, rerr := db.rewriteSubqueries(st.Where, hints)
-		if rerr != nil {
-			return rerr
-		}
-		where, err = db.compileExpr(ctx, rewritten, schema)
+		rewritten, err := db.rewriteSubqueries(st.Where, hints)
 		if err != nil {
 			return err
 		}
+		x, err := db.compileVec(ctx, rewritten, schema)
+		if err != nil {
+			return err
+		}
+		where = &x
 	}
 	type setter struct {
 		col int
-		fn  evalFn
+		x   vecExpr
 	}
 	setters := make([]setter, 0, len(st.Set))
 	for col, e := range st.Set {
@@ -509,45 +509,51 @@ func (db *DB) runUpdate(ctx context.Context, st *UpdateStmt, hints *QueryHints) 
 		if idx < 0 {
 			return fmt.Errorf("sqldb: table %s has no column %q", st.Table, col)
 		}
-		rewritten, rerr := db.rewriteSubqueries(e, hints)
-		if rerr != nil {
-			return rerr
-		}
-		fn, err := db.compileExpr(ctx, rewritten, schema)
+		rewritten, err := db.rewriteSubqueries(e, hints)
 		if err != nil {
 			return err
 		}
-		setters = append(setters, setter{col: idx, fn: fn})
+		x, err := db.compileVec(ctx, rewritten, schema)
+		if err != nil {
+			return err
+		}
+		setters = append(setters, setter{col: idx, x: x})
 	}
 	start := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	// WHERE selects the rows; every SET expression is then evaluated over
+	// them against the pre-update columns before any is written, so
+	// `SET a = b, b = a` swaps.
 	view := &Result{Schema: schema, Cols: t.Cols}
-	n := view.NumRows()
-	updated := 0
-	for i := 0; i < n; i++ {
-		if where != nil {
-			v, err := where(view, i)
-			if err != nil {
-				return err
-			}
-			if b, ok := v.AsBool(); !ok || !b {
-				continue
+	s := sel{hi: view.NumRows()}
+	if where != nil {
+		keep, err := where.keep(view, s)
+		if err != nil {
+			return err
+		}
+		s = sel{idx: keep}
+	}
+	vals := make([]vec, len(setters))
+	for i, set := range setters {
+		v, err := set.x.eval(view, s)
+		if err != nil {
+			return err
+		}
+		if len(setters) > 1 {
+			v = v.clone() // it may share a column an earlier setter writes
+		}
+		vals[i] = v
+	}
+	for i, set := range setters {
+		for j, n := 0, s.len(); j < n; j++ {
+			if err := setColumnValue(t.Cols[set.col], s.row(j), vals[i].get(j)); err != nil {
+				return fmt.Errorf("sqldb: UPDATE %s.%s: %w", st.Table, t.Schema[set.col].Name, err)
 			}
 		}
-		for _, s := range setters {
-			v, err := s.fn(view, i)
-			if err != nil {
-				return err
-			}
-			if err := setColumnValue(t.Cols[s.col], i, v); err != nil {
-				return fmt.Errorf("sqldb: UPDATE %s.%s: %w", st.Table, t.Schema[s.col].Name, err)
-			}
-		}
-		updated++
 	}
 	t.invalidateDerivedLocked()
-	db.Profile.add(OpUpdate, updated, time.Since(start))
+	db.Profile.add(OpUpdate, s.len(), time.Since(start))
 	return nil
 }
 
@@ -614,7 +620,7 @@ func (db *DB) runDelete(ctx context.Context, st *DeleteStmt, hints *QueryHints) 
 	if err != nil {
 		return err
 	}
-	where, err := db.compileExpr(ctx, rewritten, schema)
+	where, err := db.compileVec(ctx, rewritten, schema)
 	if err != nil {
 		return err
 	}
@@ -624,16 +630,9 @@ func (db *DB) runDelete(ctx context.Context, st *DeleteStmt, hints *QueryHints) 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	view := &Result{Schema: schema, Cols: t.Cols}
-	n := view.NumRows()
-	var dead []int
-	for i := 0; i < n; i++ {
-		v, err := where(view, i)
-		if err != nil {
-			return err
-		}
-		if b, ok := v.AsBool(); ok && b {
-			dead = append(dead, i)
-		}
+	dead, err := where.keep(view, sel{hi: view.NumRows()})
+	if err != nil {
+		return err
 	}
 	t.deleteRowsLocked(dead)
 	db.Profile.add(OpDelete, len(dead), time.Since(start))

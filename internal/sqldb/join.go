@@ -195,7 +195,7 @@ type joinSide struct {
 func (db *DB) joinSide(in *Result, exprs []Expr, ec *execCtx) (*joinSide, error) {
 	vx := make([]vecExpr, len(exprs))
 	for i, e := range exprs {
-		x, err := db.compileVec(ec.ctx, e, in.Schema, nil)
+		x, err := db.compileVec(ec.ctx, e, in.Schema)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // mustExec runs SQL and fails the test on error.
@@ -425,9 +427,11 @@ func TestUDFInPredicate(t *testing.T) {
 
 // TestUDFConditionalPositionsCallOnlyReachingRows: a UDF under an OR or
 // AND operand or in a CASE branch runs only on the rows whose evaluation
-// reaches it, and each such call is counted once.
+// reaches it, and each such call is counted once, in the session profile
+// and in the statement's query record.
 func TestUDFConditionalPositionsCallOnlyReachingRows(t *testing.T) {
 	db := newTestDB(t)
+	db.History = obs.NewQueryHistory(16)
 	var seen []int64
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "probe",
@@ -456,6 +460,10 @@ func TestUDFConditionalPositionsCallOnlyReachingRows(t *testing.T) {
 		}
 		if got := db.Profile.UDFCalls["probe"]; got != len(c.want) {
 			t.Errorf("%s: %d calls counted, want %d", c.sql, got, len(c.want))
+		}
+		recs := db.History.Snapshot()
+		if got := recs[len(recs)-1].UDFCalls; got != int64(len(c.want)) {
+			t.Errorf("%s: query record counts %d calls, want %d", c.sql, got, len(c.want))
 		}
 	}
 }

@@ -137,7 +137,8 @@ func (d Datum) AsBool() (bool, bool) {
 }
 
 // Compare orders two data. NULL sorts first. Numeric types compare
-// numerically across int/float/bool; otherwise types must match.
+// numerically across int/float/bool, NaN equal to NaN and above every
+// other number; otherwise types must match.
 func Compare(a, b Datum) (int, error) {
 	if a.IsNull() || b.IsNull() {
 		switch {
@@ -152,14 +153,7 @@ func Compare(a, b Datum) (int, error) {
 	af, aNum := a.AsFloat()
 	bf, bNum := b.AsFloat()
 	if aNum && bNum {
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return cmpFloat(af, bf), nil
 	}
 	if a.T == TString && b.T == TString {
 		return strings.Compare(a.S, b.S), nil
@@ -168,6 +162,24 @@ func Compare(a, b Datum) (int, error) {
 		return strings.Compare(string(a.B), string(b.B)), nil
 	}
 	return 0, fmt.Errorf("sqldb: cannot compare %s with %s", a.T, b.T)
+}
+
+// cmpFloat orders two numbers as Compare does: NaN equals NaN and sorts
+// above every other number, so the order is total.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case a != a && b != b:
+		return 0
+	case a != a:
+		return 1
+	}
+	return -1
 }
 
 // Equal reports SQL equality (NULL equals nothing, including NULL).

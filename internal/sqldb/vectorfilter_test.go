@@ -69,16 +69,6 @@ func TestVectorFilterCombinesWithUDF(t *testing.T) {
 	}
 }
 
-func TestIntersectSorted(t *testing.T) {
-	got := intersectSorted([]int{1, 3, 5, 7}, []int{2, 3, 4, 5, 8})
-	if len(got) != 2 || got[0] != 3 || got[1] != 5 {
-		t.Fatalf("intersect: %v", got)
-	}
-	if len(intersectSorted(nil, []int{1})) != 0 {
-		t.Fatal("empty intersect")
-	}
-}
-
 // Property: for random thresholds, the vectorized float filter agrees with
 // a hand-computed count.
 func TestVectorFloatFilterProperty(t *testing.T) {

@@ -179,11 +179,11 @@ func TestDBUDFCallAccountingPinned(t *testing.T) {
 	env.Profile.DLPerCallOverheadSec = perCall
 	db := env.Dataset.DB
 	db.History = obs.NewQueryHistory(16)
-	// Recorded with row-at-a-time nUDF calls; the same at both degrees. An
-	// aggregate argument's UDF calls (Type 2) never reached sys.queries.
+	// Recorded with row-at-a-time nUDF calls; the same at both degrees.
+	// sys.queries counts every call, an aggregate argument's (Type 2) too.
 	want := map[colquery.QueryType]udfAccounting{
 		colquery.Type1: {profileCalls: 1379, queriesCalls: 1379, forwardPasses: 1379, result: 0x4dfa4cffd1f7979f},
-		colquery.Type2: {profileCalls: 4200, queriesCalls: 0, forwardPasses: 4200, result: 0x4a966ebb3513a2a2},
+		colquery.Type2: {profileCalls: 4200, queriesCalls: 4200, forwardPasses: 4200, result: 0x4a966ebb3513a2a2},
 		colquery.Type3: {profileCalls: 4200, queriesCalls: 4200, forwardPasses: 4200, result: 0xb804c896d238603d},
 		colquery.Type4: {profileCalls: 4200, queriesCalls: 4200, forwardPasses: 4200, result: 0x337a1f5eba60992d},
 	}
