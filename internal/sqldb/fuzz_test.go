@@ -98,3 +98,82 @@ func FuzzExec(f *testing.F) {
 		}
 	})
 }
+
+// filterSeeds are FuzzFilterMatchesProjection's inline seeds: the
+// comparison shapes whose filter and projection answers once differed,
+// and the truth table's predicates over the fuzz table's columns.
+var filterSeeds = []string{
+	"active = 2",
+	"active < 2",
+	"x <= 1",
+	"x = x",
+	"x > 1 + 0",
+	"NOT active",
+	"active AND i > 1",
+	"active OR s = 'c'",
+	"NOT (active AND x > 1)",
+	"i IS NULL",
+	"i IN (1, NULL)",
+	"i NOT IN (1, NULL)",
+	"i BETWEEN NULL AND 3",
+	"x NOT BETWEEN 0 AND NULL",
+	"CASE WHEN active THEN i > 1 END",
+	"s || 'z' = 'az'",
+	"coalesce(i, 0) = 0",
+	"if(active, x, i) > 1",
+	"i % 2 = 1",
+	"x / 0 IS NULL",
+}
+
+// FuzzFilterMatchesProjection asserts that a predicate keeps the same rows
+// wherever it is evaluated: when `count(*) ... WHERE p`, `sum(if(p, 1, 0))`
+// and `sum(CASE WHEN p THEN 1 ELSE 0 END)` all succeed over a table of Int,
+// Float (with NULL and NaN), String and Bool columns, they agree. The
+// predicate must parse as one expression, which is rendered back to SQL
+// before it is spliced into the three queries.
+func FuzzFilterMatchesProjection(f *testing.F) {
+	for _, s := range filterSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, p string) {
+		st, err := Parse("SELECT " + p)
+		if err != nil {
+			return
+		}
+		sel, ok := st.(*SelectStmt)
+		if !ok || len(sel.Items) != 1 || sel.Items[0].Star || sel.From != nil || sel.Where != nil ||
+			sel.GroupBy != nil || sel.Having != nil || sel.OrderBy != nil || sel.Limit >= 0 || sel.UnionAll != nil {
+			return
+		}
+		pe := sel.Items[0].Expr.String()
+		db := New()
+		db.Profile = NewProfile()
+		for _, s := range []string{
+			`CREATE TABLE t (i Int64, x Float64, s String, active Bool)`,
+			`INSERT INTO t VALUES (1, 1.0, 'a', TRUE), (2, 2.5, 'b', FALSE), (NULL, NULL, NULL, NULL),
+				(3, sqrt(-1.0), 'c', TRUE), (0, -1.0, 'az', FALSE), (4, 1.0, NULL, TRUE)`,
+		} {
+			if _, err := db.Exec(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []string
+		for _, q := range []string{
+			"SELECT count(*) FROM t WHERE " + pe,
+			"SELECT sum(if(" + pe + ", 1, 0)) FROM t",
+			"SELECT sum(CASE WHEN " + pe + " THEN 1 ELSE 0 END) FROM t",
+		} {
+			res, err := db.Query(q)
+			if errors.Is(err, qerr.ErrInternal) {
+				t.Fatalf("%q: %v", q, err)
+			}
+			if err != nil || res.NumRows() != 1 || len(res.Cols) != 1 {
+				return
+			}
+			got = append(got, res.Cols[0].Get(0).String())
+		}
+		if got[0] != got[1] || got[0] != got[2] {
+			t.Fatalf("predicate %q: WHERE counts %s, sum(if) %s, sum(CASE) %s", pe, got[0], got[1], got[2])
+		}
+	})
+}
