@@ -186,9 +186,9 @@ func (s *aggStates) accumulate(gids []int32, args []vec, row0 int, skip []bool) 
 	return nil
 }
 
-// distinctSkips marks the rows whose non-NULL value of v their group (gids)
-// already saw: COUNT(DISTINCT) and friends dedupe (group, value) pairs
-// through the same key table as GROUP BY.
+// distinctSkips marks the rows whose value of v their group (gids) already
+// saw: COUNT(DISTINCT) and friends dedupe (group, value) pairs through the
+// same key table as GROUP BY. (Aggregates skip NULL values anyway.)
 func distinctSkips(gids []int32, v vec) []bool {
 	n := len(gids)
 	g := make([]int64, n)
@@ -196,17 +196,16 @@ func distinctSkips(gids []int32, v vec) []bool {
 		g[i] = int64(id)
 	}
 	keys := []vec{{col: &Column{Type: TInt, Ints: g}}, v}
-	kt := newKeyTable(keys, n)
+	ids := make([]int32, n)
+	newKeyTable(keys).number(keys, 0, n, ids)
 	skip := make([]bool, n)
-	_ = hashBlocks(keys, 0, n, false, func(start int, h []uint64, _ []bool) error {
-		for i, x := range h {
-			if r := start + i; !keys[1].isNull(r) {
-				_, added := kt.insert(x, r)
-				skip[r] = !added
-			}
+	seen := int32(0)
+	for r, id := range ids {
+		skip[r] = id < seen
+		if id == seen {
+			seen++
 		}
-		return nil
-	})
+	}
 	return skip
 }
 
@@ -537,7 +536,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	// vector over the whole input exists. A DISTINCT argument is kept for
 	// its chunk, the dedupe's representative rows.
 	aggregateRange := func(lo, hi int) (*aggPartial, error) {
-		p := &aggPartial{kt: newOwnedKeyTable(len(a.GroupBy), 64), states: make([]aggStates, len(calls))}
+		p := &aggPartial{kt: newOwnedKeyTable(len(a.GroupBy)), states: make([]aggStates, len(calls))}
 		keyX := make([]vecExpr, len(a.GroupBy))
 		for i, g := range a.GroupBy {
 			x, err := db.compileVecBuf(ec.ctx, g, schema, true)
@@ -567,9 +566,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		if hasDistinct {
 			gids = make([]int32, hi-lo)
 		}
-		scratch := getHashScratch()
-		defer hashScratch.Put(scratch)
-		keys, ints := make([]vec, len(keyX)), make([][]int64, len(keyX))
+		keys := make([]vec, len(keyX))
 		args := make([]vec, 2)
 		distinct := make([][]vec, len(calls))
 		if err := in.blocks(lo, hi, cols, func(start int, blk *Result) error {
@@ -584,26 +581,15 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 			if hasDistinct {
 				g = gids[start-lo:][:k]
 			}
-			if len(keyX) == 0 {
-				// A global aggregate has one group, id 0 (gids start
-				// zeroed): no key to evaluate or hash.
-				if p.kt.len() == 0 {
-					p.kt.insertFrom(hashInit, nil, nil, 0)
+			// A global aggregate's key has no part: its one group is id 0.
+			for i, x := range keyX {
+				v, err := x.eval(blk, sel{hi: k})
+				if err != nil {
+					return err
 				}
-			} else {
-				for i, x := range keyX {
-					v, err := x.eval(blk, sel{hi: k})
-					if err != nil {
-						return err
-					}
-					keys[i] = v
-				}
-				h, ki := scratch.h[:k], intKeysInto(ints, keys)
-				hashVecs(keys, 0, h, nil)
-				for i, x := range h {
-					g[i], _ = p.kt.insertFrom(x, keys, ki, i)
-				}
+				keys[i] = v
 			}
+			p.kt.number(keys, 0, k, g)
 			for i, c := range calls {
 				args := args[:len(argX[i])]
 				for j, x := range argX[i] {
@@ -658,8 +644,14 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		// into them by key or append in their first-seen order.
 		groups = partials[0]
 		for _, p := range partials[1:] {
-			for id, h := range p.kt.hashes {
-				mid, added := groups.kt.insertFrom(h, p.kt.keys, p.kt.ints, id)
+			mids := make([]int32, p.kt.len())
+			next := int32(groups.kt.len())
+			groups.kt.number(p.kt.keys, 0, len(mids), mids)
+			for id, mid := range mids {
+				added := mid == next
+				if added {
+					next++
+				}
 				for i := range groups.states {
 					if added {
 						groups.states[i].appendFrom(&p.states[i], id)

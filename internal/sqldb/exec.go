@@ -586,16 +586,14 @@ func (db *DB) execDistinct(in *Result, ec *execCtx) (*Result, error) {
 	for i, c := range in.Cols {
 		keys[i] = vec{col: c}
 	}
-	kt := newKeyTable(keys, 64)
-	keep := make([]int, 0, n)
-	_ = hashBlocks(keys, 0, n, false, func(start int, h []uint64, _ []bool) error {
-		for i, x := range h {
-			if _, added := kt.insert(x, start+i); added {
-				keep = append(keep, start+i)
-			}
+	ids, kt := make([]int32, n), newKeyTable(keys)
+	kt.number(keys, 0, n, ids)
+	keep := make([]int, 0, kt.len())
+	for r, id := range ids {
+		if int(id) == len(keep) { // a key's first row
+			keep = append(keep, r)
 		}
-		return nil
-	})
+	}
 	out := gatherRows(in, keep, nil)
 	ec.profAdd(OpDistinct, n, start)
 	return out, nil

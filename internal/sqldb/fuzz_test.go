@@ -1,7 +1,11 @@
 package sqldb
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/qerr"
@@ -174,6 +178,116 @@ func FuzzFilterMatchesProjection(f *testing.F) {
 		}
 		if got[0] != got[1] || got[0] != got[2] {
 			t.Fatalf("predicate %q: WHERE counts %s, sum(if) %s, sum(CASE) %s", pe, got[0], got[1], got[2])
+		}
+	})
+}
+
+// denseSpread multiplies FuzzDenseKeys' keys in its second database: the
+// keys then span far more than any dense key window, so every key table
+// there uses hashed addressing.
+const denseSpread = 1000000007
+
+// denseKeyQueries are FuzzDenseKeys' statements: joins (hash, LEFT,
+// symmetric), GROUP BY over a table and over a join, DISTINCT and
+// COUNT(DISTINCT), each with its key columns first. keys counts those
+// columns, which the comparison maps back from the spread keys.
+var denseKeyQueries = []struct {
+	sql  string
+	keys int
+	sym  bool
+}{
+	{sql: `SELECT a.k, b.k, a.j, a.v, b.w FROM a JOIN b ON a.k = b.k`, keys: 3},
+	{sql: `SELECT a.k, a.j, b.w FROM a JOIN b ON a.k = b.k AND a.j = b.j`, keys: 2},
+	{sql: `SELECT a.k, b.j, b.w FROM a LEFT JOIN b ON a.k = b.k`, keys: 2},
+	{sql: `SELECT a.k, b.j, a.v, b.w FROM a, b WHERE ident(a.k) = b.k`, keys: 2, sym: true},
+	{sql: `SELECT k, count(*) AS c, sum(v) AS s FROM a GROUP BY k`, keys: 1},
+	{sql: `SELECT a.j, b.k, sum(a.v * b.w) AS s, count(*) AS c FROM a JOIN b ON a.k = b.k GROUP BY a.j, b.k`, keys: 2},
+	{sql: `SELECT DISTINCT j, k FROM a`, keys: 2},
+	{sql: `SELECT j, count(DISTINCT k) AS c FROM a GROUP BY j`, keys: 1},
+}
+
+// FuzzDenseKeys: the same rows joined, grouped and deduplicated on small
+// integer keys, which dense key tables address directly, and on those
+// keys times denseSpread, which only hashed tables can hold, give the same
+// rows in the same order with bit-identical values once the keys are
+// divided back. Input bytes become rows of a (k, j, v) and b (k, j, w);
+// a k byte of 0xff is NULL.
+func FuzzDenseKeys(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0, 5, 0xff, 1, 7}, []byte{0, 0, 1, 3, 1, 2, 0xff, 0, 3})
+	f.Add([]byte{200, 3, 9, 100, 2, 8, 200, 3, 1, 7, 0, 0}, []byte{100, 2, 5, 200, 3, 6, 100, 1, 4})
+	f.Add([]byte{5, 5, 5, 5, 5, 5}, []byte{0x80, 1, 1, 0x7f, 2, 2})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		if len(a) > 3*200 || len(b) > 3*200 {
+			return
+		}
+		var want [][]string
+		for _, spread := range []int64{1, denseSpread} {
+			db := New()
+			db.RegisterUDF(&ScalarUDF{
+				Name: "ident", Arity: 1, ParallelSafe: true, Cost: 1,
+				Fn: RowUDF(func(_ context.Context, args []Datum) (Datum, error) { return args[0], nil }),
+			})
+			for _, tb := range []struct {
+				name string
+				data []byte
+			}{{"a", a}, {"b", b}} {
+				cols := []*Column{NewColumn(TInt), NewColumn(TInt), NewColumn(TFloat)}
+				for i := 0; i+3 <= len(tb.data); i += 3 {
+					k := Int(int64(int8(tb.data[i])) * spread)
+					if tb.data[i] == 0xff {
+						k = Null()
+					}
+					for c, d := range []Datum{k, Int(int64(tb.data[i+1]%4) * spread), Float(float64(tb.data[i+2]) / 7)} {
+						if err := cols[c].Append(d); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				v := "v"
+				if tb.name == "b" {
+					v = "w"
+				}
+				if _, err := db.Exec(`CREATE TABLE ` + tb.name + ` (k Int64, j Int64, ` + v + ` Float64)`); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.GetTable(tb.name).AppendColumns(cols); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for qi, q := range denseKeyQueries {
+				var hints *QueryHints
+				if q.sym {
+					hints = &QueryHints{SymmetricJoin: true}
+				}
+				res, err := db.ExecHinted(q.sql, hints)
+				if err != nil {
+					t.Fatalf("%s: %v", q.sql, err)
+				}
+				var rows []string
+				for r := 0; r < res.NumRows(); r++ {
+					row := ""
+					for c, col := range res.Cols {
+						d := col.Get(r)
+						switch {
+						case c < q.keys && d.T == TInt:
+							if d.I%spread != 0 {
+								t.Fatalf("%s: key %d is not a multiple of %d", q.sql, d.I, spread)
+							}
+							d = Int(d.I / spread)
+						case d.T == TFloat:
+							row += fmt.Sprintf("%x|", math.Float64bits(d.F))
+							continue
+						}
+						row += d.String() + "|"
+					}
+					rows = append(rows, row)
+				}
+				if spread == 1 {
+					want = append(want, rows)
+				} else if !slices.Equal(rows, want[qi]) {
+					t.Fatalf("%s: spread keys give\n%v\nwant\n%v", q.sql, rows, want[qi])
+				}
+			}
 		}
 	})
 }

@@ -14,12 +14,9 @@ package sqldb
 // probe row (or schedule step) ascending, then build chain ascending.
 
 import (
-	"context"
 	"slices"
 	"sort"
 	"time"
-
-	"repro/internal/par"
 )
 
 // joinMatch is a matched join: its inputs, its output size and its pairs.
@@ -181,18 +178,9 @@ func (db *DB) execJoin(j *LJoin, ec *execCtx) (*Result, error) {
 	return out, nil
 }
 
-// joinSide is one join input's key vectors. Rows are hashed a block at a
-// time where they are inserted or probed, so no per-row hash array is
-// materialized.
-type joinSide struct {
-	keys     []vec
-	ints     [][]int64 // intKeys(keys)
-	nullable bool      // some key can be NULL (such rows never match)
-}
-
-// joinSide evaluates a side's key expressions as vectors. Row-evaluated
-// keys fan out as morsels when the side is large.
-func (db *DB) joinSide(in *Result, exprs []Expr, ec *execCtx) (*joinSide, error) {
+// joinKeys evaluates a join input's key expressions as vectors.
+// Row-evaluated keys fan out as morsels when the input is large.
+func (db *DB) joinKeys(in *Result, exprs []Expr, ec *execCtx) ([]vec, error) {
 	vx := make([]vecExpr, len(exprs))
 	for i, e := range exprs {
 		x, err := db.compileVec(ec.ctx, e, in.Schema)
@@ -206,131 +194,64 @@ func (db *DB) joinSide(in *Result, exprs []Expr, ec *execCtx) (*joinSide, error)
 	if deg > 1 && !db.exprsParallelSafe(exprs) {
 		deg = 1
 	}
-	keys, err := db.evalVecs(ec, vx, in, n, deg)
-	if err != nil {
-		return nil, err
-	}
-	s := &joinSide{keys: keys, ints: intKeys(keys)}
-	for _, k := range keys {
-		if k.col == nil || k.col.Type == TNull || k.col.Nulls != nil {
-			s.nullable = true
-		}
-	}
-	return s, nil
+	return db.evalVecs(ec, vx, in, n, deg)
 }
 
-func (s *joinSide) len() int {
-	if len(s.keys) == 0 {
-		return 0
-	}
-	return s.keys[0].len()
-}
-
-// joinPart is one partition of a hash join's build side: its distinct keys,
-// and per key the first and last build row carrying it; the rows in between
-// chain through joinIndex.next in ascending order.
-type joinPart struct {
-	kt         *keyTable
-	head, tail []int32
-	count      []int32 // chain length per key
-}
-
-// add appends build row r (key hash h) to its key's chain.
-func (jp *joinPart) add(h uint64, r int, next []int32) {
-	id, added := jp.kt.insert(h, r)
-	next[r] = -1
-	if added {
-		jp.head = append(jp.head, int32(r))
-		jp.tail = append(jp.tail, int32(r))
-		jp.count = append(jp.count, 1)
-		return
-	}
-	next[jp.tail[id]] = int32(r)
-	jp.tail[id] = int32(r)
-	jp.count[id]++
-}
-
-// find returns the id of the key equal to row of the probe side, or -1.
-func (jp *joinPart) find(h uint64, probe *joinSide, row int) int32 {
-	if jp.kt == nil {
-		return -1 // partition skipped by a cancelled build
-	}
-	return jp.kt.find(h, probe.keys, probe.ints, row)
-}
-
-// first returns the first build row whose key equals row of the probe
-// side, or -1.
-func (jp *joinPart) first(h uint64, probe *joinSide, row int) int32 {
-	if id := jp.find(h, probe, row); id >= 0 {
-		return jp.head[id]
-	}
-	return -1
-}
-
-// joinIndex is the build side of a hash join. With one partition it is one
-// keyTable; with P partitions each key lives in partition hash % P, so a
-// parallel build assigns each worker whole partitions and never takes a
-// lock. Chains are ascending in either layout (partition builds scan the
-// rows in order), which keeps probe output identical to the serial join.
+// joinIndex is the build side of a hash join: one keyTable numbering the
+// build keys, and per key the first build row carrying it; the rows that
+// carry a key chain through next in ascending order. A build row with a
+// NULL key part is numbered like any other, but no probe finds it.
 type joinIndex struct {
-	parts     []joinPart
+	kt        *keyTable
+	head      []int32 // per key: its first build row
 	next, rem []int32 // per build row: next chain row, rows from it to the chain's end
 }
 
-// bytes is the memory the index holds: its chains and its partitions'
-// tables.
+// bytes is the memory the index holds: its chains and its key table.
 func (ix *joinIndex) bytes() int64 {
-	b := int64(8 * len(ix.next))
-	for i := range ix.parts {
-		b += ix.parts[i].bytes()
-	}
-	return b
+	return int64(8*len(ix.next)+4*len(ix.head)) + ix.kt.bytes()
 }
 
-func (jp *joinPart) bytes() int64 {
-	if jp.kt == nil {
-		return 0
-	}
-	return jp.kt.bytes() + int64(12*len(jp.head))
-}
-
-func partOf(h uint64, p int) int {
-	if p == 1 {
-		return 0
-	}
-	return int((h >> 32) % uint64(p))
-}
-
-// buildJoinIndex hashes the build side. A done ctx stops the partition
-// workers early and leaves the index incomplete — callers must check the
-// query context (ec.check) before trusting the result.
-func buildJoinIndex(ctx context.Context, b *joinSide, degree int) *joinIndex {
-	n := b.len()
-	p := degree
-	if p < 1 {
-		p = 1
-	}
-	ix := &joinIndex{parts: make([]joinPart, p), next: make([]int32, n), rem: make([]int32, n)}
-	par.RunCtx(ctx, degree, p, 1, func(_, lo, hi int) {
-		for pi := lo; pi < hi; pi++ {
-			jp := joinPart{kt: newKeyTable(b.keys, 0)}
-			_ = hashBlocks(b.keys, 0, n, b.nullable, func(start int, h []uint64, null []bool) error {
-				for i, x := range h {
-					if (null == nil || !null[i]) && partOf(x, p) == pi {
-						jp.add(x, start+i, ix.next)
-					}
-				}
-				return nil
-			})
-			for id, r := range jp.head {
-				for c := jp.count[id]; r >= 0; r, c = ix.next[r], c-1 {
-					ix.rem[r] = c
-				}
-			}
-			ix.parts[pi] = jp
+// buildJoinIndex numbers the build side's keys, a morsel at a time between
+// cancellation checks, and chains the rows by key.
+func buildJoinIndex(ec *execCtx, keys []vec) (*joinIndex, error) {
+	n := vecsLen(keys)
+	ix := &joinIndex{kt: newKeyTable(keys), next: make([]int32, n), rem: make([]int32, n)}
+	for lo := 0; lo < n; lo += morselRows {
+		if err := ec.check(); err != nil {
+			return nil, err
 		}
-	})
-	return ix
+		hi := min(lo+morselRows, n)
+		ix.kt.number(keys, lo, hi, ix.next[lo:hi])
+	}
+	ix.head = chainRows(ix.next, ix.kt.len())
+	for r := n - 1; r >= 0; r-- {
+		ix.rem[r] = 1
+		if x := ix.next[r]; x >= 0 {
+			ix.rem[r] += ix.rem[x]
+		}
+	}
+	return ix, nil
+}
+
+// chainRows turns ids, each row's key id, into the rows' chains by key:
+// ids[r] becomes the next row carrying r's key (-1 at the chain's end), and
+// head[id] is the first row carrying key id. Ids are numbered first-seen,
+// so a row starts a chain exactly when its id is the next unseen one, and
+// every chain is ascending.
+func chainRows(ids []int32, keys int) (head []int32) {
+	head, tail := make([]int32, keys), make([]int32, keys)
+	seen := int32(0)
+	for r, id := range ids {
+		if id == seen {
+			head[id] = int32(r)
+			seen++
+		} else {
+			ids[tail[id]] = int32(r)
+		}
+		tail[id], ids[r] = int32(r), -1
+	}
+	return head
 }
 
 // hashPairs is a hash join's pairs: per probe row its first build match,
@@ -403,24 +324,22 @@ func (hp *hashPairs) pairs(lo, hi int, b *pairBlock) error {
 // morsel's pair count; a prefix sum turns the counts into the morsels'
 // output positions. With outer=true, probe rows with no match count one
 // pair (NULL padding), and padded reports whether there is one.
-func (db *DB) probeJoin(ec *execCtx, ix *joinIndex, p *joinSide, deg int, outer bool) (hp *hashPairs, padded bool, err error) {
-	n := p.len()
+func (db *DB) probeJoin(ec *execCtx, ix *joinIndex, p []vec, deg int, outer bool) (hp *hashPairs, padded bool, err error) {
+	n := vecsLen(p)
 	hp = &hashPairs{heads: make([]int32, n), offs: make([]int, (n+morselRows-1)/morselRows+1),
 		next: ix.next, rem: ix.rem, outer: outer}
 	stats, err := db.runMorsels(ec, deg, n, func(_, lo, hi int) error {
 		// A call covers whole morsels (the last maybe short), so calls
 		// never share a count.
-		return hashBlocks(p.keys, lo, hi, p.nullable, func(start int, h []uint64, null []bool) error {
-			for i, x := range h {
-				r, head := start+i, int32(-1)
-				if null == nil || !null[i] {
-					head = ix.parts[partOf(x, len(ix.parts))].first(x, p, r)
-				}
-				hp.heads[r] = head
-				hp.offs[r/morselRows+1] += hp.count(r)
+		heads := hp.heads[lo:hi]
+		ix.kt.lookup(p, lo, hi, heads)
+		for i, id := range heads {
+			if id >= 0 {
+				heads[i] = ix.head[id]
 			}
-			return nil
-		})
+			hp.offs[(lo+i)/morselRows+1] += hp.count(lo + i)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, false, err
@@ -436,15 +355,16 @@ func (db *DB) probeJoin(ec *execCtx, ix *joinIndex, p *joinSide, deg int, outer 
 func (hp *hashPairs) bytes() int64 { return int64(4*len(hp.heads) + 8*len(hp.offs)) }
 
 // hashJoin is the classic build/probe equi-join: build on the smaller side,
-// probe from the larger. Both phases are morsel-parallel — the build via
-// hash-partitioned sub-tables, the probe via per-row pair counts — and
-// the pairs come out in the serial probe loop's order.
+// probe from the larger. The build numbers the build keys in one pass (a
+// slot write per row when they are dense); the probe is morsel-parallel
+// via per-row pair counts, and the pairs come out in the serial probe
+// loop's order.
 func (db *DB) hashJoin(m *joinMatch, j *LJoin, ec *execCtx) (int64, error) {
-	l, err := db.joinSide(m.left, j.EquiL, ec)
+	l, err := db.joinKeys(m.left, j.EquiL, ec)
 	if err != nil {
 		return 0, err
 	}
-	r, err := db.joinSide(m.right, j.EquiR, ec)
+	r, err := db.joinKeys(m.right, j.EquiR, ec)
 	if err != nil {
 		return 0, err
 	}
@@ -453,11 +373,11 @@ func (db *DB) hashJoin(m *joinMatch, j *LJoin, ec *execCtx) (int64, error) {
 	if !buildLeft {
 		b, p = r, l
 	}
-	ix := buildJoinIndex(ec.ctx, b, ec.parDegreeFor(b.len()))
-	if err := ec.check(); err != nil {
-		return 0, err // the build may be partial after cancellation
+	ix, err := buildJoinIndex(ec, b)
+	if err != nil {
+		return 0, err
 	}
-	hp, _, err := db.probeJoin(ec, ix, p, ec.parDegreeFor(p.len()), false)
+	hp, _, err := db.probeJoin(ec, ix, p, ec.parDegreeFor(vecsLen(p)), false)
 	if err != nil {
 		return 0, err
 	}
@@ -469,19 +389,19 @@ func (db *DB) hashJoin(m *joinMatch, j *LJoin, ec *execCtx) (int64, error) {
 // leftOuterHashJoin builds on the right side and probes from the left;
 // unmatched left rows are emitted once with NULL-padded right columns.
 func (db *DB) leftOuterHashJoin(m *joinMatch, j *LJoin, ec *execCtx) (int64, error) {
-	l, err := db.joinSide(m.left, j.EquiL, ec)
+	l, err := db.joinKeys(m.left, j.EquiL, ec)
 	if err != nil {
 		return 0, err
 	}
-	r, err := db.joinSide(m.right, j.EquiR, ec)
+	r, err := db.joinKeys(m.right, j.EquiR, ec)
 	if err != nil {
 		return 0, err
 	}
-	ix := buildJoinIndex(ec.ctx, r, ec.parDegreeFor(r.len()))
-	if err := ec.check(); err != nil {
-		return 0, err // the build may be partial after cancellation
+	ix, err := buildJoinIndex(ec, r)
+	if err != nil {
+		return 0, err
 	}
-	hp, padded, err := db.probeJoin(ec, ix, l, ec.parDegreeFor(l.len()), true)
+	hp, padded, err := db.probeJoin(ec, ix, l, ec.parDegreeFor(vecsLen(l)), true)
 	if err != nil {
 		return 0, err
 	}
@@ -532,36 +452,35 @@ func (sp *symPairs) pairs(lo, hi int, b *pairBlock) error {
 // table. With one side being nUDF outputs arriving in batches, this starts
 // producing joined tuples before either side is complete. The LRU bucket
 // behaviour of the paper is modelled by processing in bucket-grouped order.
-// The alternating insert/probe schedule is inherently sequential, so it
-// runs serially (its key evaluation still parallelizes); it records each
-// step's first matches and pair count, from which the pairs are emitted
-// in schedule order.
+// Both sides' keys are numbered up front, each in its own side's table and
+// looked up in the other's; the alternating schedule then replays over
+// those ids, serially: a row meets the other side's rows with its key that
+// the schedule inserted before it, counted per key. It records each step's
+// first matches and pair count, from which the pairs are emitted in
+// schedule order.
 func (db *DB) symmetricHashJoin(m *joinMatch, j *LJoin, ec *execCtx) (int64, error) {
-	l, err := db.joinSide(m.left, j.EquiL, ec)
+	l, err := db.joinKeys(m.left, j.EquiL, ec)
 	if err != nil {
 		return 0, err
 	}
-	r, err := db.joinSide(m.right, j.EquiR, ec)
+	r, err := db.joinKeys(m.right, j.EquiR, ec)
 	if err != nil {
 		return 0, err
 	}
-	ln, rn := l.len(), r.len()
-	lHash, rHash := make([]uint64, ln), make([]uint64, rn)
-	var lNull, rNull []bool
-	if l.nullable {
-		lNull = make([]bool, ln)
-	}
-	if r.nullable {
-		rNull = make([]bool, rn)
-	}
-	hashVecs(l.keys, 0, lHash, lNull)
-	hashVecs(r.keys, 0, rHash, rNull)
-	lHT := joinPart{kt: newKeyTable(l.keys, 0)}
-	rHT := joinPart{kt: newKeyTable(r.keys, 0)}
+	ln, rn := vecsLen(l), vecsLen(r)
+	lt, rt := newKeyTable(l), newKeyTable(r)
+	// Per row: its key's id in its own side's table, and in the other's
+	// (-1: none there).
+	lID, rID, lIn, rIn := make([]int32, ln), make([]int32, rn), make([]int32, ln), make([]int32, rn)
+	lt.number(l, 0, ln, lID)
+	rt.number(r, 0, rn, rID)
+	rt.lookup(l, 0, ln, lIn)
+	lt.lookup(r, 0, rn, rIn)
 	steps := max(ln, rn)
 	sp := &symPairs{lHead: make([]int32, steps), rHead: make([]int32, steps),
-		lNext: make([]int32, ln), rNext: make([]int32, rn), offs: make([]int, steps+1)}
-	// Alternate consuming one row from each side (the streaming schedule).
+		lNext: slices.Clone(lID), rNext: slices.Clone(rID), offs: make([]int, steps+1)}
+	lFirst, rFirst := chainRows(sp.lNext, lt.len()), chainRows(sp.rNext, rt.len())
+	lSeen, rSeen := make([]int32, lt.len()), make([]int32, rt.len()) // per key: rows inserted so far
 	// The schedule is inherently serial, so the cancellation point is a
 	// ctx check every morselRows iterations.
 	for i := 0; i < steps; i++ {
@@ -571,25 +490,23 @@ func (db *DB) symmetricHashJoin(m *joinMatch, j *LJoin, ec *execCtx) (int64, err
 			}
 		}
 		lh, rh, pairs := int32(-1), int32(-1), 0
-		if i < ln && (lNull == nil || !lNull[i]) {
-			h := lHash[i]
-			if id := rHT.find(h, l, i); id >= 0 {
-				lh, pairs = rHT.head[id], pairs+int(rHT.count[id])
+		if i < ln {
+			if id := lIn[i]; id >= 0 && rSeen[id] > 0 {
+				lh, pairs = rFirst[id], pairs+int(rSeen[id])
 			}
-			lHT.add(h, i, sp.lNext)
+			lSeen[lID[i]]++
 		}
-		if i < rn && (rNull == nil || !rNull[i]) {
-			h := rHash[i]
-			if id := lHT.find(h, r, i); id >= 0 {
-				rh, pairs = lHT.head[id], pairs+int(lHT.count[id])
+		if i < rn {
+			if id := rIn[i]; id >= 0 && lSeen[id] > 0 {
+				rh, pairs = lFirst[id], pairs+int(lSeen[id])
 			}
-			rHT.add(h, i, sp.rNext)
+			rSeen[rID[i]]++
 		}
 		sp.lHead[i], sp.rHead[i] = lh, rh
 		sp.offs[i+1] = sp.offs[i] + pairs
 	}
 	m.n, m.src = sp.offs[steps], sp
-	return int64(16*steps+12*(ln+rn)+8) + lHT.bytes() + rHT.bytes(), nil
+	return int64(16*steps+20*(ln+rn)+8+12*(lt.len()+rt.len())) + lt.bytes() + rt.bytes(), nil
 }
 
 // crossPairs is a nested-loop join's pairs: the cross product, left row

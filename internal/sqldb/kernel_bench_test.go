@@ -16,7 +16,15 @@ const (
 
 // q1Tables loads the FeatureMap {MatrixID, OrderID, Value} and Kernel
 // {KernelID, OrderID, Value} tables of one Q1.
-func q1Tables(b testing.TB) *DB {
+func q1Tables(b testing.TB) *DB { return q1TablesSpread(b, 1) }
+
+// sparseSpread multiplies every ID of the sparse benchmark variants: it
+// spreads the keys far wider than a dense key table's window may grow, so
+// those variants run the hashed addressing.
+const sparseSpread = 1000003
+
+// q1TablesSpread is q1Tables with every ID multiplied by spread.
+func q1TablesSpread(b testing.TB, spread int64) *DB {
 	b.Helper()
 	db := New()
 	fm, err := db.CreateTable("fm", Schema{{Name: "MatrixID", Type: TInt}, {Name: "OrderID", Type: TInt}, {Name: "Value", Type: TFloat}})
@@ -25,7 +33,7 @@ func q1Tables(b testing.TB) *DB {
 	}
 	for m := 0; m < benchPositions; m++ {
 		for o := 0; o < benchOrders; o++ {
-			if err := fm.AppendRow([]Datum{Int(int64(m)), Int(int64(o)), Float(float64(m*o%7) - 3)}); err != nil {
+			if err := fm.AppendRow([]Datum{Int(int64(m) * spread), Int(int64(o) * spread), Float(float64(m*o%7) - 3)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -36,7 +44,7 @@ func q1Tables(b testing.TB) *DB {
 	}
 	for c := 0; c < benchKernels; c++ {
 		for o := 0; o < benchOrders; o++ {
-			if err := k.AppendRow([]Datum{Int(int64(c)), Int(int64(o)), Float(float64(c+o%5) / 10)}); err != nil {
+			if err := k.AppendRow([]Datum{Int(int64(c) * spread), Int(int64(o) * spread), Float(float64(c+o%5) / 10)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -44,19 +52,31 @@ func q1Tables(b testing.TB) *DB {
 	return db
 }
 
+// keySpreads runs a benchmark's body over the dense IDs DL2SQL writes and
+// over the same IDs spread past the dense window.
+func keySpreads(b *testing.B, body func(b *testing.B, db *DB)) {
+	for _, v := range []struct {
+		name   string
+		spread int64
+	}{{"dense", 1}, {"sparse", sparseSpread}} {
+		b.Run(v.name, func(b *testing.B) { body(b, q1TablesSpread(b, v.spread)) })
+	}
+}
+
 // BenchmarkHashJoin is Q1's FeatureMap ⋈ Kernel on the Int OrderID key.
 func BenchmarkHashJoin(b *testing.B) {
-	db := q1Tables(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := db.Query(`SELECT A.MatrixID, B.KernelID, A.Value, B.Value FROM fm A INNER JOIN k B ON A.OrderID = B.OrderID`)
-		if err != nil {
-			b.Fatal(err)
+	keySpreads(b, func(b *testing.B, db *DB) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := db.Query(`SELECT A.MatrixID, B.KernelID, A.Value, B.Value FROM fm A INNER JOIN k B ON A.OrderID = B.OrderID`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.NumRows() != benchPositions*benchOrders*benchKernels {
+				b.Fatalf("join rows = %d", res.NumRows())
+			}
 		}
-		if res.NumRows() != benchPositions*benchOrders*benchKernels {
-			b.Fatalf("join rows = %d", res.NumRows())
-		}
-	}
+	})
 }
 
 // q1SQL is one whole DL2SQL convolution, as the translator renders it: the
@@ -66,37 +86,39 @@ const q1SQL = `SELECT B.KernelID * 144 + A.MatrixID AS TupleID, B.KernelID AS Ke
 // BenchmarkJoinGroupBy is Q1 as one statement: the aggregate reads the
 // join's match pairs.
 func BenchmarkJoinGroupBy(b *testing.B) {
-	db := q1Tables(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := db.Query(q1SQL)
-		if err != nil {
-			b.Fatal(err)
+	keySpreads(b, func(b *testing.B, db *DB) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := db.Query(q1SQL)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.NumRows() != benchPositions*benchKernels {
+				b.Fatalf("groups = %d", res.NumRows())
+			}
 		}
-		if res.NumRows() != benchPositions*benchKernels {
-			b.Fatalf("groups = %d", res.NumRows())
-		}
-	}
+	})
 }
 
 // BenchmarkGroupBySum is Q1's aggregation: two Int keys, SUM of a Float
 // product, over the join's output.
 func BenchmarkGroupBySum(b *testing.B) {
-	db := q1Tables(b)
-	if _, err := db.Exec(`CREATE TABLE j AS SELECT A.MatrixID AS MatrixID, B.KernelID AS KernelID, A.Value AS a, B.Value AS b FROM fm A INNER JOIN k B ON A.OrderID = B.OrderID`); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := db.Query(`SELECT KernelID, MatrixID, SUM(a * b) AS Value FROM j GROUP BY KernelID, MatrixID`)
-		if err != nil {
+	keySpreads(b, func(b *testing.B, db *DB) {
+		if _, err := db.Exec(`CREATE TABLE j AS SELECT A.MatrixID AS MatrixID, B.KernelID AS KernelID, A.Value AS a, B.Value AS b FROM fm A INNER JOIN k B ON A.OrderID = B.OrderID`); err != nil {
 			b.Fatal(err)
 		}
-		if res.NumRows() != benchPositions*benchKernels {
-			b.Fatalf("groups = %d", res.NumRows())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := db.Query(`SELECT KernelID, MatrixID, SUM(a * b) AS Value FROM j GROUP BY KernelID, MatrixID`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.NumRows() != benchPositions*benchKernels {
+				b.Fatalf("groups = %d", res.NumRows())
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkCreateTableAs materializes a query result into a new table (the

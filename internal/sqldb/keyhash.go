@@ -4,18 +4,40 @@ import (
 	"bytes"
 	"hash/maphash"
 	"math"
+	"slices"
 	"sync"
 )
 
-// Typed key hashing for the hash operators (join, GROUP BY, DISTINCT,
-// COUNT(DISTINCT)) and column statistics. A row's key columns are hashed
-// column by column into one uint64, and one open-addressing table verifies
-// candidates by typed equality. The equality contract (ARCHITECTURE.md,
-// "Query lifecycle inside sqldb"): Int, Bool and integral Float values are
-// equal when their integer values are (1 = 1.0 = true, -0.0 = 0), other
-// Floats by their bits (so NaN equals NaN), Strings and Blobs by bytes but
-// never each other, and NULL equals only NULL — joins drop NULL keys before
-// hashing, GROUP BY and DISTINCT put them in one group.
+// Typed keys for the hash operators (join, GROUP BY, DISTINCT,
+// COUNT(DISTINCT)) and column statistics. One key table numbers the
+// distinct key tuples it is given 0, 1, 2, … in first-seen order, and
+// addresses a key in one of two ways, chosen from the key columns alone.
+//
+// Dense addressing serves keys whose every part is a NULL-free Int column
+// with a small value span, like DL2SQL's zero-based IDs. The key
+// (v₀, v₁, …) lives in slot Σ(vₖ − loₖ)·strideₖ of a window over the
+// parts' value ranges: no hash, no probe sequence, no equality check. A
+// table over existing key columns (a join's build side, DISTINCT,
+// statistics) takes its window from their min/max, at most
+// max(4096, 4 × rows) slots. A GROUP BY table, whose keys arrive a block at
+// a time, grows its window geometrically under the same kind of cap.
+//
+// Hashed addressing serves every other key: String, Float or Blob parts,
+// NULLs, or a span past the cap. A row's key columns are hashed column by
+// column into one uint64 and an open-addressing table verifies candidates
+// by typed equality. A table decides before its first key; a GROUP BY
+// table whose window would pass the cap, or whose block brings a key that
+// is not a NULL-free Int, moves its keys to hashed addressing once and
+// stays there. Either way ids are handed out in first-seen order, and the
+// operators read group order, DISTINCT order and join chains from them, so
+// no result, row order or float sum depends on the addressing.
+//
+// The equality contract (ARCHITECTURE.md, "Query lifecycle inside
+// sqldb"): Int, Bool and integral Float values are equal when their
+// integer values are (1 = 1.0 = true, -0.0 = 0), other Floats by their
+// bits (so NaN equals NaN), Strings and Blobs by bytes but never each
+// other, and NULL equals only NULL — a join finds no match for a key with
+// a NULL part, GROUP BY and DISTINCT put NULL keys in one group.
 
 var keySeed = maphash.MakeSeed()
 
@@ -107,7 +129,7 @@ func hashVecs(keys []vec, lo int, h []uint64, null []bool) {
 				h[i] = mixKey(h[i], maphash.Bytes(keySeed, v)^blobTag)
 			}
 		}
-		if null != nil {
+		if null != nil && (c == nil || c.Type == TNull || c.Nulls != nil) {
 			for i := range h {
 				null[i] = null[i] || k.isNull(lo+i)
 			}
@@ -115,48 +137,34 @@ func hashVecs(keys []vec, lo int, h []uint64, null []bool) {
 	}
 }
 
-// hashBlock is how many rows hashBlocks hashes at a time.
+// hashBlock is how many rows a key table addresses at a time.
 const hashBlock = 256
 
-// hashBlocks hashes rows [lo, hi) of the key vectors a block at a time
-// into small reused buffers and calls fn with each block's first row, its
-// hashes and, when withNull is set, its rows' NULL-key flags, in row order.
-// An error from fn ends the walk.
-func hashBlocks(keys []vec, lo, hi int, withNull bool, fn func(start int, h []uint64, null []bool) error) error {
-	s := getHashScratch()
-	defer hashScratch.Put(s)
-	h := s.h[:]
-	var null []bool
-	if withNull {
-		null = s.null[:]
-	}
-	for b := lo; b < hi; b += hashBlock {
-		e := min(b+hashBlock, hi)
-		var nb []bool
-		if withNull {
-			nb = null[:e-b]
-			clear(nb)
-		}
-		hashVecs(keys, b, h[:e-b], nb)
-		if err := fn(b, h[:e-b], nb); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// hashBuffers is one block's scratch for hashing keys: the rows' hashes
-// and NULL-key flags.
+// hashBuffers is one block's scratch for addressing keys: the rows' hashes
+// or slots, their NULL-key flags, and a probe's intKeys.
 type hashBuffers struct {
 	h    [hashBlock]uint64
 	null [hashBlock]bool
+	ints [][]int64
 }
 
-// hashScratch recycles hashBuffers across calls and queries, so hashing a
-// block of keys allocates nothing once the pool is warm.
+// intKeys is intKeys(keys) in the scratch's reused slice.
+func (s *hashBuffers) intKeys(keys []vec) [][]int64 {
+	if s.ints == nil || cap(s.ints) < len(keys) {
+		s.ints = make([][]int64, max(len(keys), 4))
+	}
+	return intKeysInto(s.ints[:len(keys)], keys)
+}
+
+// hashScratch recycles hashBuffers across calls and queries, so addressing
+// a block of keys allocates nothing once the pool is warm.
 var hashScratch = sync.Pool{New: func() any { return new(hashBuffers) }}
 
-func getHashScratch() *hashBuffers { return hashScratch.Get().(*hashBuffers) }
+// put returns the scratch to the pool, holding on to no key column.
+func (s *hashBuffers) put() {
+	clear(s.ints)
+	hashScratch.Put(s)
+}
 
 // keyClass is a value's equality class under the key contract, with the
 // integer (Int/Bool/integral Float) or bit pattern (other Float) it carries.
@@ -247,18 +255,22 @@ func intKeysInto(dst [][]int64, keys []vec) [][]int64 {
 	return dst
 }
 
-// keyTable is the hash operators' one hash table: it numbers the distinct
-// key tuples it is given 0, 1, 2, … in insertion order and verifies
-// candidates by typed equality, so no key is ever materialized as bytes.
-// A table from newKeyTable stores each key as the row of its key vectors
-// that first carried it (the join build side, DISTINCT, statistics). A
-// table from newOwnedKeyTable keeps its own copy of each distinct key,
-// appended when the key is first seen, so its input can arrive a block at
-// a time in buffers that are then reused (GROUP BY).
+// keyTable is the hash operators' one key table (see the file comment):
+// it numbers the distinct key tuples it is given 0, 1, 2, … in first-seen
+// order, so no key is ever materialized as bytes. A table from newKeyTable
+// keeps its keys where they are, in its input's key vectors (the join build
+// side, DISTINCT, statistics). A table from newOwnedKeyTable keeps its own
+// copy of each distinct key, appended when the key is first seen, so its
+// input can arrive a block at a time in buffers that are then reused
+// (GROUP BY).
 type keyTable struct {
-	keys   []vec     // the stored keys: the input's vectors, or the owned copies
-	ints   [][]int64 // intKeys(keys)
-	slots  []int32   // open addressing: id+1, 0 = empty
+	keys  []vec     // the stored keys: the input's vectors, or the owned copies
+	ints  [][]int64 // intKeys(keys)
+	n     int       // distinct keys numbered
+	slots []int32   // id+1, 0 = empty: the dense window or the hash table; nil until an owning table's first key
+	win   []window  // dense addressing: per key part, its range in the window
+	// Hashed addressing: open addressing over slots.
+	hashed bool
 	mask   uint64
 	hashes []uint64 // per id
 	rows   []int32  // per id: the row of keys carrying it (unless owned)
@@ -266,25 +278,263 @@ type keyTable struct {
 	intBuf [][]int64 // ints' backing slice when owned
 }
 
-func newKeyTable(keys []vec, sizeHint int) *keyTable {
-	size := 16
-	for size < 2*sizeHint {
-		size <<= 1
+// window is one key part's range in a dense table: values lo … lo+span-1,
+// stride slots apart.
+type window struct {
+	lo           int64
+	span, stride uint64
+}
+
+// noSlot marks a probe row whose key lies outside a dense window.
+const noSlot = ^uint64(0)
+
+// denseCap is the most slots a dense window over rows keys may take.
+func denseCap(rows int) uint64 { return uint64(max(4096, 4*rows)) }
+
+// newKeyTable returns a table over the keys in keys, which the caller
+// numbers with number(keys, …).
+func newKeyTable(keys []vec) *keyTable {
+	t := &keyTable{keys: keys, ints: intKeys(keys)}
+	if t.ints != nil {
+		if win := widen(nil, t.ints, 0, vecsLen(keys), denseCap(vecsLen(keys))); win != nil {
+			t.layout(win)
+			return t
+		}
 	}
-	return &keyTable{keys: keys, ints: intKeys(keys), slots: make([]int32, size), mask: uint64(size - 1)}
+	t.toHashed()
+	return t
 }
 
 // newOwnedKeyTable returns an empty table that owns copies of nkeys-part
 // keys; its key vectors start as empty all-NULL columns.
-func newOwnedKeyTable(nkeys, sizeHint int) *keyTable {
+func newOwnedKeyTable(nkeys int) *keyTable {
 	keys := make([]vec, nkeys)
 	for i := range keys {
 		keys[i] = vec{col: &Column{Type: TNull}}
 	}
-	t := newKeyTable(keys, sizeHint)
-	t.own, t.intBuf = true, make([][]int64, nkeys)
-	t.ints = intKeysInto(t.intBuf, keys)
-	return t
+	return &keyTable{keys: keys, own: true, intBuf: make([][]int64, nkeys)}
+}
+
+// vecsLen is the number of rows of the key vectors.
+func vecsLen(keys []vec) int {
+	if len(keys) == 0 {
+		return 0
+	}
+	return keys[0].len()
+}
+
+// len returns the number of distinct keys.
+func (t *keyTable) len() int { return t.n }
+
+// number writes to ids the id of the key at each of rows [lo, hi) of keys,
+// numbering the keys not seen before: an owning table appends a copy of
+// each, any other table must be given its own key vectors. A new key's id
+// is len() at the time, so callers tell new keys from that.
+func (t *keyTable) number(keys []vec, lo, hi int, ids []int32) {
+	s := hashScratch.Get().(*hashBuffers)
+	defer s.put()
+	ints := s.intKeys(keys)
+	if t.own && !t.hashed && lo < hi {
+		t.fit(ints, lo, hi)
+	}
+	for b := lo; b < hi; b += hashBlock {
+		e := min(b+hashBlock, hi)
+		out, h := ids[b-lo:e-lo], s.h[:e-b]
+		if t.hashed {
+			hashVecs(keys, b, h, nil)
+			for i, x := range h {
+				out[i] = t.insertFrom(x, keys, ints, b+i)
+			}
+			continue
+		}
+		t.address(keys, b, h)
+		for i, x := range h {
+			id := t.slots[x]
+			if id == 0 {
+				t.n++
+				id = int32(t.n)
+				t.slots[x] = id
+				if t.own {
+					for k := range t.keys {
+						appendKey(&t.keys[k], keys[k], b+i)
+					}
+				}
+			}
+			out[i] = id - 1
+		}
+	}
+	if t.own && !t.hashed {
+		t.ints = intKeysInto(t.intBuf, t.keys)
+	}
+}
+
+// lookup writes to ids the id of the key equal to each of rows [lo, hi) of
+// probe, or -1 when the table has none. A key with a NULL part finds
+// nothing: NULL never joins.
+func (t *keyTable) lookup(probe []vec, lo, hi int, ids []int32) {
+	s := hashScratch.Get().(*hashBuffers)
+	defer s.put()
+	ints := s.intKeys(probe)
+	for b := lo; b < hi; b += hashBlock {
+		e := min(b+hashBlock, hi)
+		out, h := ids[b-lo:e-lo], s.h[:e-b]
+		if t.hashed {
+			null := s.null[:e-b]
+			clear(null)
+			hashVecs(probe, b, h, null)
+			for i, x := range h {
+				out[i] = -1
+				if !null[i] {
+					out[i] = t.find(x, probe, ints, b+i)
+				}
+			}
+			continue
+		}
+		t.address(probe, b, h)
+		for i, x := range h {
+			out[i] = -1
+			if x != noSlot {
+				out[i] = t.slots[x] - 1
+			}
+		}
+	}
+}
+
+// address writes to slot the dense slot of each key at rows lo … of keys,
+// or noSlot when a part is not an integer under the key contract or lies
+// outside its window.
+func (t *keyTable) address(keys []vec, lo int, slot []uint64) {
+	clear(slot)
+	for k, w := range t.win {
+		if c := keys[k].col; c != nil && c.Type == TInt && c.Nulls == nil {
+			for i, v := range c.Ints[lo : lo+len(slot)] {
+				if off := uint64(v) - uint64(w.lo); off >= w.span {
+					slot[i] = noSlot
+				} else if slot[i] != noSlot {
+					slot[i] += off * w.stride
+				}
+			}
+			continue
+		}
+		for i := range slot {
+			class, v := keyClass(keys[k].get(lo + i))
+			if off := v - uint64(w.lo); class != 1 || off >= w.span {
+				slot[i] = noSlot
+			} else if slot[i] != noSlot {
+				slot[i] += off * w.stride
+			}
+		}
+	}
+}
+
+// fit readies an owning dense table for rows [lo, hi) of keys whose
+// intKeys are ints: it widens the window to cover them, or moves the table
+// to hashed addressing when a part is not a NULL-free Int column (ints is
+// nil) or the window would pass the cap.
+func (t *keyTable) fit(ints [][]int64, lo, hi int) {
+	if ints == nil {
+		t.toHashed()
+		return
+	}
+	inside := t.slots != nil
+	for k := 0; inside && k < len(ints); k++ {
+		w := t.win[k]
+		for _, v := range ints[k][lo:hi] {
+			if uint64(v)-uint64(w.lo) >= w.span {
+				inside = false
+				break
+			}
+		}
+	}
+	if inside {
+		return
+	}
+	if win := widen(t.win, ints, lo, hi, denseCap(t.n+hi-lo)); win != nil {
+		t.layout(win)
+	} else {
+		t.toHashed()
+	}
+}
+
+// widen returns windows covering old (nil: none) and each part's values
+// over rows [lo, hi) of ints in at most limit slots, or nil. A part that
+// grows at least doubles its span, away from the side it outgrew, so a
+// window that keeps growing lays its keys out anew a logarithmic number of
+// times; when the doubled spans do not fit, the exact ones are tried.
+func widen(old []window, ints [][]int64, lo, hi int, limit uint64) []window {
+	var buf [4]window
+	for _, exact := range []bool{false, true} {
+		win, slots := buf[:0], uint64(1)
+		for k, c := range ints {
+			// Offsets from math.MinInt64 order int64 values as uint64.
+			l, h := uint64(1<<63), uint64(1<<63)
+			if lo < hi {
+				l, h = uint64(slices.Min(c[lo:hi]))^1<<63, uint64(slices.Max(c[lo:hi]))^1<<63
+			}
+			span, below := uint64(0), false
+			if old != nil {
+				o := old[k]
+				ol := uint64(o.lo) ^ 1<<63
+				oh := ol + o.span - 1
+				if l >= ol && h <= oh {
+					win = append(win, o)
+					slots *= o.span
+					continue
+				}
+				below = l < ol
+				l, h = min(l, ol), max(h, oh)
+				if !exact {
+					span = 2 * o.span
+				}
+			}
+			if h-l >= limit {
+				return nil
+			}
+			if span = max(span, h-l+1); span > limit/slots {
+				win = nil
+				break
+			}
+			if below {
+				l = h - min(h, span-1)
+			}
+			l = min(l, math.MaxUint64-(span-1))
+			win = append(win, window{lo: int64(l ^ 1<<63), span: span})
+			slots *= span
+		}
+		if win != nil {
+			return slices.Clone(win)
+		}
+	}
+	return nil
+}
+
+// layout moves the table to the dense windows win, placing its keys anew.
+func (t *keyTable) layout(win []window) {
+	size := uint64(1)
+	for k := range win {
+		win[k].stride = size
+		size *= win[k].span
+	}
+	t.win, t.slots = win, make([]int32, size)
+	for id := 0; id < t.n; id++ {
+		var s uint64
+		for k, w := range win {
+			s += (uint64(t.ints[k][id]) - uint64(w.lo)) * w.stride
+		}
+		t.slots[s] = int32(id + 1)
+	}
+}
+
+// toHashed moves the table to hashed addressing for good.
+func (t *keyTable) toHashed() {
+	t.hashed, t.win = true, nil
+	t.hashes = make([]uint64, t.n)
+	hashVecs(t.keys, 0, t.hashes, nil)
+	size := 128
+	for size < 2*(t.n+1) {
+		size <<= 1
+	}
+	t.place(size)
 }
 
 // eq reports whether the key with the given id equals row j of keys (ints
@@ -305,46 +555,37 @@ func (t *keyTable) eq(id int32, keys []vec, ints [][]int64, j int) bool {
 	return keysEq(t.keys, i, keys, j)
 }
 
-// len returns the number of distinct keys.
-func (t *keyTable) len() int { return len(t.hashes) }
-
-// insert returns the id of row's key (h its hash), numbering it if new. The
-// table must not own its keys: row is a row of the table's key vectors.
-func (t *keyTable) insert(h uint64, row int) (id int32, added bool) {
-	return t.insertFrom(h, t.keys, t.ints, row)
-}
-
 // insertFrom returns the id of the key at row of keys (h its hash, ints
-// intKeys(keys)), numbering it if new: an owning table appends a copy of
-// it, any other records row, which must then be a row of its own keys.
-func (t *keyTable) insertFrom(h uint64, keys []vec, ints [][]int64, row int) (id int32, added bool) {
-	if 2*(len(t.hashes)+1) > len(t.slots) {
-		t.grow()
+// intKeys(keys)) in a hashed table, numbering it if new.
+func (t *keyTable) insertFrom(h uint64, keys []vec, ints [][]int64, row int) int32 {
+	if 2*(t.n+1) > len(t.slots) {
+		t.place(2 * len(t.slots))
 	}
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
-			id = int32(len(t.hashes))
+			id := int32(t.n)
+			t.n++
 			t.slots[i] = id + 1
 			t.hashes = append(t.hashes, h)
 			if !t.own {
 				t.rows = append(t.rows, int32(row))
-				return id, true
+				return id
 			}
 			for k := range t.keys {
 				appendKey(&t.keys[k], keys[k], row)
 			}
 			t.ints = intKeysInto(t.intBuf, t.keys)
-			return id, true
+			return id
 		}
 		if t.hashes[s-1] == h && t.eq(s-1, keys, ints, row) {
-			return s - 1, false
+			return s - 1
 		}
 	}
 }
 
 // find returns the id of the key equal to row of probe (h its hash, ints
-// intKeys(probe)), or -1.
+// intKeys(probe)) in a hashed table, or -1.
 func (t *keyTable) find(h uint64, probe []vec, ints [][]int64, row int) int32 {
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
@@ -357,8 +598,8 @@ func (t *keyTable) find(h uint64, probe []vec, ints [][]int64, row int) int32 {
 	}
 }
 
-func (t *keyTable) grow() {
-	size := 2 * len(t.slots)
+// place lays the hashed keys out in a table of size slots.
+func (t *keyTable) place(size int) {
 	t.slots = make([]int32, size)
 	t.mask = uint64(size - 1)
 	for id, h := range t.hashes {
@@ -370,7 +611,8 @@ func (t *keyTable) grow() {
 	}
 }
 
-// bytes is the memory the table holds (its input's key vectors aside).
+// bytes is the memory the table holds (its input's key vectors aside),
+// dense window included.
 func (t *keyTable) bytes() int64 {
 	return int64(4*len(t.slots) + 8*len(t.hashes) + 4*len(t.rows))
 }

@@ -14,7 +14,7 @@ import (
 // value (1 = 1.0 = true), -0.0 equals 0.0, NaN equals NaN (keys compare by
 // bits), String never equals Blob even with the same bytes, and NULL never
 // joins yet forms one group. Tables are large enough that Parallelism 4 runs
-// the parallel build, probe and partial aggregation paths.
+// the parallel probe and partial aggregation paths.
 
 // refKey is the reference's key for one value; "" is NULL.
 func refKey(d Datum) string {

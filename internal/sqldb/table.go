@@ -510,14 +510,11 @@ func (t *Table) Distinct(col string) (d int, ok bool) {
 	if limit > sampleCap {
 		limit = sampleCap
 	}
-	keys := []vec{{col: c}}
-	kt := newKeyTable(keys, 64)
-	_ = hashBlocks(keys, 0, limit, false, func(start int, h []uint64, _ []bool) error {
-		for i, x := range h {
-			kt.insert(x, start+i)
-		}
-		return nil
-	})
+	sample := &Column{}
+	c.sliceInto(sample, 0, limit) // a dense window spans the sample only
+	keys := []vec{{col: sample}}
+	kt := newKeyTable(keys)
+	kt.number(keys, 0, limit, make([]int32, limit))
 	d = kt.len()
 	if n > limit && d > limit/2 {
 		// Looks near-unique in the sample; assume it scales.

@@ -34,9 +34,11 @@ type truthCase struct {
 // expression is evaluated in: SELECT item, WHERE, an aggregate argument,
 // an ORDER BY key, UPDATE SET, UPDATE WHERE and DELETE WHERE. A row keeps
 // under WHERE when its value is TRUE (or a non-zero number). AND and OR
-// decide on the left operand alone when it is FALSE (AND) or TRUE (OR);
-// otherwise a NULL on either side makes the result NULL. IN ignores NULL
-// items, and BETWEEN orders a NULL bound below every value.
+// follow SQL's three-valued logic: a FALSE operand of AND makes it FALSE
+// and a TRUE operand of OR makes it TRUE, whatever the other operand
+// (NULL AND FALSE is FALSE, NULL OR TRUE is TRUE); otherwise a NULL on
+// either side makes the result NULL. IN ignores NULL items, and BETWEEN
+// orders a NULL bound below every value.
 func TestThreeValuedLogicTruthTable(t *testing.T) {
 	T, F, N := Bool(true), Bool(false), Null()
 	ints := func(vs ...any) []Datum {
@@ -56,10 +58,10 @@ func TestThreeValuedLogicTruthTable(t *testing.T) {
 	all := func(d Datum) []Datum { return []Datum{d, d, d, d, d, d, d, d, d} }
 	cases := []truthCase{
 		{expr: "NOT p", want: []Datum{F, F, F, T, T, T, N, N, N}},
-		{expr: "p AND q", want: []Datum{T, F, N, F, F, F, N, N, N}},
-		{expr: "p OR q", want: []Datum{T, T, T, T, F, N, N, N, N}},
-		{expr: "NOT (p AND q)", want: []Datum{F, T, N, T, T, T, N, N, N}},
-		{expr: "(p OR q) AND x > 1", want: []Datum{F, T, N, F, F, N, N, N, N}},
+		{expr: "p AND q", want: []Datum{T, F, N, F, F, F, N, F, N}},
+		{expr: "p OR q", want: []Datum{T, T, T, T, F, N, T, N, N}},
+		{expr: "NOT (p AND q)", want: []Datum{F, T, N, T, T, T, N, T, N}},
+		{expr: "(p OR q) AND x > 1", want: []Datum{F, T, N, F, F, N, T, N, N}},
 		{expr: "p IS NULL", want: []Datum{F, F, F, F, F, F, T, T, T}},
 		{expr: "x IS NOT NULL", want: []Datum{T, T, F, T, T, T, T, F, T}},
 		{expr: "x = NULL", want: all(N)},

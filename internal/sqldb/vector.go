@@ -554,8 +554,10 @@ func (k *arithNode) eval(in *Result, s sel) (vec, error) {
 }
 
 // logicNode is AND or OR. The right operand runs only on the rows the left
-// one leaves undecided: not FALSE for AND, not TRUE for OR. A NULL or
-// non-boolean value on either side of an undecided row makes it NULL.
+// one leaves undecided: not FALSE for AND, not TRUE for OR. On those rows a
+// deciding right value (FALSE for AND, TRUE for OR) decides, as SQL's
+// three-valued logic says; otherwise a NULL or non-boolean value on either
+// side makes the row NULL.
 type logicNode struct {
 	or   bool
 	l, r kernel
@@ -585,7 +587,7 @@ func (k *logicNode) eval(in *Result, s sel) (vec, error) {
 	}
 	for j, i := range pos {
 		_, lok := lv.truth(i)
-		if rb, rok := rv.truth(j); lok && rok {
+		if rb, rok := rv.truth(j); rok && (lok || rb == k.or) {
 			out.Bools[i] = rb
 		} else {
 			out.setNull(i)
