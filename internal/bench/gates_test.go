@@ -311,9 +311,10 @@ func BenchmarkGateSchedulerSpeedup(b *testing.B) {
 		reset()
 		sched := schedule.New(schedule.Config{Cache: cache.New[schedule.Key, int](4096), Metrics: obs.NewRegistry()})
 		defer sched.Drain()
-		be := schedule.NewNativeBackend(4)
+		be := schedule.NewNativeBackend(func(uint64, []byte) (*nn.Model, float64, error) { return model, 0, nil })
 		return closedLoop(b, workers, time.Second, func(w int) error {
-			_, err := sched.Infer(context.Background(), be, artHash, art, pick(w))
+			blob := pick(w)
+			_, err := sched.Infer(context.Background(), be, schedule.Key{Model: artHash, Input: tensor.HashBytes(blob)}, art, blob)
 			return err
 		})
 	}

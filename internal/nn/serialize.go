@@ -1,9 +1,8 @@
 package nn
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -22,119 +21,161 @@ import (
 
 const modelMagic = "DL2SQLM1"
 
+// ErrCorruptArtifact is wrapped by every decode failure: the bytes are not
+// a model artifact Encode wrote.
+var ErrCorruptArtifact = errors.New("nn: corrupt model artifact")
+
+// maxNesting bounds how deeply a decoded artifact may nest blocks, so a
+// crafted one cannot recurse without limit.
+const maxNesting = 16
+
 type modelWriter struct {
-	w   *bufio.Writer
+	b   []byte
 	err error
 }
 
-func (mw *modelWriter) u32(v uint32) {
-	if mw.err != nil {
-		return
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, mw.err = mw.w.Write(b[:])
-}
+func (mw *modelWriter) u32(v uint32) { mw.b = binary.LittleEndian.AppendUint32(mw.b, v) }
+func (mw *modelWriter) u64(v uint64) { mw.b = binary.LittleEndian.AppendUint64(mw.b, v) }
 
-func (mw *modelWriter) u64(v uint64) {
-	if mw.err != nil {
-		return
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, mw.err = mw.w.Write(b[:])
-}
-
-func (mw *modelWriter) f64(v float64) { mw.u64(math.Float64bits(v)) }
 func (mw *modelWriter) f64s(v []float64) {
 	mw.u32(uint32(len(v)))
 	for _, x := range v {
-		mw.f64(x)
+		mw.u64(math.Float64bits(x))
 	}
 }
 
 func (mw *modelWriter) str(s string) {
 	mw.u32(uint32(len(s)))
-	if mw.err != nil {
-		return
-	}
-	_, mw.err = mw.w.WriteString(s)
+	mw.b = append(mw.b, s...)
 }
 
-func (mw *modelWriter) ints(v []int) {
+func (mw *modelWriter) ints(v ...int) {
 	mw.u32(uint32(len(v)))
 	for _, x := range v {
 		mw.u64(uint64(x))
 	}
 }
 
+// modelReader is a cursor over an artifact. The first failure sticks in
+// err, and every later read returns zero values, so decoders check once
+// per record.
 type modelReader struct {
-	r   *bufio.Reader
+	b   []byte
 	err error
 }
 
-func (mr *modelReader) u32() uint32 {
-	if mr.err != nil {
-		return 0
+func (mr *modelReader) fail(format string, args ...any) {
+	if mr.err == nil {
+		mr.err = fmt.Errorf("%w: %s", ErrCorruptArtifact, fmt.Sprintf(format, args...))
 	}
-	var b [4]byte
-	_, mr.err = io.ReadFull(mr.r, b[:])
-	return binary.LittleEndian.Uint32(b[:])
 }
 
-func (mr *modelReader) u64() uint64 {
-	if mr.err != nil {
-		return 0
-	}
-	var b [8]byte
-	_, mr.err = io.ReadFull(mr.r, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (mr *modelReader) f64() float64 { return math.Float64frombits(mr.u64()) }
-
-func (mr *modelReader) f64s() []float64 {
-	n := mr.u32()
+// take consumes the next n bytes. It checks n against the bytes that
+// remain, so no length prefix is ever trusted before allocating.
+func (mr *modelReader) take(n int) []byte {
 	if mr.err != nil {
 		return nil
 	}
-	out := make([]float64, n)
+	if n > len(mr.b) {
+		mr.fail("record of %d bytes, %d remain", n, len(mr.b))
+		return nil
+	}
+	p := mr.b[:n:n]
+	mr.b = mr.b[n:]
+	return p
+}
+
+func (mr *modelReader) u32() uint32 {
+	if p := mr.take(4); mr.err == nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
+}
+
+// count reads a length prefix of records at least size bytes each.
+func (mr *modelReader) count(size int) int {
+	n := int(mr.u32())
+	if n*size > len(mr.b) {
+		mr.fail("%d records of at least %d bytes, %d bytes remain", n, size, len(mr.b))
+		return 0
+	}
+	return n
+}
+
+// f64s reads a length-prefixed float64 slice in one pass; an empty one
+// decodes as nil, as layers without a bias hold it.
+func (mr *modelReader) f64s() []float64 {
+	p := mr.take(8 * mr.count(8))
+	if len(p) == 0 {
+		return nil
+	}
+	out := make([]float64, len(p)/8)
 	for i := range out {
-		out[i] = mr.f64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return out
 }
 
-func (mr *modelReader) str() string {
-	n := mr.u32()
-	if mr.err != nil {
-		return ""
-	}
-	b := make([]byte, n)
-	_, mr.err = io.ReadFull(mr.r, b)
-	return string(b)
-}
+func (mr *modelReader) str() string { return string(mr.take(mr.count(1))) }
 
 func (mr *modelReader) ints() []int {
-	n := mr.u32()
-	if mr.err != nil {
-		return nil
-	}
-	out := make([]int, n)
+	p := mr.take(8 * mr.count(8))
+	out := make([]int, len(p)/8)
 	for i := range out {
-		out[i] = int(mr.u64())
+		out[i] = int(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return out
+}
+
+// dims reads a layer header of exactly n integers.
+func (mr *modelReader) dims(n int, name string) []int {
+	d := mr.ints()
+	if len(d) != n {
+		mr.fail("layer %s: header of %d integers, want %d", name, len(d), n)
+		return make([]int, n)
+	}
+	return d
+}
+
+// shape checks that dims are positive and multiply to n, the length of the
+// weights they describe, before tensor.FromSlice relies on it.
+func (mr *modelReader) shape(name string, n int, dims ...int) {
+	p := 1
+	for _, d := range dims {
+		if d < 1 || d > n/p {
+			p = -1
+			break
+		}
+		p *= d
+	}
+	if p != n {
+		mr.fail("layer %s: %d weights do not fit shape %v", name, n, dims)
+	}
+}
+
+// check marks the artifact corrupt unless ok.
+func (mr *modelReader) check(ok bool, name, what string) {
+	if !ok {
+		mr.fail("layer %s: %s", name, what)
+	}
 }
 
 // Encode serializes the model to w.
 func Encode(m *Model, w io.Writer) error {
-	mw := &modelWriter{w: bufio.NewWriter(w)}
-	if _, err := mw.w.WriteString(modelMagic); err != nil {
+	b, err := EncodeBytes(m)
+	if err != nil {
 		return err
 	}
+	_, err = w.Write(b)
+	return err
+}
+
+// EncodeBytes serializes the model to a byte slice — the "compiled binary
+// artifact" the DB-UDF strategy links into the database kernel.
+func EncodeBytes(m *Model) ([]byte, error) {
+	mw := &modelWriter{b: []byte(modelMagic)}
 	mw.str(m.ModelName)
-	mw.ints(m.InputShape)
+	mw.ints(m.InputShape...)
 	mw.u32(uint32(len(m.Classes)))
 	for _, c := range m.Classes {
 		mw.str(c)
@@ -144,19 +185,9 @@ func Encode(m *Model, w io.Writer) error {
 		encodeLayer(mw, l)
 	}
 	if mw.err != nil {
-		return mw.err
+		return nil, mw.err
 	}
-	return mw.w.Flush()
-}
-
-// EncodeBytes serializes the model to a byte slice — the "compiled binary
-// artifact" the DB-UDF strategy links into the database kernel.
-func EncodeBytes(m *Model) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(m, &buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return mw.b, nil
 }
 
 func encodeLayer(mw *modelWriter, l Layer) {
@@ -164,11 +195,11 @@ func encodeLayer(mw *modelWriter, l Layer) {
 	mw.str(l.Name())
 	switch t := l.(type) {
 	case *Conv2D:
-		mw.ints([]int{t.InC, t.OutC, t.K, t.Stride, t.Pad})
+		mw.ints(t.InC, t.OutC, t.K, t.Stride, t.Pad)
 		mw.f64s(t.Weight.Data())
 		mw.f64s(t.Bias)
 	case *Deconv2D:
-		mw.ints([]int{t.InC, t.OutC, t.K, t.Stride, t.Pad})
+		mw.ints(t.InC, t.OutC, t.K, t.Stride, t.Pad)
 		mw.f64s(t.Weight.Data())
 		mw.f64s(t.Bias)
 	case *BatchNorm:
@@ -189,11 +220,11 @@ func encodeLayer(mw *modelWriter, l Layer) {
 	case *ReLU, *Sigmoid, *Softmax, *Flatten, *GlobalAvgPool:
 		// kind + name suffice
 	case *MaxPool:
-		mw.ints([]int{t.K, t.Stride})
+		mw.ints(t.K, t.Stride)
 	case *AvgPool:
-		mw.ints([]int{t.K, t.Stride})
+		mw.ints(t.K, t.Stride)
 	case *Linear:
-		mw.ints([]int{t.In, t.Out})
+		mw.ints(t.In, t.Out)
 		mw.f64s(t.Weight.Data())
 		mw.f64s(t.Bias)
 	case *BasicAttention:
@@ -210,7 +241,7 @@ func encodeLayer(mw *modelWriter, l Layer) {
 			encodeLayer(mw, sub)
 		}
 	case *DenseBlock:
-		mw.ints([]int{t.InC, t.Growth})
+		mw.ints(t.InC, t.Growth)
 		mw.u32(uint32(len(t.Stages)))
 		for _, sub := range t.Stages {
 			encodeLayer(mw, sub)
@@ -224,167 +255,137 @@ func encodeLayer(mw *modelWriter, l Layer) {
 
 // Decode deserializes a model previously written by Encode.
 func Decode(r io.Reader) (*Model, error) {
-	mr := &modelReader{r: bufio.NewReader(r)}
-	magic := make([]byte, len(modelMagic))
-	if _, err := io.ReadFull(mr.r, magic); err != nil {
-		return nil, fmt.Errorf("nn: reading magic: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("nn: reading model: %w", err)
 	}
-	if string(magic) != modelMagic {
-		return nil, fmt.Errorf("nn: bad magic %q", magic)
+	return DecodeBytes(b)
+}
+
+// DecodeBytes deserializes a model from a compiled artifact. Every weight
+// slice is copied out of b, so the model does not retain it. A corrupt
+// artifact returns an error wrapping ErrCorruptArtifact, never a panic.
+func DecodeBytes(b []byte) (*Model, error) {
+	mr := &modelReader{b: b}
+	if magic := mr.take(len(modelMagic)); mr.err != nil || string(magic) != modelMagic {
+		return nil, fmt.Errorf("%w: bad magic", ErrCorruptArtifact)
 	}
 	m := &Model{ModelName: mr.str(), InputShape: mr.ints()}
-	nc := mr.u32()
-	for i := uint32(0); i < nc && mr.err == nil; i++ {
-		m.Classes = append(m.Classes, mr.str())
+	m.Classes = make([]string, mr.count(4))
+	for i := range m.Classes {
+		m.Classes[i] = mr.str()
 	}
-	nl := mr.u32()
-	for i := uint32(0); i < nl && mr.err == nil; i++ {
-		l, err := decodeLayer(mr)
-		if err != nil {
-			return nil, err
-		}
-		m.Layers = append(m.Layers, l)
-	}
+	m.Layers = decodeLayers(mr, 0)
+	mr.check(len(mr.b) == 0, m.ModelName, "trailing bytes")
 	if mr.err != nil {
 		return nil, mr.err
 	}
 	return m, nil
 }
 
-// DecodeBytes deserializes a model from a compiled artifact.
-func DecodeBytes(b []byte) (*Model, error) {
-	return Decode(bytes.NewReader(b))
+// decodeLayers reads a count-prefixed layer list; a layer record is at
+// least its two string prefixes.
+func decodeLayers(mr *modelReader, depth int) []Layer {
+	n := mr.count(8)
+	out := make([]Layer, 0, n)
+	for i := 0; i < n && mr.err == nil; i++ {
+		out = append(out, decodeLayer(mr, depth))
+	}
+	return out
 }
 
-func decodeLayer(mr *modelReader) (Layer, error) {
-	kind := mr.str()
-	name := mr.str()
+func decodeLayer(mr *modelReader, depth int) Layer {
+	kind, name := mr.str(), mr.str()
 	if mr.err != nil {
-		return nil, mr.err
+		return nil
 	}
 	switch kind {
-	case KindConv2D:
-		dims := mr.ints()
-		w := mr.f64s()
-		b := mr.f64s()
+	case KindConv2D, KindDeconv2D:
+		d, w, b := mr.dims(5, name), mr.f64s(), mr.f64s()
+		inC, outC, k, stride, pad := d[0], d[1], d[2], d[3], d[4]
+		mr.shape(name, len(w), outC, inC, k, k)
+		mr.check(len(b) == 0 || len(b) == outC, name, "bias length")
+		mr.check(stride >= 1 && pad >= 0, name, "bad stride or padding")
 		if mr.err != nil {
-			return nil, mr.err
+			return nil
 		}
-		if len(dims) != 5 {
-			return nil, fmt.Errorf("nn: conv %s header corrupt", name)
+		if kind == KindConv2D {
+			return &Conv2D{LayerName: name, InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad, Bias: b,
+				Weight: tensor.FromSlice(w, outC, inC*k*k)}
 		}
-		c := &Conv2D{LayerName: name, InC: dims[0], OutC: dims[1], K: dims[2], Stride: dims[3], Pad: dims[4], Bias: b}
-		c.Weight = tensor.FromSlice(w, c.OutC, c.InC*c.K*c.K)
-		return c, nil
-	case KindDeconv2D:
-		dims := mr.ints()
-		w := mr.f64s()
-		b := mr.f64s()
-		if mr.err != nil {
-			return nil, mr.err
-		}
-		if len(dims) != 5 {
-			return nil, fmt.Errorf("nn: deconv %s header corrupt", name)
-		}
-		d := &Deconv2D{LayerName: name, InC: dims[0], OutC: dims[1], K: dims[2], Stride: dims[3], Pad: dims[4], Bias: b}
-		d.Weight = tensor.FromSlice(w, d.InC, d.OutC*d.K*d.K)
-		return d, nil
+		return &Deconv2D{LayerName: name, InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad, Bias: b,
+			Weight: tensor.FromSlice(w, inC, outC*k*k)}
 	case KindBatchNorm:
-		c := int(mr.u32())
-		batchStats := mr.u32() == 1
-		return &BatchNorm{
-			LayerName: name, C: c, UseBatchStats: batchStats,
-			Gamma: mr.f64s(), Beta: mr.f64s(), Mean: mr.f64s(), Var: mr.f64s(),
-		}, mr.err
+		c, stats := int(mr.u32()), mr.u32()
+		bn := &BatchNorm{LayerName: name, C: c, UseBatchStats: stats == 1,
+			Gamma: mr.f64s(), Beta: mr.f64s(), Mean: mr.f64s(), Var: mr.f64s()}
+		mr.check(stats <= 1, name, "bad statistics flag")
+		for _, v := range [][]float64{bn.Gamma, bn.Beta, bn.Mean, bn.Var} {
+			mr.check(len(v) == c, name, "per-channel vector length")
+		}
+		return bn
 	case KindInstanceNorm:
 		c := int(mr.u32())
-		return &InstanceNorm{LayerName: name, C: c, Gamma: mr.f64s(), Beta: mr.f64s()}, mr.err
+		in := &InstanceNorm{LayerName: name, C: c, Gamma: mr.f64s(), Beta: mr.f64s()}
+		mr.check(len(in.Gamma) == c && len(in.Beta) == c, name, "per-channel vector length")
+		return in
 	case KindReLU:
-		return &ReLU{LayerName: name}, nil
+		return &ReLU{LayerName: name}
 	case KindSigmoid:
-		return &Sigmoid{LayerName: name}, nil
+		return &Sigmoid{LayerName: name}
 	case KindSoftmax:
-		return &Softmax{LayerName: name}, nil
+		return &Softmax{LayerName: name}
 	case KindFlatten:
-		return &Flatten{LayerName: name}, nil
+		return &Flatten{LayerName: name}
 	case KindGlobalAvg:
-		return &GlobalAvgPool{LayerName: name}, nil
-	case KindMaxPool:
-		dims := mr.ints()
-		if len(dims) != 2 {
-			return nil, fmt.Errorf("nn: maxpool %s header corrupt", name)
+		return &GlobalAvgPool{LayerName: name}
+	case KindMaxPool, KindAvgPool:
+		d := mr.dims(2, name)
+		mr.check(d[0] >= 1 && d[1] >= 1, name, "bad pooling window")
+		if kind == KindMaxPool {
+			return &MaxPool{LayerName: name, K: d[0], Stride: d[1]}
 		}
-		return &MaxPool{LayerName: name, K: dims[0], Stride: dims[1]}, nil
-	case KindAvgPool:
-		dims := mr.ints()
-		if len(dims) != 2 {
-			return nil, fmt.Errorf("nn: avgpool %s header corrupt", name)
-		}
-		return &AvgPool{LayerName: name, K: dims[0], Stride: dims[1]}, nil
+		return &AvgPool{LayerName: name, K: d[0], Stride: d[1]}
 	case KindLinear:
-		dims := mr.ints()
-		w := mr.f64s()
-		b := mr.f64s()
+		d, w, b := mr.dims(2, name), mr.f64s(), mr.f64s()
+		mr.shape(name, len(w), d[1], d[0])
+		mr.check(len(b) == d[1], name, "bias length")
 		if mr.err != nil {
-			return nil, mr.err
+			return nil
 		}
-		if len(dims) != 2 {
-			return nil, fmt.Errorf("nn: linear %s header corrupt", name)
-		}
-		l := &Linear{LayerName: name, In: dims[0], Out: dims[1], Bias: b}
-		l.Weight = tensor.FromSlice(w, l.Out, l.In)
-		return l, nil
+		return &Linear{LayerName: name, In: d[0], Out: d[1], Bias: b, Weight: tensor.FromSlice(w, d[1], d[0])}
 	case KindAttention:
-		dim := int(mr.u32())
-		ws := mr.f64s()
-		wv := mr.f64s()
+		dim, ws, wv := int(mr.u32()), mr.f64s(), mr.f64s()
+		mr.shape(name, len(ws), dim, dim)
+		mr.shape(name, len(wv), dim, dim)
 		if mr.err != nil {
-			return nil, mr.err
+			return nil
 		}
-		return &BasicAttention{
-			LayerName: name, Dim: dim,
-			WScore: tensor.FromSlice(ws, dim, dim),
-			WValue: tensor.FromSlice(wv, dim, dim),
-		}, nil
+		return &BasicAttention{LayerName: name, Dim: dim,
+			WScore: tensor.FromSlice(ws, dim, dim), WValue: tensor.FromSlice(wv, dim, dim)}
 	case KindResidual, KindIdentity:
+		mr.check(depth < maxNesting, name, "blocks nested too deeply")
 		b := &ResidualBlock{LayerName: name}
-		nm := mr.u32()
-		for i := uint32(0); i < nm && mr.err == nil; i++ {
-			sub, err := decodeLayer(mr)
-			if err != nil {
-				return nil, err
-			}
-			b.Main = append(b.Main, sub)
-		}
-		ns := mr.u32()
-		for i := uint32(0); i < ns && mr.err == nil; i++ {
-			sub, err := decodeLayer(mr)
-			if err != nil {
-				return nil, err
-			}
-			b.Shortcut = append(b.Shortcut, sub)
-		}
-		return b, mr.err
+		b.Main = decodeLayers(mr, depth+1)
+		b.Shortcut = decodeLayers(mr, depth+1)
+		// The kind records whether a shortcut exists; a mismatch would
+		// re-encode as different bytes.
+		mr.check(b.Kind() == kind, name, "block kind disagrees with its shortcut")
+		return b
 	case KindDense:
-		dims := mr.ints()
-		if len(dims) != 2 {
-			return nil, fmt.Errorf("nn: dense block %s header corrupt", name)
-		}
-		b := &DenseBlock{LayerName: name, InC: dims[0], Growth: dims[1]}
-		ns := mr.u32()
-		for i := uint32(0); i < ns && mr.err == nil; i++ {
-			sub, err := decodeLayer(mr)
-			if err != nil {
-				return nil, err
-			}
+		d := mr.dims(2, name)
+		mr.check(depth < maxNesting, name, "blocks nested too deeply")
+		b := &DenseBlock{LayerName: name, InC: d[0], Growth: d[1]}
+		for _, sub := range decodeLayers(mr, depth+1) {
 			conv, ok := sub.(*Conv2D)
 			if !ok {
-				return nil, fmt.Errorf("nn: dense block %s stage is %T, want conv", name, sub)
+				mr.fail("dense block %s stage is %T, want conv", name, sub)
+				break
 			}
 			b.Stages = append(b.Stages, conv)
 		}
-		return b, mr.err
-	default:
-		return nil, fmt.Errorf("nn: unknown layer kind %q", kind)
+		return b
 	}
+	mr.fail("unknown layer kind %q", kind)
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/iotdata"
 	"repro/internal/nn"
 	"repro/internal/qerr"
@@ -13,58 +12,48 @@ import (
 )
 
 // BackendStats is the backend's self-reported cost split for one batch:
-// how long model decode/loading took versus the forward passes themselves.
-// The scheduler divides both across the batch's waiters so the strategies'
+// the model load charged to it versus the forward passes themselves. The
+// scheduler divides both across the batch's waiters so the strategies'
 // CostBreakdown buckets stay meaningful under coalescing.
 type BackendStats struct {
 	DecodeSeconds float64
 	InferSeconds  float64
 }
 
-// Backend executes one coalesced batch. Run receives the model artifact
-// shared by the whole batch and the raw input blobs in queue order, and
-// must return one predicted class index per blob, in the same order.
-// Backends must honour ctx (the scheduler's base context — cancelled only
-// on forced drain, never by an individual waiter) and must wrap
-// availability failures in qerr.ErrServingUnavailable so the strategies'
-// fallback ladder sees the same error classes it would without the
-// scheduler. ID namespaces the batch queues: requests coalesce only within
-// one backend.
+// Backend executes one coalesced batch. Run receives the model hash the
+// batch is queued under, the model artifact shared by the whole batch and
+// the raw input blobs in queue order, and must return one predicted class
+// index per blob, in the same order. Backends must honour ctx (the
+// scheduler's base context — cancelled only on forced drain, never by an
+// individual waiter) and must wrap availability failures in
+// qerr.ErrServingUnavailable so the strategies' fallback ladder sees the
+// same error classes it would without the scheduler. ID namespaces the
+// batch queues: requests coalesce only within one backend.
 type Backend struct {
 	ID  string
-	Run func(ctx context.Context, artifact []byte, blobs [][]byte) ([]int, BackendStats, error)
+	Run func(ctx context.Context, model uint64, artifact []byte, blobs [][]byte) ([]int, BackendStats, error)
 }
 
 // NewNativeBackend builds the in-process backend used by the DB-UDF path:
-// artifacts decode through an LRU keyed on the artifact hash (so a hot
-// model decodes once, not once per batch), and the batch's blobs decode and
-// run through PredictKeyframes — one stacked MatMul per batch-aware layer
-// per nn.MaxStack samples, bit-identical to per-sample forwards.
-// modelCacheCap bounds the decoded-model LRU (<= 0 disables it and every
-// batch re-decodes).
-func NewNativeBackend(modelCacheCap int) *Backend {
-	models := cache.New[uint64, *nn.Model](modelCacheCap)
+// load returns the batch's shared decoded model by hash, with its recorded
+// decode seconds, and the batch's blobs decode and run through
+// PredictKeyframes — one stacked MatMul per batch-aware layer per
+// nn.MaxStack samples, bit-identical to per-sample forwards.
+func NewNativeBackend(load func(model uint64, artifact []byte) (*nn.Model, float64, error)) *Backend {
 	return &Backend{
 		ID: "native",
-		Run: func(ctx context.Context, artifact []byte, blobs [][]byte) ([]int, BackendStats, error) {
+		Run: func(ctx context.Context, model uint64, artifact []byte, blobs [][]byte) ([]int, BackendStats, error) {
 			var stats BackendStats
 			if err := qerr.FromContext(ctx.Err()); err != nil {
 				return nil, stats, err
 			}
-			hash := tensor.HashBytes(artifact)
-			m, ok := models.Get(hash)
-			if !ok {
-				start := time.Now()
-				var err error
-				m, err = nn.DecodeBytes(artifact)
-				stats.DecodeSeconds = time.Since(start).Seconds()
-				if err != nil {
-					// A model that fails to decode is a serving-availability
-					// problem: the fallback ladder should degrade the query,
-					// exactly as a per-query decode failure would.
-					return nil, stats, fmt.Errorf("%w: native backend: decode model: %v", qerr.ErrServingUnavailable, err)
-				}
-				models.Put(hash, m)
+			m, secs, err := load(model, artifact)
+			stats.DecodeSeconds = secs
+			if err != nil {
+				// A model that fails to decode is a serving-availability
+				// problem: the fallback ladder should degrade the query,
+				// exactly as a per-query decode failure would.
+				return nil, stats, fmt.Errorf("%w: native backend: decode model: %v", qerr.ErrServingUnavailable, err)
 			}
 			// A malformed input blob is a data error, not an availability
 			// one — it must not trip the breaker or the fallback ladder.

@@ -7,13 +7,13 @@
 // Placement (see ARCHITECTURE.md "Inference scheduling"):
 //
 //	server sessions ──▶ strategies (DB-UDF / DB-PyTorch)
-//	                         │ Infer(artifact, blob)
+//	                         │ Infer(key, artifact, blob)
 //	                         ▼
 //	                  schedule.Scheduler ── per-(backend, artifact) queues,
 //	                         │              batch window + max-batch flush,
 //	                         │              single-flight dedup, shared cache
 //	                         ▼
-//	                  Backend.Run(artifact, blobs) — native nn.PredictBatch
+//	                  Backend.Run(model, artifact, blobs) — native nn.PredictBatch
 //	                  or the DB-PyTorch serving pipe, one call per batch
 //
 // Contracts:
@@ -55,7 +55,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/qerr"
-	"repro/internal/tensor"
 )
 
 // Key identifies one memoizable inference: the hash of the compiled model
@@ -200,6 +199,7 @@ type qkey struct {
 // queue is the pending batch for one (backend, artifact) pair.
 type queue struct {
 	be       *Backend
+	model    uint64
 	artifact []byte
 	items    []*item
 	timer    *time.Timer
@@ -293,9 +293,9 @@ func (s *Scheduler) count(name string) {
 // completes, or the coalesced batch containing this request executes —
 // whichever happens first — or until ctx dies, in which case the typed
 // lifecycle error returns immediately and the batch (if any) completes
-// without this waiter. model must be the artifact's stable hash (the
-// strategies use UDFBinding's artifact hash).
-func (s *Scheduler) Infer(ctx context.Context, be *Backend, model uint64, artifact, blob []byte) (Result, error) {
+// without this waiter. key is the artifact's stable hash (the strategies
+// use UDFBinding's) and the blob's tensor.HashBytes, computed by the caller.
+func (s *Scheduler) Infer(ctx context.Context, be *Backend, key Key, artifact, blob []byte) (Result, error) {
 	if s == nil {
 		return Result{}, errors.New("schedule: nil scheduler")
 	}
@@ -317,7 +317,6 @@ func (s *Scheduler) Infer(ctx context.Context, be *Backend, model uint64, artifa
 	// when the query is untraced). Finished on every return path.
 	span := obs.SpanFromContext(ctx).StartChild("sched:infer")
 	defer span.Finish()
-	key := Key{Model: model, Input: tensor.HashBytes(blob)}
 	if s.cfg.Cache != nil {
 		if idx, ok := s.cfg.Cache.Get(key); ok {
 			s.cacheHits.Add(1)
@@ -345,10 +344,10 @@ func (s *Scheduler) Infer(ctx context.Context, be *Backend, model uint64, artifa
 	}
 	fl := &flight{done: make(chan struct{})}
 	s.inflight[key] = fl
-	qk := qkey{backend: be.ID, model: model}
+	qk := qkey{backend: be.ID, model: key.Model}
 	q := s.queues[qk]
 	if q == nil {
-		q = &queue{be: be, artifact: artifact}
+		q = &queue{be: be, model: key.Model, artifact: artifact}
 		s.queues[qk] = q
 	}
 	span.SetAttr("source", "batch")
@@ -444,7 +443,7 @@ func (s *Scheduler) runBatch(q *queue) {
 		for i, it := range q.items {
 			blobs[i] = it.blob
 		}
-		return q.be.Run(s.baseCtx, q.artifact, blobs)
+		return q.be.Run(s.baseCtx, q.model, q.artifact, blobs)
 	}()
 	wall := time.Since(start).Seconds()
 	if err == nil && len(idxs) != n {

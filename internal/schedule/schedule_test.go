@@ -30,10 +30,13 @@ type countingBackend struct {
 	failErr error         // when non-nil, Run fails with it
 }
 
+// keyOf is the submission key of blob under the model hashed model.
+func keyOf(model uint64, blob []byte) Key { return Key{Model: model, Input: tensor.HashBytes(blob)} }
+
 func (cb *countingBackend) backend() *Backend {
 	return &Backend{
 		ID: "counting",
-		Run: func(ctx context.Context, artifact []byte, blobs [][]byte) ([]int, BackendStats, error) {
+		Run: func(ctx context.Context, _ uint64, artifact []byte, blobs [][]byte) ([]int, BackendStats, error) {
 			cb.mu.Lock()
 			cb.calls++
 			cb.blobs = append(cb.blobs, blobs...)
@@ -80,7 +83,7 @@ func TestCoalescesConcurrentSubmissions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res[i], errs[i] = s.Infer(context.Background(), be, 1, art, blobN(i))
+			res[i], errs[i] = s.Infer(context.Background(), be, keyOf(1, blobN(i)), art, blobN(i))
 		}(i)
 	}
 	wg.Wait()
@@ -115,7 +118,7 @@ func TestMaxBatchFlushesWithoutWindow(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Infer(context.Background(), be, 1, []byte("a"), blobN(i)); err != nil {
+			if _, err := s.Infer(context.Background(), be, keyOf(1, blobN(i)), []byte("a"), blobN(i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -146,7 +149,7 @@ func TestSingleFlightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := s.Infer(context.Background(), be, 1, art, blob)
+			r, err := s.Infer(context.Background(), be, keyOf(1, blob), art, blob)
 			if err != nil {
 				t.Error(err)
 				return
@@ -190,10 +193,10 @@ func TestSharedCacheHit(t *testing.T) {
 	cb := &countingBackend{}
 	be := cb.backend()
 	blob := blobN(3)
-	if _, err := s.Infer(context.Background(), be, 1, []byte("a"), blob); err != nil {
+	if _, err := s.Infer(context.Background(), be, keyOf(1, blob), []byte("a"), blob); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Infer(context.Background(), be, 1, []byte("a"), blob)
+	r, err := s.Infer(context.Background(), be, keyOf(1, blob), []byte("a"), blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +223,7 @@ func TestCancelledWaiterDoesNotPoisonBatch(t *testing.T) {
 	cancelCtx, cancel := context.WithCancel(context.Background())
 	victimErr := make(chan error, 1)
 	go func() {
-		_, err := s.Infer(cancelCtx, be, 1, art, blobN(0))
+		_, err := s.Infer(cancelCtx, be, keyOf(1, blobN(0)), art, blobN(0))
 		victimErr <- err
 	}()
 	const mates = 6
@@ -231,7 +234,7 @@ func TestCancelledWaiterDoesNotPoisonBatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			mateRes[i], mateErr[i] = s.Infer(context.Background(), be, 1, art, blobN(i+1))
+			mateRes[i], mateErr[i] = s.Infer(context.Background(), be, keyOf(1, blobN(i+1)), art, blobN(i+1))
 		}(i)
 	}
 	// Wait until all 7 are parked in one in-flight batch, then cancel the
@@ -291,7 +294,7 @@ func TestWaitersStampTheirOwnSpans(t *testing.T) {
 			defer wg.Done()
 			ctx, scope := store.Enter(ctx, "query", "query", time.Now())
 			w.traceID = obs.TraceIDFromContext(ctx)
-			_, w.err = s.Infer(ctx, be, 1, art, blobN(n))
+			_, w.err = s.Infer(ctx, be, keyOf(1, blobN(n)), art, blobN(n))
 			close(inferReturned)
 			// From here on nothing orders this goroutine against the batch:
 			// Exit flattens the span tree while the backend may still run.
@@ -359,7 +362,7 @@ func TestBatchErrorSharedByAllWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Infer(context.Background(), be, 1, []byte("a"), blobN(i))
+			_, errs[i] = s.Infer(context.Background(), be, keyOf(1, blobN(i)), []byte("a"), blobN(i))
 		}(i)
 	}
 	wg.Wait()
@@ -378,7 +381,7 @@ func TestBatchErrorSharedByAllWaiters(t *testing.T) {
 func TestBackendCountMismatchIsAvailabilityError(t *testing.T) {
 	s := New(Config{Window: time.Millisecond})
 	defer s.Drain()
-	be := &Backend{ID: "short", Run: func(context.Context, []byte, [][]byte) ([]int, BackendStats, error) {
+	be := &Backend{ID: "short", Run: func(context.Context, uint64, []byte, [][]byte) ([]int, BackendStats, error) {
 		return []int{1}, BackendStats{}, nil // always one result, even for n>1
 	}}
 	var wg sync.WaitGroup
@@ -387,7 +390,7 @@ func TestBackendCountMismatchIsAvailabilityError(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Infer(context.Background(), be, 1, []byte("a"), blobN(i))
+			_, errs[i] = s.Infer(context.Background(), be, keyOf(1, blobN(i)), []byte("a"), blobN(i))
 		}(i)
 	}
 	wg.Wait()
@@ -416,7 +419,7 @@ func TestDrainFlushesPendingAndRejectsNew(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Infer(context.Background(), be, 1, []byte("a"), blobN(i))
+			_, errs[i] = s.Infer(context.Background(), be, keyOf(1, blobN(i)), []byte("a"), blobN(i))
 		}(i)
 	}
 	for s.Stats().QueueDepth < n {
@@ -429,7 +432,7 @@ func TestDrainFlushesPendingAndRejectsNew(t *testing.T) {
 			t.Fatalf("pre-drain waiter %d stranded: %v", i, err)
 		}
 	}
-	_, err := s.Infer(context.Background(), be, 1, []byte("a"), blobN(9))
+	_, err := s.Infer(context.Background(), be, keyOf(1, blobN(9)), []byte("a"), blobN(9))
 	if !errors.Is(err, qerr.ErrServingUnavailable) {
 		t.Fatalf("post-drain submission: %v, want ErrServingUnavailable", err)
 	}
@@ -443,7 +446,7 @@ func TestSubmitFaultInjection(t *testing.T) {
 	s := New(Config{Faults: inj, Window: time.Millisecond})
 	defer s.Drain()
 	cb := &countingBackend{}
-	_, err := s.Infer(context.Background(), cb.backend(), 1, []byte("a"), blobN(1))
+	_, err := s.Infer(context.Background(), cb.backend(), keyOf(1, blobN(1)), []byte("a"), blobN(1))
 	if !errors.Is(err, qerr.ErrServingUnavailable) {
 		t.Fatalf("submit fault: %v", err)
 	}
@@ -457,7 +460,7 @@ func TestBatchFaultInjection(t *testing.T) {
 	s := New(Config{Faults: inj, Window: time.Millisecond})
 	defer s.Drain()
 	cb := &countingBackend{}
-	_, err := s.Infer(context.Background(), cb.backend(), 1, []byte("a"), blobN(1))
+	_, err := s.Infer(context.Background(), cb.backend(), keyOf(1, blobN(1)), []byte("a"), blobN(1))
 	if !errors.Is(err, qerr.ErrServingUnavailable) {
 		t.Fatalf("batch fault: %v", err)
 	}
@@ -471,7 +474,7 @@ func TestMetricsWired(t *testing.T) {
 	s := New(Config{Metrics: reg, Window: time.Millisecond})
 	defer s.Drain()
 	cb := &countingBackend{}
-	if _, err := s.Infer(context.Background(), cb.backend(), 1, []byte("a"), blobN(1)); err != nil {
+	if _, err := s.Infer(context.Background(), cb.backend(), keyOf(1, blobN(1)), []byte("a"), blobN(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(obs.MetricSchedSubmitted).Value(); got != 1 {
@@ -517,14 +520,22 @@ func TestNativeBackendEndToEnd(t *testing.T) {
 	}
 	s := New(Config{MaxBatch: 64, Window: 10 * time.Millisecond})
 	defer s.Drain()
-	be := NewNativeBackend(4)
+	artHash := tensor.HashBytes(art)
+	// The backend asks its loader for the model the batch is queued under.
+	be := NewNativeBackend(func(model uint64, a []byte) (*nn.Model, float64, error) {
+		if model != artHash && model != 99 {
+			t.Errorf("backend loaded model %x, want the batch's hash", model)
+		}
+		m, err := nn.DecodeBytes(a)
+		return m, 0, err
+	})
 	var wg sync.WaitGroup
 	got := make([]int, len(blobs))
 	for i, b := range blobs {
 		wg.Add(1)
 		go func(i int, b []byte) {
 			defer wg.Done()
-			r, err := s.Infer(context.Background(), be, tensor.HashBytes(art), art, b)
+			r, err := s.Infer(context.Background(), be, keyOf(artHash, b), art, b)
 			if err != nil {
 				t.Error(err)
 				return
@@ -539,12 +550,12 @@ func TestNativeBackendEndToEnd(t *testing.T) {
 		}
 	}
 	// Corrupt artifact → availability error (fallback-ladder class).
-	_, err = s.Infer(context.Background(), be, 99, []byte("not a model"), blobs[0])
+	_, err = s.Infer(context.Background(), be, keyOf(99, blobs[0]), []byte("not a model"), blobs[0])
 	if !errors.Is(err, qerr.ErrServingUnavailable) {
 		t.Fatalf("corrupt artifact: %v, want ErrServingUnavailable", err)
 	}
 	// Corrupt blob → plain data error, not availability.
-	_, err = s.Infer(context.Background(), be, tensor.HashBytes(art), art, []byte{1, 2, 3})
+	_, err = s.Infer(context.Background(), be, keyOf(artHash, []byte{1, 2, 3}), art, []byte{1, 2, 3})
 	if err == nil || errors.Is(err, qerr.ErrServingUnavailable) {
 		t.Fatalf("corrupt blob: %v, want a non-availability data error", err)
 	}
@@ -567,7 +578,7 @@ func TestConcurrentSoak(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 50; i++ {
 				n := rng.Intn(10)
-				r, err := s.Infer(context.Background(), be, uint64(1+n%2), []byte{byte(n % 2)}, blobN(n))
+				r, err := s.Infer(context.Background(), be, keyOf(uint64(1+n%2), blobN(n)), []byte{byte(n % 2)}, blobN(n))
 				if err != nil || r.Class != n {
 					failures.Add(1)
 				}
@@ -590,7 +601,7 @@ func TestNilSchedulerSafe(t *testing.T) {
 	if st := s.Stats(); st.Submitted != 0 {
 		t.Fatal("nil scheduler stats")
 	}
-	if _, err := s.Infer(context.Background(), &Backend{}, 1, nil, nil); err == nil {
+	if _, err := s.Infer(context.Background(), &Backend{}, keyOf(1, nil), nil, nil); err == nil {
 		t.Fatal("nil scheduler must reject submissions")
 	}
 }

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/qerr"
+	"repro/internal/schedule"
 )
 
 // RetryPolicy bounds the serving pipe's retry loop. The zero value means
@@ -211,7 +212,7 @@ func retryable(err error, attemptCtx, callerCtx context.Context) bool {
 // loop. It returns the first successful attempt's results, or the last
 // error once attempts are exhausted (wrapped so errors.Is(err,
 // qerr.ErrServingUnavailable) holds for availability failures).
-func (env *Context) serveWithRetry(ctx context.Context, artifact []byte, cands []candidate, span *obs.Span) (map[int64]int, *servingStats, error) {
+func (env *Context) serveWithRetry(ctx context.Context, model uint64, artifact []byte, cands []candidate, span *obs.Span) (map[int64]int, *schedule.BackendStats, error) {
 	pol := env.Retry.withDefaults()
 	seed := pol.JitterSeed
 	if seed == 0 {
@@ -240,7 +241,7 @@ func (env *Context) serveWithRetry(ctx context.Context, artifact []byte, cands [
 		if attempt > 1 {
 			attemptSpan = span.StartChild(fmt.Sprintf("retry:%d", attempt))
 		}
-		res, stats, err := serveBatch(actx, env.Faults, artifact, cands, attemptSpan)
+		res, stats, err := env.serveBatch(actx, model, artifact, cands, attemptSpan)
 		if attempt > 1 {
 			attemptSpan.Finish()
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/colquery"
@@ -219,74 +218,4 @@ func estimateRelationalSelectivity(ctx context.Context, env *Context, q *colquer
 	}
 	kept, _ := res.Cols[0].Get(0).AsInt()
 	return float64(kept) / float64(total)
-}
-
-// modelStore memoises stored DL2SQL models by artifact hash: the first
-// DL2SQL execution that references an artifact stores its model, and every
-// later one, under any nUDF bound to that artifact, reuses the tables.
-type modelStore struct {
-	mu     sync.Mutex
-	byHash map[uint64]*storedEntry
-}
-
-// storedEntry serialises the first store of one artifact. A failed store
-// leaves sm nil, so the next execution retries it.
-type storedEntry struct {
-	mu sync.Mutex
-	sm *dl2sql.StoredModel
-}
-
-// storedModel returns the stored model of b's artifact, storing it under
-// the artifact's own table prefix on first use; concurrent first uses
-// store it once.
-func (env *Context) storedModel(b *UDFBinding) (*dl2sql.StoredModel, error) {
-	ms := &env.dl2sqlModels
-	ms.mu.Lock()
-	if ms.byHash == nil {
-		ms.byHash = map[uint64]*storedEntry{}
-	}
-	e := ms.byHash[b.artifactHash]
-	if e == nil {
-		e = &storedEntry{}
-		ms.byHash[b.artifactHash] = e
-	}
-	ms.mu.Unlock()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sm == nil {
-		tr := dl2sql.NewTranslator(env.Dataset.DB, fmt.Sprintf("dl2sql_m%016x", b.artifactHash))
-		sm, err := tr.StoreModel(b.Entry.Model)
-		if err != nil {
-			return nil, err
-		}
-		e.sm = sm
-		if env.Metrics != nil {
-			env.Metrics.Counter(obs.MetricDL2SQLModelsStored).Add(1)
-		}
-	}
-	return e.sm, nil
-}
-
-// releaseModels drops the stored models of artifacts no binding references
-// any more (a rebound nUDF's previous model).
-func (env *Context) releaseModels() {
-	bound := make(map[uint64]bool, len(env.Bindings))
-	for _, b := range env.Bindings {
-		bound[b.artifactHash] = true
-	}
-	ms := &env.dl2sqlModels
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	for h, e := range ms.byHash {
-		if bound[h] {
-			continue
-		}
-		e.mu.Lock()
-		if e.sm != nil {
-			e.sm.Drop()
-		}
-		e.mu.Unlock()
-		delete(ms.byHash, h)
-	}
 }

@@ -66,10 +66,10 @@ func tablesWith(db *sqldb.DB, substr string) []string {
 
 // storedTables lists the tables of every model env has stored.
 func storedTables(env *Context) []string {
-	env.dl2sqlModels.mu.Lock()
-	defer env.dl2sqlModels.mu.Unlock()
+	env.models.mu.Lock()
+	defer env.models.mu.Unlock()
 	var out []string
-	for _, e := range env.dl2sqlModels.byHash {
+	for _, e := range env.models.byHash {
 		if e.sm != nil {
 			out = append(out, e.sm.TableNames()...)
 		}
@@ -207,8 +207,9 @@ func TestDL2SQLFaultOnSecondModel(t *testing.T) {
 }
 
 // TestDL2SQLRebindServesNewModel: rebinding an nUDF to another model makes
-// the next DL2SQL-OP run answer with that model, and drops the previous
-// model's tables once no binding references its artifact.
+// the next DL2SQL-OP and DB-UDF runs answer with that model, and drops the
+// previous model's tables and decoded model once no binding references its
+// artifact.
 func TestDL2SQLRebindServesNewModel(t *testing.T) {
 	env := testContext(t)
 	q, err := colquery.GenerateAnalyzed(colquery.Type3, colquery.TemplateParams{Selectivity: 0.3})
@@ -221,9 +222,20 @@ func TestDL2SQLRebindServesNewModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefixA := fmt.Sprintf("dl2sql_m%016x", env.Bindings["nudf_detect"].artifactHash)
+	udfA, _, err := (&DBUDF{}).Execute(ctx, env, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultKey(udfA) != resultKey(resA) {
+		t.Fatal("DB-UDF and DL2SQL-OP disagree on model A")
+	}
+	hashA := env.Bindings["nudf_detect"].artifactHash
+	prefixA := fmt.Sprintf("dl2sql_m%016x", hashA)
 	if len(tablesWith(env.Dataset.DB, prefixA)) == 0 {
 		t.Fatal("model A was not stored")
+	}
+	if e := env.models.entry(hashA); e.model == nil {
+		t.Fatal("model A was not decoded")
 	}
 
 	// Model B is model A with its classifier biased to "defect", so no
@@ -245,6 +257,9 @@ func TestDL2SQLRebindServesNewModel(t *testing.T) {
 	}
 	if left := tablesWith(env.Dataset.DB, prefixA); len(left) != 0 {
 		t.Fatalf("model A's tables remain after rebinding: %v", left)
+	}
+	if _, ok := env.models.byHash[hashA]; ok {
+		t.Fatal("model A's decoded model remains after rebinding")
 	}
 	resB, _, err := op.Execute(ctx, env, q)
 	if err != nil {

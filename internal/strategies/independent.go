@@ -15,7 +15,6 @@ import (
 	"repro/internal/qerr"
 	"repro/internal/schedule"
 	"repro/internal/sqldb"
-	"repro/internal/tensor"
 )
 
 // DBPyTorch is the independent-processing strategy: the database and the DL
@@ -31,13 +30,6 @@ type DBPyTorch struct{}
 
 // Name implements Strategy.
 func (s *DBPyTorch) Name() string { return "DB-PyTorch" }
-
-// servingStats is what the serving component reports back alongside
-// predictions.
-type servingStats struct {
-	decodeSecs float64 // model decode (loading)
-	inferSecs  float64 // forward passes
-}
 
 // Execute implements Strategy.
 func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query) (*sqldb.Result, CostBreakdown, error) {
@@ -75,11 +67,11 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 		// transfer, no forward pass. Only the misses are batched out.
 		serve := cands
 		var keys []InferKey
-		if env.InferCache != nil {
+		if env.InferCache != nil || env.Scheduler != nil {
 			serve = make([]candidate, 0, len(cands))
 			keys = make([]InferKey, 0, len(cands))
 			for _, c := range cands {
-				key := InferKey{Model: b.artifactHash, Input: tensor.HashBytes(c.blob)}
+				key := b.inferKey(c.blob)
 				if idx, ok := env.InferCache.Get(key); ok {
 					preds[c.videoID][name] = b.predictionDatum(idx)
 					continue
@@ -91,55 +83,42 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 		if len(serve) == 0 {
 			continue
 		}
-		// Scheduled serving: submit every miss to the cross-query scheduler
-		// at once. Submissions coalesce into large serving batches (shared
-		// with concurrent queries), identical blobs single-flight, and the
-		// breaker/retry pipe still guards every physical batch — so error
-		// classes, and with them the fallback ladder, are unchanged. Cost
-		// shares come back per submission: only physical forward passes
-		// (SourceBatch) charge inference and cross-system overhead.
-		if env.Scheduler != nil {
-			serveSpan := root.StartChild("serving:" + name)
-			serveSpan.SetAttr("candidates", len(serve))
-			serveSpan.SetAttr("scheduled", true)
-			results, stats, wallShare, executed, err := env.schedServeCandidates(ctx, b, serve)
-			serveSpan.Finish()
-			if err != nil {
-				return nil, bd, fmt.Errorf("strategies: serving %s: %w", name, err)
-			}
-			bd.Inference += env.Profile.ScaleInference(stats.inferSecs) +
-				env.Profile.DLCallOverhead(executed)
-			bd.Loading += wallShare - stats.inferSecs +
-				env.Profile.DLLoadCost(stats.decodeSecs) - stats.decodeSecs
-			for id, classIdx := range results {
-				preds[id][name] = b.predictionDatum(classIdx)
-			}
-			totalBytes += int64(len(b.Artifact))
-			for _, c := range serve {
-				totalBytes += int64(len(c.blob))
-			}
-			continue
-		}
+		// Serving: the misses cross the serving boundary as one batch, or
+		// all go to the cross-query scheduler at once, which coalesces them
+		// into serving batches shared with concurrent queries, single-flights
+		// identical blobs and fills the shared cache itself. The breaker and
+		// retry pipe guard every physical batch either way, so the fallback
+		// ladder sees the same error classes. Scheduled, only physical
+		// forward passes (SourceBatch) charge inference and overhead.
 		serveSpan := root.StartChild("serving:" + name)
 		serveSpan.SetAttr("candidates", len(serve))
-		xferStart := time.Now()
-		results, stats, err := env.serveWithRetry(ctx, b.Artifact, serve, serveSpan)
+		var results map[int64]int
+		var stats *schedule.BackendStats
+		var wall float64
+		executed := len(serve)
+		if env.Scheduler != nil {
+			serveSpan.SetAttr("scheduled", true)
+			results, stats, wall, executed, err = env.schedServeCandidates(ctx, b, serve, keys)
+		} else {
+			start := time.Now()
+			results, stats, err = env.serveWithRetry(ctx, b.artifactHash, b.Artifact, serve, serveSpan)
+			wall = time.Since(start).Seconds()
+		}
 		serveSpan.Finish()
 		if err != nil {
 			return nil, bd, fmt.Errorf("strategies: serving %s: %w", name, err)
 		}
-		wall := time.Since(xferStart).Seconds()
 		// The serving pathway pays per-call framework dispatch overhead and
 		// the heavier DL-framework model deserialization (see hwprofile).
-		bd.Inference += env.Profile.ScaleInference(stats.inferSecs) +
-			env.Profile.DLCallOverhead(len(serve))
-		// Everything that is not a forward pass is cross-system overhead.
-		bd.Loading += wall - stats.inferSecs +
-			env.Profile.DLLoadCost(stats.decodeSecs) - stats.decodeSecs
+		// Everything that is not a forward pass is cross-system overhead,
+		// plus the batch's model load: the recorded decode's cost, since the
+		// serving loop reuses the decoded model.
+		bd.Inference += env.Profile.ScaleInference(stats.InferSeconds) + env.Profile.DLCallOverhead(executed)
+		bd.Loading += wall - stats.InferSeconds + env.Profile.DLLoadCost(stats.DecodeSeconds)
 		for id, classIdx := range results {
 			preds[id][name] = b.predictionDatum(classIdx)
 		}
-		if env.InferCache != nil && ctx.Err() == nil {
+		if env.InferCache != nil && env.Scheduler == nil && ctx.Err() == nil {
 			for i, c := range serve {
 				if idx, ok := results[c.videoID]; ok {
 					env.InferCache.Put(keys[i], idx)
@@ -185,13 +164,13 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 // surface as qerr.ErrServingUnavailable so the retry loop and fallback
 // ladder can tell them from data errors. Cancellation of ctx tears both
 // pipes down, which unblocks every goroutine — nothing leaks.
-func serveBatch(ctx context.Context, inj *faults.Injector, artifact []byte, cands []candidate, span *obs.Span) (map[int64]int, *servingStats, error) {
-	if err := inj.Hit(ctx, faults.PointServingError); err != nil {
+func (env *Context) serveBatch(ctx context.Context, model uint64, artifact []byte, cands []candidate, span *obs.Span) (map[int64]int, *schedule.BackendStats, error) {
+	if err := env.Faults.Hit(ctx, faults.PointServingError); err != nil {
 		return nil, nil, fmt.Errorf("serving: %w", err)
 	}
 	reqR, reqW := io.Pipe()
 	respR, respW := io.Pipe()
-	stats := &servingStats{}
+	stats := &schedule.BackendStats{}
 	serveErr := make(chan error, 1)
 
 	// Watchdog: a done context closes both pipes, failing every blocked
@@ -211,7 +190,7 @@ func serveBatch(ctx context.Context, inj *faults.Injector, artifact []byte, cand
 	}
 
 	go func() {
-		serveErr <- servingLoop(ctx, inj, artifact, reqR, respW, stats, span)
+		serveErr <- env.servingLoop(ctx, model, artifact, reqR, respW, stats, span)
 	}()
 
 	// Application side: serialize the batch.
@@ -288,11 +267,12 @@ func serveBatch(ctx context.Context, inj *faults.Injector, artifact []byte, cand
 
 // servingLoop is the DL system: it loads the model artifact, reads
 // serialized keyframes, runs batch inference — one PredictBatch per chunk
-// of nn.MaxStack requests — and writes serialized predictions.
+// of nn.MaxStack requests — and writes serialized predictions. The model
+// comes from loadModel, which decodes each artifact once.
 // A panic anywhere in the loop (malformed artifact, tensor shape bug) is
 // recovered and reported as a serving failure rather than crashing the
 // process.
-func servingLoop(ctx context.Context, inj *faults.Injector, artifact []byte, req *io.PipeReader, resp *io.PipeWriter, stats *servingStats, span *obs.Span) (err error) {
+func (env *Context) servingLoop(ctx context.Context, hash uint64, artifact []byte, req *io.PipeReader, resp *io.PipeWriter, stats *schedule.BackendStats, span *obs.Span) (err error) {
 	defer resp.Close()
 	defer func() {
 		if r := recover(); r != nil {
@@ -301,17 +281,16 @@ func servingLoop(ctx context.Context, inj *faults.Injector, artifact []byte, req
 	}()
 	// The hang fault blocks here — before the loop answers anything — until
 	// its d= elapses or the attempt context expires.
-	if err := inj.Hit(ctx, faults.PointServingHang); err != nil {
+	if err := env.Faults.Hit(ctx, faults.PointServingHang); err != nil {
 		return fmt.Errorf("serving: %w", err)
 	}
 	decodeSpan := span.StartChild("loading:decode-model")
-	decodeStart := time.Now()
-	model, err := nn.DecodeBytes(artifact)
+	shared, decodeSecs, err := env.loadModel(hash, artifact)
 	decodeSpan.Finish()
 	if err != nil {
 		return fmt.Errorf("%w: decoding model: %v", qerr.ErrServingUnavailable, err)
 	}
-	stats.decodeSecs = time.Since(decodeStart).Seconds()
+	stats.DecodeSeconds = decodeSecs
 
 	r := bufio.NewReader(req)
 	var cnt [4]byte
@@ -325,6 +304,7 @@ func servingLoop(ctx context.Context, inj *faults.Injector, artifact []byte, req
 		return servingPipeErr("writing response count", err)
 	}
 	infSpan := span.StartChild("inference")
+	model := *shared // the loaded model is shared; Trace is this batch's own
 	model.Trace = infSpan
 	defer infSpan.Finish()
 	// Requests are read and predicted a chunk of nn.MaxStack at a time. The
@@ -349,8 +329,8 @@ func servingLoop(ctx context.Context, inj *faults.Injector, artifact []byte, req
 				return servingPipeErr(fmt.Sprintf("reading blob %d", lo+j), err)
 			}
 		}
-		idxs, secs, err := schedule.PredictKeyframes(model, blobs[:chunk])
-		stats.inferSecs += secs
+		idxs, secs, err := schedule.PredictKeyframes(&model, blobs[:chunk])
+		stats.InferSeconds += secs
 		if err != nil {
 			return fmt.Errorf("serving: requests %d to %d: %w", lo, lo+chunk-1, err)
 		}
@@ -361,8 +341,8 @@ func servingLoop(ctx context.Context, inj *faults.Injector, artifact []byte, req
 			// mid-batch: the response stream is truncated (everything
 			// buffered so far is flushed, then the pipe closes) and the
 			// application side sees a short read.
-			if n > 1 && i == n/2 && inj.Active(faults.PointServingPartial) {
-				if ferr := inj.Hit(ctx, faults.PointServingPartial); ferr != nil {
+			if n > 1 && i == n/2 && env.Faults.Active(faults.PointServingPartial) {
+				if ferr := env.Faults.Hit(ctx, faults.PointServingPartial); ferr != nil {
 					w.Flush()
 					return fmt.Errorf("serving: died mid-batch after %d of %d predictions: %w", i, n, ferr)
 				}

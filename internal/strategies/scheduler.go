@@ -45,26 +45,21 @@ func (env *Context) EnableScheduler(cfg schedule.Config) *schedule.Scheduler {
 		cfg.Faults = env.Faults
 	}
 	env.Scheduler = schedule.New(cfg)
-	env.schedNative = schedule.NewNativeBackend(schedModelCacheCap)
+	env.schedNative = schedule.NewNativeBackend(env.loadModel)
 	env.schedServing = &schedule.Backend{ID: "serving", Run: env.runServingBatch}
 	return env.Scheduler
 }
-
-// schedModelCacheCap bounds the native backend's decoded-model LRU: the
-// repository holds a handful of models, so 8 keeps every hot artifact
-// decoded without unbounded growth.
-const schedModelCacheCap = 8
 
 // runServingBatch adapts the DB-PyTorch serving pipe to the scheduler's
 // Backend contract: one coalesced batch becomes one serveWithRetry call
 // (breaker, retry policy, and serving fault points all apply), with the
 // batch positions standing in for video IDs on the wire.
-func (env *Context) runServingBatch(ctx context.Context, artifact []byte, blobs [][]byte) ([]int, schedule.BackendStats, error) {
+func (env *Context) runServingBatch(ctx context.Context, model uint64, artifact []byte, blobs [][]byte) ([]int, schedule.BackendStats, error) {
 	cands := make([]candidate, len(blobs))
 	for i, b := range blobs {
 		cands[i] = candidate{videoID: int64(i), blob: b}
 	}
-	results, stats, err := env.serveWithRetry(ctx, artifact, cands, nil)
+	results, stats, err := env.serveWithRetry(ctx, model, artifact, cands, nil)
 	if err != nil {
 		return nil, schedule.BackendStats{}, err
 	}
@@ -77,45 +72,48 @@ func (env *Context) runServingBatch(ctx context.Context, artifact []byte, blobs 
 		}
 		out[i] = idx
 	}
-	return out, schedule.BackendStats{DecodeSeconds: stats.decodeSecs, InferSeconds: stats.inferSecs}, nil
+	return out, *stats, nil
 }
 
-// schedServeCandidates routes one model's cache-missing candidates
-// through the scheduler's serving backend (see schedInferAll). It returns
-// videoID→class predictions plus this query's cost shares: serving stats
-// (decode/infer share), total batch-wall share, and the number of
-// physical forward passes charged to this query.
-func (env *Context) schedServeCandidates(ctx context.Context, b *UDFBinding, cands []candidate) (map[int64]int, servingStats, float64, int, error) {
+// schedServeCandidates routes one model's cache-missing candidates, with
+// their prediction keys, through the scheduler's serving backend (see
+// schedInferAll). It returns videoID→class predictions plus this query's
+// cost shares: serving stats (decode/infer share), total batch-wall share,
+// and the number of physical forward passes charged to this query.
+func (env *Context) schedServeCandidates(ctx context.Context, b *UDFBinding, cands []candidate, keys []InferKey) (map[int64]int, *schedule.BackendStats, float64, int, error) {
 	blobs := make([][]byte, len(cands))
 	for i, c := range cands {
 		blobs[i] = c.blob
 	}
-	rs, err := env.schedInferAll(ctx, env.schedServing, b, blobs)
+	rs, err := env.schedInferAll(ctx, env.schedServing, b, blobs, keys)
 	if err != nil {
-		return nil, servingStats{}, 0, 0, err
+		return nil, nil, 0, 0, err
 	}
 	results := make(map[int64]int, len(cands))
-	var stats servingStats
+	var stats schedule.BackendStats
 	var wallShare float64
 	var executed int
 	for i, r := range rs {
 		results[cands[i].videoID] = r.Class
 		if r.Source == schedule.SourceBatch {
-			stats.inferSecs += r.InferSeconds
-			stats.decodeSecs += r.DecodeSeconds
+			stats.InferSeconds += r.InferSeconds
+			stats.DecodeSeconds += r.DecodeSeconds
 			wallShare += r.WallSeconds
 			executed++
 		}
 	}
-	return results, stats, wallShare, executed, nil
+	return results, &stats, wallShare, executed, nil
 }
 
-// schedInferAll submits one inference per blob, all in flight at once so
-// they coalesce — with each other and with concurrent queries'
-// submissions — into large batches, and returns the results in blob
-// order. The first failed submission's error wins; the others still
+// schedInferAll submits one inference per blob, keyed by keys[i], all in
+// flight at once so they coalesce — with each other and with concurrent
+// queries' submissions — into large batches, and returns the results in
+// blob order. The first failed submission's error wins; the others still
 // drain, and their batches complete under the scheduler's own context.
-func (env *Context) schedInferAll(ctx context.Context, be *schedule.Backend, b *UDFBinding, blobs [][]byte) ([]schedule.Result, error) {
+// Only a SourceBatch result was a physical forward pass (this waiter's
+// share of it) and charges the per-query accounting; dedup followers and
+// cache hits paid no compute.
+func (env *Context) schedInferAll(ctx context.Context, be *schedule.Backend, b *UDFBinding, blobs [][]byte, keys []InferKey) ([]schedule.Result, error) {
 	rs := make([]schedule.Result, len(blobs))
 	errs := make([]error, len(blobs))
 	var wg sync.WaitGroup
@@ -123,7 +121,10 @@ func (env *Context) schedInferAll(ctx context.Context, be *schedule.Backend, b *
 		wg.Add(1)
 		go func(i int, blob []byte) {
 			defer wg.Done()
-			rs[i], errs[i] = env.schedInfer(ctx, be, b, blob)
+			rs[i], errs[i] = env.Scheduler.Infer(ctx, be, keys[i], b.Artifact, blob)
+			if errs[i] == nil && rs[i].Source == schedule.SourceBatch {
+				stratAcctFrom(ctx).noteInfer(1)
+			}
 		}(i, blob)
 	}
 	wg.Wait()
@@ -133,19 +134,4 @@ func (env *Context) schedInferAll(ctx context.Context, be *schedule.Backend, b *
 		}
 	}
 	return rs, nil
-}
-
-// schedInfer submits one inference through the scheduler and charges the
-// per-query accounting: a SourceBatch result was a physical forward pass
-// (this waiter's share of it); dedup followers and cache hits paid no
-// compute and charge nothing.
-func (env *Context) schedInfer(ctx context.Context, be *schedule.Backend, b *UDFBinding, blob []byte) (schedule.Result, error) {
-	r, err := env.Scheduler.Infer(ctx, be, b.artifactHash, b.Artifact, blob)
-	if err != nil {
-		return r, err
-	}
-	if r.Source == schedule.SourceBatch {
-		stratAcctFrom(ctx).noteInfer(1)
-	}
-	return r, nil
 }

@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -89,8 +91,15 @@ type UDFBinding struct {
 	Kind  UDFKind
 	// Artifact is the compiled model (built once, offline).
 	Artifact []byte
-	// artifactHash fingerprints Artifact for inference-memoization keys.
+	// artifactHash fingerprints Artifact: it keys the loaded models and
+	// the inference-memoization keys.
 	artifactHash uint64
+}
+
+// inferKey is the prediction key of one keyframe under b's model, hashed
+// once per query and passed down to the caches and the scheduler.
+func (b *UDFBinding) inferKey(blob []byte) InferKey {
+	return InferKey{Model: b.artifactHash, Input: tensor.HashBytes(blob)}
 }
 
 // Context carries the shared experimental fixtures.
@@ -151,9 +160,9 @@ type Context struct {
 	// breaker-guarded serving pipe for DB-PyTorch.
 	schedNative  *schedule.Backend
 	schedServing *schedule.Backend
-	// dl2sqlModels holds the DL2SQL strategies' stored models, one per
-	// bound artifact, each stored on its first use.
-	dl2sqlModels modelStore
+	// models holds each bound artifact's decoded model and DL2SQL stored
+	// tables, each loaded on its first use.
+	models modelStore
 }
 
 // queryCtx derives the per-query context: the caller's ctx bounded by the
@@ -241,6 +250,104 @@ func (env *Context) BindDefaults(repo *modelrepo.Repository, calibrationSamples 
 	}
 	env.HintProvider = prov
 	return nil
+}
+
+// modelStore memoises each bound artifact's decoded nn.Model and DL2SQL
+// stored tables by artifact hash: the first use loads one, every later use
+// under any nUDF bound to that artifact reuses it.
+type modelStore struct {
+	mu      sync.Mutex
+	byHash  map[uint64]*storedEntry
+	decodes atomic.Int64 // artifacts decoded
+}
+
+// storedEntry serialises the first loads of one artifact. A failed load
+// leaves its field nil, so the next use retries it.
+type storedEntry struct {
+	mu         sync.Mutex
+	sm         *dl2sql.StoredModel
+	model      *nn.Model
+	decodeSecs float64
+}
+
+// entry returns an artifact hash's entry, creating it.
+func (ms *modelStore) entry(hash uint64) *storedEntry {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if ms.byHash == nil {
+		ms.byHash = map[uint64]*storedEntry{}
+	}
+	e := ms.byHash[hash]
+	if e == nil {
+		e = &storedEntry{}
+		ms.byHash[hash] = e
+	}
+	return e
+}
+
+// loadModel is the one model-load path of DB-UDF's nUDFs, DB-PyTorch's
+// serving loop and the scheduler's native backend. It returns the shared,
+// read-only decoded model of the artifact with the given hash — a caller
+// that traces runs a shallow copy with its own Trace — and the seconds its
+// decode took when first loaded, the strategies' model-load charge.
+func (env *Context) loadModel(hash uint64, artifact []byte) (*nn.Model, float64, error) {
+	e := env.models.entry(hash)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.model == nil {
+		start := time.Now()
+		m, err := nn.DecodeBytes(artifact)
+		if err != nil {
+			return nil, 0, err
+		}
+		e.model, e.decodeSecs = m, time.Since(start).Seconds()
+		env.models.decodes.Add(1)
+	}
+	return e.model, e.decodeSecs, nil
+}
+
+// storedModel returns the stored model of b's artifact, storing it under
+// the artifact's own table prefix on first use; concurrent first uses
+// store it once.
+func (env *Context) storedModel(b *UDFBinding) (*dl2sql.StoredModel, error) {
+	e := env.models.entry(b.artifactHash)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.sm == nil {
+		tr := dl2sql.NewTranslator(env.Dataset.DB, fmt.Sprintf("dl2sql_m%016x", b.artifactHash))
+		sm, err := tr.StoreModel(b.Entry.Model)
+		if err != nil {
+			return nil, err
+		}
+		e.sm = sm
+		if env.Metrics != nil {
+			env.Metrics.Counter(obs.MetricDL2SQLModelsStored).Add(1)
+		}
+	}
+	return e.sm, nil
+}
+
+// releaseModels drops the loaded forms of artifacts no binding references
+// any more (a rebound nUDF's previous model).
+func (env *Context) releaseModels() {
+	bound := make(map[uint64]bool, len(env.Bindings))
+	for _, b := range env.Bindings {
+		bound[b.artifactHash] = true
+	}
+	ms := &env.models
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	for h, e := range ms.byHash {
+		if bound[h] {
+			continue
+		}
+		e.mu.Lock()
+		if e.sm != nil {
+			e.sm.Drop()
+		}
+		e.mu.Unlock()
+		delete(ms.byHash, h)
+	}
 }
 
 // predictionDatum converts a class prediction to the binding's SQL type.

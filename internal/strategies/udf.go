@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/schedule"
 	"repro/internal/sqldb"
-	"repro/internal/tensor"
 )
 
 // DBUDF is the loose-integration strategy: the compiled model artifact is
@@ -107,8 +106,12 @@ func nudfFn(name string) sqldb.UDFFunc {
 		// SourceBatch — charge inference time: this waiter's share of the
 		// batch.
 		if env.Scheduler != nil {
+			keys := make([]InferKey, len(blobs))
+			for i, blob := range blobs {
+				keys[i] = b.inferKey(blob)
+			}
 			r.begin(time.Now())
-			rs, err := env.schedInferAll(ctx, env.schedNative, b, blobs)
+			rs, err := env.schedInferAll(ctx, env.schedNative, b, blobs, keys)
 			var secs float64
 			var ran [][]byte
 			for i, res := range rs {
@@ -138,7 +141,7 @@ func nudfFn(name string) sqldb.UDFFunc {
 		}
 		for i, blob := range blobs {
 			if env.InferCache != nil {
-				key := InferKey{Model: b.artifactHash, Input: tensor.HashBytes(blob)}
+				key := b.inferKey(blob)
 				if idx, ok := env.InferCache.Get(key); ok {
 					out[i], pass[i] = b.predictionDatum(idx), -1
 					continue
@@ -196,14 +199,16 @@ func (s *DBUDF) Execute(ctx context.Context, env *Context, q *colquery.Query) (*
 	ctx, root := obs.StartSpan(ctx, "strategy:"+s.Name())
 	defer root.Finish()
 
-	// Loading: the database "recompilation" — decode each compiled artifact
-	// into an executable model. On GPU settings the weights also cross the
-	// PCIe bus once. A decode failure (here, the udf.decode fault point) is
-	// an availability problem — the fallback ladder degrades it to DL2SQL.
+	// Loading: the database "recompilation" of each compiled artifact into
+	// an executable model, charged on every query as the recorded decode's
+	// model-load cost; loadModel decodes it only once. On GPU settings the
+	// weights also cross the PCIe bus once. A load failure (here, the
+	// udf.decode fault point) is an availability problem — the fallback
+	// ladder degrades it to DL2SQL.
 	run := &udfRun{env: env, models: map[string]*nn.Model{}}
 	loadSpan := root.StartChild("loading:decode-models")
-	loadStart := time.Now()
 	var modelBytes int64
+	var decodeSecs float64
 	for _, name := range q.UDFNames {
 		b := env.Bindings[name]
 		if b == nil {
@@ -212,15 +217,15 @@ func (s *DBUDF) Execute(ctx context.Context, env *Context, q *colquery.Query) (*
 		if err := env.Faults.Hit(ctx, faults.PointUDFDecode); err != nil {
 			return nil, bd, fmt.Errorf("strategies: loading UDF %s: %w", name, err)
 		}
-		m, err := nn.DecodeBytes(b.Artifact)
+		m, secs, err := env.loadModel(b.artifactHash, b.Artifact)
 		if err != nil {
 			return nil, bd, fmt.Errorf("strategies: loading UDF %s: %w", name, err)
 		}
 		run.models[name] = m
 		modelBytes += int64(len(b.Artifact))
+		decodeSecs += secs
 	}
-	bd.Loading += env.Profile.DLLoadCost(time.Since(loadStart).Seconds()) +
-		env.Profile.TransferCost(modelBytes)
+	bd.Loading += env.Profile.DLLoadCost(decodeSecs) + env.Profile.TransferCost(modelBytes)
 	loadSpan.Finish()
 
 	run.querySpan = root.StartChild("relational:query")
