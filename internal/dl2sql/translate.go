@@ -104,6 +104,23 @@ func (k sampleKey) col(a string) string {
 	return a + ".SampleID AS SampleID, "
 }
 
+// group is a per-sample statistic's GROUP BY clause.
+func (k sampleKey) group() string {
+	if !k {
+		return ""
+	}
+	return " GROUP BY SampleID"
+}
+
+// where is the WHERE clause pairing the samples of aliases a and b when
+// it is a statement's only condition.
+func (k sampleKey) where(a, b string) string {
+	if !k {
+		return ""
+	}
+	return " WHERE " + a + ".SampleID = " + b + ".SampleID"
+}
+
 // eq is the join condition pairing the samples of aliases a and b, placed
 // ahead of the statement's own conditions.
 func (k sampleKey) eq(a, b string) string {
@@ -527,27 +544,25 @@ func (p *pipeline) globalAvg(sl *storedLayer, cur relForm) (relForm, error) {
 	return flatOut(out, sl), err
 }
 
-// softmax emits the classification head: a numerically-stabilized exp/SUM
-// over the logit table. One input takes its max and sum from scalar
-// subqueries; a batch needs them per sample, which takes two grouped
-// statements.
+// softmax emits the classification head: a numerically-stabilized
+// exp/SUM over the logit table, in two statements. The first shifts each
+// logit by its sample's maximum and exponentiates, the second divides by
+// the sample's sum; each takes its statistic from a derived table, one row
+// per sample, so neither folds a subquery and both keep their plans.
 func (p *pipeline) softmax(cur relForm) (relForm, error) {
-	var err error
-	if !p.key {
-		cur.table, err = p.create("Classification", "sm", fmt.Sprintf(
-			`SELECT TupleID, KernelID, exp(Value - (SELECT MAX(Value) FROM %s)) / (SELECT SUM(exp(Value - (SELECT MAX(Value) FROM %s))) FROM %s) AS Value FROM %s`,
-			cur.table, cur.table, cur.table, cur.table))
-		return cur, err
+	k := p.key
+	stat := func(agg, name, table string) string {
+		return fmt.Sprintf(`(SELECT %s%s(Value) AS %s FROM %s%s) S`, k.col(""), agg, name, table, k.group())
 	}
 	shifted, err := p.create("Classification", "sm", fmt.Sprintf(
-		`SELECT A.SampleID AS SampleID, A.TupleID AS TupleID, A.KernelID AS KernelID, exp(A.Value - S.mx) AS Value FROM %s A, (SELECT SampleID, MAX(Value) AS mx FROM %s GROUP BY SampleID) S WHERE A.SampleID = S.SampleID`,
-		cur.table, cur.table))
+		`SELECT %sA.TupleID AS TupleID, A.KernelID AS KernelID, exp(A.Value - S.mx) AS Value FROM %s A, %s%s`,
+		k.col("A"), cur.table, stat("MAX", "mx", cur.table), k.where("A", "S")))
 	if err != nil {
 		return cur, err
 	}
 	cur.table, err = p.create("Classification", "sm", fmt.Sprintf(
-		`SELECT A.SampleID AS SampleID, A.TupleID AS TupleID, A.KernelID AS KernelID, A.Value / S.sm AS Value FROM %s A, (SELECT SampleID, SUM(Value) AS sm FROM %s GROUP BY SampleID) S WHERE A.SampleID = S.SampleID`,
-		shifted, shifted))
+		`SELECT %sA.TupleID AS TupleID, A.KernelID AS KernelID, A.Value / S.sm AS Value FROM %s A, %s%s`,
+		k.col("A"), shifted, stat("SUM", "sm", shifted), k.where("A", "S")))
 	return cur, err
 }
 

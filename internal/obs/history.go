@@ -34,7 +34,8 @@ type QueryRecord struct {
 	// "DB-PyTorch->DB-UDF"; empty when the primary strategy answered.
 	Fallback string `json:"fallback,omitempty"`
 	// CacheState is the plan-cache outcome: "hit", "miss", "bypass"
-	// (uncacheable statement), or "disabled".
+	// (uncacheable statement), or "disabled"; or "kept" when a prepared
+	// statement ran its kept plan.
 	CacheState string `json:"cache,omitempty"`
 	// Start is the statement's start time.
 	Start time.Time `json:"start"`

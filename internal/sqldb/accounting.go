@@ -163,25 +163,13 @@ func (db *DB) recordQuery(ctx context.Context, sql string, fn func(ctx context.C
 	return fn(withAcct(ctx, acct))
 }
 
-// noteCacheState records the statement-level plan-cache outcome once (the
-// first planned SELECT wins; UNION ALL branches and subqueries do not
-// overwrite it).
+// noteCacheState records the statement-level plan outcome once: "hit",
+// "miss", "bypass" or "disabled" from the plan cache, or "kept" for a
+// prepared statement's kept plan. The statement notes its state before
+// planning runs any subquery, and the first note wins, so neither
+// subqueries nor UNION ALL branches overwrite it.
 func (a *queryAcct) noteCacheState(state string) {
 	if a != nil && a.cacheState == "" {
 		a.cacheState = state
-	}
-}
-
-// cacheStateOf labels a planSelectCached outcome for the query history.
-func (db *DB) cacheStateOf(hit, cacheable bool) string {
-	switch {
-	case !db.CacheEnabled():
-		return "disabled"
-	case hit:
-		return "hit"
-	case !cacheable:
-		return "bypass"
-	default:
-		return "miss"
 	}
 }

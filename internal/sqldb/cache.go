@@ -27,12 +27,15 @@ package sqldb
 // execution compiles expressions per run and keeps all per-run state in
 // execCtx — so one plan can serve concurrent executions; `?` parameters
 // are bound by copy-on-write substitution into a private copy of the plan
-// (see Prepared).
+// (see Prepared). A Prepared statement without placeholders also keeps
+// its own plan, under a key of the planner's inputs rather than table
+// versions (see kept.go).
 
 import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
@@ -186,25 +189,35 @@ func (db *DB) parseOne(sql string) (Stmt, error) {
 // planSelectCached plans a SELECT, consulting the plan cache when the
 // query is eligible (cache enabled, no hints, single branch). hit reports
 // whether a validated cached plan was served; cacheable reports whether
-// the cache was consulted at all (EXPLAIN renders this distinction).
+// the cache was consulted at all (EXPLAIN renders this distinction). The
+// outcome is noted in the statement's accounting before any subquery runs,
+// so the statement's own state is the one recorded. A fresh plan is made
+// under ctx, taking notes when notes is non-nil.
 //
 // A fresh plan is NOT inserted into the cache here: the returned commit
 // closure performs the insertion, and callers invoke it only after the
 // plan executed successfully — so a query that is cancelled, times out,
 // or fails mid-execution never populates the cache (commit is a no-op for
 // hits and uncacheable statements).
-func (db *DB) planSelectCached(sel *SelectStmt, hints *QueryHints) (plan Plan, hit, cacheable bool, commit func(), err error) {
+func (db *DB) planSelectCached(ctx context.Context, sel *SelectStmt, hints *QueryHints, notes *planNotes) (plan Plan, hit, cacheable bool, commit func(), err error) {
 	noCommit := func() {}
+	acct := acctFrom(ctx)
 	db.mu.RLock()
 	pc := db.planCache
 	db.mu.RUnlock()
 	if pc == nil || hints != nil || len(sel.UnionAll) > 0 {
-		p, err := db.planSelect(sel, hints)
+		if pc == nil {
+			acct.noteCacheState("disabled")
+		} else {
+			acct.noteCacheState("bypass")
+		}
+		p, err := (&planner{db: db, ctx: ctx, hints: hints, notes: notes}).plan(sel)
 		return p, false, false, noCommit, err
 	}
 	key := sel.String()
 	if e, ok := pc.Get(key); ok {
 		if db.depsValid(e.deps) {
+			acct.noteCacheState("hit")
 			return e.plan, true, true, noCommit, nil
 		}
 		pc.Delete(key)
@@ -214,16 +227,21 @@ func (db *DB) planSelectCached(sel *SelectStmt, hints *QueryHints) (plan Plan, h
 	// Collect dependencies from the original AST (before subquery
 	// resolution rewrites them away). An unresolvable relation makes the
 	// statement uncacheable rather than an error here — planning itself
-	// reports the real failure.
+	// reports the real failure. Unresolvable relations include sys.*
+	// virtual tables, whose rows are volatile by design — the cache never
+	// serves these plans, so they surface as "bypass" in EXPLAIN and the
+	// query history.
 	deps, depsOK := db.collectSelectDeps(sel)
-	p, err := db.planSelect(sel, hints)
+	if depsOK {
+		acct.noteCacheState("miss")
+	} else {
+		acct.noteCacheState("bypass")
+	}
+	p, err := (&planner{db: db, ctx: ctx, hints: hints, notes: notes}).plan(sel)
 	if err != nil {
 		return nil, false, true, noCommit, err
 	}
 	if !depsOK {
-		// Unresolvable relations include sys.* virtual tables, whose rows
-		// are volatile by design — the cache never serves these plans, so
-		// they surface as "bypass" in EXPLAIN and the query history.
 		return p, false, false, noCommit, nil
 	}
 	return p, false, true, func() { pc.Put(key, &planEntry{plan: p, deps: deps}) }, nil
@@ -296,7 +314,9 @@ func (db *DB) collectSelectDeps(sel *SelectStmt) (deps []planDep, ok bool) {
 // every binding) and the arguments are substituted into a copy-on-write
 // clone of the plan — repeated executions skip lex, parse, and optimize.
 // A statement without placeholders runs its parsed AST as is, under the
-// text rendered once by Prepare, so repeated executions render nothing.
+// text rendered once by Prepare, so repeated executions render nothing;
+// when it reads a single-branch SELECT — as SELECT, CREATE TABLE … AS or
+// INSERT … SELECT — it also keeps that SELECT's plan (see kept.go).
 type Prepared struct {
 	db   *DB
 	stmt Stmt
@@ -308,6 +328,12 @@ type Prepared struct {
 	// must therefore be bound before planning.
 	n           int
 	paramsInSub bool
+	// sel is the SELECT whose plan a placeholder-free statement keeps: the
+	// statement itself or the source of CREATE TABLE … AS or INSERT …
+	// SELECT, single-branch; nil for every other statement. kept is its
+	// one kept plan, replaced whenever the planner's inputs move.
+	sel  *SelectStmt
+	kept atomic.Pointer[keptPlan]
 }
 
 // Prepare parses a single statement for repeated execution with bound
@@ -320,6 +346,19 @@ func (db *DB) Prepare(sql string) (*Prepared, error) {
 	}
 	p := &Prepared{db: db, stmt: st, text: st.String()}
 	p.n, p.paramsInSub = countStmtParams(st)
+	if p.n == 0 {
+		switch t := st.(type) {
+		case *SelectStmt:
+			p.sel = t
+		case *CreateTableStmt:
+			p.sel = t.As
+		case *InsertStmt:
+			p.sel = t.Query
+		}
+		if p.sel != nil && len(p.sel.UnionAll) > 0 {
+			p.sel = nil
+		}
+	}
 	return p, nil
 }
 
@@ -349,8 +388,8 @@ func (p *Prepared) ExecContext(ctx context.Context, args ...Datum) (*Result, err
 }
 
 // ExecHintedContext is ExecContext with optimizer hints (see ExecHinted).
-// A hinted SELECT is planned afresh: the plan cache never serves hinted
-// statements.
+// The plan cache never serves a hinted SELECT; a kept plan serves one
+// unless it pins a JoinOrder or calls a UDF.
 func (p *Prepared) ExecHintedContext(ctx context.Context, hints *QueryHints, args ...Datum) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -363,32 +402,40 @@ func (p *Prepared) ExecHintedContext(ctx context.Context, hints *QueryHints, arg
 	if len(args) != p.n {
 		return nil, fmt.Errorf("sqldb: prepared statement wants %d arguments, got %d", p.n, len(args))
 	}
+	if p.sel != nil && (hints == nil || len(hints.JoinOrder) == 0) {
+		return p.record(ctx, func(ctx context.Context) (*Result, error) {
+			return p.db.execStmtWith(ctx, p.stmt, hints, p.runSelect)
+		})
+	}
 	if p.n == 0 {
 		return p.db.execStmtRecorded(ctx, p.stmt, p.text, hints)
 	}
 	if sel, isSel := p.stmt.(*SelectStmt); isSel && !p.paramsInSub && len(sel.UnionAll) == 0 {
-		run := func(ctx context.Context) (*Result, error) {
-			plan, hit, cacheable, commit, err := p.db.planSelectCached(sel, hints)
+		return p.record(ctx, func(ctx context.Context) (*Result, error) {
+			plan, _, _, commit, err := p.db.planSelectCached(ctx, sel, hints, nil)
 			if err != nil {
 				return nil, err
 			}
-			acctFrom(ctx).noteCacheState(p.db.cacheStateOf(hit, cacheable))
-			bound := bindPlanParams(plan, args)
-			res, err := p.db.execPlan(bound, p.db.newExecCtx(ctx))
+			res, err := p.db.execPlan(bindPlanParams(plan, args), p.db.newExecCtx(ctx))
 			if err != nil {
 				return nil, err
 			}
 			commit()
 			return res, nil
-		}
-		if p.db.History != nil || p.db.Traces != nil {
-			return p.db.recordQuery(ctx, p.text, run)
-		}
-		return run(ctx)
+		})
 	}
 	// Parameters inside subqueries (or non-SELECT statements): substitute
 	// into a copy of the AST and run the normal path.
 	return p.db.execStmtRecorded(ctx, bindStmtParams(p.stmt, args), "", hints)
+}
+
+// record runs fn under the query history and trace store when either is
+// armed, recording the statement under the text Prepare rendered.
+func (p *Prepared) record(ctx context.Context, fn func(ctx context.Context) (*Result, error)) (*Result, error) {
+	if p.db.History != nil || p.db.Traces != nil {
+		return p.db.recordQuery(ctx, p.text, fn)
+	}
+	return fn(ctx)
 }
 
 // countStmtParams counts `?` placeholders and reports whether any sit

@@ -80,6 +80,10 @@ type DB struct {
 	sysCacheFns []func() []CacheStat
 
 	leftJoinSeq int // composite-relation alias counter
+
+	// udfGen counts UDF registrations and removals; a kept plan is made
+	// for one generation (see kept.go).
+	udfGen atomic.Int64
 }
 
 // View is a named stored SELECT.
@@ -122,6 +126,7 @@ func (db *DB) RegisterUDF(udf *ScalarUDF) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.udfs[strings.ToLower(udf.Name)] = udf
+	db.udfGen.Add(1)
 }
 
 // UnregisterUDF removes a UDF.
@@ -129,6 +134,7 @@ func (db *DB) UnregisterUDF(name string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	delete(db.udfs, strings.ToLower(name))
+	db.udfGen.Add(1)
 }
 
 // CreateTable registers a new table; it fails if the name is taken.
@@ -210,19 +216,29 @@ func (db *DB) PlanSelect(sql string, hints *QueryHints) (Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("sqldb: PlanSelect expects a SELECT, got %T", stmt)
 	}
-	return db.planSelect(sel, hints)
+	return db.planSelect(context.Background(), sel, hints)
 }
 
 func (db *DB) execStmt(ctx context.Context, st Stmt, hints *QueryHints) (*Result, error) {
+	return db.execStmtWith(ctx, st, hints, db.runSelect)
+}
+
+// selectRunner runs the SELECT a statement reads: db.runSelect, or a
+// Prepared statement's kept plan.
+type selectRunner func(ctx context.Context, sel *SelectStmt, hints *QueryHints) (*Result, error)
+
+// execStmtWith executes st, running the SELECT of a SELECT, CREATE TABLE
+// … AS or INSERT … SELECT statement through run.
+func (db *DB) execStmtWith(ctx context.Context, st Stmt, hints *QueryHints, run selectRunner) (*Result, error) {
 	switch t := st.(type) {
 	case *SelectStmt:
-		return db.runSelect(ctx, t, hints)
+		return run(ctx, t, hints)
 	case *CreateTableStmt:
-		return nil, db.runCreateTable(ctx, t, hints)
+		return nil, db.runCreateTable(ctx, t, hints, run)
 	case *CreateViewStmt:
 		return nil, db.runCreateView(t)
 	case *InsertStmt:
-		return nil, db.runInsert(ctx, t, hints)
+		return nil, db.runInsert(ctx, t, hints, run)
 	case *UpdateStmt:
 		return nil, db.runUpdate(ctx, t, hints)
 	case *DeleteStmt:
@@ -233,7 +249,7 @@ func (db *DB) execStmt(ctx context.Context, st Stmt, hints *QueryHints) (*Result
 		}
 		return nil, nil
 	case *ExplainStmt:
-		plan, hit, cacheable, commit, err := db.planSelectCached(t.Query, hints)
+		plan, hit, cacheable, commit, err := db.planSelectCached(ctx, t.Query, hints, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -278,11 +294,10 @@ func (db *DB) execStmt(ctx context.Context, st Stmt, hints *QueryHints) (*Result
 }
 
 func (db *DB) runSelect(ctx context.Context, sel *SelectStmt, hints *QueryHints) (*Result, error) {
-	plan, hit, cacheable, commit, err := db.planSelectCached(sel, hints)
+	plan, _, _, commit, err := db.planSelectCached(ctx, sel, hints, nil)
 	if err != nil {
 		return nil, err
 	}
-	acctFrom(ctx).noteCacheState(db.cacheStateOf(hit, cacheable))
 	res, err := db.execPlan(plan, db.newExecCtx(ctx))
 	if err != nil {
 		return res, err
@@ -335,7 +350,7 @@ func appendColumn(a, b *Column) (*Column, error) {
 	return out, nil
 }
 
-func (db *DB) runCreateTable(ctx context.Context, st *CreateTableStmt, hints *QueryHints) error {
+func (db *DB) runCreateTable(ctx context.Context, st *CreateTableStmt, hints *QueryHints, run selectRunner) error {
 	if st.IfNotExists && db.lookupTable(st.Name) != nil {
 		return nil
 	}
@@ -343,7 +358,7 @@ func (db *DB) runCreateTable(ctx context.Context, st *CreateTableStmt, hints *Qu
 		_, err := db.CreateTable(st.Name, Schema(st.Cols))
 		return err
 	}
-	res, err := db.runSelect(ctx, st.As, hints)
+	res, err := run(ctx, st.As, hints)
 	if err != nil {
 		return err
 	}
@@ -394,7 +409,7 @@ func (db *DB) runCreateView(st *CreateViewStmt) error {
 	return nil
 }
 
-func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints) error {
+func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints, run selectRunner) error {
 	t := db.lookupTable(st.Table)
 	if t == nil {
 		return fmt.Errorf("sqldb: no table named %q", st.Table)
@@ -418,7 +433,7 @@ func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints) 
 	start := time.Now()
 	cols := make([]*Column, len(t.Schema))
 	if st.Query != nil {
-		res, err := db.runSelect(ctx, st.Query, hints)
+		res, err := run(ctx, st.Query, hints)
 		if err != nil {
 			return err
 		}
@@ -487,9 +502,10 @@ func (db *DB) runUpdate(ctx context.Context, st *UpdateStmt, hints *QueryHints) 
 	for i, c := range t.Schema {
 		schema[i] = OutCol{Table: st.Table, Name: c.Name, Type: c.Type}
 	}
+	sub := &planner{db: db, ctx: ctx, hints: hints}
 	var where *vecExpr
 	if st.Where != nil {
-		rewritten, err := db.rewriteSubqueries(st.Where, hints)
+		rewritten, err := sub.rewriteSubqueries(st.Where)
 		if err != nil {
 			return err
 		}
@@ -509,7 +525,7 @@ func (db *DB) runUpdate(ctx context.Context, st *UpdateStmt, hints *QueryHints) 
 		if idx < 0 {
 			return fmt.Errorf("sqldb: table %s has no column %q", st.Table, col)
 		}
-		rewritten, err := db.rewriteSubqueries(e, hints)
+		rewritten, err := sub.rewriteSubqueries(e)
 		if err != nil {
 			return err
 		}
@@ -616,7 +632,7 @@ func (db *DB) runDelete(ctx context.Context, st *DeleteStmt, hints *QueryHints) 
 	for i, c := range t.Schema {
 		schema[i] = OutCol{Table: st.Table, Name: c.Name, Type: c.Type}
 	}
-	rewritten, err := db.rewriteSubqueries(st.Where, hints)
+	rewritten, err := (&planner{db: db, ctx: ctx, hints: hints}).rewriteSubqueries(st.Where)
 	if err != nil {
 		return err
 	}

@@ -133,3 +133,59 @@ func BenchmarkCreateTableAs(b *testing.B) {
 		db.DropTable("c")
 	}
 }
+
+// stepSQL is a DL2SQL convolution step under the pre-join mapping: the
+// mapping join re-indexing the flat input runs as a derived table, joined
+// with the kernel into a GROUP BY summing the products.
+const stepSQL = `CREATE TEMP TABLE out AS SELECT K.KernelID * 16 + X.MatrixID AS TupleID, K.KernelID AS KernelID, SUM(X.Value * K.Value) AS Value FROM (SELECT B.MatrixID AS MatrixID, B.OrderID AS OrderID, A.Value AS Value FROM x A, map B WHERE A.TupleID = B.TupleID) X INNER JOIN k K ON X.OrderID = K.OrderID GROUP BY K.KernelID, X.MatrixID`
+
+// BenchmarkPreparedStepReexec re-executes one prepared DL2SQL step over an
+// input table dropped and re-created before every run, as each inference
+// re-creates its temp tables: the step's kept plan serves every run.
+func BenchmarkPreparedStepReexec(b *testing.B) {
+	db := q1Tables(b)
+	const inputs = 256
+	m, err := db.CreateTable("map", Schema{{Name: "TupleID", Type: TInt}, {Name: "MatrixID", Type: TInt}, {Name: "OrderID", Type: TInt}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for p := 0; p < benchPositions; p++ {
+		for o := 0; o < benchOrders; o++ {
+			if err := m.AppendRow([]Datum{Int(int64((p*7 + o) % inputs)), Int(int64(p)), Int(int64(o))}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	xSchema := Schema{{Name: "TupleID", Type: TInt}, {Name: "Value", Type: TFloat}}
+	ids, vals := NewColumn(TInt), NewColumn(TFloat)
+	for i := 0; i < inputs; i++ {
+		if err := ids.Append(Int(int64(i))); err != nil {
+			b.Fatal(err)
+		}
+		if err := vals.Append(Float(float64(i%11) - 5)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	step, err := db.Prepare(stepSQL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		db.DropTable("x")
+		x, err := db.CreateTable("x", xSchema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := x.AppendColumns([]*Column{ids, vals}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := step.Exec(); err != nil {
+			b.Fatal(err)
+		}
+		if n := db.GetTable("out").NumRows(); n != benchPositions*benchKernels {
+			b.Fatalf("groups = %d", n)
+		}
+		db.DropTable("out")
+	}
+}

@@ -271,3 +271,50 @@ func TestParallelismContextOverride(t *testing.T) {
 		}
 	}
 }
+
+// TestScalarSubqueryRunsUnderStatementContext: a folded scalar subquery
+// runs under the statement's context. Cancelling the statement stops a UDF
+// in the subquery that blocks until its context is done, and the
+// statement returns the classified error.
+func TestScalarSubqueryRunsUnderStatementContext(t *testing.T) {
+	db := parFixture(t, 100)
+	db.RegisterUDF(&ScalarUDF{Name: "block", Arity: 1, Fn: func(ctx context.Context, calls [][]Datum) ([]Datum, error) {
+		select {
+		case <-ctx.Done():
+			return nil, qerr.FromContext(ctx.Err())
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("the subquery's UDF never saw the statement's cancellation")
+		}
+	}})
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		cancel()
+	}()
+	_, err := db.QueryContext(ctx, "SELECT count(*) c FROM pt WHERE v > (SELECT MAX(block(v)) FROM pt)")
+	if !errors.Is(err, qerr.ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+}
+
+// TestSubqueryUDFCallsCountedInStatement: the UDF calls of a folded
+// subquery count in the statement's sys.queries row.
+func TestSubqueryUDFCallsCountedInStatement(t *testing.T) {
+	db := newObsDB(t, 16)
+	db.RegisterUDF(&ScalarUDF{Name: "ident", Arity: 1, Fn: RowUDF(func(_ context.Context, a []Datum) (Datum, error) {
+		return a[0], nil
+	})})
+	const q = `SELECT count(*) AS c FROM emp WHERE salary > (SELECT AVG(ident(salary)) FROM emp)`
+	mustExec(t, db, q)
+	n := mustExec(t, db, `SELECT count(*) AS n FROM emp`).Cols[0].Get(0).I
+	res := mustExec(t, db, `SELECT sql, udf_calls FROM sys.queries`)
+	for i := 0; i < res.NumRows(); i++ {
+		if sql := res.Cols[0].Get(i).S; strings.Contains(sql, "ident(") && !strings.Contains(sql, "sys.queries") {
+			if got := res.Cols[1].Get(i).I; got != n {
+				t.Fatalf("udf_calls = %d, want %d", got, n)
+			}
+			return
+		}
+	}
+	t.Fatalf("no sys.queries row for %q", q)
+}

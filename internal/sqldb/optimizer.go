@@ -155,32 +155,64 @@ func (db *DB) orderPredicates(conds []Expr, hints *QueryHints) []Expr {
 	return out
 }
 
-// relEstimate estimates a relation's cardinality after pushed filters.
-func (db *DB) relEstimate(rel planRel, pushed []Expr, hints *QueryHints) float64 {
-	base := 1000.0
+// relCard is what a relation's cardinality estimate reads: the base table
+// whose row count is the base ("" for a derived relation, which counts
+// 1000), the alias a derived relation's CardOverrides entry goes by, and
+// the textbook selectivities of the filters pushed onto the relation, in
+// order. With no UDF among those filters they are constants of the
+// statement.
+type relCard struct {
+	table, alias string
+	sels         []float64
+}
+
+// relCardOf describes a relation's estimate; sels is left empty.
+func relCardOf(rel planRel) relCard {
 	if s, ok := rel.plan.(*LScan); ok {
-		if hints != nil {
-			if v, ok := hints.CardOverrides[strings.ToLower(s.Table)]; ok {
-				base = v
-				goto filters
-			}
+		return relCard{table: s.Table}
+	}
+	return relCard{alias: rel.alias}
+}
+
+// cardBase is a relation's estimate before its pushed filters: a base
+// table counts its rows, a derived relation 1000, unless a CardOverrides
+// entry under the table's name or the derived relation's alias replaces
+// either.
+func (db *DB) cardBase(c relCard, hints *QueryHints) float64 {
+	if hints != nil && len(hints.CardOverrides) > 0 {
+		name := c.table
+		if name == "" {
+			name = c.alias
 		}
-		if t := db.lookupTable(s.Table); t != nil {
-			base = float64(t.NumRows())
-		}
-	} else if hints != nil {
-		if v, ok := hints.CardOverrides[strings.ToLower(rel.alias)]; ok {
-			base = v
+		if v, ok := hints.CardOverrides[strings.ToLower(name)]; ok {
+			return v
 		}
 	}
-filters:
+	if c.table != "" {
+		if t := db.lookupTable(c.table); t != nil {
+			return float64(t.NumRows())
+		}
+	}
+	return 1000
+}
+
+// estimate is a relation's estimated cardinality after its pushed
+// filters, at least 1.
+func (db *DB) estimate(c relCard, hints *QueryHints) float64 {
+	base := db.cardBase(c, hints)
+	for _, s := range c.sels {
+		base *= s
+	}
+	return max(base, 1)
+}
+
+// relEstimate estimates a relation's cardinality after pushed filters.
+func (db *DB) relEstimate(rel planRel, pushed []Expr, hints *QueryHints) float64 {
+	base := db.cardBase(relCardOf(rel), hints)
 	for _, f := range pushed {
 		base *= db.predicateSelectivity(f, hints)
 	}
-	if base < 1 {
-		base = 1
-	}
-	return base
+	return max(base, 1)
 }
 
 // joinSelectivity estimates equi-join selectivity as 1/max(ndv_l, ndv_r),
@@ -226,7 +258,8 @@ type equiCond struct {
 // buildJoinTree classifies conditions, pushes single-relation filters into
 // scans, picks a greedy join order, and returns the join plan plus residual
 // (multi-relation non-equi) conditions.
-func (db *DB) buildJoinTree(rels []planRel, conds []Expr, hints *QueryHints) (Plan, []Expr, error) {
+func (pl *planner) buildJoinTree(rels []planRel, conds []Expr) (Plan, []Expr, error) {
+	db, hints := pl.db, pl.hints
 	pushed := map[string][]Expr{}
 	var equis []*equiCond
 	var residual []Expr
@@ -274,7 +307,7 @@ func (db *DB) buildJoinTree(rels []planRel, conds []Expr, hints *QueryHints) (Pl
 	}
 
 	// Join ordering.
-	order := db.chooseJoinOrder(rels, pushed, equis, hints)
+	order := pl.chooseJoinOrder(rels, pushed, equis)
 
 	type joined struct {
 		plan    Plan
@@ -374,8 +407,11 @@ func (db *DB) asEquiCond(c Expr, rels []planRel) *equiCond {
 }
 
 // chooseJoinOrder returns relation indices in join order: pinned by hints
-// when provided, otherwise greedy smallest-first.
-func (db *DB) chooseJoinOrder(rels []planRel, pushed map[string][]Expr, equis []*equiCond, hints *QueryHints) []int {
+// when provided, otherwise greedy smallest-first. The greedy order reads
+// the estimates only through how they compare, which is what notes
+// record of it.
+func (pl *planner) chooseJoinOrder(rels []planRel, pushed map[string][]Expr, equis []*equiCond) []int {
+	db, hints := pl.db, pl.hints
 	if hints != nil && len(hints.JoinOrder) == len(rels) {
 		order := make([]int, 0, len(rels))
 		seen := map[int]bool{}
@@ -395,6 +431,16 @@ func (db *DB) chooseJoinOrder(rels []planRel, pushed map[string][]Expr, equis []
 	est := make([]float64, len(rels))
 	for i, r := range rels {
 		est[i] = db.relEstimate(r, pushed[strings.ToLower(r.alias)], hints)
+	}
+	if pl.notes != nil {
+		cards := make([]relCard, len(rels))
+		for i, r := range rels {
+			cards[i] = relCardOf(r)
+			for _, f := range pushed[strings.ToLower(r.alias)] {
+				cards[i].sels = append(cards[i].sels, db.predicateSelectivity(f, hints))
+			}
+		}
+		pl.notes.order(cards, est, !pl.inView)
 	}
 	order := make([]int, len(rels))
 	for i := range order {

@@ -118,12 +118,32 @@ type planRel struct {
 	plan  Plan
 }
 
-// planSelect builds a plan for a SELECT statement.
-func (db *DB) planSelect(st *SelectStmt, hints *QueryHints) (Plan, error) {
+// planner plans one statement under its hints. ctx is the statement's
+// context: the subqueries planning folds run under it, so their work
+// shares the statement's cancellation and deadline, memory budget, span
+// and UDF-call accounting. notes, when non-nil, records the inputs a kept
+// plan must match (see kept.go). inView marks the planning of a view's
+// definition, which runs without the statement's hints.
+type planner struct {
+	db     *DB
+	ctx    context.Context
+	hints  *QueryHints
+	notes  *planNotes
+	inView bool
+}
+
+// planSelect plans a SELECT with no notes taken.
+func (db *DB) planSelect(ctx context.Context, st *SelectStmt, hints *QueryHints) (Plan, error) {
+	return (&planner{db: db, ctx: ctx, hints: hints}).plan(st)
+}
+
+// plan builds a plan for a SELECT statement.
+func (pl *planner) plan(st *SelectStmt) (Plan, error) {
+	db := pl.db
 	// Resolve scalar subqueries first: execute each uncorrelated subquery
 	// once and replace it with a literal (covers the paper's Q4 AVG/stddev
 	// pattern).
-	st, err := db.resolveSubqueries(st, hints)
+	st, err := pl.resolveSubqueries(st)
 	if err != nil {
 		return nil, err
 	}
@@ -137,18 +157,18 @@ func (db *DB) planSelect(st *SelectStmt, hints *QueryHints) (Plan, error) {
 		}, nil
 	}
 
-	rels, onConds, err := db.flattenFrom(st.From, hints)
+	rels, onConds, err := pl.flattenFrom(st.From)
 	if err != nil {
 		return nil, err
 	}
 	conds := append(onConds, Conjuncts(st.Where)...)
 
-	plan, residual, err := db.buildJoinTree(rels, conds, hints)
+	plan, residual, err := pl.buildJoinTree(rels, conds)
 	if err != nil {
 		return nil, err
 	}
 	if len(residual) > 0 {
-		plan = &LFilter{Child: plan, Conds: db.orderPredicates(residual, hints)}
+		plan = &LFilter{Child: plan, Conds: db.orderPredicates(residual, pl.hints)}
 	}
 
 	// ORDER BY ordinals: an integer literal key selects the Nth item. The
@@ -255,16 +275,16 @@ func (db *DB) projectSchema(items []SelectItem, child []OutCol) []OutCol {
 // flattenFrom walks the FROM tree collecting base relations and ON
 // conditions. LEFT JOIN subtrees are planned structurally (they cannot be
 // reordered) and returned as one composite relation.
-func (db *DB) flattenFrom(ref *TableRef, hints *QueryHints) ([]planRel, []Expr, error) {
+func (pl *planner) flattenFrom(ref *TableRef) ([]planRel, []Expr, error) {
 	switch {
 	case ref.Join != nil && ref.Join.Left:
-		return db.planLeftJoin(ref.Join, hints)
+		return pl.planLeftJoin(ref.Join)
 	case ref.Join != nil:
-		lRels, lConds, err := db.flattenFrom(ref.Join.L, hints)
+		lRels, lConds, err := pl.flattenFrom(ref.Join.L)
 		if err != nil {
 			return nil, nil, err
 		}
-		rRels, rConds, err := db.flattenFrom(ref.Join.R, hints)
+		rRels, rConds, err := pl.flattenFrom(ref.Join.R)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -275,7 +295,7 @@ func (db *DB) flattenFrom(ref *TableRef, hints *QueryHints) ([]planRel, []Expr, 
 		}
 		return rels, conds, nil
 	case ref.Sub != nil:
-		sub, err := db.planSelect(ref.Sub, hints)
+		sub, err := pl.plan(ref.Sub)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -288,7 +308,7 @@ func (db *DB) flattenFrom(ref *TableRef, hints *QueryHints) ([]planRel, []Expr, 
 		sub = &aliasPlan{Child: sub, schema: schema}
 		return []planRel{{alias: alias, plan: sub}}, nil, nil
 	default:
-		scan, err := db.newScan(ref.Table, ref.Alias)
+		scan, err := pl.newScan(ref.Table, ref.Alias)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -299,13 +319,13 @@ func (db *DB) flattenFrom(ref *TableRef, hints *QueryHints) ([]planRel, []Expr, 
 // planLeftJoin plans `L LEFT JOIN R ON cond` as a composite relation. The
 // ON condition must be a conjunction of equi-predicates between the two
 // sides (the paper's workloads never need outer non-equi joins).
-func (db *DB) planLeftJoin(j *JoinRef, hints *QueryHints) ([]planRel, []Expr, error) {
+func (pl *planner) planLeftJoin(j *JoinRef) ([]planRel, []Expr, error) {
 	buildSide := func(ref *TableRef) (Plan, error) {
-		rels, conds, err := db.flattenFrom(ref, hints)
+		rels, conds, err := pl.flattenFrom(ref)
 		if err != nil {
 			return nil, err
 		}
-		plan, residual, err := db.buildJoinTree(rels, conds, hints)
+		plan, residual, err := pl.buildJoinTree(rels, conds)
 		if err != nil {
 			return nil, err
 		}
@@ -344,6 +364,7 @@ func (db *DB) planLeftJoin(j *JoinRef, hints *QueryHints) ([]planRel, []Expr, er
 	if len(join.EquiL) == 0 {
 		return nil, nil, fmt.Errorf("sqldb: LEFT JOIN requires an ON condition")
 	}
+	db := pl.db
 	db.mu.Lock()
 	db.leftJoinSeq++
 	alias := fmt.Sprintf("_lj%d", db.leftJoinSeq)
@@ -383,13 +404,19 @@ type aliasPlan struct {
 func (*aliasPlan) planNode()             {}
 func (p *aliasPlan) OutSchema() []OutCol { return p.schema }
 
-// newScan plans a base-table, view, or virtual-table access.
-func (db *DB) newScan(table, alias string) (Plan, error) {
+// newScan plans a base-table, view, or virtual-table access. A view is
+// planned without the statement's hints.
+func (pl *planner) newScan(table, alias string) (Plan, error) {
+	db := pl.db
 	if st := db.lookupSysTable(table); st != nil {
+		pl.notes.markVolatile() // sys.* rows change under every plan
 		return db.newSysScan(st, alias), nil
 	}
 	if v := db.lookupView(table); v != nil {
-		sub, err := db.planSelect(v.Query, nil)
+		pl.notes.view(table, v)
+		vp := *pl
+		vp.hints, vp.inView = nil, true
+		sub, err := vp.plan(v.Query)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: expanding view %s: %w", table, err)
 		}
@@ -403,6 +430,7 @@ func (db *DB) newScan(table, alias string) (Plan, error) {
 	if t == nil {
 		return nil, fmt.Errorf("sqldb: no table or view named %q", table)
 	}
+	pl.notes.table(table, t.Schema)
 	schema := make([]OutCol, len(t.Schema))
 	for i, c := range t.Schema {
 		schema[i] = OutCol{Table: alias, Name: c.Name, Type: c.Type}
@@ -470,28 +498,30 @@ func (db *DB) exprUDFs(e Expr) []string {
 // resolveSubqueries folds the uncorrelated scalar and IN subqueries in the
 // expressions of one SELECT block (its derived tables included) into
 // literals, returning a rewritten statement that shares everything else.
-func (db *DB) resolveSubqueries(st *SelectStmt, hints *QueryHints) (*SelectStmt, error) {
+func (pl *planner) resolveSubqueries(st *SelectStmt) (*SelectStmt, error) {
 	if len(st.UnionAll) > 0 {
 		// runSelect plans each UNION ALL branch on its own.
 		blk := *st
 		blk.UnionAll = nil
 		st = &blk
 	}
-	return RewriteSelect(st, func(e Expr) (Expr, error) { return db.foldSubquery(e, hints) })
+	return RewriteSelect(st, pl.foldSubquery)
 }
 
 // rewriteSubqueries is resolveSubqueries for one expression.
-func (db *DB) rewriteSubqueries(e Expr, hints *QueryHints) (Expr, error) {
-	return Rewrite(e, func(x Expr) (Expr, error) { return db.foldSubquery(x, hints) })
+func (pl *planner) rewriteSubqueries(e Expr) (Expr, error) {
+	return Rewrite(e, pl.foldSubquery)
 }
 
 // foldSubquery executes a scalar subquery and returns its value as a
 // literal, or executes an IN subquery and returns the IN over the literal
-// list of its values; it returns any other node as is.
-func (db *DB) foldSubquery(e Expr, hints *QueryHints) (Expr, error) {
+// list of its values; it returns any other node as is. Either fold makes
+// the plan data.
+func (pl *planner) foldSubquery(e Expr) (Expr, error) {
 	switch t := e.(type) {
 	case *SubqueryExpr:
-		res, err := db.runSelect(context.Background(), t.Query, hints)
+		pl.notes.markVolatile()
+		res, err := pl.db.runSelect(pl.ctx, t.Query, pl.hints)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: scalar subquery: %w", err)
 		}
@@ -509,12 +539,13 @@ func (db *DB) foldSubquery(e Expr, hints *QueryHints) (Expr, error) {
 		if t.Sub == nil {
 			return e, nil
 		}
+		pl.notes.markVolatile()
 		// The replacement's operand is not visited: fold it here.
-		x, err := db.rewriteSubqueries(t.E, hints)
+		x, err := pl.rewriteSubqueries(t.E)
 		if err != nil {
 			return nil, err
 		}
-		res, err := db.runSelect(context.Background(), t.Sub, hints)
+		res, err := pl.db.runSelect(pl.ctx, t.Sub, pl.hints)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: IN subquery: %w", err)
 		}
