@@ -4,24 +4,27 @@ package nn
 // batches, DB-PyTorch's serving loop and the scheduler's native backend
 // all predict through PredictBatch (via schedule.PredictKeyframes).
 //
-// A stacked batch is cheaper than N independent Forwards: batch-aware
-// layers execute as ONE large MatMul over the stacked batch instead of N
-// small ones. Layers without a batched kernel fall back to a per-sample
-// loop, so ForwardBatch accepts every model Forward accepts.
+// A stacked batch is cheaper than N independent Forwards: each batch-aware
+// layer runs the whole batch in one kernel call, fanned across the worker
+// pool — Conv2D over every sample's output pixels, Linear as ONE MatMul
+// with a column per sample. Layers without a batched kernel fall back to a
+// per-sample loop, so ForwardBatch accepts every model Forward accepts.
 //
 // Determinism contract: ForwardBatch is bit-identical to calling Forward
 // per sample. The batched kernels guarantee this by construction — each
 // output element is computed from exactly the same operands accumulated in
-// exactly the same order as its per-sample counterpart (the batch only
-// widens the MatMul's second operand; rows of the weight matrix and the
-// ascending-k accumulation order are unchanged). The scheduler-on vs
-// scheduler-off differential suite in internal/bench pins this end to end.
+// exactly the same order as its per-sample counterpart (a conv output
+// pixel's dot products never read another sample; Linear's batch only
+// widens the MatMul's second operand, keeping the weight rows and the
+// ascending-k accumulation order). The scheduler-on vs scheduler-off
+// differential suite in internal/bench pins this end to end.
 
 import (
 	"fmt"
-	"sync"
+	"math"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/qerr"
 	"repro/internal/tensor"
 )
@@ -139,7 +142,7 @@ func (m *Model) PredictBatch(ins []*tensor.Tensor) ([]int, error) {
 }
 
 // sameShapes reports whether every input has the first input's shape (the
-// precondition for stacking a batch into one MatMul operand).
+// precondition for running a batch through one kernel call).
 func sameShapes(ins []*tensor.Tensor) bool {
 	if len(ins) == 0 {
 		return false
@@ -159,14 +162,22 @@ func sameShapes(ins []*tensor.Tensor) bool {
 	return true
 }
 
-// ForwardBatch implements BatchLayer for Conv2D: every sample's im2col
-// patches are written straight into one stacked operand, transposed and
-// side by side, and convolved with the weight matrix in ONE MatMul of shape
-// (outC × inC·k²)·(inC·k² × N·oh·ow). Padding is a bounds check on the
-// source pixel, so no padded copy, per-sample patch matrix or transpose is
-// built. The operand holds exactly the values of Pad2D → Im2Col →
-// Transpose, and MatMul keeps rows and accumulation order, so each
-// sample's slice of the product is bit-identical to that reference.
+// ForwardBatch implements BatchLayer for Conv2D with a sparse-patch
+// kernel that goes from input pixels to each sample's CHW output in one
+// pass. Each output pixel (sample, oy, ox) is one row of the work: the
+// kernel gathers the pixel's im2col patch row as (column, value) pairs in
+// ascending column order — Im2Col's order: channel, then ky, then kx —
+// with padding as bounds checks, and computes every output channel as the
+// dot product of its weight row with those pairs, four channels per pass
+// over the pairs, writing acc + bias straight into the output.
+//
+// Exactness: each output element gets MatMul's products, accumulated in
+// ascending column order from +0, so it equals the explicit Pad2D → Im2Col
+// → Transpose → MatMul lowering bit for bit. The gather drops zero inputs
+// and padding only when every weight of the layer is finite: a dropped
+// term is then ±0·w = ±0, and adding ±0 to an accumulator that starts at
+// +0 never changes it. With an infinite or NaN weight, w·0 is NaN, so
+// every term is kept.
 func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	out, err := c.OutShape(ins[0].Shape())
 	if err != nil {
@@ -175,96 +186,121 @@ func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	h, w := ins[0].Dim(1), ins[0].Dim(2)
 	oh, ow := out[1], out[2]
 	ohw := oh * ow
-	n := len(ins)
-	width := n * ohw
-	// stacked[(ch·k + ky)·k + kx][s·ohw + oy·ow + ox] =
-	// sample s at (ch, oy·stride + ky − pad, ox·stride + kx − pad), 0 outside.
-	k2 := c.Weight.Dim(1)
-	sp := stackPool.Get().(*[]float64)
-	defer stackPool.Put(sp)
-	if cap(*sp) < k2*width {
-		*sp = make([]float64, k2*width)
-	}
-	sd := (*sp)[:k2*width]
-	clear(sd)
-	stacked := tensor.FromSlice(sd, k2, width)
-	for s, in := range ins {
-		src := in.Data()
-		for ch := 0; ch < c.InC; ch++ {
-			plane := src[ch*h*w : (ch+1)*h*w]
-			for ky := 0; ky < c.K; ky++ {
-				for kx := 0; kx < c.K; kx++ {
-					row := (ch*c.K+ky)*c.K + kx
-					dst := sd[row*width+s*ohw : row*width+(s+1)*ohw]
-					// Output columns whose source column lies inside the input.
-					oxLo := ceilDiv(c.Pad-kx, c.Stride)
-					oxHi := min(ow, ceilDiv(w+c.Pad-kx, c.Stride))
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*c.Stride + ky - c.Pad
-						if iy < 0 || iy >= h {
-							continue
-						}
-						srow := plane[iy*w : (iy+1)*w]
-						drow := dst[oy*ow : (oy+1)*ow]
-						for ox := oxLo; ox < oxHi; ox++ {
-							drow[ox] = srow[ox*c.Stride+kx-c.Pad]
-						}
-					}
-				}
-			}
-		}
-	}
-	res, err := tensor.MatMul(c.Weight, stacked) // (outC × N·ohw)
-	if err != nil {
-		return nil, err
-	}
-	rd := res.Data()
-	if n == 1 {
-		// One sample's product is already its CHW output.
-		for ch := 0; ch < c.OutC; ch++ {
-			row := rd[ch*ohw : (ch+1)*ohw]
-			c.addBias(row, row, ch)
-		}
-		return []*tensor.Tensor{res.Reshape(c.OutC, oh, ow)}, nil
-	}
-	outs := make([]*tensor.Tensor, n)
-	buf := make([]float64, n*c.OutC*ohw)
+	size := c.OutC * ohw
+	kk := c.Weight.Dim(1) // InC·K²
+	buf := make([]float64, len(ins)*size)
+	outs := make([]*tensor.Tensor, len(ins))
 	for s := range outs {
-		od := buf[s*c.OutC*ohw : (s+1)*c.OutC*ohw]
-		for ch := 0; ch < c.OutC; ch++ {
-			c.addBias(od[ch*ohw:(ch+1)*ohw], rd[ch*width+s*ohw:ch*width+(s+1)*ohw], ch)
-		}
-		outs[s] = tensor.FromSlice(od, c.OutC, oh, ow)
+		outs[s] = tensor.FromSlice(buf[s*size:(s+1)*size], c.OutC, oh, ow)
 	}
+	skipZeros := c.weightsFinite()
+	rows := len(ins) * ohw
+	degree := 1
+	if rows*c.OutC*kk >= tensor.ParFlopThreshold {
+		degree = par.DefaultDegree()
+	}
+	// One patch buffer per worker, spaced so that no two workers write to
+	// one cache line.
+	stride := kk + 16
+	cols := make([]int32, degree*stride)
+	vals := make([]float64, degree*stride)
+	par.Run(degree, rows, max(1, tensor.ParFlopThreshold/(c.OutC*kk+1)), func(wk, lo, hi int) {
+		pc, pv := cols[wk*stride:wk*stride+kk], vals[wk*stride:wk*stride+kk]
+		for r := lo; r < hi; r++ {
+			s, pix := r/ohw, r%ohw
+			nz := c.gatherPatch(pc, pv, ins[s].Data(), h, w, pix/ow, pix%ow, skipZeros)
+			c.dotChannels(buf[s*size:(s+1)*size], pix, ohw, pc[:nz], pv[:nz])
+		}
+	})
 	return outs, nil
 }
 
-// stackPool recycles Conv2D.ForwardBatch's stacked operands. An operand is
-// garbage once its MatMul returns, and it is the largest allocation of a
-// stacked forward pass: allocated afresh, operands kept the collector's
-// heap goal, and with it the resident set, about a tenth higher on the
-// benchmark's native workload.
-var stackPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// addBias writes one output channel's product row plus the channel's bias
-// to dst; dst and src may be the same slice.
-func (c *Conv2D) addBias(dst, src []float64, ch int) {
-	if c.Bias == nil {
-		copy(dst, src)
-		return
+// gatherPatch writes output pixel (oy, ox)'s im2col patch row into cols
+// and vals as (column, value) pairs in ascending column order and returns
+// how many it kept. With skipZeros, zero values (either sign) and padding
+// are left out; otherwise every column is kept, padding as +0, as Pad2D
+// writes it.
+func (c *Conv2D) gatherPatch(cols []int32, vals, src []float64, h, w, oy, ox int, skipZeros bool) int {
+	k, hw := c.K, h*w
+	iy0, ix0 := oy*c.Stride-c.Pad, ox*c.Stride-c.Pad
+	// The window rows and columns that fall inside the input.
+	kyLo, kyHi := max(0, -iy0), min(k, h-iy0)
+	kxLo, kxHi := max(0, -ix0), min(k, w-ix0)
+	if kxLo >= kxHi {
+		kyHi = kyLo // no column inside: the window is all padding
 	}
-	b := c.Bias[ch]
-	for i, v := range src {
-		dst[i] = v + b
+	if !skipZeros {
+		vals = vals[:c.InC*k*k]
+		clear(vals)
+		for ch := 0; ch < c.InC; ch++ {
+			for ky := kyLo; ky < kyHi; ky++ {
+				off := ch*hw + (iy0+ky)*w + ix0
+				copy(vals[(ch*k+ky)*k+kxLo:], src[off+kxLo:off+kxHi])
+			}
+		}
+		for i := range vals {
+			cols[i] = int32(i)
+		}
+		return len(vals)
 	}
+	// Every pair is written and then kept or overwritten by the next, so
+	// whether a value is zero never steers a branch: ReLU's zeros fall at
+	// random.
+	n := 0
+	for ch := 0; ch < c.InC; ch++ {
+		for ky := kyLo; ky < kyHi; ky++ {
+			off := ch*hw + (iy0+ky)*w + ix0
+			col := int32((ch*k+ky)*k + kxLo)
+			for j, v := range src[off+kxLo : off+kxHi] {
+				cols[n], vals[n] = col+int32(j), v
+				mag := math.Float64bits(v) << 1 // 0 only for ±0
+				n += int((mag | -mag) >> 63)
+			}
+		}
+	}
+	return n
 }
 
-// ceilDiv is ⌈a/b⌉ for b > 0, clamped below at 0.
-func ceilDiv(a, b int) int {
-	if a <= 0 {
-		return 0
+// dotChannels writes, for every output channel ch, the dot product of its
+// weight row with the patch pairs, plus its bias, to out[ch·ohw + pix]:
+// four channels share each pass over the pairs, and each channel's terms
+// accumulate in pair order.
+func (c *Conv2D) dotChannels(out []float64, pix, ohw int, cols []int32, vals []float64) {
+	wd := c.Weight.Data()
+	kk := c.Weight.Dim(1)
+	vals = vals[:len(cols)]
+	ch := 0
+	for ; ch+4 <= c.OutC; ch += 4 {
+		w0, w1 := wd[ch*kk:(ch+1)*kk], wd[(ch+1)*kk:(ch+2)*kk]
+		w2, w3 := wd[(ch+2)*kk:(ch+3)*kk], wd[(ch+3)*kk:(ch+4)*kk]
+		var a0, a1, a2, a3 float64
+		for p, col := range cols {
+			x := vals[p]
+			a0 += w0[col] * x
+			a1 += w1[col] * x
+			a2 += w2[col] * x
+			a3 += w3[col] * x
+		}
+		if c.Bias != nil {
+			b := c.Bias[ch : ch+4]
+			a0, a1, a2, a3 = a0+b[0], a1+b[1], a2+b[2], a3+b[3]
+		}
+		out[ch*ohw+pix] = a0
+		out[(ch+1)*ohw+pix] = a1
+		out[(ch+2)*ohw+pix] = a2
+		out[(ch+3)*ohw+pix] = a3
 	}
-	return (a + b - 1) / b
+	for ; ch < c.OutC; ch++ {
+		wr := wd[ch*kk : (ch+1)*kk]
+		var a float64
+		for p, col := range cols {
+			a += wr[col] * vals[p]
+		}
+		if c.Bias != nil {
+			a += c.Bias[ch]
+		}
+		out[ch*ohw+pix] = a
+	}
 }
 
 // ForwardBatch implements BatchLayer for Linear: the batch's input vectors

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -117,11 +118,16 @@ func TestForwardBatchMixedShapes(t *testing.T) {
 	}
 }
 
-// TestConvLoweringBitIdentical pins Conv2D's direct lowering — patches
-// written straight into the stacked operand, padding by bounds checks —
-// to the reference it replaced: Pad2D → Im2Col → Transpose → MatMul, plus
-// the bias. Forward and every sample of a ForwardBatch must match it bit
-// for bit over kernel sizes, strides, paddings and odd and even sides.
+// TestConvLoweringBitIdentical pins Conv2D's sparse-patch kernel — patch
+// rows gathered as nonzero (column, value) pairs, padding by bounds checks,
+// dot products written straight into CHW outputs — to the explicit
+// lowering Pad2D → Im2Col → Transpose → MatMul, plus the bias. Forward and
+// every sample of a ForwardBatch must match it bit for bit. The first
+// sweep covers kernel sizes, strides, paddings and odd and even sides on
+// dense inputs; the second covers the inputs the kernel skips work on
+// (ReLU'd normals, an all-zero channel plane, -0 entries) over channel
+// counts that are and are not multiples of four, batches of 1, 3 and 16,
+// serial and parallel.
 func TestConvLoweringBitIdentical(t *testing.T) {
 	for _, k := range []int{1, 3, 5} {
 		for _, stride := range []int{1, 2} {
@@ -135,27 +141,74 @@ func TestConvLoweringBitIdentical(t *testing.T) {
 					for i := range ins {
 						ins[i] = randTensor(int64(side*10+i), 3, side, side)
 					}
-					batched, err := conv.ForwardBatch(ins)
-					if err != nil {
-						t.Fatalf("k=%d s=%d p=%d side=%d: %v", k, stride, pad, side, err)
-					}
-					for i, in := range ins {
-						want := referenceConv(t, conv, in)
-						single, err := conv.Forward(in)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for name, got := range map[string]*tensor.Tensor{"Forward": single, "ForwardBatch": batched[i]} {
-							if fmt.Sprint(got.Shape()) != fmt.Sprint(want.Shape()) || got.Hash() != want.Hash() {
-								t.Fatalf("k=%d s=%d p=%d side=%d sample %d: %s differs from the reference lowering",
-									k, stride, pad, side, i, name)
-							}
-						}
+					checkConvLowering(t, fmt.Sprintf("k=%d s=%d p=%d side=%d", k, stride, pad, side), conv, ins)
+				}
+			}
+		}
+	}
+	defer par.SetDefaultDegree(par.DefaultDegree())
+	for _, inC := range []int{1, 3, 16} {
+		for _, outC := range []int{1, 5, 7, 16} {
+			conv := NewConv2D("c", inC, outC, 3, 1+outC%2, 1, int64(inC*100+outC))
+			if outC == 7 {
+				conv.Bias = nil // an all-zero patch must then give +0
+			}
+			for _, kind := range []string{"relu", "zero-plane", "neg-zero"} {
+				ins := make([]*tensor.Tensor, 16)
+				for i := range ins {
+					ins[i] = sparseTensor(kind, int64(inC*1000+outC*10+i), inC, 8, 8)
+				}
+				for _, n := range []int{1, 3, 16} {
+					for _, deg := range []int{1, max(2, par.DefaultDegree())} {
+						par.SetDefaultDegree(deg)
+						checkConvLowering(t, fmt.Sprintf("inC=%d outC=%d %s n=%d deg=%d", inC, outC, kind, n, deg), conv, ins[:n])
 					}
 				}
 			}
 		}
 	}
+}
+
+// checkConvLowering fails t unless Forward and ForwardBatch give every
+// input exactly referenceConv's bits.
+func checkConvLowering(t *testing.T, label string, conv *Conv2D, ins []*tensor.Tensor) {
+	t.Helper()
+	batched, err := conv.ForwardBatch(ins)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for i, in := range ins {
+		want := referenceConv(t, conv, in)
+		single, err := conv.Forward(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]*tensor.Tensor{"Forward": single, "ForwardBatch": batched[i]} {
+			if fmt.Sprint(got.Shape()) != fmt.Sprint(want.Shape()) || got.Hash() != want.Hash() {
+				t.Fatalf("%s sample %d: %s differs from the reference lowering", label, i, name)
+			}
+		}
+	}
+}
+
+// sparseTensor returns a CHW tensor of normals shaped like a ReLU's
+// output: "relu" clamps the negatives to +0, "zero-plane" also zeroes the
+// whole first channel, and "neg-zero" turns the negatives into -0.
+func sparseTensor(kind string, seed int64, shape ...int) *tensor.Tensor {
+	x := randTensor(seed, shape...)
+	d := x.Data()
+	for i, v := range d {
+		if v < 0 {
+			d[i] = 0
+			if kind == "neg-zero" {
+				d[i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	if kind == "zero-plane" {
+		clear(d[:x.Dim(1)*x.Dim(2)])
+	}
+	return x
 }
 
 // referenceConv is the explicit lowering: pad, one patch row per output
@@ -255,4 +308,115 @@ func TestForwardBatchLeavesInputsUnchanged(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestForwardBatchNonFinite extends the determinism contract to non-finite
+// arithmetic: a zero weight meeting a ±Inf or NaN input, and an infinite
+// weight meeting zero inputs (and, in a convolution, padding), make NaN,
+// and ForwardBatch must give exactly Forward's bits, NaNs included. The
+// convolution is also held to a direct sum over its window that keeps every
+// term, since its Forward is a ForwardBatch of one.
+func TestForwardBatchNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+
+	zeroW := NewLinear("fc0", 6, 4, 11)
+	zeroW.Weight.Data()[2] = 0 // row 0 reads input 2 with weight 0
+	infW := NewLinear("fcinf", 6, 4, 12)
+	infW.Weight.Data()[6+3] = inf // row 1 reads input 3 with weight Inf
+	linIns := func(vals ...float64) []*tensor.Tensor {
+		ins := make([]*tensor.Tensor, len(vals))
+		for i, v := range vals {
+			ins[i] = randTensor(int64(40+i), 6)
+			ins[i].Data()[2], ins[i].Data()[3] = v, 0
+		}
+		return ins
+	}
+	checkNonFinite(t, "linear zero weight", zeroW, linIns(inf, -inf, nan, 1), nil)
+	checkNonFinite(t, "linear inf weight", infW, linIns(1, 2), nil)
+
+	conv := NewConv2D("c0", 2, 5, 3, 1, 1, 13)
+	conv.Weight.Data()[conv.Weight.Dim(1)+4] = 0 // channel 1, input channel 0, window centre
+	ins := []*tensor.Tensor{
+		sparseTensor("relu", 50, 2, 5, 5), sparseTensor("relu", 51, 2, 5, 5),
+		sparseTensor("relu", 52, 2, 5, 5), sparseTensor("neg-zero", 53, 2, 5, 5),
+	}
+	ins[0].Data()[6], ins[1].Data()[12], ins[2].Data()[18] = inf, -inf, nan
+	checkNonFinite(t, "conv zero weight", conv, ins, func(in *tensor.Tensor) *tensor.Tensor { return direct(conv, in) })
+
+	convInf := NewConv2D("cinf", 2, 5, 3, 1, 1, 14)
+	convInf.Weight.Data()[2*convInf.Weight.Dim(1)+9] = inf // channel 2, input channel 1, top-left
+	zeros := []*tensor.Tensor{sparseTensor("zero-plane", 54, 2, 5, 5), sparseTensor("neg-zero", 55, 2, 5, 5), tensor.New(2, 5, 5)}
+	checkNonFinite(t, "conv inf weight", convInf, zeros, func(in *tensor.Tensor) *tensor.Tensor { return direct(convInf, in) })
+}
+
+// checkNonFinite fails t unless ForwardBatch gives each input Forward's
+// bits, the outputs hold a NaN (so the case is not vacuous), and, when ref
+// is set, ref's bits too.
+func checkNonFinite(t *testing.T, label string, l BatchLayer, ins []*tensor.Tensor, ref func(*tensor.Tensor) *tensor.Tensor) {
+	t.Helper()
+	batched, err := l.ForwardBatch(ins)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	sawNaN := false
+	for i, in := range ins {
+		single, err := l.Forward(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants := []*tensor.Tensor{single}
+		if ref != nil {
+			wants = append(wants, ref(in))
+		}
+		got := batched[i].Data()
+		for _, want := range wants {
+			for j, w := range want.Data() {
+				if math.Float64bits(got[j]) != math.Float64bits(w) {
+					t.Fatalf("%s sample %d elem %d: ForwardBatch %v (%#x), want %v (%#x)",
+						label, i, j, got[j], math.Float64bits(got[j]), w, math.Float64bits(w))
+				}
+			}
+		}
+		for _, v := range got {
+			sawNaN = sawNaN || math.IsNaN(v)
+		}
+	}
+	if !sawNaN {
+		t.Fatalf("%s: no output is NaN", label)
+	}
+}
+
+// direct is the textbook convolution: every output element sums all
+// weight·input terms of its window in (channel, ky, kx) order from +0,
+// padding read as +0, then adds the bias.
+func direct(c *Conv2D, in *tensor.Tensor) *tensor.Tensor {
+	h, w := in.Dim(1), in.Dim(2)
+	oh := tensor.ConvOutDim(h, c.K, c.Stride, c.Pad)
+	ow := tensor.ConvOutDim(w, c.K, c.Stride, c.Pad)
+	out := tensor.New(c.OutC, oh, ow)
+	for oc := 0; oc < c.OutC; oc++ {
+		row := c.KernelRow(oc)
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				s := 0.0
+				for ch := 0; ch < c.InC; ch++ {
+					for ky := 0; ky < c.K; ky++ {
+						for kx := 0; kx < c.K; kx++ {
+							iy, ix := oy*c.Stride+ky-c.Pad, ox*c.Stride+kx-c.Pad
+							x := 0.0
+							if iy >= 0 && iy < h && ix >= 0 && ix < w {
+								x = in.At(ch, iy, ix)
+							}
+							s += row[(ch*c.K+ky)*c.K+kx] * x
+						}
+					}
+				}
+				if c.Bias != nil {
+					s += c.Bias[oc]
+				}
+				out.Set(s, oc, oy, ox)
+			}
+		}
+	}
+	return out
 }

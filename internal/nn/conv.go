@@ -3,14 +3,17 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/tensor"
 )
 
 // Conv2D is a 2-D convolution over CHW tensors with square kernels, the
 // workhorse operator of the paper's CNN workloads. Weights are stored
-// [outC][inC][k][k]; inference lowers the input with im2col and multiplies
-// against the flattened weight matrix.
+// [outC][inC][k][k]; inference takes the dot product of each output
+// channel's flattened weight row with each output pixel's im2col patch row
+// (ForwardBatch). Weights must not change after the first forward pass,
+// which caches whether they are all finite.
 type Conv2D struct {
 	LayerName string
 	InC, OutC int
@@ -19,6 +22,9 @@ type Conv2D struct {
 	Pad       int
 	Weight    *tensor.Tensor // shape [OutC, InC*K*K]
 	Bias      []float64      // len OutC, may be nil
+
+	finiteOnce sync.Once
+	finite     bool
 }
 
 // NewConv2D builds a convolution with deterministically initialized weights.
@@ -65,6 +71,22 @@ func (c *Conv2D) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	return outs[0], nil
+}
+
+// weightsFinite reports whether every weight is finite, the condition under
+// which ForwardBatch may skip zero inputs. Models are shared read-only, so
+// it is computed once per layer.
+func (c *Conv2D) weightsFinite() bool {
+	c.finiteOnce.Do(func() {
+		c.finite = true
+		for _, v := range c.Weight.Data() {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				c.finite = false
+				break
+			}
+		}
+	})
+	return c.finite
 }
 
 func (c *Conv2D) ParamCount() int64 {

@@ -37,7 +37,7 @@ type Backend struct {
 // NewNativeBackend builds the in-process backend used by the DB-UDF path:
 // load returns the batch's shared decoded model by hash, with its recorded
 // decode seconds, and the batch's blobs decode and run through
-// PredictKeyframes — one stacked MatMul per batch-aware layer per
+// PredictKeyframes — one kernel call per batch-aware layer per
 // nn.MaxStack samples, bit-identical to per-sample forwards.
 func NewNativeBackend(load func(model uint64, artifact []byte) (*nn.Model, float64, error)) *Backend {
 	return &Backend{

@@ -1,7 +1,7 @@
 // Package schedule is the cross-query inference scheduler: a shared layer
 // between the strategies and the model backends that coalesces pending
 // forward passes from concurrent queries and sessions into large batched
-// MatMuls, and single-flights identical (artifact, blob) requests so
+// forward passes, and single-flights identical (artifact, blob) requests so
 // duplicates park on the leader's result instead of recomputing.
 //
 // Placement (see ARCHITECTURE.md "Inference scheduling"):

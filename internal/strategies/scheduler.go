@@ -5,7 +5,7 @@ package strategies
 // With a scheduler enabled, DB-UDF and DB-PyTorch stop running forward
 // passes strategy-locally and submit every (artifact, keyframe) request to
 // the shared schedule.Scheduler instead. Concurrent queries' requests
-// coalesce into large batched MatMuls, identical in-flight requests
+// coalesce into large batched forward passes, identical in-flight requests
 // single-flight onto one computation, and the scheduler's shared cache is
 // the same LRU as Context.InferCache — so memoization keeps working across
 // both layers and both strategies.

@@ -151,7 +151,7 @@ type Context struct {
 	Breaker *Breaker
 	// Scheduler, when non-nil, routes DB-UDF and DB-PyTorch forward passes
 	// through the cross-query inference scheduler: requests from
-	// concurrent queries coalesce into batched MatMuls and identical
+	// concurrent queries coalesce into batched forward passes and identical
 	// in-flight requests single-flight onto one computation. Enable with
 	// EnableScheduler; nil keeps the strategy-local inference paths.
 	Scheduler *schedule.Scheduler

@@ -101,7 +101,7 @@ func nudfFn(name string) sqldb.UDFFunc {
 		out := make([]sqldb.Datum, len(calls))
 		// Scheduled calls: the whole batch is submitted to the cross-query
 		// scheduler at once, where it coalesces with other queries' requests
-		// into batched MatMuls (the scheduler consults the shared cache and
+		// into batched forward passes (the scheduler consults the shared cache and
 		// single-flights duplicates itself). Only physical forward passes —
 		// SourceBatch — charge inference time: this waiter's share of the
 		// batch.

@@ -6,19 +6,21 @@ import (
 	"repro/internal/par"
 )
 
-// parFlopThreshold is the approximate floating-point-op count below which
-// MatMul/MatVec stay serial: small multiplies (the per-row inference calls
-// of tiny models) would lose more to goroutine fan-out than they gain.
-const parFlopThreshold = 1 << 17
+// ParFlopThreshold is the approximate multiply-add count below which
+// MatMul, MatVec and nn's convolution kernel stay serial: small products
+// (the per-row inference calls of tiny models) would lose more to goroutine
+// fan-out than they gain. Above it, morsels hold about this much work.
+const ParFlopThreshold = 1 << 17
 
 // MatMul multiplies two rank-2 tensors: (m×k) · (k×n) → (m×n). Large
-// multiplies fan the output rows across the shared worker pool (for the
-// conv2d lowering the rows are the output channels); every output row is
-// computed wholly by one worker, so the parallel product is bit-identical
-// to the serial one. The inner loop is unrolled 4-wide over an output row
-// with the B row re-sliced to its length, so it compiles without bounds
-// checks and its speed does not hinge on where the linker places it; each
-// output element still gets its multiply-adds in k order.
+// multiplies fan the output rows across the shared worker pool; every
+// output row is computed wholly by one worker, so the parallel product is
+// bit-identical to the serial one. The inner loop is unrolled 4-wide over
+// an output row with the B row re-sliced to its length, so it compiles
+// without bounds checks and its speed does not hinge on where the linker
+// places it; each output element still gets its multiply-adds in k order.
+// Zero entries of A are multiplied like any other, so 0·Inf and 0·NaN give
+// NaN, as in MatVec.
 func MatMul(a, b *Tensor) (*Tensor, error) {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		return nil, fmt.Errorf("%w: MatMul needs rank-2 tensors, got %v and %v", ErrShape, a.shape, b.shape)
@@ -30,10 +32,10 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 	}
 	out := New(m, n)
 	degree := 1
-	if m*k*n >= parFlopThreshold {
+	if m*k*n >= ParFlopThreshold {
 		degree = par.DefaultDegree()
 	}
-	rowsPerMorsel := parFlopThreshold / (k*n + 1)
+	rowsPerMorsel := ParFlopThreshold / (k*n + 1)
 	if rowsPerMorsel < 1 {
 		rowsPerMorsel = 1
 	}
@@ -44,9 +46,6 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 			// ikj order keeps the inner loop streaming over contiguous memory.
 			for kk := 0; kk < k; kk++ {
 				av := arow[kk]
-				if av == 0 {
-					continue
-				}
 				brow := b.data[kk*n : (kk+1)*n]
 				brow = brow[:len(orow)]
 				j := 0
@@ -80,10 +79,10 @@ func MatVec(a *Tensor, x []float64) ([]float64, error) {
 	}
 	out := make([]float64, m)
 	degree := 1
-	if m*k >= parFlopThreshold {
+	if m*k >= ParFlopThreshold {
 		degree = par.DefaultDegree()
 	}
-	rowsPerMorsel := parFlopThreshold / (k + 1)
+	rowsPerMorsel := ParFlopThreshold / (k + 1)
 	if rowsPerMorsel < 1 {
 		rowsPerMorsel = 1
 	}

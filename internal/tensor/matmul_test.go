@@ -8,8 +8,8 @@ import (
 	"repro/internal/par"
 )
 
-// naiveMatMul is the reference triple loop: each output element sums its
-// products in k order, skipping zero A entries as MatMul does.
+// naiveMatMul is the reference triple loop: each output element sums all
+// its products in k order.
 func naiveMatMul(a, b *Tensor) []float64 {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
 	out := make([]float64, m*n)
@@ -17,9 +17,7 @@ func naiveMatMul(a, b *Tensor) []float64 {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for kk := 0; kk < k; kk++ {
-				if av := a.data[i*k+kk]; av != 0 {
-					s += av * b.data[kk*n+j]
-				}
+				s += a.data[i*k+kk] * b.data[kk*n+j]
 			}
 			out[i*n+j] = s
 		}
@@ -33,7 +31,7 @@ func filledTensor(seed uint64, shape ...int) *Tensor {
 	for i := range t.data {
 		s = s*6364136223846793005 + 1442695040888963407
 		if s>>60 == 0 {
-			continue // leave some zeros for the skip path
+			continue // leave some zeros
 		}
 		t.data[i] = float64(int64(s>>11))/float64(1<<52) - 1
 	}
@@ -50,7 +48,7 @@ func TestMatMulBitsMatchNaive(t *testing.T) {
 			m, k := 3, 5
 			if deg > 1 {
 				k = 64
-				m = parFlopThreshold/(k*n) + 1 // large enough to fan out
+				m = ParFlopThreshold/(k*n) + 1 // large enough to fan out
 			}
 			t.Run(fmt.Sprintf("n%d/deg%d", n, deg), func(t *testing.T) {
 				par.SetDefaultDegree(deg)
