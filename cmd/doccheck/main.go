@@ -1,4 +1,4 @@
-// Command doccheck is the CI documentation gate. It enforces three
+// Command doccheck is the CI documentation gate. It enforces four
 // invariants and exits non-zero if any fails:
 //
 //  1. Every Go package under internal/ and cmd/ carries a package comment
@@ -8,6 +8,8 @@
 //  3. Every internal/* package is mentioned in ARCHITECTURE.md by its
 //     "internal/<path>" import-style name — the architecture document
 //     must at least place each package in the layer map.
+//  4. Every output file EXPERIMENTS.md cites — a backticked name ending in
+//     .txt or .json, resolved from the repository root — exists.
 //
 // Usage (from the repository root):
 //
@@ -29,6 +31,7 @@ func main() {
 	bad += checkPackageComments(".")
 	bad += checkMarkdownLinks(".")
 	bad += checkArchitectureCoverage(".")
+	bad += checkCitedOutputs(".")
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", bad)
 		os.Exit(1)
@@ -167,6 +170,27 @@ func checkMarkdownLinks(root string) int {
 				fmt.Fprintf(os.Stderr, "doccheck: %s links to missing %q\n", e.Name(), target)
 				bad++
 			}
+		}
+	}
+	return bad
+}
+
+// citedOutput matches a backticked file name ending in .txt or .json.
+var citedOutput = regexp.MustCompile("`([A-Za-z0-9_./-]+\\.(?:txt|json))`")
+
+// checkCitedOutputs requires every output file EXPERIMENTS.md cites to
+// exist, so a recorded result always points at the run that produced it.
+func checkCitedOutputs(root string) int {
+	data, err := os.ReadFile(filepath.Join(root, "EXPERIMENTS.md"))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		return 1
+	}
+	bad := 0
+	for _, m := range citedOutput.FindAllStringSubmatch(string(data), -1) {
+		if _, err := os.Stat(filepath.Join(root, m[1])); err != nil {
+			fmt.Fprintf(os.Stderr, "doccheck: EXPERIMENTS.md cites missing output %q\n", m[1])
+			bad++
 		}
 	}
 	return bad

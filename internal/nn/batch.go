@@ -22,6 +22,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/par"
@@ -202,8 +203,10 @@ func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	// One patch buffer per worker, spaced so that no two workers write to
 	// one cache line.
 	stride := kk + 16
-	cols := make([]int32, degree*stride)
-	vals := make([]float64, degree*stride)
+	pb := patchBufs.Get().(*patchBuf)
+	defer patchBufs.Put(pb)
+	pb.cols, pb.vals = resized(pb.cols, degree*stride), resized(pb.vals, degree*stride)
+	cols, vals := pb.cols, pb.vals
 	par.Run(degree, rows, max(1, tensor.ParFlopThreshold/(c.OutC*kk+1)), func(wk, lo, hi int) {
 		pc, pv := cols[wk*stride:wk*stride+kk], vals[wk*stride:wk*stride+kk]
 		for r := lo; r < hi; r++ {
@@ -213,6 +216,24 @@ func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		}
 	})
 	return outs, nil
+}
+
+// patchBuf is ForwardBatch's per-call patch buffers, recycled through
+// patchBufs so a forward allocates only its outputs.
+type patchBuf struct {
+	cols []int32
+	vals []float64
+}
+
+var patchBufs = sync.Pool{New: func() any { return new(patchBuf) }}
+
+// resized returns s with length n, reallocated only when its capacity is
+// short. gatherPatch overwrites every element it reads.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // gatherPatch writes output pixel (oy, ox)'s im2col patch row into cols

@@ -15,13 +15,15 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/par"
 )
 
 // aggState holds one aggregate's counters for one group: the row count of
-// every kind, and the sums of sum/avg and the variances.
+// every kind, the sum of sum/avg and the variances, and the sum of squares
+// of the variances only.
 type aggState struct {
 	count    int64
 	sum      float64
@@ -75,8 +77,8 @@ func (s *aggStates) appendFrom(o *aggStates, g int) {
 	}
 }
 
-// addNum folds one numeric value into the state.
-func (s *aggState) addNum(kind string, v Datum) error {
+// addNum folds one numeric value into the state; sq folds its square too.
+func (s *aggState) addNum(kind string, v Datum, sq bool) error {
 	f, ok := v.AsFloat()
 	if !ok {
 		return fmt.Errorf("sqldb: %s of non-numeric %s", kind, v.T)
@@ -88,7 +90,9 @@ func (s *aggState) addNum(kind string, v Datum) error {
 	}
 	s.count++
 	s.sum += f
-	s.sumSq += f * f
+	if sq {
+		s.sumSq += f * f
+	}
 	return nil
 }
 
@@ -106,7 +110,8 @@ func (s *aggStates) accumulate(gids []int32, args []vec, row0 int, skip []bool) 
 		return nil
 	}
 	v := args[0]
-	numeric := false
+	// Only the variance family reads sumSq.
+	numeric, sq := false, strings.HasPrefix(c.kind, "var") || strings.HasPrefix(c.kind, "stddev")
 	switch c.kind {
 	case "sum", "avg", "stddevsamp", "stddevpop", "varsamp", "varpop":
 		numeric = true
@@ -119,7 +124,9 @@ func (s *aggStates) accumulate(gids []int32, args []vec, row0 int, skip []bool) 
 					st.sawFloat = true
 					st.count++
 					st.sum += f
-					st.sumSq += f * f
+					if sq {
+						st.sumSq += f * f
+					}
 				}
 				return nil
 			case TInt:
@@ -129,7 +136,9 @@ func (s *aggStates) accumulate(gids []int32, args []vec, row0 int, skip []bool) 
 					f := float64(x)
 					st.count++
 					st.sum += f
-					st.sumSq += f * f
+					if sq {
+						st.sumSq += f * f
+					}
 				}
 				return nil
 			case TNull:
@@ -148,7 +157,7 @@ func (s *aggStates) accumulate(gids []int32, args []vec, row0 int, skip []bool) 
 		st := &s.st[g]
 		switch {
 		case numeric:
-			if err := st.addNum(c.kind, v.get(r)); err != nil {
+			if err := st.addNum(c.kind, v.get(r), sq); err != nil {
 				return err
 			}
 		case c.kind == "count":
@@ -452,6 +461,280 @@ func (in *aggInput) blocks(lo, hi int, cols []int, fn func(start int, b *Result)
 	}).emit(m.src, lo, hi)
 }
 
+// fusedAgg is the factorised form of an aggregate over a join's match
+// pairs (Bakibayev, Olteanu and Závodný, "Aggregation and Ordering in
+// Factorised Databases", VLDB 2013). Every GROUP BY part is a NULL-free
+// Int column of one join side, so a pair's slot in a dense window over the
+// parts is the sum of its two rows' partial slots, computed once per side
+// row. Every aggregate is COUNT(*), or SUM of a NULL-free Float column or
+// of the product of one such column per side, read straight from the side
+// columns. A pair then costs one add, one slot lookup and a multiply-add
+// per SUM: no gathered column, no key vector and no key table probe. A
+// plain input of the same shape is read as its rows beside an empty right
+// side, a run of rows with equal keys at a time (runs).
+type fusedAgg struct {
+	src       pairSource // nil for a plain input
+	win       []window   // the dense window over the GROUP BY parts
+	size      uint64     // slots the window spans
+	parts     []fusedCol // per GROUP BY part
+	sums      [][2][]float64
+	slots     [2]*[]uint32 // over a join, per left and per right row: its partial slot
+	slotBytes int64
+}
+
+// fusedCol is a column of the join's left (side 0) or right (side 1) input.
+type fusedCol struct {
+	col  *Column
+	side int
+}
+
+// slotBufs recycles the per-side slot arrays of factorised aggregates.
+var slotBufs = sync.Pool{New: func() any { return new([]uint32) }}
+
+// factorise returns the factorised form of aggregate a with calls over in,
+// or nil when in is a padded outer join, a GROUP BY part or an aggregate
+// falls outside the factorised shapes, or the window would pass the dense
+// cap of the input's rows. sums holds per call its Float operand on each
+// side, nil for a side without one; COUNT(*) has none.
+func factorise(a *LAgg, calls []*aggCall, in *aggInput) *fusedAgg {
+	m := in.m
+	if m == nil {
+		m = &joinMatch{left: in.res, right: &Result{rows: 1}}
+	}
+	if m.padded {
+		return nil
+	}
+	column := func(e Expr, t Type) (fusedCol, bool) {
+		c, ok := e.(*ColRef)
+		if !ok {
+			return fusedCol{}, false
+		}
+		i, err := resolveCol(c, in.schema)
+		if err != nil {
+			return fusedCol{}, false
+		}
+		f := fusedCol{}
+		if nl := len(m.left.Cols); i < nl {
+			f.col = m.left.Cols[i]
+		} else {
+			f.col, f.side = m.right.Cols[i-nl], 1
+		}
+		return f, f.col != nil && f.col.Type == t && f.col.Nulls == nil
+	}
+	f := &fusedAgg{src: m.src, parts: make([]fusedCol, len(a.GroupBy)), sums: make([][2][]float64, len(calls))}
+	for k, g := range a.GroupBy {
+		p, ok := column(g, TInt)
+		if !ok {
+			return nil
+		}
+		f.parts[k] = p
+	}
+	for i, c := range calls {
+		if c.distinct || (!c.star && c.kind != "sum") {
+			return nil
+		}
+		if c.star {
+			continue
+		}
+		ops := c.args
+		if b, ok := ops[0].(*BinExpr); ok && b.Op == "*" {
+			ops = []Expr{b.L, b.R}
+		}
+		for _, e := range ops {
+			p, ok := column(e, TFloat)
+			if !ok || f.sums[i][p.side] != nil {
+				return nil
+			}
+			f.sums[i][p.side] = p.col.Floats
+		}
+	}
+	limit, size := uint64(min(denseCap(in.n), math.MaxInt32)), uint64(1)
+	f.win = make([]window, len(f.parts))
+	for k, p := range f.parts {
+		ints := p.col.Ints
+		w := widen(nil, [][]int64{ints}, 0, len(ints), limit/size)
+		if w == nil {
+			return nil
+		}
+		f.win[k], size = w[0], size*w[0].span
+	}
+	f.size = setStrides(f.win)
+	if f.src == nil {
+		return f
+	}
+	for s, res := range []*Result{m.left, m.right} {
+		buf := slotBufs.Get().(*[]uint32)
+		*buf = resize(*buf, res.NumRows())
+		clear(*buf)
+		f.slots[s], f.slotBytes = buf, f.slotBytes+int64(4*len(*buf))
+	}
+	for k, p := range f.parts {
+		w, ps := f.win[k], *f.slots[p.side]
+		for i, v := range p.col.Ints[:len(ps)] {
+			ps[i] += uint32((uint64(v) - uint64(w.lo)) * w.stride)
+		}
+	}
+	return f
+}
+
+// release returns the slot arrays to their pool.
+func (f *fusedAgg) release() {
+	for _, b := range f.slots {
+		if b != nil {
+			slotBufs.Put(b)
+		}
+	}
+}
+
+// bytes is the memory the aggregate holds with readers readers: the side
+// rows' slots, and per reader its window and a block's pairs and group
+// ids.
+func (f *fusedAgg) bytes(readers int) int64 {
+	return f.slotBytes + int64(readers)*(4*int64(f.size)+pairBlockBytes+4*hashBlock)
+}
+
+// aggregate groups the pairs at output positions [lo, hi) exactly as the
+// general path groups a chunk: pairs in output order, groups numbered in
+// first-seen order in an owning key table that copies each new group's
+// key, and each group's terms summed in pair order from +0. A term is
+// rounded to float64 before it is added, so no fused multiply-add can
+// change its bits.
+func (f *fusedAgg) aggregate(ec *execCtx, calls []*aggCall, lo, hi int) (*aggPartial, error) {
+	p := &aggPartial{kt: newDenseKeyTable(f.win, f.size), states: make([]aggStates, len(calls))}
+	for c, call := range calls {
+		p.states[c] = newAggStates(call, 0)
+	}
+	kt := p.kt
+	var err error
+	if f.src == nil {
+		err = f.runs(ec, p, lo, hi)
+	} else {
+		ls, rs := *f.slots[0], *f.slots[1]
+		gids := make([]int32, min(hi-lo, hashBlock))
+		err = newPairBlock(hi-lo, func(_ int, l, r []int32) error {
+			// The cancellation point of the general path's blocks.
+			if err := ec.check(); err != nil {
+				return err
+			}
+			g := gids[:len(l)]
+			for i, li := range l {
+				x := ls[li] + rs[r[i]]
+				id := kt.slots[x]
+				if id == 0 {
+					id = f.newGroup(kt, x, li, r[i])
+				}
+				g[i] = id - 1
+			}
+			for c, ops := range f.sums {
+				s := &p.states[c]
+				s.grow(kt.len())
+				st := s.st
+				switch lv, rv := ops[0], ops[1]; {
+				case lv != nil && rv != nil:
+					for i, gi := range g {
+						st[gi].count++
+						st[gi].sum += float64(lv[l[i]] * rv[r[i]])
+					}
+				case lv != nil:
+					for i, gi := range g {
+						st[gi].count++
+						st[gi].sum += lv[l[i]]
+					}
+				case rv != nil:
+					for i, gi := range g {
+						st[gi].count++
+						st[gi].sum += rv[r[i]]
+					}
+				default: // COUNT(*)
+					for _, gi := range g {
+						st[gi].count++
+					}
+				}
+			}
+			return nil
+		}).emit(f.src, lo, hi)
+	}
+	if err != nil {
+		return nil, err
+	}
+	kt.ints = intKeysInto(kt.intBuf, kt.keys)
+	for c, call := range calls {
+		p.states[c].grow(kt.len())
+		if !call.star {
+			for g := range p.states[c].st {
+				p.states[c].st[g].sawFloat = true
+			}
+		}
+	}
+	return p, nil
+}
+
+// runs groups rows [lo, hi) of a plain input as aggregate groups pairs,
+// but a run of consecutive rows with equal keys at a time: the run's group
+// is looked up once and its values summed in order in a register. A table
+// that stores each group's rows together, as DL2SQL's pre-joined input
+// does, so costs one lookup per group instead of one per row.
+func (f *fusedAgg) runs(ec *execCtx, p *aggPartial, lo, hi int) error {
+	var diff [hashBlock]int64
+	kt := p.kt
+	for b := lo; b < hi; b += hashBlock {
+		if err := ec.check(); err != nil {
+			return err
+		}
+		e := min(b+hashBlock, hi)
+		d := diff[:e-b]
+		clear(d)
+		for _, pt := range f.parts {
+			c := pt.col.Ints[b:e]
+			for i := 1; i < len(c); i++ {
+				d[i] |= c[i] ^ c[i-1]
+			}
+		}
+		for i := b; i < e; {
+			j := i + 1
+			for j < e && d[j-b] == 0 {
+				j++
+			}
+			var x uint32
+			for k, pt := range f.parts {
+				x += uint32((uint64(pt.col.Ints[i]) - uint64(f.win[k].lo)) * f.win[k].stride)
+			}
+			id := kt.slots[x]
+			if id == 0 {
+				id = f.newGroup(kt, x, int32(i), 0)
+			}
+			for c, ops := range f.sums {
+				s := &p.states[c]
+				s.grow(kt.len())
+				st := &s.st[id-1]
+				st.count += int64(j - i)
+				if v := ops[0]; v != nil {
+					acc := st.sum
+					for _, y := range v[i:j] {
+						acc += y
+					}
+					st.sum = acc
+				}
+			}
+			i = j
+		}
+	}
+	return nil
+}
+
+// newGroup numbers the group in slot x of kt, first seen at left row l
+// beside right row r, copying its key into kt.
+func (f *fusedAgg) newGroup(kt *keyTable, x uint32, l, r int32) int32 {
+	rows := [2]int32{l, r}
+	for k, p := range f.parts {
+		c := kt.keys[k].col
+		c.Ints = append(c.Ints, p.col.Ints[rows[p.side]])
+	}
+	kt.n++
+	kt.slots[x] = int32(kt.n)
+	return int32(kt.n)
+}
+
 // execAgg performs hash aggregation and evaluates the SELECT items over the
 // per-group aggregate values.
 func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
@@ -514,7 +797,13 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		chunk = max((n+deg-1)/deg, morselRows)
 		readers = min(deg, (n+chunk-1)/chunk)
 	}
-	if err := ec.chargeBytes(int64(readers) * in.blockBytes(cols)); err != nil {
+	fused := factorise(a, calls, in)
+	charge := int64(readers) * in.blockBytes(cols)
+	if fused != nil {
+		defer fused.release()
+		charge = fused.bytes(readers)
+	}
+	if err := ec.chargeBytes(charge); err != nil {
 		return nil, err
 	}
 
@@ -534,8 +823,12 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	// groups — a new group's key is copied into the chunk's key table —
 	// and folds the values into the group states, so no key or argument
 	// vector over the whole input exists. A DISTINCT argument is kept for
-	// its chunk, the dedupe's representative rows.
+	// its chunk, the dedupe's representative rows. A factorised aggregate
+	// runs the same chunks over the same pair blocks (fusedAgg.aggregate).
 	aggregateRange := func(lo, hi int) (*aggPartial, error) {
+		if fused != nil {
+			return fused.aggregate(ec, calls, lo, hi)
+		}
 		p := &aggPartial{kt: newOwnedKeyTable(len(a.GroupBy)), states: make([]aggStates, len(calls))}
 		keyX := make([]vecExpr, len(a.GroupBy))
 		for i, g := range a.GroupBy {

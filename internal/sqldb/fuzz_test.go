@@ -202,20 +202,59 @@ var denseKeyQueries = []struct {
 	{sql: `SELECT a.k, b.j, a.v, b.w FROM a, b WHERE ident(a.k) = b.k`, keys: 2, sym: true},
 	{sql: `SELECT k, count(*) AS c, sum(v) AS s FROM a GROUP BY k`, keys: 1},
 	{sql: `SELECT a.j, b.k, sum(a.v * b.w) AS s, count(*) AS c FROM a JOIN b ON a.k = b.k GROUP BY a.j, b.k`, keys: 2},
+	// The factorised shapes (agg.go, fusedAgg), which the dense run takes
+	// whenever their key columns hold no NULL: SUM only with key parts of
+	// both sides in either order, a one-side key (DL2SQL's FC), a
+	// one-column SUM, and COUNT(*) beside SUM.
+	{sql: `SELECT b.j, a.j, sum(a.v * b.w) AS s FROM a JOIN b ON a.k = b.k GROUP BY b.j, a.j`, keys: 2},
+	{sql: `SELECT a.j, b.k, sum(b.w * a.v) AS s FROM a JOIN b ON a.k = b.k GROUP BY a.j, b.k`, keys: 2},
+	{sql: `SELECT b.j, sum(a.v * b.w) AS s FROM a JOIN b ON a.k = b.k GROUP BY b.j`, keys: 1},
+	{sql: `SELECT a.j, sum(b.w) AS s FROM a JOIN b ON a.k = b.k GROUP BY a.j`, keys: 1},
+	{sql: `SELECT a.j, b.j, count(*) AS c, sum(a.v) AS s FROM a JOIN b ON a.k = b.k GROUP BY a.j, b.j`, keys: 2},
+	// A plain input of the factorised shape, grouped a run of equal keys
+	// at a time.
+	{sql: `SELECT j, k, sum(v) AS s, count(*) AS c FROM a GROUP BY j, k`, keys: 2},
+	{sql: `SELECT j, sum(v) AS s FROM a GROUP BY j`, keys: 1},
 	{sql: `SELECT DISTINCT j, k FROM a`, keys: 2},
 	{sql: `SELECT j, count(DISTINCT k) AS c FROM a GROUP BY j`, keys: 1},
 }
 
+// denseValue is FuzzDenseKeys' value of byte x: x/7, except that the top
+// four bytes are -0, +Inf, -Inf and NaN.
+func denseValue(x byte) float64 {
+	switch x {
+	case 0xfc:
+		return math.Copysign(0, -1)
+	case 0xfd:
+		return math.Inf(1)
+	case 0xfe:
+		return math.Inf(-1)
+	case 0xff:
+		return math.NaN()
+	}
+	return float64(x) / 7
+}
+
 // FuzzDenseKeys: the same rows joined, grouped and deduplicated on small
-// integer keys, which dense key tables address directly, and on those
-// keys times denseSpread, which only hashed tables can hold, give the same
+// integer keys, which dense key tables address directly (and a SUM over a
+// join aggregates factorised), and on those keys times denseSpread, which
+// only hashed tables and the general aggregation can hold, give the same
 // rows in the same order with bit-identical values once the keys are
-// divided back. Input bytes become rows of a (k, j, v) and b (k, j, w);
-// a k byte of 0xff is NULL.
+// divided back (every NaN compares as one value). Input bytes become rows
+// of a (k, j, v) and b (k, j, w); a k byte of 0xff is NULL, and value
+// bytes map through denseValue.
 func FuzzDenseKeys(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 5, 0xff, 1, 7}, []byte{0, 0, 1, 3, 1, 2, 0xff, 0, 3})
 	f.Add([]byte{200, 3, 9, 100, 2, 8, 200, 3, 1, 7, 0, 0}, []byte{100, 2, 5, 200, 3, 6, 100, 1, 4})
 	f.Add([]byte{5, 5, 5, 5, 5, 5}, []byte{0x80, 1, 1, 0x7f, 2, 2})
+	// Many pairs per group, whose sums depend on their order, groups first
+	// seen out of key order, and runs of rows with equal keys.
+	f.Add([]byte{1, 3, 10, 2, 1, 11, 1, 2, 13, 2, 3, 17, 1, 1, 19, 2, 2, 23, 1, 3, 29, 2, 1, 31, 1, 0, 37, 2, 0, 41,
+		3, 1, 1, 3, 1, 2, 3, 1, 3, 3, 1, 4, 3, 1, 5, 3, 1, 6, 4, 2, 1, 4, 2, 6},
+		[]byte{2, 1, 3, 1, 2, 5, 2, 0, 6, 1, 1, 9, 2, 3, 12, 1, 0, 15})
+	// -0, ±Inf and NaN values.
+	f.Add([]byte{1, 0, 0xfc, 1, 1, 0xfd, 2, 0, 0xfe, 2, 1, 0xff, 1, 0, 3},
+		[]byte{1, 0, 0xfc, 2, 1, 0xfd, 1, 1, 4, 2, 0, 0xfc})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		if len(a) > 3*200 || len(b) > 3*200 {
 			return
@@ -237,7 +276,7 @@ func FuzzDenseKeys(f *testing.F) {
 					if tb.data[i] == 0xff {
 						k = Null()
 					}
-					for c, d := range []Datum{k, Int(int64(tb.data[i+1]%4) * spread), Float(float64(tb.data[i+2]) / 7)} {
+					for c, d := range []Datum{k, Int(int64(tb.data[i+1]%4) * spread), Float(denseValue(tb.data[i+2]))} {
 						if err := cols[c].Append(d); err != nil {
 							t.Fatal(err)
 						}
@@ -274,6 +313,12 @@ func FuzzDenseKeys(f *testing.F) {
 								t.Fatalf("%s: key %d is not a multiple of %d", q.sql, d.I, spread)
 							}
 							d = Int(d.I / spread)
+						case d.T == TFloat && math.IsNaN(d.F):
+							// Which operand's NaN a sum carries on is the
+							// compiled instruction's choice, so NaNs
+							// compare as one value, as keys do.
+							row += "NaN|"
+							continue
 						case d.T == TFloat:
 							row += fmt.Sprintf("%x|", math.Float64bits(d.F))
 							continue

@@ -469,7 +469,11 @@ func widen(old []window, ints [][]int64, lo, hi int, limit uint64) []window {
 			// Offsets from math.MinInt64 order int64 values as uint64.
 			l, h := uint64(1<<63), uint64(1<<63)
 			if lo < hi {
-				l, h = uint64(slices.Min(c[lo:hi]))^1<<63, uint64(slices.Max(c[lo:hi]))^1<<63
+				mn, mx := c[lo], c[lo] // one pass: factorised aggregates widen whole columns
+				for _, v := range c[lo+1 : hi] {
+					mn, mx = min(mn, v), max(mx, v)
+				}
+				l, h = uint64(mn)^1<<63, uint64(mx)^1<<63
 			}
 			span, below := uint64(0), false
 			if old != nil {
@@ -508,14 +512,31 @@ func widen(old []window, ints [][]int64, lo, hi int, limit uint64) []window {
 	return nil
 }
 
-// layout moves the table to the dense windows win, placing its keys anew.
-func (t *keyTable) layout(win []window) {
+// setStrides lays the parts of win out first part fastest and returns the
+// slots the window spans.
+func setStrides(win []window) uint64 {
 	size := uint64(1)
 	for k := range win {
 		win[k].stride = size
 		size *= win[k].span
 	}
+	return size
+}
+
+// newDenseKeyTable returns an empty owning table of Int keys addressed
+// densely over win, whose strides are set and which spans size slots.
+func newDenseKeyTable(win []window, size uint64) *keyTable {
+	t := newOwnedKeyTable(len(win))
+	for k := range t.keys {
+		t.keys[k].col = NewColumn(TInt)
+	}
 	t.win, t.slots = win, make([]int32, size)
+	return t
+}
+
+// layout moves the table to the dense windows win, placing its keys anew.
+func (t *keyTable) layout(win []window) {
+	t.win, t.slots = win, make([]int32, setStrides(win))
 	for id := 0; id < t.n; id++ {
 		var s uint64
 		for k, w := range win {

@@ -95,6 +95,12 @@ func diffRows(t *testing.T, label string, serial, parallel []string) {
 	}
 }
 
+// q1ShapeSQL is DL2SQL's convolution shape over parFixture: GROUP BY an Int
+// column of each join side, SUM of a Float product with one factor per
+// side, which aggregates factorised (agg.go, fusedAgg). Its factor w = v/7
+// keeps the sums off the decimal ties that canonRows' rounding would split.
+const q1ShapeSQL = "SELECT q.k, p.g, sum(p.v * q.w) AS s, count(*) AS c FROM pt p INNER JOIN (SELECT g, id % 8 AS k, v / 7 AS w FROM pt WHERE id < 300) q ON p.g = q.g GROUP BY q.k, p.g"
+
 // TestParallelMatchesSerial is the in-package differential test: every
 // operator family runs the same query at parallelism 1 and 4 and must
 // produce the same rows in the same order. Filter, project, join, sort,
@@ -117,6 +123,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		"SELECT g, count(*) AS c, sum(v) AS s, avg(v) AS m, min(id) AS lo, max(id) AS hi FROM pt GROUP BY g ORDER BY g",
 		"SELECT count(*) AS c, sum(v) AS s, avg(v) AS m FROM pt WHERE g < 80",
 		"SELECT d.name, count(*) AS c, sum(p.v) AS s FROM pt p INNER JOIN ptd d ON p.g = d.g GROUP BY d.name",
+		q1ShapeSQL,
+		"SELECT g, sum(v) AS s, count(*) AS c FROM pt GROUP BY g",
 	}
 	run := func(sql string, deg int) *Result {
 		t.Helper()
@@ -146,17 +154,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelSelfDeterminism(t *testing.T) {
 	db := parFixture(t, 12000)
 	db.Parallelism = 4
-	const q = "SELECT g, sum(v) AS s, avg(v) AS m FROM pt GROUP BY g ORDER BY g"
-	first, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		again, err := db.Query(q)
+	for _, q := range []string{"SELECT g, sum(v) AS s, avg(v) AS m FROM pt GROUP BY g ORDER BY g", q1ShapeSQL} {
+		first, err := db.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffRows(t, "repeat run", canonRows(first, true), canonRows(again, true))
+		for i := 0; i < 3; i++ {
+			again, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffRows(t, q, canonRows(first, true), canonRows(again, true))
+		}
 	}
 }
 

@@ -314,6 +314,32 @@ func TestJoinUnderAggregateActualsAndBudget(t *testing.T) {
 	}
 }
 
+// TestJoinUnderAggregateChargesFactorisedWindow: a factorised aggregate
+// charges its dense window to the query's memory budget. Each side's GROUP
+// BY key spans 61 values, so the window has 61 × 61 slots, 14,884 bytes:
+// a 14 KiB budget refuses the query, which everything else it holds would
+// fit, and 64 KiB admits it.
+func TestJoinUnderAggregateChargesFactorisedWindow(t *testing.T) {
+	db := New()
+	mustExec(t, db, `CREATE TABLE a (k Int64, j Int64, v Float64)`)
+	mustExec(t, db, `CREATE TABLE b (k Int64, j Int64, w Float64)`)
+	mustExec(t, db, `INSERT INTO a VALUES (1, 0, 1.5), (1, 60, 2.5)`)
+	mustExec(t, db, `INSERT INTO b VALUES (1, 0, 3.0), (1, 60, 4.0)`)
+	const q = `SELECT a.j, b.j, sum(a.v * b.w) AS s FROM a JOIN b ON a.k = b.k GROUP BY a.j, b.j`
+	db.MemoryBudget = 64 << 10
+	res, err := db.Query(q)
+	if err != nil {
+		t.Fatalf("under a 64 KiB budget: %v", err)
+	}
+	if res.NumRows() != 4 {
+		t.Fatalf("groups = %d, want 4", res.NumRows())
+	}
+	db.MemoryBudget = 14 << 10
+	if _, err := db.Query(q); !errors.Is(err, qerr.ErrMemoryBudget) {
+		t.Fatalf("under a 14 KiB budget: err %v, want ErrMemoryBudget", err)
+	}
+}
+
 // TestPruneDL2SQLJoins checks the columns the pruning pass records for the
 // joins of DL2SQL's convolution (Q1), mapping (Q2) and bias statements.
 func TestPruneDL2SQLJoins(t *testing.T) {

@@ -969,6 +969,24 @@ func (k *cmpNode) run(out *cmpOut, in *Result, s sel) error {
 }
 
 func cmpNums[A, B int64 | float64](out *cmpOut, mask [3]bool, a []A, as int, an []bool, b []B, bs int, bn []bool, n int) {
+	if out.col == nil && an == nil && bn == nil {
+		// A filter over NULL-free operands counts its rows first, so its
+		// keep list grows once, to its size, and is written in a local.
+		kept := 0
+		for i := 0; i < n; i++ {
+			if mask[cmpFloat(float64(a[i*as]), float64(b[i*bs]))+1] {
+				kept++
+			}
+		}
+		keep := slices.Grow(out.keep, kept)
+		for i := 0; i < n; i++ {
+			if mask[cmpFloat(float64(a[i*as]), float64(b[i*bs]))+1] {
+				keep = append(keep, out.s.row(i))
+			}
+		}
+		out.keep = keep
+		return
+	}
 	for i := 0; i < n; i++ {
 		null := (an != nil && an[i*as]) || (bn != nil && bn[i*bs])
 		out.put(i, mask[cmpFloat(float64(a[i*as]), float64(b[i*bs]))+1], null)
