@@ -1,6 +1,8 @@
 package dl2sql
 
 import (
+	"slices"
+
 	"repro/internal/nn"
 	"repro/internal/sqldb"
 	"repro/internal/tensor"
@@ -69,7 +71,7 @@ func (t *Translator) encodeFlat(name string, key sampleKey, inputs []*tensor.Ten
 		for i := range tuple {
 			tuple[i], kernel[i] = int64(i), int64(i/per)
 		}
-		if err := appendInput(tbl, key, sid, intCol(tuple), intCol(kernel), floatCol(in.Data())); err != nil {
+		if err := appendInput(tbl, key, sid, intCol(tuple), intCol(kernel), floatCol(slices.Clone(in.Data()))); err != nil {
 			return err
 		}
 	}
@@ -125,7 +127,8 @@ func (t *Translator) createInput(name string, key sampleKey, schema sqldb.Schema
 	return t.DB.CreateTable(name, schema)
 }
 
-// appendInput appends input sid's rows to an encoded-input relation.
+// appendInput appends input sid's rows to an encoded-input relation. The
+// relation takes cols over: the first input's become its columns.
 func appendInput(tbl *sqldb.Table, key sampleKey, sid int, cols ...*sqldb.Column) error {
 	if key {
 		ids := make([]int64, cols[0].Len())
@@ -134,5 +137,5 @@ func appendInput(tbl *sqldb.Table, key sampleKey, sid int, cols ...*sqldb.Column
 		}
 		cols = append([]*sqldb.Column{intCol(ids)}, cols...)
 	}
-	return tbl.AppendColumns(cols)
+	return tbl.AdoptColumns(cols)
 }
