@@ -1,4 +1,4 @@
-// Command doccheck is the CI documentation gate. It enforces four
+// Command doccheck is the CI documentation gate. It enforces five
 // invariants and exits non-zero if any fails:
 //
 //  1. Every Go package under internal/ and cmd/ carries a package comment
@@ -10,6 +10,11 @@
 //     must at least place each package in the layer map.
 //  4. Every output file EXPERIMENTS.md cites — a backticked name ending in
 //     .txt or .json, resolved from the repository root — exists.
+//  5. Every backticked `pkg.Name` in README, ARCHITECTURE, DESIGN and
+//     EXPERIMENTS, where pkg is an internal/ package and Name is
+//     capitalised, names a top-level declaration, a method or a struct
+//     field of that package. Lowercase names (`strategies.udf`, a metric
+//     prefix) are not checked.
 //
 // Usage (from the repository root):
 //
@@ -18,6 +23,7 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -32,6 +38,7 @@ func main() {
 	bad += checkMarkdownLinks(".")
 	bad += checkArchitectureCoverage(".")
 	bad += checkCitedOutputs(".")
+	bad += checkQualifiedNames(".")
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", bad)
 		os.Exit(1)
@@ -194,4 +201,109 @@ func checkCitedOutputs(root string) int {
 		}
 	}
 	return bad
+}
+
+// qualifiedName matches pkg.Name inside a backticked span: a lowercase
+// identifier not itself preceded by a selector, then a capitalised one.
+var (
+	backticked    = regexp.MustCompile("`([^`\n]+)`")
+	qualifiedName = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
+)
+
+// checkQualifiedNames requires every backticked pkg.Name in the main
+// documents to resolve in the internal/ package called pkg, so a renamed
+// or deleted identifier cannot linger in the prose.
+func checkQualifiedNames(root string) int {
+	names, err := internalNames(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		return 1
+	}
+	bad := 0
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+			bad++
+			continue
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, span := range backticked.FindAllStringSubmatch(line, -1) {
+				for _, m := range qualifiedName.FindAllStringSubmatch(span[1], -1) {
+					if decls, ok := names[m[1]]; ok && !decls[m[2]] {
+						fmt.Fprintf(os.Stderr, "doccheck: %s:%d: %s.%s names nothing in package %s\n", doc, i+1, m[1], m[2], m[1])
+						bad++
+					}
+				}
+			}
+		}
+	}
+	return bad
+}
+
+// internalNames maps each internal/ package name to the names it
+// declares: top-level declarations, methods and struct fields, from its
+// non-test files.
+func internalNames(root string) (map[string]map[string]bool, error) {
+	out := map[string]map[string]bool{}
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		pkgs, err := parser.ParseDir(token.NewFileSet(), path, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			return err
+		}
+		for name, pkg := range pkgs {
+			decls := out[name]
+			if decls == nil {
+				decls = map[string]bool{}
+				out[name] = decls
+			}
+			for _, f := range pkg.Files {
+				for _, obj := range f.Scope.Objects {
+					decls[obj.Name] = true
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.FuncDecl:
+						decls[n.Name.Name] = true
+					case *ast.StructType:
+						for _, fld := range n.Fields.List {
+							for _, id := range fld.Names {
+								decls[id.Name] = true
+							}
+							if len(fld.Names) == 0 {
+								decls[embeddedName(fld.Type)] = true
+							}
+						}
+					case *ast.InterfaceType:
+						for _, m := range n.Methods.List {
+							for _, id := range m.Names {
+								decls[id.Name] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+		return nil
+	})
+	return out, err
+}
+
+// embeddedName is the field name an embedded struct field takes.
+func embeddedName(t ast.Expr) string {
+	switch t := t.(type) {
+	case *ast.StarExpr:
+		return embeddedName(t.X)
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	case *ast.Ident:
+		return t.Name
+	}
+	return ""
 }

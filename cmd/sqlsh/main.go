@@ -5,8 +5,8 @@
 //
 //	\d              list tables and views
 //	\d NAME         describe a table
-//	\profile        show the per-operator execution profile
-//	\profile reset  zero the profile counters
+//	\profile        span self time per operator (sys.spans grouped by name)
+//	\profile reset  start a fresh trace store (so does \trace PATH)
 //	\parallel N     set the executor's worker degree (0 = NumCPU, 1 = serial)
 //	\cache N        enable the statement/plan cache (N entries per LRU)
 //	\cache stats    show cache hit/miss/eviction counters; \cache off disables
@@ -131,9 +131,7 @@ func main() {
 	default:
 		db = sqldb.New()
 	}
-	if db.Profile == nil {
-		db.Profile = sqldb.NewProfile()
-	}
+	db.Traces = obs.NewTraceStore(keepAll)
 	// Self-observability: every statement leaves a record in the query
 	// history ring, and the sys.* catalog exposes engine state to SQL
 	// (\sys lists the tables; try SELECT * FROM sys.queries).
@@ -221,13 +219,14 @@ func (sh *shell) meta(cmd string) bool {
 		return true
 	case `\profile`:
 		if len(fields) == 2 && fields[1] == "reset" {
-			db.Profile.Reset()
+			db.Traces = obs.NewTraceStore(keepAll)
 			fmt.Println("profile reset")
 			return true
 		}
-		if db.Profile != nil {
-			fmt.Print(db.Profile.String())
-		}
+		// Leaves out statement spans and statements reading sys.spans.
+		sh.run(`SELECT name, count(*) AS calls, sum(self_ms) AS self_ms FROM sys.spans
+WHERE name <> 'query' AND trace_id NOT IN (SELECT trace_id FROM sys.spans WHERE name = 'SysScan sys.spans')
+GROUP BY name ORDER BY self_ms DESC;`)
 		return true
 	case `\parallel`:
 		if len(fields) == 1 {
@@ -381,9 +380,7 @@ func (sh *shell) meta(cmd string) bool {
 			return true
 		}
 		sh.traceFile = fields[1]
-		// Keep-all store: every statement's trace is retained (and visible
-		// in sys.traces / sys.spans) until the flush.
-		db.Traces = obs.NewTraceStore(obs.TraceStoreConfig{SampleEvery: 1, MaxTraces: 1 << 16, MaxSpansPerTrace: 1 << 20})
+		db.Traces = obs.NewTraceStore(keepAll) // the file holds the statements from here on
 		fmt.Printf("tracing to %s (\\trace off to write)\n", sh.traceFile)
 		return true
 	case `\save`:
@@ -402,8 +399,12 @@ func (sh *shell) meta(cmd string) bool {
 	return true
 }
 
+// keepAll configures the shell's one trace store, which retains every
+// statement's span tree for \profile, \trace and sys.spans.
+var keepAll = obs.TraceStoreConfig{SampleEvery: 1, MaxTraces: 1 << 16, MaxSpansPerTrace: 1 << 20}
+
 // flushTrace writes the traces retained since \trace PATH (if tracing is
-// active) as Chrome trace_event JSON and disables tracing.
+// active) as Chrome trace_event JSON.
 func (sh *shell) flushTrace() {
 	if sh.traceFile == "" {
 		return
@@ -415,7 +416,6 @@ func (sh *shell) flushTrace() {
 	} else {
 		writeTraceFile(sh.traceFile, buf.Bytes(), fmt.Sprintf("%d spans", spans))
 	}
-	sh.db.Traces = nil
 	sh.traceFile = ""
 }
 

@@ -33,7 +33,6 @@ func main() {
 
 	// Per-sample pipeline.
 	db1 := sqldb.New()
-	db1.Profile = sqldb.NewProfile()
 	tr1 := dl2sql.NewTranslator(db1, "per")
 	sm1, err := tr1.StoreModel(model)
 	if err != nil {
@@ -52,7 +51,6 @@ func main() {
 
 	// Batched pipeline.
 	db2 := sqldb.New()
-	db2.Profile = sqldb.NewProfile()
 	tr2 := dl2sql.NewTranslator(db2, "bat")
 	sm2, err := tr2.StoreModel(model)
 	if err != nil {

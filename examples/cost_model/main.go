@@ -53,7 +53,6 @@ func main() {
 
 	// Normalize to seconds and compare against the real SQL execution.
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	r, err := costmodel.NormalizationRatio(db)
 	if err != nil {
 		log.Fatal(err)

@@ -18,7 +18,6 @@ import (
 func main() {
 	// 1. An embedded, in-memory columnar database (the ClickHouse stand-in).
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 
 	// 2. A small CNN: Conv → BN → ReLU → global average pool → FC → softmax.
 	model := nn.NewModel("quickstart", []int{1, 8, 8}, []string{"ok", "defect"})

@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -63,6 +64,22 @@ func (t *Table) Render() string {
 		fmt.Fprintf(&sb, "note: %s\n", n)
 	}
 	return sb.String()
+}
+
+// shapeNote renders one of the paper's claims as a note marked ✓ or ✗ by
+// whether this run's rows bear it out. A ✗ is reported, not tuned away.
+func shapeNote(holds bool, claim string) string {
+	mark := "✗"
+	if holds {
+		mark = "✓"
+	}
+	return "shape check " + mark + ": " + claim
+}
+
+// num parses cell (row, col) of a table built by this package.
+func (t *Table) num(row, col int) float64 {
+	v, _ := strconv.ParseFloat(t.Rows[row][col], 64)
+	return v
 }
 
 // f formats a float at 4 decimals for table cells.

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"repro/internal/hwprofile"
 	"repro/internal/modelrepo"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/sqldb"
 	"repro/internal/strategies"
 	"repro/internal/tensor"
@@ -54,7 +57,6 @@ func (s *Suite) Table4StorageOverheads() (*Table, error) {
 			return nil, err
 		}
 		db := sqldb.New()
-		db.Profile = sqldb.NewProfile()
 		tr := dl2sql.NewTranslator(db, "t4")
 		sm, err := tr.StoreModel(m)
 		if err != nil {
@@ -102,7 +104,6 @@ func (s *Suite) Fig8Overall() (*Table, error) {
 func (s *Suite) Fig9CNNBlocks() (*Table, error) {
 	const runs = 3
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	tr := dl2sql.NewTranslator(db, "fig9")
 	model := s.Ctx.Bindings["nudf_detect"].Entry.Model
 	sm, err := tr.StoreModel(model)
@@ -138,51 +139,65 @@ func (s *Suite) Fig9CNNBlocks() (*Table, error) {
 }
 
 // Fig10RelOps reproduces Fig. 10: the running-time distribution across
-// relational operators while DL2SQL executes inference SQL.
+// relational operators while DL2SQL executes inference SQL. Each operator's
+// time is the self time of its spans: every statement of three inferences
+// is traced, and the spans are summed per kind, the span name without its
+// table ("Scan fig10_w" counts as Scan).
 func (s *Suite) Fig10RelOps() (*Table, error) {
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	tr := dl2sql.NewTranslator(db, "fig10")
 	model := s.Ctx.Bindings["nudf_detect"].Entry.Model
 	sm, err := tr.StoreModel(model)
 	if err != nil {
 		return nil, err
 	}
-	db.Profile = sqldb.NewProfile() // exclude the StoreModel inserts
+	// Armed after StoreModel, so its inserts stay out of the figure.
+	db.Traces = obs.NewTraceStore(obs.TraceStoreConfig{SampleEvery: 1, MaxTraces: 1 << 16, MaxSpansPerTrace: 1 << 20})
 	for i := 0; i < 3; i++ {
 		in := randomInput(model.InputShape, s.Cfg.Seed+int64(i))
 		if _, _, err := tr.Infer(sm, in); err != nil {
 			return nil, err
 		}
 	}
-	type opRow struct {
-		op    string
-		nanos int64
-		rows  int
+	self, rows := map[string]time.Duration{}, map[string]int{}
+	var total time.Duration
+	for _, st := range db.Traces.Snapshot() {
+		for _, sp := range st.Spans {
+			// The statement span's self time is parsing and planning.
+			if sp.Name == "query" || sp.Name == "sql" {
+				continue
+			}
+			kind, _, _ := strings.Cut(sp.Name, " ")
+			n, _ := strconv.Atoi(strings.TrimPrefix(sp.Attrs, "rows="))
+			self[kind] += sp.Self
+			rows[kind] += n
+			total += sp.Self
+		}
 	}
-	var rows []opRow
-	var total int64
-	for op, st := range db.Profile.Ops {
-		rows = append(rows, opRow{op, st.Nanos, st.Rows})
-		total += st.Nanos
+	kinds := make([]string, 0, len(self))
+	for k := range self {
+		kinds = append(kinds, k)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].nanos > rows[j].nanos })
+	sort.Slice(kinds, func(i, j int) bool { return self[kinds[i]] > self[kinds[j]] })
+	topTwo := len(kinds) >= 2 && slices.Contains(kinds[:2], "Aggregate") &&
+		(strings.HasSuffix(kinds[0], "Join") || strings.HasSuffix(kinds[1], "Join"))
 	t := &Table{
 		ID:      "Fig. 10",
 		Title:   "Costs of Relational Operations in Generated Queries",
 		Columns: []string{"Operator", "Time(s)", "Share(%)", "Rows"},
-		Notes: []string{
-			"shape check: Join and GroupBy are the most expensive operators",
-		},
+		Notes:   []string{shapeNote(topTwo, fig10Claim)},
 	}
-	for _, r := range rows {
-		t.AddRow(r.op,
-			f6(float64(r.nanos)/1e9),
-			fmt.Sprintf("%.1f", 100*float64(r.nanos)/float64(total)),
-			fmt.Sprintf("%d", r.rows))
+	for _, k := range kinds {
+		t.AddRow(k,
+			f6(self[k].Seconds()),
+			fmt.Sprintf("%.1f", 100*float64(self[k])/float64(total)),
+			fmt.Sprintf("%d", rows[k]))
 	}
 	return t, nil
 }
+
+// fig10Claim is the paper's Fig. 10 finding in span names.
+const fig10Claim = "Join and GroupBy (Aggregate and a *Join span) are the two most expensive operators"
 
 // Fig11PreJoin reproduces Fig. 11: the cost of the CNN blocks under the
 // three pre-join strategies.
@@ -208,7 +223,6 @@ func (s *Suite) Fig11PreJoin() (*Table, error) {
 	model := s.Ctx.Bindings["nudf_detect"].Entry.Model
 	strats := []dl2sql.PreJoinStrategy{dl2sql.PreJoinNone, dl2sql.PreJoinMapping, dl2sql.PreJoinInput}
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	tr := dl2sql.NewTranslator(db, "fig11")
 	sm, err := tr.StoreModel(model)
 	if err != nil {

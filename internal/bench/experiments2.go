@@ -57,9 +57,6 @@ func (s *Suite) Table6Depth(depths []int) (*Table, error) {
 		ID:      "Table VI",
 		Title:   "Performance vs. Model Depth (selectivity 0.1%-scaled, edge)",
 		Columns: []string{"Depth", "Params", "OP-Inference(s)", "OP-Loading(s)", "DB-UDF All(s)", "DB-PyTorch All(s)"},
-		Notes: []string{
-			"shape check: params grow linearly; DL2SQL loading grows steeply with depth; DB-PyTorch overtakes DL2SQL for the deepest models",
-		},
 	}
 	for _, depth := range depths {
 		m, err := modelrepo.NewResNet(depth, modelrepo.TaskDefectDetection, s.Cfg.KeyframeSide, s.Cfg.Seed)
@@ -100,7 +97,37 @@ func (s *Suite) Table6Depth(depths []int) (*Table, error) {
 	if err := s.Ctx.BindDefaults(s.Repo, s.Cfg.CalibrationSamples); err != nil {
 		return nil, err
 	}
+	linear, steep, overtakes := table6Claims(t)
+	t.Notes = []string{
+		shapeNote(linear, table6Linear),
+		shapeNote(steep, table6Steep),
+		shapeNote(overtakes, table6Overtakes),
+	}
 	return t, nil
+}
+
+// Table VI's three claims, and the predicates that check them over its
+// rows (depth, params, OP-Inference, OP-Loading, DB-UDF All, DB-PyTorch
+// All).
+const (
+	table6Linear    = "params grow linearly with depth (each step adds params per layer at 1/2x to 2x the first step's rate)"
+	table6Steep     = "DL2SQL loading grows steeply with depth (at every step, and faster than depth overall)"
+	table6Overtakes = "DB-PyTorch overtakes DL2SQL for the deepest models (DL2SQL-OP Inference+Loading below DB-PyTorch All at the shallowest depth, above it at the deepest)"
+)
+
+func table6Claims(t *Table) (linear, steep, overtakes bool) {
+	n := len(t.Rows)
+	if n < 2 {
+		return false, false, false
+	}
+	slope := func(i int) float64 { return (t.num(i, 1) - t.num(i-1, 1)) / (t.num(i, 0) - t.num(i-1, 0)) }
+	linear, steep = true, t.num(n-1, 3)/t.num(0, 3) > t.num(n-1, 0)/t.num(0, 0)
+	for i := 1; i < n; i++ {
+		linear = linear && slope(i) > 0 && slope(i) <= 2*slope(1) && slope(1) <= 2*slope(i)
+		steep = steep && t.num(i, 3) > t.num(i-1, 3)
+	}
+	opTotal := func(i int) float64 { return t.num(i, 2) + t.num(i, 3) }
+	return linear, steep, opTotal(0) < t.num(0, 5) && opTotal(n-1) > t.num(n-1, 5)
 }
 
 // Fig12CostModel reproduces Fig. 12: the default DBMS estimate, the
@@ -109,7 +136,6 @@ func (s *Suite) Table6Depth(depths []int) (*Table, error) {
 // are normalized to seconds with the measured ratio r.
 func (s *Suite) Fig12CostModel() (*Table, error) {
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	r, err := costmodel.NormalizationRatio(db)
 	if err != nil {
 		return nil, err
@@ -144,7 +170,6 @@ func (s *Suite) Fig12CostModel() (*Table, error) {
 			return 0, 0, 0, err
 		}
 		db := sqldb.New()
-		db.Profile = sqldb.NewProfile()
 		tr := dl2sql.NewTranslator(db, "fig12")
 		sm, err := tr.StoreModel(m)
 		if err != nil {
@@ -179,7 +204,6 @@ func (s *Suite) Fig12CostModel() (*Table, error) {
 // pooling, and FC.
 func (s *Suite) Fig13PerOp() (*Table, error) {
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	r, err := costmodel.NormalizationRatio(db)
 	if err != nil {
 		return nil, err
@@ -199,7 +223,6 @@ func (s *Suite) Fig13PerOp() (*Table, error) {
 		return nil, err
 	}
 	execDB := sqldb.New()
-	execDB.Profile = sqldb.NewProfile()
 	tr := dl2sql.NewTranslator(execDB, "fig13")
 	sm, err := tr.StoreModel(model)
 	if err != nil {

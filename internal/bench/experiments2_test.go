@@ -66,6 +66,15 @@ func TestTable6Shape(t *testing.T) {
 	if cellF(t, tab, 1, 3) <= cellF(t, tab, 0, 3) {
 		t.Fatalf("DL2SQL loading must grow with depth:\n%s", tab.Render())
 	}
+	// Each claim's mark is its predicate over the rows: with two depths,
+	// params grow linearly when they grow; loading grows steeply when it
+	// more than doubles as depth doubles; DB-PyTorch overtakes when
+	// DL2SQL-OP is cheaper at depth 5 and dearer at depth 10.
+	d0, d1 := cellF(t, tab, 0, 0), cellF(t, tab, 1, 0)
+	checkMark(t, tab, table6Linear, cellF(t, tab, 1, 1) > cellF(t, tab, 0, 1))
+	checkMark(t, tab, table6Steep, cellF(t, tab, 1, 3)/cellF(t, tab, 0, 3) > d1/d0)
+	op := func(i int) float64 { return cellF(t, tab, i, 2) + cellF(t, tab, i, 3) }
+	checkMark(t, tab, table6Overtakes, op(0) < cellF(t, tab, 0, 5) && op(1) > cellF(t, tab, 1, 5))
 }
 
 func TestFig8Shape(t *testing.T) {

@@ -163,7 +163,6 @@ func BenchmarkGateMorselSpeedup(b *testing.B) {
 	needCores(b)
 	const rows = 300000
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	if _, err := db.Exec(`CREATE TABLE big (a Int64, b Float64, g Int64); CREATE TABLE dim (g Int64, name String)`); err != nil {
 		b.Fatal(err)
 	}

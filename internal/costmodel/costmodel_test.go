@@ -150,7 +150,6 @@ func TestNextTIn(t *testing.T) {
 
 func TestNormalizationRatio(t *testing.T) {
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	r, err := NormalizationRatio(db)
 	if err != nil {
 		t.Fatal(err)

@@ -126,7 +126,6 @@ func TestBatchPreJoinStrategies(t *testing.T) {
 	}
 	for _, strat := range []PreJoinStrategy{PreJoinNone, PreJoinMapping, PreJoinInput} {
 		db := sqldb.New()
-		db.Profile = sqldb.NewProfile()
 		tr := NewTranslator(db, "m")
 		tr.PreJoin = strat
 		tr.Trace = true

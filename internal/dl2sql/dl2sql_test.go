@@ -14,7 +14,6 @@ import (
 func newTr(t *testing.T) *Translator {
 	t.Helper()
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	return NewTranslator(db, "m")
 }
 
@@ -278,7 +277,6 @@ func TestPreJoinStrategiesEquivalence(t *testing.T) {
 	}
 	for _, strat := range []PreJoinStrategy{PreJoinNone, PreJoinMapping, PreJoinInput} {
 		db := sqldb.New()
-		db.Profile = sqldb.NewProfile()
 		tr := NewTranslator(db, "m")
 		tr.PreJoin = strat
 		sm, err := tr.StoreModel(m)
@@ -300,7 +298,6 @@ func TestPreJoinReducesJoinSteps(t *testing.T) {
 	in := randTensor([]int{3, 8, 8}, 61)
 	countSteps := func(strat PreJoinStrategy, label string) int {
 		db := sqldb.New()
-		db.Profile = sqldb.NewProfile()
 		tr := NewTranslator(db, "m")
 		tr.PreJoin = strat
 		sm, err := tr.StoreModel(m)
@@ -331,7 +328,6 @@ func TestStorageBytesGrowsWithDepth(t *testing.T) {
 	var prev int64
 	for _, depth := range []int{5, 10, 15} {
 		db := sqldb.New()
-		db.Profile = sqldb.NewProfile()
 		tr := NewTranslator(db, "m")
 		m, err := modelrepo.NewResNet(depth, modelrepo.TaskDefectDetection, 16, 1)
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 // A model is compiled to relational tables once and then inferred as SQL.
 func ExampleTranslator_Infer() {
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 
 	model := nn.NewModel("demo", []int{1, 4, 4}, []string{"no", "yes"})
 	model.Add(
@@ -45,7 +44,6 @@ func ExampleTranslator_Infer() {
 // A whole batch runs through one SQL statement per neural operator.
 func ExampleTranslator_InferBatch() {
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	model := nn.NewModel("demo", []int{1, 4, 4}, []string{"a", "b"})
 	model.Add(
 		nn.NewConv2D("c1", 1, 2, 3, 1, 0, 9),

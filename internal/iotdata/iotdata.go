@@ -89,7 +89,6 @@ func KeyframeTensor(b []byte) (*tensor.Tensor, error) {
 // Generate builds and populates the five tables.
 func Generate(cfg Config) (*Dataset, error) {
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	ds := &Dataset{DB: db, Config: cfg}
 	rng := newRand(cfg.Seed)
 	sizes := cfg.Sizes()

@@ -174,7 +174,7 @@ func (s *Span) StartChild(name string) *Span {
 
 // StartChildAt opens a child span with a caller-supplied start time. Hot
 // paths that already read the clock for accounting (the executor's
-// per-operator profile) pass that stamp through instead of paying a
+// per-operator busy time) pass that stamp through instead of paying a
 // second read per span.
 func (s *Span) StartChildAt(name string, start time.Time) *Span {
 	if s == nil {

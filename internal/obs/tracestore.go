@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -84,13 +86,15 @@ func (c TraceStoreConfig) sampleEvery() int {
 
 // SpanRow is one flattened, immutable span of a retained trace. SpanID is
 // assigned depth-first at retention time (the root is 1); ParentID is 0
-// for the root.
+// for the root. Self is the part of Dur no child covers: the time the
+// span spent in its own work.
 type SpanRow struct {
 	SpanID   int
 	ParentID int
 	Name     string
 	Start    time.Time
 	Dur      time.Duration
+	Self     time.Duration
 	Attrs    string
 }
 
@@ -310,32 +314,72 @@ func sampledByHash(id string, every int) bool {
 // flattenSpans freezes a finished span tree into SpanRows, depth-first,
 // assigning span IDs as it goes and truncating at maxSpans. Returns the
 // rows and the true total span count.
+//
+// A span still open here was abandoned on an error return; it is ended at
+// its parent's end, so no row outlives its parent. A row's Self is its
+// duration minus the union of its children's intervals clipped to it:
+// morsel-worker children overlap, so subtracting their plain sum could
+// take away more time than the span has.
 func flattenSpans(root *Span, maxSpans int) ([]SpanRow, int) {
 	var rows []SpanRow
 	total := 0
 	next := 1
-	var walk func(s *Span, parent int)
-	walk = func(s *Span, parent int) {
+	var walk func(s *Span, parent int, end time.Time)
+	walk = func(s *Span, parent int, end time.Time) {
 		total++
+		children := s.Children()
 		var id int
 		if len(rows) < maxSpans {
 			id = next
 			next++
+			dur := end.Sub(s.Start)
 			rows = append(rows, SpanRow{
 				SpanID:   id,
 				ParentID: parent,
 				Name:     s.Name,
 				Start:    s.Start,
-				Dur:      s.Duration(),
+				Dur:      dur,
+				Self:     dur - covered(children, s.Start, end),
 				Attrs:    renderAttrs(s.Attrs()),
 			})
 		}
-		for _, c := range s.Children() {
-			walk(c, id)
+		for _, c := range children {
+			walk(c, id, c.endOr(end))
 		}
 	}
-	walk(root, 0)
+	walk(root, 0, root.endOr(time.Now()))
 	return rows, total
+}
+
+// endOr is the span's end when it finished, parentEnd otherwise.
+func (s *Span) endOr(parentEnd time.Time) time.Time {
+	if s.ended {
+		return s.End
+	}
+	return parentEnd
+}
+
+// covered is the length of the union of the spans' intervals clipped to
+// [lo, hi]; a span still open ends at hi.
+func covered(spans []*Span, lo, hi time.Time) time.Duration {
+	spans = slices.Clone(spans)
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	var d time.Duration
+	reach := lo // end of the union so far
+	for _, c := range spans {
+		from, to := c.Start, c.endOr(hi)
+		if from.Before(reach) {
+			from = reach
+		}
+		if to.After(hi) {
+			to = hi
+		}
+		if to.After(from) {
+			d += to.Sub(from)
+			reach = to
+		}
+	}
+	return d
 }
 
 // renderAttrs renders span annotations as "k=v" pairs, space-joined.

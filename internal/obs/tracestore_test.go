@@ -201,6 +201,32 @@ func TestSpanFlatteningAndTruncation(t *testing.T) {
 	if st.Spans[2].Name != "b" || st.Spans[2].ParentID != 2 {
 		t.Fatalf("grandchild row = %+v", st.Spans[2])
 	}
+
+	// Self time at explicit times: children [1,6] and [4,9] under [0,10]
+	// overlap, so they cover [1,9] and the root keeps 2. The grandchild
+	// opened at 8 was never finished: it ends at its parent's end, 9.
+	t0 := time.Unix(0, 0)
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	root := NewTraceStore(TraceStoreConfig{}).StartTraceAt(context.Background(), "root", at(0)).Root()
+	root.StartChildAt("first", at(1)).FinishAt(at(6))
+	second := root.StartChildAt("second", at(4))
+	second.StartChildAt("open", at(8))
+	second.FinishAt(at(9))
+	root.FinishAt(at(10))
+	rows, _ := flattenSpans(root, 10)
+	want := []struct {
+		name      string
+		dur, self int
+	}{{"root", 10, 2}, {"first", 5, 5}, {"second", 5, 4}, {"open", 1, 1}}
+	if len(rows) != len(want) {
+		t.Fatalf("flattened %d rows, want %d: %+v", len(rows), len(want), rows)
+	}
+	for i, w := range want {
+		r := rows[i]
+		if r.Name != w.name || r.Dur != time.Duration(w.dur)*time.Millisecond || r.Self != time.Duration(w.self)*time.Millisecond {
+			t.Fatalf("row %d = %s dur %v self %v, want %s dur %dms self %dms", i, r.Name, r.Dur, r.Self, w.name, w.dur, w.self)
+		}
+	}
 }
 
 func TestStoredTraceChromeExport(t *testing.T) {

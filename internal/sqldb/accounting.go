@@ -4,9 +4,9 @@ package sqldb
 //
 // When DB.History is armed, every statement executed through a public
 // entry point runs with a queryAcct attached to its context. The executor
-// feeds it from the same instrumentation points that already feed the
-// session profile — ec.profAdd at every operator accounting site, notePar
-// at every morsel fan-out — so the accounting's always-on cost is a nil
+// feeds it from the instrumentation points that also stamp the operator
+// spans — ec.profAdd at every operator accounting site, notePar at every
+// morsel fan-out — so the accounting's always-on cost is a nil
 // check plus a handful of atomic adds per operator, not per row. At
 // statement end the accumulated numbers become one obs.QueryRecord in the
 // history ring (and, over the slow threshold, one structured slow-log
@@ -57,25 +57,27 @@ func acctFrom(ctx context.Context) *queryAcct {
 	return a
 }
 
-// profAdd is the executor's operator accounting point: it feeds the
-// session profile exactly like Profile.add always has, and additionally
-// charges the statement's accounting when one is attached. Scan-shaped
-// operators also advance the rows-scanned tally.
+// profAdd is the executor's operator accounting point: it charges the
+// operator's time to the statement's accounting when one is attached.
 //
 // It takes the operator's start time (not a duration) and performs the end
 // read itself, leaving that reading in ec.stamp — the traced executor path
 // closes operator spans from the stamp instead of reading the clock again
 // (see execPlan). All accounting sites run on the statement's own goroutine
 // after any morsel fan-in, so the plain stamp field needs no locking.
-func (ec *execCtx) profAdd(op string, rows int, start time.Time) {
+func (ec *execCtx) profAdd(start time.Time) {
 	end := time.Now()
 	ec.stamp = end
-	ec.prof.add(op, rows, end.Sub(start))
 	if a := ec.acct; a != nil {
 		a.busyNanos.Add(end.Sub(start).Nanoseconds())
-		if op == OpScan {
-			a.rowsScanned.Add(int64(rows))
-		}
+	}
+}
+
+// profScan is profAdd for a scan, which also tallies the rows it read.
+func (ec *execCtx) profScan(rows int, start time.Time) {
+	ec.profAdd(start)
+	if a := ec.acct; a != nil {
+		a.rowsScanned.Add(int64(rows))
 	}
 }
 

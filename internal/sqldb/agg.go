@@ -404,7 +404,7 @@ func (db *DB) execAggInput(a *LAgg, ec *execCtx) (*aggInput, error) {
 			return 0, err
 		}
 		in.m, in.n = m, m.n
-		ec.profAdd(OpJoin, in.n, start)
+		ec.profAdd(start)
 		return in.n, nil
 	})
 	if err != nil {
@@ -1042,7 +1042,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		out.Cols = append(out.Cols, col)
 		out.Schema = append(out.Schema, OutCol{Name: name, Type: col.Type})
 	}
-	ec.profAdd(OpGroupBy, n, start)
+	ec.profAdd(start)
 	return out, nil
 }
 

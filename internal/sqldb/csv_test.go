@@ -15,7 +15,6 @@ func TestCSVExportImportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2 := New()
-	db2.Profile = NewProfile()
 	mustExec(t, db2, `CREATE TABLE emp (id Int64, name String, dept String, salary Float64, active Bool)`)
 	n, err := db2.ImportCSV("emp", &buf)
 	if err != nil {
@@ -33,7 +32,6 @@ func TestCSVExportImportRoundTrip(t *testing.T) {
 
 func TestCSVImportNulls(t *testing.T) {
 	db := New()
-	db.Profile = NewProfile()
 	mustExec(t, db, `CREATE TABLE t (a Int64, b String)`)
 	n, err := db.ImportCSV("t", strings.NewReader("a,b\n1,x\n,y\n3,\n"))
 	if err != nil {
@@ -71,7 +69,6 @@ func TestCSVImportErrors(t *testing.T) {
 
 func TestCSVBoolParsing(t *testing.T) {
 	db := New()
-	db.Profile = NewProfile()
 	mustExec(t, db, `CREATE TABLE t (f Bool)`)
 	n, err := db.ImportCSV("t", strings.NewReader("f\ntrue\n0\nYES\nf\n"))
 	if err != nil {

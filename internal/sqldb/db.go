@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/faults"
@@ -19,10 +18,6 @@ type DB struct {
 	tables map[string]*Table
 	views  map[string]*View
 	udfs   map[string]*ScalarUDF
-
-	// Profile, when non-nil, accumulates operator statistics across every
-	// statement executed on this DB (Fig. 10 uses this).
-	Profile *Profile
 
 	// Parallelism caps the morsel-driven executor's per-operator worker
 	// count: 0 means the process default (runtime.NumCPU(), adjustable via
@@ -387,12 +382,29 @@ func (db *DB) runCreateTable(ctx context.Context, st *CreateTableStmt, hints *Qu
 	if err != nil {
 		return err
 	}
-	start := time.Now()
+	sp := writeSpan(ctx, "Insert ", t.Name)
 	if err := t.AppendColumns(res.Cols); err != nil {
 		return err
 	}
-	db.Profile.add(OpInsert, res.NumRows(), time.Since(start))
+	endWrite(sp, res.NumRows())
 	return nil
+}
+
+// writeSpan opens the span that times a DML statement's write into table,
+// labelled "<verb><table>" through the scan-label cache; nil when the
+// statement is not traced.
+func writeSpan(ctx context.Context, verb, table string) *obs.Span {
+	parent := obs.SpanFromContext(ctx)
+	if parent == nil {
+		return nil
+	}
+	return parent.StartChild(scanLabel(verb, table))
+}
+
+// endWrite closes a writeSpan with the number of rows written.
+func endWrite(sp *obs.Span, rows int) {
+	sp.SetAttr("rows", rows)
+	sp.Finish()
 }
 
 func (db *DB) runCreateView(st *CreateViewStmt) error {
@@ -430,13 +442,13 @@ func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints, 
 			mapping = append(mapping, idx)
 		}
 	}
-	start := time.Now()
 	cols := make([]*Column, len(t.Schema))
 	if st.Query != nil {
 		res, err := run(ctx, st.Query, hints)
 		if err != nil {
 			return err
 		}
+		sp := writeSpan(ctx, "Insert ", t.Name)
 		n := res.NumRows()
 		if n > 0 && len(res.Cols) != len(mapping) {
 			return fmt.Errorf("sqldb: INSERT into %s expects %d values, got %d", st.Table, len(mapping), len(res.Cols))
@@ -452,11 +464,12 @@ func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints, 
 		if err := t.AppendColumns(cols); err != nil {
 			return err
 		}
-		db.Profile.add(OpInsert, n, time.Since(start))
+		endWrite(sp, n)
 		return nil
 	}
 	// VALUES rows are staged column-wise in the table's types, then
 	// appended in one call: the statement inserts all of its rows or none.
+	sp := writeSpan(ctx, "Insert ", t.Name)
 	for i, c := range t.Schema {
 		cols[i] = NewColumn(c.Type)
 	}
@@ -489,7 +502,7 @@ func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints, 
 	if err := t.AppendColumns(cols); err != nil {
 		return err
 	}
-	db.Profile.add(OpInsert, len(st.Values), time.Since(start))
+	endWrite(sp, len(st.Values))
 	return nil
 }
 
@@ -535,7 +548,7 @@ func (db *DB) runUpdate(ctx context.Context, st *UpdateStmt, hints *QueryHints) 
 		}
 		setters = append(setters, setter{col: idx, x: x})
 	}
-	start := time.Now()
+	sp := writeSpan(ctx, "Update ", t.Name)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// WHERE selects the rows; every SET expression is then evaluated over
@@ -569,7 +582,7 @@ func (db *DB) runUpdate(ctx context.Context, st *UpdateStmt, hints *QueryHints) 
 		}
 	}
 	t.invalidateDerivedLocked()
-	db.Profile.add(OpUpdate, s.len(), time.Since(start))
+	endWrite(sp, s.len())
 	return nil
 }
 
@@ -622,10 +635,10 @@ func (db *DB) runDelete(ctx context.Context, st *DeleteStmt, hints *QueryHints) 
 		return fmt.Errorf("sqldb: no table named %q", st.Table)
 	}
 	if st.Where == nil {
-		start := time.Now()
+		sp := writeSpan(ctx, "Delete ", t.Name)
 		n := t.NumRows()
 		t.Truncate()
-		db.Profile.add(OpDelete, n, time.Since(start))
+		endWrite(sp, n)
 		return nil
 	}
 	schema := make([]OutCol, len(t.Schema))
@@ -642,7 +655,7 @@ func (db *DB) runDelete(ctx context.Context, st *DeleteStmt, hints *QueryHints) 
 	}
 	// Find and remove under one write lock: a writer slipping in between
 	// would shift the row indices found.
-	start := time.Now()
+	sp := writeSpan(ctx, "Delete ", t.Name)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	view := &Result{Schema: schema, Cols: t.Cols}
@@ -651,6 +664,6 @@ func (db *DB) runDelete(ctx context.Context, st *DeleteStmt, hints *QueryHints) 
 		return err
 	}
 	t.deleteRowsLocked(dead)
-	db.Profile.add(OpDelete, len(dead), time.Since(start))
+	endWrite(sp, len(dead))
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 func randDB(t *testing.T, seed uint8, rows int) *DB {
 	t.Helper()
 	db := New()
-	db.Profile = NewProfile()
 	mustExec(t, db, `CREATE TABLE r (k Int64, g Int64, v Float64, s String)`)
 	tbl := db.GetTable("r")
 	state := uint64(seed)*2654435761 + 1

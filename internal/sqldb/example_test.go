@@ -10,7 +10,6 @@ import (
 // The engine executes standard SQL against in-memory columnar tables.
 func Example() {
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	_, err := db.Exec(`
 		CREATE TABLE sensor (device Int64, temp Float64);
 		INSERT INTO sensor VALUES (1, 21.5), (1, 22.5), (2, 30.0);
@@ -33,7 +32,6 @@ func Example() {
 // Scalar UDFs extend the engine — the paper's nUDF mechanism.
 func ExampleDB_RegisterUDF() {
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	if _, err := db.Exec(`CREATE TABLE t (x Int64); INSERT INTO t VALUES (1), (2), (3)`); err != nil {
 		panic(err)
 	}
@@ -56,7 +54,6 @@ func ExampleDB_RegisterUDF() {
 // EXPLAIN returns the optimized plan as rows.
 func ExampleDB_Exec_explain() {
 	db := sqldb.New()
-	db.Profile = sqldb.NewProfile()
 	if _, err := db.Exec(`CREATE TABLE t (x Int64)`); err != nil {
 		panic(err)
 	}

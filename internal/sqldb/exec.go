@@ -4,131 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-)
-
-// Profile accumulates per-operator execution statistics for one query (or a
-// whole session when shared across queries). Fig. 10 of the paper is
-// produced from these counters.
-type Profile struct {
-	mu       sync.Mutex
-	Ops      map[string]*OpStats
-	UDFCalls map[string]int
-}
-
-// OpStats is the time and row count attributed to one operator kind.
-type OpStats struct {
-	Calls int
-	Rows  int
-	Nanos int64
-}
-
-// NewProfile allocates an empty profile.
-func NewProfile() *Profile {
-	return &Profile{Ops: map[string]*OpStats{}, UDFCalls: map[string]int{}}
-}
-
-func (p *Profile) add(op string, rows int, d time.Duration) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.Ops[op]
-	if s == nil {
-		s = &OpStats{}
-		p.Ops[op] = s
-	}
-	s.Calls++
-	s.Rows += rows
-	s.Nanos += d.Nanoseconds()
-}
-
-// Merge folds another profile into p.
-func (p *Profile) Merge(o *Profile) {
-	if p == nil || o == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for k, v := range o.Ops {
-		s := p.Ops[k]
-		if s == nil {
-			s = &OpStats{}
-			p.Ops[k] = s
-		}
-		s.Calls += v.Calls
-		s.Rows += v.Rows
-		s.Nanos += v.Nanos
-	}
-	for k, v := range o.UDFCalls {
-		p.UDFCalls[k] += v
-	}
-}
-
-// Reset clears all accumulated operator statistics and UDF call counts, so
-// a long-lived session profile can be zeroed between queries.
-func (p *Profile) Reset() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.Ops = map[string]*OpStats{}
-	p.UDFCalls = map[string]int{}
-}
-
-// String renders the profile sorted by time descending.
-func (p *Profile) String() string {
-	type row struct {
-		op string
-		s  *OpStats
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rows := make([]row, 0, len(p.Ops))
-	for k, v := range p.Ops {
-		rows = append(rows, row{k, v})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].s.Nanos > rows[j].s.Nanos })
-	var sb strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-12s calls=%-6d rows=%-10d time=%s\n",
-			r.op, r.s.Calls, r.s.Rows, time.Duration(r.s.Nanos))
-	}
-	return sb.String()
-}
-
-// noteUDF records n UDF invocations.
-func (p *Profile) noteUDF(name string, n int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.UDFCalls[name] += n
-	p.mu.Unlock()
-}
-
-// Operator names used in profiles.
-const (
-	OpScan     = "Scan"
-	OpFilter   = "Filter"
-	OpJoin     = "Join"
-	OpGroupBy  = "GroupBy"
-	OpProject  = "Project"
-	OpSort     = "Sort"
-	OpDistinct = "Distinct"
-	OpLimit    = "Limit"
-	OpInsert   = "Insert"
-	OpUpdate   = "Update"
-	OpDelete   = "Delete"
 )
 
 // NodeStats is the per-plan-node actual-execution record EXPLAIN ANALYZE
@@ -162,7 +42,7 @@ func (ns *NodeStats) ParSkew() float64 {
 }
 
 // execCtx threads the per-query execution context through the plan tree:
-// the session profile, the per-node stats collector (non-nil only under
+// the per-node stats collector (non-nil only under
 // EXPLAIN ANALYZE), the parent trace span (non-nil only when the statement
 // runs inside a trace), the query's parallelism degree, and the plan node
 // being executed (set only while collecting per-node stats, so parallel
@@ -176,7 +56,6 @@ func (ns *NodeStats) ParSkew() float64 {
 // budget is armed, and faults is nil outside chaos tests. The budget's
 // fields are only touched on the statement's own goroutine.
 type execCtx struct {
-	prof  *Profile
 	nodes map[Plan]*NodeStats
 	span  *obs.Span
 	par   int
@@ -383,7 +262,7 @@ func (db *DB) execScan(s *LScan, ec *execCtx) (*Result, error) {
 	// in-place UPDATEs still require external coordination).
 	res := &Result{Schema: s.schema, Cols: t.SnapshotCols()}
 	res.rows = res.NumRows()
-	ec.profAdd(OpScan, res.rows, start)
+	ec.profScan(res.rows, start)
 	if len(s.Filters) > 0 {
 		return db.execFilter(res, s.Filters, ec, s.used)
 	}
@@ -462,7 +341,7 @@ func (db *DB) execFilter(in *Result, conds []Expr, ec *execCtx, used []bool) (*R
 		}
 		out = gatherRows(in, keep, used)
 	}
-	ec.profAdd(OpFilter, n, start)
+	ec.profAdd(start)
 	return out, nil
 }
 
@@ -546,7 +425,7 @@ func (db *DB) execProject(p *LProject, ec *execCtx) (*Result, error) {
 		out.Cols = append(out.Cols, col)
 		out.Schema[pi].Type = col.Type
 	}
-	ec.profAdd(OpProject, n, start)
+	ec.profAdd(start)
 	return out, nil
 }
 
@@ -595,7 +474,7 @@ func (db *DB) execDistinct(in *Result, ec *execCtx) (*Result, error) {
 		}
 	}
 	out := gatherRows(in, keep, nil)
-	ec.profAdd(OpDistinct, n, start)
+	ec.profAdd(start)
 	return out, nil
 }
 
@@ -651,7 +530,7 @@ func (db *DB) execSort(in *Result, keys []OrderItem, ec *execCtx) (*Result, erro
 		return nil, sortErr
 	}
 	out := gatherRows(in, idx, nil)
-	ec.profAdd(OpSort, n, start)
+	ec.profAdd(start)
 	return out, nil
 }
 
@@ -675,6 +554,6 @@ func (db *DB) execLimit(in *Result, limit, offset int, ec *execCtx) (*Result, er
 		idx = append(idx, i)
 	}
 	out := gatherRows(in, idx, nil)
-	ec.profAdd(OpLimit, n, start)
+	ec.profAdd(start)
 	return out, nil
 }

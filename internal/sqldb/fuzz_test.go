@@ -86,7 +86,6 @@ func FuzzExec(f *testing.F) {
 	f.Add("SELECT e.id, d.name FROM emp e, dept d WHERE e.dept = d.name UNION ALL SELECT 1, 'z'")
 	f.Fuzz(func(t *testing.T, sql string) {
 		db := New()
-		db.Profile = NewProfile()
 		for _, s := range []string{
 			`CREATE TABLE emp (id Int64, name String, dept String, salary Float64)`,
 			`INSERT INTO emp VALUES (1, 'a', 'x', 10.0), (2, 'b', 'y', 20.0), (3, 'c', 'x', NULL)`,
@@ -151,7 +150,6 @@ func FuzzFilterMatchesProjection(f *testing.F) {
 		}
 		pe := sel.Items[0].Expr.String()
 		db := New()
-		db.Profile = NewProfile()
 		for _, s := range []string{
 			`CREATE TABLE t (i Int64, x Float64, s String, active Bool)`,
 			`INSERT INTO t VALUES (1, 1.0, 'a', TRUE), (2, 2.5, 'b', FALSE), (NULL, NULL, NULL, NULL),

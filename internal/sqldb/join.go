@@ -148,7 +148,7 @@ func (db *DB) execJoin(j *LJoin, ec *execCtx) (*Result, error) {
 		}
 	}
 	if len(lCols)+len(rCols) == 0 {
-		ec.profAdd(OpJoin, m.n, start)
+		ec.profAdd(start)
 		return out, nil // no column read: the pair count is the output
 	}
 	deg := ec.parDegreeFor(m.n)
@@ -174,7 +174,7 @@ func (db *DB) execJoin(j *LJoin, ec *execCtx) (*Result, error) {
 		return nil, err
 	}
 	db.notePar(ec, stats)
-	ec.profAdd(OpJoin, m.n, start)
+	ec.profAdd(start)
 	return out, nil
 }
 

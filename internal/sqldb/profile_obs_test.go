@@ -6,75 +6,11 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// TestProfileConcurrentAddMerge hammers add/noteUDF/Merge/String from many
-// goroutines; run with -race to verify the locking discipline.
-func TestProfileConcurrentAddMerge(t *testing.T) {
-	p := NewProfile()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o := NewProfile()
-			for i := 0; i < 200; i++ {
-				p.add(OpScan, 1, time.Microsecond)
-				p.noteUDF("nudf_detect", 1)
-				o.add(OpJoin, 2, time.Microsecond)
-				if i%50 == 0 {
-					p.Merge(o)
-					_ = p.String()
-				}
-			}
-			p.Merge(o)
-		}()
-	}
-	wg.Wait()
-	if got := p.Ops[OpScan].Calls; got != 8*200 {
-		t.Fatalf("scan calls = %d, want %d", got, 8*200)
-	}
-	if got := p.UDFCalls["nudf_detect"]; got != 8*200 {
-		t.Fatalf("udf calls = %d, want %d", got, 8*200)
-	}
-}
-
-// TestProfileReset verifies a session profile can be zeroed between
-// queries without replacing the *Profile pointer other code holds.
-func TestProfileReset(t *testing.T) {
-	db := New()
-	db.Profile = NewProfile()
-	if _, err := db.Exec("CREATE TABLE t (x Int64)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec("INSERT INTO t VALUES (1),(2),(3)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec("SELECT * FROM t"); err != nil {
-		t.Fatal(err)
-	}
-	if len(db.Profile.Ops) == 0 {
-		t.Fatal("profile recorded nothing")
-	}
-	db.Profile.Reset()
-	if len(db.Profile.Ops) != 0 || len(db.Profile.UDFCalls) != 0 {
-		t.Fatalf("reset left state behind: %+v", db.Profile.Ops)
-	}
-	// The same pointer keeps accumulating after a reset.
-	if _, err := db.Exec("SELECT * FROM t WHERE x > 1"); err != nil {
-		t.Fatal(err)
-	}
-	if db.Profile.Ops[OpScan] == nil {
-		t.Fatal("profile dead after reset")
-	}
-	var nilProf *Profile
-	nilProf.Reset() // must not panic
-}
 
 // keepAllTraces arms a store that retains every statement's trace.
 func keepAllTraces(db *DB) {
@@ -155,6 +91,29 @@ func TestQueryOperatorSpans(t *testing.T) {
 	// Row counts ride along as span attributes.
 	if !strings.Contains(join.Attrs, "rows=") {
 		t.Fatalf("join span missing rows attribute: %q", join.Attrs)
+	}
+	// DML writes get a span of their own: "Insert <table>" for a CTAS,
+	// "Update <table>" for an UPDATE, each with the rows it wrote.
+	for _, c := range []struct{ sql, span, rows string }{
+		{"CREATE TABLE c AS SELECT id, v FROM a WHERE v > 2", "Insert c", "rows=2"},
+		{"UPDATE a SET v = v + 1 WHERE id < 3", "Update a", "rows=2"},
+	} {
+		if _, err := db.Exec(c.sql); err != nil {
+			t.Fatal(err)
+		}
+		st := lastTrace(t, db)
+		var found bool
+		for _, r := range childRows(st, 1) {
+			if r.Name == c.span {
+				found = true
+				if r.Attrs != c.rows {
+					t.Fatalf("%s: span %q has attrs %q, want %s", c.sql, r.Name, r.Attrs, c.rows)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("%s: no %q span under the statement: %+v", c.sql, c.span, st.Spans)
+		}
 	}
 	// Disarming the store restores the silent fast path.
 	db.Traces = nil

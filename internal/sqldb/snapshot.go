@@ -303,7 +303,6 @@ func LoadFile(path string) (*DB, error) {
 	}
 	defer f.Close()
 	db := New()
-	db.Profile = NewProfile()
 	if err := db.Restore(f); err != nil {
 		return nil, err
 	}

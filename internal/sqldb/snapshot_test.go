@@ -25,7 +25,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2 := New()
-	db2.Profile = NewProfile()
 	if err := db2.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}

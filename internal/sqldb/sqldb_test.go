@@ -24,7 +24,6 @@ func mustExec(t *testing.T, db *DB, sql string) *Result {
 func newTestDB(t *testing.T) *DB {
 	t.Helper()
 	db := New()
-	db.Profile = NewProfile()
 	mustExec(t, db, `CREATE TABLE emp (id Int64, name String, dept String, salary Float64, active Bool)`)
 	mustExec(t, db, `INSERT INTO emp VALUES
 		(1, 'alice', 'eng', 100.0, TRUE),
@@ -236,7 +235,6 @@ func TestScalarSubquery(t *testing.T) {
 func TestBatchNormStyleQuery(t *testing.T) {
 	// The paper's Q4 shape: (Value - AVG(...)) / (stddevSamp(...) + eps).
 	db := New()
-	db.Profile = NewProfile()
 	mustExec(t, db, `CREATE TABLE fm (MatrixID Int64, OrderID Int64, Value Float64)`)
 	mustExec(t, db, `INSERT INTO fm VALUES (1, 1, 1.0), (1, 2, 2.0), (1, 3, 3.0), (1, 4, 4.0)`)
 	mustExec(t, db, `CREATE TEMP TABLE fm_bn AS
@@ -288,7 +286,6 @@ func TestCreateViewParenSelect(t *testing.T) {
 func TestUpdateReLUStyle(t *testing.T) {
 	// The paper's ReLU: UPDATE cb_output SET Value = 0 WHERE Value < 0.
 	db := New()
-	db.Profile = NewProfile()
 	mustExec(t, db, `CREATE TABLE cb_output (MatrixID Int64, Value Float64)`)
 	mustExec(t, db, `INSERT INTO cb_output VALUES (1, -3.5), (2, 2.0), (3, -0.1), (4, 0.0)`)
 	mustExec(t, db, `UPDATE cb_output SET Value = 0 WHERE Value < 0`)
@@ -362,7 +359,6 @@ func TestInBetweenCase(t *testing.T) {
 func TestStringDateComparison(t *testing.T) {
 	// Dates as ISO strings compare correctly, as the paper's queries assume.
 	db := New()
-	db.Profile = NewProfile()
 	mustExec(t, db, `CREATE TABLE ev (d String)`)
 	mustExec(t, db, `INSERT INTO ev VALUES ('2021-01-05'), ('2021-01-20'), ('2021-02-01')`)
 	res := mustExec(t, db, `SELECT count(*) c FROM ev WHERE d > '2021-01-01' AND d < '2021-01-31'`)
@@ -382,6 +378,7 @@ func TestBuiltinScalars(t *testing.T) {
 
 func TestUDFRegistrationAndCall(t *testing.T) {
 	db := newTestDB(t)
+	db.History = obs.NewQueryHistory(16)
 	db.RegisterUDF(&ScalarUDF{
 		Name:  "doubler",
 		Arity: 1,
@@ -395,8 +392,8 @@ func TestUDFRegistrationAndCall(t *testing.T) {
 	if res.Cols[0].Get(0).F != 160 {
 		t.Fatalf("udf = %v", res.Cols[0].Get(0))
 	}
-	if db.Profile.UDFCalls["doubler"] != 1 {
-		t.Fatalf("udf call count = %d", db.Profile.UDFCalls["doubler"])
+	if got := lastUDFCalls(db); got != 1 {
+		t.Fatalf("udf call count = %d", got)
 	}
 }
 
@@ -427,8 +424,8 @@ func TestUDFInPredicate(t *testing.T) {
 
 // TestUDFConditionalPositionsCallOnlyReachingRows: a UDF under an OR or
 // AND operand or in a CASE branch runs only on the rows whose evaluation
-// reaches it, and each such call is counted once, in the session profile
-// and in the statement's query record.
+// reaches it, and each such call is counted once in the statement's query
+// record.
 func TestUDFConditionalPositionsCallOnlyReachingRows(t *testing.T) {
 	db := newTestDB(t)
 	db.History = obs.NewQueryHistory(16)
@@ -452,17 +449,12 @@ func TestUDFConditionalPositionsCallOnlyReachingRows(t *testing.T) {
 	}
 	for _, c := range cases {
 		seen = nil
-		db.Profile.Reset()
 		mustExec(t, db, c.sql)
 		sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
 		if fmt.Sprint(seen) != fmt.Sprint(c.want) {
 			t.Errorf("%s: probe called on ids %v, want %v", c.sql, seen, c.want)
 		}
-		if got := db.Profile.UDFCalls["probe"]; got != len(c.want) {
-			t.Errorf("%s: %d calls counted, want %d", c.sql, got, len(c.want))
-		}
-		recs := db.History.Snapshot()
-		if got := recs[len(recs)-1].UDFCalls; got != int64(len(c.want)) {
+		if got := lastUDFCalls(db); got != int64(len(c.want)) {
 			t.Errorf("%s: query record counts %d calls, want %d", c.sql, got, len(c.want))
 		}
 	}
@@ -474,7 +466,7 @@ func TestUDFConditionalPositionsCallOnlyReachingRows(t *testing.T) {
 // rows that reach it.
 func TestUDFCallsBatchedPerChunk(t *testing.T) {
 	db := New()
-	db.Profile = NewProfile()
+	db.History = obs.NewQueryHistory(16)
 	mustExec(t, db, `CREATE TABLE t (x Int64, y Int64)`)
 	var vals []string
 	for i := 0; i < 1000; i++ {
@@ -505,7 +497,6 @@ func TestUDFCallsBatchedPerChunk(t *testing.T) {
 	}
 	for _, c := range cases {
 		batches = nil
-		db.Profile.Reset()
 		mustExec(t, db, c.sql)
 		want := (c.rows + udfBatchRows - 1) / udfBatchRows
 		total := 0
@@ -518,10 +509,16 @@ func TestUDFCallsBatchedPerChunk(t *testing.T) {
 		if total != c.rows || len(batches) != want {
 			t.Errorf("%s: %d calls in %d batches, want %d in %d", c.sql, total, len(batches), c.rows, want)
 		}
-		if got := db.Profile.UDFCalls["probe"]; got != c.rows {
+		if got := lastUDFCalls(db); got != int64(c.rows) {
 			t.Errorf("%s: %d calls counted, want %d", c.sql, got, c.rows)
 		}
 	}
+}
+
+// lastUDFCalls is the UDF call count of the last statement db recorded.
+func lastUDFCalls(db *DB) int64 {
+	recs := db.History.Snapshot()
+	return recs[len(recs)-1].UDFCalls
 }
 
 func TestExpensiveUDFOrderedLast(t *testing.T) {
@@ -618,11 +615,22 @@ func TestJoinOrderHint(t *testing.T) {
 	}
 }
 
+// TestProfileCollectsOperators: the per-operator profile is a GROUP BY
+// over the self time of the retained spans.
 func TestProfileCollectsOperators(t *testing.T) {
 	db := newTestDB(t)
+	keepAllTraces(db)
+	db.EnableSysCatalog()
 	mustExec(t, db, `SELECT dept, count(*) FROM emp WHERE salary > 0 GROUP BY dept`)
-	if db.Profile.Ops[OpScan] == nil || db.Profile.Ops[OpGroupBy] == nil || db.Profile.Ops[OpFilter] == nil {
-		t.Fatalf("profile missing operators: %v", db.Profile.String())
+	res := mustExec(t, db, `SELECT name, sum(self_ms) AS self_ms FROM sys.spans GROUP BY name`)
+	got := map[string]bool{}
+	for i := 0; i < res.NumRows(); i++ {
+		got[res.Cols[0].Get(i).S] = true
+	}
+	for _, op := range []string{"Scan emp", "Aggregate"} {
+		if !got[op] {
+			t.Fatalf("span profile missing %s: %v", op, got)
+		}
 	}
 }
 
@@ -703,7 +711,6 @@ func TestAmbiguousColumnError(t *testing.T) {
 
 func TestMultiStatementExec(t *testing.T) {
 	db := New()
-	db.Profile = NewProfile()
 	res := mustExec(t, db, `
 		CREATE TABLE t (x Int64);
 		INSERT INTO t VALUES (1), (2), (3);
@@ -716,7 +723,6 @@ func TestMultiStatementExec(t *testing.T) {
 
 func TestBlobStorage(t *testing.T) {
 	db := New()
-	db.Profile = NewProfile()
 	tbl, err := db.CreateTable("media", Schema{{Name: "id", Type: TInt}, {Name: "frame", Type: TBlob}})
 	if err != nil {
 		t.Fatal(err)

@@ -125,7 +125,7 @@ func (db *DB) execSysScan(s *LSysScan, ec *execCtx) (*Result, error) {
 		return nil, fmt.Errorf("sqldb: scanning %s: %w", s.SysTable.Name, err)
 	}
 	res.Schema = s.schema
-	ec.profAdd(OpScan, res.NumRows(), start)
+	ec.profScan(res.NumRows(), start)
 	return res, nil
 }
 

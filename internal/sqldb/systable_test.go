@@ -130,7 +130,6 @@ func TestSysQueriesCacheDisabledState(t *testing.T) {
 
 func TestSysQueriesResourceAccounting(t *testing.T) {
 	db := New()
-	db.Profile = NewProfile()
 	db.Parallelism = 4
 	db.Metrics = obs.NewRegistry()
 	db.History = obs.NewQueryHistory(16)

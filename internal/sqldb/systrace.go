@@ -13,7 +13,11 @@ package sqldb
 //	WHERE t.wall_ms > 100 ORDER BY s.span_id
 //
 // trace_id joins against sys.queries / sys.slow_queries, linking a
-// history record to its full span tree.
+// history record to its full span tree. Per-operator cost is a GROUP BY
+// over span self time:
+//
+//	SELECT name, count(*) AS calls, sum(self_ms) AS self_ms
+//	FROM sys.spans GROUP BY name ORDER BY self_ms DESC
 
 import "time"
 
@@ -53,11 +57,11 @@ func sysSpansTable() *SysTable {
 		{Name: "trace_id", Type: TString}, {Name: "span_id", Type: TInt},
 		{Name: "parent_id", Type: TInt}, {Name: "name", Type: TString},
 		{Name: "start", Type: TString}, {Name: "dur_ms", Type: TFloat},
-		{Name: "attrs", Type: TString},
+		{Name: "self_ms", Type: TFloat}, {Name: "attrs", Type: TString},
 	}
 	return &SysTable{
 		Name:        "sys.spans",
-		Description: "every span of every retained trace, depth-first (span_id 1 is the root, parent_id 0 means none)",
+		Description: "every span of every retained trace, depth-first (span_id 1 is the root, parent_id 0 means none; self_ms is dur_ms less the time its children cover)",
 		Schema:      schema,
 		Scan: func(db *DB) (*Result, error) {
 			res, cols := sysResult(schema)
@@ -66,7 +70,7 @@ func sysSpansTable() *SysTable {
 					err := sysRow(cols,
 						Str(st.ID), Int(int64(sp.SpanID)), Int(int64(sp.ParentID)),
 						Str(sp.Name), Str(sp.Start.Format(time.RFC3339Nano)),
-						Float(float64(sp.Dur)/1e6), Str(sp.Attrs))
+						Float(float64(sp.Dur)/1e6), Float(float64(sp.Self)/1e6), Str(sp.Attrs))
 					if err != nil {
 						return nil, err
 					}

@@ -66,6 +66,26 @@ ORDER BY s.span_id`)
 			t.Fatalf("span %q missing; got %v", want, names)
 		}
 	}
+
+	// Self time partitions each trace: no span's is negative, and with no
+	// overlapping siblings a trace's self times add up to its root's
+	// duration.
+	self := mustExecSQL(t, db, `SELECT s.trace_id, sum(s.self_ms) AS total, min(s.self_ms) AS least, max(r.dur_ms) AS root
+FROM sys.spans s, sys.spans r
+WHERE s.trace_id = r.trace_id AND r.parent_id = 0
+GROUP BY s.trace_id`)
+	if self.NumRows() < 3 {
+		t.Fatalf("%d traces with self time, want >= 3", self.NumRows())
+	}
+	for i := 0; i < self.NumRows(); i++ {
+		id, total, least, root := self.Cols[0].Get(i).S, self.Cols[1].Get(i).F, self.Cols[2].Get(i).F, self.Cols[3].Get(i).F
+		if least < 0 {
+			t.Fatalf("trace %s: a span has self_ms %v", id, least)
+		}
+		if d := total - root; d > 1e-6 || d < -1e-6 {
+			t.Fatalf("trace %s: self_ms sums to %v, root dur_ms is %v", id, total, root)
+		}
+	}
 }
 
 func TestTraceIDJoinsQueriesToSpans(t *testing.T) {

@@ -103,7 +103,6 @@ func TestThreeValuedLogicTruthTable(t *testing.T) {
 func runTruthCase(t *testing.T, c truthCase) {
 	fresh := func() *DB {
 		db := New()
-		db.Profile = NewProfile()
 		mustExec(t, db, `CREATE TABLE tv (id Int64, p Bool, q Bool, x Int64, y Int64, s String, m Int64,
 			vb Bool, vi Int64, vf Float64, vs String, hit Bool)`)
 		mustExec(t, db, truthRows)
@@ -248,7 +247,6 @@ func truthLess(a, b Datum) bool {
 // and sorts above every number — in a filter, a join and ORDER BY alike.
 func TestOneComparisonSemantics(t *testing.T) {
 	db := New()
-	db.Profile = NewProfile()
 	mustExec(t, db, `CREATE TABLE b (active Bool)`)
 	mustExec(t, db, `INSERT INTO b VALUES (TRUE), (FALSE)`)
 	mustExec(t, db, `CREATE TABLE n (id Int64, x Float64)`)
@@ -289,7 +287,6 @@ func TestOneComparisonSemantics(t *testing.T) {
 // the row as it was before the statement, so SET a = b, b = a swaps.
 func TestUpdateSetsReadPreUpdateRow(t *testing.T) {
 	db := New()
-	db.Profile = NewProfile()
 	mustExec(t, db, `CREATE TABLE u (id Int64, a Int64, b Int64)`)
 	mustExec(t, db, `INSERT INTO u VALUES (1, 1, 2), (2, 3, 4), (3, 5, 6)`)
 	want := [][2]int64{{1, 2}, {3, 4}, {5, 6}}

@@ -628,7 +628,7 @@ func (c *vecCompiler) call(t *FuncCall) (kernel, error) {
 	}
 	c.byMorsel = true
 	if udf != nil {
-		return &udfNode{db: c.db, ctx: c.ctx, acct: c.acct, name: name, fn: udf.Fn, args: args}, nil
+		return &udfNode{ctx: c.ctx, acct: c.acct, name: name, fn: udf.Fn, args: args}, nil
 	}
 	fn, ok := builtinScalars[name]
 	if !ok {
@@ -674,9 +674,8 @@ func (k *builtinNode) eval(in *Result, s sel) (vec, error) {
 
 // udfNode calls a registered UDF on the selected rows, one Fn call per
 // batch of at most udfBatchRows, and counts each batch's calls in the
-// session profile and the statement's accounting.
+// statement's accounting.
 type udfNode struct {
-	db   *DB
 	ctx  context.Context
 	acct *queryAcct
 	name string
@@ -701,7 +700,6 @@ func (k *udfNode) eval(in *Result, s sel) (vec, error) {
 			}
 			calls[i] = call
 		}
-		k.db.Profile.noteUDF(k.name, hi-lo)
 		if k.acct != nil {
 			k.acct.udfCalls.Add(int64(hi - lo))
 		}

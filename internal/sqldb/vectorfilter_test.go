@@ -73,7 +73,6 @@ func TestVectorFilterCombinesWithUDF(t *testing.T) {
 // a hand-computed count.
 func TestVectorFloatFilterProperty(t *testing.T) {
 	db := New()
-	db.Profile = NewProfile()
 	mustExec(t, db, `CREATE TABLE v (x Float64)`)
 	vals := []float64{-3, -1.5, 0, 0.25, 1, 2.5, 2.5, 9}
 	for _, v := range vals {

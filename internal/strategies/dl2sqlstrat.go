@@ -101,7 +101,7 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	if s.Optimized && h != nil && h.DelayUDFs != nil && *h.DelayUDFs {
 		cands, relDur, err = prunedCandidates(ctx, env, q, h)
 	} else {
-		cands, relDur, err = videoSideCandidates(ctx, env, q, db.Profile)
+		cands, relDur, err = videoSideCandidates(ctx, env, q)
 	}
 	candSpan.SetAttr("candidates", len(cands))
 	candSpan.Finish()

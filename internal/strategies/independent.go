@@ -42,7 +42,7 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 
 	// Phase 1 (relational): extract candidates with the database.
 	candSpan := root.StartChild("relational:candidates")
-	cands, relDur, err := videoSideCandidates(ctx, env, q, db.Profile)
+	cands, relDur, err := videoSideCandidates(ctx, env, q)
 	candSpan.SetAttr("candidates", len(cands))
 	candSpan.Finish()
 	if err != nil {

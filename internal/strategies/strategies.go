@@ -495,7 +495,7 @@ type candidate struct {
 // videoSideCandidates extracts the video rows selected by the query's
 // single-relation predicates on the keyframe relation (the set a strategy
 // without cross-table pruning must infer).
-func videoSideCandidates(ctx context.Context, env *Context, q *colquery.Query, prof *sqldb.Profile) ([]candidate, time.Duration, error) {
+func videoSideCandidates(ctx context.Context, env *Context, q *colquery.Query) ([]candidate, time.Duration, error) {
 	alias := keyframeAlias(q)
 	conds := videoConds(q, alias)
 	where := ""

@@ -11,6 +11,7 @@ import (
 	"repro/internal/hwprofile"
 	"repro/internal/iotdata"
 	"repro/internal/modelrepo"
+	"repro/internal/obs"
 	"repro/internal/sqldb"
 )
 
@@ -220,12 +221,13 @@ func TestDBUDFBlackBoxCallsEveryWindowRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := ctx.Dataset.DB
-	db.Profile = sqldb.NewProfile()
+	db.History = obs.NewQueryHistory(16)
 	s := &DBUDF{}
 	if _, _, err := s.Execute(context.Background(), ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	calls := db.Profile.UDFCalls["nudf_detect"]
+	recs := db.History.Snapshot()
+	calls := int(recs[len(recs)-1].UDFCalls)
 	// The black-box UDF is evaluated per date-window video row: its call
 	// count must not shrink with the fabric-side selectivity.
 	res, err := db.Query(`SELECT count(*) c FROM video V WHERE V.date > '2021-01-01' AND V.date < '2021-01-31'`)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/colquery"
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -103,6 +104,45 @@ func TestStrategyTraces(t *testing.T) {
 		if _, ok := snap.Histograms["strategy."+s.Name()+".total_s"]; !ok {
 			t.Fatalf("%s: total_s histogram missing", s.Name())
 		}
+	}
+}
+
+// TestFallbackSpansEndWithinParents runs DB-UDF into the udf.decode fault
+// and its DL2SQL fallback into the dl2sql.translate fault. Both leave their
+// loading span open on the error return; in the retained trace no span may
+// end after its parent.
+func TestFallbackSpansEndWithinParents(t *testing.T) {
+	ctx := tracedContext(t)
+	ctx.Faults = faults.New(1,
+		faults.Rule{Point: faults.PointUDFDecode},
+		faults.Rule{Point: faults.PointDL2SQLTranslate})
+	if _, _, err := ExecuteWithFallback(context.Background(), ctx, &DBUDF{}, fallbackQuery(t)); err == nil {
+		t.Fatal("both rungs faulted, yet the ladder answered")
+	}
+	snap := ctx.Traces.Snapshot()
+	if len(snap) != 1 {
+		t.Fatalf("retained %d traces, want the failed run's", len(snap))
+	}
+	rows := snap[0].Spans
+	byID := map[int]obs.SpanRow{}
+	for _, r := range rows {
+		byID[r.SpanID] = r
+	}
+	var opened int
+	for _, r := range rows {
+		if strings.HasPrefix(r.Name, "loading:") {
+			opened++
+		}
+		p, ok := byID[r.ParentID]
+		if !ok {
+			continue
+		}
+		if end, pend := r.Start.Add(r.Dur), p.Start.Add(p.Dur); end.After(pend) {
+			t.Errorf("span %q ends %v after its parent %q", r.Name, end.Sub(pend), p.Name)
+		}
+	}
+	if opened != 2 {
+		t.Fatalf("%d loading spans, want DB-UDF's and DL2SQL's: %+v", opened, rows)
 	}
 }
 

@@ -160,7 +160,6 @@ func resultBits(res *sqldb.Result) uint64 {
 
 // udfAccounting is what one DB-UDF execution reports about its calls.
 type udfAccounting struct {
-	profileCalls  int    // Profile.UDFCalls, summed over the bound nUDFs
 	queriesCalls  int64  // sys.queries.udf_calls of the statement
 	forwardPasses int    // the DLCallOverhead(calls) term, in calls
 	result        uint64 // resultBits of the answer
@@ -182,15 +181,14 @@ func TestDBUDFCallAccountingPinned(t *testing.T) {
 	// Recorded with row-at-a-time nUDF calls; the same at both degrees.
 	// sys.queries counts every call, an aggregate argument's (Type 2) too.
 	want := map[colquery.QueryType]udfAccounting{
-		colquery.Type1: {profileCalls: 1379, queriesCalls: 1379, forwardPasses: 1379, result: 0x4dfa4cffd1f7979f},
-		colquery.Type2: {profileCalls: 4200, queriesCalls: 4200, forwardPasses: 4200, result: 0x4a966ebb3513a2a2},
-		colquery.Type3: {profileCalls: 4200, queriesCalls: 4200, forwardPasses: 4200, result: 0xb804c896d238603d},
-		colquery.Type4: {profileCalls: 4200, queriesCalls: 4200, forwardPasses: 4200, result: 0x337a1f5eba60992d},
+		colquery.Type1: {queriesCalls: 1379, forwardPasses: 1379, result: 0x4dfa4cffd1f7979f},
+		colquery.Type2: {queriesCalls: 4200, forwardPasses: 4200, result: 0x4a966ebb3513a2a2},
+		colquery.Type3: {queriesCalls: 4200, forwardPasses: 4200, result: 0xb804c896d238603d},
+		colquery.Type4: {queriesCalls: 4200, forwardPasses: 4200, result: 0x337a1f5eba60992d},
 	}
 	for _, par := range []int{1, 4} {
 		db.Parallelism = par
 		for typ := colquery.Type1; typ <= colquery.Type4; typ++ {
-			db.Profile = sqldb.NewProfile()
 			res, bd, err := (&DBUDF{}).Execute(context.Background(), env, windowQuery(t, typ))
 			if err != nil {
 				t.Fatalf("%v at Parallelism %d: %v", typ, par, err)
@@ -200,9 +198,6 @@ func TestDBUDFCallAccountingPinned(t *testing.T) {
 				queriesCalls:  recs[len(recs)-1].UDFCalls,
 				forwardPasses: int(bd.Inference / perCall),
 				result:        resultBits(res),
-			}
-			for _, n := range db.Profile.UDFCalls {
-				got.profileCalls += n
 			}
 			if got != want[typ] {
 				t.Errorf("%v at Parallelism %d: got %+v, want %+v", typ, par, got, want[typ])
@@ -240,6 +235,7 @@ func TestDBUDFBucketsNonNegativeParallel(t *testing.T) {
 func TestDBUDFMemoizesDuplicatesWithinBatch(t *testing.T) {
 	env := testContext(t)
 	db := env.Dataset.DB
+	db.History = obs.NewQueryHistory(16)
 	if _, err := db.Exec(`INSERT INTO video SELECT * FROM video`); err != nil {
 		t.Fatal(err)
 	}
@@ -247,22 +243,22 @@ func TestDBUDFMemoizesDuplicatesWithinBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() (string, int, int64) {
-		db.Profile = sqldb.NewProfile()
+	run := func() (string, int64, int64) {
 		acct := &stratAcct{}
 		res, _, err := (&DBUDF{}).Execute(withStratAcct(context.Background(), acct), env, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resultKey(res), db.Profile.UDFCalls["nudf_detect"], acct.inferCalls.Load()
+		recs := db.History.Snapshot()
+		return resultKey(res), recs[len(recs)-1].UDFCalls, acct.inferCalls.Load()
 	}
 	want, calls, passes := run()
-	if calls == 0 || passes != int64(calls) {
+	if calls == 0 || passes != calls {
 		t.Fatalf("uncached: %d calls, %d forward passes", calls, passes)
 	}
 	env.EnableInferCache(4096)
 	got, calls, passes := run()
-	if got != want || passes != int64(calls/2) {
+	if got != want || passes != calls/2 {
 		t.Fatalf("cached: %d calls, %d forward passes (want %d); same answer: %v", calls, passes, calls/2, got == want)
 	}
 }
