@@ -291,7 +291,7 @@ func BenchmarkGateSchedulerSpeedup(b *testing.B) {
 	pick := func(w int) []byte { return blobs[xorshift(&states[w])%pool] }
 	reset := func() {
 		for w := range states {
-			states[w] = uint64(w*2654435761 + 1)
+			states[w] = uint64(w)*2654435761 + 1
 		}
 	}
 	direct := func() float64 {
@@ -388,6 +388,7 @@ func BenchmarkGateAccountingOverhead(b *testing.B) {
 		}
 		pct := 100 * (alternate(401, timed(false), timed(true)).ratio() - 1)
 		b.ReportMetric(pct, fmt.Sprintf("type%d_overhead_%%", ty))
+		b.Logf("Type %d accounting overhead %+.2f%%", ty, pct) // every type, also when the gate fails
 		if pct > 2 {
 			over = append(over, fmt.Sprintf("Type %d %+.2f%%", ty, pct))
 		}

@@ -169,8 +169,9 @@ func sameShapes(ins []*tensor.Tensor) bool {
 // kernel gathers the pixel's im2col patch row as (column, value) pairs in
 // ascending column order — Im2Col's order: channel, then ky, then kx —
 // with padding as bounds checks, and computes every output channel as the
-// dot product of its weight row with those pairs, four channels per pass
-// over the pairs, writing acc + bias straight into the output.
+// dot product of its weight row with those pairs, sixteen channels per
+// pass over the pairs (dotBlock, over the layer's transposed weight
+// panel), writing acc + bias straight into the output.
 //
 // Exactness: each output element gets MatMul's products, accumulated in
 // ascending column order from +0, so it equals the explicit Pad2D → Im2Col
@@ -194,7 +195,7 @@ func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	for s := range outs {
 		outs[s] = tensor.FromSlice(buf[s*size:(s+1)*size], c.OutC, oh, ow)
 	}
-	skipZeros := c.weightsFinite()
+	c.prepare()
 	rows := len(ins) * ohw
 	degree := 1
 	if rows*c.OutC*kk >= tensor.ParFlopThreshold {
@@ -209,10 +210,11 @@ func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	cols, vals := pb.cols, pb.vals
 	par.Run(degree, rows, max(1, tensor.ParFlopThreshold/(c.OutC*kk+1)), func(wk, lo, hi int) {
 		pc, pv := cols[wk*stride:wk*stride+kk], vals[wk*stride:wk*stride+kk]
+		var acc [blockLanes]float64
 		for r := lo; r < hi; r++ {
 			s, pix := r/ohw, r%ohw
-			nz := c.gatherPatch(pc, pv, ins[s].Data(), h, w, pix/ow, pix%ow, skipZeros)
-			c.dotChannels(buf[s*size:(s+1)*size], pix, ohw, pc[:nz], pv[:nz])
+			nz := c.gatherPatch(pc, pv, ins[s].Data(), h, w, pix/ow, pix%ow, c.finite)
+			c.dotChannels(&acc, buf[s*size:(s+1)*size], pix, ohw, pc[:nz], pv[:nz])
 		}
 	})
 	return outs, nil
@@ -284,43 +286,18 @@ func (c *Conv2D) gatherPatch(cols []int32, vals, src []float64, h, w, oy, ox int
 
 // dotChannels writes, for every output channel ch, the dot product of its
 // weight row with the patch pairs, plus its bias, to out[ch·ohw + pix]:
-// four channels share each pass over the pairs, and each channel's terms
-// accumulate in pair order.
-func (c *Conv2D) dotChannels(out []float64, pix, ohw int, cols []int32, vals []float64) {
-	wd := c.Weight.Data()
-	kk := c.Weight.Dim(1)
-	vals = vals[:len(cols)]
-	ch := 0
-	for ; ch+4 <= c.OutC; ch += 4 {
-		w0, w1 := wd[ch*kk:(ch+1)*kk], wd[(ch+1)*kk:(ch+2)*kk]
-		w2, w3 := wd[(ch+2)*kk:(ch+3)*kk], wd[(ch+3)*kk:(ch+4)*kk]
-		var a0, a1, a2, a3 float64
-		for p, col := range cols {
-			x := vals[p]
-			a0 += w0[col] * x
-			a1 += w1[col] * x
-			a2 += w2[col] * x
-			a3 += w3[col] * x
+// one dotBlock call per block of 16 channels of the panel, each channel's
+// terms accumulated in pair order, then the bias added to each of the
+// block's real channels.
+func (c *Conv2D) dotChannels(acc *[blockLanes]float64, out []float64, pix, ohw int, cols []int32, vals []float64) {
+	for b := 0; b < c.OutC; b += blockLanes {
+		dotBlock(acc, c.panel[b:], c.ldp, cols, vals)
+		for i, a := range acc[:min(blockLanes, c.OutC-b)] {
+			if c.Bias != nil {
+				a += c.Bias[b+i]
+			}
+			out[(b+i)*ohw+pix] = a
 		}
-		if c.Bias != nil {
-			b := c.Bias[ch : ch+4]
-			a0, a1, a2, a3 = a0+b[0], a1+b[1], a2+b[2], a3+b[3]
-		}
-		out[ch*ohw+pix] = a0
-		out[(ch+1)*ohw+pix] = a1
-		out[(ch+2)*ohw+pix] = a2
-		out[(ch+3)*ohw+pix] = a3
-	}
-	for ; ch < c.OutC; ch++ {
-		wr := wd[ch*kk : (ch+1)*kk]
-		var a float64
-		for p, col := range cols {
-			a += wr[col] * vals[p]
-		}
-		if c.Bias != nil {
-			a += c.Bias[ch]
-		}
-		out[ch*ohw+pix] = a
 	}
 }
 

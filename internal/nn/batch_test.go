@@ -126,8 +126,9 @@ func TestForwardBatchMixedShapes(t *testing.T) {
 // sweep covers kernel sizes, strides, paddings and odd and even sides on
 // dense inputs; the second covers the inputs the kernel skips work on
 // (ReLU'd normals, an all-zero channel plane, -0 entries) over channel
-// counts that are and are not multiples of four, batches of 1, 3 and 16,
-// serial and parallel.
+// counts below, at and past one 16-channel block, spanning several blocks
+// and ending in a partial one, batches of 1, 3 and 16, serial and
+// parallel.
 func TestConvLoweringBitIdentical(t *testing.T) {
 	for _, k := range []int{1, 3, 5} {
 		for _, stride := range []int{1, 2} {
@@ -148,7 +149,7 @@ func TestConvLoweringBitIdentical(t *testing.T) {
 	}
 	defer par.SetDefaultDegree(par.DefaultDegree())
 	for _, inC := range []int{1, 3, 16} {
-		for _, outC := range []int{1, 5, 7, 16} {
+		for _, outC := range []int{1, 5, 7, 16, 17, 33, 64} {
 			conv := NewConv2D("c", inC, outC, 3, 1+outC%2, 1, int64(inC*100+outC))
 			if outC == 7 {
 				conv.Bias = nil // an all-zero patch must then give +0

@@ -13,7 +13,8 @@ import (
 // [outC][inC][k][k]; inference takes the dot product of each output
 // channel's flattened weight row with each output pixel's im2col patch row
 // (ForwardBatch). Weights must not change after the first forward pass,
-// which caches whether they are all finite.
+// which caches whether they are all finite and the transposed weight
+// panel the kernel reads.
 type Conv2D struct {
 	LayerName string
 	InC, OutC int
@@ -23,8 +24,10 @@ type Conv2D struct {
 	Weight    *tensor.Tensor // shape [OutC, InC*K*K]
 	Bias      []float64      // len OutC, may be nil
 
-	finiteOnce sync.Once
-	finite     bool
+	prepOnce sync.Once
+	finite   bool      // every weight is finite
+	panel    []float64 // Weight transposed to [InC·K²][ldp], zero-padded
+	ldp      int       // OutC rounded up to a multiple of blockLanes
 }
 
 // NewConv2D builds a convolution with deterministically initialized weights.
@@ -73,20 +76,30 @@ func (c *Conv2D) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return outs[0], nil
 }
 
-// weightsFinite reports whether every weight is finite, the condition under
-// which ForwardBatch may skip zero inputs. Models are shared read-only, so
-// it is computed once per layer.
-func (c *Conv2D) weightsFinite() bool {
-	c.finiteOnce.Do(func() {
+// prepare caches what ForwardBatch reads besides Weight and Bias: whether
+// every weight is finite, the condition under which it may skip zero
+// inputs, and the weight panel, Weight transposed so that one patch
+// column's weights for 16 consecutive output channels are adjacent, with
+// the lanes past OutC zero. Models are shared read-only, so both are
+// computed once per layer.
+func (c *Conv2D) prepare() {
+	c.prepOnce.Do(func() {
+		wd, kk := c.Weight.Data(), c.Weight.Dim(1)
 		c.finite = true
-		for _, v := range c.Weight.Data() {
+		for _, v := range wd {
 			if math.IsInf(v, 0) || math.IsNaN(v) {
 				c.finite = false
 				break
 			}
 		}
+		c.ldp = (c.OutC + blockLanes - 1) / blockLanes * blockLanes
+		c.panel = make([]float64, kk*c.ldp)
+		for ch := 0; ch < c.OutC; ch++ {
+			for col, v := range wd[ch*kk : (ch+1)*kk] {
+				c.panel[col*c.ldp+ch] = v
+			}
+		}
 	})
-	return c.finite
 }
 
 func (c *Conv2D) ParamCount() int64 {

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -243,7 +244,7 @@ func (pl *planner) plan(st *SelectStmt) (Plan, error) {
 	if st.Limit >= 0 || st.Offset > 0 {
 		n := st.Limit
 		if n < 0 {
-			n = 1<<62 - 1
+			n = math.MaxInt >> 1 // no limit, with room for an offset
 		}
 		plan = &LLimit{Child: plan, N: n, Offset: st.Offset}
 	}

@@ -70,14 +70,14 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	for _, name := range q.UDFNames {
 		b := env.Bindings[name]
 		if b == nil {
-			return nil, bd, fmt.Errorf("strategies: no model bound for %s", name)
+			return nil, bd, failSpans(fmt.Errorf("strategies: no model bound for %s", name), loadSpan)
 		}
 		if err := env.Faults.Hit(ctx, faults.PointDL2SQLTranslate); err != nil {
-			return nil, bd, fmt.Errorf("strategies: storing model for %s: %w", name, err)
+			return nil, bd, failSpans(fmt.Errorf("strategies: storing model for %s: %w", name, err), loadSpan)
 		}
 		sm, err := env.storedModel(b)
 		if err != nil {
-			return nil, bd, fmt.Errorf("strategies: storing model for %s: %w", name, err)
+			return nil, bd, failSpans(fmt.Errorf("strategies: storing model for %s: %w", name, err), loadSpan)
 		}
 		tr := dl2sql.NewTranslator(db, sm.Prefix)
 		tr.PreJoin = s.PreJoin
@@ -104,10 +104,10 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 		cands, relDur, err = videoSideCandidates(ctx, env, q)
 	}
 	candSpan.SetAttr("candidates", len(cands))
-	candSpan.Finish()
 	if err != nil {
-		return nil, bd, err
+		return nil, bd, failSpans(err, candSpan)
 	}
+	candSpan.Finish()
 	bd.Relational += relDur.Seconds()
 
 	// SQL inference per model over sample groups: every candidate in one
@@ -135,7 +135,7 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 			for i, c := range group {
 				in, err := iotdata.KeyframeTensor(c.blob)
 				if err != nil {
-					return nil, bd, fmt.Errorf("strategies: keyframe %d: %w", c.videoID, err)
+					return nil, bd, failSpans(fmt.Errorf("strategies: keyframe %d: %w", c.videoID, err), modelSpan, infSpan)
 				}
 				ins[i] = in
 			}
@@ -152,7 +152,7 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 			}
 			wall := time.Since(wallStart).Seconds()
 			if err != nil {
-				return nil, bd, fmt.Errorf("strategies: SQL inference for %s: %w", name, err)
+				return nil, bd, failSpans(fmt.Errorf("strategies: SQL inference for %s: %w", name, err), modelSpan, infSpan)
 			}
 			sqlSecs := tr.StepTotal().Seconds()
 			// The SQL pipeline is the inference; encoding the input into
@@ -173,13 +173,13 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	finStart := time.Now()
 	predTable, err := buildPredictionsTable(env, q, preds, "dl2sql")
 	if err != nil {
-		return nil, bd, err
+		return nil, bd, failSpans(err, mergeSpan)
 	}
 	defer db.DropTable(predTable)
 	final := rewriteWithPredictions(q, predTable)
 	res, err := db.ExecStmtContext(ctx, final, h)
 	if err != nil {
-		return nil, bd, fmt.Errorf("strategies: DL2SQL final query: %w", err)
+		return nil, bd, failSpans(fmt.Errorf("strategies: DL2SQL final query: %w", err), mergeSpan)
 	}
 	bd.Relational += time.Since(finStart).Seconds()
 	mergeSpan.SetAttr("rows", res.NumRows())

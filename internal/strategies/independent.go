@@ -44,10 +44,10 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 	candSpan := root.StartChild("relational:candidates")
 	cands, relDur, err := videoSideCandidates(ctx, env, q)
 	candSpan.SetAttr("candidates", len(cands))
-	candSpan.Finish()
 	if err != nil {
-		return nil, bd, err
+		return nil, bd, failSpans(err, candSpan)
 	}
+	candSpan.Finish()
 	bd.Relational += relDur.Seconds()
 
 	// Phase 2 (cross-system): ship candidates to the serving component once
@@ -104,10 +104,10 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 			results, stats, err = env.serveWithRetry(ctx, b.artifactHash, b.Artifact, serve, serveSpan)
 			wall = time.Since(start).Seconds()
 		}
-		serveSpan.Finish()
 		if err != nil {
-			return nil, bd, fmt.Errorf("strategies: serving %s: %w", name, err)
+			return nil, bd, failSpans(fmt.Errorf("strategies: serving %s: %w", name, err), serveSpan)
 		}
+		serveSpan.Finish()
 		// The serving pathway pays per-call framework dispatch overhead and
 		// the heavier DL-framework model deserialization (see hwprofile).
 		// Everything that is not a forward pass is cross-system overhead,
@@ -138,13 +138,13 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 	finStart := time.Now()
 	predTable, err := buildPredictionsTable(env, q, preds, "pt")
 	if err != nil {
-		return nil, bd, err
+		return nil, bd, failSpans(err, mergeSpan)
 	}
 	defer db.DropTable(predTable)
 	final := rewriteWithPredictions(q, predTable)
 	res, err := db.ExecStmtContext(ctx, final, nil)
 	if err != nil {
-		return nil, bd, fmt.Errorf("strategies: DB-PyTorch final query: %w", err)
+		return nil, bd, failSpans(fmt.Errorf("strategies: DB-PyTorch final query: %w", err), mergeSpan)
 	}
 	bd.Relational += time.Since(finStart).Seconds()
 	mergeSpan.SetAttr("rows", res.NumRows())

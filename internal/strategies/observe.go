@@ -150,3 +150,16 @@ func (env *Context) AttachObservability(db *sqldb.DB) {
 		return []sqldb.CacheStat{{Name: "inference", Stats: env.InferCache.Stats()}}
 	})
 }
+
+// failSpans ends a phase on an error return: it tags spans[0], the
+// innermost open span, with err's class (attribute err, as a trace's root
+// carries it), finishes every span innermost first so that none ends after
+// its parent, and returns err. Finish is idempotent, so a span already
+// closed keeps its end.
+func failSpans(err error, spans ...*obs.Span) error {
+	spans[0].SetAttr("err", qerr.Class(err))
+	for _, sp := range spans {
+		sp.Finish()
+	}
+	return err
+}

@@ -108,9 +108,9 @@ func TestStrategyTraces(t *testing.T) {
 }
 
 // TestFallbackSpansEndWithinParents runs DB-UDF into the udf.decode fault
-// and its DL2SQL fallback into the dl2sql.translate fault. Both leave their
-// loading span open on the error return; in the retained trace no span may
-// end after its parent.
+// and its DL2SQL fallback into the dl2sql.translate fault. In the retained
+// trace no span may end after its parent, and both faulted loading spans
+// must be finished on the error return and carry its class.
 func TestFallbackSpansEndWithinParents(t *testing.T) {
 	ctx := tracedContext(t)
 	ctx.Faults = faults.New(1,
@@ -132,6 +132,9 @@ func TestFallbackSpansEndWithinParents(t *testing.T) {
 	for _, r := range rows {
 		if strings.HasPrefix(r.Name, "loading:") {
 			opened++
+			if want := "err=serving_unavailable"; !strings.Contains(r.Attrs, want) {
+				t.Errorf("faulted span %q has attributes %q, want %s", r.Name, r.Attrs, want)
+			}
 		}
 		p, ok := byID[r.ParentID]
 		if !ok {

@@ -212,14 +212,14 @@ func (s *DBUDF) Execute(ctx context.Context, env *Context, q *colquery.Query) (*
 	for _, name := range q.UDFNames {
 		b := env.Bindings[name]
 		if b == nil {
-			return nil, bd, fmt.Errorf("strategies: no model bound for %s", name)
+			return nil, bd, failSpans(fmt.Errorf("strategies: no model bound for %s", name), loadSpan)
 		}
 		if err := env.Faults.Hit(ctx, faults.PointUDFDecode); err != nil {
-			return nil, bd, fmt.Errorf("strategies: loading UDF %s: %w", name, err)
+			return nil, bd, failSpans(fmt.Errorf("strategies: loading UDF %s: %w", name, err), loadSpan)
 		}
 		m, secs, err := env.loadModel(b.artifactHash, b.Artifact)
 		if err != nil {
-			return nil, bd, fmt.Errorf("strategies: loading UDF %s: %w", name, err)
+			return nil, bd, failSpans(fmt.Errorf("strategies: loading UDF %s: %w", name, err), loadSpan)
 		}
 		run.models[name] = m
 		modelBytes += int64(len(b.Artifact))
@@ -233,10 +233,10 @@ func (s *DBUDF) Execute(ctx context.Context, env *Context, q *colquery.Query) (*
 	res, err := env.Dataset.DB.ExecContext(context.WithValue(ctx, udfRunKey{}, run), q.SQL)
 	wall := time.Since(wallStart).Seconds()
 	run.querySpan.SetAttr("udf_calls", run.calls)
-	run.querySpan.Finish()
 	if err != nil {
-		return nil, bd, fmt.Errorf("strategies: DB-UDF execution: %w", err)
+		return nil, bd, failSpans(fmt.Errorf("strategies: DB-UDF execution: %w", err), run.querySpan)
 	}
+	run.querySpan.Finish()
 
 	// Per-call device transfers: a UDF is a per-row call, so on GPU each
 	// call ships one keyframe and pays the launch overhead — the paper's
