@@ -1,8 +1,8 @@
 // Cost model: Section IV-A in action. For a stack of convolutions the
 // example prints the customized cost model's per-layer cardinalities and
 // costs (Eqs. 3–8), the default DBMS estimate for the same pipeline, the
-// measured actual SQL execution time, and the normalization ratio r that
-// converts cost units to seconds.
+// measured actual SQL execution time, and the normalization ratios (one per
+// scanned row, one per join pair) that convert row operations to seconds.
 //
 //	go run ./examples/cost_model
 package main
@@ -53,7 +53,7 @@ func main() {
 
 	// Normalize to seconds and compare against the real SQL execution.
 	db := sqldb.New()
-	r, err := costmodel.NormalizationRatio(db)
+	u, err := costmodel.Calibrate(db)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,9 +72,9 @@ func main() {
 	}
 	actual := time.Since(start).Seconds()
 
-	fmt.Printf("\nnormalization ratio r = %.3e s/row\n", r)
-	fmt.Printf("customized estimate: %.4fs\n", costmodel.ToSeconds(custom.Total, r))
-	fmt.Printf("default estimate:    %.4fs\n", costmodel.ToSeconds(def.Total, r))
+	fmt.Printf("\nnormalization ratios: %.3e s per scanned row, %.3e s per join pair\n", u.Scan, u.Pair)
+	fmt.Printf("customized estimate: %.4fs\n", custom.Seconds(u))
+	fmt.Printf("default estimate:    %.4fs\n", def.Seconds(u))
 	fmt.Printf("actual SQL time:     %.4fs\n", actual)
 	fmt.Println("\nthe customized model tracks the actual within a small factor;")
 	fmt.Println("the default estimate compounds its error across layers (Fig. 12).")

@@ -136,7 +136,7 @@ func table6Claims(t *Table) (linear, steep, overtakes bool) {
 // are normalized to seconds with the measured ratio r.
 func (s *Suite) Fig12CostModel() (*Table, error) {
 	db := sqldb.New()
-	r, err := costmodel.NormalizationRatio(db)
+	u, err := costmodel.Calibrate(db)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func (s *Suite) Fig12CostModel() (*Table, error) {
 		Title:   "Cost Model Estimations vs. Actual (normalized seconds, log-scale in the paper)",
 		Columns: []string{"Sweep", "Value", "Default(s)", "Customized(s)", "Actual(s)"},
 		Notes: []string{
-			fmt.Sprintf("normalization ratio r = %.3e s/row", r),
+			fmt.Sprintf("normalization ratios: %.3e s per scanned row, %.3e s per join pair", u.Scan, u.Pair),
 			"shape check: customized tracks actual within ~an order of magnitude; default overshoots by many orders",
 		},
 	}
@@ -180,7 +180,7 @@ func (s *Suite) Fig12CostModel() (*Table, error) {
 			return 0, 0, 0, err
 		}
 		actual = time.Since(start).Seconds()
-		return costmodel.ToSeconds(dc.Total, r), costmodel.ToSeconds(mc.Total, r), actual, nil
+		return dc.Seconds(u), mc.Seconds(u), actual, nil
 	}
 	for _, k := range []int{3, 5, 7, 9} {
 		def, custom, actual, err := measure(16, k)
@@ -204,7 +204,7 @@ func (s *Suite) Fig12CostModel() (*Table, error) {
 // pooling, and FC.
 func (s *Suite) Fig13PerOp() (*Table, error) {
 	db := sqldb.New()
-	r, err := costmodel.NormalizationRatio(db)
+	u, err := costmodel.Calibrate(db)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +256,7 @@ func (s *Suite) Fig13PerOp() (*Table, error) {
 			continue
 		}
 		seenLabel[stepLabel] = true
-		t.AddRow(lc.Name, fe(costmodel.ToSeconds(lc.Cost, r)), fe(actualByLabel[stepLabel]))
+		t.AddRow(lc.Name, fe(lc.Seconds(u)), fe(actualByLabel[stepLabel]))
 	}
 	return t, nil
 }

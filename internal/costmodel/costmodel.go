@@ -9,10 +9,15 @@
 // model, lacking statistics on intermediate tables, falls back to a fixed
 // equi-join selectivity — the estimate the paper observes being
 // "exaggerated exponentially after several iterations".
+//
+// Both models convert to seconds the same way (Section V-C's normalisation,
+// split by operator kind): scanned rows and join pairs each at a unit time
+// that Calibrate measures on the database running the SQL.
 package costmodel
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/nn"
@@ -79,6 +84,12 @@ func (d ConvDims) FlatOut() float64 {
 // probe the kernel table once per produced value).
 func (d ConvDims) JoinCost() float64 { return d.TIn() + d.TOut()*d.KIn() }
 
+// JoinPairs is the join's output cardinality under Eq. (4)'s exact
+// selectivity: |FeatureMap|·|Kernel|·S_J = T_in·(k_in·N_out)/k_in =
+// T_in·N_out, the pairs the hash join emits and SUM folds. Eq. (6)'s probe
+// term T_out·k_in counts k² times as many.
+func (d ConvDims) JoinPairs() float64 { return d.TIn() * float64(d.NOut) }
+
 // TotalCost is Eq. (7): C_out = C_join + T_out (the mapping pass is an
 // output-table scan; the mapping table itself stays L2-resident).
 func (d ConvDims) TotalCost() float64 { return d.JoinCost() + d.TOut() }
@@ -94,18 +105,42 @@ func (d ConvDims) NextTIn(k, stride, pad int) float64 {
 	return next.TIn()
 }
 
-// LayerCost is the customized estimate for one layer.
+// LayerCost is the customized estimate for one layer. Cost is Eq. (7)'s
+// abstract units, which the hint rules rank by; Scan and Pairs count the
+// row operations the SQL executes, which Seconds prices.
 type LayerCost struct {
-	Name string
-	Kind string
-	Cost float64 // abstract cost units (row operations)
-	TOut float64 // estimated output cardinality
+	Name  string
+	Kind  string
+	Cost  float64 // abstract cost units (row operations)
+	Scan  float64 // rows scanned or written
+	Pairs float64 // join pairs
+	TOut  float64 // estimated output cardinality
 }
+
+// Seconds converts the layer's estimate to seconds at the ratios u.
+func (lc LayerCost) Seconds(u Ratios) float64 { return u.Seconds(lc.Scan, lc.Pairs) }
 
 // ModelCost aggregates the per-layer estimates over a model.
 type ModelCost struct {
 	PerLayer []LayerCost
 	Total    float64
+	Scan     float64
+	Pairs    float64
+}
+
+// Seconds converts the model's estimate to seconds at the ratios u.
+func (mc *ModelCost) Seconds(u Ratios) float64 { return u.Seconds(mc.Scan, mc.Pairs) }
+
+// add accumulates one layer's estimate into the totals.
+func (mc *ModelCost) add(lc LayerCost) {
+	mc.Total += lc.Cost
+	mc.Scan += lc.Scan
+	mc.Pairs += lc.Pairs
+}
+
+// convCost is the customized estimate of one conv (or FC) join.
+func convCost(d ConvDims) LayerCost {
+	return LayerCost{Cost: d.TotalCost(), Scan: d.TIn() + d.TOut(), Pairs: d.JoinPairs(), TOut: d.TOut()}
 }
 
 // convDimsOf extracts geometry from a Conv2D given its input shape.
@@ -131,30 +166,29 @@ func EstimateModel(m *nn.Model) (*ModelCost, error) {
 			if err != nil {
 				return nil, err
 			}
-			lc := LayerCost{Name: l.Name(), Kind: l.Kind()}
+			var lc LayerCost
 			switch v := l.(type) {
 			case *nn.Conv2D:
-				d := convDimsOf(v, cur)
-				lc.Cost = d.TotalCost()
-				lc.TOut = d.TOut()
+				lc = convCost(convDimsOf(v, cur))
 			case *nn.Deconv2D:
 				// scatter join: every input row probes k² output slots per
 				// output channel
 				tin := float64(prod(cur))
 				tout := float64(prod(out))
-				lc.Cost = tin + tout*float64(v.K*v.K)
+				lc.Pairs = tout * float64(v.K*v.K)
+				lc.Scan = tin
+				lc.Cost = tin + lc.Pairs
 				lc.TOut = tout
 			case *nn.Linear:
-				d := ConvDims{HIn: 1, WIn: 1, NIn: v.In, NOut: v.Out, K: 1, Stride: 1}
-				lc.Cost = d.TotalCost()
+				lc = convCost(ConvDims{HIn: 1, WIn: 1, NIn: v.In, NOut: v.Out, K: 1, Stride: 1})
 				lc.TOut = float64(v.Out)
 			case *nn.ResidualBlock:
 				sub := &ModelCost{}
 				inShape := cur
 				collectChain(sub, v.Main, inShape)
 				collectChain(sub, v.Shortcut, inShape)
-				lc.Cost = sub.Total + float64(prod(out))*2 // add + relu scans
-				lc.TOut = float64(prod(out))
+				scans := float64(prod(out)) * 2 // add + relu scans
+				lc = LayerCost{Cost: sub.Total + scans, Scan: sub.Scan + scans, Pairs: sub.Pairs, TOut: float64(prod(out))}
 			case *nn.DenseBlock:
 				sub := &ModelCost{}
 				grow := cur
@@ -162,20 +196,22 @@ func EstimateModel(m *nn.Model) (*ModelCost, error) {
 					collectChain(sub, []nn.Layer{s}, grow)
 					grow = []int{grow[0] + v.Growth, grow[1], grow[2]}
 				}
-				lc.Cost = sub.Total + float64(prod(out)) // concat insert
-				lc.TOut = float64(prod(out))
+				concat := float64(prod(out)) // concat insert
+				lc = LayerCost{Cost: sub.Total + concat, Scan: sub.Scan + concat, Pairs: sub.Pairs, TOut: float64(prod(out))}
 			case *nn.BasicAttention:
-				d := ConvDims{HIn: 1, WIn: 1, NIn: v.Dim, NOut: v.Dim, K: 1, Stride: 1}
-				lc.Cost = 2*d.TotalCost() + 3*float64(v.Dim)
-				lc.TOut = float64(v.Dim)
+				one := convCost(ConvDims{HIn: 1, WIn: 1, NIn: v.Dim, NOut: v.Dim, K: 1, Stride: 1})
+				scans := 3 * float64(v.Dim)
+				lc = LayerCost{Cost: 2*one.Cost + scans, Scan: 2*one.Scan + scans, Pairs: 2 * one.Pairs, TOut: float64(v.Dim)}
 			default:
 				// BN, ReLU, pooling, softmax, flatten: linear in the input
 				// feature-map size (single scan).
 				lc.Cost = float64(prod(cur))
+				lc.Scan = lc.Cost
 				lc.TOut = float64(prod(out))
 			}
+			lc.Name, lc.Kind = l.Name(), l.Kind()
 			mc.PerLayer = append(mc.PerLayer, lc)
-			mc.Total += lc.Cost
+			mc.add(lc)
 			cur = out
 		}
 		return cur, nil
@@ -197,10 +233,10 @@ func collectChain(mc *ModelCost, layers []nn.Layer, in []int) {
 		}
 		switch v := l.(type) {
 		case *nn.Conv2D:
-			d := convDimsOf(v, cur)
-			mc.Total += d.TotalCost()
+			mc.add(convCost(convDimsOf(v, cur)))
 		default:
-			mc.Total += float64(prod(cur))
+			n := float64(prod(cur))
+			mc.add(LayerCost{Cost: n, Scan: n})
 		}
 		cur = out
 	}
@@ -234,25 +270,29 @@ func DefaultEstimateModel(m *nn.Model) (*ModelCost, error) {
 			kernelRows := float64(v.OutC * v.InC * v.K * v.K)
 			joined := rows * kernelRows * DefaultJoinSelectivity
 			lc.Cost = rows + joined
+			lc.Pairs = joined
 			lc.TOut = joined // the default model does not understand the GROUP BY reduction
 			rows = joined
 		case *nn.Linear:
 			kernelRows := float64(v.In * v.Out)
 			joined := rows * kernelRows * DefaultJoinSelectivity
 			lc.Cost = rows + joined
+			lc.Pairs = joined
 			lc.TOut = joined
 			rows = joined
 		case *nn.ResidualBlock, *nn.DenseBlock:
 			joined := rows * rows * DefaultJoinSelectivity // self-join guess
 			lc.Cost = rows + joined
+			lc.Pairs = joined
 			lc.TOut = joined
 			rows = joined
 		default:
 			lc.Cost = rows
 			lc.TOut = rows
 		}
+		lc.Scan = lc.Cost - lc.Pairs
 		mc.PerLayer = append(mc.PerLayer, lc)
-		mc.Total += lc.Cost
+		mc.add(lc)
 		cur = out
 	}
 	return mc, nil
@@ -264,32 +304,123 @@ func DefaultEstimateModel(m *nn.Model) (*ModelCost, error) {
 func NormalizationRatio(db *sqldb.DB) (float64, error) {
 	const rows = 20000
 	name := "costmodel_calib"
-	db.DropTable(name)
-	tbl, err := db.CreateTable(name, sqldb.Schema{
+	tbl, err := calibTable(db, name, sqldb.Schema{
 		{Name: "id", Type: sqldb.TInt},
 		{Name: "v", Type: sqldb.TFloat},
 	})
 	if err != nil {
 		return 0, err
 	}
+	defer db.DropTable(name)
 	for i := 0; i < rows; i++ {
 		if err := tbl.AppendRow([]sqldb.Datum{sqldb.Int(int64(i)), sqldb.Float(float64(i))}); err != nil {
 			return 0, err
 		}
 	}
-	defer db.DropTable(name)
-	// Scan several times and take the best to reduce noise.
-	best := time.Duration(1<<62 - 1)
-	for trial := 0; trial < 3; trial++ {
+	best, err := bestOf(db, "SELECT sum(v) s FROM costmodel_calib WHERE id >= 0")
+	if err != nil {
+		return 0, err
+	}
+	return best.Seconds() / rows, nil
+}
+
+// PairRatio measures the wall time of one join pair on the given database:
+// a convolution-shaped join -> SUM aggregate (the statement DL2SQL runs per
+// conv layer) over calibration tables, divided by its join pairs. The
+// statement's scans and groups are charged to its pairs too, so the ratio
+// is an upper bound on a pair's own cost.
+func PairRatio(db *sqldb.DB) (float64, error) {
+	const matrices, orders, kernels = 500, 40, 4
+	fm, err := calibTable(db, "costmodel_calib_fm", sqldb.Schema{
+		{Name: "MatrixID", Type: sqldb.TInt},
+		{Name: "OrderID", Type: sqldb.TInt},
+		{Name: "Value", Type: sqldb.TFloat},
+	})
+	if err != nil {
+		return 0, err
+	}
+	defer db.DropTable("costmodel_calib_fm")
+	kt, err := calibTable(db, "costmodel_calib_k", sqldb.Schema{
+		{Name: "KernelID", Type: sqldb.TInt},
+		{Name: "OrderID", Type: sqldb.TInt},
+		{Name: "Value", Type: sqldb.TFloat},
+	})
+	if err != nil {
+		return 0, err
+	}
+	defer db.DropTable("costmodel_calib_k")
+	for m := 0; m < matrices; m++ {
+		for o := 0; o < orders; o++ {
+			if err := fm.AppendRow([]sqldb.Datum{sqldb.Int(int64(m)), sqldb.Int(int64(o)), sqldb.Float(float64(m+o) / orders)}); err != nil {
+				return 0, err
+			}
+		}
+	}
+	for k := 0; k < kernels; k++ {
+		for o := 0; o < orders; o++ {
+			if err := kt.AppendRow([]sqldb.Datum{sqldb.Int(int64(k)), sqldb.Int(int64(o)), sqldb.Float(float64(k-o) / orders)}); err != nil {
+				return 0, err
+			}
+		}
+	}
+	best, err := bestOf(db, fmt.Sprintf(
+		`SELECT B.KernelID * %d + A.MatrixID AS TupleID, SUM(A.Value * B.Value) AS Value FROM costmodel_calib_fm A INNER JOIN costmodel_calib_k B ON A.OrderID = B.OrderID GROUP BY B.KernelID, A.MatrixID`,
+		matrices))
+	if err != nil {
+		return 0, err
+	}
+	return best.Seconds() / (matrices * orders * kernels), nil
+}
+
+// Ratios price the two kinds of abstract cost unit in seconds: Section
+// V-C's normalisation, measured per operator kind on the database that
+// runs the SQL.
+type Ratios struct {
+	Scan float64 // seconds per scanned row (NormalizationRatio)
+	Pair float64 // seconds per join pair (PairRatio)
+}
+
+// Calibrate measures both ratios on db.
+func Calibrate(db *sqldb.DB) (Ratios, error) {
+	scan, err := NormalizationRatio(db)
+	if err != nil {
+		return Ratios{}, err
+	}
+	pair, err := PairRatio(db)
+	if err != nil {
+		return Ratios{}, err
+	}
+	return Ratios{Scan: scan, Pair: pair}, nil
+}
+
+// Seconds prices scan scanned rows and pairs join pairs.
+func (u Ratios) Seconds(scan, pairs float64) float64 {
+	return scan*u.Scan + pairs*u.Pair
+}
+
+// calibTable (re)creates an empty calibration table.
+func calibTable(db *sqldb.DB, name string, schema sqldb.Schema) (*sqldb.Table, error) {
+	db.DropTable(name)
+	return db.CreateTable(name, schema)
+}
+
+// calibTrials is how many times a calibration statement runs; the fastest
+// run counts, so a GC cycle or scheduler stall in one run does not.
+const calibTrials = 9
+
+// bestOf runs sql calibTrials times and returns its fastest wall time.
+func bestOf(db *sqldb.DB, sql string) (time.Duration, error) {
+	best := time.Duration(math.MaxInt64)
+	for trial := 0; trial < calibTrials; trial++ {
 		start := time.Now()
-		if _, err := db.Query("SELECT sum(v) s FROM costmodel_calib WHERE id >= 0"); err != nil {
+		if _, err := db.Query(sql); err != nil {
 			return 0, err
 		}
 		if d := time.Since(start); d < best {
 			best = d
 		}
 	}
-	return best.Seconds() / float64(rows), nil
+	return best, nil
 }
 
 // ToSeconds converts abstract cost units to seconds with ratio r.

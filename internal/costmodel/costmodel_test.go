@@ -51,6 +51,10 @@ func TestCardinalitiesPaperExample(t *testing.T) {
 	if d.TotalCost() != d.JoinCost()+72 { // Eq. 7
 		t.Fatalf("C_out = %v", d.TotalCost())
 	}
+	// Eq. 4 on the join itself: 36 feature-map rows × 18 kernel rows × 1/9.
+	if d.JoinPairs() != 72 {
+		t.Fatalf("JoinPairs = %v, want 72", d.JoinPairs())
+	}
 }
 
 // Property: FlatOut always equals the true conv output element count
@@ -163,6 +167,56 @@ func TestNormalizationRatio(t *testing.T) {
 	// The calibration table must not leak.
 	if db.GetTable("costmodel_calib") != nil {
 		t.Fatal("calibration table leaked")
+	}
+}
+
+func TestCalibrate(t *testing.T) {
+	db := sqldb.New()
+	u, err := Calibrate(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.Scan <= 0 || u.Scan > 1e-3 || u.Pair <= 0 || u.Pair > 1e-3 {
+		t.Fatalf("ratios %+v out of plausible range", u)
+	}
+	if got, want := u.Seconds(10, 1000), 10*u.Scan+1000*u.Pair; got != want {
+		t.Fatalf("Seconds = %v, want %v", got, want)
+	}
+	for _, name := range []string{"costmodel_calib", "costmodel_calib_fm", "costmodel_calib_k"} {
+		if db.GetTable(name) != nil {
+			t.Fatalf("calibration table %s leaked", name)
+		}
+	}
+}
+
+// The scanned rows and join pairs that Seconds prices partition each conv
+// layer's row operations: the feature-map and output scans of Eqs. 6–7 and
+// one pair per (patch element, kernel) match.
+func TestEstimateModelCountsScansAndPairs(t *testing.T) {
+	m := nn.NewModel("pairs", []int{3, 16, 16}, nil)
+	m.Add(
+		nn.NewConv2D("c1", 3, 8, 3, 1, 1, 1),
+		&nn.ReLU{LayerName: "relu"},
+		nn.NewConv2D("c2", 8, 4, 5, 1, 2, 2),
+	)
+	mc, err := EstimateModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1 := ConvDims{HIn: 16, WIn: 16, NIn: 3, NOut: 8, K: 3, Stride: 1, Pad: 1}
+	c2 := ConvDims{HIn: 16, WIn: 16, NIn: 8, NOut: 4, K: 5, Stride: 1, Pad: 2}
+	if want := float64(16*16*27*8 + 16*16*200*4); mc.Pairs != want {
+		t.Fatalf("pairs = %v, want %v", mc.Pairs, want)
+	}
+	if want := c1.TIn() + c1.TOut() + 16*16*8 + c2.TIn() + c2.TOut(); mc.Scan != want {
+		t.Fatalf("scan = %v, want %v", mc.Scan, want)
+	}
+	if want := c1.TotalCost() + 16*16*8 + c2.TotalCost(); mc.Total != want {
+		t.Fatalf("total = %v, want %v", mc.Total, want)
+	}
+	u := Ratios{Scan: 2, Pair: 3}
+	if got := mc.Seconds(u); got != 2*mc.Scan+3*mc.Pairs {
+		t.Fatalf("Seconds = %v", got)
 	}
 }
 
