@@ -481,7 +481,7 @@ const joinAggregateAllocCeiling = 906_048
 // BenchmarkGateJoinAggregateAllocs: one Conv+BN+ReLU block of the side-16
 // student model through the SQL pipeline (BenchmarkConvLayerSQL's batch=1
 // shape: input encoding, Q1's FeatureMap ⋈ Kernel summed by GROUP BY, the
-// BN statement and the UPDATE-based ReLU) allocates at most
+// BN statement and the ReLU projection) allocates at most
 // joinAggregateAllocCeiling bytes. Executor parallelism is fixed at 2 and
 // allocation counts repeat run to run, so unlike the speed-up gates this
 // one runs on any number of CPUs; it reports the least of five runs.
@@ -529,7 +529,7 @@ const dl2sqlExecuteAllocCeiling = 24_201_716
 
 // BenchmarkGateDL2SQLExecuteAllocs: one warm DL2SQL-OP Type 1 Execute at
 // scale 1, side 8 allocates at most dl2sqlExecuteAllocCeiling bytes. The
-// warm-up run stores the models and compiles the run slot, so the measured
+// warm-up run stores the models and compiles their programs, so the measured
 // runs neither store weights nor parse a layer statement. Executor
 // parallelism is fixed at 2 and the gate reports the least of five runs,
 // so like the join/aggregate gate it runs on any number of CPUs.

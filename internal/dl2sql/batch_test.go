@@ -276,11 +276,11 @@ func TestTraceRecordsPipelineSQL(t *testing.T) {
 	}
 	// The paper's query shapes must appear in the trace.
 	for _, want := range []string{
-		"INNER JOIN",     // Q1 conv join
-		"GROUP BY",       // Q1 aggregation
-		"stddevSamp",     // Q4 batch norm
-		"UPDATE",         // ReLU rewrite
-		"ORDER BY Value", // classification argmax
+		"INNER JOIN",                   // Q1 conv join
+		"GROUP BY",                     // Q1 aggregation
+		"stddevSamp",                   // Q4 batch norm
+		"CASE WHEN Value < 0 THEN 0.0", // ReLU projection
+		"ORDER BY Value",               // classification argmax
 	} {
 		if !containsStr(joined, want) {
 			t.Fatalf("trace missing %q", want)

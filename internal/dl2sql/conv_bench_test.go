@@ -10,9 +10,11 @@ import (
 )
 
 // BenchmarkConvLayerSQL runs one Conv+BN+ReLU block of the side-16 student
-// model through the SQL pipeline: input encoding, Q1, the BN statement and
-// the UPDATE-based ReLU. batch=1 renders the single-sample statements,
-// batch=4 the SampleID-keyed ones of the same templates.
+// model through the SQL pipeline: input encoding, Q1, the bias and BN
+// statements and the ReLU projection, each a SELECT whose result the next
+// reads as a statement-scoped relation, then the output read back.
+// batch=1 renders the single-sample statements, batch=4 the SampleID-keyed
+// ones of the same templates.
 func BenchmarkConvLayerSQL(b *testing.B) {
 	student := modelrepo.NewStudentModel(modelrepo.TaskDefectDetection, 16, 3)
 	block := nn.NewModel("conv_block", student.InputShape, student.Classes)

@@ -11,7 +11,10 @@
 //	Q2: reshape = Layer_Output ⋈ Kernel_Mapping ON TupleID
 //	Q3: pooling = GROUP BY MatrixID with MAX/AVG
 //	Q4: batch norm = (Value - AVG)/(stddevSamp + ε) per channel
-//	Q5: residual = elementwise add of two block outputs + UPDATE-based ReLU
+//	Q5: residual = elementwise add of two block outputs + ReLU
+//
+// The paper's ReLU is an UPDATE setting negative values to 0; here a
+// projection computes the same bits.
 //
 // Intermediate results flow through two relational forms:
 //
@@ -24,10 +27,12 @@
 //
 // StoreModel is the offline step: it writes the model's tables once, and
 // every later inference reuses them. A StoredModel compiles its layer chain
-// into prepared statements once per run slot and variant (one input or a
-// batch, under one pre-join strategy); a slot owns the temp tables its
-// runs write, so concurrent inferences of one model never share a name,
-// and a run after a slot's first renders and parses nothing.
+// into prepared SELECTs once per variant (one input or a batch, under one
+// pre-join strategy), shared by every run. A run writes nothing to the
+// catalog: it binds the encoded input, then each step's result, under fixed
+// per-step names as statement-scoped relations (sqldb.Relations), so
+// concurrent runs never see one another's, and it renders and parses
+// nothing after the variant's first run.
 //
 // One set of layer templates renders both single-sample and batched
 // inference. A batch (InferBatch with more than one input) leads both forms
@@ -106,14 +111,14 @@ type Translator struct {
 	// Steps accumulates per-step costs across Infer calls; reset with
 	// ResetSteps.
 	Steps []StepCost
-	// Trace, when true, records every generated SQL statement into TraceSQL
-	// (in execution order) so the translated pipeline can be inspected or
-	// exported — the textual form of the paper's Q1–Q5.
+	// Trace, when true, records every executed step into TraceSQL, in
+	// order, as "name AS (SELECT …)" — the textual form of the paper's
+	// Q1–Q5.
 	Trace    bool
 	TraceSQL []string
 	// Span, when non-nil, receives one child span per executed pipeline
-	// step (Conv1, Reshape1, BN1, Classification, ...), nesting the SQL
-	// inference pipeline under the caller's trace.
+	// step (Conv1, Reshape1, BN1, Classification, ...) with its TraceSQL
+	// text, nesting the SQL inference pipeline under the caller's trace.
 	Span *obs.Span
 	// Cache, when non-nil, memoizes whole inferences across Infer calls
 	// (see PipelineCache); a hit is recorded as one "Inference [cached]"
@@ -153,12 +158,17 @@ func (t *Translator) StepTotal() time.Duration {
 	return d
 }
 
-func (t *Translator) record(label string, rows int, d time.Duration) {
+// record appends a step's cost and span; sql is its TraceSQL text, "" for
+// a cache hit.
+func (t *Translator) record(label, sql string, rows int, d time.Duration) {
 	t.Steps = append(t.Steps, StepCost{Label: label, Rows: rows, Time: d})
 	if t.Span != nil {
 		sp := t.Span.StartChild(label)
 		sp.Start = sp.Start.Add(-d) // backdate: the step already ran
 		sp.SetAttr("rows", rows)
+		if sql != "" {
+			sp.SetAttr("sql", sql)
+		}
 		sp.Finish()
 	}
 }

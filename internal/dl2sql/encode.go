@@ -8,37 +8,33 @@ import (
 	"repro/internal/tensor"
 )
 
-// The input encoders implement the loading step. Each writes all of a
-// run's inputs into one relation; a batch leads every row with its
-// SampleID, a single input has no such column.
+// The input encoders implement the loading step. Each builds all of a
+// run's inputs into one relation outside the catalog, which the run binds
+// to its statements; a batch leads every row with its SampleID, a single
+// input has no such column.
 
 // EncodeInput implements Algorithm 1: it turns an input tensor into the
-// patch-form FeatureMap table for the model's first convolution (kernel k,
-// stride s, padding p). Rows are {MatrixID, OrderID, Value}; overlapping
-// receptive fields duplicate elements, exactly as the paper notes.
+// patch-form FeatureMap table name, (re)created in the catalog, for the
+// model's first convolution (kernel k, stride s, padding p). Rows are
+// {MatrixID, OrderID, Value}; overlapping receptive fields duplicate
+// elements, exactly as the paper notes.
 func (t *Translator) EncodeInput(name string, in *tensor.Tensor, k, stride, pad int) (rows int, err error) {
-	return t.encodePatch(name, false, []*tensor.Tensor{in}, k, stride, pad)
-}
-
-// encodePatch is Algorithm 1 over every input. On error it leaves no table
-// named name behind.
-func (t *Translator) encodePatch(name string, key sampleKey, inputs []*tensor.Tensor, k, stride, pad int) (rows int, err error) {
-	tbl, err := t.createInput(name, key, sqldb.Schema{
-		{Name: "MatrixID", Type: sqldb.TInt},
-		{Name: "OrderID", Type: sqldb.TInt},
-		{Name: "Value", Type: sqldb.TFloat},
-	})
+	tbl, err := encodePatch(name, false, []*tensor.Tensor{in}, k, stride, pad)
 	if err != nil {
 		return 0, err
 	}
-	for sid, in := range inputs {
+	return tbl.NumRows(), t.createTable(name, tbl.Schema, tbl.Cols...)
+}
+
+// encodePatch is Algorithm 1 over every input.
+func encodePatch(name string, key sampleKey, inputs []*tensor.Tensor, k, stride, pad int) (*sqldb.Table, error) {
+	return encode(name, key, "MatrixID", "OrderID", inputs, func(in *tensor.Tensor) (matrix, order []int64, value []float64, err error) {
 		cols, err := tensor.Im2Col(in, k, stride, pad)
 		if err != nil {
-			t.DB.DropTable(name)
-			return 0, err
+			return nil, nil, nil, err
 		}
 		nm, no := cols.Dim(0), cols.Dim(1)
-		matrix, order := make([]int64, 0, nm*no), make([]int64, 0, nm*no)
+		matrix, order = make([]int64, 0, nm*no), make([]int64, 0, nm*no)
 		for m := 0; m < nm; m++ {
 			for o := 0; o < no; o++ {
 				matrix = append(matrix, int64(m))
@@ -46,36 +42,21 @@ func (t *Translator) encodePatch(name string, key sampleKey, inputs []*tensor.Te
 			}
 		}
 		// Im2Col's row-major data is already the (MatrixID, OrderID) order.
-		if err := appendInput(tbl, key, sid, intCol(matrix), intCol(order), floatCol(cols.Data())); err != nil {
-			return 0, err
-		}
-		rows += nm * no
-	}
-	return rows, nil
+		return matrix, order, cols.Data(), nil
+	})
 }
 
 // encodeFlat stores every input in flat form {TupleID, KernelID, Value}
 // with TupleID the channel-major flat index.
-func (t *Translator) encodeFlat(name string, key sampleKey, inputs []*tensor.Tensor) error {
-	tbl, err := t.createInput(name, key, sqldb.Schema{
-		{Name: "TupleID", Type: sqldb.TInt},
-		{Name: "KernelID", Type: sqldb.TInt},
-		{Name: "Value", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return err
-	}
-	for sid, in := range inputs {
+func encodeFlat(name string, key sampleKey, inputs []*tensor.Tensor) (*sqldb.Table, error) {
+	return encode(name, key, "TupleID", "KernelID", inputs, func(in *tensor.Tensor) (tuple, kernel []int64, value []float64, err error) {
 		per := in.Len() / in.Shape()[0]
-		tuple, kernel := make([]int64, in.Len()), make([]int64, in.Len())
+		tuple, kernel = make([]int64, in.Len()), make([]int64, in.Len())
 		for i := range tuple {
 			tuple[i], kernel[i] = int64(i), int64(i/per)
 		}
-		if err := appendInput(tbl, key, sid, intCol(tuple), intCol(kernel), floatCol(slices.Clone(in.Data()))); err != nil {
-			return err
-		}
-	}
-	return nil
+		return tuple, kernel, slices.Clone(in.Data()), nil
+	})
 }
 
 // encodePreJoined implements pre-join strategy 3: the input encoding is
@@ -83,23 +64,15 @@ func (t *Translator) encodeFlat(name string, key sampleKey, inputs []*tensor.Ten
 // element is multiplied by the kernel's matching weight, one row
 // {KernelID, MatrixID, Value} per (KernelID, MatrixID, OrderID); only the
 // grouped SUM of Q1 remains at inference time.
-func (t *Translator) encodePreJoined(name string, key sampleKey, inputs []*tensor.Tensor, conv *nn.Conv2D) error {
-	tbl, err := t.createInput(name, key, sqldb.Schema{
-		{Name: "KernelID", Type: sqldb.TInt},
-		{Name: "MatrixID", Type: sqldb.TInt},
-		{Name: "Value", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return err
-	}
-	for sid, in := range inputs {
+func encodePreJoined(name string, key sampleKey, inputs []*tensor.Tensor, conv *nn.Conv2D) (*sqldb.Table, error) {
+	return encode(name, key, "KernelID", "MatrixID", inputs, func(in *tensor.Tensor) (kernel, matrix []int64, product []float64, err error) {
 		cols, err := tensor.Im2Col(in, conv.K, conv.Stride, conv.Pad)
 		if err != nil {
-			return err
+			return nil, nil, nil, err
 		}
 		nm, no := cols.Dim(0), cols.Dim(1)
 		rows := conv.OutC * nm * no
-		kernel, matrix, product := make([]int64, 0, rows), make([]int64, 0, rows), make([]float64, 0, rows)
+		kernel, matrix, product = make([]int64, 0, rows), make([]int64, 0, rows), make([]float64, 0, rows)
 		for kID := 0; kID < conv.OutC; kID++ {
 			w := conv.KernelRow(kID)
 			for m := 0; m < nm; m++ {
@@ -110,32 +83,37 @@ func (t *Translator) encodePreJoined(name string, key sampleKey, inputs []*tenso
 				}
 			}
 		}
-		if err := appendInput(tbl, key, sid, intCol(kernel), intCol(matrix), floatCol(product)); err != nil {
-			return err
-		}
-	}
-	return nil
+		return kernel, matrix, product, nil
+	})
 }
 
-// createInput (re)creates an encoded-input relation, led by a SampleID
-// column when the run is a batch.
-func (t *Translator) createInput(name string, key sampleKey, schema sqldb.Schema) (*sqldb.Table, error) {
+// encode builds the relation {a, b, Value}, a and b Int, of every input's
+// rows, led by a SampleID column when the run is a batch. The relation
+// takes the rows' columns over: the first input's become its columns.
+func encode(name string, key sampleKey, a, b string, inputs []*tensor.Tensor, rows func(in *tensor.Tensor) ([]int64, []int64, []float64, error)) (*sqldb.Table, error) {
+	schema := sqldb.Schema{{Name: a, Type: sqldb.TInt}, {Name: b, Type: sqldb.TInt}, {Name: "Value", Type: sqldb.TFloat}}
 	if key {
 		schema = append(sqldb.Schema{{Name: "SampleID", Type: sqldb.TInt}}, schema...)
 	}
-	t.DB.DropTable(name)
-	return t.DB.CreateTable(name, schema)
-}
-
-// appendInput appends input sid's rows to an encoded-input relation. The
-// relation takes cols over: the first input's become its columns.
-func appendInput(tbl *sqldb.Table, key sampleKey, sid int, cols ...*sqldb.Column) error {
-	if key {
-		ids := make([]int64, cols[0].Len())
-		for i := range ids {
-			ids[i] = int64(sid)
+	tbl := sqldb.NewTable(name, schema)
+	for sid, in := range inputs {
+		x, y, v, err := rows(in)
+		if err != nil {
+			return nil, err
 		}
-		cols = append([]*sqldb.Column{intCol(ids)}, cols...)
+		cols := []*sqldb.Column{intCol(x), intCol(y), floatCol(v)}
+		if key {
+			ids := make([]int64, len(x))
+			for i := range ids {
+				ids[i] = int64(sid)
+			}
+			cols = append([]*sqldb.Column{intCol(ids)}, cols...)
+		}
+		if sid == 0 {
+			tbl.Cols = cols // no statement reads the relation yet
+		} else if err := tbl.AppendColumns(cols); err != nil {
+			return nil, err
+		}
 	}
-	return tbl.AdoptColumns(cols)
+	return tbl, nil
 }

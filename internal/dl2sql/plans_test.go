@@ -77,13 +77,13 @@ func TestCompiledStepsFoldNoSubquery(t *testing.T) {
 					t.Fatalf("%s/%v/%v: %v", name, key, pj, err)
 				}
 				for _, s := range append(prog.steps, prog.classify) {
-					stmts, err := sqldb.ParseMulti(s.text)
+					stmts, err := sqldb.ParseMulti(s.sql)
 					if err != nil {
 						t.Fatalf("%s: step %s: %v", name, s.label, err)
 					}
 					for _, st := range stmts {
 						if foldsSubquery(st) {
-							t.Errorf("%s/%v/%v: step %s folds a subquery:\n%s", name, key, pj, s.label, s.text)
+							t.Errorf("%s/%v/%v: step %s folds a subquery:\n%s", name, key, pj, s.label, s.sql)
 						}
 					}
 				}
@@ -92,9 +92,9 @@ func TestCompiledStepsFoldNoSubquery(t *testing.T) {
 	}
 }
 
-// TestSecondInferPlansNoStep: once a run slot's program has run, running
-// it again plans none of its statements — each runs from its kept plan,
-// or plans nothing at all (the ReLU UPDATE).
+// TestSecondInferPlansNoStep: once a variant's program has run, running
+// it again plans none of its statements — each runs from its kept plans,
+// over the relations the new run binds.
 func TestSecondInferPlansNoStep(t *testing.T) {
 	for name, m := range planModels(t) {
 		if name != "every" && name != "resnet5" && name != "defect_detection_v1" {

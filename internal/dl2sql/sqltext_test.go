@@ -3,7 +3,6 @@ package dl2sql
 import (
 	"fmt"
 	"hash/fnv"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -57,45 +56,31 @@ func everyOperatorModel() *nn.Model {
 	return m
 }
 
-var tempTable = regexp.MustCompile(`p_tmp_[a-z0-9]+_[0-9]+`)
-
-// normalizedSQL joins a pipeline's statements with temp tables renamed
-// T1, T2, … in order of first appearance.
-func normalizedSQL(stmts []string) string {
-	names := map[string]string{}
-	return tempTable.ReplaceAllStringFunc(strings.Join(stmts, "\n"), func(s string) string {
-		if _, ok := names[s]; !ok {
-			names[s] = fmt.Sprintf("T%d", len(names)+1)
-		}
-		return names[s]
-	})
-}
-
 // TestPipelineSQLTextPinned pins the text of every statement the pipeline
-// emits: the FNV-1a of TraceSQL, temp tables renamed, for the side-8
-// student model and everyOperatorModel, per pre-join strategy, for one
-// input through Infer and three through InferBatch. The batch constants
-// were recorded from the separately written batched statements that the
-// shared templates replaced; the one-input constants were re-recorded when
-// the one-input softmax took the batch form's derived-table shape.
+// emits: the FNV-1a of TraceSQL, each step's SELECT with the fixed name it
+// binds, for the side-8 student model and everyOperatorModel, per pre-join
+// strategy, for one input through Infer and three through InferBatch. The
+// constants were re-recorded when the steps became SELECTs bound as
+// statement-scoped relations: ReLU a projection, the dense concatenation a
+// UNION ALL.
 func TestPipelineSQLTextPinned(t *testing.T) {
 	models := map[string]*nn.Model{
 		"student": modelrepo.NewStudentModel(modelrepo.TaskDefectDetection, 8, 7),
 		"every":   everyOperatorModel(),
 	}
 	want := map[string]uint64{
-		"student/none/infer":             0x475efe3b932f5000,
-		"student/none/batch3":            0xd9da2a6e39414634,
-		"student/prejoin-mapping/infer":  0x47c4017daf29f1dd,
-		"student/prejoin-mapping/batch3": 0xc1699d84f46881e9,
-		"student/prejoin-input/infer":    0x6dcece07d13956bc,
-		"student/prejoin-input/batch3":   0xe6eb8e24e2d051e3,
-		"every/none/infer":               0x3306413e83d0b8bd,
-		"every/none/batch3":              0x4f55828bcb549e88,
-		"every/prejoin-mapping/infer":    0xd5d6517ec38b17a5,
-		"every/prejoin-mapping/batch3":   0x3d220131a65cb243,
-		"every/prejoin-input/infer":      0xd5d6517ec38b17a5,
-		"every/prejoin-input/batch3":     0x3d220131a65cb243,
+		"student/none/infer":             0xfc78d36b331fd985,
+		"student/none/batch3":            0x3ba93d4d5489d9fe,
+		"student/prejoin-mapping/infer":  0x436e6044aa98b680,
+		"student/prejoin-mapping/batch3": 0x5a4ce448d7109b47,
+		"student/prejoin-input/infer":    0x13803f6ab0c85a33,
+		"student/prejoin-input/batch3":   0xd216b634210ccf67,
+		"every/none/infer":               0x6823b057c8f3241a,
+		"every/none/batch3":              0xda8a445d3f55758e,
+		"every/prejoin-mapping/infer":    0x914080d9f3b26f94,
+		"every/prejoin-mapping/batch3":   0xdaeceb0a1cdab1d3,
+		"every/prejoin-input/infer":      0x914080d9f3b26f94,
+		"every/prejoin-input/batch3":     0xdaeceb0a1cdab1d3,
 	}
 	for _, name := range []string{"student", "every"} {
 		m := models[name]
@@ -120,9 +105,10 @@ func TestPipelineSQLTextPinned(t *testing.T) {
 						t.Fatal(err)
 					}
 					h := fnv.New64a()
-					h.Write([]byte(normalizedSQL(tr.TraceSQL)))
+					text := strings.Join(tr.TraceSQL, "\n")
+					h.Write([]byte(text))
 					if got := h.Sum64(); got != want[key] {
-						t.Errorf("SQL text hash = %#x, want %#x\n%s", got, want[key], normalizedSQL(tr.TraceSQL))
+						t.Errorf("SQL text hash = %#x, want %#x\n%s", got, want[key], text)
 					}
 				})
 			}

@@ -2,8 +2,8 @@ package dl2sql
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/nn"
 	"repro/internal/sqldb"
@@ -12,9 +12,8 @@ import (
 
 // StoredModel is a model compiled into relational tables: the DL2SQL
 // equivalent of a deployed artifact. It records, per layer, the tables the
-// inference pipeline will touch, and keeps the run slots its inferences
-// execute in (see runSlot): each slot holds the model's layer statements
-// compiled once over that slot's temp tables.
+// inference pipeline will touch, and keeps the programs its inferences run:
+// the model's layer statements compiled once per variant.
 type StoredModel struct {
 	Model      *nn.Model
 	Prefix     string
@@ -28,9 +27,7 @@ type StoredModel struct {
 	hashOnce    sync.Once
 	weightsHash uint64
 
-	mu   sync.Mutex
-	free []*runSlot   // idle run slots, at most one per concurrent run so far
-	seq  atomic.Int64 // numbers temp tables across all slots
+	progs sync.Map // variant → *program, compiled on first use
 }
 
 // storedLayer carries the compile-time info for one executable layer.
@@ -67,26 +64,30 @@ func (t *Translator) StoreModel(m *nn.Model) (_ *StoredModel, err error) {
 			sm.Drop()
 		}
 	}()
-	// Metadata table: one row of hyper-parameters per stored layer.
+	// Metadata table: one row of hyper-parameters per stored layer, stored
+	// once every layer is.
 	metaName := t.tname("meta")
 	sm.tableNames = append(sm.tableNames, metaName)
-	t.DB.DropTable(metaName)
-	meta, err := t.DB.CreateTable(metaName, sqldb.Schema{
-		{Name: "LayerName", Type: sqldb.TString},
-		{Name: "Kind", Type: sqldb.TString},
-		{Name: "InC", Type: sqldb.TInt},
-		{Name: "OutC", Type: sqldb.TInt},
-		{Name: "K", Type: sqldb.TInt},
-		{Name: "Stride", Type: sqldb.TInt},
-		{Name: "Pad", Type: sqldb.TInt},
-	})
-	if err != nil {
-		return nil, err
-	}
 	var metaNames, metaKinds []string
 	var metaInts [5][]int64 // InC, OutC, K, Stride, Pad
 
+	// table records name as one of the model's tables and stores it.
+	table := func(name string, store func(name string) error) (string, error) {
+		sm.tableNames = append(sm.tableNames, name)
+		return name, store(name)
+	}
 	convOrdinal := 0
+	// weights numbers a weighted layer among the convolutions and stores
+	// its kernel-form table, and its bias beside it when it has one.
+	weights := func(sl *storedLayer, name string, store func(name string) error, bias []float64) (err error) {
+		convOrdinal++
+		sl.ordinal = convOrdinal
+		sl.kernelTable, err = table(fmt.Sprintf("%s%d", name, convOrdinal), store)
+		if err == nil && bias != nil {
+			sl.biasTable, err = table(sl.kernelTable+"_bias", func(name string) error { return t.storeBias(name, bias) })
+		}
+		return err
+	}
 	var compile func(layers []nn.Layer, inShape []int, tag string) ([]storedLayer, []int, error)
 	compile = func(layers []nn.Layer, inShape []int, tag string) ([]storedLayer, []int, error) {
 		var out []storedLayer
@@ -100,24 +101,14 @@ func (t *Translator) StoreModel(m *nn.Model) (_ *StoredModel, err error) {
 				return nil, nil, err
 			}
 			sl := storedLayer{layer: l, inShape: cur, outShape: next}
+			// numbered names a per-layer table by the tables stored so far.
+			numbered := func(kind string) string { return t.tname(tag, fmt.Sprintf("%s%d", kind, len(sm.tableNames))) }
+			pool := func(k, stride int) {
+				sl.mappingTable, err = table(numbered("poolmap"), func(name string) error { return t.storePoolMapping(name, cur, k, stride) })
+			}
 			switch v := l.(type) {
 			case *nn.Conv2D:
-				convOrdinal++
-				sl.ordinal = convOrdinal
-				name := t.tname(tag, fmt.Sprintf("kernel%d", convOrdinal))
-				sm.tableNames = append(sm.tableNames, name)
-				if err := t.storeKernel(name, v); err != nil {
-					return nil, nil, err
-				}
-				sl.kernelTable = name
-				if v.Bias != nil {
-					bn := name + "_bias"
-					sm.tableNames = append(sm.tableNames, bn)
-					if err := t.storeBias(bn, v.Bias); err != nil {
-						return nil, nil, err
-					}
-					sl.biasTable = bn
-				}
+				err = weights(&sl, t.tname(tag, "kernel"), func(name string) error { return t.storeKernel(name, v) }, v.Bias)
 				metaNames = append(metaNames, v.Name())
 				metaKinds = append(metaKinds, v.Kind())
 				for i, x := range []int{v.InC, v.OutC, v.K, v.Stride, v.Pad} {
@@ -126,99 +117,40 @@ func (t *Translator) StoreModel(m *nn.Model) (_ *StoredModel, err error) {
 				// Mapping table for every conv except the very first layer
 				// of the model (the input is encoded directly into patch
 				// form by Algorithm 1).
-				if !(tag == "m" && li == 0 && len(out) == 0 && isModelStart(cur, inShape)) {
-					mt := name + "_map"
-					sm.tableNames = append(sm.tableNames, mt)
-					if err := t.storeConvMapping(mt, cur, v.K, v.Stride, v.Pad); err != nil {
-						return nil, nil, err
-					}
-					sl.mappingTable = mt
+				if err == nil && !(tag == "m" && li == 0 && len(out) == 0 && slices.Equal(cur, inShape)) {
+					sl.mappingTable, err = table(sl.kernelTable+"_map", func(name string) error {
+						return t.storeConvMapping(name, cur, v.K, v.Stride, v.Pad)
+					})
 				}
 			case *nn.Deconv2D:
-				convOrdinal++
-				sl.ordinal = convOrdinal
-				name := t.tname(tag, fmt.Sprintf("deconv%d", convOrdinal))
-				sm.tableNames = append(sm.tableNames, name)
-				if err := t.storeDeconvContrib(name, v, cur); err != nil {
-					return nil, nil, err
-				}
-				sl.kernelTable = name
-				if v.Bias != nil {
-					bn := name + "_bias"
-					sm.tableNames = append(sm.tableNames, bn)
-					if err := t.storeBias(bn, v.Bias); err != nil {
-						return nil, nil, err
-					}
-					sl.biasTable = bn
-				}
+				err = weights(&sl, t.tname(tag, "deconv"), func(name string) error { return t.storeDeconvContrib(name, v, cur) }, v.Bias)
 			case *nn.Linear:
-				convOrdinal++
-				sl.ordinal = convOrdinal
-				name := t.tname(tag, fmt.Sprintf("fc%d", convOrdinal))
-				sm.tableNames = append(sm.tableNames, name)
-				if err := t.storeLinearKernel(name, v); err != nil {
-					return nil, nil, err
-				}
-				sl.kernelTable = name
-				if v.Bias != nil {
-					bn := name + "_bias"
-					sm.tableNames = append(sm.tableNames, bn)
-					if err := t.storeBias(bn, v.Bias); err != nil {
-						return nil, nil, err
-					}
-					sl.biasTable = bn
-				}
+				err = weights(&sl, t.tname(tag, "fc"), func(name string) error { return t.storeLinearKernel(name, v) }, v.Bias)
 			case *nn.BasicAttention:
 				convOrdinal++
 				sl.ordinal = convOrdinal
-				score := t.tname(tag, fmt.Sprintf("attn%d_score", convOrdinal))
-				value := t.tname(tag, fmt.Sprintf("attn%d_value", convOrdinal))
+				// The value weights take the bias table's place.
+				name := t.tname(tag, fmt.Sprintf("attn%d", convOrdinal))
 				ls := &nn.Linear{LayerName: v.Name() + "_score", In: v.Dim, Out: v.Dim, Weight: v.WScore}
 				lv := &nn.Linear{LayerName: v.Name() + "_value", In: v.Dim, Out: v.Dim, Weight: v.WValue}
-				sm.tableNames = append(sm.tableNames, score, value)
-				if err := t.storeLinearKernel(score, ls); err != nil {
-					return nil, nil, err
+				if sl.kernelTable, err = table(name+"_score", func(name string) error { return t.storeLinearKernel(name, ls) }); err == nil {
+					sl.biasTable, err = table(name+"_value", func(name string) error { return t.storeLinearKernel(name, lv) })
 				}
-				if err := t.storeLinearKernel(value, lv); err != nil {
-					return nil, nil, err
-				}
-				sl.kernelTable = score
-				sl.biasTable = value // reused as the second weight table
 			case *nn.BatchNorm:
 				// Identity batch-stat norms need no parameters; anything
 				// else (learned γ/β or frozen running statistics) is stored
 				// in a per-channel parameter table joined at inference.
 				if !bnIsIdentity(v) {
-					name := t.tname(tag, fmt.Sprintf("bnparams%d", len(sm.tableNames)))
-					sm.tableNames = append(sm.tableNames, name)
-					if err := t.storeBNParams(name, v.Gamma, v.Beta, v.Mean, v.Var); err != nil {
-						return nil, nil, err
-					}
-					sl.kernelTable = name
+					sl.kernelTable, err = table(numbered("bnparams"), func(name string) error { return t.storeBNParams(name, v.Gamma, v.Beta, v.Mean, v.Var) })
 				}
 			case *nn.InstanceNorm:
 				if !instanceNormIsIdentity(v) {
-					name := t.tname(tag, fmt.Sprintf("bnparams%d", len(sm.tableNames)))
-					sm.tableNames = append(sm.tableNames, name)
-					if err := t.storeBNParams(name, v.Gamma, v.Beta, nil, nil); err != nil {
-						return nil, nil, err
-					}
-					sl.kernelTable = name
+					sl.kernelTable, err = table(numbered("bnparams"), func(name string) error { return t.storeBNParams(name, v.Gamma, v.Beta, nil, nil) })
 				}
 			case *nn.MaxPool:
-				mt := t.tname(tag, fmt.Sprintf("poolmap%d", len(sm.tableNames)))
-				sm.tableNames = append(sm.tableNames, mt)
-				if err := t.storePoolMapping(mt, cur, v.K, v.Stride); err != nil {
-					return nil, nil, err
-				}
-				sl.mappingTable = mt
+				pool(v.K, v.Stride)
 			case *nn.AvgPool:
-				mt := t.tname(tag, fmt.Sprintf("poolmap%d", len(sm.tableNames)))
-				sm.tableNames = append(sm.tableNames, mt)
-				if err := t.storePoolMapping(mt, cur, v.K, v.Stride); err != nil {
-					return nil, nil, err
-				}
-				sl.mappingTable = mt
+				pool(v.K, v.Stride)
 			case *nn.ResidualBlock:
 				mainLayers, _, err := compile(v.Main, cur, tag+"rm")
 				if err != nil {
@@ -248,6 +180,9 @@ func (t *Translator) StoreModel(m *nn.Model) (_ *StoredModel, err error) {
 				}
 				sl.main = stageStored
 			}
+			if err != nil {
+				return nil, nil, err
+			}
 			out = append(out, sl)
 			cur = next
 		}
@@ -258,31 +193,17 @@ func (t *Translator) StoreModel(m *nn.Model) (_ *StoredModel, err error) {
 	if err != nil {
 		return nil, err
 	}
-	metaCols := []*sqldb.Column{
-		{Type: sqldb.TString, Strs: metaNames}, {Type: sqldb.TString, Strs: metaKinds},
+	metaSchema := sqldb.Schema{{Name: "LayerName", Type: sqldb.TString}, {Name: "Kind", Type: sqldb.TString}}
+	metaCols := []*sqldb.Column{{Type: sqldb.TString, Strs: metaNames}, {Type: sqldb.TString, Strs: metaKinds}}
+	for i, name := range []string{"InC", "OutC", "K", "Stride", "Pad"} {
+		metaSchema = append(metaSchema, sqldb.ColumnDef{Name: name, Type: sqldb.TInt})
+		metaCols = append(metaCols, intCol(metaInts[i]))
 	}
-	for _, v := range metaInts {
-		metaCols = append(metaCols, intCol(v))
-	}
-	if err := meta.AppendColumns(metaCols); err != nil {
+	if err := t.createTable(metaName, metaSchema, metaCols...); err != nil {
 		return nil, err
 	}
 	sm.layers = layers
 	return sm, nil
-}
-
-// isModelStart reports whether this compile position is the true model
-// input (so Algorithm 1 can encode the input directly in patch form).
-func isModelStart(cur, inShape []int) bool {
-	if len(cur) != len(inShape) {
-		return false
-	}
-	for i := range cur {
-		if cur[i] != inShape[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // storeKernel vectorizes a convolution's kernels into the Kernel table
@@ -474,8 +395,8 @@ func (sm *StoredModel) TableNames() []string {
 	return append([]string(nil), sm.tableNames...)
 }
 
-// Drop removes every relational table backing the stored model. Run slots
-// hold no tables between runs, so nothing else remains.
+// Drop removes every relational table backing the stored model; runs
+// create none.
 func (sm *StoredModel) Drop() {
 	for _, name := range sm.tableNames {
 		sm.db.DropTable(name)

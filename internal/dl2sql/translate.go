@@ -1,8 +1,10 @@
 package dl2sql
 
 import (
+	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/nn"
@@ -20,7 +22,7 @@ func (t *Translator) Infer(sm *StoredModel, input *tensor.Tensor) (int, float64,
 		start := time.Now()
 		key = tensor.HashMix(t.modelStamp(sm), input.Hash(), uint64(t.PreJoin))
 		if r, ok := t.Cache.results.Get(key); ok {
-			t.record("Inference [cached]", 1, time.Since(start))
+			t.record("Inference [cached]", "", 1, time.Since(start))
 			return r.idx, r.score, nil
 		}
 	}
@@ -131,27 +133,28 @@ func (k sampleKey) eq(a, b string) string {
 }
 
 // program is a stored model's layer chain compiled for one variant — one
-// input or a SampleID-keyed batch, under one pre-join strategy — over one
-// run slot's temp tables. Running it encodes the inputs into its input
-// table and executes its steps in order; nothing is rendered or parsed.
+// input or a SampleID-keyed batch, under one pre-join strategy — and shared
+// by every run of that variant. A run binds the encoded inputs, and each
+// step's result, under its name for the steps after it (sqldb.Relations).
 type program struct {
 	key      sampleKey
-	load     func(t *Translator, inputs []*tensor.Tensor) error // encodes the inputs
+	load     func(inputs []*tensor.Tensor) (*sqldb.Table, error) // encodes the inputs
 	steps    []step
 	out      relForm // the final relation
 	classify step    // the argmax over out, one class per sample
-	tensors  *sqldb.Prepared
-	temps    []string // every table the program creates, dropped after each run
+	// ctx and last are nil in the shared program; each run hands its reads
+	// a copy carrying the context its relations are bound in and its final
+	// relation.
+	ctx  context.Context
+	last *sqldb.Table
 }
 
-// step is one compiled pipeline step: its statements, prepared once, run
-// in order and timed under label. text renders them as one script, for
-// Translator.Trace and error messages.
+// step is one compiled pipeline step: a SELECT, prepared once, whose
+// result is bound under name ("" for the reads of the final relation) and
+// timed under label. text is its TraceSQL rendering, "name AS (sql)".
 type step struct {
-	label string
-	table string // the relation the step materializes; "" counts the result's rows
-	text  string
-	stmts []*sqldb.Prepared
+	label, name, sql, text string
+	stmt                   *sqldb.Prepared
 }
 
 // variant names one compiled rendering of a model.
@@ -160,38 +163,24 @@ type variant struct {
 	preJoin PreJoinStrategy
 }
 
-// runSlot owns one set of temp-table names: the programs compiled over
-// them, one per variant, compiled on first use. A run checks a slot out,
-// so concurrent runs of one model never share a temp table, and checks it
-// back in once it has dropped its temp tables.
-type runSlot struct {
-	progs map[variant]*program
-}
-
-// checkout takes an idle run slot, or a new one when every slot is busy:
-// the slots grow only to the model's peak concurrency.
-func (sm *StoredModel) checkout() *runSlot {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	if n := len(sm.free); n > 0 {
-		s := sm.free[n-1]
-		sm.free = sm.free[:n-1]
-		return s
+// program returns the model's program for v, compiling it on first use;
+// runs that race to compile it keep the first one stored.
+func (sm *StoredModel) program(v variant) (*program, error) {
+	if prog, ok := sm.progs.Load(v); ok {
+		return prog.(*program), nil
 	}
-	return &runSlot{progs: map[variant]*program{}}
-}
-
-// checkin returns a slot whose run has dropped its temp tables.
-func (sm *StoredModel) checkin(s *runSlot) {
-	sm.mu.Lock()
-	sm.free = append(sm.free, s)
-	sm.mu.Unlock()
+	prog, err := sm.compile(v)
+	if err != nil {
+		return nil, err
+	}
+	stored, _ := sm.progs.LoadOrStore(v, prog)
+	return stored.(*program), nil
 }
 
 // run executes the pipeline over inputs, which must all have the model's
-// input shape: it encodes them, runs the layer chain, hands the compiled
-// program to read and drops every temp table. More than one input runs
-// the SampleID-keyed rendering.
+// input shape: it encodes them, runs the layer chain and hands the
+// run's copy of the compiled program to read. More than one input runs the
+// SampleID-keyed rendering.
 func (t *Translator) run(sm *StoredModel, inputs []*tensor.Tensor, read func(prog *program) error) error {
 	for i, in := range inputs {
 		if !slices.Equal(in.Shape(), sm.Model.InputShape) {
@@ -201,66 +190,53 @@ func (t *Translator) run(sm *StoredModel, inputs []*tensor.Tensor, read func(pro
 	if t.DB != sm.db {
 		return fmt.Errorf("dl2sql: model %s is stored in another database", sm.Model.ModelName)
 	}
-	slot := sm.checkout()
-	defer sm.checkin(slot)
-	v := variant{key: sampleKey(len(inputs) > 1), preJoin: t.PreJoin}
-	prog := slot.progs[v]
-	if prog == nil {
-		var err error
-		if prog, err = sm.compile(v); err != nil {
-			return err
-		}
-		slot.progs[v] = prog
-	}
-	defer func() {
-		for _, name := range prog.temps {
-			t.DB.DropTable(name)
-		}
-	}()
-	if err := prog.load(t, inputs); err != nil {
+	prog, err := sm.program(variant{key: sampleKey(len(inputs) > 1), preJoin: t.PreJoin})
+	if err != nil {
 		return err
 	}
+	in, err := prog.load(inputs)
+	if err != nil {
+		return err
+	}
+	rels := sqldb.Relations{}
+	rels.Bind(in.Name, in)
+	run := *prog
+	run.ctx, run.last = sqldb.WithRelations(t.ctx(), rels), in
 	for i := range prog.steps {
-		if _, err := t.execStep(&prog.steps[i]); err != nil {
+		s := &prog.steps[i]
+		res, err := t.execStep(run.ctx, s)
+		if err == nil {
+			run.last, err = res.Table(s.name)
+		}
+		if err != nil {
 			return err
 		}
+		rels.Bind(s.name, run.last)
 	}
-	return read(prog)
+	return read(&run)
 }
 
 // execStep runs one compiled step with the translator's hints and records
 // its cost.
-func (t *Translator) execStep(s *step) (*sqldb.Result, error) {
+func (t *Translator) execStep(ctx context.Context, s *step) (*sqldb.Result, error) {
 	if t.Trace {
 		t.TraceSQL = append(t.TraceSQL, s.text)
 	}
 	start := time.Now()
-	var res *sqldb.Result
-	for _, st := range s.stmts {
-		var err error
-		if res, err = st.ExecHintedContext(t.ctx(), t.Hints); err != nil {
-			return nil, fmt.Errorf("dl2sql: step %s: %w\nSQL: %s", s.label, err, s.text)
-		}
+	res, err := s.stmt.ExecHintedContext(ctx, t.Hints)
+	if err != nil {
+		return nil, fmt.Errorf("dl2sql: step %s: %w\nSQL: %s", s.label, err, s.sql)
 	}
-	rows := 0
-	if s.table != "" {
-		if tb := t.DB.GetTable(s.table); tb != nil {
-			rows = tb.NumRows()
-		}
-	} else if res != nil {
-		rows = res.NumRows()
-	}
-	t.record(s.label, rows, time.Since(start))
+	t.record(s.label, s.text, res.NumRows(), time.Since(start))
 	return res, nil
 }
 
 // pipeline compiles one variant of a stored model's layer chain into a
-// program: each layer method renders its statements and appends them as
-// steps over fresh temp tables.
+// program: each layer method renders its SELECTs and appends them as steps,
+// each binding a fresh name.
 type pipeline struct {
+	variant
 	sm       *StoredModel
-	key      sampleKey
-	preJoin  PreJoinStrategy
 	prog     *program
 	lastConv int // ordinal of the last convolution, for step labels
 }
@@ -268,7 +244,7 @@ type pipeline struct {
 // compile renders and prepares every statement of one variant of the
 // model, including the reads of its final relation.
 func (sm *StoredModel) compile(v variant) (*program, error) {
-	p := &pipeline{sm: sm, key: v.key, preJoin: v.preJoin, prog: &program{key: v.key}}
+	p := &pipeline{variant: v, sm: sm, prog: &program{key: v.key}}
 	out, err := p.chain(sm.layers, p.encode())
 	if err == nil {
 		err = p.reads(out)
@@ -279,39 +255,26 @@ func (sm *StoredModel) compile(v variant) (*program, error) {
 	return p.prog, nil
 }
 
-// temp returns a fresh temp-table name, dropped when each run ends.
-func (p *pipeline) temp(tag string) string {
-	name := fmt.Sprintf("%s_tmp_%s_%d", p.sm.Prefix, tag, p.sm.seq.Add(1))
-	p.prog.temps = append(p.prog.temps, name)
-	return name
-}
-
-// prepare compiles a step from its statements; text is their rendering
-// as one script.
-func (p *pipeline) prepare(label, table, text string, sqls ...string) (step, error) {
-	s := step{label: label, table: table, text: text}
-	for _, sql := range sqls {
-		st, err := p.sm.db.Prepare(sql)
-		if err != nil {
-			return s, fmt.Errorf("dl2sql: step %s: %w\nSQL: %s", label, err, sql)
-		}
-		s.stmts = append(s.stmts, st)
+// prepare compiles a step binding its result under name.
+func (p *pipeline) prepare(label, name, sql string) (step, error) {
+	s := step{label: label, name: name, sql: sql, text: sql}
+	if name != "" {
+		s.text = name + " AS (" + sql + ")"
 	}
-	return s, nil
+	var err error
+	if s.stmt, err = p.sm.db.Prepare(sql); err != nil {
+		err = fmt.Errorf("dl2sql: step %s: %w\nSQL: %s", label, err, sql)
+	}
+	return s, err
 }
 
-// add appends a one-statement step; table "" counts the rows of its
-// result.
-func (p *pipeline) add(label, table, sql string) error {
-	s, err := p.prepare(label, table, sql, sql)
-	p.prog.steps = append(p.prog.steps, s)
-	return err
-}
-
-// create appends a step materializing one SELECT into a fresh temp table.
+// create appends a step binding one SELECT's result under a fresh name,
+// tag followed by the step's ordinal, and returns that name.
 func (p *pipeline) create(label, tag, sel string) (string, error) {
-	out := p.temp(tag)
-	return out, p.add(label, out, "CREATE TEMP TABLE "+out+" AS "+sel)
+	name := tag + strconv.Itoa(len(p.prog.steps)+1)
+	s, err := p.prepare(label, name, sel)
+	p.prog.steps = append(p.prog.steps, s)
+	return name, err
 }
 
 // flatOut is the flat relation holding sl's output.
@@ -330,20 +293,19 @@ func (p *pipeline) encode() relForm {
 	in, key := p.sm.Model.InputShape, p.key
 	if len(p.sm.layers) > 0 && p.sm.layers[0].mappingTable == "" {
 		if conv, ok := p.sm.layers[0].layer.(*nn.Conv2D); ok {
-			name, preJoined := p.temp("fm0"), p.preJoin == PreJoinInput
-			p.prog.load = func(t *Translator, inputs []*tensor.Tensor) error {
+			name, preJoined := "fm0", p.preJoin == PreJoinInput
+			p.prog.load = func(inputs []*tensor.Tensor) (*sqldb.Table, error) {
 				if preJoined {
-					return t.encodePreJoined(name, key, inputs, conv)
+					return encodePreJoined(name, key, inputs, conv)
 				}
-				_, err := t.encodePatch(name, key, inputs, conv.K, conv.Stride, conv.Pad)
-				return err
+				return encodePatch(name, key, inputs, conv.K, conv.Stride, conv.Pad)
 			}
 			return relForm{table: name, c: in[0], h: in[1], w: in[2]}
 		}
 	}
-	name := p.temp("flat0")
-	p.prog.load = func(t *Translator, inputs []*tensor.Tensor) error {
-		return t.encodeFlat(name, key, inputs)
+	name := "flat0"
+	p.prog.load = func(inputs []*tensor.Tensor) (*sqldb.Table, error) {
+		return encodeFlat(name, key, inputs)
 	}
 	c, h, w := 1, 1, 1
 	if len(in) == 3 {
@@ -517,9 +479,14 @@ func (p *pipeline) norm(sl *storedLayer, cur relForm) (relForm, error) {
 	return cur, err
 }
 
-// relu applies the paper's UPDATE-based rectification in place.
+// relu rectifies a flat relation. The paper sets the negative values to 0
+// with an UPDATE; this projection computes the same bits (+0 for every
+// negative value, every other value, -0 and NaN included, as is).
 func (p *pipeline) relu(cur relForm) (relForm, error) {
-	return cur, p.add(fmt.Sprintf("ReLU%d", p.lastConv), "", fmt.Sprintf(`UPDATE %s SET Value = 0 WHERE Value < 0`, cur.table))
+	var err error
+	cur.table, err = p.create(fmt.Sprintf("ReLU%d", p.lastConv), "relu", fmt.Sprintf(
+		`SELECT %sTupleID, KernelID, CASE WHEN Value < 0 THEN 0.0 ELSE Value END AS Value FROM %s`, p.key.col(""), cur.table))
+	return cur, err
 }
 
 func (p *pipeline) sigmoid(cur relForm) (relForm, error) {
@@ -575,7 +542,7 @@ func (p *pipeline) elementwise(label, tag, op, a, b string) (string, error) {
 }
 
 // residual executes the paper's Q5: both paths from the same input,
-// elementwise sum, then the UPDATE-based ReLU.
+// elementwise sum, then the ReLU.
 func (p *pipeline) residual(sl *storedLayer, cur relForm) (relForm, error) {
 	main, err := p.chain(sl.main, cur)
 	if err != nil {
@@ -594,8 +561,8 @@ func (p *pipeline) residual(sl *storedLayer, cur relForm) (relForm, error) {
 }
 
 // dense executes a dense block: each stage convolves the accumulated
-// concatenation, and the stage output is appended with shifted channel and
-// tuple IDs.
+// concatenation, and a UNION ALL appends the stage output with shifted
+// channel and tuple IDs.
 func (p *pipeline) dense(sl *storedLayer, growth int, cur relForm) (relForm, error) {
 	acc := cur
 	s := p.key.col("")
@@ -607,12 +574,9 @@ func (p *pipeline) dense(sl *storedLayer, growth int, cur relForm) (relForm, err
 			return cur, err
 		}
 		// Concatenate along channels.
-		concat := p.temp("cat")
-		create := fmt.Sprintf(`CREATE TEMP TABLE %s AS SELECT %sTupleID, KernelID, Value FROM %s`, concat, s, acc.table)
-		insert := fmt.Sprintf(`INSERT INTO %s (SELECT %sTupleID + %d, KernelID + %d, Value FROM %s)`,
-			concat, s, acc.size(), acc.c, stageOut.table)
-		st, err := p.prepare(fmt.Sprintf("Dense%d", p.lastConv), concat, create+";\n\t\t\t "+insert+";", create, insert)
-		p.prog.steps = append(p.prog.steps, st)
+		concat, err := p.create(fmt.Sprintf("Dense%d", p.lastConv), "cat", fmt.Sprintf(
+			`SELECT %sTupleID, KernelID, Value FROM %s UNION ALL SELECT %sTupleID + %d, KernelID + %d, Value FROM %s`,
+			s, acc.table, s, acc.size(), acc.c, stageOut.table))
 		if err != nil {
 			return cur, err
 		}
@@ -653,10 +617,9 @@ func (p *pipeline) deconv(sl *storedLayer, cur relForm) (relForm, error) {
 	return p.bias(sl, flatOut(out, sl), label)
 }
 
-// reads compiles the statements that read the final relation back: the
+// reads compiles the statement that reads the final relation back: the
 // argmax, which one input takes from its top row (also yielding the score)
-// and a batch from each sample's rows joined with its maximum, and the
-// whole relation ordered by TupleID.
+// and a batch from each sample's rows joined with its maximum.
 func (p *pipeline) reads(out relForm) (err error) {
 	p.prog.out = out
 	classify := fmt.Sprintf(`SELECT TupleID, Value FROM %s ORDER BY Value DESC, TupleID LIMIT 1`, out.table)
@@ -665,18 +628,14 @@ func (p *pipeline) reads(out relForm) (err error) {
 			`SELECT A.SampleID AS SampleID, MIN(A.TupleID) AS TupleID FROM %s A, (SELECT SampleID, MAX(Value) AS mx FROM %s GROUP BY SampleID) S WHERE A.SampleID = S.SampleID AND A.Value = S.mx GROUP BY A.SampleID`,
 			out.table, out.table)
 	}
-	if p.prog.classify, err = p.prepare("Classification", "", classify, classify); err != nil {
-		return err
-	}
-	p.prog.tensors, err = p.sm.db.Prepare(fmt.Sprintf(`SELECT %sTupleID, Value FROM %s ORDER BY %sTupleID`,
-		p.key.col(""), out.table, p.key.by("")))
+	p.prog.classify, err = p.prepare("Classification", "", classify)
 	return err
 }
 
 // classify runs a program's argmax and returns one class per sample, and
 // for one input its score.
 func (t *Translator) classify(prog *program, n int) ([]int, float64, error) {
-	res, err := t.execStep(&prog.classify)
+	res, err := t.execStep(prog.ctx, &prog.classify)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -707,26 +666,24 @@ func (t *Translator) classify(prog *program, n int) ([]int, float64, error) {
 	return classes, 0, nil
 }
 
-// tensors reads a program's final flat relation back into one tensor per
-// sample.
+// tensors reads a run's final flat relation back into one tensor per
+// sample, each row to its TupleID's place.
 func (t *Translator) tensors(prog *program, n int) ([]*tensor.Tensor, error) {
-	res, err := prog.tensors.QueryContext(t.ctx())
-	if err != nil {
-		return nil, err
-	}
-	out := prog.out
+	out, last := prog.out, prog.last
 	ts := make([]*tensor.Tensor, n)
 	for i := range ts {
 		ts[i] = tensor.New(out.c, out.h, out.w)
 	}
-	ids, vals := res.Cols[0], res.Cols[1]
+	col := func(name string) *sqldb.Column { return last.Cols[last.Schema.ColIndex(name)] }
+	ids, vals := col("TupleID"), col("Value")
+	var sids *sqldb.Column
 	if prog.key {
-		ids, vals = res.Cols[1], res.Cols[2]
+		sids = col("SampleID")
 	}
-	for r := 0; r < res.NumRows(); r++ {
+	for r := 0; r < last.NumRows(); r++ {
 		var sid int64
-		if prog.key {
-			sid, _ = res.Cols[0].Get(r).AsInt()
+		if sids != nil {
+			sid, _ = sids.Get(r).AsInt()
 		}
 		id, _ := ids.Get(r).AsInt()
 		v, _ := vals.Get(r).AsFloat()

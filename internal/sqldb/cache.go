@@ -187,7 +187,8 @@ func (db *DB) parseOne(sql string) (Stmt, error) {
 }
 
 // planSelectCached plans a SELECT, consulting the plan cache when the
-// query is eligible (cache enabled, no hints, single branch). hit reports
+// query is eligible (cache enabled, no hints, single branch, no relations
+// bound). hit reports
 // whether a validated cached plan was served; cacheable reports whether
 // the cache was consulted at all (EXPLAIN renders this distinction). The
 // outcome is noted in the statement's accounting before any subquery runs,
@@ -205,7 +206,7 @@ func (db *DB) planSelectCached(ctx context.Context, sel *SelectStmt, hints *Quer
 	db.mu.RLock()
 	pc := db.planCache
 	db.mu.RUnlock()
-	if pc == nil || hints != nil || len(sel.UnionAll) > 0 {
+	if pc == nil || hints != nil || len(sel.UnionAll) > 0 || relationsFrom(ctx) != nil {
 		if pc == nil {
 			acct.noteCacheState("disabled")
 		} else {
@@ -315,8 +316,8 @@ func (db *DB) collectSelectDeps(sel *SelectStmt) (deps []planDep, ok bool) {
 // clone of the plan — repeated executions skip lex, parse, and optimize.
 // A statement without placeholders runs its parsed AST as is, under the
 // text rendered once by Prepare, so repeated executions render nothing;
-// when it reads a single-branch SELECT — as SELECT, CREATE TABLE … AS or
-// INSERT … SELECT — it also keeps that SELECT's plan (see kept.go).
+// when it reads a SELECT — as SELECT, CREATE TABLE … AS or INSERT …
+// SELECT — it also keeps that SELECT's plans (see kept.go).
 type Prepared struct {
 	db   *DB
 	stmt Stmt
@@ -328,11 +329,12 @@ type Prepared struct {
 	// must therefore be bound before planning.
 	n           int
 	paramsInSub bool
-	// sel is the SELECT whose plan a placeholder-free statement keeps: the
-	// statement itself or the source of CREATE TABLE … AS or INSERT …
-	// SELECT, single-branch; nil for every other statement. kept is its
-	// one kept plan, replaced whenever the planner's inputs move.
-	sel  *SelectStmt
+	// sels are the UNION ALL branches of the SELECT whose plans a
+	// placeholder-free statement keeps: the statement itself or the source
+	// of CREATE TABLE … AS or INSERT … SELECT; nil for every other
+	// statement. kept holds their plans, replaced whenever the planner's
+	// inputs move.
+	sels []*SelectStmt
 	kept atomic.Pointer[keptPlan]
 }
 
@@ -346,18 +348,19 @@ func (db *DB) Prepare(sql string) (*Prepared, error) {
 	}
 	p := &Prepared{db: db, stmt: st, text: st.String()}
 	p.n, p.paramsInSub = countStmtParams(st)
-	if p.n == 0 {
-		switch t := st.(type) {
-		case *SelectStmt:
-			p.sel = t
-		case *CreateTableStmt:
-			p.sel = t.As
-		case *InsertStmt:
-			p.sel = t.Query
-		}
-		if p.sel != nil && len(p.sel.UnionAll) > 0 {
-			p.sel = nil
-		}
+	var sel *SelectStmt
+	switch t := st.(type) {
+	case *SelectStmt:
+		sel = t
+	case *CreateTableStmt:
+		sel = t.As
+	case *InsertStmt:
+		sel = t.Query
+	}
+	if p.n == 0 && sel != nil {
+		first := *sel
+		first.UnionAll = nil
+		p.sels = append([]*SelectStmt{&first}, sel.UnionAll...)
 	}
 	return p, nil
 }
@@ -402,7 +405,7 @@ func (p *Prepared) ExecHintedContext(ctx context.Context, hints *QueryHints, arg
 	if len(args) != p.n {
 		return nil, fmt.Errorf("sqldb: prepared statement wants %d arguments, got %d", p.n, len(args))
 	}
-	if p.sel != nil && (hints == nil || len(hints.JoinOrder) == 0) {
+	if p.sels != nil && (hints == nil || len(hints.JoinOrder) == 0) {
 		return p.record(ctx, func(ctx context.Context) (*Result, error) {
 			return p.db.execStmtWith(ctx, p.stmt, hints, p.runSelect)
 		})

@@ -264,10 +264,10 @@ func (db *DB) execStmtWith(ctx context.Context, st Stmt, hints *QueryHints, run 
 		if db.CacheEnabled() {
 			// With caching on, the first line reports whether the plan came
 			// from the cache. "bypass" marks plans the cache never serves:
-			// hinted queries, UNION ALL queries, and queries over sys.*
-			// virtual tables (their dependency versions cannot be tracked,
-			// so a cached plan could go stale invisibly — see
-			// collectSelectDeps).
+			// hinted queries, UNION ALL queries, queries run under bound
+			// relations (see relations.go), and queries over sys.* virtual
+			// tables (their dependency versions cannot be tracked, so a
+			// cached plan could go stale invisibly — see collectSelectDeps).
 			state := "miss"
 			switch {
 			case hit:
@@ -308,21 +308,30 @@ func (db *DB) runSelect(ctx context.Context, sel *SelectStmt, hints *QueryHints)
 		branch := *branch
 		branch.UnionAll = nil
 		br, err := db.runSelect(ctx, &branch, hints)
+		if err == nil {
+			err = appendBranch(res, br)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if len(br.Cols) != len(res.Cols) {
-			return nil, fmt.Errorf("sqldb: UNION ALL branch yields %d columns, want %d", len(br.Cols), len(res.Cols))
-		}
-		for ci := range res.Cols {
-			appended, err := appendColumn(res.Cols[ci], br.Cols[ci])
-			if err != nil {
-				return nil, fmt.Errorf("sqldb: UNION ALL column %d: %w", ci+1, err)
-			}
-			res.Cols[ci] = appended
-		}
 	}
 	return res, nil
+}
+
+// appendBranch appends a UNION ALL branch's rows to res, matching columns
+// by position.
+func appendBranch(res, br *Result) error {
+	if len(br.Cols) != len(res.Cols) {
+		return fmt.Errorf("sqldb: UNION ALL branch yields %d columns, want %d", len(br.Cols), len(res.Cols))
+	}
+	for ci := range res.Cols {
+		appended, err := appendColumn(res.Cols[ci], br.Cols[ci])
+		if err != nil {
+			return fmt.Errorf("sqldb: UNION ALL column %d: %w", ci+1, err)
+		}
+		res.Cols[ci] = appended
+	}
+	return nil
 }
 
 // appendColumn concatenates b's rows onto a copy of a (type-coerced).
@@ -332,14 +341,15 @@ func appendColumn(a, b *Column) (*Column, error) {
 		t = b.Type
 	}
 	out := NewColumn(t)
-	for i, n := 0, a.Len(); i < n; i++ {
-		if err := out.Append(a.Get(i)); err != nil {
-			return nil, err
+	for _, src := range []*Column{a, b} {
+		if src.Type == t || src.Type == TNull {
+			out.appendFrom(src)
+			continue
 		}
-	}
-	for i, n := 0, b.Len(); i < n; i++ {
-		if err := out.Append(b.Get(i)); err != nil {
-			return nil, err
+		for i, n := 0, src.Len(); i < n; i++ {
+			if err := out.Append(src.Get(i)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
@@ -357,21 +367,7 @@ func (db *DB) runCreateTable(ctx context.Context, st *CreateTableStmt, hints *Qu
 	if err != nil {
 		return err
 	}
-	schema := make(Schema, len(res.Schema))
-	for i, c := range res.Schema {
-		typ := c.Type
-		if typ == TNull {
-			typ = res.Cols[i].Type
-		}
-		if typ == TNull {
-			typ = TFloat // empty untyped columns default to Float64
-		}
-		name := c.Name
-		if name == "" {
-			name = fmt.Sprintf("col%d", i+1)
-		}
-		schema[i] = ColumnDef{Name: name, Type: typ}
-	}
+	schema := resultSchema(res)
 	if len(st.Cols) > 0 {
 		if len(st.Cols) != len(schema) {
 			return fmt.Errorf("sqldb: CREATE TABLE %s declares %d columns but SELECT yields %d", st.Name, len(st.Cols), len(schema))
@@ -388,6 +384,26 @@ func (db *DB) runCreateTable(ctx context.Context, st *CreateTableStmt, hints *Qu
 	}
 	endWrite(sp, res.NumRows())
 	return nil
+}
+
+// resultSchema is the table schema a SELECT's result is stored under.
+func resultSchema(res *Result) Schema {
+	schema := make(Schema, len(res.Schema))
+	for i, c := range res.Schema {
+		typ := c.Type
+		if typ == TNull {
+			typ = res.Cols[i].Type
+		}
+		if typ == TNull {
+			typ = TFloat // empty untyped columns default to Float64
+		}
+		name := c.Name
+		if name == "" {
+			name = fmt.Sprintf("col%d", i+1)
+		}
+		schema[i] = ColumnDef{Name: name, Type: typ}
+	}
+	return schema
 }
 
 // writeSpan opens the span that times a DML statement's write into table,

@@ -62,6 +62,7 @@ type execCtx struct {
 	node  Plan
 
 	ctx       context.Context
+	rels      Relations // bound to the statement (relations.go)
 	memBudget int64
 	memUsed   int64
 	charged   map[*Column]bool // the columns memUsed counts
@@ -251,7 +252,7 @@ func (db *DB) execPlanNode(p Plan, ec *execCtx) (*Result, error) {
 }
 
 func (db *DB) execScan(s *LScan, ec *execCtx) (*Result, error) {
-	t := db.lookupTable(s.Table)
+	t := db.relation(ec.rels, s.Table)
 	if t == nil {
 		return nil, fmt.Errorf("sqldb: table %q disappeared during execution", s.Table)
 	}

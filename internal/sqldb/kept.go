@@ -2,19 +2,19 @@ package sqldb
 
 // Kept plans.
 //
-// A Prepared statement without placeholders — a single-branch SELECT, or
-// the SELECT of CREATE TABLE … AS or INSERT … SELECT — keeps the plan of
-// its first successful execution and runs it again while every input the
-// planner read is unchanged, re-planning otherwise. Scans resolve their
-// tables by name at execution, so a kept plan runs over tables dropped and
-// re-created under the same names (DL2SQL's per-run temp tables) without
-// planning again.
+// A Prepared statement without placeholders — a SELECT, or the SELECT of
+// CREATE TABLE … AS or INSERT … SELECT — keeps the plans of its first
+// successful execution, one per UNION ALL branch, and runs them again while
+// every input the planner read is unchanged, re-planning otherwise. Scans
+// resolve their tables by name at execution, so a kept plan runs over a
+// table re-created, or a relation bound (relations.go), under the same
+// name without planning again.
 //
 // The planner's data-dependent inputs, and how the key covers each:
 //
-//   - The column schemas of the tables the statement reads, and the views
-//     it reads by identity. A scan's output schema is its table's, so a
-//     table re-created with the same columns plans the same.
+//   - The column schemas of the tables the statement reads, bound or not,
+//     and the views it reads by identity. A scan's output schema is its
+//     table's, so a table re-created with the same columns plans the same.
 //   - The greedy join order. It reads each relation's estimate — a base
 //     table's row count times constant textbook filter selectivities, a
 //     derived table's 1000, either replaced by a CardOverrides hint — only
@@ -44,11 +44,11 @@ import (
 	"slices"
 )
 
-// keptPlan is a Prepared statement's plan and the planner inputs it was
-// made from. It is immutable once stored, so concurrent executions share
-// it.
+// keptPlan is a Prepared statement's plans, one per UNION ALL branch, and
+// the planner inputs they were made from. It is immutable once stored, so
+// concurrent executions share it.
 type keptPlan struct {
-	plan   Plan
+	plans  []Plan
 	udfGen int64 // the UDF registry's generation when planning began
 	rels   []keptRel
 	orders []keptOrder
@@ -124,20 +124,21 @@ func compareEst(a, b float64) int8 {
 	return 0
 }
 
-// holds reports whether planning afresh under hints would read the same
-// inputs the kept plan was made from.
-func (k *keptPlan) holds(db *DB, hints *QueryHints) bool {
+// holds reports whether planning afresh under ctx and hints would read the
+// same inputs the kept plan was made from.
+func (k *keptPlan) holds(ctx context.Context, db *DB, hints *QueryHints) bool {
 	if db.udfGen.Load() != k.udfGen {
 		return false
 	}
+	rels := relationsFrom(ctx)
 	for _, r := range k.rels {
 		if r.view != nil {
-			if db.lookupView(r.name) != r.view {
+			if rels.lookup(r.name) != nil || db.lookupView(r.name) != r.view {
 				return false
 			}
 			continue
 		}
-		if t := db.lookupTable(r.name); t == nil || !slices.Equal(t.Schema, r.schema) {
+		if t := db.relation(rels, r.name); t == nil || !slices.Equal(t.Schema, r.schema) {
 			return false
 		}
 	}
@@ -149,7 +150,7 @@ func (k *keptPlan) holds(db *DB, hints *QueryHints) bool {
 		}
 		est := buf[:0]
 		for _, c := range o.cards {
-			est = append(est, db.estimate(c, h))
+			est = append(est, db.estimate(rels, c, h))
 		}
 		pair := 0
 		for i := range est {
@@ -164,9 +165,9 @@ func (k *keptPlan) holds(db *DB, hints *QueryHints) bool {
 	return true
 }
 
-// callsUDF reports whether sel or a view among rels calls a registered
+// callsUDF reports whether sels or a view among rels calls a registered
 // UDF. Subqueries are not entered: a plan that folds one is never kept.
-func (db *DB) callsUDF(sel *SelectStmt, rels []keptRel) bool {
+func (db *DB) callsUDF(sels []*SelectStmt, rels []keptRel) bool {
 	found := false
 	find := func(e Expr) (Expr, error) {
 		if fc, ok := e.(*FuncCall); ok && db.lookupUDF(fc.Name) != nil {
@@ -175,7 +176,9 @@ func (db *DB) callsUDF(sel *SelectStmt, rels []keptRel) bool {
 		return e, nil
 	}
 	// find never fails.
-	_, _ = RewriteSelect(sel, find)
+	for _, sel := range sels {
+		_, _ = RewriteSelect(sel, find)
+	}
 	for _, r := range rels {
 		if r.view != nil {
 			_, _ = RewriteSelect(r.view.Query, find)
@@ -184,40 +187,61 @@ func (db *DB) callsUDF(sel *SelectStmt, rels []keptRel) bool {
 	return found
 }
 
-// runSelect runs the statement's own SELECT, p.sel, from the kept plan
-// while it holds.
+// runSelect runs the statement's own SELECT, p.sels, from the kept plans
+// while they hold, appending each UNION ALL branch's rows to the first's.
 func (p *Prepared) runSelect(ctx context.Context, _ *SelectStmt, hints *QueryHints) (*Result, error) {
-	plan, commit, err := p.plan(ctx, hints)
+	plans, commit, err := p.plan(ctx, hints)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.db.execPlan(plan, p.db.newExecCtx(ctx))
-	if err != nil {
-		return nil, err
+	var res *Result
+	for i, plan := range plans {
+		br, err := p.db.execPlan(plan, p.db.newExecCtx(ctx))
+		if err == nil && i > 0 {
+			err = appendBranch(res, br)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			res = br
+		}
 	}
 	commit()
 	return res, nil
 }
 
-// plan returns the kept plan when it holds. Otherwise it plans afresh,
-// taking notes, and returns a commit that keeps the new plan — replacing
-// the old one — once it has executed successfully, unless the plan is
+// plan returns the kept plans when they hold. Otherwise it plans afresh,
+// taking notes, and returns a commit that keeps the new plans — replacing
+// the old ones — once they have executed successfully, unless a plan is
 // data or the statement calls a UDF. A plan the plan cache served carries
-// no notes and is not kept.
-func (p *Prepared) plan(ctx context.Context, hints *QueryHints) (Plan, func(), error) {
+// no notes, so then nothing is kept.
+func (p *Prepared) plan(ctx context.Context, hints *QueryHints) ([]Plan, func(), error) {
 	db := p.db
-	if k := p.kept.Load(); k != nil && k.holds(db, hints) {
+	if k := p.kept.Load(); k != nil && k.holds(ctx, db, hints) {
 		acctFrom(ctx).noteCacheState("kept")
-		return k.plan, func() {}, nil
+		return k.plans, func() {}, nil
 	}
 	gen := db.udfGen.Load()
 	notes := &planNotes{}
-	plan, hit, _, commit, err := db.planSelectCached(ctx, p.sel, hints, notes)
-	if err != nil || hit || notes.volatile || db.callsUDF(p.sel, notes.rels) {
-		return plan, commit, err
+	plans, commits, keep := make([]Plan, len(p.sels)), make([]func(), len(p.sels)), true
+	for i, sel := range p.sels {
+		plan, hit, _, commit, err := db.planSelectCached(ctx, sel, hints, notes)
+		if err != nil {
+			return nil, nil, err
+		}
+		plans[i], commits[i], keep = plan, commit, keep && !hit
 	}
-	k := &keptPlan{plan: plan, udfGen: gen, rels: notes.rels, orders: notes.orders}
-	return plan, func() {
+	commit := func() {
+		for _, c := range commits {
+			c()
+		}
+	}
+	if !keep || notes.volatile || db.callsUDF(p.sels, notes.rels) {
+		return plans, commit, nil
+	}
+	k := &keptPlan{plans: plans, udfGen: gen, rels: notes.rels, orders: notes.orders}
+	return plans, func() {
 		commit()
 		p.kept.Store(k)
 	}, nil

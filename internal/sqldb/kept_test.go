@@ -91,7 +91,7 @@ func checkKeptMatchesFresh(t *testing.T, db *DB, p *Prepared, sel string, rows *
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := planShape(k.plan), planShape(fresh); got != want {
+	if got, want := planShape(k.plans[0]), planShape(fresh); got != want {
 		t.Fatalf("kept plan\n%s\nfresh plan\n%s", got, want)
 	}
 	ref, err := db.Query(sel)
@@ -183,7 +183,7 @@ func TestPreparedKeepsPlanJoinOrderFlipReplans(t *testing.T) {
 			t.Fatalf("x of %d rows: re-planned = %v, want %v", step.xRows, replanned, step.replan)
 		}
 		checkKeptMatchesFresh(t, db, p, sel, res)
-		shapes[step.xRows] = planShape(p.kept.Load().plan)
+		shapes[step.xRows] = planShape(p.kept.Load().plans[0])
 	}
 	if shapes[3] == shapes[5] || shapes[5] != shapes[7] {
 		t.Fatalf("the tie did not flip the build side:\nx<w\n%s\ntie\n%s\nw<x\n%s", shapes[3], shapes[5], shapes[7])

@@ -172,7 +172,7 @@ func (db *DB) newExecCtx(ctx context.Context) *execCtx {
 	if o := parallelismFrom(ctx); o > 0 {
 		deg = o
 	}
-	ec := &execCtx{span: obs.SpanFromContext(ctx), par: deg, ctx: normCtx(ctx), faults: db.Faults, acct: acctFrom(ctx)}
+	ec := &execCtx{span: obs.SpanFromContext(ctx), par: deg, ctx: normCtx(ctx), rels: relationsFrom(ctx), faults: db.Faults, acct: acctFrom(ctx)}
 	if b := db.effectiveBudget(ctx); b > 0 {
 		ec.memBudget = b
 		ec.charged = map[*Column]bool{}

@@ -178,7 +178,7 @@ func relCardOf(rel planRel) relCard {
 // table counts its rows, a derived relation 1000, unless a CardOverrides
 // entry under the table's name or the derived relation's alias replaces
 // either.
-func (db *DB) cardBase(c relCard, hints *QueryHints) float64 {
+func (db *DB) cardBase(rels Relations, c relCard, hints *QueryHints) float64 {
 	if hints != nil && len(hints.CardOverrides) > 0 {
 		name := c.table
 		if name == "" {
@@ -189,7 +189,7 @@ func (db *DB) cardBase(c relCard, hints *QueryHints) float64 {
 		}
 	}
 	if c.table != "" {
-		if t := db.lookupTable(c.table); t != nil {
+		if t := db.relation(rels, c.table); t != nil {
 			return float64(t.NumRows())
 		}
 	}
@@ -198,8 +198,8 @@ func (db *DB) cardBase(c relCard, hints *QueryHints) float64 {
 
 // estimate is a relation's estimated cardinality after its pushed
 // filters, at least 1.
-func (db *DB) estimate(c relCard, hints *QueryHints) float64 {
-	base := db.cardBase(c, hints)
+func (db *DB) estimate(rels Relations, c relCard, hints *QueryHints) float64 {
+	base := db.cardBase(rels, c, hints)
 	for _, s := range c.sels {
 		base *= s
 	}
@@ -207,8 +207,8 @@ func (db *DB) estimate(c relCard, hints *QueryHints) float64 {
 }
 
 // relEstimate estimates a relation's cardinality after pushed filters.
-func (db *DB) relEstimate(rel planRel, pushed []Expr, hints *QueryHints) float64 {
-	base := db.cardBase(relCardOf(rel), hints)
+func (db *DB) relEstimate(rels Relations, rel planRel, pushed []Expr, hints *QueryHints) float64 {
+	base := db.cardBase(rels, relCardOf(rel), hints)
 	for _, f := range pushed {
 		base *= db.predicateSelectivity(f, hints)
 	}
@@ -221,7 +221,7 @@ func (db *DB) relEstimate(rel planRel, pushed []Expr, hints *QueryHints) float64
 // on neural-operator queries; the customized cost model bypasses it via
 // CardOverrides. Each side's NDV is looked up in the relation its own
 // alias names, whichever order the condition lists the two sides in.
-func (db *DB) joinSelectivity(rels []planRel, cond *equiCond) float64 {
+func (db *DB) joinSelectivity(bound Relations, rels []planRel, cond *equiCond) float64 {
 	ndv := func(alias string, e Expr) float64 {
 		col, ok := e.(*ColRef)
 		if !ok {
@@ -235,7 +235,7 @@ func (db *DB) joinSelectivity(rels []planRel, cond *equiCond) float64 {
 			if !ok {
 				return 100
 			}
-			if t := db.lookupTable(s.Table); t != nil {
+			if t := db.relation(bound, s.Table); t != nil {
 				if d, ok := t.Distinct(col.Name); ok {
 					return float64(d)
 				}
@@ -296,7 +296,7 @@ func (pl *planner) buildJoinTree(rels []planRel, conds []Expr) (Plan, []Expr, er
 		fs = db.orderPredicates(fs, hints)
 		if scan, ok := rels[i].plan.(*LScan); ok {
 			scan.Filters = fs
-			scan.EstRows = db.relEstimate(rels[i], fs, hints)
+			scan.EstRows = db.relEstimate(pl.rels, rels[i], fs, hints)
 		} else {
 			rels[i].plan = &LFilter{Child: rels[i].plan, Conds: fs}
 		}
@@ -318,7 +318,7 @@ func (pl *planner) buildJoinTree(rels []planRel, conds []Expr) (Plan, []Expr, er
 	cur := &joined{
 		plan:    first.plan,
 		aliases: map[string]bool{strings.ToLower(first.alias): true},
-		rows:    db.relEstimate(first, pushed[strings.ToLower(first.alias)], hints),
+		rows:    db.relEstimate(pl.rels, first, pushed[strings.ToLower(first.alias)], hints),
 	}
 	used := make([]bool, len(equis))
 	for _, idx := range order[1:] {
@@ -350,9 +350,9 @@ func (pl *planner) buildJoinTree(rels []planRel, conds []Expr) (Plan, []Expr, er
 			if eq.hasUDF && hints != nil && hints.SymmetricJoin {
 				symmetric = true
 			}
-			joinSel *= db.joinSelectivity(rels, eq)
+			joinSel *= db.joinSelectivity(pl.rels, rels, eq)
 		}
-		relRows := db.relEstimate(rel, pushed[ra], hints)
+		relRows := db.relEstimate(pl.rels, rel, pushed[ra], hints)
 		join := &LJoin{L: cur.plan, R: rel.plan, EquiL: eqL, EquiR: eqR, Symmetric: symmetric}
 		if len(eqL) == 0 {
 			join.EstRows = cur.rows * relRows
@@ -430,7 +430,7 @@ func (pl *planner) chooseJoinOrder(rels []planRel, pushed map[string][]Expr, equ
 	}
 	est := make([]float64, len(rels))
 	for i, r := range rels {
-		est[i] = db.relEstimate(r, pushed[strings.ToLower(r.alias)], hints)
+		est[i] = db.relEstimate(pl.rels, r, pushed[strings.ToLower(r.alias)], hints)
 	}
 	if pl.notes != nil {
 		cards := make([]relCard, len(rels))

@@ -131,6 +131,7 @@ type planner struct {
 	hints  *QueryHints
 	notes  *planNotes
 	inView bool
+	rels   Relations // bound to the statement (relations.go)
 }
 
 // planSelect plans a SELECT with no notes taken.
@@ -141,6 +142,7 @@ func (db *DB) planSelect(ctx context.Context, st *SelectStmt, hints *QueryHints)
 // plan builds a plan for a SELECT statement.
 func (pl *planner) plan(st *SelectStmt) (Plan, error) {
 	db := pl.db
+	pl.rels = relationsFrom(pl.ctx)
 	// Resolve scalar subqueries first: execute each uncorrelated subquery
 	// once and replace it with a literal (covers the paper's Q4 AVG/stddev
 	// pattern).
@@ -405,38 +407,42 @@ type aliasPlan struct {
 func (*aliasPlan) planNode()             {}
 func (p *aliasPlan) OutSchema() []OutCol { return p.schema }
 
-// newScan plans a base-table, view, or virtual-table access. A view is
-// planned without the statement's hints.
+// newScan plans a bound-relation, base-table, view, or virtual-table
+// access. A view is planned without the statement's hints.
 func (pl *planner) newScan(table, alias string) (Plan, error) {
 	db := pl.db
-	if st := db.lookupSysTable(table); st != nil {
-		pl.notes.markVolatile() // sys.* rows change under every plan
-		return db.newSysScan(st, alias), nil
-	}
-	if v := db.lookupView(table); v != nil {
-		pl.notes.view(table, v)
-		vp := *pl
-		vp.hints, vp.inView = nil, true
-		sub, err := vp.plan(v.Query)
-		if err != nil {
-			return nil, fmt.Errorf("sqldb: expanding view %s: %w", table, err)
-		}
-		schema := make([]OutCol, len(sub.OutSchema()))
-		for i, c := range sub.OutSchema() {
-			schema[i] = OutCol{Table: alias, Name: c.Name, Type: c.Type}
-		}
-		return &aliasPlan{Child: sub, schema: schema}, nil
-	}
-	t := db.lookupTable(table)
+	// A bound relation is found at execution by the name it is bound under.
+	name, t := table, pl.rels.lookup(table)
 	if t == nil {
-		return nil, fmt.Errorf("sqldb: no table or view named %q", table)
+		if st := db.lookupSysTable(table); st != nil {
+			pl.notes.markVolatile() // sys.* rows change under every plan
+			return db.newSysScan(st, alias), nil
+		}
+		if v := db.lookupView(table); v != nil {
+			pl.notes.view(table, v)
+			vp := *pl
+			vp.hints, vp.inView = nil, true
+			sub, err := vp.plan(v.Query)
+			if err != nil {
+				return nil, fmt.Errorf("sqldb: expanding view %s: %w", table, err)
+			}
+			schema := make([]OutCol, len(sub.OutSchema()))
+			for i, c := range sub.OutSchema() {
+				schema[i] = OutCol{Table: alias, Name: c.Name, Type: c.Type}
+			}
+			return &aliasPlan{Child: sub, schema: schema}, nil
+		}
+		if t = db.lookupTable(table); t == nil {
+			return nil, fmt.Errorf("sqldb: no table or view named %q", table)
+		}
+		name = t.Name
 	}
-	pl.notes.table(table, t.Schema)
+	pl.notes.table(name, t.Schema)
 	schema := make([]OutCol, len(t.Schema))
 	for i, c := range t.Schema {
 		schema[i] = OutCol{Table: alias, Name: c.Name, Type: c.Type}
 	}
-	return &LScan{Table: t.Name, Alias: alias, schema: schema, EstRows: float64(t.NumRows())}, nil
+	return &LScan{Table: name, Alias: alias, schema: schema, EstRows: float64(t.NumRows())}, nil
 }
 
 // colRefs lists every column reference in an expression.

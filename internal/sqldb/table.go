@@ -377,27 +377,6 @@ func (t *Table) appendRowLocked(row []Datum) error {
 	return nil
 }
 
-// AdoptColumns is AppendColumns for columns the caller hands over and
-// never touches again: an empty table keeps them as its own, without a
-// copy, when each has its schema column's type and all have one length.
-// Otherwise it appends them as AppendColumns does.
-func (t *Table) AdoptColumns(cols []*Column) error {
-	t.mu.Lock()
-	adopt := len(cols) == len(t.Schema)
-	for i := 0; adopt && i < len(cols); i++ {
-		adopt = cols[i].Type == t.Schema[i].Type && cols[i].Len() == cols[0].Len() && t.Cols[i].Len() == 0
-	}
-	if adopt {
-		copy(t.Cols, cols)
-		t.invalidateDerivedLocked()
-	}
-	t.mu.Unlock()
-	if adopt {
-		return nil
-	}
-	return t.AppendColumns(cols)
-}
-
 // AppendColumns bulk-appends rows given column-wise: one column per schema
 // column, all of one length. It takes the table lock once and bumps the
 // version once, and it copies the input, so callers may reuse or mutate

@@ -721,21 +721,17 @@ type caseNode struct {
 
 func (k *caseNode) eval(in *Result, s sel) (vec, error) {
 	n := s.len()
-	out := make([]Datum, n)
 	rest := make([]int, n) // the positions no WHEN has taken yet
 	for i := range rest {
 		rest[i] = i
 	}
-	// scatter evaluates x on the rows at positions pos into out.
-	scatter := func(x kernel, pos []int) error {
-		v, err := x.eval(in, s.pick(pos))
-		if err != nil {
-			return err
-		}
-		for j, p := range pos {
-			out[p] = v.get(j)
-		}
-		return nil
+	// parts[i] holds the values of the rows at positions pos[i].
+	var parts []vec
+	var pos [][]int
+	part := func(x kernel, at []int) error {
+		v, err := x.eval(in, s.pick(at))
+		parts, pos = append(parts, v), append(pos, at)
+		return err
 	}
 	for _, w := range k.whens {
 		if len(rest) == 0 {
@@ -756,17 +752,62 @@ func (k *caseNode) eval(in *Result, s sel) (vec, error) {
 		}
 		rest = left
 		if len(took) > 0 {
-			if err := scatter(w[1], took); err != nil {
+			if err := part(w[1], took); err != nil {
 				return vec{}, err
 			}
 		}
 	}
 	if k.els != nil && len(rest) > 0 {
-		if err := scatter(k.els, rest); err != nil {
+		if err := part(k.els, rest); err != nil {
 			return vec{}, err
 		}
 	}
+	if c := scatterTyped(parts, pos, n); c != nil {
+		return vec{col: c}, nil
+	}
+	out := make([]Datum, n)
+	for i, v := range parts {
+		for j, p := range pos[i] {
+			out[p] = v.get(j)
+		}
+	}
 	return vecOf(out), nil
+}
+
+// scatterTyped assembles n rows from parts — parts[i] holds the rows at
+// positions pos[i] — into one column when they are NULL-free Int or Float
+// columns of one type that cover every row, as vecOf would type their
+// datums; otherwise it returns nil.
+func scatterTyped(parts []vec, pos [][]int, n int) *Column {
+	covered := 0
+	for _, v := range parts {
+		if v.col == nil || v.col.Nulls != nil || v.col.Type != parts[0].col.Type {
+			return nil
+		}
+		covered += v.col.Len()
+	}
+	if covered != n || n == 0 {
+		return nil
+	}
+	out := newGatherColumn(parts[0].col, n, false)
+	for i, v := range parts {
+		switch v.col.Type {
+		case TInt:
+			scatterVals(out.Ints, v.col.Ints, pos[i])
+		case TFloat:
+			scatterVals(out.Floats, v.col.Floats, pos[i])
+		default:
+			return nil
+		}
+	}
+	return out
+}
+
+// scatterVals sets dst[pos[j]] to src[j].
+func scatterVals[T any](dst, src []T, pos []int) {
+	for j, p := range pos {
+		dst[p] = src[j]
+	}
 }
 
 // nonNull starts a Bool result for the values of v: NULL where v is NULL.

@@ -171,13 +171,7 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	// Final relational merge.
 	mergeSpan := root.StartChild("relational:final-merge")
 	finStart := time.Now()
-	predTable, err := buildPredictionsTable(env, q, preds, "dl2sql")
-	if err != nil {
-		return nil, bd, failSpans(err, mergeSpan)
-	}
-	defer db.DropTable(predTable)
-	final := rewriteWithPredictions(q, predTable)
-	res, err := db.ExecStmtContext(ctx, final, h)
+	res, err := runMerge(ctx, env, q, preds, h)
 	if err != nil {
 		return nil, bd, failSpans(fmt.Errorf("strategies: DL2SQL final query: %w", err), mergeSpan)
 	}

@@ -78,11 +78,23 @@ func storedTables(env *Context) []string {
 	return out
 }
 
+// checkCatalog fails unless db holds exactly the dataset's tables and the
+// tables of the models env has stored: no run leaves a relation behind.
+func checkCatalog(t *testing.T, env *Context, dataset []string, after string) {
+	t.Helper()
+	want := append(slices.Clone(dataset), storedTables(env)...)
+	sort.Strings(want)
+	if got := tablesWith(env.Dataset.DB, ""); !slices.Equal(got, want) {
+		t.Fatalf("after %s the catalog is %v, want %v", after, got, want)
+	}
+}
+
 // TestDL2SQLConcurrentExecute runs DL2SQL and DL2SQL-OP over Types 1–4
 // from four goroutines on one Context whose models are not yet stored.
-// Every answer is bit-identical to a sequential run, each of the two bound
-// artifacts is stored exactly once, and no temp table remains afterwards,
-// including after a run cancelled partway through.
+// Every answer is bit-identical to a sequential run and each of the two
+// bound artifacts is stored exactly once. Afterwards, and after a run
+// cancelled partway through and a DB-PyTorch run, the catalog holds
+// exactly the dataset's and the stored models' tables.
 func TestDL2SQLConcurrentExecute(t *testing.T) {
 	type job struct {
 		optimized bool
@@ -109,6 +121,7 @@ func TestDL2SQLConcurrentExecute(t *testing.T) {
 
 	env := testContext(t)
 	env.Metrics = obs.NewRegistry()
+	dataset := tablesWith(env.Dataset.DB, "")
 	const goroutines = 4
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -144,21 +157,21 @@ func TestDL2SQLConcurrentExecute(t *testing.T) {
 	if n := env.Metrics.Counter(obs.MetricDL2SQLModelsStored).Value(); n != 2 {
 		t.Errorf("stored %d models for 2 bound artifacts", n)
 	}
-	db := env.Dataset.DB
-	if got, want := tablesWith(db, "dl2sql_m"), storedTables(env); !slices.Equal(got, want) {
-		t.Errorf("model tables %v, want exactly the stored models' %v", got, want)
-	}
+	checkCatalog(t, env, dataset, "the concurrent runs")
 
-	// A run cancelled partway through drops its temp tables too.
+	db := env.Dataset.DB
 	db.Faults = faults.New(1, faults.Rule{Point: faults.PointMorselDelay, Delay: time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if _, _, err := (&DL2SQL{}).Execute(ctx, env, jobs[0].q); err == nil {
 		t.Fatal("a run past its deadline succeeded")
 	}
-	if left := tablesWith(db, "_tmp_"); len(left) != 0 {
-		t.Fatalf("temp tables left behind: %v", left)
+	checkCatalog(t, env, dataset, "a cancelled run")
+	db.Faults = nil
+	if _, _, err := (&DBPyTorch{}).Execute(context.Background(), env, jobs[0].q); err != nil {
+		t.Fatal(err)
 	}
+	checkCatalog(t, env, dataset, "a DB-PyTorch run")
 }
 
 // TestDL2SQLFaultOnSecondModel: a translate fault on the second of two

@@ -36,7 +36,6 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 	var bd CostBreakdown
 	ctx, cancel := env.queryCtx(ctx)
 	defer cancel()
-	db := env.Dataset.DB
 	ctx, root := obs.StartSpan(ctx, "strategy:"+s.Name())
 	defer root.Finish()
 
@@ -136,13 +135,7 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 	// Phase 3 (relational): merge predictions back and run the final query.
 	mergeSpan := root.StartChild("relational:final-merge")
 	finStart := time.Now()
-	predTable, err := buildPredictionsTable(env, q, preds, "pt")
-	if err != nil {
-		return nil, bd, failSpans(err, mergeSpan)
-	}
-	defer db.DropTable(predTable)
-	final := rewriteWithPredictions(q, predTable)
-	res, err := db.ExecStmtContext(ctx, final, nil)
+	res, err := runMerge(ctx, env, q, preds, nil)
 	if err != nil {
 		return nil, bd, failSpans(fmt.Errorf("strategies: DB-PyTorch final query: %w", err), mergeSpan)
 	}

@@ -1,9 +1,9 @@
 package strategies
 
 import (
+	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/colquery"
 	"repro/internal/sqldb"
@@ -50,27 +50,23 @@ func withoutNUDFs(cond sqldb.Expr) sqldb.Expr {
 // table in the rewritten query.
 const predAlias = "NPRED"
 
-// predTableSeq makes prediction-table names collision-free under
-// concurrency: UnixNano alone can repeat when two sessions' executions
-// land in the same tick (the scheduler makes that overlap routine).
-var predTableSeq atomic.Int64
+// predTable is the name the final merge's predictions are bound under: a
+// statement-scoped relation (sqldb.Relations), so concurrent merges never
+// share a table and the catalog never sees one.
+const predTable = "npred"
 
-// buildPredictionsTable materializes predictions for the candidates into a
-// fresh table {videoID, p_<udf>...} and returns its name.
-func buildPredictionsTable(env *Context, q *colquery.Query, preds map[int64]map[string]sqldb.Datum, tag string) (string, error) {
-	name := fmt.Sprintf("npred_%s_%d", tag, predTableSeq.Add(1))
+// predictionsTable builds the predictions for the candidates as a table
+// {videoID, p_<udf>...} outside the catalog.
+func predictionsTable(env *Context, q *colquery.Query, preds map[int64]map[string]sqldb.Datum) (*sqldb.Table, error) {
 	schema := sqldb.Schema{{Name: "videoID", Type: sqldb.TInt}}
 	for _, u := range q.UDFNames {
 		b := env.Bindings[u]
 		if b == nil {
-			return "", fmt.Errorf("strategies: no model bound for %s", u)
+			return nil, fmt.Errorf("strategies: no model bound for %s", u)
 		}
 		schema = append(schema, sqldb.ColumnDef{Name: predColName(u), Type: b.predictionType()})
 	}
-	tbl, err := env.Dataset.DB.CreateTable(name, schema)
-	if err != nil {
-		return "", err
-	}
+	tbl := sqldb.NewTable(predTable, schema)
 	for videoID, perUDF := range preds {
 		row := make([]sqldb.Datum, 0, len(schema))
 		row = append(row, sqldb.Int(videoID))
@@ -78,10 +74,22 @@ func buildPredictionsTable(env *Context, q *colquery.Query, preds map[int64]map[
 			row = append(row, perUDF[u])
 		}
 		if err := tbl.AppendRow(row); err != nil {
-			return "", err
+			return nil, err
 		}
 	}
-	return name, nil
+	return tbl, nil
+}
+
+// runMerge runs the collaborative query with every nUDF call replaced by a
+// read of the predictions, bound under predTable for that statement.
+func runMerge(ctx context.Context, env *Context, q *colquery.Query, preds map[int64]map[string]sqldb.Datum, hints *sqldb.QueryHints) (*sqldb.Result, error) {
+	tbl, err := predictionsTable(env, q, preds)
+	if err != nil {
+		return nil, err
+	}
+	rels := sqldb.Relations{}
+	rels.Bind(predTable, tbl)
+	return env.Dataset.DB.ExecStmtContext(sqldb.WithRelations(ctx, rels), rewriteWithPredictions(q, predTable), hints)
 }
 
 func predColName(udf string) string {
