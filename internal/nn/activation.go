@@ -20,12 +20,18 @@ func (r *ReLU) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, r.forwardInPlace(out)
 }
 
+// forwardInPlace selects between the bits of v and those of +0, so the
+// compiler emits a conditional move rather than a branch that ReLU's
+// random signs would mispredict. Only v < 0 selects +0: -0 and NaNs of
+// either sign keep their bits, which max(v, 0) would not do for -0.
 func (r *ReLU) forwardInPlace(t *tensor.Tensor) error {
 	d := t.Data()
 	for i, v := range d {
+		b := math.Float64bits(v)
 		if v < 0 {
-			d[i] = 0
+			b = 0
 		}
+		d[i] = math.Float64frombits(b)
 	}
 	return nil
 }

@@ -165,27 +165,34 @@ func sameShapes(ins []*tensor.Tensor) bool {
 
 // ForwardBatch implements BatchLayer for Conv2D with a sparse-patch
 // kernel that goes from input pixels to each sample's CHW output in one
-// pass. Each output pixel (sample, oy, ox) is one row of the work: the
-// kernel gathers the pixel's im2col patch row as (column, value) pairs in
-// ascending column order — Im2Col's order: channel, then ky, then kx —
-// with padding as bounds checks, and computes every output channel as the
-// dot product of its weight row with those pairs, sixteen channels per
-// pass over the pairs (dotBlock, over the layer's transposed weight
-// panel), writing acc + bias straight into the output.
+// pass. It first copies the stack once into zero-bordered planes of
+// (H+2·Pad) × (W+2·Pad), so that every output pixel's window lies inside
+// its sample's padded planes, and builds one offset table for the layer's
+// geometry: offs[col] is the distance from a window's top-left element in
+// channel 0 to the element of im2col column col — Im2Col's order: channel,
+// then ky, then kx. Each output pixel (sample, oy, ox) is one row of the
+// work: the kernel gathers the pixel's patch row through the table as
+// (column, value) pairs in ascending column order and computes every
+// output channel as the dot product of its weight row with those pairs,
+// sixteen channels per pass over the pairs (dotBlock, over the layer's
+// transposed weight panel), writing acc + bias straight into the output.
 //
 // Exactness: each output element gets MatMul's products, accumulated in
 // ascending column order from +0, so it equals the explicit Pad2D → Im2Col
-// → Transpose → MatMul lowering bit for bit. The gather drops zero inputs
-// and padding only when every weight of the layer is finite: a dropped
-// term is then ±0·w = ±0, and adding ±0 to an accumulator that starts at
-// +0 never changes it. With an infinite or NaN weight, w·0 is NaN, so
-// every term is kept.
+// → Transpose → MatMul lowering bit for bit; the stored border is +0, as
+// Pad2D writes it. The gather drops zero inputs, border included, only
+// when every weight of the layer is finite: a dropped term is then
+// ±0·w = ±0, and adding ±0 to an accumulator that starts at +0 never
+// changes it. With an infinite or NaN weight, w·0 is NaN, so every term is
+// kept.
 func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	out, err := c.OutShape(ins[0].Shape())
 	if err != nil {
 		return nil, err
 	}
 	h, w := ins[0].Dim(1), ins[0].Dim(2)
+	ph, pw := h+2*c.Pad, w+2*c.Pad
+	psize := c.InC * ph * pw // one padded sample
 	oh, ow := out[1], out[2]
 	ohw := oh * ow
 	size := c.OutC * ohw
@@ -196,6 +203,10 @@ func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		outs[s] = tensor.FromSlice(buf[s*size:(s+1)*size], c.OutC, oh, ow)
 	}
 	c.prepare()
+	keepAll := 0 // 1 keeps zero terms too
+	if !c.finite {
+		keepAll = 1
+	}
 	rows := len(ins) * ohw
 	degree := 1
 	if rows*c.OutC*kk >= tensor.ParFlopThreshold {
@@ -207,30 +218,52 @@ func (c *Conv2D) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	pb := patchBufs.Get().(*patchBuf)
 	defer patchBufs.Put(pb)
 	pb.cols, pb.vals = resized(pb.cols, degree*stride), resized(pb.vals, degree*stride)
-	cols, vals := pb.cols, pb.vals
+	pb.pad, pb.offs = resized(pb.pad, len(ins)*psize), resized(pb.offs, kk)
+	cols, vals, pad, offs := pb.cols, pb.vals, pb.pad, pb.offs
+	if c.Pad > 0 {
+		// Clearing the whole stack in one pass and then copying the rows
+		// over it is faster than clearing each row's few border elements.
+		clear(pad)
+	}
+	for s, in := range ins {
+		padPlanes(pad[s*psize:(s+1)*psize], in.Data(), h, w, c.Pad)
+	}
+	k, col := c.K, 0
+	for ch := 0; ch < c.InC; ch++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				offs[col] = (ch*ph+ky)*pw + kx
+				col++
+			}
+		}
+	}
 	par.Run(degree, rows, max(1, tensor.ParFlopThreshold/(c.OutC*kk+1)), func(wk, lo, hi int) {
 		pc, pv := cols[wk*stride:wk*stride+kk], vals[wk*stride:wk*stride+kk]
 		var acc [blockLanes]float64
 		for r := lo; r < hi; r++ {
 			s, pix := r/ohw, r%ohw
-			nz := c.gatherPatch(pc, pv, ins[s].Data(), h, w, pix/ow, pix%ow, c.finite)
-			c.dotChannels(&acc, buf[s*size:(s+1)*size], pix, ohw, pc[:nz], pv[:nz])
+			win := pad[s*psize+pix/ow*c.Stride*pw+pix%ow*c.Stride:]
+			n := gatherWindow(pc, pv, win, offs, keepAll)
+			c.dotChannels(&acc, buf[s*size:(s+1)*size], pix, ohw, pc[:n], pv[:n])
 		}
 	})
 	return outs, nil
 }
 
-// patchBuf is ForwardBatch's per-call patch buffers, recycled through
-// patchBufs so a forward allocates only its outputs.
+// patchBuf is ForwardBatch's per-call buffers, recycled through patchBufs
+// so a forward allocates only its outputs: the per-worker patch pairs, the
+// padded stack and the offset table.
 type patchBuf struct {
 	cols []int32
 	vals []float64
+	pad  []float64
+	offs []int
 }
 
 var patchBufs = sync.Pool{New: func() any { return new(patchBuf) }}
 
 // resized returns s with length n, reallocated only when its capacity is
-// short. gatherPatch overwrites every element it reads.
+// short. Its callers overwrite every element they read.
 func resized[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
@@ -238,48 +271,37 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// gatherPatch writes output pixel (oy, ox)'s im2col patch row into cols
-// and vals as (column, value) pairs in ascending column order and returns
-// how many it kept. With skipZeros, zero values (either sign) and padding
-// are left out; otherwise every column is kept, padding as +0, as Pad2D
-// writes it.
-func (c *Conv2D) gatherPatch(cols []int32, vals, src []float64, h, w, oy, ox int, skipZeros bool) int {
-	k, hw := c.K, h*w
-	iy0, ix0 := oy*c.Stride-c.Pad, ox*c.Stride-c.Pad
-	// The window rows and columns that fall inside the input.
-	kyLo, kyHi := max(0, -iy0), min(k, h-iy0)
-	kxLo, kxHi := max(0, -ix0), min(k, w-ix0)
-	if kxLo >= kxHi {
-		kyHi = kyLo // no column inside: the window is all padding
-	}
-	if !skipZeros {
-		vals = vals[:c.InC*k*k]
-		clear(vals)
-		for ch := 0; ch < c.InC; ch++ {
-			for ky := kyLo; ky < kyHi; ky++ {
-				off := ch*hw + (iy0+ky)*w + ix0
-				copy(vals[(ch*k+ky)*k+kxLo:], src[off+kxLo:off+kxHi])
-			}
+// padPlanes copies the CHW planes of src, each h×w, into the interiors of
+// dst's planes of (h+2·pad) × (w+2·pad), leaving their borders as they
+// are.
+func padPlanes(dst, src []float64, h, w, pad int) {
+	pw, ph := w+2*pad, h+2*pad
+	for ch, r := 0, 0; r < len(src); ch++ {
+		for y := 0; y < h; y, r = y+1, r+w {
+			start := (ch*ph+pad+y)*pw + pad
+			copy(dst[start:start+w], src[r:r+w])
 		}
-		for i := range vals {
-			cols[i] = int32(i)
-		}
-		return len(vals)
 	}
-	// Every pair is written and then kept or overwritten by the next, so
-	// whether a value is zero never steers a branch: ReLU's zeros fall at
-	// random.
+}
+
+// gatherWindow writes the patch row of the window whose top-left element
+// in channel 0 is win[0] into cols and vals as (column, value) pairs in
+// ascending column order, reading column col at win[offs[col]], and
+// returns how many it kept: the nonzero values, or every value when
+// keepAll is 1. Every pair is written and then kept or overwritten by the
+// next, so whether a value is zero never steers a branch: ReLU's zeros
+// fall at random. It is kept out of line: inlined into ForwardBatch's
+// worker, the loop's counters spill to the stack.
+//
+//go:noinline
+func gatherWindow(cols []int32, vals, win []float64, offs []int, keepAll int) int {
+	vals = vals[:len(cols)] // one bounds check then covers both writes
 	n := 0
-	for ch := 0; ch < c.InC; ch++ {
-		for ky := kyLo; ky < kyHi; ky++ {
-			off := ch*hw + (iy0+ky)*w + ix0
-			col := int32((ch*k+ky)*k + kxLo)
-			for j, v := range src[off+kxLo : off+kxHi] {
-				cols[n], vals[n] = col+int32(j), v
-				mag := math.Float64bits(v) << 1 // 0 only for ±0
-				n += int((mag | -mag) >> 63)
-			}
-		}
+	for col, off := range offs {
+		v := win[off]
+		cols[n], vals[n] = int32(col), v
+		mag := math.Float64bits(v) << 1 // 0 only for ±0
+		n += int((mag|-mag)>>63) | keepAll
 	}
 	return n
 }

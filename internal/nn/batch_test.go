@@ -119,11 +119,13 @@ func TestForwardBatchMixedShapes(t *testing.T) {
 }
 
 // TestConvLoweringBitIdentical pins Conv2D's sparse-patch kernel — patch
-// rows gathered as nonzero (column, value) pairs, padding by bounds checks,
-// dot products written straight into CHW outputs — to the explicit
-// lowering Pad2D → Im2Col → Transpose → MatMul, plus the bias. Forward and
-// every sample of a ForwardBatch must match it bit for bit. The first
-// sweep covers kernel sizes, strides, paddings and odd and even sides on
+// rows gathered as nonzero (column, value) pairs from a zero-bordered copy
+// of the stack, dot products written straight into CHW outputs — to the
+// explicit lowering Pad2D → Im2Col → Transpose → MatMul, plus the bias.
+// Forward and every sample of a ForwardBatch must match it bit for bit.
+// The first sweep covers kernel sizes, strides, paddings, odd and even
+// sides and inputs taller than wide and wider than tall (with and without
+// bias, so that a padded plane laid out with the wrong side fails) on
 // dense inputs; the second covers the inputs the kernel skips work on
 // (ReLU'd normals, an all-zero channel plane, -0 entries) over channel
 // counts below, at and past one 16-channel block, spanning several blocks
@@ -133,16 +135,22 @@ func TestConvLoweringBitIdentical(t *testing.T) {
 	for _, k := range []int{1, 3, 5} {
 		for _, stride := range []int{1, 2} {
 			for _, pad := range []int{0, 1, 2} {
-				for _, side := range []int{7, 8} {
+				for _, hw := range [][2]int{{7, 7}, {8, 8}, {7, 10}, {10, 7}} {
+					h, w := hw[0], hw[1]
 					conv := NewConv2D("c", 3, 4, k, stride, pad, int64(k*100+stride*10+pad))
-					if k == 3 && side == 8 {
+					if k == 3 && h == 8 {
 						conv.Bias = nil
 					}
 					ins := make([]*tensor.Tensor, 3)
 					for i := range ins {
-						ins[i] = randTensor(int64(side*10+i), 3, side, side)
+						ins[i] = randTensor(int64(h*100+w*10+i), 3, h, w)
 					}
-					checkConvLowering(t, fmt.Sprintf("k=%d s=%d p=%d side=%d", k, stride, pad, side), conv, ins)
+					label := fmt.Sprintf("k=%d s=%d p=%d %dx%d", k, stride, pad, h, w)
+					checkConvLowering(t, label, conv, ins)
+					if h != w {
+						conv.Bias = nil
+						checkConvLowering(t, label+" no bias", conv, ins)
+					}
 				}
 			}
 		}
@@ -420,4 +428,71 @@ func direct(c *Conv2D, in *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// TestReLUBits pins ReLU's output bits, through Forward and through the
+// in-place path ForwardBatch takes on tensors the chain allocated: -3,
+// -Inf and the smallest negative subnormal become +0; -0 stays -0; NaNs of
+// either sign keep their sign and payload; +Inf and positive values are
+// unchanged. A Conv2D → ReLU model runs the in-place path end to end on
+// the values a 1×1 identity convolution reproduces exactly (every one but
+// -0, which its sum from +0 turns into +0).
+func TestReLUBits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	posNaN := math.Float64frombits(0x7ff8_0000_0000_1234)
+	negNaN := math.Float64frombits(0xfff8_0000_00ab_cdef)
+	cases := []struct{ in, want float64 }{
+		{-3, 0},
+		{math.Inf(-1), 0},
+		{-math.SmallestNonzeroFloat64, 0},
+		{negZero, negZero},
+		{0, 0},
+		{posNaN, posNaN},
+		{negNaN, negNaN},
+		{math.Inf(1), math.Inf(1)},
+		{math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64},
+		{2.5, 2.5},
+	}
+	in := tensor.New(1, 1, len(cases))
+	for i, c := range cases {
+		in.Data()[i] = c.in
+	}
+	check := func(path string, got *tensor.Tensor, skipNegZero bool) {
+		t.Helper()
+		for i, c := range cases {
+			if skipNegZero && math.Float64bits(c.in) == math.Float64bits(negZero) {
+				continue
+			}
+			if g := got.Data()[i]; math.Float64bits(g) != math.Float64bits(c.want) {
+				t.Fatalf("%s: relu(%v) = %v (%#x), want %v (%#x)",
+					path, c.in, g, math.Float64bits(g), c.want, math.Float64bits(c.want))
+			}
+		}
+	}
+	r := &ReLU{LayerName: "r"}
+	out, err := r.Forward(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Forward", out, false)
+	owned := in.Clone()
+	outs, err := forwardBatchLayer(r, []*tensor.Tensor{owned}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sharesData(outs[0], owned) {
+		t.Fatal("an owned tensor did not take the in-place path")
+	}
+	check("in place", outs[0], false)
+
+	conv := NewConv2D("id", 1, 1, 1, 1, 0, 1)
+	conv.Weight.Data()[0], conv.Bias = 1, nil
+	m := NewModel("conv-relu", []int{1, 1, len(cases)}, nil).Add(conv, r)
+	batched, err := m.ForwardBatch([]*tensor.Tensor{in, in.Clone()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range batched {
+		check("Conv2D → ReLU ForwardBatch", got, true)
+	}
 }

@@ -571,6 +571,10 @@ func (rw *rewriter) plan(p Plan) (Plan, bool) {
 			c.Child = child
 			return &c, true
 		}
+	case *unionPlan:
+		if branches, ch := each(t.Branches, rw.plan); ch {
+			return &unionPlan{Branches: branches}, true
+		}
 	}
 	return p, false
 }

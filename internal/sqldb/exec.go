@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -200,6 +201,8 @@ func planNodeName(p Plan) string {
 		return "Limit"
 	case *aliasPlan:
 		return "Alias"
+	case *unionPlan:
+		return "UnionAll"
 	}
 	return fmt.Sprintf("%T", p)
 }
@@ -247,6 +250,24 @@ func (db *DB) execPlanNode(p Plan, ec *execCtx) (*Result, error) {
 			return nil, err
 		}
 		return &Result{Schema: t.schema, Cols: child.Cols, rows: child.NumRows()}, nil
+	case *unionPlan:
+		first, err := db.execPlan(t.Branches[0], ec)
+		if err != nil {
+			return nil, err
+		}
+		// appendBranch replaces res.Cols' entries; first.Cols may be an
+		// operator's own slice (an alias passes its child's on).
+		res := &Result{Schema: first.Schema, Cols: slices.Clone(first.Cols)}
+		for _, b := range t.Branches[1:] {
+			br, err := db.execPlan(b, ec)
+			if err == nil {
+				err = appendBranch(res, br)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		return res, nil
 	}
 	return nil, fmt.Errorf("sqldb: cannot execute plan node %T", p)
 }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -195,6 +196,83 @@ func TestUnionAllInsideCreateAndFromSubquery(t *testing.T) {
 	res := mustExec(t, db, `SELECT count(*) c FROM u`)
 	if res.Cols[0].Get(0).I != 4 {
 		t.Fatalf("create-from-union rows = %v", res.Cols[0].Get(0))
+	}
+}
+
+// TestDerivedTableUnionAll: a UNION ALL that feeds another block — a FROM
+// subquery, a view, an IN subquery — yields every branch's rows in branch
+// order, as a top-level one does, also through a kept plan, which follows
+// writes to a branch's table, and through plan-level parameter binding.
+func TestDerivedTableUnionAll(t *testing.T) {
+	db := New()
+	mustExec(t, db, `CREATE TABLE t (a Int64)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1), (2)`)
+	count := func(res *Result) int64 {
+		t.Helper()
+		if res.NumRows() != 1 {
+			t.Fatalf("COUNT returned %d rows", res.NumRows())
+		}
+		return res.Cols[0].Get(0).I
+	}
+	const union = `SELECT a FROM t UNION ALL SELECT a FROM t`
+	if c := count(mustExec(t, db, `SELECT COUNT(*) AS c FROM (`+union+`) X`)); c != 4 {
+		t.Fatalf("COUNT over derived union = %d, want 4", c)
+	}
+	res := mustExec(t, db, `SELECT X.a FROM (SELECT a FROM t WHERE a = 2
+		UNION ALL SELECT a FROM t WHERE a = 1 UNION ALL SELECT a + 10 AS a FROM t) X`)
+	var got []int64
+	for i := 0; i < res.NumRows(); i++ {
+		got = append(got, res.Cols[0].Get(i).I)
+	}
+	if fmt.Sprint(got) != "[2 1 11 12]" {
+		t.Fatalf("derived union rows = %v, want [2 1 11 12] (branch order)", got)
+	}
+	in := `SELECT COUNT(*) AS c FROM t WHERE a IN (SELECT a FROM t WHERE a = 1 UNION ALL SELECT a FROM t WHERE a = 2)`
+	if c := count(mustExec(t, db, in)); c != 2 {
+		t.Fatalf("IN over a union = %d, want 2", c)
+	}
+	mustExec(t, db, `CREATE VIEW v AS `+union)
+	if c := count(mustExec(t, db, `SELECT COUNT(*) AS c FROM v`)); c != 4 {
+		t.Fatalf("COUNT over a union view = %d, want 4", c)
+	}
+	if _, err := db.Exec(`SELECT COUNT(*) AS c FROM (SELECT a FROM t UNION ALL SELECT a, a FROM t) X`); err == nil {
+		t.Fatal("a derived union's column-count mismatch must fail")
+	}
+	plan := mustExec(t, db, `EXPLAIN SELECT COUNT(*) AS c FROM (`+union+`) X`)
+	var lines []string
+	for i := 0; i < plan.NumRows(); i++ {
+		lines = append(lines, plan.Cols[0].Get(i).String())
+	}
+	if text := strings.Join(lines, "\n"); !strings.Contains(text, "UnionAll branches=2") {
+		t.Fatalf("EXPLAIN lacks the union node:\n%s", text)
+	}
+
+	kept, err := db.Prepare(`SELECT COUNT(*) AS c FROM (` + union + `) X`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []int64{4, 4, 6} {
+		if want == 6 {
+			mustExec(t, db, `INSERT INTO t VALUES (3)`)
+		}
+		res, err := kept.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := count(res); c != want {
+			t.Fatalf("kept plan: COUNT over derived union = %d, want %d", c, want)
+		}
+	}
+	bound, err := db.Prepare(`SELECT COUNT(*) AS c FROM (SELECT a FROM t WHERE a >= ? UNION ALL SELECT a FROM t WHERE a >= ?) X`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = bound.Query(Int(1), Int(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := count(res); c != 4 {
+		t.Fatalf("bound derived union = %d, want 4 (3 + 1)", c)
 	}
 }
 

@@ -581,6 +581,12 @@ func explainNode(sb *strings.Builder, p Plan, depth int, stats map[Plan]*NodeSta
 		fmt.Fprintf(sb, "%sAlias", indent)
 		actuals()
 		explainNode(sb, t.Child, depth+1, stats)
+	case *unionPlan:
+		fmt.Fprintf(sb, "%sUnionAll branches=%d", indent, len(t.Branches))
+		actuals()
+		for _, b := range t.Branches {
+			explainNode(sb, b, depth+1, stats)
+		}
 	default:
 		fmt.Fprintf(sb, "%s%T", indent, p)
 		actuals()

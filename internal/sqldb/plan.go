@@ -86,6 +86,11 @@ type LLimit struct {
 	Offset int
 }
 
+// unionPlan concatenates its branches' rows in branch order, matching
+// columns by position: the UNION ALL of a FROM subquery or a view, each
+// branch planned as its own block, as runSelect runs a top-level one.
+type unionPlan struct{ Branches []Plan }
+
 func (*LScan) planNode()     {}
 func (*LFilter) planNode()   {}
 func (*LJoin) planNode()     {}
@@ -94,9 +99,11 @@ func (*LAgg) planNode()      {}
 func (*LDistinct) planNode() {}
 func (*LSort) planNode()     {}
 func (*LLimit) planNode()    {}
+func (*unionPlan) planNode() {}
 
 // OutSchema implementations: each node's statically-known output columns.
 func (p *LScan) OutSchema() []OutCol     { return p.schema }
+func (p *unionPlan) OutSchema() []OutCol { return p.Branches[0].OutSchema() }
 func (p *LFilter) OutSchema() []OutCol   { return p.Child.OutSchema() }
 func (p *LProject) OutSchema() []OutCol  { return p.schema }
 func (p *LAgg) OutSchema() []OutCol      { return p.schema }
@@ -254,6 +261,28 @@ func (pl *planner) plan(st *SelectStmt) (Plan, error) {
 	return plan, nil
 }
 
+// planBranches plans a SELECT whose output feeds another block (a FROM
+// subquery or a view): plan covers its first block only, so each UNION ALL
+// branch is planned as a block of its own under one unionPlan.
+func (pl *planner) planBranches(st *SelectStmt) (Plan, error) {
+	first, err := pl.plan(st)
+	if err != nil || len(st.UnionAll) == 0 {
+		return first, err
+	}
+	u := &unionPlan{Branches: []Plan{first}}
+	for _, branch := range st.UnionAll {
+		p, err := pl.plan(branch)
+		if err != nil {
+			return nil, err
+		}
+		if n, want := len(p.OutSchema()), len(first.OutSchema()); n != want {
+			return nil, fmt.Errorf("sqldb: UNION ALL branch yields %d columns, want %d", n, want)
+		}
+		u.Branches = append(u.Branches, p)
+	}
+	return u, nil
+}
+
 // projectSchema derives output column names for SELECT items.
 func (db *DB) projectSchema(items []SelectItem, child []OutCol) []OutCol {
 	var out []OutCol
@@ -298,7 +327,7 @@ func (pl *planner) flattenFrom(ref *TableRef) ([]planRel, []Expr, error) {
 		}
 		return rels, conds, nil
 	case ref.Sub != nil:
-		sub, err := pl.plan(ref.Sub)
+		sub, err := pl.planBranches(ref.Sub)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -422,7 +451,7 @@ func (pl *planner) newScan(table, alias string) (Plan, error) {
 			pl.notes.view(table, v)
 			vp := *pl
 			vp.hints, vp.inView = nil, true
-			sub, err := vp.plan(v.Query)
+			sub, err := vp.planBranches(v.Query)
 			if err != nil {
 				return nil, fmt.Errorf("sqldb: expanding view %s: %w", table, err)
 			}

@@ -54,6 +54,11 @@ func prune(p Plan, need []bool) {
 		prune(t.Child, need)
 	case *LDistinct:
 		prune(t.Child, nil)
+	case *unionPlan:
+		// Branches are concatenated by position: every column is read.
+		for _, b := range t.Branches {
+			prune(b, nil)
+		}
 	}
 }
 
