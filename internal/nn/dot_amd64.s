@@ -2,74 +2,80 @@
 
 // func dotBlock(acc *[16]float64, w []float64, ldp int, cols []int32, vals []float64)
 //
-// X0–X7 hold the 16 lanes of acc, two per register, from +0. For each
-// pair, X8 is the value broadcast to both halves; each pair of weights is
-// loaded into a scratch register (X9–X14;
-// X15, the zero register of Go's register ABI, is left alone), multiplied
-// by X8 and added to its accumulator: acc + w·x, with one rounding for the
-// product and one for the sum, as the scalar a += w*x rounds. SSE2 is the
-// amd64 baseline, so no feature check.
+// Without AVX (useAVX false) it tail-calls dotBlockGo with its own
+// arguments. Otherwise Y0–Y3 hold the 16 lanes of acc, four per register, from +0. For each
+// pair, Y4 is the value broadcast to all four lanes; each four weights are
+// loaded into a scratch register (Y5–Y8), multiplied by Y4 and added to
+// their accumulator: acc + w·x, with one rounding for the product and one
+// for the sum, as the scalar a += w*x rounds. The operands keep MULPD's and
+// ADDPD's order (w first, then acc first), so a product of two NaNs keeps
+// w's payload as before. No FMA: a fused multiply-add rounds once and would
+// change the bits. VZEROUPPER before returning spares the SSE code that
+// follows the AVX-to-SSE transition penalty.
 TEXT ·dotBlock(SB), NOSPLIT, $0-88
-	MOVQ acc+0(FP), DI
-	MOVQ w_base+8(FP), SI
-	MOVQ ldp+32(FP), DX
-	SHLQ $3, DX // row stride in bytes
-	MOVQ cols_base+40(FP), BX
-	MOVQ cols_len+48(FP), CX
-	MOVQ vals_base+64(FP), R8
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	TESTQ CX, CX
-	JEQ   done
+	CMPB    ·useAVX(SB), $0
+	JEQ     fallback
+	MOVQ    acc+0(FP), DI
+	MOVQ    w_base+8(FP), SI
+	MOVQ    ldp+32(FP), DX
+	SHLQ    $3, DX // row stride in bytes
+	MOVQ    cols_base+40(FP), BX
+	MOVQ    cols_len+48(FP), CX
+	MOVQ    vals_base+64(FP), R8
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	TESTQ   CX, CX
+	JEQ     done
 
 loop:
-	MOVLQSX  (BX), AX
-	IMULQ    DX, AX
-	ADDQ     SI, AX // AX = &w[col·ldp]
-	MOVSD    (R8), X8
-	UNPCKLPD X8, X8
-	MOVUPD   0(AX), X9
-	MULPD    X8, X9
-	ADDPD    X9, X0
-	MOVUPD   16(AX), X10
-	MULPD    X8, X10
-	ADDPD    X10, X1
-	MOVUPD   32(AX), X11
-	MULPD    X8, X11
-	ADDPD    X11, X2
-	MOVUPD   48(AX), X12
-	MULPD    X8, X12
-	ADDPD    X12, X3
-	MOVUPD   64(AX), X13
-	MULPD    X8, X13
-	ADDPD    X13, X4
-	MOVUPD   80(AX), X14
-	MULPD    X8, X14
-	ADDPD    X14, X5
-	MOVUPD   96(AX), X9
-	MULPD    X8, X9
-	ADDPD    X9, X6
-	MOVUPD   112(AX), X10
-	MULPD    X8, X10
-	ADDPD    X10, X7
-	ADDQ     $4, BX
-	ADDQ     $8, R8
-	DECQ     CX
-	JNE      loop
+	MOVLQSX      (BX), AX
+	IMULQ        DX, AX
+	ADDQ         SI, AX // AX = &w[col·ldp]
+	VBROADCASTSD (R8), Y4
+	VMOVUPD      0(AX), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VMOVUPD      32(AX), Y6
+	VMULPD       Y4, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+	VMOVUPD      64(AX), Y7
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+	VMOVUPD      96(AX), Y8
+	VMULPD       Y4, Y8, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $4, BX
+	ADDQ         $8, R8
+	DECQ         CX
+	JNE          loop
 
 done:
-	MOVUPD X0, 0(DI)
-	MOVUPD X1, 16(DI)
-	MOVUPD X2, 32(DI)
-	MOVUPD X3, 48(DI)
-	MOVUPD X4, 64(DI)
-	MOVUPD X5, 80(DI)
-	MOVUPD X6, 96(DI)
-	MOVUPD X7, 112(DI)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+fallback:
+	JMP ·dotBlockGo(SB)
+
+// func cpuid(leaf uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	XORL CX, CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
 	RET

@@ -13,12 +13,14 @@ import (
 // value per selected row. A column reference over a range is a zero-copy
 // slice of its column; a literal is broadcast, or, as an operand of a
 // kernel, one value that every position reads. Arithmetic and comparisons
-// run as typed loops with arith's and Compare's rules, and the rest
-// (function calls, CASE, IN, BETWEEN, NOT, unary minus, % and ||) compute
-// value by value. Conditional parts run only on the rows that reach them:
-// the right operand of AND and OR on the rows the left operand leaves
-// undecided, each WHEN on the rows no earlier WHEN took, each THEN on the
-// rows its WHEN took. A registered UDF is called once per batch of at most
+// run as typed loops with arith's and Compare's rules, and so does a CASE
+// of one WHEN whose THEN and ELSE are column references or literals; the
+// rest (function calls, other CASEs, IN, BETWEEN, NOT, unary minus, % and
+// ||) compute value by value. Conditional parts run only on the rows that
+// reach them: the right operand of AND and OR on the rows the left operand
+// leaves undecided, each WHEN on the rows no earlier WHEN took, each THEN
+// on the rows its WHEN took (column references and literals, which cannot
+// fail, excepted). A registered UDF is called once per batch of at most
 // udfBatchRows of the rows that reach it, and each batch is counted where
 // it is made. In filter position comparisons, AND and IS NULL narrow the
 // selection directly.
@@ -282,7 +284,6 @@ func (c *vecCompiler) compile(e Expr) (kernel, error) {
 	case *FuncCall:
 		return c.call(t)
 	case *CaseExpr:
-		c.byMorsel = true
 		k := &caseNode{}
 		for _, w := range t.Whens {
 			cond, err := c.compile(w.Cond)
@@ -300,6 +301,17 @@ func (c *vecCompiler) compile(e Expr) (kernel, error) {
 			if k.els, err = c.compile(t.Else); err != nil {
 				return nil, err
 			}
+		}
+		// One WHEN over leaves runs as a typed kernel, in one call unless
+		// its WHEN computes value by value.
+		if len(k.whens) == 1 && isLeaf(k.whens[0][1]) && (k.els == nil || isLeaf(k.els)) {
+			els := k.els
+			if els == nil {
+				els = newLit(Null(), false)
+			}
+			k.pick = []operand{operandOf(k.whens[0][1]), operandOf(els)}
+		} else {
+			c.byMorsel = true
 		}
 		return k, nil
 	case *InExpr:
@@ -337,10 +349,14 @@ type operand struct {
 
 func (c *vecCompiler) operand(e Expr) (operand, error) {
 	k, err := c.compile(e)
+	return operandOf(k), err
+}
+
+func operandOf(k kernel) operand {
 	if l, ok := k.(*lit); ok {
-		return operand{k: k, lit: &l.one}, nil
+		return operand{k: k, lit: &l.one}
 	}
-	return operand{k: k}, err
+	return operand{k: k}
 }
 
 func (c *vecCompiler) operands(es []Expr) ([]operand, error) {
@@ -717,9 +733,26 @@ func (k *udfNode) eval(in *Result, s sel) (vec, error) {
 type caseNode struct {
 	whens [][2]kernel // condition, result
 	els   kernel
+	// pick is set when the CASE has one WHEN and its THEN and ELSE are
+	// column references or literals: THEN and ELSE (NULL when absent) as
+	// operands, which eval runs through choose.
+	pick []operand
+}
+
+// isLeaf reports whether k is a column reference or a literal: a value
+// that cannot fail or call a UDF, whichever rows it runs on.
+func isLeaf(k kernel) bool {
+	switch k.(type) {
+	case colRef, *lit:
+		return true
+	}
+	return false
 }
 
 func (k *caseNode) eval(in *Result, s sel) (vec, error) {
+	if k.pick != nil {
+		return k.choose(in, s)
+	}
 	n := s.len()
 	rest := make([]int, n) // the positions no WHEN has taken yet
 	for i := range rest {
@@ -772,6 +805,76 @@ func (k *caseNode) eval(in *Result, s sel) (vec, error) {
 		}
 	}
 	return vecOf(out), nil
+}
+
+// choose is eval for a CASE with pick set. Its one WHEN runs on the whole
+// selection, as it would anyway, and so do THEN and ELSE: being leaves,
+// they give the same values on the rows that do not take them and nothing
+// else. Each row then takes THEN's value where the WHEN is TRUE and ELSE's
+// otherwise, in one pass, with no lists of the rows each part took and no
+// broadcast literal.
+func (k *caseNode) choose(in *Result, s sel) (vec, error) {
+	cond, err := k.whens[0][0].eval(in, s)
+	if err != nil {
+		return vec{}, err
+	}
+	a, as, _ := k.pick[0].at(in, s) // a leaf cannot fail
+	b, bs, _ := k.pick[1].at(in, s)
+	n := s.len()
+	if c := chooseTyped(cond.col, a.col, as, b.col, bs, n); c != nil {
+		return vec{col: c}, nil
+	}
+	out := make([]Datum, n)
+	for i := range out {
+		if t, ok := cond.truth(i); ok && t {
+			out[i] = a.get(i * as)
+		} else {
+			out[i] = b.get(i * bs)
+		}
+	}
+	return vecOf(out), nil
+}
+
+// chooseTyped builds choose's n rows as one column when cond is a Bool
+// column and a and b (read with strides as and bs) are NULL-free Int or
+// Float columns of one type, which is then the type vecOf would give the
+// chosen values: a's value where cond is TRUE, b's where it is FALSE or
+// NULL. Otherwise it returns nil.
+func chooseTyped(cond, a *Column, as int, b *Column, bs, n int) *Column {
+	if n == 0 || cond == nil || cond.Type != TBool || a.Type != b.Type || a.Nulls != nil || b.Nulls != nil {
+		return nil
+	}
+	out := &Column{Type: a.Type}
+	switch a.Type {
+	case TInt:
+		out.Ints = make([]int64, n)
+		chooseVals(out.Ints, cond, a.Ints, as, b.Ints, bs)
+	case TFloat:
+		out.Floats = make([]float64, n)
+		chooseVals(out.Floats, cond, a.Floats, as, b.Floats, bs)
+	default:
+		return nil
+	}
+	return out
+}
+
+// chooseVals sets dst[i] to a[i·as] where cond is TRUE at i and to b[i·bs]
+// otherwise. The condition picks a source by index, not by a branch, so
+// that rows taking THEN and ELSE at random cost no mispredictions.
+func chooseVals[T int64 | float64](dst []T, cond *Column, a []T, as int, b []T, bs int) {
+	src, stride := [2][]T{b, a}, [2]int{bs, as}
+	for i, t := range cond.Bools[:len(dst)] {
+		k := 0
+		if t {
+			k = 1
+		}
+		dst[i] = src[k][i*stride[k]]
+	}
+	for i, null := range cond.Nulls {
+		if null {
+			dst[i] = b[i*bs]
+		}
+	}
 }
 
 // scatterTyped assembles n rows from parts — parts[i] holds the rows at
