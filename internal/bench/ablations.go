@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/colquery"
+	"repro/internal/obs"
 	"repro/internal/sqldb"
 	"repro/internal/strategies"
 )
@@ -34,19 +35,41 @@ func (s *Suite) AblationBatching() (*Table, error) {
 	}
 	for _, batched := range []bool{false, true} {
 		strat := &strategies.DL2SQL{Optimized: false, Batched: batched}
+		// Each mode runs under its own keep-all trace; its statements are
+		// the step spans, the children of its model:* spans.
+		traces := obs.NewTraceStore(obs.TraceStoreConfig{SampleEvery: 1, MaxSpansPerTrace: 1 << 20})
 		start := time.Now()
-		_, bd, err := strat.Execute(context.Background(), s.Ctx, q)
+		ctx, scope := traces.Enter(context.Background(), "ablation", "ablation", start)
+		_, bd, err := strat.Execute(ctx, s.Ctx, q)
+		end := time.Now()
+		scope.Exit(end, "")
 		if err != nil {
 			return nil, err
 		}
-		total := time.Since(start).Seconds()
 		mode := "per-sample"
 		if batched {
 			mode = "batched"
 		}
-		t.AddRow(mode, fmt.Sprintf("%d", len(strat.LastSteps)), f4(bd.Inference), f4(total))
+		t.AddRow(mode, fmt.Sprintf("%d", stepSpans(traces)), f4(bd.Inference), f4(end.Sub(start).Seconds()))
 	}
 	return t, nil
+}
+
+// stepSpans counts the DL2SQL step spans a store retained: the children of
+// its model:* spans.
+func stepSpans(traces *obs.TraceStore) int {
+	n := 0
+	for _, st := range traces.Snapshot() {
+		model := map[int]bool{}
+		for _, sp := range st.Spans {
+			if strings.HasPrefix(sp.Name, "model:") {
+				model[sp.SpanID] = true
+			} else if model[sp.ParentID] {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // AblationSymmetricJoin compares the standard build/probe hash join against

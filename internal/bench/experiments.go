@@ -110,19 +110,19 @@ func (s *Suite) Fig9CNNBlocks() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	agg := map[string]time.Duration{}
+	var order []string
 	for i := 0; i < runs; i++ {
 		in := randomInput(model.InputShape, s.Cfg.Seed+int64(i))
 		if _, _, err := tr.Infer(sm, in); err != nil {
 			return nil, err
 		}
-	}
-	agg := map[string]time.Duration{}
-	var order []string
-	for _, step := range tr.Steps {
-		if _, ok := agg[step.Label]; !ok {
-			order = append(order, step.Label)
+		for _, step := range tr.Steps {
+			if _, ok := agg[step.Label]; !ok {
+				order = append(order, step.Label)
+			}
+			agg[step.Label] += step.Time
 		}
-		agg[step.Label] += step.Time
 	}
 	t := &Table{
 		ID:      "Fig. 9",
@@ -247,13 +247,12 @@ func (s *Suite) Fig11PreJoin() (*Table, error) {
 			i := (r + k) % len(strats) // each strategy leads a third of the rounds
 			strat := strats[i]
 			tr.PreJoin = strat
-			tr.Steps = nil
 			runtime.GC()
 			if _, _, err := tr.Infer(sm, in); err != nil {
 				return nil, err
 			}
 			if r == 0 {
-				steps[i] = tr.Steps
+				steps[i] = slices.Clone(tr.Steps)
 				secs[i] = make([][]float64, len(tr.Steps))
 			} else if len(tr.Steps) != len(steps[i]) {
 				return nil, fmt.Errorf("bench: fig11 %s ran %d steps, first run %d", strat, len(tr.Steps), len(steps[i]))

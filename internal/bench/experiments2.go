@@ -229,14 +229,14 @@ func (s *Suite) Fig13PerOp() (*Table, error) {
 		return nil, err
 	}
 	const runs = 3
+	actualByLabel := map[string]float64{}
 	for i := 0; i < runs; i++ {
 		if _, _, err := tr.Infer(sm, randomInput(model.InputShape, s.Cfg.Seed+int64(i))); err != nil {
 			return nil, err
 		}
-	}
-	actualByLabel := map[string]float64{}
-	for _, step := range tr.Steps {
-		actualByLabel[step.Label] += step.Time.Seconds() / runs
+		for _, step := range tr.Steps {
+			actualByLabel[step.Label] += step.Time.Seconds() / runs
+		}
 	}
 	t := &Table{
 		ID:      "Fig. 13",

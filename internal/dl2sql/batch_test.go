@@ -128,15 +128,15 @@ func TestBatchPreJoinStrategies(t *testing.T) {
 		db := sqldb.New()
 		tr := NewTranslator(db, "m")
 		tr.PreJoin = strat
-		tr.Trace = true
 		sm, err := tr.StoreModel(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tr.InferBatch(sm, inputs)
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
+		var got []int
+		steps := stepSQL(t, tr, func() (err error) {
+			got, err = tr.InferBatch(sm, inputs)
+			return err
+		})
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%v sample %d: %d vs %d", strat, i, got[i], want[i])
@@ -145,7 +145,7 @@ func TestBatchPreJoinStrategies(t *testing.T) {
 		// The model opens with a conv, so the first statement is Conv1:
 		// under PreJoinInput the input was encoded pre-multiplied and the
 		// kernel join is gone.
-		first := tr.TraceSQL[0]
+		first := steps[0]
 		if !strings.Contains(first, "SUM(") || (strat == PreJoinInput) == strings.Contains(first, "JOIN") {
 			t.Fatalf("%v: first conv statement %q", strat, first)
 		}
@@ -179,10 +179,12 @@ func TestBatchAmortizesStatements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	perSteps := 0
 	for _, in := range inputs {
 		if _, _, err := perSample.Infer(sm1, in); err != nil {
 			t.Fatal(err)
 		}
+		perSteps += len(perSample.Steps)
 	}
 	batched := newTr(t)
 	sm2, err := batched.StoreModel(m)
@@ -192,9 +194,9 @@ func TestBatchAmortizesStatements(t *testing.T) {
 	if _, err := batched.InferBatch(sm2, inputs); err != nil {
 		t.Fatal(err)
 	}
-	if len(batched.Steps)*3 > len(perSample.Steps) {
+	if len(batched.Steps)*3 > perSteps {
 		t.Fatalf("batch should amortize statements: %d batched vs %d per-sample",
-			len(batched.Steps), len(perSample.Steps))
+			len(batched.Steps), perSteps)
 	}
 }
 
@@ -259,20 +261,31 @@ func TestMustSupport(t *testing.T) {
 func TestTraceRecordsPipelineSQL(t *testing.T) {
 	m := modelrepo.NewStudentModel(modelrepo.TaskDefectDetection, 8, 403)
 	tr := newTr(t)
-	tr.Trace = true
 	sm, err := tr.StoreModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, root := tracedCtx()
+	tr.Ctx = ctx
 	if _, _, err := tr.Infer(sm, randTensor([]int{3, 8, 8}, 404)); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.TraceSQL) == 0 {
-		t.Fatal("trace empty")
+	// One span per recorded step, each with its statement's operator spans
+	// beneath it and its SQL text as attribute sql.
+	steps := root.Children()
+	if len(steps) == 0 || len(steps) != len(tr.Steps) {
+		t.Fatalf("%d step spans for %d steps", len(steps), len(tr.Steps))
 	}
 	joined := ""
-	for _, q := range tr.TraceSQL {
-		joined += q + "\n"
+	for i, sp := range steps {
+		if sp.Name != tr.Steps[i].Label || len(sp.Children()) == 0 {
+			t.Fatalf("step span %d: %q with %d children, want %q with its operators", i, sp.Name, len(sp.Children()), tr.Steps[i].Label)
+		}
+		for _, a := range sp.Attrs() {
+			if a.Key == "sql" {
+				joined += a.Value.(string) + "\n"
+			}
+		}
 	}
 	// The paper's query shapes must appear in the trace.
 	for _, want := range []string{
@@ -285,10 +298,6 @@ func TestTraceRecordsPipelineSQL(t *testing.T) {
 		if !containsStr(joined, want) {
 			t.Fatalf("trace missing %q", want)
 		}
-	}
-	tr.ResetSteps()
-	if len(tr.TraceSQL) != 0 {
-		t.Fatal("ResetSteps must clear the trace")
 	}
 }
 

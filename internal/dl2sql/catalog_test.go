@@ -63,7 +63,6 @@ func programs(sm *StoredModel) int {
 func TestRunsShareCompiledProgram(t *testing.T) {
 	m := modelrepo.NewStudentModel(modelrepo.TaskDefectDetection, 8, 7)
 	tr := newTr(t)
-	tr.Trace = true
 	sm, err := tr.StoreModel(m)
 	if err != nil {
 		t.Fatal(err)
@@ -73,23 +72,23 @@ func TestRunsShareCompiledProgram(t *testing.T) {
 	var wantSQL []string
 	var prog *program
 	for i := 0; i < 3; i++ {
-		tr.ResetSteps()
-		got, err := tr.InferTensor(sm, in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var got *tensor.Tensor
+		sql := stepSQL(t, tr, func() (err error) {
+			got, err = tr.InferTensor(sm, in)
+			return err
+		})
 		if n := programs(sm); n != 1 {
 			t.Fatalf("run %d: %d compiled programs, want 1", i, n)
 		}
 		p, _ := sm.progs.Load(variant{})
 		if i == 0 {
-			want, wantSQL, prog = got, tr.TraceSQL, p.(*program)
+			want, wantSQL, prog = got, sql, p.(*program)
 			continue
 		}
 		if p != prog {
 			t.Fatalf("run %d recompiled the model", i)
 		}
-		if !slices.Equal(tr.TraceSQL, wantSQL) {
+		if !slices.Equal(sql, wantSQL) {
 			t.Fatalf("run %d executed different statements", i)
 		}
 		if !sameBits(got, want) {
@@ -100,7 +99,7 @@ func TestRunsShareCompiledProgram(t *testing.T) {
 
 // TestConcurrentRunsUseSeparateSlots: concurrent Infer, InferBatch and
 // InferTensor runs of one stored model, each through its own translator
-// (some behind a pipeline cache, each pre-join strategy), never see one
+// (some traced, each pre-join strategy), never see one
 // another's step relations: each run binds its own under its context, so
 // every answer is exactly the sequential one, the runs share one program
 // per variant, and the catalog ends as it began.
@@ -133,7 +132,7 @@ func TestConcurrentRunsUseSeparateSlots(t *testing.T) {
 			tr := NewTranslator(db, "c")
 			tr.PreJoin = PreJoinStrategy(w % 3)
 			if w%2 == 1 {
-				tr.Cache = NewPipelineCache(2)
+				tr.Ctx, _ = tracedCtx()
 			}
 			for k := range ins {
 				i := (k + w) % len(ins)

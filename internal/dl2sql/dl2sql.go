@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/sqldb"
 )
 
@@ -108,26 +107,17 @@ type Translator struct {
 	// Hints, when set, are passed to every generated query (the DL2SQL-OP
 	// configuration).
 	Hints *sqldb.QueryHints
-	// Steps accumulates per-step costs across Infer calls; reset with
-	// ResetSteps.
-	Steps []StepCost
-	// Trace, when true, records every executed step into TraceSQL, in
-	// order, as "name AS (SELECT …)" — the textual form of the paper's
-	// Q1–Q5.
-	Trace    bool
-	TraceSQL []string
-	// Span, when non-nil, receives one child span per executed pipeline
-	// step (Conv1, Reshape1, BN1, Classification, ...) with its TraceSQL
-	// text, nesting the SQL inference pipeline under the caller's trace.
-	Span *obs.Span
-	// Cache, when non-nil, memoizes whole inferences across Infer calls
-	// (see PipelineCache); a hit is recorded as one "Inference [cached]"
-	// step. InferTensor and InferBatch are never cached.
-	Cache *PipelineCache
 	// Ctx, when non-nil, is threaded to every generated SQL statement, so
 	// a caller's cancellation or deadline aborts the pipeline between (and,
-	// at morsel granularity, inside) steps.
+	// at morsel granularity, inside) steps. When it carries an active span,
+	// every step opens a child span under it (Conv1, Reshape1, BN1,
+	// Classification, ...) with its SQL text as attribute sql and its
+	// statement's operator spans beneath.
 	Ctx context.Context
+	// Steps holds the per-step costs of the most recent run (Infer,
+	// InferTensor or InferBatch): the step clock that stays on with tracing
+	// off. Each run reuses its backing array; copy it to keep it.
+	Steps []StepCost
 }
 
 // ctx resolves the translator's context for generated statements.
@@ -143,12 +133,6 @@ func NewTranslator(db *sqldb.DB, prefix string) *Translator {
 	return &Translator{DB: db, Prefix: prefix}
 }
 
-// ResetSteps clears the recorded step costs and SQL trace.
-func (t *Translator) ResetSteps() {
-	t.Steps = nil
-	t.TraceSQL = nil
-}
-
 // StepTotal sums recorded step durations.
 func (t *Translator) StepTotal() time.Duration {
 	var d time.Duration
@@ -156,21 +140,6 @@ func (t *Translator) StepTotal() time.Duration {
 		d += s.Time
 	}
 	return d
-}
-
-// record appends a step's cost and span; sql is its TraceSQL text, "" for
-// a cache hit.
-func (t *Translator) record(label, sql string, rows int, d time.Duration) {
-	t.Steps = append(t.Steps, StepCost{Label: label, Rows: rows, Time: d})
-	if t.Span != nil {
-		sp := t.Span.StartChild(label)
-		sp.Start = sp.Start.Add(-d) // backdate: the step already ran
-		sp.SetAttr("rows", rows)
-		if sql != "" {
-			sp.SetAttr("sql", sql)
-		}
-		sp.Finish()
-	}
 }
 
 // tname builds a namespaced table name.

@@ -1,12 +1,14 @@
 package dl2sql
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/modelrepo"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/sqldb"
 	"repro/internal/tensor"
 )
@@ -15,6 +17,35 @@ func newTr(t *testing.T) *Translator {
 	t.Helper()
 	db := sqldb.New()
 	return NewTranslator(db, "m")
+}
+
+// tracedCtx is a context whose active span is the root of a fresh keep-all
+// trace: a translator running under it opens one child span per step.
+func tracedCtx() (context.Context, *obs.Span) {
+	store := obs.NewTraceStore(obs.TraceStoreConfig{SampleEvery: 1, MaxSpansPerTrace: 1 << 20})
+	tr := store.StartTrace(context.Background(), "test")
+	return obs.ContextWithTraceSpan(context.Background(), tr, tr.Root()), tr.Root()
+}
+
+// stepSQL runs fn with tr under a fresh trace and returns the sql attribute
+// of every step span the run opened, in execution order.
+func stepSQL(t *testing.T, tr *Translator, fn func() error) []string {
+	t.Helper()
+	ctx, root := tracedCtx()
+	tr.Ctx = ctx
+	defer func() { tr.Ctx = nil }()
+	if err := fn(); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, sp := range root.Children() {
+		for _, a := range sp.Attrs() {
+			if a.Key == "sql" {
+				out = append(out, a.Value.(string))
+			}
+		}
+	}
+	return out
 }
 
 func randTensor(shape []int, seed int64) *tensor.Tensor {
@@ -424,9 +455,12 @@ func TestStepsRecorded(t *testing.T) {
 	if tr.StepTotal() <= 0 {
 		t.Fatal("step total must be positive")
 	}
-	tr.ResetSteps()
-	if len(tr.Steps) != 0 {
-		t.Fatal("ResetSteps failed")
+	n := len(tr.Steps)
+	if _, _, err := tr.Infer(sm, randTensor([]int{3, 8, 8}, 81)); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Steps) != n {
+		t.Fatalf("a second run left %d steps, want its own %d", len(tr.Steps), n)
 	}
 }
 

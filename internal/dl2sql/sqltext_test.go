@@ -57,8 +57,8 @@ func everyOperatorModel() *nn.Model {
 }
 
 // TestPipelineSQLTextPinned pins the text of every statement the pipeline
-// emits: the FNV-1a of TraceSQL, each step's SELECT with the fixed name it
-// binds, for the side-8 student model and everyOperatorModel, per pre-join
+// emits: the FNV-1a of the step spans' sql attributes, each step's SELECT
+// with the fixed name it binds, for the side-8 student model and everyOperatorModel, per pre-join
 // strategy, for one input through Infer and three through InferBatch. The
 // constants were re-recorded when the steps became SELECTs bound as
 // statement-scoped relations: ReLU a projection, the dense concatenation a
@@ -91,21 +91,20 @@ func TestPipelineSQLTextPinned(t *testing.T) {
 				t.Run(key, func(t *testing.T) {
 					tr := NewTranslator(sqldb.New(), "p")
 					tr.PreJoin = strat
-					tr.Trace = true
 					sm, err := tr.StoreModel(m)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if mode == "infer" {
-						_, _, err = tr.Infer(sm, ins[0])
-					} else {
-						_, err = tr.InferBatch(sm, ins)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
+					steps := stepSQL(t, tr, func() (err error) {
+						if mode == "infer" {
+							_, _, err = tr.Infer(sm, ins[0])
+						} else {
+							_, err = tr.InferBatch(sm, ins)
+						}
+						return err
+					})
 					h := fnv.New64a()
-					text := strings.Join(tr.TraceSQL, "\n")
+					text := strings.Join(steps, "\n")
 					h.Write([]byte(text))
 					if got := h.Sum64(); got != want[key] {
 						t.Errorf("SQL text hash = %#x, want %#x\n%s", got, want[key], text)

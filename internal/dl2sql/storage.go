@@ -22,8 +22,7 @@ type StoredModel struct {
 	tableNames []string
 
 	// hashOnce computes weightsHash, the fingerprint of the encoded
-	// weights, on the first cached inference; the pipeline cache mixes it
-	// with live table versions (see modelStamp).
+	// weights, on the first Stamp; Stamp mixes it with live table versions.
 	hashOnce    sync.Once
 	weightsHash uint64
 
@@ -403,13 +402,23 @@ func (sm *StoredModel) Drop() {
 	}
 }
 
-// weights fingerprints the encoded weights, once: only the pipeline cache
-// reads it, and encoding the whole model costs a full pass over them.
-func (sm *StoredModel) weights() uint64 {
+// Stamp fingerprints the stored model's current state: the hash of its
+// encoded weights mixed with the live version of every backing table, so a
+// direct UPDATE or INSERT against a kernel table changes the stamp. It keys
+// the model's memoised predictions.
+func (sm *StoredModel) Stamp() uint64 {
 	sm.hashOnce.Do(func() {
 		if blob, err := nn.EncodeBytes(sm.Model); err == nil {
 			sm.weightsHash = tensor.HashBytes(blob)
 		}
 	})
-	return sm.weightsHash
+	h := sm.weightsHash
+	for _, name := range sm.tableNames {
+		if tb := sm.db.GetTable(name); tb != nil {
+			h = tensor.HashMix(h, uint64(tb.Version()))
+		} else {
+			h = tensor.HashMix(h, ^uint64(0))
+		}
+	}
+	return h
 }

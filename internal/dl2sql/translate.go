@@ -8,45 +8,27 @@ import (
 	"time"
 
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/sqldb"
 	"repro/internal/tensor"
 )
 
 // Infer runs one inference entirely in SQL: it encodes the input into
 // relational form, executes the translated query pipeline layer by layer,
-// and returns the argmax class index and its score. Step costs are
-// appended to t.Steps.
-func (t *Translator) Infer(sm *StoredModel, input *tensor.Tensor) (int, float64, error) {
-	var key uint64
-	if t.Cache != nil {
-		start := time.Now()
-		key = tensor.HashMix(t.modelStamp(sm), input.Hash(), uint64(t.PreJoin))
-		if r, ok := t.Cache.results.Get(key); ok {
-			t.record("Inference [cached]", "", 1, time.Since(start))
-			return r.idx, r.score, nil
-		}
-	}
-	var r cachedResult
-	err := t.run(sm, []*tensor.Tensor{input}, func(prog *program) error {
-		classes, score, err := t.classify(prog, 1)
+// and returns the argmax class index and its score. t.Steps holds the
+// run's step costs.
+func (t *Translator) Infer(sm *StoredModel, input *tensor.Tensor) (idx int, score float64, err error) {
+	err = t.run(sm, []*tensor.Tensor{input}, func(prog *program) error {
+		classes, s, err := t.classify(prog, 1)
 		if err == nil {
-			r = cachedResult{idx: classes[0], score: score}
+			idx, score = classes[0], s
 		}
 		return err
 	})
-	if err != nil {
-		return 0, 0, err
-	}
-	// A query on a dying context must not publish into the shared cache:
-	// later queries would otherwise observe state from a run that was
-	// abandoned partway through.
-	if t.Cache != nil && t.ctx().Err() == nil {
-		t.Cache.results.Put(key, r)
-	}
-	return r.idx, r.score, nil
+	return idx, score, err
 }
 
-// InferTensor runs the SQL pipeline, uncached, and materializes the final
+// InferTensor runs the SQL pipeline and materializes the final
 // layer's output as a tensor (used by Verify and the equivalence tests).
 func (t *Translator) InferTensor(sm *StoredModel, input *tensor.Tensor) (*tensor.Tensor, error) {
 	var outs []*tensor.Tensor
@@ -64,7 +46,7 @@ func (t *Translator) InferTensor(sm *StoredModel, input *tensor.Tensor) (*tensor
 // argmax class index per sample (in input order). The paper performs
 // nUDFs "in a batch manner": every layer runs as one statement for the
 // whole batch, amortizing per-statement planning and materialization the
-// way the paper's batching amortizes model invocation. It is never cached.
+// way the paper's batching amortizes model invocation.
 func (t *Translator) InferBatch(sm *StoredModel, inputs []*tensor.Tensor) ([]int, error) {
 	if len(inputs) == 0 {
 		return nil, nil
@@ -151,7 +133,8 @@ type program struct {
 
 // step is one compiled pipeline step: a SELECT, prepared once, whose
 // result is bound under name ("" for the reads of the final relation) and
-// timed under label. text is its TraceSQL rendering, "name AS (sql)".
+// timed under label. text, "name AS (sql)", is its step span's sql
+// attribute.
 type step struct {
 	label, name, sql, text string
 	stmt                   *sqldb.Prepared
@@ -180,8 +163,9 @@ func (sm *StoredModel) program(v variant) (*program, error) {
 // run executes the pipeline over inputs, which must all have the model's
 // input shape: it encodes them, runs the layer chain and hands the
 // run's copy of the compiled program to read. More than one input runs the
-// SampleID-keyed rendering.
+// SampleID-keyed rendering. It starts t.Steps afresh.
 func (t *Translator) run(sm *StoredModel, inputs []*tensor.Tensor, read func(prog *program) error) error {
+	t.Steps = t.Steps[:0]
 	for i, in := range inputs {
 		if !slices.Equal(in.Shape(), sm.Model.InputShape) {
 			return fmt.Errorf("dl2sql: input %d has shape %v, model %s expects %v", i, in.Shape(), sm.Model.ModelName, sm.Model.InputShape)
@@ -217,17 +201,22 @@ func (t *Translator) run(sm *StoredModel, inputs []*tensor.Tensor, read func(pro
 }
 
 // execStep runs one compiled step with the translator's hints and records
-// its cost.
+// its cost. When ctx carries an active span the step runs under its own
+// child span, opened and closed on the clock readings that time it.
 func (t *Translator) execStep(ctx context.Context, s *step) (*sqldb.Result, error) {
-	if t.Trace {
-		t.TraceSQL = append(t.TraceSQL, s.text)
-	}
 	start := time.Now()
-	res, err := s.stmt.ExecHintedContext(ctx, t.Hints)
+	sp := obs.SpanFromContext(ctx).StartChildAt(s.label, start)
+	res, err := s.stmt.ExecHintedContext(obs.ContextWithSpan(ctx, sp), t.Hints)
+	end := time.Now()
+	if err == nil {
+		sp.SetAttr("rows", res.NumRows())
+	}
+	sp.SetAttr("sql", s.text)
+	sp.FinishAt(end)
 	if err != nil {
 		return nil, fmt.Errorf("dl2sql: step %s: %w\nSQL: %s", s.label, err, s.sql)
 	}
-	t.record(s.label, s.text, res.NumRows(), time.Since(start))
+	t.Steps = append(t.Steps, StepCost{Label: s.label, Rows: res.NumRows(), Time: end.Sub(start)})
 	return res, nil
 }
 

@@ -54,8 +54,9 @@ type QueryRecord struct {
 	Morsels     int64 `json:"morsels"`
 	ParallelOps int64 `json:"parallel_ops"`
 	// UDFCalls counts scalar-UDF evaluations (inference calls for the
-	// UDF-shaped strategies); InferCalls counts strategy-level inference
-	// batches shipped to the serving component.
+	// UDF-shaped strategies); InferCalls counts the keyframes a
+	// collaborative query inferred — forward passes, or DL2SQL's SQL
+	// pipeline runs per keyframe — memoised hits excluded.
 	UDFCalls   int64 `json:"udf_calls"`
 	InferCalls int64 `json:"infer_calls"`
 	// Retries counts serving-pipe retry attempts during the statement.

@@ -616,8 +616,8 @@ func (s *Server) handleColQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errors.New("this server has no inference context (started without a dataset binding)"))
 		return
 	}
-	// A fresh strategy value per request: strategies carry per-execution
-	// state (DL2SQL.LastSteps), so concurrent requests must not share one.
+	// Strategies hold no per-execution state, so concurrent requests may
+	// run the same value.
 	var strat strategies.Strategy
 	for _, st := range strategies.All() {
 		if strings.EqualFold(st.Name(), req.Strategy) {

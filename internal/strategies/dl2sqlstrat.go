@@ -31,9 +31,6 @@ type DL2SQL struct {
 	// pipeline per model instead of one pipeline per keyframe — the batch
 	// execution the paper describes for nUDFs.
 	Batched bool
-	// LastSteps exposes the translator steps of the most recent Execute
-	// (for the Fig. 9/10 breakdowns).
-	LastSteps []dl2sql.StepCost
 }
 
 // Name implements Strategy.
@@ -53,19 +50,21 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	ctx, root := obs.StartSpan(ctx, "strategy:"+s.Name())
 	defer root.Finish()
 
-	// Build hints (DL2SQL-OP only).
+	// Build hints (DL2SQL-OP only); the selectivity estimate is a
+	// relational statement of its own.
 	var h *sqldb.QueryHints
 	if s.Optimized && env.HintProvider != nil {
+		estCtx, estSpan := obs.StartSpan(ctx, "relational:estimate")
 		relRows := float64(db.GetTable("video").NumRows())
-		relSel := estimateRelationalSelectivity(ctx, env, q)
+		relSel := estimateRelationalSelectivity(estCtx, env, q)
+		estSpan.Finish()
 		h = env.HintProvider.BuildHints(q, relRows, relSel)
 	}
 
 	// Loading: every referenced model's relational tables, stored on the
 	// artifact's first use (the paper's offline step) and reused after.
-	translators := make(map[string]*dl2sql.Translator, len(q.UDFNames))
 	stored := make(map[string]*dl2sql.StoredModel, len(q.UDFNames))
-	loadSpan := root.StartChild("loading:store-models")
+	_, loadSpan := obs.StartSpan(ctx, "loading:store-models")
 	loadStart := time.Now()
 	for _, name := range q.UDFNames {
 		b := env.Bindings[name]
@@ -79,12 +78,6 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 		if err != nil {
 			return nil, bd, failSpans(fmt.Errorf("strategies: storing model for %s: %w", name, err), loadSpan)
 		}
-		tr := dl2sql.NewTranslator(db, sm.Prefix)
-		tr.PreJoin = s.PreJoin
-		tr.Hints = h
-		tr.Cache = env.SQLCache
-		tr.Ctx = ctx
-		translators[name] = tr
 		stored[name] = sm
 	}
 	bd.Loading += time.Since(loadStart).Seconds()
@@ -94,14 +87,14 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	// keyframe the video-side predicates keep; delayed evaluation (OP, when
 	// the cost comparison favours it) infers only tuples surviving all
 	// relational predicates.
-	candSpan := root.StartChild("relational:candidates")
+	candCtx, candSpan := obs.StartSpan(ctx, "relational:candidates")
 	var cands []candidate
 	var relDur time.Duration
 	var err error
 	if s.Optimized && h != nil && h.DelayUDFs != nil && *h.DelayUDFs {
-		cands, relDur, err = prunedCandidates(ctx, env, q, h)
+		cands, relDur, err = prunedCandidates(candCtx, env, q, h)
 	} else {
-		cands, relDur, err = videoSideCandidates(ctx, env, q)
+		cands, relDur, err = videoSideCandidates(candCtx, env, q)
 	}
 	candSpan.SetAttr("candidates", len(cands))
 	if err != nil {
@@ -110,27 +103,40 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	candSpan.Finish()
 	bd.Relational += relDur.Seconds()
 
-	// SQL inference per model over sample groups: every candidate in one
-	// group when batched, one candidate per group (through Infer's result
-	// cache) otherwise.
+	// SQL inference per model: candidates whose (model stamp, keyframe)
+	// prediction is memoised skip the pipeline; the misses run in sample
+	// groups, every miss in one group when batched, one per group
+	// otherwise.
 	preds := make(map[int64]map[string]sqldb.Datum, len(cands))
-	s.LastSteps = nil
 	for _, c := range cands {
 		preds[c.videoID] = map[string]sqldb.Datum{}
 	}
-	size := 1
-	if s.Batched {
-		size = max(len(cands), 1)
-	}
-	infSpan := root.StartChild("inference")
+	infCtx, infSpan := obs.StartSpan(ctx, "inference")
 	for _, name := range q.UDFNames {
-		tr := translators[name]
-		sm := stored[name]
-		b := env.Bindings[name]
-		modelSpan := infSpan.StartChild("model:" + name)
-		tr.Span = modelSpan
-		for lo := 0; lo < len(cands); lo += size {
-			group := cands[lo:min(lo+size, len(cands))]
+		sm, b := stored[name], env.Bindings[name]
+		modelCtx, modelSpan := obs.StartSpan(infCtx, "model:"+name)
+		tr := dl2sql.NewTranslator(db, sm.Prefix)
+		tr.PreJoin, tr.Hints, tr.Ctx = s.PreJoin, h, modelCtx
+		misses, keys := cands, []InferKey(nil)
+		if env.InferCache != nil {
+			misses, keys = nil, make([]InferKey, 0, len(cands))
+			stamp := sm.Stamp()
+			for _, c := range cands {
+				key := InferKey{Model: stamp, Input: tensor.HashBytes(c.blob)}
+				if idx, ok := env.InferCache.Get(key); ok {
+					preds[c.videoID][name] = b.predictionDatum(idx)
+					continue
+				}
+				misses = append(misses, c)
+				keys = append(keys, key)
+			}
+		}
+		size := 1
+		if s.Batched {
+			size = max(len(misses), 1)
+		}
+		for lo := 0; lo < len(misses); lo += size {
+			group := misses[lo:min(lo+size, len(misses))]
 			ins := make([]*tensor.Tensor, len(group))
 			for i, c := range group {
 				in, err := iotdata.KeyframeTensor(c.blob)
@@ -139,7 +145,6 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 				}
 				ins[i] = in
 			}
-			tr.ResetSteps()
 			wallStart := time.Now()
 			var idxs []int
 			var err error
@@ -159,9 +164,16 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 			// the feature-map table is data loading.
 			bd.Inference += env.Profile.ScaleRelational(sqlSecs)
 			bd.Loading += wall - sqlSecs
-			s.LastSteps = append(s.LastSteps, tr.Steps...)
+			stratAcctFrom(ctx).noteInfer(int64(len(group)))
 			for i, c := range group {
 				preds[c.videoID][name] = b.predictionDatum(idxs[i])
+			}
+			// A query on a dying context must not publish into the shared
+			// cache: the run may have been abandoned partway through.
+			if env.InferCache != nil && ctx.Err() == nil {
+				for i, key := range keys[lo : lo+len(group)] {
+					env.InferCache.Put(key, idxs[i])
+				}
 			}
 		}
 		modelSpan.Finish()
@@ -169,9 +181,9 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	infSpan.Finish()
 
 	// Final relational merge.
-	mergeSpan := root.StartChild("relational:final-merge")
+	mergeCtx, mergeSpan := obs.StartSpan(ctx, "relational:final-merge")
 	finStart := time.Now()
-	res, err := runMerge(ctx, env, q, preds, h)
+	res, err := runMerge(mergeCtx, env, q, preds, h)
 	if err != nil {
 		return nil, bd, failSpans(fmt.Errorf("strategies: DL2SQL final query: %w", err), mergeSpan)
 	}

@@ -40,8 +40,8 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 	defer root.Finish()
 
 	// Phase 1 (relational): extract candidates with the database.
-	candSpan := root.StartChild("relational:candidates")
-	cands, relDur, err := videoSideCandidates(ctx, env, q)
+	candCtx, candSpan := obs.StartSpan(ctx, "relational:candidates")
+	cands, relDur, err := videoSideCandidates(candCtx, env, q)
 	candSpan.SetAttr("candidates", len(cands))
 	if err != nil {
 		return nil, bd, failSpans(err, candSpan)
@@ -89,7 +89,7 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 		// retry pipe guard every physical batch either way, so the fallback
 		// ladder sees the same error classes. Scheduled, only physical
 		// forward passes (SourceBatch) charge inference and overhead.
-		serveSpan := root.StartChild("serving:" + name)
+		serveCtx, serveSpan := obs.StartSpan(ctx, "serving:"+name)
 		serveSpan.SetAttr("candidates", len(serve))
 		var results map[int64]int
 		var stats *schedule.BackendStats
@@ -97,10 +97,10 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 		executed := len(serve)
 		if env.Scheduler != nil {
 			serveSpan.SetAttr("scheduled", true)
-			results, stats, wall, executed, err = env.schedServeCandidates(ctx, b, serve, keys)
+			results, stats, wall, executed, err = env.schedServeCandidates(serveCtx, b, serve, keys)
 		} else {
 			start := time.Now()
-			results, stats, err = env.serveWithRetry(ctx, b.artifactHash, b.Artifact, serve, serveSpan)
+			results, stats, err = env.serveWithRetry(serveCtx, b.artifactHash, b.Artifact, serve, serveSpan)
 			wall = time.Since(start).Seconds()
 		}
 		if err != nil {
@@ -133,9 +133,9 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 	bd.Loading += env.Profile.TransferCost(totalBytes)
 
 	// Phase 3 (relational): merge predictions back and run the final query.
-	mergeSpan := root.StartChild("relational:final-merge")
+	mergeCtx, mergeSpan := obs.StartSpan(ctx, "relational:final-merge")
 	finStart := time.Now()
-	res, err := runMerge(ctx, env, q, preds, nil)
+	res, err := runMerge(mergeCtx, env, q, preds, nil)
 	if err != nil {
 		return nil, bd, failSpans(fmt.Errorf("strategies: DB-PyTorch final query: %w", err), mergeSpan)
 	}

@@ -2,9 +2,13 @@ package strategies
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/colquery"
+	"repro/internal/dl2sql"
 	"repro/internal/obs"
 )
 
@@ -99,24 +103,21 @@ func TestInferCacheSharedAcrossStrategies(t *testing.T) {
 	}
 }
 
-// TestSQLCacheReusesPipeline checks the DL2SQL pipeline cache: a repeated
-// query must hit the whole-inference memo, and results stay identical.
+// TestSQLCacheReusesPipeline checks DL2SQL's memoisation: a repeated
+// query hits the prediction cache, results stay identical, and the
+// strategies.infercache.hits counter mirrors the LRU's Hits.
 func TestSQLCacheReusesPipeline(t *testing.T) {
 	ctx := testContext(t)
 	ctx.Metrics = obs.NewRegistry()
 	ctx.EnableInferCache(4096)
-	q, err := colquery.GenerateAnalyzed(colquery.Type1, colquery.TemplateParams{Selectivity: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := cacheQuery(t)
 	s := &DL2SQL{}
 	res1, _, err := s.Execute(context.Background(), ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := ctx.SQLCache.Stats()
-	if results.Len == 0 {
-		t.Fatalf("first DL2SQL run should populate the result memo: %+v", results)
+	if st := ctx.InferCacheStats(); st.Len == 0 {
+		t.Fatalf("first DL2SQL run should populate the cache: %+v", st)
 	}
 	res2, _, err := s.Execute(context.Background(), ctx, q)
 	if err != nil {
@@ -125,12 +126,12 @@ func TestSQLCacheReusesPipeline(t *testing.T) {
 	if resultKey(res1) != resultKey(res2) {
 		t.Fatal("cached DL2SQL run returned different rows")
 	}
-	results2 := ctx.SQLCache.Stats()
-	if results2.Hits == 0 {
-		t.Fatalf("second DL2SQL run should hit the result memo: %+v", results2)
+	st := ctx.InferCacheStats()
+	if st.Hits == 0 {
+		t.Fatalf("second DL2SQL run should hit the cache: %+v", st)
 	}
-	if got := ctx.Metrics.Counter("dl2sql.cache.results.hits").Value(); got != results2.Hits {
-		t.Fatalf("metrics hits %d != stats hits %d", got, results2.Hits)
+	if got := ctx.Metrics.Counter("strategies.infercache.hits").Value(); got != st.Hits {
+		t.Fatalf("metrics hits %d != stats hits %d", got, st.Hits)
 	}
 }
 
@@ -138,18 +139,154 @@ func TestSQLCacheReusesPipeline(t *testing.T) {
 // explicitly enabled (determinism of the measured baselines).
 func TestInferCacheDisabledByDefault(t *testing.T) {
 	ctx := testContext(t)
-	if ctx.InferCache != nil || ctx.SQLCache != nil {
-		t.Fatal("caches must be nil on a fresh context")
+	if ctx.InferCache != nil {
+		t.Fatal("the cache must be nil on a fresh context")
 	}
 	if st := ctx.InferCacheStats(); st.Hits+st.Misses != 0 {
 		t.Fatalf("nil cache reported activity: %+v", st)
 	}
 	ctx.EnableInferCache(16)
-	if ctx.InferCache == nil || ctx.SQLCache == nil {
+	if ctx.InferCache == nil {
 		t.Fatal("EnableInferCache did not enable")
 	}
 	ctx.EnableInferCache(0)
-	if ctx.InferCache != nil || ctx.SQLCache != nil {
+	if ctx.InferCache != nil {
 		t.Fatal("EnableInferCache(0) must disable")
+	}
+}
+
+// cacheQuery is the Type 1 template the DL2SQL memoisation tests run.
+func cacheQuery(t *testing.T) *colquery.Query {
+	t.Helper()
+	q, err := colquery.GenerateAnalyzed(colquery.Type1, colquery.TemplateParams{Selectivity: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestPipelineCacheResultMemo: a DL2SQL rerun answers every candidate from
+// the prediction cache and runs no SQL step.
+func TestPipelineCacheResultMemo(t *testing.T) {
+	env := tracedContext(t)
+	env.EnableInferCache(4096)
+	q := cacheQuery(t)
+	st1, _ := tracedExecute(t, env, &DL2SQL{}, q)
+	first := env.InferCacheStats()
+	if first.Len == 0 || stepSpans(st1) == 0 {
+		t.Fatalf("first run: cache %+v, %d step spans", first, stepSpans(st1))
+	}
+	st2, _ := tracedExecute(t, env, &DL2SQL{}, q)
+	second := env.InferCacheStats()
+	if second.Misses != first.Misses || second.Hits-first.Hits != first.Misses {
+		t.Fatalf("second run should hit for every first-run miss: first %+v, second %+v", first, second)
+	}
+	if n := stepSpans(st2); n != 0 {
+		t.Fatalf("a fully cached run ran %d SQL steps", n)
+	}
+}
+
+// TestPipelineCacheSharedAcrossTranslators pins the semantic key: the same
+// model stored under another table prefix has the same stamp, so its
+// predictions are the ones already cached.
+func TestPipelineCacheSharedAcrossTranslators(t *testing.T) {
+	env := testContext(t)
+	env.EnableInferCache(4096)
+	q := cacheQuery(t)
+	s := &DL2SQL{}
+	res1, _, err := s.Execute(context.Background(), env, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Swap every stored model for a copy under another prefix.
+	for _, name := range q.UDFNames {
+		e := env.models.entry(env.Bindings[name].artifactHash)
+		other, err := dl2sql.NewTranslator(env.Dataset.DB, "other_prefix").StoreModel(e.sm.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other.Stamp() != e.sm.Stamp() {
+			t.Fatal("the same model stored under two prefixes has two stamps")
+		}
+		defer other.Drop()
+		e.sm = other
+	}
+	before := env.InferCacheStats()
+	res2, _, err := s.Execute(context.Background(), env, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := env.InferCacheStats(); after.Misses != before.Misses || after.Hits == before.Hits {
+		t.Fatalf("the copy should hit the shared entries: before %+v, after %+v", before, after)
+	}
+	if resultKey(res1) != resultKey(res2) {
+		t.Fatal("the copy's run returned different rows")
+	}
+}
+
+// TestPipelineCacheInvalidatedByKernelMutation: the stamp mixes the
+// backing tables' live versions, so mutating a kernel table directly must
+// change it and force a recompute.
+func TestPipelineCacheInvalidatedByKernelMutation(t *testing.T) {
+	env := testContext(t)
+	env.EnableInferCache(4096)
+	q := cacheQuery(t)
+	s := &DL2SQL{}
+	if _, _, err := s.Execute(context.Background(), env, q); err != nil {
+		t.Fatal(err)
+	}
+	sm := env.models.entry(env.Bindings[q.UDFNames[0]].artifactHash).sm
+	stampBefore := sm.Stamp()
+
+	// Zero out a kernel table: the stored model now computes something else.
+	var kernel string
+	for _, name := range sm.TableNames() {
+		if strings.Contains(name, "kernel") {
+			kernel = name
+			break
+		}
+	}
+	if kernel == "" {
+		t.Fatalf("no kernel table among %v", sm.TableNames())
+	}
+	if _, err := env.Dataset.DB.Exec(fmt.Sprintf("UPDATE %s SET Value = 0", kernel)); err != nil {
+		t.Fatal(err)
+	}
+	if sm.Stamp() == stampBefore {
+		t.Fatal("model stamp unchanged after kernel mutation")
+	}
+	hitsBefore := env.InferCacheStats().Hits
+	if _, _, err := s.Execute(context.Background(), env, q); err != nil {
+		t.Fatal(err)
+	}
+	if env.InferCacheStats().Hits != hitsBefore {
+		t.Fatal("mutated model served a stale memoised result")
+	}
+}
+
+// TestPipelineCacheTempTablesCleanedUp: cached DL2SQL runs, the misses
+// after a purge included, leave the catalog exactly as it was after the
+// models were stored — no step relation reaches it.
+func TestPipelineCacheTempTablesCleanedUp(t *testing.T) {
+	env := testContext(t)
+	env.EnableInferCache(4096)
+	q := cacheQuery(t)
+	s := &DL2SQL{}
+	if _, _, err := s.Execute(context.Background(), env, q); err != nil {
+		t.Fatal(err)
+	}
+	db := env.Dataset.DB
+	before := db.TableNames()
+	slices.Sort(before)
+	for pass := 0; pass < 2; pass++ {
+		if _, _, err := s.Execute(context.Background(), env, q); err != nil {
+			t.Fatal(err)
+		}
+		env.InferCache.Purge()
+	}
+	got := db.TableNames()
+	slices.Sort(got)
+	if !slices.Equal(got, before) {
+		t.Fatalf("catalog after the cached runs %v, want %v", got, before)
 	}
 }

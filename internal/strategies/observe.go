@@ -51,7 +51,8 @@ func stratAcctFrom(ctx context.Context) *stratAcct {
 	return a
 }
 
-// noteInfer charges n forward passes (memoized hits are not inference).
+// noteInfer charges n inferred keyframes, whether by forward pass or by
+// DL2SQL's SQL pipeline (memoized hits are not inference).
 func (a *stratAcct) noteInfer(n int64) {
 	if a != nil {
 		a.inferCalls.Add(n)

@@ -185,3 +185,26 @@ func TestStrategyMetricNamesWellFormed(t *testing.T) {
 		t.Fatalf("shared ring missing layers: engine=%v strategy=%v", sawSQL, sawStrategy)
 	}
 }
+
+// TestDL2SQLInferCalls: a DL2SQL record's infer_calls counts the keyframes
+// it inferred in SQL, and a rerun answered wholly from the prediction cache
+// reads 0.
+func TestDL2SQLInferCalls(t *testing.T) {
+	env := obsContext(t)
+	env.EnableInferCache(4096)
+	var calls []int64
+	for pass := 0; pass < 2; pass++ {
+		if _, _, err := ExecuteWithFallback(context.Background(), env, &DL2SQL{}, fallbackQuery(t)); err != nil {
+			t.Fatal(err)
+		}
+		recs := env.History.Snapshot()
+		rec := recs[len(recs)-1]
+		if rec.Strategy != "DL2SQL" {
+			t.Fatalf("last record is %q's, want DL2SQL's", rec.Strategy)
+		}
+		calls = append(calls, rec.InferCalls)
+	}
+	if calls[0] == 0 || calls[1] != 0 {
+		t.Fatalf("infer_calls = %v, want > 0 then 0 for the cached rerun", calls)
+	}
+}

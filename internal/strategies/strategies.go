@@ -128,13 +128,9 @@ type Context struct {
 	// one tree.
 	Traces *obs.TraceStore
 	// InferCache, when non-nil, memoizes (model, keyframe) → class index
-	// for the DB-UDF and DB-PyTorch strategies. Enable with
-	// EnableInferCache; nil disables memoization at zero cost.
+	// for all four strategies. Enable with EnableInferCache; nil disables
+	// memoization at zero cost.
 	InferCache *cache.LRU[InferKey, int]
-	// SQLCache, when non-nil, is attached to every DL2SQL translator so a
-	// repeated SQL inference of the same model and input returns its
-	// memoized result. Enabled together with InferCache.
-	SQLCache *dl2sql.PipelineCache
 	// Timeout, when positive, bounds every Execute call: the strategy runs
 	// under a context.WithTimeout derived from the caller's context, and
 	// expiry surfaces as an error matching qerr.ErrTimeout.

@@ -140,26 +140,18 @@ func TestOPPrunesInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := &DL2SQL{Optimized: false}
-	op := &DL2SQL{Optimized: true}
-	if _, _, err := plain.Execute(context.Background(), ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := op.Execute(context.Background(), ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	plainInfers := 0
-	for _, s := range plain.LastSteps {
-		if s.Label == "Conv1" {
-			plainInfers++
+	// infer_calls of each run's strategy-level record counts the keyframes
+	// it inferred.
+	ctx.History = obs.NewQueryHistory(8)
+	infers := func(s Strategy) int64 {
+		if _, _, err := ExecuteWithFallback(context.Background(), ctx, s, q); err != nil {
+			t.Fatal(err)
 		}
+		recs := ctx.History.Snapshot()
+		return recs[len(recs)-1].InferCalls
 	}
-	opInfers := 0
-	for _, s := range op.LastSteps {
-		if s.Label == "Conv1" {
-			opInfers++
-		}
-	}
+	plainInfers := infers(&DL2SQL{Optimized: false})
+	opInfers := infers(&DL2SQL{Optimized: true})
 	if opInfers >= plainInfers {
 		t.Fatalf("OP ran %d inferences, plain %d — hints must prune", opInfers, plainInfers)
 	}
@@ -333,22 +325,16 @@ func TestBatchedDL2SQLAgreesWithPerSample(t *testing.T) {
 }
 
 func TestBatchedDL2SQLIssuesFewerStatements(t *testing.T) {
-	ctx := testContext(t)
+	ctx := tracedContext(t)
 	q, err := colquery.GenerateAnalyzed(colquery.Type3, colquery.TemplateParams{Selectivity: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := &DL2SQL{Optimized: false}
-	bat := &DL2SQL{Optimized: false, Batched: true}
-	if _, _, err := per.Execute(context.Background(), ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := bat.Execute(context.Background(), ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if len(bat.LastSteps)*2 > len(per.LastSteps) {
+	per, _ := tracedExecute(t, ctx, &DL2SQL{Optimized: false}, q)
+	bat, _ := tracedExecute(t, ctx, &DL2SQL{Optimized: false, Batched: true}, q)
+	if stepSpans(bat)*2 > stepSpans(per) {
 		t.Fatalf("batched pipeline should issue far fewer statements: %d vs %d",
-			len(bat.LastSteps), len(per.LastSteps))
+			stepSpans(bat), stepSpans(per))
 	}
 }
 

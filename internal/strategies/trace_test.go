@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/colquery"
 	"repro/internal/faults"
@@ -41,6 +43,21 @@ func tracedExecute(t *testing.T, ctx *Context, s Strategy, q *colquery.Query) (*
 		names[r.Name]++
 	}
 	return st, names
+}
+
+// stepSpans counts a trace's DL2SQL step spans: the children of its
+// model:* spans.
+func stepSpans(st *obs.StoredTrace) int {
+	model := map[int]bool{}
+	n := 0
+	for _, r := range st.Spans {
+		if strings.HasPrefix(r.Name, "model:") {
+			model[r.SpanID] = true
+		} else if model[r.ParentID] {
+			n++
+		}
+	}
+	return n
 }
 
 // TestStrategyTraces is the acceptance test for strategy-level tracing:
@@ -197,4 +214,72 @@ func TestTracingDisabledUnchanged(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 	}
+}
+
+// TestStatementSpansNestUnderPhases runs every strategy serially with the
+// strategy and engine layers sharing one keep-all trace store. Every
+// statement's span tree must hang under the phase that ran it, never
+// directly under strategy:*; every DL2SQL statement under the inference
+// phase must descend from a step span under model:*; and for DL2SQL and
+// DB-PyTorch, whose spans never overlap at degree 1, the spans' summed
+// self time must not exceed the root's duration.
+func TestStatementSpansNestUnderPhases(t *testing.T) {
+	ctx := tracedContext(t)
+	db := ctx.Dataset.DB
+	db.Parallelism = 1
+	db.Traces = ctx.Traces
+	defer func() { db.Traces = nil }()
+	q, err := colquery.GenerateAnalyzed(colquery.Type2, colquery.TemplateParams{Selectivity: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := []string{"loading:", "relational:", "inference", "serving:"}
+	for _, s := range All() {
+		st, _ := tracedExecute(t, ctx, s, q)
+		byID := map[int]obs.SpanRow{}
+		var self time.Duration
+		for _, r := range st.Spans {
+			byID[r.SpanID] = r
+			self += r.Self
+		}
+		dl2sql := strings.HasPrefix(s.Name(), "DL2SQL")
+		var steps, stepStatements, misplaced int
+		for _, r := range st.Spans {
+			parent := byID[r.ParentID]
+			if strings.HasPrefix(parent.Name, "strategy:") &&
+				!slices.ContainsFunc(phases, func(p string) bool { return strings.HasPrefix(r.Name, p) }) {
+				t.Errorf("%s: %q is a direct child of %s", s.Name(), r.Name, parent.Name)
+			}
+			if strings.HasPrefix(parent.Name, "model:") {
+				steps++
+			}
+			if !dl2sql || r.Name != "sql" || !underSpan(byID, r, "inference") {
+				continue
+			}
+			if strings.HasPrefix(byID[parent.ParentID].Name, "model:") {
+				stepStatements++
+			} else {
+				misplaced++
+			}
+		}
+		if dl2sql && (steps == 0 || stepStatements != steps || misplaced != 0) {
+			t.Errorf("%s: %d step spans run %d statements, %d statements outside a step, want one each and none outside",
+				s.Name(), steps, stepStatements, misplaced)
+		}
+		if s.Name() == "DL2SQL" || s.Name() == "DB-PyTorch" {
+			if root := st.Spans[0].Dur; float64(self) > 1.01*float64(root) {
+				t.Errorf("%s: summed self time %v exceeds the root's %v", s.Name(), self, root)
+			}
+		}
+	}
+}
+
+// underSpan reports whether r descends from a span named name.
+func underSpan(byID map[int]obs.SpanRow, r obs.SpanRow, name string) bool {
+	for p, ok := byID[r.ParentID]; ok; p, ok = byID[p.ParentID] {
+		if p.Name == name {
+			return true
+		}
+	}
+	return false
 }

@@ -206,7 +206,7 @@ func (s *DBUDF) Execute(ctx context.Context, env *Context, q *colquery.Query) (*
 	// udf.decode fault point) is an availability problem — the fallback
 	// ladder degrades it to DL2SQL.
 	run := &udfRun{env: env, models: map[string]*nn.Model{}}
-	loadSpan := root.StartChild("loading:decode-models")
+	_, loadSpan := obs.StartSpan(ctx, "loading:decode-models")
 	var modelBytes int64
 	var decodeSecs float64
 	for _, name := range q.UDFNames {
@@ -228,9 +228,10 @@ func (s *DBUDF) Execute(ctx context.Context, env *Context, q *colquery.Query) (*
 	bd.Loading += env.Profile.DLLoadCost(decodeSecs) + env.Profile.TransferCost(modelBytes)
 	loadSpan.Finish()
 
-	run.querySpan = root.StartChild("relational:query")
+	queryCtx, querySpan := obs.StartSpan(ctx, "relational:query")
+	run.querySpan = querySpan
 	wallStart := time.Now()
-	res, err := env.Dataset.DB.ExecContext(context.WithValue(ctx, udfRunKey{}, run), q.SQL)
+	res, err := env.Dataset.DB.ExecContext(context.WithValue(queryCtx, udfRunKey{}, run), q.SQL)
 	wall := time.Since(wallStart).Seconds()
 	run.querySpan.SetAttr("udf_calls", run.calls)
 	if err != nil {
