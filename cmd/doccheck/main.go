@@ -14,7 +14,10 @@
 //     EXPERIMENTS, where pkg is an internal/ package and Name is
 //     capitalised, names a top-level declaration, a method or a struct
 //     field of that package. Lowercase names (`strategies.udf`, a metric
-//     prefix) are not checked.
+//     prefix) are not checked. Likewise every backticked `Type.Member` or
+//     `pkg.Type.Member`, where Type is an exported type declared under
+//     internal/ (in pkg, when given) and Member is capitalised, names a
+//     field or method of that type, or of a type it embeds.
 //
 // Usage (from the repository root):
 //
@@ -205,16 +208,21 @@ func checkCitedOutputs(root string) int {
 
 // qualifiedName matches pkg.Name inside a backticked span: a lowercase
 // identifier not itself preceded by a selector, then a capitalised one.
+// memberName matches Type.Member, optionally pkg.Type.Member: two
+// capitalised identifiers not themselves preceded by a selector other
+// than a lowercase package name.
 var (
 	backticked    = regexp.MustCompile("`([^`\n]+)`")
 	qualifiedName = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
+	memberName    = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])(?:([a-z][a-z0-9]*)\.)?([A-Z][A-Za-z0-9_]*)\.([A-Z][A-Za-z0-9_]*)`)
 )
 
 // checkQualifiedNames requires every backticked pkg.Name in the main
-// documents to resolve in the internal/ package called pkg, so a renamed
-// or deleted identifier cannot linger in the prose.
+// documents to resolve in the internal/ package called pkg, and every
+// backticked Type.Member to resolve in the exported internal/ type called
+// Type, so a renamed or deleted identifier cannot linger in the prose.
 func checkQualifiedNames(root string) int {
-	names, err := internalNames(root)
+	names, types, err := internalDecls(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 		return 1
@@ -235,17 +243,27 @@ func checkQualifiedNames(root string) int {
 						bad++
 					}
 				}
+				for _, m := range memberName.FindAllStringSubmatch(span[1], -1) {
+					if _, ok := names[m[1]]; m[1] != "" && !ok {
+						continue // not an internal/ package
+					}
+					if ts := types.lookup(m[1], m[2]); ts != nil && !types.has(ts, m[3]) {
+						fmt.Fprintf(os.Stderr, "doccheck: %s:%d: %s.%s names no field or method of %s\n", doc, i+1, m[2], m[3], m[2])
+						bad++
+					}
+				}
 			}
 		}
 	}
 	return bad
 }
 
-// internalNames maps each internal/ package name to the names it
-// declares: top-level declarations, methods and struct fields, from its
-// non-test files.
-func internalNames(root string) (map[string]map[string]bool, error) {
-	out := map[string]map[string]bool{}
+// internalDecls parses the non-test files of every internal/ package once
+// and maps each package name to the names it declares (top-level
+// declarations, methods and struct fields) and to its exported types with
+// their fields and methods.
+func internalDecls(root string) (map[string]map[string]bool, typeIndex, error) {
+	names, types := map[string]map[string]bool{}, typeIndex{}
 	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -257,10 +275,16 @@ func internalNames(root string) (map[string]map[string]bool, error) {
 			return err
 		}
 		for name, pkg := range pkgs {
-			decls := out[name]
+			decls, typs := names[name], types[name]
 			if decls == nil {
-				decls = map[string]bool{}
-				out[name] = decls
+				decls, typs = map[string]bool{}, map[string]*typeInfo{}
+				names[name], types[name] = decls, typs
+			}
+			info := func(n string) *typeInfo {
+				if typs[n] == nil {
+					typs[n] = &typeInfo{members: map[string]bool{}}
+				}
+				return typs[n]
 			}
 			for _, f := range pkg.Files {
 				for _, obj := range f.Scope.Objects {
@@ -270,6 +294,33 @@ func internalNames(root string) (map[string]map[string]bool, error) {
 					switch n := n.(type) {
 					case *ast.FuncDecl:
 						decls[n.Name.Name] = true
+						if n.Recv != nil && len(n.Recv.List) == 1 {
+							if t := recvName(n.Recv.List[0].Type); ast.IsExported(t) {
+								info(t).members[n.Name.Name] = true
+							}
+						}
+					case *ast.TypeSpec:
+						if !n.Name.IsExported() {
+							return true
+						}
+						t := info(n.Name.Name)
+						var fields []*ast.Field
+						switch u := n.Type.(type) {
+						case *ast.StructType:
+							fields = u.Fields.List
+						case *ast.InterfaceType:
+							fields = u.Methods.List
+						}
+						for _, fld := range fields {
+							for _, id := range fld.Names {
+								t.members[id.Name] = true
+							}
+							if len(fld.Names) == 0 {
+								e := embeddedName(fld.Type)
+								t.members[e] = true
+								t.embeds = append(t.embeds, e)
+							}
+						}
 					case *ast.StructType:
 						for _, fld := range n.Fields.List {
 							for _, id := range fld.Names {
@@ -292,7 +343,65 @@ func internalNames(root string) (map[string]map[string]bool, error) {
 		}
 		return nil
 	})
-	return out, err
+	return names, types, err
+}
+
+// typeInfo is one exported type of an internal/ package: its fields and
+// methods, and the names of the types it embeds.
+type typeInfo struct {
+	members map[string]bool
+	embeds  []string
+}
+
+// typeIndex maps each internal/ package name to its exported types by name.
+type typeIndex map[string]map[string]*typeInfo
+
+// lookup returns the exported types called name in package pkg, or in any
+// internal/ package when pkg is empty; nil when there is none.
+func (ix typeIndex) lookup(pkg, name string) []*typeInfo {
+	var out []*typeInfo
+	for p, types := range ix {
+		if t := types[name]; t != nil && (pkg == "" || pkg == p) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// has reports whether one of ts, or a type one of them embeds, has the
+// field or method member.
+func (ix typeIndex) has(ts []*typeInfo, member string) bool {
+	seen := map[*typeInfo]bool{}
+	for len(ts) > 0 {
+		t := ts[0]
+		ts = ts[1:]
+		if seen[t] {
+			continue
+		}
+		seen[t] = true
+		if t.members[member] {
+			return true
+		}
+		for _, e := range t.embeds {
+			ts = append(ts, ix.lookup("", e)...)
+		}
+	}
+	return false
+}
+
+// recvName is the type name of a method receiver.
+func recvName(t ast.Expr) string {
+	switch t := t.(type) {
+	case *ast.StarExpr:
+		return recvName(t.X)
+	case *ast.IndexExpr:
+		return recvName(t.X)
+	case *ast.IndexListExpr:
+		return recvName(t.X)
+	case *ast.Ident:
+		return t.Name
+	}
+	return ""
 }
 
 // embeddedName is the field name an embedded struct field takes.

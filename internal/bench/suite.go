@@ -38,11 +38,6 @@ type Config struct {
 	// Parallelism is the SQL executor's worker degree: 0 = process default
 	// (runtime.NumCPU()), 1 = serial, N > 1 = up to N workers per operator.
 	Parallelism int
-	// CacheCapacity, when > 0, enables the statement/plan cache and
-	// inference memoization with that many entries per LRU. 0 (the
-	// default) runs every experiment uncached, matching the paper's
-	// one-shot measurement; cache counters land in MetricsReport.
-	CacheCapacity int
 }
 
 // DefaultConfig returns the laptop-scale configuration.
@@ -83,10 +78,6 @@ func NewSuite(cfg Config) (*Suite, error) {
 	// counters land in MetricsReport next to the strategy histograms.
 	ds.DB.Parallelism = cfg.Parallelism
 	ds.DB.Metrics = ctx.Metrics
-	if cfg.CacheCapacity > 0 {
-		ds.DB.EnableCache(cfg.CacheCapacity)
-		ctx.EnableInferCache(cfg.CacheCapacity)
-	}
 	repo := modelrepo.NewRepository(cfg.KeyframeSide, cfg.Seed)
 	if err := ctx.BindDefaults(repo, cfg.CalibrationSamples); err != nil {
 		return nil, err

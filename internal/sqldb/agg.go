@@ -8,7 +8,9 @@ package sqldb
 // numbered in a keyTable that keeps its own copy of every group's key,
 // and its values folded into per-group states. The parallel path cuts the
 // input into at most deg contiguous chunks whose partial states merge by
-// key in chunk order, so results are deterministic at every degree.
+// key in chunk order, so results are deterministic at every degree. The
+// factorised shapes (fusedAgg) read no blocks: over a hash join they walk
+// its chains, over a table its runs of equal keys.
 
 import (
 	"fmt"
@@ -17,6 +19,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/par"
 )
@@ -317,6 +320,63 @@ func (s *aggStates) result(g int) Datum {
 	return Null()
 }
 
+// column is the aggregate's values for groups 0 … n-1, typed as columnOf
+// types them. COUNT, SUM and AVG are written typed straight from the
+// states; the other kinds go value by value through result.
+func (s *aggStates) column(n int) *Column {
+	kind := s.call.kind
+	if n == 0 || (kind != "count" && kind != "sum" && kind != "avg") {
+		return columnOf(n, s.result)
+	}
+	st := s.st[:n]
+	if kind == "count" {
+		c := &Column{Type: TInt, Ints: make([]int64, n)}
+		for g := range st {
+			c.Ints[g] = st[g].count
+		}
+		return c
+	}
+	// A group without values is NULL; one Float value makes the column
+	// Float, and Int sums are then converted.
+	t := TNull
+	var nulls []bool
+	for g := range st {
+		switch {
+		case st[g].count == 0:
+			if nulls == nil {
+				nulls = make([]bool, n)
+			}
+			nulls[g] = true
+		case kind == "avg" || st[g].sawFloat:
+			t = TFloat
+		case t == TNull:
+			t = TInt
+		}
+	}
+	c := &Column{Type: t, Nulls: nulls}
+	switch t {
+	case TInt:
+		c.Ints = make([]int64, n)
+		for g := range st {
+			c.Ints[g] = st[g].intSum
+		}
+	case TFloat:
+		c.Floats = make([]float64, n)
+		for g := range st {
+			switch x := &st[g]; {
+			case x.count == 0:
+			case kind == "avg":
+				c.Floats[g] = x.sum / float64(x.count)
+			case x.sawFloat:
+				c.Floats[g] = x.sum
+			default:
+				c.Floats[g] = float64(x.intSum)
+			}
+		}
+	}
+	return c
+}
+
 // aggCall is one distinct aggregate invocation found in the SELECT items /
 // HAVING clause.
 type aggCall struct {
@@ -461,25 +521,30 @@ func (in *aggInput) blocks(lo, hi int, cols []int, fn func(start int, b *Result)
 	}).emit(m.src, lo, hi)
 }
 
-// fusedAgg is the factorised form of an aggregate over a join's match
+// fusedAgg is the factorised form of an aggregate over a hash join's match
 // pairs (Bakibayev, Olteanu and Závodný, "Aggregation and Ordering in
 // Factorised Databases", VLDB 2013). Every GROUP BY part is a NULL-free
 // Int column of one join side, so a pair's slot in a dense window over the
 // parts is the sum of its two rows' partial slots, computed once per side
 // row. Every aggregate is COUNT(*), or SUM of a NULL-free Float column or
 // of the product of one such column per side, read straight from the side
-// columns. A pair then costs one add, one slot lookup and a multiply-add
-// per SUM: no gathered column, no key vector and no key table probe. A
-// plain input of the same shape is read as its rows beside an empty right
-// side, a run of rows with equal keys at a time (runs).
+// columns. The aggregate walks the join's hash chains itself (walk): a
+// pair costs one slot lookup and an add per aggregate, and no pair is
+// written anywhere. A plain input of the same shape is read a run of rows
+// with equal keys at a time (runs), in a window grown as its keys arrive.
 type fusedAgg struct {
-	src       pairSource // nil for a plain input
-	win       []window   // the dense window over the GROUP BY parts
-	size      uint64     // slots the window spans
-	parts     []fusedCol // per GROUP BY part
-	sums      [][2][]float64
-	slots     [2]*[]uint32 // over a join, per left and per right row: its partial slot
+	hp    *hashPairs // nil for a plain input
+	parts []fusedCol // per GROUP BY part
+	sums  [][2][]float64
+	// Over a join: the dense window over the GROUP BY parts, the slots it
+	// spans and, per left and per right row, its partial slot.
+	win       []window
+	size      uint64
+	slots     [2]*[]uint32
 	slotBytes int64
+	// Over a plain input: the GROUP BY parts as key vectors and as Ints.
+	keys []vec
+	ints [][]int64
 }
 
 // fusedCol is a column of the join's left (side 0) or right (side 1) input.
@@ -491,17 +556,23 @@ type fusedCol struct {
 // slotBufs recycles the per-side slot arrays of factorised aggregates.
 var slotBufs = sync.Pool{New: func() any { return new([]uint32) }}
 
+// aggStateBytes is the memory one group's state of one aggregate holds.
+const aggStateBytes = int64(unsafe.Sizeof(aggState{}))
+
 // factorise returns the factorised form of aggregate a with calls over in,
-// or nil when in is a padded outer join, a GROUP BY part or an aggregate
-// falls outside the factorised shapes, or the window would pass the dense
-// cap of the input's rows. sums holds per call its Float operand on each
-// side, nil for a side without one; COUNT(*) has none.
+// or nil when in is a padded outer join, a symmetric or a cross join, a
+// GROUP BY part or an aggregate falls outside the factorised shapes, or,
+// over a join, the window would pass the dense cap of the input's rows.
+// sums holds per call its Float operand on each side, nil for a side
+// without one; COUNT(*) has none.
 func factorise(a *LAgg, calls []*aggCall, in *aggInput) *fusedAgg {
+	f := &fusedAgg{parts: make([]fusedCol, len(a.GroupBy)), sums: make([][2][]float64, len(calls))}
 	m := in.m
 	if m == nil {
 		m = &joinMatch{left: in.res, right: &Result{rows: 1}}
-	}
-	if m.padded {
+	} else if hp, ok := m.src.(*hashPairs); ok && !m.padded {
+		f.hp = hp
+	} else {
 		return nil
 	}
 	column := func(e Expr, t Type) (fusedCol, bool) {
@@ -521,7 +592,6 @@ func factorise(a *LAgg, calls []*aggCall, in *aggInput) *fusedAgg {
 		}
 		return f, f.col != nil && f.col.Type == t && f.col.Nulls == nil
 	}
-	f := &fusedAgg{src: m.src, parts: make([]fusedCol, len(a.GroupBy)), sums: make([][2][]float64, len(calls))}
 	for k, g := range a.GroupBy {
 		p, ok := column(g, TInt)
 		if !ok {
@@ -548,6 +618,13 @@ func factorise(a *LAgg, calls []*aggCall, in *aggInput) *fusedAgg {
 			f.sums[i][p.side] = p.col.Floats
 		}
 	}
+	if f.hp == nil {
+		f.keys, f.ints = make([]vec, len(f.parts)), make([][]int64, len(f.parts))
+		for k, p := range f.parts {
+			f.keys[k], f.ints[k] = vec{col: p.col}, p.col.Ints
+		}
+		return f
+	}
 	limit, size := uint64(min(denseCap(in.n), math.MaxInt32)), uint64(1)
 	f.win = make([]window, len(f.parts))
 	for k, p := range f.parts {
@@ -559,9 +636,6 @@ func factorise(a *LAgg, calls []*aggCall, in *aggInput) *fusedAgg {
 		f.win[k], size = w[0], size*w[0].span
 	}
 	f.size = setStrides(f.win)
-	if f.src == nil {
-		return f
-	}
 	for s, res := range []*Result{m.left, m.right} {
 		buf := slotBufs.Get().(*[]uint32)
 		*buf = resize(*buf, res.NumRows())
@@ -586,11 +660,16 @@ func (f *fusedAgg) release() {
 	}
 }
 
-// bytes is the memory the aggregate holds with readers readers: the side
-// rows' slots, and per reader its window and a block's pairs and group
-// ids.
-func (f *fusedAgg) bytes(readers int) int64 {
-	return f.slotBytes + int64(readers)*(4*int64(f.size)+pairBlockBytes+4*hashBlock)
+// groupsIn is the most groups a chunk of n pairs of a join can have.
+func (f *fusedAgg) groupsIn(n int) int { return int(min(f.size, uint64(n))) }
+
+// bytes is the memory the aggregate over a join holds with readers readers
+// of chunks of up to chunk pairs: the side rows' slots and, per reader, its
+// window and its groups' keys and states, sized for the most groups a
+// chunk can have.
+func (f *fusedAgg) bytes(readers, chunk, calls int) int64 {
+	perGroup := 8*int64(len(f.parts)) + int64(calls)*aggStateBytes
+	return f.slotBytes + int64(readers)*(4*int64(f.size)+int64(f.groupsIn(chunk))*perGroup)
 }
 
 // aggregate groups the pairs at output positions [lo, hi) exactly as the
@@ -600,132 +679,341 @@ func (f *fusedAgg) bytes(readers int) int64 {
 // rounded to float64 before it is added, so no fused multiply-add can
 // change its bits.
 func (f *fusedAgg) aggregate(ec *execCtx, calls []*aggCall, lo, hi int) (*aggPartial, error) {
-	p := &aggPartial{kt: newDenseKeyTable(f.win, f.size), states: make([]aggStates, len(calls))}
-	for c, call := range calls {
-		p.states[c] = newAggStates(call, 0)
+	// Over a join, keys and states are sized for the most groups the chunk
+	// can have, so neither grows; over a plain input, whose window is not
+	// known yet, runs grows them a block at a time.
+	g := 0
+	if f.hp != nil {
+		g = f.groupsIn(hi - lo)
 	}
-	kt := p.kt
+	p := &aggPartial{kt: newIntKeyTable(len(f.parts), g), states: make([]aggStates, len(calls))}
+	for c, call := range calls {
+		p.states[c] = newAggStates(call, g)
+	}
 	var err error
-	if f.src == nil {
+	if f.hp == nil {
 		err = f.runs(ec, p, lo, hi)
 	} else {
-		ls, rs := *f.slots[0], *f.slots[1]
-		gids := make([]int32, min(hi-lo, hashBlock))
-		err = newPairBlock(hi-lo, func(_ int, l, r []int32) error {
-			// The cancellation point of the general path's blocks.
-			if err := ec.check(); err != nil {
-				return err
-			}
-			g := gids[:len(l)]
-			for i, li := range l {
-				x := ls[li] + rs[r[i]]
-				id := kt.slots[x]
-				if id == 0 {
-					id = f.newGroup(kt, x, li, r[i])
-				}
-				g[i] = id - 1
-			}
-			for c, ops := range f.sums {
-				s := &p.states[c]
-				s.grow(kt.len())
-				st := s.st
-				switch lv, rv := ops[0], ops[1]; {
-				case lv != nil && rv != nil:
-					for i, gi := range g {
-						st[gi].count++
-						st[gi].sum += float64(lv[l[i]] * rv[r[i]])
-					}
-				case lv != nil:
-					for i, gi := range g {
-						st[gi].count++
-						st[gi].sum += lv[l[i]]
-					}
-				case rv != nil:
-					for i, gi := range g {
-						st[gi].count++
-						st[gi].sum += rv[r[i]]
-					}
-				default: // COUNT(*)
-					for _, gi := range g {
-						st[gi].count++
-					}
-				}
-			}
-			return nil
-		}).emit(f.src, lo, hi)
+		p.kt.win, p.kt.slots = f.win, make([]int32, f.size)
+		err = f.walk(ec, p, lo, hi)
 	}
 	if err != nil {
 		return nil, err
 	}
+	kt := p.kt
 	kt.ints = intKeysInto(kt.intBuf, kt.keys)
 	for c, call := range calls {
-		p.states[c].grow(kt.len())
+		s := &p.states[c]
+		s.st = s.st[:kt.len()]
 		if !call.star {
-			for g := range p.states[c].st {
-				p.states[c].st[g].sawFloat = true
+			for g := range s.st {
+				s.st[g].sawFloat = true
 			}
 		}
 	}
 	return p, nil
 }
 
-// runs groups rows [lo, hi) of a plain input as aggregate groups pairs,
-// but a run of consecutive rows with equal keys at a time: the run's group
-// is looked up once and its values summed in order in a register. A table
-// that stores each group's rows together, as DL2SQL's pre-joined input
-// does, so costs one lookup per group instead of one per row.
-func (f *fusedAgg) runs(ec *execCtx, p *aggPartial, lo, hi int) error {
-	var diff [hashBlock]int64
-	kt := p.kt
-	for b := lo; b < hi; b += hashBlock {
+// walk groups the pairs at output positions [lo, hi) of the hash join
+// straight from its chains, in the order hashPairs.pairs hands them on:
+// probe row ascending, then build chain ascending. A probe row's partial
+// slot and operand are read once, and each chain link costs one slot
+// lookup and, per aggregate, one add. One SUM of a product (DL2SQL's
+// convolutions and full connections) has a loop of its own. A product's
+// operands are multiplied probe side first, which gives the left-first
+// product's bits: IEEE multiplication is commutative, and which operand's
+// NaN a product carries on is the compiled instruction's choice either
+// way. The query context is checked every hashBlock pairs.
+func (f *fusedAgg) walk(ec *execCtx, p *aggPartial, lo, hi int) error {
+	if lo >= hi {
+		return nil
+	}
+	hp, kt := f.hp, p.kt
+	probe := 0 // the probe input's side
+	if hp.buildLeft {
+		probe = 1
+	}
+	ps, bs := *f.slots[probe], *f.slots[1-probe]
+	heads, next := hp.heads, hp.next
+	pv, bv := make([][]float64, len(f.sums)), make([][]float64, len(f.sums))
+	for c, ops := range f.sums {
+		pv[c], bv[c] = ops[probe], ops[1-probe]
+	}
+	var st []aggState
+	var v, w []float64
+	product := len(f.sums) == 1 && pv[0] != nil && bv[0] != nil
+	if product {
+		st, v, w = p.states[0].st, pv[0], bv[0]
+	}
+	row, bi := hp.seek(lo)
+	for pos := lo; pos < hi; {
 		if err := ec.check(); err != nil {
 			return err
 		}
-		e := min(b+hashBlock, hi)
-		d := diff[:e-b]
-		clear(d)
-		for _, pt := range f.parts {
-			c := pt.col.Ints[b:e]
-			for i := 1; i < len(c); i++ {
-				d[i] |= c[i] ^ c[i-1]
+		for end := min(pos+hashBlock, hi); pos < end; {
+			for bi < 0 { // rows without a match have no pairs
+				row++
+				bi = heads[row]
 			}
-		}
-		for i := b; i < e; {
-			j := i + 1
-			for j < e && d[j-b] == 0 {
-				j++
-			}
-			var x uint32
-			for k, pt := range f.parts {
-				x += uint32((uint64(pt.col.Ints[i]) - uint64(f.win[k].lo)) * f.win[k].stride)
-			}
-			id := kt.slots[x]
-			if id == 0 {
-				id = f.newGroup(kt, x, int32(i), 0)
-			}
-			for c, ops := range f.sums {
-				s := &p.states[c]
-				s.grow(kt.len())
-				st := &s.st[id-1]
-				st.count += int64(j - i)
-				if v := ops[0]; v != nil {
-					acc := st.sum
-					for _, y := range v[i:j] {
-						acc += y
+			x0 := ps[row]
+			if product {
+				v := v[row]
+				for ; bi >= 0 && pos < end; bi = next[bi] {
+					x := x0 + bs[bi]
+					id := kt.slots[x]
+					if id == 0 {
+						id = f.newGroup(kt, x, pairRows(probe, row, bi))
 					}
-					st.sum = acc
+					s := &st[id-1]
+					s.count++
+					s.sum += float64(v * w[bi])
+					pos++
 				}
+				continue
 			}
-			i = j
+			for ; bi >= 0 && pos < end; bi = next[bi] {
+				x := x0 + bs[bi]
+				id := kt.slots[x]
+				if id == 0 {
+					id = f.newGroup(kt, x, pairRows(probe, row, bi))
+				}
+				for c := range f.sums {
+					s := &p.states[c].st[id-1]
+					s.count++
+					switch v, w := pv[c], bv[c]; {
+					case v != nil && w != nil:
+						s.sum += float64(v[row] * w[bi])
+					case v != nil:
+						s.sum += v[row]
+					case w != nil:
+						s.sum += w[bi]
+					}
+				}
+				pos++
+			}
 		}
 	}
 	return nil
 }
 
-// newGroup numbers the group in slot x of kt, first seen at left row l
-// beside right row r, copying its key into kt.
-func (f *fusedAgg) newGroup(kt *keyTable, x uint32, l, r int32) int32 {
-	rows := [2]int32{l, r}
+// pairRows is a pair's left and right row, from its probe row, its build
+// row and the probe input's side.
+func pairRows(probe, row int, bi int32) (rows [2]int32) {
+	rows[probe], rows[1-probe] = int32(row), bi
+	return rows
+}
+
+// runs groups rows [lo, hi) of a plain input as walk groups pairs, but a
+// run of consecutive rows with equal keys at a time, a block of at most
+// hashBlock runs (and runBlockRows rows) at a time: one compare pass finds
+// the block's runs (runHeads), each run's group is looked up once, at its
+// head, and its values are summed in order in a register (sumRuns). A
+// table that stores each group's rows together, as DL2SQL's pre-joined
+// input does, so costs one lookup per group instead of one per row. The
+// window starts empty; only run heads are checked against it, and a block
+// with a head outside it grows it over the block's heads, as an owning
+// keyTable's fit grows its window over a block's rows, so no pass over
+// whole key columns sizes it. Once the window would pass the dense cap of
+// the chunk's rows, the groups move to hashed addressing for good.
+func (f *fusedAgg) runs(ec *execCtx, p *aggPartial, lo, hi int) error {
+	kt, limit := p.kt, uint64(min(denseCap(hi-lo), math.MaxInt32))
+	var heads [hashBlock + 1]int
+	var ids [hashBlock]int32
+	var slot [hashBlock]uint64
+	hk := make([][]int64, len(f.ints)) // per part: the block's run heads' keys
+	for k := range hk {
+		hk[k] = make([]int64, min(hi-lo, hashBlock))
+	}
+	for b := lo; b < hi; {
+		if err := ec.check(); err != nil {
+			return err
+		}
+		n, e := runHeads(f.ints, b, min(b+runBlockRows, hi), &heads)
+		heads[n] = e
+		if !kt.hashed {
+			for k, c := range f.ints {
+				for r, h := range heads[:n] {
+					hk[k][r] = c[h]
+				}
+			}
+			if kt.slots == nil || !kt.addressHeads(hk, slot[:n]) {
+				kt.ints = intKeysInto(kt.intBuf, kt.keys)
+				if win := widen(kt.win, hk, 0, n, limit); win != nil {
+					kt.layout(win)
+					kt.addressHeads(hk, slot[:n])
+				} else {
+					kt.toHashed()
+				}
+			}
+		}
+		for k := range kt.keys { // room for the block's new groups
+			c := kt.keys[k].col
+			c.Ints = slices.Grow(c.Ints, n)
+		}
+		for r, h := range heads[:n] {
+			if kt.hashed {
+				var x [1]uint64
+				hashVecs(f.keys, h, x[:], nil)
+				ids[r] = kt.insertFrom(x[0], f.keys, f.ints, h)
+				continue
+			}
+			id := kt.slots[slot[r]]
+			if id == 0 {
+				id = f.newGroup(kt, uint32(slot[r]), [2]int32{int32(h)})
+			}
+			ids[r] = id - 1
+		}
+		for c := range p.states {
+			p.states[c].grow(kt.len())
+		}
+		f.sumRuns(p, heads[:n+1], ids[:n])
+		b = e
+	}
+	return nil
+}
+
+// runBlockRows is the most rows one block of runs reads, so that long
+// runs still meet a cancellation check every runBlockRows rows (under a
+// tenth of a millisecond of compares).
+const runBlockRows = hashBlock * hashBlock
+
+// runHeads writes to heads the first row of each run of consecutive rows
+// with equal keys of ints from row b on, up to hashBlock runs and up to
+// row e, and returns the runs' number and the row after the last: one
+// pass that holds a run's head key and compares the rows after it.
+func runHeads(ints [][]int64, b, e int, heads *[hashBlock + 1]int) (n, end int) {
+	i := b
+	switch len(ints) {
+	case 1:
+		c := ints[0][:e]
+		for ; i < e && n < hashBlock; n++ {
+			heads[n] = i
+			for v := c[i]; i < e && c[i] == v; i++ {
+			}
+		}
+	case 2:
+		c0, c1 := ints[0][:e], ints[1][:e]
+		for ; i < e && n < hashBlock; n++ {
+			heads[n] = i
+			v0, v1 := c0[i], c1[i]
+			// Four rows at a time while the run lasts, then row by row.
+			for ; i+4 <= e; i += 4 {
+				x, y := c0[i:i+4:i+4], c1[i:i+4:i+4]
+				if (x[0]^v0)|(x[1]^v0)|(x[2]^v0)|(x[3]^v0)|(y[0]^v1)|(y[1]^v1)|(y[2]^v1)|(y[3]^v1) != 0 {
+					break
+				}
+			}
+			for ; i < e && c0[i] == v0 && c1[i] == v1; i++ {
+			}
+		}
+	default:
+		for ; i < e && n < hashBlock; n++ {
+			heads[n] = i
+			for h := i; i < e && sameKey(ints, h, i); i++ {
+			}
+		}
+	}
+	return n, i
+}
+
+// sameKey reports whether rows a and b of ints carry the same key.
+func sameKey(ints [][]int64, a, b int) bool {
+	for _, c := range ints {
+		if c[a] != c[b] {
+			return false
+		}
+	}
+	return true
+}
+
+// addressHeads writes to slot the dense slot of each of the run heads'
+// keys hk and reports whether all lie inside the window.
+func (t *keyTable) addressHeads(hk [][]int64, slot []uint64) bool {
+	clear(slot)
+	for k, w := range t.win {
+		for r, v := range hk[k][:len(slot)] {
+			off := uint64(v) - uint64(w.lo)
+			if off >= w.span {
+				return false
+			}
+			slot[r] += off * w.stride
+		}
+	}
+	return true
+}
+
+// sumRuns folds runs [heads[r], heads[r+1]) of a plain input into their
+// groups ids[r]: each run's row count and, per SUM, its values added in
+// order to the group's sum. Four consecutive runs of distinct groups are
+// summed side by side, each in its own order, so that their additions
+// overlap.
+func (f *fusedAgg) sumRuns(p *aggPartial, heads []int, ids []int32) {
+	for c, ops := range f.sums {
+		st, v := p.states[c].st, ops[0]
+		for r := 0; r < len(ids); {
+			if v != nil && r+4 <= len(ids) && distinct4(ids[r:r+4]) {
+				sum4(st, v, heads[r:r+5], ids[r:r+4])
+				r += 4
+				continue
+			}
+			s := &st[ids[r]]
+			s.count += int64(heads[r+1] - heads[r])
+			if v != nil {
+				acc := s.sum
+				for _, y := range v[heads[r]:heads[r+1]] {
+					acc += y
+				}
+				s.sum = acc
+			}
+			r++
+		}
+	}
+}
+
+// distinct4 reports whether the four ids differ pairwise.
+func distinct4(ids []int32) bool {
+	a, b, c, d := ids[0], ids[1], ids[2], ids[3]
+	return a != b && a != c && a != d && b != c && b != d && c != d
+}
+
+// sum4 adds four adjacent runs [heads[i], heads[i+1]) of v to the states
+// of their distinct groups ids[i], each run in order: side by side while
+// all four have values left, then each run's rest on its own.
+func sum4(st []aggState, v []float64, heads []int, ids []int32) {
+	v0, v1, v2, v3 := v[heads[0]:heads[1]], v[heads[1]:heads[2]], v[heads[2]:heads[3]], v[heads[3]:heads[4]]
+	s0, s1, s2, s3 := &st[ids[0]], &st[ids[1]], &st[ids[2]], &st[ids[3]]
+	a0, a1, a2, a3 := s0.sum, s1.sum, s2.sum, s3.sum
+	n := min(len(v0), len(v1), len(v2), len(v3))
+	v0, v1, v2, v3 = v0[:n:n], v1[:n], v2[:n], v3[:n]
+	for i, y := range v0 {
+		a0 += y
+		a1 += v1[i]
+		a2 += v2[i]
+		a3 += v3[i]
+	}
+	v0, v1, v2, v3 = v[heads[0]+n:heads[1]], v[heads[1]+n:heads[2]], v[heads[2]+n:heads[3]], v[heads[3]+n:heads[4]]
+	for _, y := range v0 {
+		a0 += y
+	}
+	for _, y := range v1 {
+		a1 += y
+	}
+	for _, y := range v2 {
+		a2 += y
+	}
+	for _, y := range v3 {
+		a3 += y
+	}
+	s0.sum, s1.sum, s2.sum, s3.sum = a0, a1, a2, a3
+	s0.count += int64(heads[1] - heads[0])
+	s1.count += int64(heads[2] - heads[1])
+	s2.count += int64(heads[3] - heads[2])
+	s3.count += int64(heads[4] - heads[3])
+}
+
+// newGroup numbers the group in dense slot x of kt, first seen at left row
+// rows[0] beside right row rows[1], copying its key into kt.
+func (f *fusedAgg) newGroup(kt *keyTable, x uint32, rows [2]int32) int32 {
 	for k, p := range f.parts {
 		c := kt.keys[k].col
 		c.Ints = append(c.Ints, p.col.Ints[rows[p.side]])
@@ -799,9 +1087,9 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	}
 	fused := factorise(a, calls, in)
 	charge := int64(readers) * in.blockBytes(cols)
-	if fused != nil {
+	if fused != nil && fused.hp != nil {
 		defer fused.release()
-		charge = fused.bytes(readers)
+		charge = fused.bytes(readers, chunk, len(calls))
 	}
 	if err := ec.chargeBytes(charge); err != nil {
 		return nil, err
@@ -824,7 +1112,8 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	// and folds the values into the group states, so no key or argument
 	// vector over the whole input exists. A DISTINCT argument is kept for
 	// its chunk, the dedupe's representative rows. A factorised aggregate
-	// runs the same chunks over the same pair blocks (fusedAgg.aggregate).
+	// runs the same chunks, straight from the join's chains or the
+	// table's runs (fusedAgg.aggregate).
 	aggregateRange := func(lo, hi int) (*aggPartial, error) {
 		if fused != nil {
 			return fused.aggregate(ec, calls, lo, hi)
@@ -832,7 +1121,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		p := &aggPartial{kt: newOwnedKeyTable(len(a.GroupBy)), states: make([]aggStates, len(calls))}
 		keyX := make([]vecExpr, len(a.GroupBy))
 		for i, g := range a.GroupBy {
-			x, err := db.compileVecBuf(ec.ctx, g, schema, true)
+			x, err := db.compileOp(ec, g, schema, true)
 			if err != nil {
 				return nil, err
 			}
@@ -846,7 +1135,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 			}
 			argX[i] = make([]vecExpr, len(c.args))
 			for j, e := range c.args {
-				x, err := db.compileVecBuf(ec.ctx, e, schema, !c.distinct)
+				x, err := db.compileOp(ec, e, schema, !c.distinct)
 				if err != nil {
 					return nil, err
 				}
@@ -917,13 +1206,13 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		return p, nil
 	}
 
-	var groups *aggPartial
+	partials := []*aggPartial{nil} // per chunk; one for the serial path
 	if deg <= 1 {
-		if groups, err = aggregateRange(0, n); err != nil {
+		if partials[0], err = aggregateRange(0, n); err != nil {
 			return nil, err
 		}
 	} else {
-		partials := make([]*aggPartial, (n+chunk-1)/chunk)
+		partials = make([]*aggPartial, (n+chunk-1)/chunk)
 		stats, err := par.RunErrCtx(ec.ctx, deg, n, chunk, func(_, lo, hi int) error {
 			p, err := aggregateRange(lo, hi)
 			partials[lo/chunk] = p
@@ -933,24 +1222,35 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 			return nil, err
 		}
 		db.notePar(ec, stats)
-		// The first chunk's groups are the base; later chunks' groups merge
-		// into them by key or append in their first-seen order.
-		groups = partials[0]
-		for _, p := range partials[1:] {
-			mids := make([]int32, p.kt.len())
-			next := int32(groups.kt.len())
-			groups.kt.number(p.kt.keys, 0, len(mids), mids)
-			for id, mid := range mids {
-				added := mid == next
+	}
+	if fused != nil && fused.hp == nil {
+		// A factorised plain input's windows grow as its runs are read,
+		// so they are charged once read.
+		var bytes int64
+		for _, p := range partials {
+			bytes += p.kt.bytes()
+		}
+		if err := ec.chargeBytes(bytes); err != nil {
+			return nil, err
+		}
+	}
+	// The first chunk's groups are the base; later chunks' groups merge
+	// into them by key or append in their first-seen order.
+	groups := partials[0]
+	for _, p := range partials[1:] {
+		mids := make([]int32, p.kt.len())
+		next := int32(groups.kt.len())
+		groups.kt.number(p.kt.keys, 0, len(mids), mids)
+		for id, mid := range mids {
+			added := mid == next
+			if added {
+				next++
+			}
+			for i := range groups.states {
 				if added {
-					next++
-				}
-				for i := range groups.states {
-					if added {
-						groups.states[i].appendFrom(&p.states[i], id)
-					} else if err := groups.states[i].merge(int(mid), &p.states[i], id); err != nil {
-						return nil, err
-					}
+					groups.states[i].appendFrom(&p.states[i], id)
+				} else if err := groups.states[i].merge(int(mid), &p.states[i], id); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -979,7 +1279,7 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 	for i, c := range calls {
 		name := fmt.Sprintf("$agg%d", i)
 		aggCols[c.repr] = name
-		col := columnOf(nGroups, groups.states[i].result)
+		col := groups.states[i].column(nGroups)
 		inter.Schema = append(inter.Schema, OutCol{Name: name, Type: col.Type})
 		inter.Cols = append(inter.Cols, col)
 	}
@@ -1013,14 +1313,14 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		// A bare column that isn't a group key or aggregate is invalid SQL;
 		// we resolve it against the group keys by name as a convenience
 		// (matches ClickHouse's leniency for functionally-dependent keys).
-		x, err := db.compileVec(ec.ctx, rewritten, inter.Schema)
+		x, err := db.compileOp(ec, rewritten, inter.Schema, false)
 		if err != nil {
 			if cr, ok := it.Expr.(*ColRef); ok {
 				// try matching a group-by expression that is a ColRef with
 				// the same name
 				for gi, g := range a.GroupBy {
 					if gcr, ok := g.(*ColRef); ok && strings.EqualFold(gcr.Name, cr.Name) {
-						x, err = db.compileVec(ec.ctx, &ColRef{Name: fmt.Sprintf("$grp%d", gi)}, inter.Schema)
+						x, err = db.compileOp(ec, &ColRef{Name: fmt.Sprintf("$grp%d", gi)}, inter.Schema, false)
 						break
 					}
 				}

@@ -305,7 +305,7 @@ func (db *DB) execFilter(in *Result, conds []Expr, ec *execCtx, used []bool) (*R
 	start := time.Now()
 	xs := make([]vecExpr, len(conds))
 	for i, c := range conds {
-		x, err := db.compileVec(ec.ctx, c, in.Schema)
+		x, err := db.compileOp(ec, c, in.Schema, false)
 		if err != nil {
 			return nil, err
 		}
@@ -412,7 +412,7 @@ func (db *DB) execProject(p *LProject, ec *execCtx) (*Result, error) {
 				continue
 			}
 		}
-		x, err := db.compileVec(ec.ctx, it.Expr, child.Schema)
+		x, err := db.compileOp(ec, it.Expr, child.Schema, false)
 		if err != nil {
 			return nil, err
 		}
@@ -510,7 +510,7 @@ func (db *DB) execSort(in *Result, keys []OrderItem, ec *execCtx) (*Result, erro
 	xs := make([]vecExpr, len(keys))
 	keyExprs := make([]Expr, len(keys))
 	for i, k := range keys {
-		x, err := db.compileVec(ec.ctx, k.Expr, in.Schema)
+		x, err := db.compileOp(ec, k.Expr, in.Schema, false)
 		if err != nil {
 			return nil, err
 		}

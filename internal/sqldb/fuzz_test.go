@@ -239,8 +239,8 @@ func denseValue(x byte) float64 {
 // only hashed tables and the general aggregation can hold, give the same
 // rows in the same order with bit-identical values once the keys are
 // divided back (every NaN compares as one value). Input bytes become rows
-// of a (k, j, v) and b (k, j, w); a k byte of 0xff is NULL, and value
-// bytes map through denseValue.
+// of a (k, j, v) and b (k, j, w), at most 300 each; a k byte of 0xff is
+// NULL, and value bytes map through denseValue.
 func FuzzDenseKeys(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 5, 0xff, 1, 7}, []byte{0, 0, 1, 3, 1, 2, 0xff, 0, 3})
 	f.Add([]byte{200, 3, 9, 100, 2, 8, 200, 3, 1, 7, 0, 0}, []byte{100, 2, 5, 200, 3, 6, 100, 1, 4})
@@ -253,8 +253,23 @@ func FuzzDenseKeys(f *testing.F) {
 	// -0, ±Inf and NaN values.
 	f.Add([]byte{1, 0, 0xfc, 1, 1, 0xfd, 2, 0, 0xfe, 2, 1, 0xff, 1, 0, 3},
 		[]byte{1, 0, 0xfc, 2, 1, 0xfd, 1, 1, 4, 2, 0, 0xfc})
+	// A hash chain longer than hashBlock: a, the smaller side, builds 260
+	// rows on key 1, which three of b's rows probe, among rows on keys a
+	// lacks.
+	var chainA, chainB []byte
+	for i := 0; i < 270; i++ {
+		chainA = append(chainA, byte(1+i/260), byte(i), byte(i*37))
+	}
+	for i := 0; i < 280; i++ {
+		k := byte(3 + i%50)
+		if i%100 == 7 {
+			k = 1
+		}
+		chainB = append(chainB, k, byte(i/3), byte(i*11))
+	}
+	f.Add(chainA, chainB)
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		if len(a) > 3*200 || len(b) > 3*200 {
+		if len(a) > 3*300 || len(b) > 3*300 {
 			return
 		}
 		var want [][]string

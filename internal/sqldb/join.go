@@ -8,10 +8,12 @@ package sqldb
 // the pairs at any range of output positions to the join's consumer, a
 // block of at most hashBlock pairs at a time through reused buffers: no
 // operator holds the join's whole pair list. execJoin gathers each block
-// into its exactly-sized output columns at the block's offset; an
-// aggregate over the join (agg.go) folds each block straight into its
-// groups. Pairs come out in one order for every consumer and degree:
-// probe row (or schedule step) ascending, then build chain ascending.
+// into its exactly-sized output columns at the block's offset; a general
+// aggregate over the join (agg.go) gathers each block's key and argument
+// columns. A factorised aggregate over a hash join walks the chains
+// itself from hashPairs.seek and writes no pair. Pairs come out in one
+// order for every consumer and degree: probe row (or schedule step)
+// ascending, then build chain ascending.
 
 import (
 	"slices"
@@ -183,7 +185,7 @@ func (db *DB) execJoin(j *LJoin, ec *execCtx) (*Result, error) {
 func (db *DB) joinKeys(in *Result, exprs []Expr, ec *execCtx) ([]vec, error) {
 	vx := make([]vecExpr, len(exprs))
 	for i, e := range exprs {
-		x, err := db.compileVec(ec.ctx, e, in.Schema)
+		x, err := db.compileOp(ec, e, in.Schema, false)
 		if err != nil {
 			return nil, err
 		}
@@ -278,19 +280,27 @@ func (hp *hashPairs) count(i int) int {
 	return 0
 }
 
-func (hp *hashPairs) pairs(lo, hi int, b *pairBlock) error {
-	// Seek lo: its probe morsel, its probe row, its link in the row's chain.
+// seek returns the pair at output position lo, lo below the pair count:
+// its probe row and its build row, -1 for an outer join's padding. It
+// finds lo's probe morsel, then its probe row, then its link in the row's
+// chain.
+func (hp *hashPairs) seek(lo int) (row int, bi int32) {
 	m := sort.Search(len(hp.offs)-1, func(i int) bool { return hp.offs[i+1] > lo })
 	row, pos := m*morselRows, hp.offs[m]
 	for c := hp.count(row); pos+c <= lo; c = hp.count(row) {
 		pos += c
 		row++
 	}
-	bi := hp.heads[row]
+	bi = hp.heads[row]
 	for ; pos < lo; pos++ {
 		bi = hp.next[bi]
 	}
-	for {
+	return row, bi
+}
+
+func (hp *hashPairs) pairs(lo, hi int, b *pairBlock) error {
+	row, bi := hp.seek(lo)
+	for pos := lo; ; {
 		if bi < 0 && hp.outer && hp.heads[row] < 0 {
 			if b.add(int32(row), -1) {
 				if err := b.flush(); err != nil {

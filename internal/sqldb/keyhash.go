@@ -523,14 +523,13 @@ func setStrides(win []window) uint64 {
 	return size
 }
 
-// newDenseKeyTable returns an empty owning table of Int keys addressed
-// densely over win, whose strides are set and which spans size slots.
-func newDenseKeyTable(win []window, size uint64) *keyTable {
-	t := newOwnedKeyTable(len(win))
+// newIntKeyTable returns an empty owning table of nkeys-part Int keys with
+// room for groups keys and no window yet.
+func newIntKeyTable(nkeys, groups int) *keyTable {
+	t := newOwnedKeyTable(nkeys)
 	for k := range t.keys {
-		t.keys[k].col = NewColumn(TInt)
+		t.keys[k].col = &Column{Type: TInt, Ints: make([]int64, 0, groups)}
 	}
-	t.win, t.slots = win, make([]int32, size)
 	return t
 }
 
@@ -655,6 +654,20 @@ func appendKey(dst *vec, src vec, r int) {
 	if dst.col == nil {
 		dst.ds = append(dst.ds, src.get(r))
 		return
+	}
+	if c, sc := dst.col, src.col; sc != nil && sc.Type == c.Type && c.Nulls == nil && sc.Nulls == nil {
+		// NULL-free values of the column's own type: copied typed.
+		switch c.Type {
+		case TInt:
+			c.Ints = append(c.Ints, sc.Ints[r])
+			return
+		case TFloat:
+			c.Floats = append(c.Floats, sc.Floats[r])
+			return
+		case TString:
+			c.Strs = append(c.Strs, sc.Strs[r])
+			return
+		}
 	}
 	c, d := dst.col, src.get(r)
 	switch {

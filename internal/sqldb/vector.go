@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // Vector evaluation: the engine's one expression evaluator. compileVec
@@ -200,18 +202,26 @@ func (x vecExpr) keep(in *Result, s sel) ([]int, error) { return keepRows(x.k, i
 // context, which every UDF call receives and whose accounting counts the
 // calls.
 func (db *DB) compileVec(ctx context.Context, e Expr, schema []OutCol) (vecExpr, error) {
-	return db.compileVecBuf(ctx, e, schema, false)
+	return db.compileVecBuf(ctx, nil, e, schema, false)
 }
 
-// compileVecBuf is compileVec; with reuse set, literal and arithmetic
-// nodes keep their result in a buffer of their own that every evaluation
-// overwrites, so the compiled expression serves one goroutine and a result
-// is valid until its next evaluation.
-func (db *DB) compileVecBuf(ctx context.Context, e Expr, schema []OutCol, reuse bool) (vecExpr, error) {
+// compileOp compiles an expression that the running operator of ec
+// evaluates: a UDF the expression calls gets the operator's span on its
+// context, so the spans the UDF opens nest under the operator.
+func (db *DB) compileOp(ec *execCtx, e Expr, schema []OutCol, reuse bool) (vecExpr, error) {
+	return db.compileVecBuf(ec.ctx, ec.span, e, schema, reuse)
+}
+
+// compileVecBuf is compileVec with the UDFs' parent span (nil: the one on
+// ctx); with reuse set, literal and arithmetic nodes keep their result in a
+// buffer of their own that every evaluation overwrites, so the compiled
+// expression serves one goroutine and a result is valid until its next
+// evaluation.
+func (db *DB) compileVecBuf(ctx context.Context, span *obs.Span, e Expr, schema []OutCol, reuse bool) (vecExpr, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c := vecCompiler{db: db, ctx: ctx, acct: acctFrom(ctx), schema: schema, reuse: reuse}
+	c := vecCompiler{db: db, ctx: ctx, span: span, acct: acctFrom(ctx), schema: schema, reuse: reuse}
 	k, err := c.compile(e)
 	return vecExpr{k: k, byMorsel: c.byMorsel}, err
 }
@@ -220,6 +230,7 @@ func (db *DB) compileVecBuf(ctx context.Context, e Expr, schema []OutCol, reuse 
 type vecCompiler struct {
 	db       *DB
 	ctx      context.Context
+	span     *obs.Span // the evaluating operator's, nil untraced
 	acct     *queryAcct
 	schema   []OutCol
 	reuse    bool
@@ -644,7 +655,11 @@ func (c *vecCompiler) call(t *FuncCall) (kernel, error) {
 	}
 	c.byMorsel = true
 	if udf != nil {
-		return &udfNode{ctx: c.ctx, acct: c.acct, name: name, fn: udf.Fn, args: args}, nil
+		ctx := c.ctx
+		if c.span != nil {
+			ctx = obs.ContextWithSpan(ctx, c.span)
+		}
+		return &udfNode{ctx: ctx, acct: c.acct, name: name, fn: udf.Fn, args: args}, nil
 	}
 	fn, ok := builtinScalars[name]
 	if !ok {

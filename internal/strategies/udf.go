@@ -38,7 +38,7 @@ var errNoUDFRun = errors.New("strategies: nUDF called outside a DB-UDF execution
 type udfRun struct {
 	env       *Context
 	models    map[string]*nn.Model
-	querySpan *obs.Span // relational:query, parent of the inference spans
+	querySpan *obs.Span // relational:query; nil untraced
 
 	mu            sync.Mutex
 	inferSecs     float64 // summed over batches, so over parallel workers too
@@ -160,12 +160,21 @@ func nudfFn(name string) sqldb.UDFFunc {
 			return out, nil
 		}
 		// The inference-time accounting reads double as the batch span's
-		// start/end, so tracing adds no clock reads. Each batch runs a
-		// shallow copy of the model: layers and weights are read-only during
-		// a forward pass; only the Trace attachment point is per-call state.
+		// start/end, so tracing adds no clock reads. The batch span opens
+		// under the operator that calls the UDF, whose span the engine puts
+		// on the UDF's context; untraced, querySpan is nil and the context
+		// is not searched. Each batch runs a shallow copy of the model:
+		// layers and weights are read-only during a forward pass; only the
+		// Trace attachment point is per-call state.
 		start := time.Now()
 		r.begin(start)
-		span := r.querySpan.StartChildAt("inference:"+name, start)
+		parent := r.querySpan
+		if parent != nil {
+			if op := obs.SpanFromContext(ctx); op != nil {
+				parent = op
+			}
+		}
+		span := parent.StartChildAt("inference:"+name, start)
 		span.SetAttr("batch", len(run))
 		mc := *r.models[name]
 		mc.Trace = span
