@@ -33,9 +33,10 @@ type QueryRecord struct {
 	// Fallback is the fallback ladder walked to produce the result, e.g.
 	// "DB-PyTorch->DB-UDF"; empty when the primary strategy answered.
 	Fallback string `json:"fallback,omitempty"`
-	// CacheState is the plan-cache outcome: "hit", "miss", "bypass"
-	// (uncacheable statement), or "disabled"; or "kept" when a prepared
-	// statement ran its kept plan.
+	// CacheState is where the statement's plan came from: "kept" (a
+	// prepared statement's own plan-store entry), "hit" (the plan cache),
+	// "miss" (planned and stored), "bypass" (planned, never stored), or
+	// "disabled" (planned with the plan cache off).
 	CacheState string `json:"cache,omitempty"`
 	// Start is the statement's start time.
 	Start time.Time `json:"start"`

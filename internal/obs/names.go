@@ -20,8 +20,9 @@ const (
 	MetricParallelOps = "sqldb.parallel.ops"
 	// MetricParallelMorsels counts morsels dispatched by parallel operators.
 	MetricParallelMorsels = "sqldb.parallel.morsels"
-	// MetricPlanInvalidations counts cached plans discarded because a
-	// dependency's write version moved.
+	// MetricPlanInvalidations counts stored plans re-planned because the
+	// planner's inputs moved (a schema, a view, the UDF registry, or how
+	// the join order's estimates compare).
 	MetricPlanInvalidations = "sqldb.cache.plan.invalidations"
 	// MetricQueries counts statements recorded into the query history.
 	MetricQueries = "sqldb.queries"

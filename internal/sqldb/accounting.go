@@ -10,7 +10,8 @@ package sqldb
 // check plus a handful of atomic adds per operator, not per row. At
 // statement end the accumulated numbers become one obs.QueryRecord in the
 // history ring (and, over the slow threshold, one structured slow-log
-// line), plus the engine-level counters/histogram in DB.Metrics.
+// line), plus the engine-level counters/histogram in DB.Metrics, whose
+// handles are resolved once per registry (engineMetrics).
 //
 // Counter fields are atomics because operator accounting can run on morsel
 // workers; cacheState is only written by the statement's own goroutine
@@ -148,30 +149,65 @@ func (db *DB) recordQuery(ctx context.Context, sql string, fn func(ctx context.C
 			}
 		}
 		hist.Add(rec)
-		if m := db.Metrics; m != nil {
-			m.Counter(obs.MetricQueries).Add(1)
+		if m := db.metrics(); m != nil {
+			m.queries.Add(1)
 			if err != nil {
-				m.Counter(obs.MetricQueryErrors).Add(1)
+				m.queryErrors.Add(1)
 			}
 			if thr := hist.SlowThreshold(); thr > 0 && wall >= thr {
-				m.Counter(obs.MetricSlowQueries).Add(1)
+				m.slowQueries.Add(1)
 			}
-			m.Histogram(obs.MetricQueryWallSeconds).ObserveExemplar(wall.Seconds(), rec.TraceID)
+			m.queryWall.ObserveExemplar(wall.Seconds(), rec.TraceID)
 			if rec.TraceID != "" {
-				m.Counter(obs.MetricTraceExemplars).Add(1)
+				m.traceExemplars.Add(1)
 			}
 		}
 	}()
 	return fn(withAcct(ctx, acct))
 }
 
-// noteCacheState records the statement-level plan outcome once: "hit",
-// "miss", "bypass" or "disabled" from the plan cache, or "kept" for a
-// prepared statement's kept plan. The statement notes its state before
-// planning runs any subquery, and the first note wins, so neither
-// subqueries nor UNION ALL branches overwrite it.
-func (a *queryAcct) noteCacheState(state string) {
-	if a != nil && a.cacheState == "" {
-		a.cacheState = state
+// claimCacheState reports whether the statement has no plan state noted
+// yet and, if so, reserves the note for the caller: the statement's own
+// SELECT notes its state once planning is done (plansFor), and the
+// subqueries that planning runs note none.
+func (a *queryAcct) claimCacheState() bool {
+	if a == nil || a.cacheState != "" {
+		return false
 	}
+	a.cacheState = "planning"
+	return true
+}
+
+// engineMetrics are the engine's metric handles in one registry, resolved
+// once per registry attached as DB.Metrics rather than looked up by name,
+// under the registry's lock, on every statement and parallel operator.
+type engineMetrics struct {
+	reg                                               *obs.Registry
+	queries, queryErrors, slowQueries, traceExemplars *obs.Counter
+	parallelOps, parallelMorsels, planInvalidations   *obs.Counter
+	queryWall                                         *obs.Histogram
+}
+
+// metrics returns the handles in DB.Metrics, or nil when none is attached.
+func (db *DB) metrics() *engineMetrics {
+	reg := db.Metrics
+	if reg == nil {
+		return nil
+	}
+	if m := db.handles.Load(); m != nil && m.reg == reg {
+		return m
+	}
+	m := &engineMetrics{
+		reg:               reg,
+		queries:           reg.Counter(obs.MetricQueries),
+		queryErrors:       reg.Counter(obs.MetricQueryErrors),
+		slowQueries:       reg.Counter(obs.MetricSlowQueries),
+		traceExemplars:    reg.Counter(obs.MetricTraceExemplars),
+		parallelOps:       reg.Counter(obs.MetricParallelOps),
+		parallelMorsels:   reg.Counter(obs.MetricParallelMorsels),
+		planInvalidations: reg.Counter(obs.MetricPlanInvalidations),
+		queryWall:         reg.Histogram(obs.MetricQueryWallSeconds),
+	}
+	db.handles.Store(m)
+	return m
 }

@@ -81,9 +81,11 @@ func TestCacheDisabledByDefault(t *testing.T) {
 }
 
 // TestInsertInvalidatesPlan pins the correctness-critical half of the
-// invalidation contract: the planner folds uncorrelated subqueries into
-// literals at plan time, so serving a stale plan after an INSERT would
-// return rows filtered against an outdated aggregate.
+// plan store's contract: the planner folds uncorrelated subqueries into
+// literals at plan time, so serving such a plan after an INSERT would
+// return rows filtered against an outdated aggregate — it is never stored.
+// A write re-plans a stored plan only when it flips how the join order's
+// estimates compare.
 func TestInsertInvalidatesPlan(t *testing.T) {
 	db := cacheFixture(t)
 	db.EnableCache(64)
@@ -110,8 +112,26 @@ func TestInsertInvalidatesPlan(t *testing.T) {
 	if got != want {
 		t.Fatalf("stale plan served after INSERT: cached %q, uncached %q", got, want)
 	}
-	if st := db.CacheStats(); st.PlanInvalidations < 1 {
-		t.Fatalf("expected a plan invalidation, stats: %+v", st)
+	if st := db.CacheStats(); st.PlanInvalidations != 0 {
+		t.Fatalf("writes that leave every join order alone re-planned, stats: %+v", st)
+	}
+
+	// u (3 rows) is smaller than t (25): 30 more rows flip the greedy order.
+	const join = "SELECT t.a, u.name FROM t, u WHERE t.a % 3 = u.a % 3"
+	queryString(t, db, join)
+	for _, d := range []*DB{db, fresh} {
+		if _, err := d.Exec("INSERT INTO u SELECT a + 100, s FROM t WHERE a < 30"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Exec("INSERT INTO u SELECT a + 200, s FROM t WHERE a < 10"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := queryString(t, db, join), queryString(t, fresh, join); got != want {
+		t.Fatalf("join after an order-flipping INSERT: cached %q, uncached %q", got, want)
+	}
+	if st := db.CacheStats(); st.PlanInvalidations != 1 {
+		t.Fatalf("an order-flipping write invalidated %d plans, want 1, stats: %+v", st.PlanInvalidations, st)
 	}
 }
 
@@ -197,17 +217,26 @@ func TestUpdateDeleteInvalidate(t *testing.T) {
 	}
 }
 
-func TestHintedQueriesBypassCache(t *testing.T) {
+// TestHintedQueriesShareCachedPlan: a hinted execution is served the plan
+// stored for its text while its hints leave the planner's inputs alone,
+// and a JoinOrder hint is never served from the store.
+func TestHintedQueriesShareCachedPlan(t *testing.T) {
 	db := cacheFixture(t)
 	db.EnableCache(64)
 	const q = "SELECT count(*) c FROM t WHERE a > 3"
 	queryString(t, db, q) // populate
 	hits := db.CacheStats().Plan.Hits
-	if _, err := db.ExecHinted(q, &QueryHints{}); err != nil {
+	if _, err := db.ExecHinted(q, &QueryHints{CardOverrides: map[string]float64{"t": 5}}); err != nil {
 		t.Fatal(err)
 	}
-	if db.CacheStats().Plan.Hits != hits {
-		t.Fatal("hinted execution must not be served from the plan cache")
+	if got := db.CacheStats().Plan.Hits; got != hits+1 {
+		t.Fatalf("hinted execution: plan hits %d, want %d", got, hits+1)
+	}
+	if _, err := db.ExecHinted(q, &QueryHints{JoinOrder: []string{"t"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.CacheStats().Plan.Hits; got != hits+1 {
+		t.Fatal("an execution pinned by a JoinOrder hint was served from the plan cache")
 	}
 }
 
@@ -400,10 +429,14 @@ func TestOrdinalOrderByStableUnderCache(t *testing.T) {
 	const q = "SELECT s, a FROM t WHERE a < 6 ORDER BY 1 DESC, 2"
 	first := queryString(t, db, q)
 	second := queryString(t, db, q)
-	// Invalidate the plan so the next run replans from the cached statement.
 	if _, err := db.Exec("INSERT INTO t VALUES (500, 0.0, 'zz')"); err != nil {
 		t.Fatal(err)
 	}
+	// A UDF registration re-plans every stored plan, so the next run
+	// replans from the cached statement.
+	db.RegisterUDF(&ScalarUDF{Name: "noop", Arity: 1, Fn: RowUDF(func(_ context.Context, a []Datum) (Datum, error) {
+		return a[0], nil
+	})})
 	third := queryString(t, db, q)
 	if first != second || second != third {
 		t.Fatalf("ordinal ORDER BY drifted across cached runs:\n%s\n%s\n%s", first, second, third)
@@ -437,15 +470,148 @@ func TestCachedResultsMatchUncachedDifferential(t *testing.T) {
 	if st := cached.CacheStats(); st.Plan.Hits < int64(len(queries)) {
 		t.Fatalf("expected ≥%d plan hits, stats: %+v", len(queries), st)
 	}
+
+	// Then the same cached DB through every way its planner inputs move.
+	// Each step changes it, then runs its query twice — planned or served,
+	// then served — under its hints and bound relations; both answers must
+	// equal a fresh uncached DB's, built from the fixture and every change
+	// so far. A join's build side is picked at execution by row counts, so
+	// a stale join order shows in the three-way join: each t row has two or
+	// more matches in both u and w, and which of them is joined first
+	// decides how those matches nest in the output order.
+	var log []func(*DB)
+	fresh := func() *DB {
+		db := cacheFixture(t)
+		for _, change := range log {
+			change(db)
+		}
+		return db
+	}
+	run := func(db *DB, sql string, hints *QueryHints, rels Relations) string {
+		ctx := context.Background()
+		if rels != nil {
+			ctx = WithRelations(ctx, rels)
+		}
+		res, err := db.ExecHintedContext(ctx, sql, hints)
+		if err != nil {
+			return "error"
+		}
+		return resultBits(res)
+	}
+	do := func(sqls ...string) func(*DB) {
+		return func(db *DB) {
+			for _, sql := range sqls {
+				if _, err := db.Exec(sql); err != nil {
+					t.Fatalf("%q: %v", sql, err)
+				}
+			}
+		}
+	}
+	register := func(name string, fn func(float64) float64, sel float64) func(*DB) {
+		return func(db *DB) {
+			db.RegisterUDF(&ScalarUDF{Name: name, Arity: 1, Fn: RowUDF(func(_ context.Context, a []Datum) (Datum, error) {
+				x, _ := a[0].AsFloat()
+				return Float(fn(x)), nil
+			}), EstimateSelectivity: func(Datum) float64 { return sel }})
+		}
+	}
+	sysRows := func(n int64) func(*DB) {
+		return func(db *DB) {
+			schema := []OutCol{{Name: "n", Type: TInt}}
+			db.RegisterSysTable(&SysTable{Name: "sys.n", Schema: schema, Scan: func(*DB) (*Result, error) {
+				res, cols := sysResult(schema)
+				return res, sysRow(cols, Int(n))
+			}})
+		}
+	}
+	bound := NewTable("u", Schema{{Name: "a", Type: TInt}, {Name: "name", Type: TString}})
+	for i := 0; i < 10; i++ {
+		if err := bound.AppendRow([]Datum{Int(int64(9 - i)), Str(fmt.Sprintf("b%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The greedy order starts from the smallest estimate and joins t next.
+	const join = "SELECT t.a, u.name, w.tag FROM t, u, w WHERE t.a % 3 = u.a % 3 AND t.a % 3 = w.k % 3"
+	const udfJoin = join + " AND half(w.k) < 100"
+	const view = "SELECT count(*) c, sum(b) s FROM v"
+	const udf = "SELECT a, half(a) h FROM t WHERE a < 4"
+	const sub = "SELECT count(*) c FROM t WHERE a > (SELECT avg(a) FROM u)"
+	flip := &QueryHints{CardOverrides: map[string]float64{"u": 1000}}
+	udfHints := &QueryHints{UDFSelectivity: map[string]float64{"half": 0.001}}
+	bind := Relations{"u": bound}
+	for _, step := range []struct {
+		name   string
+		change func(*DB)
+		query  string
+		hints  *QueryHints
+		rels   Relations
+	}{
+		// t 20 rows, u 6, w 4: w, t, u.
+		{name: "cold join", change: do("INSERT INTO u VALUES (4, 'four'), (5, 'five'), (6, 'six')",
+			"CREATE TABLE w (k Int64, tag String)", "INSERT INTO w VALUES (0, 'w'), (1, 'w'), (2, 'w'), (3, 'w')"), query: join},
+		{name: "a write that keeps the estimate order", change: do("INSERT INTO u VALUES (7, 'seven')"), query: join},
+		{name: "a write that flips it", change: do("INSERT INTO w SELECT a, s FROM t"), query: join},
+		{name: "a write that flips it back", change: do("DELETE FROM w WHERE tag <> 'w'"), query: join},
+		// u 3 rows: u, t, w.
+		{name: "DROP/CREATE, same schema", change: do("DROP TABLE u", "CREATE TABLE u (a Int64, name String)",
+			"INSERT INTO u VALUES (0, 'z'), (3, 'y'), (1, 'a')"), query: join},
+		// u 2 rows: u, t, w.
+		{name: "DROP/CREATE, another schema", change: do("DROP TABLE u", "CREATE TABLE u (name String, a Int64, x Float64)",
+			"INSERT INTO u VALUES ('p', 6, 0.5), ('q', 3, 1.5)"), query: join},
+		{name: "DROP/CREATE, another schema, star", query: "SELECT * FROM u"},
+		{name: "a view", change: do("CREATE VIEW v AS SELECT a, b FROM t WHERE a < 5"), query: view},
+		{name: "a view replacement", change: do("CREATE OR REPLACE VIEW v AS SELECT a, b FROM t WHERE a > 15"), query: view},
+		{name: "a UDF before registration", query: udf},
+		{name: "UDF registration", change: register("half", func(x float64) float64 { return x / 2 }, 1), query: udf},
+		{name: "UDF re-registration", change: register("half", func(x float64) float64 { return x / 4 }, 1), query: udf},
+		// Unhinted u, t, w; under the UDF hint w, t, u.
+		{name: "a UDF join, unhinted", query: udfJoin},
+		{name: "a UDF join, UDF hints", query: udfJoin, hints: udfHints},
+		{name: "a UDF join, unhinted again", query: udfJoin},
+		{name: "a UDF join, UDF hints again", query: udfJoin, hints: udfHints},
+		// A selectivity the UDF reports itself: w, t, u.
+		{name: "a UDF re-registered with another selectivity", change: register("half", func(x float64) float64 { return x / 2 }, 0.001), query: udfJoin},
+		// Unhinted u, t, w; under CardOverrides w, t, u.
+		{name: "unhinted", query: join},
+		{name: "CardOverrides", query: join, hints: flip},
+		{name: "unhinted again", query: join},
+		{name: "CardOverrides again", query: join, hints: flip},
+		// The catalog's u 2 rows: u, t, w; the bound u 10 rows: w, t, u.
+		{name: "a catalog table", change: do("DROP TABLE u", "CREATE TABLE u (a Int64, name String)",
+			"INSERT INTO u VALUES (0, 'z'), (3, 'y')"), query: join},
+		{name: "a bound relation under its name", query: join, rels: bind},
+		{name: "the catalog table again", query: join},
+		{name: "the bound relation again", query: join, rels: bind},
+		{name: "a sys.* scan", change: sysRows(1), query: "SELECT n FROM sys.n"},
+		{name: "a sys.* table replaced", change: sysRows(2), query: "SELECT n FROM sys.n"},
+		{name: "a folded subquery", query: sub},
+		{name: "a folded subquery after a write", change: do("INSERT INTO u VALUES (30, 'big')"), query: sub},
+		{name: "a folded IN subquery after a write", change: do("DELETE FROM u WHERE a = 3"), query: "SELECT a FROM t WHERE a IN (SELECT a FROM u)"},
+	} {
+		if step.change != nil {
+			step.change(cached)
+			log = append(log, step.change)
+		}
+		want := run(fresh(), step.query, step.hints, step.rels)
+		for pass := 0; pass < 2; pass++ {
+			if got := run(cached, step.query, step.hints, step.rels); got != want {
+				t.Fatalf("%s, pass %d: %q\ncached\n%s\nuncached\n%s", step.name, pass, step.query, got, want)
+			}
+		}
+	}
 }
 
-// TestConcurrentCachedQueries runs the same cached plan from many
-// goroutines while a writer invalidates it; meaningful under -race.
+// TestConcurrentCachedQueries runs the same cached plans from many
+// goroutines while a writer appends to their tables, flipping the join's
+// order so its entry is replaced while others run it; meaningful under
+// -race.
 func TestConcurrentCachedQueries(t *testing.T) {
 	db := cacheFixture(t)
 	db.EnableCache(64)
 	const q = "SELECT s, count(*) c FROM t WHERE a >= 0 GROUP BY s ORDER BY s"
+	const join = "SELECT count(*) c FROM t, u WHERE t.a = u.a"
 	queryString(t, db, q) // warm
+	queryString(t, db, join)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 6; g++ {
@@ -453,9 +619,11 @@ func TestConcurrentCachedQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				if _, err := db.Query(q); err != nil {
-					errs <- err
-					return
+				for _, sql := range []string{q, join} {
+					if _, err := db.Query(sql); err != nil {
+						errs <- err
+						return
+					}
 				}
 			}
 		}()
@@ -465,6 +633,11 @@ func TestConcurrentCachedQueries(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, 1.0, 'w')", 100+i)); err != nil {
+				errs <- err
+				return
+			}
+			// u (3 rows, 4 more a round) grows past t (20, 1 more).
+			if _, err := db.Exec(fmt.Sprintf("INSERT INTO u SELECT a + %d, s FROM t WHERE a < 4", 1000*(i+1))); err != nil {
 				errs <- err
 				return
 			}
@@ -521,9 +694,9 @@ func TestStatementTextRenderedOnlyWhenRecorded(t *testing.T) {
 	}
 }
 
-// TestPreparedHintedExec: a prepared statement runs under optimizer hints,
-// which bypass the plan cache, and one without placeholders is recorded
-// under the text Prepare rendered.
+// TestPreparedHintedExec: a prepared statement without placeholders runs
+// under optimizer hints from its own entry, which the LRU does not count,
+// and is recorded under the text Prepare rendered.
 func TestPreparedHintedExec(t *testing.T) {
 	db := cacheFixture(t)
 	db.EnableCache(64)

@@ -58,15 +58,15 @@ type DB struct {
 	Faults *faults.Injector
 
 	// stmtCache maps normalized SQL text to its parsed statement and
-	// planCache maps canonical SELECT text to an optimized plan plus the
-	// table/view dependencies it was planned against. Both are nil until
-	// EnableCache; see cache.go for the invalidation contract.
+	// planCache maps canonical SELECT text to a plan-store entry. Both are
+	// nil until EnableCache; see cache.go for the plan store's rule.
 	stmtCache *cache.LRU[string, Stmt]
-	planCache *cache.LRU[string, *planEntry]
-	// planInvalidations counts cached plans discarded because a dependency's
-	// version moved (DDL or DML on a referenced table, or a replaced view).
+	planCache *cache.LRU[string, *keptPlan]
+	// planInvalidations counts lookups that found a stored entry whose
+	// planner inputs had moved.
 	planInvalidations atomic.Int64
-	planInvalidCtr    *obs.Counter
+	// handles are the engine's metric handles in Metrics (accounting.go).
+	handles atomic.Pointer[engineMetrics]
 
 	// sysTables is the virtual-table catalog (see systable.go); nil until
 	// EnableSysCatalog or RegisterSysTable. sysCacheFns are extra
@@ -76,8 +76,8 @@ type DB struct {
 
 	leftJoinSeq int // composite-relation alias counter
 
-	// udfGen counts UDF registrations and removals; a kept plan is made
-	// for one generation (see kept.go).
+	// udfGen counts UDF registrations and removals; a stored plan is made
+	// for one generation (see cache.go).
 	udfGen atomic.Int64
 }
 
@@ -219,7 +219,7 @@ func (db *DB) execStmt(ctx context.Context, st Stmt, hints *QueryHints) (*Result
 }
 
 // selectRunner runs the SELECT a statement reads: db.runSelect, or a
-// Prepared statement's kept plan.
+// Prepared statement's run from the plan store.
 type selectRunner func(ctx context.Context, sel *SelectStmt, hints *QueryHints) (*Result, error)
 
 // execStmtWith executes st, running the SELECT of a SELECT, CREATE TABLE
@@ -244,9 +244,13 @@ func (db *DB) execStmtWith(ctx context.Context, st Stmt, hints *QueryHints, run 
 		}
 		return nil, nil
 	case *ExplainStmt:
-		plan, hit, cacheable, commit, err := db.planSelectCached(ctx, t.Query, hints, nil)
+		plans, state, commit, err := db.plansFor(ctx, &storedSelect{sel: t.Query}, hints)
 		if err != nil {
 			return nil, err
+		}
+		plan := plans[0]
+		if len(plans) > 1 {
+			plan = &unionPlan{Branches: plans}
 		}
 		text := Explain(plan)
 		if t.Analyze {
@@ -261,20 +265,12 @@ func (db *DB) execStmtWith(ctx context.Context, st Stmt, hints *QueryHints, run 
 			text = ExplainAnalyze(plan, ec.nodes)
 		}
 		commit()
-		if db.CacheEnabled() {
-			// With caching on, the first line reports whether the plan came
-			// from the cache. "bypass" marks plans the cache never serves:
-			// hinted queries, UNION ALL queries, queries run under bound
-			// relations (see relations.go), and queries over sys.* virtual
-			// tables (their dependency versions cannot be tracked, so a
-			// cached plan could go stale invisibly — see collectSelectDeps).
-			state := "miss"
-			switch {
-			case hit:
-				state = "hit"
-			case !cacheable:
-				state = "bypass"
-			}
+		if state != "disabled" {
+			// With caching on, the first line reports where the plan came
+			// from (see plansFor): "hit" from the store, "miss" planned
+			// and stored, "bypass" planned and never stored — a plan that
+			// folded a subquery, reads a sys.* table or is pinned by a
+			// JoinOrder hint, or a UDF-calling plan made under UDF hints.
 			text = "cache: " + state + "\n" + text
 		}
 		out := &Result{Schema: []OutCol{{Name: "plan", Type: TString}}, Cols: []*Column{NewColumn(TString)}}
@@ -288,34 +284,9 @@ func (db *DB) execStmtWith(ctx context.Context, st Stmt, hints *QueryHints, run 
 	return nil, fmt.Errorf("sqldb: cannot execute statement %T", st)
 }
 
+// runSelect runs a SELECT from the plan store.
 func (db *DB) runSelect(ctx context.Context, sel *SelectStmt, hints *QueryHints) (*Result, error) {
-	plan, _, _, commit, err := db.planSelectCached(ctx, sel, hints, nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := db.execPlan(plan, db.newExecCtx(ctx))
-	if err != nil {
-		return res, err
-	}
-	// The plan enters the cache only after a successful execution, so a
-	// cancelled or failed query never leaves an entry behind.
-	commit()
-	if len(sel.UnionAll) == 0 {
-		return res, nil
-	}
-	// UNION ALL: append each branch's rows, matching columns by position.
-	for _, branch := range sel.UnionAll {
-		branch := *branch
-		branch.UnionAll = nil
-		br, err := db.runSelect(ctx, &branch, hints)
-		if err == nil {
-			err = appendBranch(res, br)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return db.runStored(ctx, &storedSelect{sel: sel}, hints, nil)
 }
 
 // appendBranch appends a UNION ALL branch's rows to res, matching columns

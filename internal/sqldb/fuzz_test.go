@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/qerr"
@@ -70,7 +71,9 @@ func FuzzParse(f *testing.F) {
 // FuzzExec runs arbitrary statements against a small database of two
 // joinable tables. Any outcome but an engine fault is acceptable: Exec
 // recovers panics into qerr.ErrInternal, so the target fails on that error
-// class.
+// class. Each statement also runs on a twin database with the plan cache
+// on — cold, after an INSERT into emp, and after dept is dropped and
+// re-created — and must answer as the uncached one does each time.
 func FuzzExec(f *testing.F) {
 	for _, s := range parseSeeds {
 		f.Add(s)
@@ -84,20 +87,52 @@ func FuzzExec(f *testing.F) {
 	f.Add("SELECT count(*) FROM emp e LEFT JOIN dept d ON e.dept = d.name")
 	f.Add("SELECT x.n FROM (SELECT * FROM emp e, dept d WHERE e.id < d.floor) x ORDER BY x.salary")
 	f.Add("SELECT e.id, d.name FROM emp e, dept d WHERE e.dept = d.name UNION ALL SELECT 1, 'z'")
+	f.Add("SELECT e.id FROM emp e WHERE e.salary > (SELECT avg(salary) FROM emp) AND e.dept IN (SELECT name FROM dept)")
 	f.Fuzz(func(t *testing.T, sql string) {
-		db := New()
-		for _, s := range []string{
-			`CREATE TABLE emp (id Int64, name String, dept String, salary Float64)`,
-			`INSERT INTO emp VALUES (1, 'a', 'x', 10.0), (2, 'b', 'y', 20.0), (3, 'c', 'x', NULL)`,
-			`CREATE TABLE dept (name String, floor Int64, n Int64)`,
-			`INSERT INTO dept VALUES ('x', 1, 7), ('y', 2, NULL), ('z', 3, 9)`,
-		} {
-			if _, err := db.Exec(s); err != nil {
-				t.Fatal(err)
+		db, cached := New(), New()
+		cached.EnableCache(16)
+		exec := func(sqls ...string) {
+			for _, s := range sqls {
+				for _, d := range []*DB{db, cached} {
+					if _, err := d.Exec(s); errors.Is(err, qerr.ErrInternal) {
+						t.Fatalf("%q: %v", s, err)
+					}
+				}
 			}
 		}
-		if _, err := db.Exec(sql); errors.Is(err, qerr.ErrInternal) {
-			t.Fatalf("%q: %v", sql, err)
+		exec(`CREATE TABLE emp (id Int64, name String, dept String, salary Float64)`,
+			`INSERT INTO emp VALUES (1, 'a', 'x', 10.0), (2, 'b', 'y', 20.0), (3, 'c', 'x', NULL)`,
+			`CREATE TABLE dept (name String, floor Int64, n Int64)`,
+			`INSERT INTO dept VALUES ('x', 1, 7), ('y', 2, NULL), ('z', 3, 9)`)
+		// EXPLAIN's first line and estimates differ with the cache on.
+		explain := strings.Contains(strings.ToUpper(sql), "EXPLAIN")
+		for _, change := range [][]string{
+			nil,
+			{`INSERT INTO emp VALUES (4, 'd', 'z', 40.0), (5, 'e', 'y', 5.0)`},
+			{`DROP TABLE dept`, `CREATE TABLE dept (name String, floor Int64, n Int64)`,
+				`INSERT INTO dept VALUES ('y', 4, 1), ('x', 5, 2)`},
+		} {
+			exec(change...)
+			want, err := db.Exec(sql)
+			if errors.Is(err, qerr.ErrInternal) {
+				t.Fatalf("%q: %v", sql, err)
+			}
+			got, cerr := cached.Exec(sql)
+			if errors.Is(cerr, qerr.ErrInternal) {
+				t.Fatalf("%q with the plan cache on: %v", sql, cerr)
+			}
+			if (err == nil) != (cerr == nil) {
+				t.Fatalf("%q after %q: uncached error %v, cached error %v", sql, change, err, cerr)
+			}
+			if (want == nil) != (got == nil) {
+				t.Fatalf("%q after %q: uncached result %v, cached %v", sql, change, want, got)
+			}
+			if err != nil || explain || want == nil {
+				continue
+			}
+			if w, g := resultBits(want), resultBits(got); w != g {
+				t.Fatalf("%q after %q: uncached\n%s\ncached\n%s", sql, change, w, g)
+			}
 		}
 	})
 }

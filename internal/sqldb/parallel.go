@@ -3,7 +3,6 @@ package sqldb
 import (
 	"strings"
 
-	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -79,9 +78,9 @@ func (db *DB) notePar(ec *execCtx, s par.Stats) {
 	if s.Workers <= 1 {
 		return
 	}
-	if m := db.Metrics; m != nil {
-		m.Counter(obs.MetricParallelOps).Add(1)
-		m.Counter(obs.MetricParallelMorsels).Add(int64(s.Morsels))
+	if m := db.metrics(); m != nil {
+		m.parallelOps.Add(1)
+		m.parallelMorsels.Add(int64(s.Morsels))
 	}
 	if ec.nodes == nil || ec.node == nil {
 		return

@@ -129,8 +129,8 @@ type planRel struct {
 // planner plans one statement under its hints. ctx is the statement's
 // context: the subqueries planning folds run under it, so their work
 // shares the statement's cancellation and deadline, memory budget, span
-// and UDF-call accounting. notes, when non-nil, records the inputs a kept
-// plan must match (see kept.go). inView marks the planning of a view's
+// and UDF-call accounting. notes, when non-nil, records the inputs a
+// stored plan must match (see cache.go). inView marks the planning of a view's
 // definition, which runs without the statement's hints.
 type planner struct {
 	db     *DB

@@ -4,8 +4,9 @@ package sqldb
 // binds by name to the statements it runs under one context. There a
 // bound name takes precedence over a catalog table, view or sys.* table,
 // and resolves so wherever a relation is read by name: planning,
-// estimates, a kept plan's check (kept.go) and the scan. The plan cache
-// neither serves nor stores such a statement and reports it as "bypass".
+// estimates, a stored plan's check (cache.go) and the scan. The plan store
+// serves such a statement like any other, while the relation read under
+// each name fits the plan.
 
 import (
 	"context"

@@ -203,24 +203,28 @@ func TestKeptPlanFollowsBoundRelation(t *testing.T) {
 	}
 }
 
-// TestBoundRelationCacheBypass: with the plan cache on, EXPLAIN of a
-// statement that reads a bound relation reports "bypass" and the cache
-// keeps nothing for it; the same text without the binding misses, then
-// hits.
-func TestBoundRelationCacheBypass(t *testing.T) {
+// TestBoundRelationSharesCachedPlan: with the plan cache on, a statement
+// that reads a bound relation is stored under its text like any other, and
+// the entry serves the bound relation and the catalog table under that
+// name alike while the relation read has the schema the plan was made for.
+func TestBoundRelationSharesCachedPlan(t *testing.T) {
 	db := keptFixture(t, 5, 3)
 	db.EnableCache(16)
-	ctx := bind("x", detached("x", 2, 1, "v"))
-	for _, c := range []struct {
+	narrow := bind("x", detached("x", 2, 1, "v"))
+	wide := bind("x", detached("x", 2, 1, "u", "v"))
+	for i, c := range []struct {
 		ctx   context.Context
 		state string
-	}{{ctx, "bypass"}, {ctx, "bypass"}, {context.Background(), "miss"}, {ctx, "bypass"}, {context.Background(), "hit"}} {
+	}{
+		{narrow, "miss"}, {narrow, "hit"}, {context.Background(), "hit"},
+		{wide, "miss"}, {wide, "hit"}, {context.Background(), "miss"}, {narrow, "hit"},
+	} {
 		res, err := db.ExecStmtContext(c.ctx, mustParse(t, "EXPLAIN "+sumX), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := res.Cols[0].Get(0).S; got != "cache: "+c.state {
-			t.Fatalf("first EXPLAIN line %q, want cache: %s", got, c.state)
+			t.Fatalf("step %d: first EXPLAIN line %q, want cache: %s", i, got, c.state)
 		}
 	}
 }

@@ -67,14 +67,8 @@ func Rewrite(e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 // ORDER BY — and to those of its derived tables and UNION ALL branches,
 // copy-on-write like Rewrite.
 func RewriteSelect(s *SelectStmt, fn func(Expr) (Expr, error)) (*SelectStmt, error) {
-	return rewriteSelect(s, fn, nil)
-}
-
-// rewriteSelect is RewriteSelect that also calls table, when non-nil, on
-// the name of every base table in the FROM trees it walks.
-func rewriteSelect(s *SelectStmt, fn func(Expr) (Expr, error), table func(name string)) (*SelectStmt, error) {
 	var err error
-	rw := rewriter{fn: fn, table: table, err: &err}
+	rw := rewriter{fn: fn, err: &err}
 	out, _ := rw.sel(s)
 	if err != nil {
 		return nil, err
@@ -122,14 +116,12 @@ func And(conds []Expr) Expr {
 	return out
 }
 
-// rewriter is one traversal: its function, where the first error the
-// function returns goes, and an optional hook called on each base table of
-// a FROM tree. Each method returns its input and false when nothing below
-// it changed.
+// rewriter is one traversal: its function and where the first error the
+// function returns goes. Each method returns its input and false when
+// nothing below it changed.
 type rewriter struct {
-	fn    func(Expr) (Expr, error)
-	table func(name string)
-	err   *error
+	fn  func(Expr) (Expr, error)
+	err *error
 }
 
 func (rw *rewriter) expr(e Expr) (Expr, bool) {
@@ -246,8 +238,6 @@ func (rw *rewriter) from(r *TableRef) (*TableRef, bool) {
 			c.Sub = sub
 			return &c, true
 		}
-	case rw.table != nil:
-		rw.table(r.Table)
 	}
 	return r, false
 }
