@@ -110,15 +110,25 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	return v, true
 }
 
-// Contains reports whether the key is cached without touching recency or
-// the hit/miss counters.
-func (c *LRU[K, V]) Contains(key K) bool {
+// Peek returns the cached value without touching recency or the hit/miss
+// counters: a second read of a key whose lookup a caller already counted.
+func (c *LRU[K, V]) Peek(key K) (V, bool) {
+	var zero V
 	if c == nil {
-		return false
+		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.items[key]
+	if e, ok := c.items[key]; ok {
+		return e.val, true
+	}
+	return zero, false
+}
+
+// Contains reports whether the key is cached without touching recency or
+// the hit/miss counters.
+func (c *LRU[K, V]) Contains(key K) bool {
+	_, ok := c.Peek(key)
 	return ok
 }
 

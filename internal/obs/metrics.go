@@ -19,6 +19,12 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+
+	// query and strategies hold handles resolved once per registry (see
+	// QueryMetrics and Strategy).
+	queryOnce  sync.Once
+	query      *QueryMetrics
+	strategies sync.Map // strategy name → *StrategyMetrics
 }
 
 // NewRegistry creates an empty enabled registry.
@@ -324,6 +330,79 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// QueryMetrics are the handles of the query-record series that both
+// recording layers update: the engine once per statement and the
+// strategies once per collaborative query.
+type QueryMetrics struct {
+	queries, errors, slow, exemplars *Counter
+	wall                             *Histogram
+}
+
+// QueryMetrics returns the registry's query handles, resolving them on
+// first use; nil on a nil registry.
+func (r *Registry) QueryMetrics() *QueryMetrics {
+	if r == nil {
+		return nil
+	}
+	r.queryOnce.Do(func() {
+		r.query = &QueryMetrics{
+			queries:   r.Counter(MetricQueries),
+			errors:    r.Counter(MetricQueryErrors),
+			slow:      r.Counter(MetricSlowQueries),
+			exemplars: r.Counter(MetricTraceExemplars),
+			wall:      r.Histogram(MetricQueryWallSeconds),
+		}
+	})
+	return r.query
+}
+
+// Observe counts one recorded query: a failure when it has an error class,
+// a slow query when slowThr > 0 and its wall time reaches slowThr (the rule
+// QueryHistory.Add keeps slow records by), and its wall time with its
+// trace ID as exemplar. Safe on a nil receiver.
+func (m *QueryMetrics) Observe(rec *QueryRecord, slowThr time.Duration) {
+	if m == nil {
+		return
+	}
+	m.queries.Add(1)
+	if rec.ErrClass != "" {
+		m.errors.Add(1)
+	}
+	if slowThr > 0 && rec.Wall >= slowThr {
+		m.slow.Add(1)
+	}
+	m.wall.ObserveExemplar(rec.Wall.Seconds(), rec.TraceID)
+	if rec.TraceID != "" {
+		m.exemplars.Add(1)
+	}
+}
+
+// StrategyMetrics are one strategy's per-query handles: its query counter
+// and the histograms of its cost-breakdown buckets, in seconds.
+type StrategyMetrics struct {
+	Queries                               *Counter
+	Loading, Inference, Relational, Total *Histogram
+}
+
+// Strategy returns the named strategy's handles, resolving them on the
+// strategy's first use; nil on a nil registry.
+func (r *Registry) Strategy(name string) *StrategyMetrics {
+	if r == nil {
+		return nil
+	}
+	if m, ok := r.strategies.Load(name); ok {
+		return m.(*StrategyMetrics)
+	}
+	m, _ := r.strategies.LoadOrStore(name, &StrategyMetrics{
+		Queries:    r.Counter(StrategyMetric(name, "queries")),
+		Loading:    r.Histogram(StrategyMetric(name, "loading_s")),
+		Inference:  r.Histogram(StrategyMetric(name, "inference_s")),
+		Relational: r.Histogram(StrategyMetric(name, "relational_s")),
+		Total:      r.Histogram(StrategyMetric(name, "total_s")),
+	})
+	return m.(*StrategyMetrics)
 }
 
 // Snapshot is a point-in-time copy of every instrument, JSON-serializable.

@@ -130,6 +130,8 @@ type Config struct {
 	// Cache, when non-nil, is the shared (Key → class) prediction LRU.
 	// Hits answer without queueing; completed batches populate it. Share
 	// the strategies' InferCache here so both layers memoize together.
+	// Infer reads it with Peek, which counts neither a hit nor a miss: the
+	// caller that submits a key has already counted its own lookup.
 	Cache *cache.LRU[Key, int]
 	// Metrics, when non-nil, receives the sched.* counters, gauges, and
 	// histograms (see internal/obs names).
@@ -317,13 +319,11 @@ func (s *Scheduler) Infer(ctx context.Context, be *Backend, key Key, artifact, b
 	// when the query is untraced). Finished on every return path.
 	span := obs.SpanFromContext(ctx).StartChild("sched:infer")
 	defer span.Finish()
-	if s.cfg.Cache != nil {
-		if idx, ok := s.cfg.Cache.Get(key); ok {
-			s.cacheHits.Add(1)
-			s.count(obs.MetricSchedCacheHits)
-			span.SetAttr("source", "cache")
-			return Result{Class: idx, Source: SourceCache}, nil
-		}
+	if idx, ok := s.cfg.Cache.Peek(key); ok {
+		s.cacheHits.Add(1)
+		s.count(obs.MetricSchedCacheHits)
+		span.SetAttr("source", "cache")
+		return Result{Class: idx, Source: SourceCache}, nil
 	}
 
 	s.mu.Lock()

@@ -150,17 +150,7 @@ func (db *DB) recordQuery(ctx context.Context, sql string, fn func(ctx context.C
 		}
 		hist.Add(rec)
 		if m := db.metrics(); m != nil {
-			m.queries.Add(1)
-			if err != nil {
-				m.queryErrors.Add(1)
-			}
-			if thr := hist.SlowThreshold(); thr > 0 && wall >= thr {
-				m.slowQueries.Add(1)
-			}
-			m.queryWall.ObserveExemplar(wall.Seconds(), rec.TraceID)
-			if rec.TraceID != "" {
-				m.traceExemplars.Add(1)
-			}
+			m.query.Observe(&rec, hist.SlowThreshold())
 		}
 	}()
 	return fn(withAcct(ctx, acct))
@@ -181,11 +171,11 @@ func (a *queryAcct) claimCacheState() bool {
 // engineMetrics are the engine's metric handles in one registry, resolved
 // once per registry attached as DB.Metrics rather than looked up by name,
 // under the registry's lock, on every statement and parallel operator.
+// The query handles are the registry's own, shared with the strategies.
 type engineMetrics struct {
-	reg                                               *obs.Registry
-	queries, queryErrors, slowQueries, traceExemplars *obs.Counter
-	parallelOps, parallelMorsels, planInvalidations   *obs.Counter
-	queryWall                                         *obs.Histogram
+	reg                                             *obs.Registry
+	query                                           *obs.QueryMetrics
+	parallelOps, parallelMorsels, planInvalidations *obs.Counter
 }
 
 // metrics returns the handles in DB.Metrics, or nil when none is attached.
@@ -199,14 +189,10 @@ func (db *DB) metrics() *engineMetrics {
 	}
 	m := &engineMetrics{
 		reg:               reg,
-		queries:           reg.Counter(obs.MetricQueries),
-		queryErrors:       reg.Counter(obs.MetricQueryErrors),
-		slowQueries:       reg.Counter(obs.MetricSlowQueries),
-		traceExemplars:    reg.Counter(obs.MetricTraceExemplars),
+		query:             reg.QueryMetrics(),
 		parallelOps:       reg.Counter(obs.MetricParallelOps),
 		parallelMorsels:   reg.Counter(obs.MetricParallelMorsels),
 		planInvalidations: reg.Counter(obs.MetricPlanInvalidations),
-		queryWall:         reg.Histogram(obs.MetricQueryWallSeconds),
 	}
 	db.handles.Store(m)
 	return m

@@ -212,7 +212,7 @@ func retryable(err error, attemptCtx, callerCtx context.Context) bool {
 // loop. It returns the first successful attempt's results, or the last
 // error once attempts are exhausted (wrapped so errors.Is(err,
 // qerr.ErrServingUnavailable) holds for availability failures).
-func (env *Context) serveWithRetry(ctx context.Context, model uint64, artifact []byte, cands []candidate, span *obs.Span) (map[int64]int, *schedule.BackendStats, error) {
+func (env *Context) serveWithRetry(ctx context.Context, model uint64, artifact []byte, blobs [][]byte, span *obs.Span) ([]int, schedule.BackendStats, error) {
 	pol := env.Retry.withDefaults()
 	seed := pol.JitterSeed
 	if seed == 0 {
@@ -222,13 +222,12 @@ func (env *Context) serveWithRetry(ctx context.Context, model uint64, artifact [
 	var lastErr error
 	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
 		if err := qerr.FromContext(ctx.Err()); err != nil {
-			return nil, nil, err
+			return nil, schedule.BackendStats{}, err
 		}
 		if err := env.Breaker.Allow(); err != nil {
 			env.count(obs.MetricServingBreakerRejected)
-			stratAcctFrom(ctx).noteBreakerRejected()
 			obs.TraceFromContext(ctx).MarkBreakerRejected()
-			return nil, nil, err
+			return nil, schedule.BackendStats{}, err
 		}
 		actx := ctx
 		cancel := func() {}
@@ -241,7 +240,7 @@ func (env *Context) serveWithRetry(ctx context.Context, model uint64, artifact [
 		if attempt > 1 {
 			attemptSpan = span.StartChild(fmt.Sprintf("retry:%d", attempt))
 		}
-		res, stats, err := env.serveBatch(actx, model, artifact, cands, attemptSpan)
+		res, stats, err := env.serveBatch(actx, model, artifact, blobs, attemptSpan)
 		if attempt > 1 {
 			attemptSpan.Finish()
 		}
@@ -251,18 +250,18 @@ func (env *Context) serveWithRetry(ctx context.Context, model uint64, artifact [
 			return res, stats, nil
 		}
 		if !retryable(err, attemptCtx, ctx) {
-			return nil, nil, err
+			return nil, schedule.BackendStats{}, err
 		}
 		lastErr = err
 		env.count(obs.MetricServingRetries)
 		stratAcctFrom(ctx).noteRetry()
 		if attempt < pol.MaxAttempts {
 			if serr := sleepCtx(ctx, pol.backoff(attempt, rng)); serr != nil {
-				return nil, nil, serr
+				return nil, schedule.BackendStats{}, serr
 			}
 		}
 	}
-	return nil, nil, fmt.Errorf("%w: serving failed after %d attempts: %w",
+	return nil, schedule.BackendStats{}, fmt.Errorf("%w: serving failed after %d attempts: %w",
 		qerr.ErrServingUnavailable, pol.MaxAttempts, lastErr)
 }
 

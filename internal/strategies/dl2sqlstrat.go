@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/colquery"
@@ -64,49 +65,45 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	// Loading: every referenced model's relational tables, stored on the
 	// artifact's first use (the paper's offline step) and reused after.
 	stored := make(map[string]*dl2sql.StoredModel, len(q.UDFNames))
-	_, loadSpan := obs.StartSpan(ctx, "loading:store-models")
-	loadStart := time.Now()
+	_, load := startPhase(ctx, "loading:store-models")
 	for _, name := range q.UDFNames {
 		b := env.Bindings[name]
 		if b == nil {
-			return nil, bd, failSpans(fmt.Errorf("strategies: no model bound for %s", name), loadSpan)
+			return nil, bd, failSpans(fmt.Errorf("strategies: no model bound for %s", name), load.span)
 		}
 		if err := env.Faults.Hit(ctx, faults.PointDL2SQLTranslate); err != nil {
-			return nil, bd, failSpans(fmt.Errorf("strategies: storing model for %s: %w", name, err), loadSpan)
+			return nil, bd, failSpans(fmt.Errorf("strategies: storing model for %s: %w", name, err), load.span)
 		}
 		sm, err := env.storedModel(b)
 		if err != nil {
-			return nil, bd, failSpans(fmt.Errorf("strategies: storing model for %s: %w", name, err), loadSpan)
+			return nil, bd, failSpans(fmt.Errorf("strategies: storing model for %s: %w", name, err), load.span)
 		}
 		stored[name] = sm
 	}
-	bd.Loading += time.Since(loadStart).Seconds()
-	loadSpan.Finish()
+	bd.Loading += load.end()
 
 	// Candidate selection: rule 1. Scan-time evaluation infers every
 	// keyframe the video-side predicates keep; delayed evaluation (OP, when
 	// the cost comparison favours it) infers only tuples surviving all
 	// relational predicates.
-	candCtx, candSpan := obs.StartSpan(ctx, "relational:candidates")
+	candCtx, cand := startPhase(ctx, "relational:candidates")
 	var cands []candidate
-	var relDur time.Duration
 	var err error
 	if s.Optimized && h != nil && h.DelayUDFs != nil && *h.DelayUDFs {
-		cands, relDur, err = prunedCandidates(candCtx, env, q, h)
+		cands, err = prunedCandidates(candCtx, env, q, h)
 	} else {
-		cands, relDur, err = videoSideCandidates(candCtx, env, q)
+		cands, err = videoSideCandidates(candCtx, env, q)
 	}
-	candSpan.SetAttr("candidates", len(cands))
+	cand.span.SetAttr("candidates", len(cands))
 	if err != nil {
-		return nil, bd, failSpans(err, candSpan)
+		return nil, bd, failSpans(err, cand.span)
 	}
-	candSpan.Finish()
-	bd.Relational += relDur.Seconds()
+	bd.Relational += cand.end()
 
-	// SQL inference per model: candidates whose (model stamp, keyframe)
-	// prediction is memoised skip the pipeline; the misses run in sample
-	// groups, every miss in one group when batched, one per group
-	// otherwise.
+	// SQL inference per model: the prediction memo answers what it can
+	// (keyed on the model stamp, computed only when the memo asks for a
+	// key) and the misses run in sample groups, every miss in one group
+	// when batched, one per group otherwise.
 	preds := make(map[int64]map[string]sqldb.Datum, len(cands))
 	for _, c := range cands {
 		preds[c.videoID] = map[string]sqldb.Datum{}
@@ -117,79 +114,67 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 		modelCtx, modelSpan := obs.StartSpan(infCtx, "model:"+name)
 		tr := dl2sql.NewTranslator(db, sm.Prefix)
 		tr.PreJoin, tr.Hints, tr.Ctx = s.PreJoin, h, modelCtx
-		misses, keys := cands, []InferKey(nil)
-		if env.InferCache != nil {
-			misses, keys = nil, make([]InferKey, 0, len(cands))
-			stamp := sm.Stamp()
-			for _, c := range cands {
-				key := InferKey{Model: stamp, Input: tensor.HashBytes(c.blob)}
-				if idx, ok := env.InferCache.Get(key); ok {
-					preds[c.videoID][name] = b.predictionDatum(idx)
-					continue
-				}
-				misses = append(misses, c)
-				keys = append(keys, key)
-			}
-		}
-		size := 1
-		if s.Batched {
-			size = max(len(misses), 1)
-		}
-		for lo := 0; lo < len(misses); lo += size {
-			group := misses[lo:min(lo+size, len(misses))]
-			ins := make([]*tensor.Tensor, len(group))
-			for i, c := range group {
-				in, err := iotdata.KeyframeTensor(c.blob)
-				if err != nil {
-					return nil, bd, failSpans(fmt.Errorf("strategies: keyframe %d: %w", c.videoID, err), modelSpan, infSpan)
-				}
-				ins[i] = in
-			}
-			wallStart := time.Now()
-			var idxs []int
-			var err error
+		stamp := sync.OnceValue(sm.Stamp)
+		key := func(i int) InferKey { return InferKey{Model: stamp(), Input: tensor.HashBytes(cands[i].blob)} }
+		infer := func(miss []int, _ []InferKey) ([]int, error) {
+			size := 1
 			if s.Batched {
-				idxs, err = tr.InferBatch(sm, ins)
-			} else {
-				var idx int
-				idx, _, err = tr.Infer(sm, ins[0])
-				idxs = []int{idx}
+				size = max(len(miss), 1)
 			}
-			wall := time.Since(wallStart).Seconds()
-			if err != nil {
-				return nil, bd, failSpans(fmt.Errorf("strategies: SQL inference for %s: %w", name, err), modelSpan, infSpan)
-			}
-			sqlSecs := tr.StepTotal().Seconds()
-			// The SQL pipeline is the inference; encoding the input into
-			// the feature-map table is data loading.
-			bd.Inference += env.Profile.ScaleRelational(sqlSecs)
-			bd.Loading += wall - sqlSecs
-			stratAcctFrom(ctx).noteInfer(int64(len(group)))
-			for i, c := range group {
-				preds[c.videoID][name] = b.predictionDatum(idxs[i])
-			}
-			// A query on a dying context must not publish into the shared
-			// cache: the run may have been abandoned partway through.
-			if env.InferCache != nil && ctx.Err() == nil {
-				for i, key := range keys[lo : lo+len(group)] {
-					env.InferCache.Put(key, idxs[i])
+			classes := make([]int, 0, len(miss))
+			for lo := 0; lo < len(miss); lo += size {
+				group := miss[lo:min(lo+size, len(miss))]
+				ins := make([]*tensor.Tensor, len(group))
+				for j, i := range group {
+					in, err := iotdata.KeyframeTensor(cands[i].blob)
+					if err != nil {
+						return nil, fmt.Errorf("strategies: keyframe %d: %w", cands[i].videoID, err)
+					}
+					ins[j] = in
 				}
+				wallStart := time.Now()
+				var idxs []int
+				var err error
+				if s.Batched {
+					idxs, err = tr.InferBatch(sm, ins)
+				} else {
+					var idx int
+					idx, _, err = tr.Infer(sm, ins[0])
+					idxs = []int{idx}
+				}
+				wall := time.Since(wallStart).Seconds()
+				if err != nil {
+					return nil, fmt.Errorf("strategies: SQL inference for %s: %w", name, err)
+				}
+				sqlSecs := tr.StepTotal().Seconds()
+				// The SQL pipeline is the inference; encoding the input
+				// into the feature-map table is data loading.
+				bd.Inference += env.Profile.ScaleRelational(sqlSecs)
+				bd.Loading += wall - sqlSecs
+				stratAcctFrom(ctx).noteInfer(int64(len(group)))
+				classes = append(classes, idxs...)
 			}
+			return classes, nil
+		}
+		classes, err := env.memoInfer(ctx, len(cands), key, false, infer)
+		if err != nil {
+			return nil, bd, failSpans(err, modelSpan, infSpan)
+		}
+		for i, c := range cands {
+			preds[c.videoID][name] = b.predictionDatum(classes[i])
 		}
 		modelSpan.Finish()
 	}
 	infSpan.Finish()
 
 	// Final relational merge.
-	mergeCtx, mergeSpan := obs.StartSpan(ctx, "relational:final-merge")
-	finStart := time.Now()
+	mergeCtx, merge := startPhase(ctx, "relational:final-merge")
 	res, err := runMerge(mergeCtx, env, q, preds, h)
 	if err != nil {
-		return nil, bd, failSpans(fmt.Errorf("strategies: DL2SQL final query: %w", err), mergeSpan)
+		return nil, bd, failSpans(fmt.Errorf("strategies: DL2SQL final query: %w", err), merge.span)
 	}
-	bd.Relational += time.Since(finStart).Seconds()
-	mergeSpan.SetAttr("rows", res.NumRows())
-	mergeSpan.Finish()
+	merge.span.SetAttr("rows", res.NumRows())
+	bd.Relational += merge.end()
 	bd.Relational = env.Profile.ScaleRelational(bd.Relational)
 	env.recordBreakdown(s.Name(), bd)
 	return res, bd, nil

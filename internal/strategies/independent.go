@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/colquery"
 	"repro/internal/faults"
@@ -40,108 +39,89 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 	defer root.Finish()
 
 	// Phase 1 (relational): extract candidates with the database.
-	candCtx, candSpan := obs.StartSpan(ctx, "relational:candidates")
-	cands, relDur, err := videoSideCandidates(candCtx, env, q)
-	candSpan.SetAttr("candidates", len(cands))
+	candCtx, cand := startPhase(ctx, "relational:candidates")
+	cands, err := videoSideCandidates(candCtx, env, q)
+	cand.span.SetAttr("candidates", len(cands))
 	if err != nil {
-		return nil, bd, failSpans(err, candSpan)
+		return nil, bd, failSpans(err, cand.span)
 	}
-	candSpan.Finish()
-	bd.Relational += relDur.Seconds()
+	bd.Relational += cand.end()
 
 	// Phase 2 (cross-system): ship candidates to the serving component once
 	// per referenced model, batch style.
+	blobs := make([][]byte, len(cands))
 	preds := make(map[int64]map[string]sqldb.Datum, len(cands))
-	for _, c := range cands {
+	for i, c := range cands {
+		blobs[i] = c.blob
 		preds[c.videoID] = map[string]sqldb.Datum{}
 	}
+	scheduled := env.Scheduler != nil
 	var totalBytes int64
 	for _, name := range q.UDFNames {
 		b := env.Bindings[name]
 		if b == nil {
 			return nil, bd, fmt.Errorf("strategies: no model bound for %s", name)
 		}
-		// Memoization: candidates whose (model, keyframe) pair is cached
-		// never cross the serving boundary — no serialization, no
-		// transfer, no forward pass. Only the misses are batched out.
-		serve := cands
-		var keys []InferKey
-		if env.InferCache != nil || env.Scheduler != nil {
-			serve = make([]candidate, 0, len(cands))
-			keys = make([]InferKey, 0, len(cands))
-			for _, c := range cands {
-				key := b.inferKey(c.blob)
-				if idx, ok := env.InferCache.Get(key); ok {
-					preds[c.videoID][name] = b.predictionDatum(idx)
-					continue
-				}
-				serve = append(serve, c)
-				keys = append(keys, key)
+		// Serving: the memo's misses cross the serving boundary as one
+		// batch, or all go to the cross-query scheduler at once, which
+		// coalesces them into serving batches shared with concurrent
+		// queries. The breaker and retry pipe guard every physical batch
+		// either way, so the fallback ladder sees the same error classes.
+		// Scheduled, only physical forward passes (SourceBatch) charge
+		// inference and overhead.
+		serve := func(miss []int, keys []InferKey) ([]int, error) {
+			batch := pick(blobs, miss)
+			serveCtx, p := startPhase(ctx, "serving:"+name)
+			p.span.SetAttr("candidates", len(batch))
+			var classes []int
+			var share batchShare
+			var err error
+			if scheduled {
+				p.span.SetAttr("scheduled", true)
+				classes, share, err = env.schedInferAll(serveCtx, env.schedServing, b, batch, keys)
+			} else {
+				classes, share.stats, err = env.serveWithRetry(serveCtx, b.artifactHash, b.Artifact, batch, p.span)
+				share.ran = batch
 			}
+			if err != nil {
+				return nil, failSpans(fmt.Errorf("strategies: serving %s: %w", name, err), p.span)
+			}
+			if secs := p.end(); !scheduled {
+				share.wall = secs
+			}
+			// The serving pathway pays per-call framework dispatch overhead
+			// and the heavier DL-framework model deserialization (see
+			// hwprofile). Everything that is not a forward pass is
+			// cross-system overhead, plus the batch's model load: the
+			// recorded decode's cost, since the serving loop reuses the
+			// decoded model.
+			bd.Inference += env.Profile.ScaleInference(share.stats.InferSeconds) + env.Profile.DLCallOverhead(len(share.ran))
+			bd.Loading += share.wall - share.stats.InferSeconds + env.Profile.DLLoadCost(share.stats.DecodeSeconds)
+			totalBytes += int64(len(b.Artifact))
+			for _, blob := range batch {
+				totalBytes += int64(len(blob))
+			}
+			return classes, nil
 		}
-		if len(serve) == 0 {
-			continue
-		}
-		// Serving: the misses cross the serving boundary as one batch, or
-		// all go to the cross-query scheduler at once, which coalesces them
-		// into serving batches shared with concurrent queries, single-flights
-		// identical blobs and fills the shared cache itself. The breaker and
-		// retry pipe guard every physical batch either way, so the fallback
-		// ladder sees the same error classes. Scheduled, only physical
-		// forward passes (SourceBatch) charge inference and overhead.
-		serveCtx, serveSpan := obs.StartSpan(ctx, "serving:"+name)
-		serveSpan.SetAttr("candidates", len(serve))
-		var results map[int64]int
-		var stats *schedule.BackendStats
-		var wall float64
-		executed := len(serve)
-		if env.Scheduler != nil {
-			serveSpan.SetAttr("scheduled", true)
-			results, stats, wall, executed, err = env.schedServeCandidates(serveCtx, b, serve, keys)
-		} else {
-			start := time.Now()
-			results, stats, err = env.serveWithRetry(serveCtx, b.artifactHash, b.Artifact, serve, serveSpan)
-			wall = time.Since(start).Seconds()
-		}
+		classes, err := env.memoInfer(ctx, len(blobs), func(i int) InferKey { return b.inferKey(blobs[i]) }, scheduled, serve)
 		if err != nil {
-			return nil, bd, failSpans(fmt.Errorf("strategies: serving %s: %w", name, err), serveSpan)
+			return nil, bd, err
 		}
-		serveSpan.Finish()
-		// The serving pathway pays per-call framework dispatch overhead and
-		// the heavier DL-framework model deserialization (see hwprofile).
-		// Everything that is not a forward pass is cross-system overhead,
-		// plus the batch's model load: the recorded decode's cost, since the
-		// serving loop reuses the decoded model.
-		bd.Inference += env.Profile.ScaleInference(stats.InferSeconds) + env.Profile.DLCallOverhead(executed)
-		bd.Loading += wall - stats.InferSeconds + env.Profile.DLLoadCost(stats.DecodeSeconds)
-		for id, classIdx := range results {
-			preds[id][name] = b.predictionDatum(classIdx)
-		}
-		if env.InferCache != nil && env.Scheduler == nil && ctx.Err() == nil {
-			for i, c := range serve {
-				if idx, ok := results[c.videoID]; ok {
-					env.InferCache.Put(keys[i], idx)
-				}
-			}
-		}
-		totalBytes += int64(len(b.Artifact))
-		for _, c := range serve {
-			totalBytes += int64(len(c.blob))
+		for i, c := range cands {
+			preds[c.videoID][name] = b.predictionDatum(classes[i])
 		}
 	}
 	// GPU settings ship the model and the batch across the bus once.
 	bd.Loading += env.Profile.TransferCost(totalBytes)
 
 	// Phase 3 (relational): merge predictions back and run the final query.
-	mergeCtx, mergeSpan := obs.StartSpan(ctx, "relational:final-merge")
-	finStart := time.Now()
+	mergeCtx, merge := startPhase(ctx, "relational:final-merge")
 	res, err := runMerge(mergeCtx, env, q, preds, nil)
 	if err != nil {
-		return nil, bd, failSpans(fmt.Errorf("strategies: DB-PyTorch final query: %w", err), mergeSpan)
+		return nil, bd, failSpans(fmt.Errorf("strategies: DB-PyTorch final query: %w", err), merge.span)
 	}
-	bd.Relational += time.Since(finStart).Seconds()
-	mergeSpan.SetAttr("rows", res.NumRows())
-	mergeSpan.Finish()
+	merge.span.SetAttr("rows", res.NumRows())
+	bd.Relational += merge.end()
 	bd.Relational = env.Profile.ScaleRelational(bd.Relational)
 	env.recordBreakdown(s.Name(), bd)
 	return res, bd, nil
@@ -153,13 +133,14 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 // predictions come back the same way — the paper's serialization /
 // de-serialization overhead is physically incurred.
 //
-// Failures of the pipe itself (truncated responses, a dead serving loop)
-// surface as qerr.ErrServingUnavailable so the retry loop and fallback
-// ladder can tell them from data errors. Cancellation of ctx tears both
-// pipes down, which unblocks every goroutine — nothing leaks.
-func (env *Context) serveBatch(ctx context.Context, model uint64, artifact []byte, cands []candidate, span *obs.Span) (map[int64]int, *schedule.BackendStats, error) {
+// Each request carries its position in blobs, and each prediction comes
+// back under it. Failures of the pipe itself (truncated responses, a dead
+// serving loop) surface as qerr.ErrServingUnavailable so the retry loop and
+// fallback ladder can tell them from data errors. Cancellation of ctx
+// tears both pipes down, which unblocks every goroutine — nothing leaks.
+func (env *Context) serveBatch(ctx context.Context, model uint64, artifact []byte, blobs [][]byte, span *obs.Span) ([]int, schedule.BackendStats, error) {
 	if err := env.Faults.Hit(ctx, faults.PointServingError); err != nil {
-		return nil, nil, fmt.Errorf("serving: %w", err)
+		return nil, schedule.BackendStats{}, fmt.Errorf("serving: %w", err)
 	}
 	reqR, reqW := io.Pipe()
 	respR, respW := io.Pipe()
@@ -191,19 +172,19 @@ func (env *Context) serveBatch(ctx context.Context, model uint64, artifact []byt
 	go func() {
 		w := bufio.NewWriter(reqW)
 		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(cands)))
+		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(blobs)))
 		if _, err := w.Write(hdr[:4]); err != nil {
 			writeErr <- err
 			return
 		}
-		for _, c := range cands {
-			binary.LittleEndian.PutUint64(hdr[:8], uint64(c.videoID))
-			binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(c.blob)))
+		for i, blob := range blobs {
+			binary.LittleEndian.PutUint64(hdr[:8], uint64(i))
+			binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(blob)))
 			if _, err := w.Write(hdr[:12]); err != nil {
 				writeErr <- err
 				return
 			}
-			if _, err := w.Write(c.blob); err != nil {
+			if _, err := w.Write(blob); err != nil {
 				writeErr <- err
 				return
 			}
@@ -218,7 +199,7 @@ func (env *Context) serveBatch(ctx context.Context, model uint64, artifact []byt
 	// Application side: deserialize predictions. A short or broken response
 	// stream means the serving component died mid-batch: drain its actual
 	// error if it reported one, else classify the pipe failure itself.
-	out := make(map[int64]int, len(cands))
+	out := make([]int, len(blobs))
 	r := bufio.NewReader(respR)
 	readFail := func(i int, err error) error {
 		// Let the serving loop finish so its (more precise) error wins and
@@ -235,27 +216,33 @@ func (env *Context) serveBatch(ctx context.Context, model uint64, artifact []byt
 	}
 	var cnt [4]byte
 	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return nil, nil, readFail(-1, err)
+		return nil, schedule.BackendStats{}, readFail(-1, err)
 	}
 	n := int(binary.LittleEndian.Uint32(cnt[:]))
 	var rec [12]byte
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			return nil, nil, readFail(i, err)
+			return nil, schedule.BackendStats{}, readFail(i, err)
 		}
-		id := int64(binary.LittleEndian.Uint64(rec[:8]))
-		out[id] = int(int32(binary.LittleEndian.Uint32(rec[8:12])))
+		pos := binary.LittleEndian.Uint64(rec[:8])
+		if pos >= uint64(len(out)) {
+			return nil, schedule.BackendStats{}, readFail(i, fmt.Errorf("prediction for request %d of %d", pos, len(out)))
+		}
+		out[pos] = int(int32(binary.LittleEndian.Uint32(rec[8:12])))
 	}
 	if err := <-writeErr; err != nil {
 		if qerr.Lifecycle(err) {
-			return nil, nil, err
+			return nil, schedule.BackendStats{}, err
 		}
-		return nil, nil, fmt.Errorf("%w: writing request batch: %v", qerr.ErrServingUnavailable, err)
+		return nil, schedule.BackendStats{}, fmt.Errorf("%w: writing request batch: %v", qerr.ErrServingUnavailable, err)
 	}
 	if err := <-serveErr; err != nil {
-		return nil, nil, err
+		return nil, schedule.BackendStats{}, err
 	}
-	return out, stats, nil
+	if n != len(out) {
+		return nil, schedule.BackendStats{}, fmt.Errorf("%w: serving answered %d of %d requests", qerr.ErrServingUnavailable, n, len(out))
+	}
+	return out, *stats, nil
 }
 
 // servingLoop is the DL system: it loads the model artifact, reads

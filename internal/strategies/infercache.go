@@ -12,8 +12,25 @@ package strategies
 // fingerprints the stored model with dl2sql.StoredModel.Stamp, because
 // their model lives in tables a statement can mutate: the stamp folds in
 // the stored tables' versions.
+//
+// memoInfer is the one step that reads and fills the cache; the strategies
+// only say how to infer what it could not answer. Its rule:
+//
+//   - Lookup: memoInfer looks every position's key up once, in the
+//     InferCache. The scheduler reads the same LRU again for a key it is
+//     handed (a concurrent batch may have filled it since), but with Peek,
+//     so each lookup a query makes counts one hit or one miss in
+//     strategies.infercache.*.
+//   - Dedup: positions sharing a missing key are inferred once.
+//   - Publish: memoInfer puts the inferred answers unless the query's
+//     context is done (the run may have been abandoned partway through) or
+//     the scheduler inferred them, which publishes them itself.
+//   - Off: with no cache and no scheduler, memoInfer hashes nothing and
+//     hands every position to the strategy as it came.
 
 import (
+	"context"
+
 	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/schedule"
@@ -44,4 +61,76 @@ func (env *Context) EnableInferCache(capacity int) {
 // memoization is disabled).
 func (env *Context) InferCacheStats() cache.Stats {
 	return env.InferCache.Stats()
+}
+
+// memoInfer returns the class of each of n positions. key(i) is position
+// i's prediction key. infer(miss, keys) infers the positions in miss, one
+// per distinct missing key, keys[j] being miss[j]'s key (nil when
+// memoization is off), and returns their classes in miss order. scheduled
+// says infer submits to the scheduler.
+func (env *Context) memoInfer(ctx context.Context, n int, key func(i int) InferKey, scheduled bool,
+	infer func(miss []int, keys []InferKey) ([]int, error)) ([]int, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	if env.InferCache == nil && !scheduled {
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		return infer(all, nil)
+	}
+	out := make([]int, n)
+	// from[i] is the index into miss whose answer is position i's, -1 for
+	// a cache hit.
+	from := make([]int, n)
+	var miss []int
+	var keys []InferKey
+	first := map[InferKey]int{}
+	for i := range out {
+		k := key(i)
+		if idx, ok := env.InferCache.Get(k); ok {
+			out[i], from[i] = idx, -1
+			continue
+		}
+		j, ok := first[k]
+		if !ok {
+			j = len(miss)
+			first[k] = j
+			miss = append(miss, i)
+			keys = append(keys, k)
+		}
+		from[i] = j
+	}
+	if len(miss) == 0 {
+		return out, nil
+	}
+	classes, err := infer(miss, keys)
+	if err != nil {
+		return nil, err
+	}
+	for i, j := range from {
+		if j >= 0 {
+			out[i] = classes[j]
+		}
+	}
+	if !scheduled && ctx.Err() == nil {
+		for j, k := range keys {
+			env.InferCache.Put(k, classes[j])
+		}
+	}
+	return out, nil
+}
+
+// pick returns the blobs at positions miss, which are distinct and
+// ascending: blobs itself when miss names every position.
+func pick(blobs [][]byte, miss []int) [][]byte {
+	if len(miss) == len(blobs) {
+		return blobs
+	}
+	out := make([][]byte, len(miss))
+	for j, i := range miss {
+		out[j] = blobs[i]
+	}
+	return out
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/colquery"
 	"repro/internal/dl2sql"
 	"repro/internal/obs"
+	"repro/internal/schedule"
 )
 
 // TestCachedResultsMatchUncachedAllStrategies is the differential
@@ -288,5 +289,122 @@ func TestPipelineCacheTempTablesCleanedUp(t *testing.T) {
 	slices.Sort(got)
 	if !slices.Equal(got, before) {
 		t.Fatalf("catalog after the cached runs %v, want %v", got, before)
+	}
+}
+
+// TestMemoScheduledPyTorchOneMissPerKeyframe: with a scheduler armed, the
+// strategy's lookup is the only counted one — a cold DB-PyTorch run adds
+// exactly one LRU miss per distinct (model, keyframe) key, not a second
+// one when the scheduler reads the same LRU.
+func TestMemoScheduledPyTorchOneMissPerKeyframe(t *testing.T) {
+	env := testContext(t)
+	env.EnableInferCache(4096)
+	defer env.EnableScheduler(schedule.Config{}).Drain()
+	q := cacheQuery(t)
+	cands, err := videoSideCandidates(context.Background(), env, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[InferKey]bool{}
+	for _, name := range q.UDFNames {
+		for _, c := range cands {
+			keys[env.Bindings[name].inferKey(c.blob)] = true
+		}
+	}
+	if _, _, err := (&DBPyTorch{}).Execute(context.Background(), env, q); err != nil {
+		t.Fatal(err)
+	}
+	if st := env.InferCacheStats(); st.Misses != int64(len(keys)) {
+		t.Fatalf("cold scheduled run: %d LRU misses for %d distinct keyframes (%+v)", st.Misses, len(keys), st)
+	}
+}
+
+// TestMemoScheduledUDFWarmRerunSubmitsNothing: a scheduled DB-UDF run
+// sends only its prediction-memo misses to the scheduler, so a warm rerun
+// submits nothing.
+func TestMemoScheduledUDFWarmRerunSubmitsNothing(t *testing.T) {
+	env := testContext(t)
+	env.EnableInferCache(4096)
+	sched := env.EnableScheduler(schedule.Config{})
+	defer sched.Drain()
+	q := cacheQuery(t)
+	res1, _, err := (&DBUDF{}).Execute(context.Background(), env, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := sched.Stats().Submitted
+	if cold == 0 {
+		t.Fatal("the cold scheduled run submitted nothing")
+	}
+	res2, _, err := (&DBUDF{}).Execute(context.Background(), env, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm := sched.Stats().Submitted; warm != cold {
+		t.Fatalf("warm rerun submitted %d requests", warm-cold)
+	}
+	if resultKey(res1) != resultKey(res2) {
+		t.Fatal("warm rerun returned different rows")
+	}
+}
+
+// TestMemoInferRule pins memoInfer's rule on a stub inference: with the
+// memo off every position is handed over and no key is computed; armed,
+// each distinct missing key is inferred once, and the answers are
+// published only on a live context and only when the scheduler did not
+// infer them.
+func TestMemoInferRule(t *testing.T) {
+	keys := []InferKey{{Model: 1, Input: 1}, {Model: 1, Input: 2}, {Model: 1, Input: 1}}
+	var ran [][]int
+	infer := func(miss []int, _ []InferKey) ([]int, error) {
+		ran = append(ran, miss)
+		out := make([]int, len(miss))
+		for j, i := range miss {
+			out[j] = int(keys[i].Input) * 10
+		}
+		return out, nil
+	}
+	run := func(ctx context.Context, env *Context, key func(int) InferKey, scheduled bool) {
+		t.Helper()
+		ran = nil
+		got, err := env.memoInfer(ctx, len(keys), key, scheduled, infer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{10, 20, 10}; !slices.Equal(got, want) {
+			t.Fatalf("classes %v, want %v", got, want)
+		}
+	}
+	key := func(i int) InferKey { return keys[i] }
+
+	env := &Context{}
+	run(context.Background(), env, func(int) InferKey {
+		t.Fatal("memo off, but a key was computed")
+		return InferKey{}
+	}, false)
+	if len(ran) != 1 || !slices.Equal(ran[0], []int{0, 1, 2}) {
+		t.Fatalf("memo off inferred %v, want every position once", ran)
+	}
+
+	env.EnableInferCache(16)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	run(done, env, key, false)
+	if len(ran) != 1 || !slices.Equal(ran[0], []int{0, 1}) {
+		t.Fatalf("inferred %v, want each distinct key once", ran)
+	}
+	if st := env.InferCacheStats(); st.Len != 0 || st.Misses != 3 {
+		t.Fatalf("done context: cache %+v, want 3 misses and nothing published", st)
+	}
+	run(context.Background(), env, key, false)
+	run(context.Background(), env, key, false)
+	if st := env.InferCacheStats(); len(ran) != 0 || st.Len != 2 || st.Hits != 3 {
+		t.Fatalf("warm rerun inferred %v with cache %+v, want 3 hits", ran, st)
+	}
+
+	env.EnableInferCache(16)
+	run(context.Background(), env, key, true)
+	if st := env.InferCacheStats(); st.Len != 0 {
+		t.Fatalf("scheduled answers published by the memo: %+v", st)
 	}
 }

@@ -4,13 +4,13 @@ package strategies
 //
 // Two pieces live here. First, a per-execution accounting struct threaded
 // through the context (mirroring the executor's queryAcct one layer down):
-// the serving retry loop, the circuit breaker, and both native inference
-// paths charge it, and ExecuteWithFallback folds the totals into one
-// obs.QueryRecord per collaborative query — strategy name, fallback path,
-// retries, and inference calls included, which the engine-level recorder
-// cannot see. Second, AttachObservability, which projects strategy-owned
-// state into the engine's sys.* catalog: the live sys.breaker table
-// (replacing the engine's empty stub) and an "inference" row in sys.cache.
+// the serving retry loop and every inference path charge it, and
+// ExecuteWithFallback folds the totals into one obs.QueryRecord per
+// collaborative query — strategy name, fallback path, retries, and
+// inference calls included, which the engine-level recorder cannot see.
+// Second, AttachObservability, which projects strategy-owned state into
+// the engine's sys.* catalog: the live sys.breaker table (replacing the
+// engine's empty stub) and an "inference" row in sys.cache.
 
 import (
 	"context"
@@ -27,9 +27,8 @@ import (
 // resource usage. Counters are atomics: UDF inference runs on morsel
 // workers and the serving loop runs on its own goroutine.
 type stratAcct struct {
-	inferCalls      atomic.Int64
-	retries         atomic.Int64
-	breakerRejected atomic.Int64
+	inferCalls atomic.Int64
+	retries    atomic.Int64
 }
 
 type stratAcctKey struct{}
@@ -66,13 +65,6 @@ func (a *stratAcct) noteRetry() {
 	}
 }
 
-// noteBreakerRejected charges one breaker fail-fast.
-func (a *stratAcct) noteBreakerRejected() {
-	if a != nil {
-		a.breakerRejected.Add(1)
-	}
-}
-
 // recordExecution appends one strategy-level QueryRecord to env.History.
 func (env *Context) recordExecution(sql, strategy string, bd CostBreakdown, acct *stratAcct,
 	start time.Time, res *sqldb.Result, err error, traceID string) {
@@ -98,16 +90,7 @@ func (env *Context) recordExecution(sql, strategy string, bd CostBreakdown, acct
 		}
 	}
 	env.History.Add(rec)
-	if env.Metrics != nil {
-		env.Metrics.Counter(obs.MetricQueries).Add(1)
-		if err != nil {
-			env.Metrics.Counter(obs.MetricQueryErrors).Add(1)
-		}
-		env.Metrics.Histogram(obs.MetricQueryWallSeconds).ObserveExemplar(rec.Wall.Seconds(), rec.TraceID)
-		if rec.TraceID != "" {
-			env.Metrics.Counter(obs.MetricTraceExemplars).Add(1)
-		}
-	}
+	env.Metrics.QueryMetrics().Observe(&rec, env.History.SlowThreshold())
 }
 
 // AttachObservability projects strategy-owned state into the engine's
@@ -150,6 +133,29 @@ func (env *Context) AttachObservability(db *sqldb.DB) {
 		}
 		return []sqldb.CacheStat{{Name: "inference", Stats: env.InferCache.Stats()}}
 	})
+}
+
+// phase is one strategy phase timed by one pair of clock readings: its
+// span opens on the reading that starts the phase's bucket term and
+// closes on the one that ends it.
+type phase struct {
+	span  *obs.Span
+	start time.Time
+}
+
+// startPhase opens a phase under ctx's active span and returns the context
+// carrying its span.
+func startPhase(ctx context.Context, name string) (context.Context, phase) {
+	start := time.Now()
+	sp := obs.SpanFromContext(ctx).StartChildAt(name, start)
+	return obs.ContextWithSpan(ctx, sp), phase{span: sp, start: start}
+}
+
+// end finishes the phase's span and returns the phase's seconds.
+func (p phase) end() float64 {
+	end := time.Now()
+	p.span.FinishAt(end)
+	return end.Sub(p.start).Seconds()
 }
 
 // failSpans ends a phase on an error return: it tags spans[0], the

@@ -208,3 +208,21 @@ func TestDL2SQLInferCalls(t *testing.T) {
 		t.Fatalf("infer_calls = %v, want > 0 then 0 for the cached rerun", calls)
 	}
 }
+
+// TestStrategySlowQueriesCounted: a strategy record over the slow
+// threshold is counted in sqldb.query.slow as an engine record is, so the
+// counter matches the slow ring.
+func TestStrategySlowQueriesCounted(t *testing.T) {
+	env := obsContext(t)
+	env.History.SetSlowThreshold(time.Nanosecond)
+	if _, _, err := ExecuteWithFallback(context.Background(), env, &DBUDF{}, fallbackQuery(t)); err != nil {
+		t.Fatal(err)
+	}
+	slow := env.History.SlowSnapshot()
+	if len(slow) == 0 || slow[len(slow)-1].Strategy != "DB-UDF" {
+		t.Fatalf("slow ring %v, want the DB-UDF record last", slow)
+	}
+	if got := env.Metrics.Counter(obs.MetricSlowQueries).Value(); got != int64(len(slow)) {
+		t.Fatalf("%s = %d, slow ring holds %d records", obs.MetricSlowQueries, got, len(slow))
+	}
+}

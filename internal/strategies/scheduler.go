@@ -3,8 +3,8 @@ package strategies
 // Cross-query inference scheduling for the UDF-shaped strategies.
 //
 // With a scheduler enabled, DB-UDF and DB-PyTorch stop running forward
-// passes strategy-locally and submit every (artifact, keyframe) request to
-// the shared schedule.Scheduler instead. Concurrent queries' requests
+// passes strategy-locally and submit every (artifact, keyframe) request
+// their prediction memo misses to the shared schedule.Scheduler instead. Concurrent queries' requests
 // coalesce into large batched forward passes, identical in-flight requests
 // single-flight onto one computation, and the scheduler's shared cache is
 // the same LRU as Context.InferCache — so memoization keeps working across
@@ -18,10 +18,8 @@ package strategies
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
-	"repro/internal/qerr"
 	"repro/internal/schedule"
 )
 
@@ -46,74 +44,31 @@ func (env *Context) EnableScheduler(cfg schedule.Config) *schedule.Scheduler {
 	}
 	env.Scheduler = schedule.New(cfg)
 	env.schedNative = schedule.NewNativeBackend(env.loadModel)
-	env.schedServing = &schedule.Backend{ID: "serving", Run: env.runServingBatch}
+	// The serving backend runs one coalesced batch as one serveWithRetry
+	// call: breaker, retry policy, and serving fault points all apply.
+	env.schedServing = &schedule.Backend{ID: "serving", Run: func(ctx context.Context, model uint64, artifact []byte, blobs [][]byte) ([]int, schedule.BackendStats, error) {
+		return env.serveWithRetry(ctx, model, artifact, blobs, nil)
+	}}
 	return env.Scheduler
 }
 
-// runServingBatch adapts the DB-PyTorch serving pipe to the scheduler's
-// Backend contract: one coalesced batch becomes one serveWithRetry call
-// (breaker, retry policy, and serving fault points all apply), with the
-// batch positions standing in for video IDs on the wire.
-func (env *Context) runServingBatch(ctx context.Context, model uint64, artifact []byte, blobs [][]byte) ([]int, schedule.BackendStats, error) {
-	cands := make([]candidate, len(blobs))
-	for i, b := range blobs {
-		cands[i] = candidate{videoID: int64(i), blob: b}
-	}
-	results, stats, err := env.serveWithRetry(ctx, model, artifact, cands, nil)
-	if err != nil {
-		return nil, schedule.BackendStats{}, err
-	}
-	out := make([]int, len(blobs))
-	for i := range blobs {
-		idx, ok := results[int64(i)]
-		if !ok {
-			return nil, schedule.BackendStats{}, fmt.Errorf("%w: serving batch lost prediction %d of %d",
-				qerr.ErrServingUnavailable, i, len(blobs))
-		}
-		out[i] = idx
-	}
-	return out, *stats, nil
-}
-
-// schedServeCandidates routes one model's cache-missing candidates, with
-// their prediction keys, through the scheduler's serving backend (see
-// schedInferAll). It returns videoID→class predictions plus this query's
-// cost shares: serving stats (decode/infer share), total batch-wall share,
-// and the number of physical forward passes charged to this query.
-func (env *Context) schedServeCandidates(ctx context.Context, b *UDFBinding, cands []candidate, keys []InferKey) (map[int64]int, *schedule.BackendStats, float64, int, error) {
-	blobs := make([][]byte, len(cands))
-	for i, c := range cands {
-		blobs[i] = c.blob
-	}
-	rs, err := env.schedInferAll(ctx, env.schedServing, b, blobs, keys)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	results := make(map[int64]int, len(cands))
-	var stats schedule.BackendStats
-	var wallShare float64
-	var executed int
-	for i, r := range rs {
-		results[cands[i].videoID] = r.Class
-		if r.Source == schedule.SourceBatch {
-			stats.InferSeconds += r.InferSeconds
-			stats.DecodeSeconds += r.DecodeSeconds
-			wallShare += r.WallSeconds
-			executed++
-		}
-	}
-	return results, &stats, wallShare, executed, nil
+// batchShare is one set of inferences' share of the batches that answered
+// it: the blobs whose forward pass physically ran for it and their summed
+// timing shares. Scheduled, those are the SourceBatch results; dedup
+// followers and cache hits paid no compute.
+type batchShare struct {
+	ran   [][]byte
+	stats schedule.BackendStats
+	wall  float64
 }
 
 // schedInferAll submits one inference per blob, keyed by keys[i], all in
 // flight at once so they coalesce — with each other and with concurrent
-// queries' submissions — into large batches, and returns the results in
-// blob order. The first failed submission's error wins; the others still
-// drain, and their batches complete under the scheduler's own context.
-// Only a SourceBatch result was a physical forward pass (this waiter's
-// share of it) and charges the per-query accounting; dedup followers and
-// cache hits paid no compute.
-func (env *Context) schedInferAll(ctx context.Context, be *schedule.Backend, b *UDFBinding, blobs [][]byte, keys []InferKey) ([]schedule.Result, error) {
+// queries' submissions — into large batches, and returns the classes in
+// blob order with this query's share of the batches. The first failed
+// submission's error wins; the others still drain, and their batches
+// complete under the scheduler's own context.
+func (env *Context) schedInferAll(ctx context.Context, be *schedule.Backend, b *UDFBinding, blobs [][]byte, keys []InferKey) ([]int, batchShare, error) {
 	rs := make([]schedule.Result, len(blobs))
 	errs := make([]error, len(blobs))
 	var wg sync.WaitGroup
@@ -122,16 +77,25 @@ func (env *Context) schedInferAll(ctx context.Context, be *schedule.Backend, b *
 		go func(i int, blob []byte) {
 			defer wg.Done()
 			rs[i], errs[i] = env.Scheduler.Infer(ctx, be, keys[i], b.Artifact, blob)
-			if errs[i] == nil && rs[i].Source == schedule.SourceBatch {
-				stratAcctFrom(ctx).noteInfer(1)
-			}
 		}(i, blob)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	classes := make([]int, len(blobs))
+	var share batchShare
+	for i, r := range rs {
+		classes[i] = r.Class
+		if errs[i] == nil && r.Source == schedule.SourceBatch {
+			share.ran = append(share.ran, blobs[i])
+			share.stats.InferSeconds += r.InferSeconds
+			share.stats.DecodeSeconds += r.DecodeSeconds
+			share.wall += r.WallSeconds
 		}
 	}
-	return rs, nil
+	stratAcctFrom(ctx).noteInfer(int64(len(share.ran)))
+	for _, err := range errs {
+		if err != nil {
+			return nil, batchShare{}, err
+		}
+	}
+	return classes, share, nil
 }

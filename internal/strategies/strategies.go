@@ -176,14 +176,15 @@ func (env *Context) queryCtx(ctx context.Context) (context.Context, context.Canc
 // recordBreakdown folds one Execute's cost breakdown into the metrics
 // registry. Safe to call with a nil registry.
 func (env *Context) recordBreakdown(strategy string, bd CostBreakdown) {
-	if env.Metrics == nil {
+	m := env.Metrics.Strategy(strategy)
+	if m == nil {
 		return
 	}
-	env.Metrics.Counter(obs.StrategyMetric(strategy, "queries")).Add(1)
-	env.Metrics.Histogram(obs.StrategyMetric(strategy, "loading_s")).Observe(bd.Loading)
-	env.Metrics.Histogram(obs.StrategyMetric(strategy, "inference_s")).Observe(bd.Inference)
-	env.Metrics.Histogram(obs.StrategyMetric(strategy, "relational_s")).Observe(bd.Relational)
-	env.Metrics.Histogram(obs.StrategyMetric(strategy, "total_s")).Observe(bd.Total())
+	m.Queries.Add(1)
+	m.Loading.Observe(bd.Loading)
+	m.Inference.Observe(bd.Inference)
+	m.Relational.Observe(bd.Relational)
+	m.Total.Observe(bd.Total())
 }
 
 // NewContext assembles a context over a dataset with the default profile.
@@ -491,7 +492,7 @@ type candidate struct {
 // videoSideCandidates extracts the video rows selected by the query's
 // single-relation predicates on the keyframe relation (the set a strategy
 // without cross-table pruning must infer).
-func videoSideCandidates(ctx context.Context, env *Context, q *colquery.Query) ([]candidate, time.Duration, error) {
+func videoSideCandidates(ctx context.Context, env *Context, q *colquery.Query) ([]candidate, error) {
 	alias := keyframeAlias(q)
 	conds := videoConds(q, alias)
 	where := ""
@@ -499,18 +500,16 @@ func videoSideCandidates(ctx context.Context, env *Context, q *colquery.Query) (
 		where = " WHERE " + strings.Join(conds, " AND ")
 	}
 	sql := fmt.Sprintf("SELECT videoID, keyframe FROM video %s%s", alias, where)
-	start := time.Now()
 	res, err := env.Dataset.DB.ExecContext(ctx, sql)
 	if err != nil {
-		return nil, 0, fmt.Errorf("strategies: extracting candidates: %w", err)
+		return nil, fmt.Errorf("strategies: extracting candidates: %w", err)
 	}
-	out, err := candidatesFromResult(res)
-	return out, time.Since(start), err
+	return candidatesFromResult(res)
 }
 
 // prunedCandidates extracts the distinct video rows surviving *all* non-UDF
 // predicates and joins (DL2SQL-OP's delayed evaluation).
-func prunedCandidates(ctx context.Context, env *Context, q *colquery.Query, h *sqldb.QueryHints) ([]candidate, time.Duration, error) {
+func prunedCandidates(ctx context.Context, env *Context, q *colquery.Query, h *sqldb.QueryHints) ([]candidate, error) {
 	alias := keyframeAlias(q)
 	stripped := stripUDFConjuncts(q.Stmt)
 	stripped.Items = []sqldb.SelectItem{
@@ -521,13 +520,11 @@ func prunedCandidates(ctx context.Context, env *Context, q *colquery.Query, h *s
 	stripped.GroupBy = nil
 	stripped.Having = nil
 	stripped.OrderBy = nil
-	start := time.Now()
 	res, err := env.Dataset.DB.ExecStmtContext(ctx, stripped, h)
 	if err != nil {
-		return nil, 0, fmt.Errorf("strategies: extracting pruned candidates: %w", err)
+		return nil, fmt.Errorf("strategies: extracting pruned candidates: %w", err)
 	}
-	out, err := candidatesFromResult(res)
-	return out, time.Since(start), err
+	return candidatesFromResult(res)
 }
 
 func candidatesFromResult(res *sqldb.Result) ([]candidate, error) {

@@ -98,103 +98,56 @@ func nudfFn(name string) sqldb.UDFFunc {
 			blobs[i] = args[0].B
 		}
 		env, b := r.env, r.env.Bindings[name]
-		out := make([]sqldb.Datum, len(calls))
-		// Scheduled calls: the whole batch is submitted to the cross-query
-		// scheduler at once, where it coalesces with other queries' requests
-		// into batched forward passes (the scheduler consults the shared cache and
-		// single-flights duplicates itself). Only physical forward passes —
-		// SourceBatch — charge inference time: this waiter's share of the
-		// batch.
-		if env.Scheduler != nil {
-			keys := make([]InferKey, len(blobs))
-			for i, blob := range blobs {
-				keys[i] = b.inferKey(blob)
+		scheduled := env.Scheduler != nil
+		// The prediction memo's misses run as one batch: submitted to the
+		// cross-query scheduler at once, where they coalesce with other
+		// queries' requests, or through one native forward pass. Only
+		// physical forward passes charge inference time.
+		infer := func(miss []int, keys []InferKey) ([]int, error) {
+			run := pick(blobs, miss)
+			if scheduled {
+				r.begin(time.Now())
+				classes, share, err := env.schedInferAll(ctx, env.schedNative, b, run, keys)
+				r.end(time.Now(), share.stats.InferSeconds, share.ran)
+				return classes, err
 			}
-			r.begin(time.Now())
-			rs, err := env.schedInferAll(ctx, env.schedNative, b, blobs, keys)
-			var secs float64
-			var ran [][]byte
-			for i, res := range rs {
-				out[i] = b.predictionDatum(res.Class)
-				if res.Source == schedule.SourceBatch {
-					secs += res.InferSeconds
-					ran = append(ran, blobs[i])
+			// The inference-time accounting reads double as the batch
+			// span's start/end, so tracing adds no clock reads. The batch
+			// span opens under the operator that calls the UDF, whose span
+			// the engine puts on the UDF's context; untraced, querySpan is
+			// nil and the context is not searched. Each batch runs a
+			// shallow copy of the model: layers and weights are read-only
+			// during a forward pass; only the Trace attachment point is
+			// per-call state.
+			start := time.Now()
+			r.begin(start)
+			parent := r.querySpan
+			if parent != nil {
+				if op := obs.SpanFromContext(ctx); op != nil {
+					parent = op
 				}
 			}
-			r.end(time.Now(), secs, ran)
+			span := parent.StartChildAt("inference:"+name, start)
+			span.SetAttr("batch", len(run))
+			mc := *r.models[name]
+			mc.Trace = span
+			idxs, secs, err := schedule.PredictKeyframes(&mc, run)
+			end := time.Now()
+			span.FinishAt(end)
+			r.end(end, secs, run)
 			if err != nil {
 				return nil, err
 			}
-			return out, nil
+			stratAcctFrom(ctx).noteInfer(int64(len(run)))
+			return idxs, nil
 		}
-		// Memoized calls: identical (model, keyframe) pairs skip the forward
-		// pass — and its inference-time accounting — entirely, within the
-		// batch as across batches. The key hashes the raw blob, so hits are
-		// shared with DB-PyTorch runs over the same candidates. pass[i] is
-		// the forward pass answering call i, -1 for a cache hit.
-		pass := make([]int, len(calls))
-		var run [][]byte
-		var runKeys []InferKey
-		var passOf map[InferKey]int
-		if env.InferCache != nil {
-			passOf = map[InferKey]int{}
-		}
-		for i, blob := range blobs {
-			if env.InferCache != nil {
-				key := b.inferKey(blob)
-				if idx, ok := env.InferCache.Get(key); ok {
-					out[i], pass[i] = b.predictionDatum(idx), -1
-					continue
-				}
-				if j, ok := passOf[key]; ok {
-					pass[i] = j
-					continue
-				}
-				passOf[key] = len(run)
-				runKeys = append(runKeys, key)
-			}
-			pass[i] = len(run)
-			run = append(run, blob)
-		}
-		if len(run) == 0 {
-			return out, nil
-		}
-		// The inference-time accounting reads double as the batch span's
-		// start/end, so tracing adds no clock reads. The batch span opens
-		// under the operator that calls the UDF, whose span the engine puts
-		// on the UDF's context; untraced, querySpan is nil and the context
-		// is not searched. Each batch runs a shallow copy of the model:
-		// layers and weights are read-only during a forward pass; only the
-		// Trace attachment point is per-call state.
-		start := time.Now()
-		r.begin(start)
-		parent := r.querySpan
-		if parent != nil {
-			if op := obs.SpanFromContext(ctx); op != nil {
-				parent = op
-			}
-		}
-		span := parent.StartChildAt("inference:"+name, start)
-		span.SetAttr("batch", len(run))
-		mc := *r.models[name]
-		mc.Trace = span
-		idxs, secs, err := schedule.PredictKeyframes(&mc, run)
-		end := time.Now()
-		span.FinishAt(end)
-		r.end(end, secs, run)
+		classes, err := env.memoInfer(ctx, len(blobs), func(i int) InferKey { return b.inferKey(blobs[i]) }, scheduled, infer)
 		if err != nil {
 			return nil, err
 		}
-		stratAcctFrom(ctx).noteInfer(int64(len(run)))
-		for i, j := range pass {
-			if j >= 0 {
-				out[i] = b.predictionDatum(idxs[j])
-			}
-		}
-		if env.InferCache != nil && ctx.Err() == nil {
-			for j, key := range runKeys {
-				env.InferCache.Put(key, idxs[j])
-			}
+		out := make([]sqldb.Datum, len(classes))
+		for i, c := range classes {
+			out[i] = b.predictionDatum(c)
 		}
 		return out, nil
 	}
@@ -237,16 +190,14 @@ func (s *DBUDF) Execute(ctx context.Context, env *Context, q *colquery.Query) (*
 	bd.Loading += env.Profile.DLLoadCost(decodeSecs) + env.Profile.TransferCost(modelBytes)
 	loadSpan.Finish()
 
-	queryCtx, querySpan := obs.StartSpan(ctx, "relational:query")
-	run.querySpan = querySpan
-	wallStart := time.Now()
+	queryCtx, query := startPhase(ctx, "relational:query")
+	run.querySpan = query.span
 	res, err := env.Dataset.DB.ExecContext(context.WithValue(queryCtx, udfRunKey{}, run), q.SQL)
-	wall := time.Since(wallStart).Seconds()
-	run.querySpan.SetAttr("udf_calls", run.calls)
+	query.span.SetAttr("udf_calls", run.calls)
 	if err != nil {
-		return nil, bd, failSpans(fmt.Errorf("strategies: DB-UDF execution: %w", err), run.querySpan)
+		return nil, bd, failSpans(fmt.Errorf("strategies: DB-UDF execution: %w", err), query.span)
 	}
-	run.querySpan.Finish()
+	wall := query.end()
 
 	// Per-call device transfers: a UDF is a per-row call, so on GPU each
 	// call ships one keyframe and pays the launch overhead — the paper's
