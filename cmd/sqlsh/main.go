@@ -71,29 +71,12 @@ import (
 	"repro/internal/sqldb"
 )
 
-// shell is the REPL state shared between queries and meta-commands.
+// shell is the embedded-mode state shared between queries and meta-commands.
 type shell struct {
 	db        *sqldb.DB
 	timing    bool
 	traceFile string        // destination for the active trace; "" when off
 	timeout   time.Duration // per-query deadline; 0 = none
-
-	mu     sync.Mutex
-	cancel context.CancelFunc // cancels the in-flight query; nil when idle
-}
-
-// interrupt routes SIGINT to the in-flight query's cancel function. At an
-// idle prompt the signal is swallowed with a hint, so Ctrl-C never kills
-// the shell itself.
-func (sh *shell) interrupt() {
-	sh.mu.Lock()
-	c := sh.cancel
-	sh.mu.Unlock()
-	if c != nil {
-		c()
-		return
-	}
-	fmt.Println("^C (use \\q to quit)")
 }
 
 func main() {
@@ -142,57 +125,87 @@ func main() {
 	db.History.SetSlowThreshold(100 * time.Millisecond)
 	db.EnableSysCatalog()
 	sh := &shell{db: db}
+	repl(sh.meta, sh.run, sh.flushTrace)
+}
 
+// repl is the loop both modes share. It reads statements from stdin: a
+// statement ends at a line ending in ';', and one left without ';' runs at
+// EOF. A line starting with '\' between statements goes to meta, which
+// may run statements through exec and returns false to quit. Each
+// statement runs through run under a context that Ctrl-C cancels; at an
+// idle prompt Ctrl-C is swallowed with a hint, so it never kills the
+// shell. finish runs on quit and at EOF.
+func repl(meta func(cmd string, exec func(sql string)) bool, run func(ctx context.Context, sql string), finish func()) {
+	var (
+		mu       sync.Mutex
+		inflight context.CancelFunc // cancels the running statement; nil when idle
+	)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	go func() {
 		for range sig {
-			sh.interrupt()
+			mu.Lock()
+			c := inflight
+			mu.Unlock()
+			if c == nil {
+				fmt.Println("^C (use \\q to quit)")
+				continue
+			}
+			c()
 		}
 	}()
+	exec := func(sql string) {
+		if strings.TrimSpace(sql) == "" {
+			return
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		mu.Lock()
+		inflight = cancel
+		mu.Unlock()
+		run(ctx, sql)
+		mu.Lock()
+		inflight = nil
+		mu.Unlock()
+		cancel()
+	}
 
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
 	interactive := isTerminal()
-	var pending strings.Builder
-	if interactive {
-		fmt.Print("sqlsh> ")
+	prompt := func(p string) {
+		if interactive {
+			fmt.Print(p)
+		}
 	}
+	var pending strings.Builder
+	prompt("sqlsh> ")
 	for in.Scan() {
 		line := in.Text()
 		trimmed := strings.TrimSpace(line)
 		if pending.Len() == 0 && strings.HasPrefix(trimmed, `\`) {
-			if !sh.meta(trimmed) {
-				sh.flushTrace()
+			if !meta(trimmed, exec) {
+				finish()
 				return
 			}
-			if interactive {
-				fmt.Print("sqlsh> ")
-			}
+			prompt("sqlsh> ")
 			continue
 		}
 		pending.WriteString(line)
 		pending.WriteByte('\n')
 		if !strings.HasSuffix(trimmed, ";") {
-			if interactive {
-				fmt.Print("   ..> ")
-			}
+			prompt("   ..> ")
 			continue
 		}
-		sh.run(pending.String())
+		exec(pending.String())
 		pending.Reset()
-		if interactive {
-			fmt.Print("sqlsh> ")
-		}
+		prompt("sqlsh> ")
 	}
-	if pending.Len() > 0 {
-		sh.run(pending.String())
-	}
-	sh.flushTrace()
+	exec(pending.String())
+	finish()
 }
 
 // meta handles shell meta-commands; it returns false to quit.
-func (sh *shell) meta(cmd string) bool {
+func (sh *shell) meta(cmd string, exec func(sql string)) bool {
 	db := sh.db
 	fields := strings.Fields(cmd)
 	switch fields[0] {
@@ -224,7 +237,7 @@ func (sh *shell) meta(cmd string) bool {
 			return true
 		}
 		// Leaves out statement spans and statements reading sys.spans.
-		sh.run(`SELECT name, count(*) AS calls, sum(self_ms) AS self_ms FROM sys.spans
+		exec(`SELECT name, count(*) AS calls, sum(self_ms) AS self_ms FROM sys.spans
 WHERE name <> 'query' AND trace_id NOT IN (SELECT trace_id FROM sys.spans WHERE name = 'SysScan sys.spans')
 GROUP BY name ORDER BY self_ms DESC;`)
 		return true
@@ -430,30 +443,26 @@ func writeTraceFile(path string, chromeJSON []byte, what string) {
 	fmt.Printf("wrote %s to %s (load in chrome://tracing or ui.perfetto.dev)\n", what, path)
 }
 
-func (sh *shell) run(sql string) {
-	if strings.TrimSpace(sql) == "" {
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
+func (sh *shell) run(ctx context.Context, sql string) {
 	if sh.timeout > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), sh.timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, sh.timeout)
+		defer cancel()
 	}
-	sh.mu.Lock()
-	sh.cancel = cancel
-	sh.mu.Unlock()
 	start := time.Now()
 	res, err := sh.db.ExecContext(ctx, sql)
-	elapsed := time.Since(start)
-	sh.mu.Lock()
-	sh.cancel = nil
-	sh.mu.Unlock()
-	cancel()
+	show(res, err, time.Since(start), sh.timing)
+}
+
+// show prints a statement's result or error, then its wall time when
+// \timing is on.
+func show(res *sqldb.Result, err error, elapsed time.Duration, timing bool) {
 	if err != nil {
 		fmt.Printf("error: %v\n", err)
 		return
 	}
 	printResult(res)
-	if sh.timing {
+	if timing {
 		fmt.Printf("Time: %s\n", elapsed.Round(time.Microsecond))
 	}
 }
@@ -508,7 +517,7 @@ func fatalf(format string, args ...any) {
 
 // ---- -connect mode: the shell as a sqlserved client ----
 
-// cshell is the connected-mode REPL state.
+// cshell is the connected-mode state.
 type cshell struct {
 	cli    *server.Client
 	timing bool
@@ -517,20 +526,6 @@ type cshell struct {
 	// trace-ID echo.
 	traceFile string
 	lastShown string
-
-	mu     sync.Mutex
-	cancel context.CancelFunc
-}
-
-func (sh *cshell) interrupt() {
-	sh.mu.Lock()
-	c := sh.cancel
-	sh.mu.Unlock()
-	if c != nil {
-		c()
-		return
-	}
-	fmt.Println("^C (use \\q to quit)")
 }
 
 func runClientShell(base, tenant string) {
@@ -543,53 +538,7 @@ func runClientShell(base, tenant string) {
 	}
 	fmt.Printf("connected to %s (session %s, tenant %s)\n", base, cli.Session(), cli.Tenant())
 	sh := &cshell{cli: cli}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	go func() {
-		for range sig {
-			sh.interrupt()
-		}
-	}()
-
-	in := bufio.NewScanner(os.Stdin)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
-	interactive := isTerminal()
-	var pending strings.Builder
-	if interactive {
-		fmt.Print("sqlsh> ")
-	}
-	for in.Scan() {
-		line := in.Text()
-		trimmed := strings.TrimSpace(line)
-		if pending.Len() == 0 && strings.HasPrefix(trimmed, `\`) {
-			if !sh.meta(trimmed) {
-				sh.close()
-				return
-			}
-			if interactive {
-				fmt.Print("sqlsh> ")
-			}
-			continue
-		}
-		pending.WriteString(line)
-		pending.WriteByte('\n')
-		if !strings.HasSuffix(trimmed, ";") {
-			if interactive {
-				fmt.Print("   ..> ")
-			}
-			continue
-		}
-		sh.run(pending.String())
-		pending.Reset()
-		if interactive {
-			fmt.Print("sqlsh> ")
-		}
-	}
-	if pending.Len() > 0 {
-		sh.run(pending.String())
-	}
-	sh.close()
+	repl(sh.meta, sh.run, sh.close)
 }
 
 func (sh *cshell) close() {
@@ -601,7 +550,7 @@ func (sh *cshell) close() {
 // meta handles connected-mode meta-commands; \timeout and \parallel set
 // server-side session variables. Engine-state commands point at the sys.*
 // tables, which work through the server like any other relation.
-func (sh *cshell) meta(cmd string) bool {
+func (sh *cshell) meta(cmd string, _ func(sql string)) bool {
 	fields := strings.Fields(cmd)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -690,30 +639,11 @@ func (sh *cshell) meta(cmd string) bool {
 	return true
 }
 
-func (sh *cshell) run(sql string) {
-	if strings.TrimSpace(sql) == "" {
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	sh.mu.Lock()
-	sh.cancel = cancel
-	sh.mu.Unlock()
+func (sh *cshell) run(ctx context.Context, sql string) {
 	start := time.Now()
 	res, err := sh.cli.Query(ctx, sql)
-	elapsed := time.Since(start)
-	sh.mu.Lock()
-	sh.cancel = nil
-	sh.mu.Unlock()
-	cancel()
-	if err != nil {
-		fmt.Printf("error: %v\n", err)
-		return
-	}
-	printResult(res)
-	if sh.timing {
-		fmt.Printf("Time: %s\n", elapsed.Round(time.Microsecond))
-	}
-	if sh.traceFile != "" {
+	show(res, err, time.Since(start), sh.timing)
+	if err == nil && sh.traceFile != "" {
 		if id := sh.cli.LastTraceID(); id != "" && id != sh.lastShown {
 			fmt.Printf("trace: %s\n", id)
 			sh.lastShown = id

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -14,6 +13,7 @@ import (
 
 	"repro/internal/dl2sql"
 	"repro/internal/hwprofile"
+	"repro/internal/measure"
 	"repro/internal/modelrepo"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -100,9 +100,8 @@ func (s *Suite) Fig8Overall() (*Table, error) {
 
 // Fig9CNNBlocks reproduces Fig. 9: the per-step cost of the student model's
 // SQL pipeline (Conv1..3, Reshape1..2, BN/ReLU per block, Classification),
-// averaged over several inferences.
+// from each statement's median over stepRounds inferences.
 func (s *Suite) Fig9CNNBlocks() (*Table, error) {
-	const runs = 3
 	db := sqldb.New()
 	tr := dl2sql.NewTranslator(db, "fig9")
 	model := s.Ctx.Bindings["nudf_detect"].Entry.Model
@@ -110,30 +109,29 @@ func (s *Suite) Fig9CNNBlocks() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := map[string]time.Duration{}
-	var order []string
-	for i := 0; i < runs; i++ {
-		in := randomInput(model.InputShape, s.Cfg.Seed+int64(i))
-		if _, _, err := tr.Infer(sm, in); err != nil {
-			return nil, err
-		}
-		for _, step := range tr.Steps {
-			if _, ok := agg[step.Label]; !ok {
-				order = append(order, step.Label)
-			}
-			agg[step.Label] += step.Time
-		}
+	// Collections run between inferences, never inside one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runs, err := measure.Rounds(stepRounds, func(round int) ([]dl2sql.StepCost, error) {
+		_, _, err := tr.Infer(sm, randomInput(model.InputShape, s.Cfg.Seed+int64(round)))
+		return slices.Clone(tr.Steps), err
+	})
+	if err != nil {
+		return nil, err
+	}
+	steps, err := stepMedians(runs)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		ID:      "Fig. 9",
-		Title:   "Costs of CNN Blocks in DL2SQL (avg seconds/inference)",
+		Title:   "Costs of CNN Blocks in DL2SQL (median seconds/inference)",
 		Columns: []string{"Step", "Time(s)"},
 		Notes: []string{
 			"shape check: convolution steps dominate; deeper convs cost more than reshapes and elementwise steps",
 		},
 	}
-	for _, label := range order {
-		t.AddRow(label, f6(agg[label].Seconds()/runs))
+	for _, step := range steps[0] {
+		t.AddRow(step.label, f6(step.secs))
 	}
 	return t, nil
 }
@@ -206,11 +204,7 @@ const fig10Claim = "Join and GroupBy (Aggregate and a *Join span) are the two mo
 // what one GC cycle, one scheduler stall or a different heap layout of the
 // model tables costs. So the strategies share one database and one stored
 // model (pre-joining happens at inference time, not in the stored tables),
-// every strategy is warmed up once, the timed inferences alternate between
-// strategies on the same inputs, the heap is collected before each and not
-// during it (otherwise the collection owed by one strategy's untimed input
-// encoding lands in its SQL steps), and every pipeline step reports its
-// median run, which a stall in any one run does not move.
+// and every strategy of a round infers the same input.
 func (s *Suite) Fig11PreJoin() (*Table, error) {
 	t := &Table{
 		ID:      "Fig. 11",
@@ -228,55 +222,78 @@ func (s *Suite) Fig11PreJoin() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, strat := range strats {
-		tr.PreJoin = strat
-		if _, _, err := tr.Infer(sm, randomInput(model.InputShape, s.Cfg.Seed)); err != nil {
-			return nil, err
-		}
-	}
-	// Collections run between inferences, never inside one.
+	// Collections run between inferences, never inside one. Rounds is
+	// called here rather than from a shared helper: with the timed loop
+	// one call deeper, TestFig11Shape's failures rose from about one in ten
+	// isolated runs to one in four, a code-shape effect the size of the
+	// pre-joins' margin.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const runs = 15
-	// steps[i] is strategy i's step sequence, the same in every run, and
-	// secs[i][j] its step j's time over the runs.
-	steps := make([][]dl2sql.StepCost, len(strats))
-	secs := make([][][]float64, len(strats))
-	for r := 0; r < runs; r++ {
-		in := randomInput(model.InputShape, s.Cfg.Seed+int64(r))
-		for k := range strats {
-			i := (r + k) % len(strats) // each strategy leads a third of the rounds
-			strat := strats[i]
+	arms := make([]func(int) ([]dl2sql.StepCost, error), len(strats))
+	for i, strat := range strats {
+		arms[i] = func(round int) ([]dl2sql.StepCost, error) {
 			tr.PreJoin = strat
-			runtime.GC()
-			if _, _, err := tr.Infer(sm, in); err != nil {
-				return nil, err
-			}
-			if r == 0 {
-				steps[i] = slices.Clone(tr.Steps)
-				secs[i] = make([][]float64, len(tr.Steps))
-			} else if len(tr.Steps) != len(steps[i]) {
-				return nil, fmt.Errorf("bench: fig11 %s ran %d steps, first run %d", strat, len(tr.Steps), len(steps[i]))
-			}
-			for j, step := range tr.Steps {
-				secs[i][j] = append(secs[i][j], step.Time.Seconds())
-			}
+			_, _, err := tr.Infer(sm, randomInput(model.InputShape, s.Cfg.Seed+int64(round)))
+			return slices.Clone(tr.Steps), err
 		}
 	}
-	runtime.GC()
+	runs, err := measure.Rounds(stepRounds, arms...)
+	if err != nil {
+		return nil, err
+	}
+	steps, err := stepMedians(runs)
+	if err != nil {
+		return nil, err
+	}
 	for i, strat := range strats {
 		var convSecs, otherSecs float64
-		for j, step := range steps[i] {
-			v := secs[i][j]
-			sort.Float64s(v)
-			if strings.HasPrefix(step.Label, "Conv") || strings.HasPrefix(step.Label, "Reshape") {
-				convSecs += v[len(v)/2]
+		for _, step := range steps[i] {
+			if strings.HasPrefix(step.label, "Conv") || strings.HasPrefix(step.label, "Reshape") {
+				convSecs += step.secs
 			} else {
-				otherSecs += v[len(v)/2]
+				otherSecs += step.secs
 			}
 		}
 		t.AddRow(strat.String(), f6(convSecs), f6(otherSecs), f6(convSecs+otherSecs))
 	}
 	return t, nil
+}
+
+// stepRounds is the number of measure.Rounds rounds behind every per-step
+// figure (Fig. 9, 11 and 13). Round r infers randomInput(shape, seed+r), and
+// the collector is off during the rounds, so the collection owed by one
+// run's untimed input encoding cannot land in another's steps.
+const stepRounds = 15
+
+// stepTime is one SQL pipeline step's time.
+type stepTime struct {
+	label string
+	secs  float64
+}
+
+// stepMedians reduces the statement costs measure.Rounds returned,
+// runs[arm][round], to each arm's steps in pipeline order. A statement's
+// time is its median over the rounds, which a stall in any one round does
+// not move, and a step's time is the sum over its statements (consecutive,
+// sharing the step's label).
+func stepMedians(runs [][][]dl2sql.StepCost) ([][]stepTime, error) {
+	out := make([][]stepTime, len(runs))
+	for i, arm := range runs {
+		secs := make([]float64, len(arm))
+		for j, stmt := range arm[0] {
+			for r, run := range arm {
+				if len(run) != len(arm[0]) || run[j].Label != stmt.Label {
+					return nil, fmt.Errorf("bench: arm %d round %d ran other statements than round 0", i, r)
+				}
+				secs[r] = run[j].Time.Seconds()
+			}
+			if n := len(out[i]); n > 0 && out[i][n-1].label == stmt.Label {
+				out[i][n-1].secs += measure.Median(secs)
+			} else {
+				out[i] = append(out[i], stepTime{stmt.Label, measure.Median(secs)})
+			}
+		}
+	}
+	return out, nil
 }
 
 // randomInput builds a deterministic input tensor for a model.

@@ -2,11 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"time"
 
 	"repro/internal/colquery"
 	"repro/internal/costmodel"
 	"repro/internal/dl2sql"
+	"repro/internal/measure"
 	"repro/internal/modelrepo"
 	"repro/internal/nn"
 	"repro/internal/sqldb"
@@ -200,8 +203,8 @@ func (s *Suite) Fig12CostModel() (*Table, error) {
 }
 
 // Fig13PerOp reproduces Fig. 13: per-neural-operator estimation accuracy —
-// customized estimate vs. actual SQL execution time for conv, BN, ReLU,
-// pooling, and FC.
+// customized estimate vs. actual SQL execution time (stepMedians) for conv,
+// BN, ReLU, pooling, and FC.
 func (s *Suite) Fig13PerOp() (*Table, error) {
 	db := sqldb.New()
 	u, err := costmodel.Calibrate(db)
@@ -228,15 +231,22 @@ func (s *Suite) Fig13PerOp() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	const runs = 3
+	// Collections run between inferences, never inside one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runs, err := measure.Rounds(stepRounds, func(round int) ([]dl2sql.StepCost, error) {
+		_, _, err := tr.Infer(sm, randomInput(model.InputShape, s.Cfg.Seed+int64(round)))
+		return slices.Clone(tr.Steps), err
+	})
+	if err != nil {
+		return nil, err
+	}
+	steps, err := stepMedians(runs)
+	if err != nil {
+		return nil, err
+	}
 	actualByLabel := map[string]float64{}
-	for i := 0; i < runs; i++ {
-		if _, _, err := tr.Infer(sm, randomInput(model.InputShape, s.Cfg.Seed+int64(i))); err != nil {
-			return nil, err
-		}
-		for _, step := range tr.Steps {
-			actualByLabel[step.Label] += step.Time.Seconds() / runs
-		}
+	for _, step := range steps[0] {
+		actualByLabel[step.label] = step.secs
 	}
 	t := &Table{
 		ID:      "Fig. 13",

@@ -19,10 +19,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
@@ -30,6 +28,7 @@ import (
 	"repro/internal/colquery"
 	"repro/internal/dl2sql"
 	"repro/internal/iotdata"
+	"repro/internal/measure"
 	"repro/internal/modelrepo"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -49,58 +48,22 @@ func needCores(b *testing.B) {
 	}
 }
 
-// samples holds a gate's measurements: base[i] and cand[i] ran back to
-// back in round i. Each value is a cost, so lower is better.
-type samples struct{ base, cand []float64 }
-
-// alternate runs one discarded warm-up of each side, then `rounds` rounds
-// of base and cand back to back. Which side runs first swaps every round,
-// so drift and order effects land on both, and a collection precedes every
-// run, so neither side is billed for the other's garbage.
-func alternate(rounds int, base, cand func() float64) samples {
-	runtime.GC()
-	base()
-	runtime.GC()
-	cand()
-	var s samples
-	for i := 0; i < rounds; i++ {
-		first, second := &s.base, &s.cand
-		runFirst, runSecond := base, cand
-		if i%2 == 1 {
-			first, second = second, first
-			runFirst, runSecond = runSecond, runFirst
-		}
-		runtime.GC()
-		*first = append(*first, runFirst())
-		runtime.GC()
-		*second = append(*second, runSecond())
-	}
-	return s
-}
-
-// ratio is the median over rounds of cand/base: the two runs of a round
-// are close in time, so each ratio cancels the machine's drift.
-func (s samples) ratio() float64 {
-	ratios := make([]float64, len(s.base))
-	for i := range ratios {
-		ratios[i] = s.cand[i] / s.base[i]
-	}
-	return median(ratios)
-}
-
-func median(xs []float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
-}
-
-func gateSpeedup(b *testing.B, s samples, target float64) {
+// rounds runs measure.Rounds over a gate's two arms, each run returning a
+// cost (lower is better), and fails the gate on an arm's error.
+func rounds(b *testing.B, n int, base, cand func(round int) (float64, error)) (baseRuns, candRuns []float64) {
 	b.Helper()
-	got := 1 / s.ratio()
+	runs, err := measure.Rounds(n, base, cand)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return runs[0], runs[1]
+}
+
+// gateSpeedup fails the gate when the speed-up, the inverse of the median
+// per-round cost ratio, is below target.
+func gateSpeedup(b *testing.B, ratio, target float64) {
+	b.Helper()
+	got := 1 / ratio
 	b.ReportMetric(got, "speedup")
 	if got < target {
 		b.Fatalf("speed-up %.2fx is below the %.0fx target on %d CPUs", got, target, runtime.NumCPU())
@@ -191,17 +154,15 @@ func BenchmarkGateMorselSpeedup(b *testing.B) {
 	           FROM big b INNER JOIN dim d ON b.g = d.g
 	           WHERE b.a > 250 AND b.b < 75.0
 	           GROUP BY d.name ORDER BY name`
-	at := func(parallelism int) func() float64 {
-		return func() float64 {
+	at := func(parallelism int) func(int) (float64, error) {
+		return func(int) (float64, error) {
 			db.Parallelism = parallelism
 			start := time.Now()
-			if _, err := db.Query(q); err != nil {
-				b.Fatal(err)
-			}
-			return time.Since(start).Seconds()
+			_, err := db.Query(q)
+			return time.Since(start).Seconds(), err
 		}
 	}
-	gateSpeedup(b, alternate(5, at(1), at(4)), 2)
+	gateSpeedup(b, measure.Ratio(rounds(b, 5, at(1), at(4))), 2)
 }
 
 // BenchmarkGateServeSpeedup: an in-process server over a 50k-row table
@@ -240,8 +201,8 @@ func BenchmarkGateServeSpeedup(b *testing.B) {
 	defer srv.Drain()
 
 	const q = `SELECT grp, count(*) AS c, avg(v) AS m FROM pt WHERE v > 10 GROUP BY grp ORDER BY grp`
-	sessions := func(n int) func() float64 {
-		return func() float64 {
+	sessions := func(n int) func(int) (float64, error) {
+		return func(int) (float64, error) {
 			ctx := context.Background()
 			clients := make([]*server.Client, n)
 			for i := range clients {
@@ -258,10 +219,10 @@ func BenchmarkGateServeSpeedup(b *testing.B) {
 			return closedLoop(b, n, 2*time.Second, func(c int) error {
 				_, err := clients[c].Query(ctx, q)
 				return err
-			})
+			}), nil
 		}
 	}
-	gateSpeedup(b, alternate(3, sessions(1), sessions(8)), 3)
+	gateSpeedup(b, measure.Ratio(rounds(b, 3, sessions(1), sessions(8))), 3)
 }
 
 // BenchmarkGateSchedulerSpeedup: 8 closed-loop workers drawing keyframes
@@ -294,7 +255,7 @@ func BenchmarkGateSchedulerSpeedup(b *testing.B) {
 			states[w] = uint64(w)*2654435761 + 1
 		}
 	}
-	direct := func() float64 {
+	direct := func(int) (float64, error) {
 		reset()
 		return closedLoop(b, workers, time.Second, func(w int) error {
 			in, err := iotdata.KeyframeTensor(pick(w))
@@ -304,9 +265,9 @@ func BenchmarkGateSchedulerSpeedup(b *testing.B) {
 			mc := *model // shallow per-call copy, as the UDF path makes
 			_, _, err = mc.Predict(in)
 			return err
-		})
+		}), nil
 	}
-	scheduled := func() float64 {
+	scheduled := func(int) (float64, error) {
 		reset()
 		sched := schedule.New(schedule.Config{Cache: cache.New[schedule.Key, int](4096), Metrics: obs.NewRegistry()})
 		defer sched.Drain()
@@ -315,9 +276,9 @@ func BenchmarkGateSchedulerSpeedup(b *testing.B) {
 			blob := pick(w)
 			_, err := sched.Infer(context.Background(), be, schedule.Key{Model: artHash, Input: tensor.HashBytes(blob)}, art, blob)
 			return err
-		})
+		}), nil
 	}
-	gateSpeedup(b, alternate(3, direct, scheduled), 2)
+	gateSpeedup(b, measure.Ratio(rounds(b, 3, direct, scheduled)), 2)
 }
 
 // collabEnv binds the default models over an IoT dataset of the given
@@ -337,16 +298,15 @@ func collabEnv(b *testing.B, scale int) (*strategies.Context, *sqldb.DB) {
 
 // collabQuery returns a run of one query of the given template type
 // through DB-UDF with the fallback ladder.
-func collabQuery(b *testing.B, env *strategies.Context, ty colquery.QueryType) func() {
+func collabQuery(b *testing.B, env *strategies.Context, ty colquery.QueryType) func() error {
 	b.Helper()
 	q, err := colquery.GenerateAnalyzed(ty, colquery.TemplateParams{Selectivity: 0.05})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return func() {
-		if _, _, err := strategies.ExecuteWithFallback(context.Background(), env, &strategies.DBUDF{}, q); err != nil {
-			b.Fatal(err)
-		}
+	return func() error {
+		_, _, err := strategies.ExecuteWithFallback(context.Background(), env, &strategies.DBUDF{}, q)
+		return err
 	}
 }
 
@@ -377,16 +337,16 @@ func BenchmarkGateAccountingOverhead(b *testing.B) {
 	var over []string
 	for _, ty := range []colquery.QueryType{colquery.Type1, colquery.Type2, colquery.Type3, colquery.Type4} {
 		run := collabQuery(b, env, ty)
-		timed := func(observed bool) func() float64 {
-			return func() float64 {
+		timed := func(observed bool) func(int) (float64, error) {
+			return func(int) (float64, error) {
 				arm(observed)
 				defer arm(false)
 				start := time.Now()
-				run()
-				return time.Since(start).Seconds()
+				err := run()
+				return time.Since(start).Seconds(), err
 			}
 		}
-		pct := 100 * (alternate(401, timed(false), timed(true)).ratio() - 1)
+		pct := 100 * (measure.Ratio(rounds(b, 401, timed(false), timed(true))) - 1)
 		b.ReportMetric(pct, fmt.Sprintf("type%d_overhead_%%", ty))
 		b.Logf("Type %d accounting overhead %+.2f%%", ty, pct) // every type, also when the gate fails
 		if pct > 2 {
@@ -417,24 +377,24 @@ func BenchmarkGateTracingOverhead(b *testing.B) {
 	env.AttachObservability(db)
 	traces := obs.NewTraceStore(obs.TraceStoreConfig{Seed: 1, Metrics: db.Metrics})
 
-	cpuNsPerQuery := func(run func(), queries int) func(traced bool) func() float64 {
-		return func(traced bool) func() float64 {
-			return func() float64 {
+	cpuNsPerQuery := func(run func() error, queries int) func(traced bool) func(int) (float64, error) {
+		return func(traced bool) func(int) (float64, error) {
+			return func(int) (float64, error) {
 				if traced {
 					db.Traces, env.Traces = traces, traces
 					defer func() { db.Traces, env.Traces = nil, nil }()
 				}
 				defer debug.SetGCPercent(debug.SetGCPercent(-1))
-				start := cpuTime(b)
-				run()
-				return float64(cpuTime(b)-start) / float64(queries)
+				start := measure.CPUTime()
+				err := run()
+				return float64(measure.CPUTime()-start) / float64(queries), err
 			}
 		}
 	}
 	var over []string
 	for _, ty := range []colquery.QueryType{colquery.Type1, colquery.Type3} {
 		cell := cpuNsPerQuery(collabQuery(b, env, ty), 1)
-		pct := 100 * (alternate(151, cell(false), cell(true)).ratio() - 1)
+		pct := 100 * (measure.Ratio(rounds(b, 151, cell(false), cell(true))) - 1)
 		b.ReportMetric(pct, fmt.Sprintf("type%d_overhead_%%", ty))
 		if pct > 2 {
 			over = append(over, fmt.Sprintf("Type %d %+.2f%% > 2%%", ty, pct))
@@ -446,15 +406,16 @@ FROM fabric F, device D
 WHERE F.transID = D.transID AND F.temperature > 20.0
 GROUP BY F.patternID`
 	const sqlBatch = 64 // a few milliseconds per sample
-	cell := cpuNsPerQuery(func() {
+	cell := cpuNsPerQuery(func() error {
 		for i := 0; i < sqlBatch; i++ {
 			if _, err := db.ExecContext(context.Background(), sqlQuery); err != nil {
-				b.Fatal(err)
+				return err
 			}
 		}
+		return nil
 	}, sqlBatch)
-	s := alternate(151, cell(false), cell(true))
-	delta := median(s.cand) - median(s.base)
+	base, cand := rounds(b, 151, cell(false), cell(true))
+	delta := measure.Median(cand) - measure.Median(base)
 	b.ReportMetric(delta, "sql_delta_ns/query")
 	if delta > 5000 {
 		over = append(over, fmt.Sprintf("SQL microquery %+.0f ns > 5000 ns", delta))
@@ -462,15 +423,6 @@ GROUP BY F.patternID`
 	if len(over) > 0 {
 		b.Fatalf("tracing overhead over budget: %v", over)
 	}
-}
-
-// cpuTime reads the process's consumed CPU time, user plus system.
-func cpuTime(b *testing.B) time.Duration {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		b.Fatal(err)
-	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // joinAggregateAllocCeiling is BenchmarkGateJoinAggregateAllocs' bound:

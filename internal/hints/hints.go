@@ -6,7 +6,9 @@
 //  1. An nUDF predicate is either evaluated during the table scan or delayed
 //     until after the cheap relational predicates, whichever the cost
 //     comparison favours.
-//  2. An nUDF in the SELECT clause is evaluated as the last operator.
+//  2. An nUDF in the SELECT clause is evaluated as the last operator. The
+//     engine evaluates the SELECT list above every filter and join, so this
+//     rule holds without a hint.
 //  3. An nUDF in a join condition switches the join to the symmetric hash
 //     join algorithm.
 package hints
@@ -106,10 +108,6 @@ func (p *Provider) BuildHints(q *colquery.Query, relRows float64, relSel float64
 		if u.InJoin {
 			// Rule 3.
 			h.SymmetricJoin = true
-		}
-		if u.InSelect {
-			// Rule 2.
-			h.SelectUDFLast = true
 		}
 	}
 	// Rule 1: compare scan-time evaluation (full UDF cost on every input

@@ -1,9 +1,12 @@
 package hints
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/colquery"
+	"repro/internal/iotdata"
 	"repro/internal/modelrepo"
 	"repro/internal/sqldb"
 )
@@ -123,9 +126,45 @@ func TestBuildHintsType2SelectLast(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := p.BuildHints(q, 1000, 0.1)
-	if !h.SelectUDFLast {
-		t.Fatal("rule 2: Type 2 must mark select-clause UDFs last")
+	// Rule 2 holds by construction: under the built hints the SELECT-clause
+	// nUDF is evaluated above every filter and join, never inside one.
+	ds, err := iotdata.Generate(iotdata.Config{Scale: 1, KeyframeSide: 8, Seed: 7, PatternCount: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
+	ds.DB.RegisterUDF(&sqldb.ScalarUDF{Name: "nUDF_detect", Arity: 1,
+		Fn: func(_ context.Context, calls [][]sqldb.Datum) ([]sqldb.Datum, error) {
+			return make([]sqldb.Datum, len(calls)), nil
+		}})
+	plan, err := ds.DB.PlanSelect(q.SQL, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(sqldb.Plan)
+	walk = func(p sqldb.Plan) {
+		var exprs []sqldb.Expr
+		switch n := p.(type) {
+		case *sqldb.LScan:
+			exprs = n.Filters
+		case *sqldb.LFilter:
+			exprs = n.Conds
+			walk(n.Child)
+		case *sqldb.LJoin:
+			exprs = append(append(exprs, n.EquiL...), n.EquiR...)
+			walk(n.L)
+			walk(n.R)
+		case *sqldb.LAgg:
+			walk(n.Child)
+		default:
+			t.Fatalf("unexpected plan node %T:\n%s", p, sqldb.Explain(plan))
+		}
+		for _, e := range exprs {
+			if strings.Contains(strings.ToLower(e.String()), "nudf_detect") {
+				t.Fatalf("rule 2: Type 2's nUDF is evaluated below the SELECT list, in %s:\n%s", e, sqldb.Explain(plan))
+			}
+		}
+	}
+	walk(plan)
 }
 
 func TestShouldDelay(t *testing.T) {

@@ -141,6 +141,13 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.mu.Lock()
+	h.addLocked(v)
+	h.mu.Unlock()
+}
+
+// addLocked folds one sample into the count, sum, extremes and buckets.
+// The caller holds h.mu.
+func (h *Histogram) addLocked(v float64) {
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -153,7 +160,6 @@ func (h *Histogram) Observe(v float64) {
 		h.buckets = make([]int64, histBuckets+2)
 	}
 	h.buckets[histBucketIndex(v)]++
-	h.mu.Unlock()
 }
 
 // ObserveDuration records a duration in seconds. Safe on a nil receiver.
@@ -167,24 +173,9 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	if h == nil {
 		return
 	}
-	if traceID == "" {
-		h.Observe(v)
-		return
-	}
 	h.mu.Lock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	if h.buckets == nil {
-		h.buckets = make([]int64, histBuckets+2)
-	}
-	h.buckets[histBucketIndex(v)]++
-	if h.exID == "" || v >= h.exVal {
+	h.addLocked(v)
+	if traceID != "" && (h.exID == "" || v >= h.exVal) {
 		h.exVal = v
 		h.exID = traceID
 		h.exTime = time.Now()

@@ -33,10 +33,10 @@ package sqldb
 //     does not re-plan. The estimates are read again under each
 //     execution's own hints, so one text may run hinted and unhinted.
 //   - UDFs. Registering or removing one re-plans every entry, as either
-//     can change what a call names. UDF selectivity and cost, DelayUDFs,
-//     SymmetricJoin and SelectUDFLast only matter to a statement that
-//     calls a registered UDF; such a statement's plan is stored only when
-//     made without them, and served only to executions without them.
+//     can change what a call names. UDF selectivity and cost, DelayUDFs
+//     and SymmetricJoin only matter to a statement that calls a registered
+//     UDF; such a statement's plan is stored only when made without them,
+//     and served only to executions without them.
 //   - Folded scalar and IN subqueries. foldSubquery turns their values
 //     into literals, so a plan that folded one is data and is never
 //     stored. Nor is a plan over a sys.* table, whose rows change under
@@ -316,7 +316,7 @@ func (k *keptPlan) holds(ctx context.Context, db *DB, hints *QueryHints) bool {
 // calling a UDF reads.
 func udfHinted(h *QueryHints) bool {
 	return h != nil && (len(h.UDFSelectivity) > 0 || len(h.UDFCost) > 0 ||
-		h.DelayUDFs != nil || h.SymmetricJoin || h.SelectUDFLast)
+		h.DelayUDFs != nil || h.SymmetricJoin)
 }
 
 // callsUDF reports whether sels or a view among rels calls a registered

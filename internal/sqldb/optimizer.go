@@ -36,10 +36,6 @@ type QueryHints struct {
 	// JoinOrder, when non-empty, pins the join order to the given relation
 	// aliases (left-deep, in order).
 	JoinOrder []string
-	// SelectUDFLast applies hint rule 2: nUDFs in the SELECT clause are
-	// evaluated as the final operator. (Projection already runs last in
-	// this engine; the flag is tracked for plan introspection.)
-	SelectUDFLast bool
 }
 
 // defaultUDFSelectivity is what the stock optimizer assumes for a black-box

@@ -121,7 +121,7 @@ func TestOptimizerHintsPreserveResults(t *testing.T) {
 			{SymmetricJoin: true},
 			{CardOverrides: map[string]float64{"t1": float64(1 + rng.Intn(100000)), "t2": float64(1 + rng.Intn(100000)), "t3": 2}},
 			{JoinOrder: reversed},
-			{SelectUDFLast: true, SymmetricJoin: true, CardOverrides: map[string]float64{"t2": 5}},
+			{SymmetricJoin: true, CardOverrides: map[string]float64{"t2": 5}},
 		}
 		want := sortedRows(q.sql, nil)
 		for hi, h := range hintSets {

@@ -45,8 +45,6 @@ func (s *DL2SQL) Name() string {
 // Execute implements Strategy.
 func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (*sqldb.Result, CostBreakdown, error) {
 	var bd CostBreakdown
-	ctx, cancel := env.queryCtx(ctx)
-	defer cancel()
 	db := env.Dataset.DB
 	ctx, root := obs.StartSpan(ctx, "strategy:"+s.Name())
 	defer root.Finish()

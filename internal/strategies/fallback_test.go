@@ -100,15 +100,16 @@ func TestFallbackDoesNotEngageOnCancellation(t *testing.T) {
 
 func TestPerQueryTimeoutKnob(t *testing.T) {
 	env := testContext(t)
-	env.Timeout = 5 * time.Millisecond
 	// Every strategy opens with at least one filtered SQL scan, so a 50ms
-	// stall per morsel guarantees the 5ms budget expires mid-query on all
+	// stall per morsel guarantees a 5ms deadline expires mid-query on all
 	// of them (the stall itself is context-interruptible).
 	env.Dataset.DB.Faults = faults.New(1,
 		faults.Rule{Point: faults.PointMorselDelay, Delay: 50 * time.Millisecond})
 	defer func() { env.Dataset.DB.Faults = nil }()
 	for _, s := range All() {
-		_, _, err := s.Execute(context.Background(), env, fallbackQuery(t))
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		_, _, err := s.Execute(ctx, env, fallbackQuery(t))
+		cancel()
 		if !errors.Is(err, qerr.ErrTimeout) {
 			t.Fatalf("%s with 5ms budget: err = %v, want ErrTimeout", s.Name(), err)
 		}

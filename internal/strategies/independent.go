@@ -33,8 +33,6 @@ func (s *DBPyTorch) Name() string { return "DB-PyTorch" }
 // Execute implements Strategy.
 func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query) (*sqldb.Result, CostBreakdown, error) {
 	var bd CostBreakdown
-	ctx, cancel := env.queryCtx(ctx)
-	defer cancel()
 	ctx, root := obs.StartSpan(ctx, "strategy:"+s.Name())
 	defer root.Finish()
 

@@ -131,10 +131,6 @@ type Context struct {
 	// for all four strategies. Enable with EnableInferCache; nil disables
 	// memoization at zero cost.
 	InferCache *cache.LRU[InferKey, int]
-	// Timeout, when positive, bounds every Execute call: the strategy runs
-	// under a context.WithTimeout derived from the caller's context, and
-	// expiry surfaces as an error matching qerr.ErrTimeout.
-	Timeout time.Duration
 	// Faults, when non-nil, injects failures at the serving, UDF-decode,
 	// and DL2SQL-translate points (chaos testing). Nil in production.
 	Faults *faults.Injector
@@ -159,18 +155,6 @@ type Context struct {
 	// models holds each bound artifact's decoded model and DL2SQL stored
 	// tables, each loaded on its first use.
 	models modelStore
-}
-
-// queryCtx derives the per-query context: the caller's ctx bounded by the
-// Context's Timeout knob.
-func (env *Context) queryCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if env.Timeout > 0 {
-		return context.WithTimeout(ctx, env.Timeout)
-	}
-	return ctx, func() {}
 }
 
 // recordBreakdown folds one Execute's cost breakdown into the metrics
@@ -380,8 +364,8 @@ type Strategy interface {
 	// Name is the Fig. 8 configuration label.
 	Name() string
 	// Execute runs the query under ctx (cancellation and deadlines are
-	// observed down to SQL morsel boundaries; env.Timeout adds a per-query
-	// deadline), returning its result and cost breakdown. Lifecycle
+	// observed down to SQL morsel boundaries; a caller bounds a query with
+	// context.WithTimeout), returning its result and cost breakdown. Lifecycle
 	// failures carry the qerr sentinels: ErrCancelled, ErrTimeout,
 	// ErrServingUnavailable, ErrMemoryBudget.
 	Execute(ctx context.Context, env *Context, q *colquery.Query) (*sqldb.Result, CostBreakdown, error)

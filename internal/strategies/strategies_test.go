@@ -2,7 +2,6 @@ package strategies
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/colquery"
 	"repro/internal/hwprofile"
 	"repro/internal/iotdata"
+	"repro/internal/measure"
 	"repro/internal/modelrepo"
 	"repro/internal/obs"
 	"repro/internal/sqldb"
@@ -164,40 +164,36 @@ func TestGPUProfileShiftsCosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &DBPyTorch{}
-	// Warm up once before measuring: Loading includes real wall time of the
-	// serving pipe, and the first execution pays one-off costs (allocator
-	// growth, goroutine start) that otherwise inflate whichever profile runs
-	// first — flaky under -race on small machines.
-	if _, _, err := s.Execute(context.Background(), ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	// Each measured run starts from a collected heap: a GC cycle owed by the
+	// Loading includes real wall time of the serving pipe, so the profiles
+	// run in measure.Rounds: each warmed up once (the first execution pays
+	// one-off costs, allocator growth and goroutine start, that would
+	// inflate whichever profile ran first), then alternating which runs
+	// first. Each run starts from a collected heap: a GC cycle owed by the
 	// set-up would otherwise land in whichever run comes first, and a GC
 	// assist inside the model decode is multiplied by the profile's
 	// DLModelLoadFactor — tens of milliseconds of "loading" that swamp the
-	// few-millisecond device transfer this test is about. The profiles
-	// alternate over several rounds and each is judged by its median run, so
-	// one scheduler stall on a loaded machine cannot decide the comparison.
-	const rounds = 5
-	var inference, loading [2][]float64 // [0] edge CPU, [1] server GPU
-	for i := 0; i < rounds; i++ {
-		for p, prof := range []hwprofile.Profile{hwprofile.EdgeCPU, hwprofile.ServerGPU} {
+	// few-millisecond device transfer this test is about. Each profile is
+	// judged by its median run, so one scheduler stall on a loaded machine
+	// cannot decide the comparison.
+	profile := func(prof hwprofile.Profile) func(int) (CostBreakdown, error) {
+		return func(int) (CostBreakdown, error) {
 			ctx.Profile = prof
-			runtime.GC()
 			_, bd, err := s.Execute(context.Background(), ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inference[p] = append(inference[p], bd.Inference)
-			loading[p] = append(loading[p], bd.Loading)
+			return bd, err
 		}
 	}
-	median := func(v []float64) float64 {
-		sort.Float64s(v)
-		return v[len(v)/2]
+	runs, err := measure.Rounds(5, profile(hwprofile.EdgeCPU), profile(hwprofile.ServerGPU))
+	if err != nil {
+		t.Fatal(err)
 	}
-	cpu := CostBreakdown{Inference: median(inference[0]), Loading: median(loading[0])}
-	gpu := CostBreakdown{Inference: median(inference[1]), Loading: median(loading[1])}
+	median := func(runs []CostBreakdown) CostBreakdown {
+		var inference, loading []float64
+		for _, bd := range runs {
+			inference, loading = append(inference, bd.Inference), append(loading, bd.Loading)
+		}
+		return CostBreakdown{Inference: measure.Median(inference), Loading: measure.Median(loading)}
+	}
+	cpu, gpu := median(runs[0]), median(runs[1])
 	if gpu.Inference >= cpu.Inference {
 		t.Fatalf("GPU inference %v should beat CPU %v", gpu.Inference, cpu.Inference)
 	}

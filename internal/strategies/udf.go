@@ -156,8 +156,6 @@ func nudfFn(name string) sqldb.UDFFunc {
 // Execute implements Strategy.
 func (s *DBUDF) Execute(ctx context.Context, env *Context, q *colquery.Query) (*sqldb.Result, CostBreakdown, error) {
 	var bd CostBreakdown
-	ctx, cancel := env.queryCtx(ctx)
-	defer cancel()
 	ctx, root := obs.StartSpan(ctx, "strategy:"+s.Name())
 	defer root.Finish()
 
