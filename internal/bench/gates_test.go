@@ -274,7 +274,7 @@ func BenchmarkGateSchedulerSpeedup(b *testing.B) {
 		be := schedule.NewNativeBackend(func(uint64, []byte) (*nn.Model, float64, error) { return model, 0, nil })
 		return closedLoop(b, workers, time.Second, func(w int) error {
 			blob := pick(w)
-			_, err := sched.Infer(context.Background(), be, schedule.Key{Model: artHash, Input: tensor.HashBytes(blob)}, art, blob)
+			_, _, err := sched.Infer(context.Background(), be, art, []schedule.Key{{Model: artHash, Input: tensor.HashBytes(blob)}}, [][]byte{blob})
 			return err
 		}), nil
 	}

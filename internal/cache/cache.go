@@ -125,13 +125,6 @@ func (c *LRU[K, V]) Peek(key K) (V, bool) {
 	return zero, false
 }
 
-// Contains reports whether the key is cached without touching recency or
-// the hit/miss counters.
-func (c *LRU[K, V]) Contains(key K) bool {
-	_, ok := c.Peek(key)
-	return ok
-}
-
 // Put inserts or updates a value, evicting the least recently used entry
 // when the cache is full.
 func (c *LRU[K, V]) Put(key K, val V) {

@@ -84,7 +84,7 @@ func TestEvictionBound(t *testing.T) {
 	}
 	// The survivors must be the most recently inserted keys.
 	for i := 9 * capacity; i < 10*capacity; i++ {
-		if !c.Contains(i) {
+		if _, ok := c.Peek(i); !ok {
 			t.Fatalf("recent key %d missing", i)
 		}
 	}
@@ -95,7 +95,9 @@ func TestDeleteAndPurge(t *testing.T) {
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Delete("a")
-	if c.Contains("a") || !c.Contains("b") {
+	_, hasA := c.Peek("a")
+	_, hasB := c.Peek("b")
+	if hasA || !hasB {
 		t.Fatal("delete removed the wrong entry")
 	}
 	c.Purge()

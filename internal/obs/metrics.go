@@ -20,10 +20,14 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
-	// query and strategies hold handles resolved once per registry (see
-	// QueryMetrics and Strategy).
+	// query, sched, server and strategies hold handles resolved once per
+	// registry (see QueryMetrics, SchedMetrics, ServerMetrics and Strategy).
 	queryOnce  sync.Once
 	query      *QueryMetrics
+	schedOnce  sync.Once
+	sched      *SchedMetrics
+	serverOnce sync.Once
+	server     *ServerMetrics
 	strategies sync.Map // strategy name → *StrategyMetrics
 }
 
@@ -368,6 +372,64 @@ func (m *QueryMetrics) Observe(rec *QueryRecord, slowThr time.Duration) {
 	if rec.TraceID != "" {
 		m.exemplars.Add(1)
 	}
+}
+
+// SchedMetrics are the inference scheduler's handles (the sched.* series).
+type SchedMetrics struct {
+	Submitted, CacheHits, DedupHits, Batches, Rejected *Counter
+	BatchSize, BatchSeconds                            *Histogram
+	QueueDepth                                         *Gauge
+}
+
+// SchedMetrics returns the registry's scheduler handles, resolving them on
+// first use; nil on a nil registry.
+func (r *Registry) SchedMetrics() *SchedMetrics {
+	if r == nil {
+		return nil
+	}
+	r.schedOnce.Do(func() {
+		r.sched = &SchedMetrics{
+			Submitted:    r.Counter(MetricSchedSubmitted),
+			CacheHits:    r.Counter(MetricSchedCacheHits),
+			DedupHits:    r.Counter(MetricSchedDedupHits),
+			Batches:      r.Counter(MetricSchedBatches),
+			Rejected:     r.Counter(MetricSchedRejected),
+			BatchSize:    r.Histogram(MetricSchedBatchSize),
+			BatchSeconds: r.Histogram(MetricSchedBatchSeconds),
+			QueueDepth:   r.Gauge(MetricSchedQueueDepth),
+		}
+	})
+	return r.sched
+}
+
+// ServerMetrics are the HTTP front end's per-request handles (the server.*
+// request and admission series, and the trace exemplar counter).
+type ServerMetrics struct {
+	Requests, Errors, Admitted, Queued, Rejected, Exemplars *Counter
+	RequestSeconds, QueueSeconds                            *Histogram
+	Inflight                                                *Gauge
+}
+
+// ServerMetrics returns the registry's server handles, resolving them on
+// first use; nil on a nil registry.
+func (r *Registry) ServerMetrics() *ServerMetrics {
+	if r == nil {
+		return nil
+	}
+	r.serverOnce.Do(func() {
+		r.server = &ServerMetrics{
+			Requests:       r.Counter(MetricServerRequests),
+			Errors:         r.Counter(MetricServerErrors),
+			Admitted:       r.Counter(MetricServerAdmitted),
+			Queued:         r.Counter(MetricServerQueued),
+			Rejected:       r.Counter(MetricServerRejected),
+			Exemplars:      r.Counter(MetricTraceExemplars),
+			RequestSeconds: r.Histogram(MetricServerRequestSeconds),
+			QueueSeconds:   r.Histogram(MetricServerQueueSeconds),
+			Inflight:       r.Gauge(MetricServerInflight),
+		}
+	})
+	return r.server
 }
 
 // StrategyMetrics are one strategy's per-query handles: its query counter

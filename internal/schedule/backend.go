@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/iotdata"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/tensor"
 )
@@ -38,7 +39,11 @@ type Backend struct {
 // load returns the batch's shared decoded model by hash, with its recorded
 // decode seconds, and the batch's blobs decode and run through
 // PredictKeyframes — one kernel call per batch-aware layer per
-// nn.MaxStack samples, bit-identical to per-sample forwards.
+// nn.MaxStack samples, bit-identical to per-sample forwards. When ctx
+// carries a span, the model's layers trace under it, through a shallow
+// copy of the shared model: layers and weights are read-only during a
+// forward pass; only the Trace attachment point is per-call state. The
+// scheduler runs its batches under its own, untraced context.
 func NewNativeBackend(load func(model uint64, artifact []byte) (*nn.Model, float64, error)) *Backend {
 	return &Backend{
 		ID: "native",
@@ -55,6 +60,11 @@ func NewNativeBackend(load func(model uint64, artifact []byte) (*nn.Model, float
 				// exactly as a per-query decode failure would.
 				return nil, stats, fmt.Errorf("%w: native backend: decode model: %v", qerr.ErrServingUnavailable, err)
 			}
+			if span := obs.SpanFromContext(ctx); span != nil {
+				mc := *m
+				mc.Trace = span
+				m = &mc
+			}
 			// A malformed input blob is a data error, not an availability
 			// one — it must not trip the breaker or the fallback ladder.
 			idxs, secs, err := PredictKeyframes(m, blobs)
@@ -70,8 +80,8 @@ func NewNativeBackend(load func(model uint64, artifact []byte) (*nn.Model, float
 // PredictKeyframes decodes keyframe blobs and predicts their classes with
 // m, one nn.MaxStack-sized chunk at a time: a chunk is decoded, then run as
 // one PredictBatch, so no more than one chunk of decoded inputs is alive.
-// It is the one decode-and-predict step of every native inference path:
-// the native backend here, DB-UDF's nUDFs and DB-PyTorch's serving loop.
+// It is the one decode-and-predict step of both backends: the native one
+// here and DB-PyTorch's serving loop.
 // It also returns the seconds spent in forward passes, decoding excluded.
 func PredictKeyframes(m *nn.Model, blobs [][]byte) ([]int, float64, error) {
 	idxs := make([]int, 0, len(blobs))

@@ -7,7 +7,8 @@
 // Placement (see ARCHITECTURE.md "Inference scheduling"):
 //
 //	server sessions ──▶ strategies (DB-UDF / DB-PyTorch)
-//	                         │ Infer(key, artifact, blob)
+//	                         │ Infer(backend, artifact, keys, blobs):
+//	                         │ one submission per batch of memo misses
 //	                         ▼
 //	                  schedule.Scheduler ── per-(backend, artifact) queues,
 //	                         │              batch window + max-batch flush,
@@ -16,28 +17,37 @@
 //	                  Backend.Run(model, artifact, blobs) — native nn.PredictBatch
 //	                  or the DB-PyTorch serving pipe, one call per batch
 //
+// With no scheduler armed, the strategies hand the same batch to
+// Backend.Run once themselves: the scheduler only decides which blobs, from
+// which queries, share a backend call.
+//
 // Contracts:
 //
-//   - Coalescing: a submission parks in the queue for its (backend,
+//   - Submission: one Infer call carries a whole batch of keys. Under one
+//     lock it answers the keys the shared cache holds, attaches the keys
+//     already in flight, and queues the rest; every queue it fills to
+//     MaxBatch flushes at once. The submitter opens one sched:infer span
+//     and stamps it itself after it wakes.
+//   - Coalescing: a queued key parks in the queue for its (backend,
 //     artifact) pair; the queue flushes as one batch when it reaches
-//     MaxBatch or when the oldest submission has waited Window. One
-//     backend call serves the whole batch.
-//   - Single-flight: submissions whose (artifact-hash, blob-hash) key
-//     matches a request already queued or executing do not re-enter the
-//     queue; they wait on the in-flight request's result. Predictions are
-//     deterministic functions of the pair, so sharing is exact.
-//   - Cancellation at batch boundaries: a waiter whose context dies
-//     returns its lifecycle error immediately, but the batch it joined
-//     still executes to completion under the scheduler's own context —
-//     a cancelled waiter never poisons its batchmates, and completed work
+//     MaxBatch or when its oldest key has waited Window. One backend call
+//     serves the whole batch, whichever submissions filled it.
+//   - Single-flight: a key that matches a request already queued or
+//     executing does not re-enter the queue; its submitter waits on the
+//     in-flight request's result. Predictions are deterministic functions
+//     of the (artifact-hash, blob-hash) pair, so sharing is exact.
+//   - Cancellation at batch boundaries: a submitter whose context dies
+//     returns its lifecycle error immediately, but the batches it joined
+//     still execute to completion under the scheduler's own context — a
+//     cancelled submitter never poisons its batchmates, and completed work
 //     still populates the shared cache.
 //   - Determinism: batching changes throughput, never results. The native
 //     backend's batched kernels are bit-identical to per-sample forwards
 //     (see nn.BatchLayer); the scheduler-on vs scheduler-off differential
 //     suite in internal/bench pins this across all four strategies.
 //   - Failure domains: a batch execution failure is delivered to every
-//     waiter of that batch as the same typed error; lifecycle errors pass
-//     through and backend availability failures keep their
+//     submitter waiting on that batch as the same typed error; lifecycle
+//     errors pass through and backend availability failures keep their
 //     qerr.ErrServingUnavailable class so the strategies' fallback ladder
 //     and circuit breaker behave exactly as they do without the scheduler.
 package schedule
@@ -46,6 +56,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,50 +78,16 @@ type Key struct {
 	Input uint64
 }
 
-// Source says how a submission was answered.
-type Source int
-
-const (
-	// SourceBatch: a forward pass physically ran for this blob inside a
-	// coalesced batch.
-	SourceBatch Source = iota
-	// SourceDedup: the submission single-flighted onto an identical
-	// in-flight request and shared its result.
-	SourceDedup
-	// SourceCache: the shared prediction cache answered without queueing.
-	SourceCache
-)
-
-// String renders the source for spans and sys.scheduler.
-func (s Source) String() string {
-	switch s {
-	case SourceDedup:
-		return "dedup"
-	case SourceCache:
-		return "cache"
-	}
-	return "batch"
-}
-
-// Result is one answered submission plus its cost attribution. Timing
-// shares are the batch totals divided by batch size; dedup followers and
-// cache hits paid no compute, so their shares are zero.
-type Result struct {
-	// Class is the predicted class index.
-	Class int
-	// Source says whether this answer came from a batch execution, an
-	// in-flight dedup, or the cache.
-	Source Source
-	// BatchSize is the size of the coalesced batch (0 for cache hits).
-	BatchSize int
-	// WallSeconds is this request's share of the batch's wall time.
+// Share is one submission's part of the batches that answered it: Ran
+// lists the positions whose forward pass ran for it, the ones it queued
+// itself, and the embedded stats and WallSeconds sum their shares of those
+// batches' backend-reported and wall seconds, each batch's totals divided
+// evenly over its keys. Cache hits and dedup followers paid no compute and
+// are not in it.
+type Share struct {
+	Ran []int
+	BackendStats
 	WallSeconds float64
-	// InferSeconds is this request's share of the backend-reported
-	// forward-pass time.
-	InferSeconds float64
-	// DecodeSeconds is this request's share of the backend-reported model
-	// decode/load time.
-	DecodeSeconds float64
 }
 
 // Config sizes a Scheduler. The zero value uses the defaults noted per
@@ -164,20 +141,22 @@ func (c Config) drainGrace() time.Duration {
 
 // Scheduler coalesces and deduplicates inference requests across
 // concurrent queries. All methods are safe for concurrent use; a nil
-// *Scheduler rejects submissions (callers gate on non-nil, the way the
-// strategies gate on Context.Scheduler).
+// *Scheduler rejects submissions.
 type Scheduler struct {
 	cfg Config
+	// m holds the sched.* handles, resolved once; nil instruments (no-ops)
+	// without a registry.
+	m obs.SchedMetrics
 
 	mu       sync.Mutex
-	queues   map[qkey]*queue
-	inflight map[Key]*flight
+	queues   map[qkey]*batch
+	inflight map[Key]slot
 	draining bool
 
 	// wg tracks batch-execution goroutines; Drain waits on it.
 	wg sync.WaitGroup
 	// baseCtx is the context batches execute under — detached from any
-	// single waiter, cancelled only when Drain gives up waiting.
+	// single submitter, cancelled only when Drain gives up waiting.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -198,62 +177,65 @@ type qkey struct {
 	model   uint64
 }
 
-// queue is the pending batch for one (backend, artifact) pair.
-type queue struct {
+// batch is one coalesced batch: pending in the queue of its (backend,
+// artifact) pair until it flushes, then run by one backend call. runBatch
+// fills the results before closing done.
+type batch struct {
 	be       *Backend
 	model    uint64
 	artifact []byte
-	items    []*item
+	keys     []Key
+	blobs    [][]byte
 	timer    *time.Timer
+	// waiters are the distinct trace IDs of the traced submissions that
+	// queued keys here. Every submitter stamps them and the batch's size on
+	// its own sched:infer span after it wakes — spans are owner-mutated
+	// only, and a submitter whose ctx died may have finished its trace long
+	// before the batch completes — so a retained trace names the queries
+	// that shared its forward pass.
+	waiters []string
+
+	done    chan struct{}
+	classes []int
+	stats   BackendStats
+	wall    float64
+	err     error
 }
 
-// item is one queued submission. traceID links the batch back to the
-// submitting query's trace (see flight.waiters).
-type item struct {
-	key     Key
-	blob    []byte
-	fl      *flight
-	traceID string
-}
-
-// flight is the single-flight rendezvous: followers with the same key and
-// the submitting waiter itself all park on done. runBatch fills the other
-// fields before closing done.
-type flight struct {
-	done chan struct{}
-	res  Result
-	err  error
-	// batch is the size of the batch the request rode in and waiters the
-	// distinct trace IDs of all its traced submitters, comma-joined.
-	// Every waiter stamps both on its own sched:infer span after it wakes —
-	// spans are owner-mutated only, and a waiter whose ctx died may have
-	// finished its trace long before the batch completes — so a retained
-	// trace names the queries that shared its forward pass.
-	batch   int
-	waiters string
+// slot is one key's place in a batch: the single-flight rendezvous that
+// the submitter queueing the key and every later submitter of the same
+// key wait on.
+type slot struct {
+	b *batch
+	i int
 }
 
 // New builds a scheduler from the config.
 func New(cfg Config) *Scheduler {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Scheduler{
+	s := &Scheduler{
 		cfg:        cfg,
-		queues:     map[qkey]*queue{},
-		inflight:   map[Key]*flight{},
+		queues:     map[qkey]*batch{},
+		inflight:   map[Key]slot{},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
+	if m := cfg.Metrics.SchedMetrics(); m != nil {
+		s.m = *m
+	}
+	return s
 }
 
 // Stats is a point-in-time snapshot for sys.scheduler and tests.
 type Stats struct {
-	// Submitted counts all Infer calls; CacheHits and DedupHits the ones
-	// answered without a fresh forward pass; Executed the forward passes
-	// physically run; Batches the backend calls that ran them.
+	// Submitted counts the keys of all Infer calls; CacheHits and
+	// DedupHits the ones answered without a fresh forward pass; Executed
+	// the forward passes physically run; Batches the backend calls that
+	// ran them.
 	Submitted, CacheHits, DedupHits, Executed, Batches int64
 	// MaxBatch is the largest coalesced batch observed.
 	MaxBatch int64
-	// Rejected counts submissions refused while draining.
+	// Rejected counts keys refused while draining.
 	Rejected int64
 	// QueueDepth is the number of requests currently parked in batch
 	// queues; InflightKeys the single-flight entries currently live.
@@ -268,190 +250,235 @@ func (s *Scheduler) Stats() Stats {
 		return Stats{}
 	}
 	s.mu.Lock()
-	depth := 0
-	for _, q := range s.queues {
-		depth += len(q.items)
-	}
 	st := Stats{
 		Submitted: s.submitted.Load(), CacheHits: s.cacheHits.Load(),
 		DedupHits: s.dedupHits.Load(), Executed: s.executed.Load(),
 		Batches: s.batches.Load(), MaxBatch: s.maxSeen.Load(),
-		Rejected: s.rejected.Load(), QueueDepth: depth,
+		Rejected: s.rejected.Load(), QueueDepth: s.depthLocked(),
 		InflightKeys: len(s.inflight), Draining: s.draining,
 	}
 	s.mu.Unlock()
 	return st
 }
 
-// count bumps a metrics counter when a registry is attached.
-func (s *Scheduler) count(name string) {
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.Counter(name).Add(1)
-	}
-}
-
-// Infer submits one (artifact, blob) inference request. The call blocks
-// until the shared cache answers, an identical in-flight request
-// completes, or the coalesced batch containing this request executes —
-// whichever happens first — or until ctx dies, in which case the typed
-// lifecycle error returns immediately and the batch (if any) completes
-// without this waiter. key is the artifact's stable hash (the strategies
-// use UDFBinding's) and the blob's tensor.HashBytes, computed by the caller.
-func (s *Scheduler) Infer(ctx context.Context, be *Backend, key Key, artifact, blob []byte) (Result, error) {
+// Infer submits one batch of inferences under one model artifact: keys[i]
+// is blobs[i]'s key, the artifact's stable hash (the same in every key) and
+// the blob's tensor.HashBytes, computed by the caller. It returns the
+// classes in position order and the submission's Share. The call blocks
+// until every position is answered — by the shared cache, by an identical
+// in-flight request, or by the batch it was queued in — or until ctx dies,
+// in which case the typed lifecycle error returns at once and the batches
+// complete without this submitter. The first failed batch in position
+// order fails the whole submission.
+func (s *Scheduler) Infer(ctx context.Context, be *Backend, artifact []byte, keys []Key, blobs [][]byte) ([]int, Share, error) {
 	if s == nil {
-		return Result{}, errors.New("schedule: nil scheduler")
+		return nil, Share{}, errors.New("schedule: nil scheduler")
 	}
 	if be == nil || be.Run == nil {
-		return Result{}, errors.New("schedule: nil backend")
+		return nil, Share{}, errors.New("schedule: nil backend")
+	}
+	if len(keys) != len(blobs) {
+		return nil, Share{}, fmt.Errorf("schedule: %d keys for %d blobs", len(keys), len(blobs))
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := qerr.FromContext(ctx.Err()); err != nil {
-		return Result{}, err
+		return nil, Share{}, err
 	}
 	if err := s.cfg.Faults.Hit(ctx, faults.PointSchedSubmit); err != nil {
-		return Result{}, fmt.Errorf("schedule: submit: %w", err)
+		return nil, Share{}, fmt.Errorf("schedule: submit: %w", err)
 	}
-	s.submitted.Add(1)
-	s.count(obs.MetricSchedSubmitted)
-	// Child span under the submitting query's active span (nil and free
-	// when the query is untraced). Finished on every return path.
+	n := len(keys)
+	if n == 0 {
+		return nil, Share{}, nil
+	}
+	s.submitted.Add(int64(n))
+	s.m.Submitted.Add(int64(n))
+	// One child span per submission under the submitting query's active
+	// span (nil and free when the query is untraced). Finished on every
+	// return path.
 	span := obs.SpanFromContext(ctx).StartChild("sched:infer")
 	defer span.Finish()
-	if idx, ok := s.cfg.Cache.Peek(key); ok {
-		s.cacheHits.Add(1)
-		s.count(obs.MetricSchedCacheHits)
-		span.SetAttr("source", "cache")
-		return Result{Class: idx, Source: SourceCache}, nil
-	}
+	span.SetAttr("keys", n)
 
+	classes := make([]int, n)
+	at := make([]slot, n) // each position's batch slot; none for a cache hit
+	var ran []int         // the positions this submission queued
+	var hits, dedups int
+	var full []*batch
+	traceID := obs.TraceIDFromContext(ctx)
+	qk := qkey{backend: be.ID, model: keys[0].Model}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.rejected.Add(1)
-		s.count(obs.MetricSchedRejected)
+		s.rejected.Add(int64(n))
+		s.m.Rejected.Add(int64(n))
 		span.SetAttr("err", "draining")
-		return Result{}, fmt.Errorf("%w: inference scheduler is draining", qerr.ErrServingUnavailable)
+		return nil, Share{}, fmt.Errorf("%w: inference scheduler is draining", qerr.ErrServingUnavailable)
 	}
-	if fl, ok := s.inflight[key]; ok {
-		// Single-flight: park on the leader's result.
-		s.mu.Unlock()
-		s.dedupHits.Add(1)
-		s.count(obs.MetricSchedDedupHits)
-		span.SetAttr("source", "dedup")
-		return s.wait(ctx, fl, span, true)
+	for i, k := range keys {
+		// A concurrent batch may have answered the key since the caller's
+		// own counted lookup.
+		if c, ok := s.cfg.Cache.Peek(k); ok {
+			classes[i] = c
+			hits++
+			continue
+		}
+		if sl, ok := s.inflight[k]; ok {
+			at[i] = sl
+			dedups++
+			continue
+		}
+		q := s.queues[qk]
+		if q == nil {
+			q = &batch{be: be, model: qk.model, artifact: artifact, done: make(chan struct{})}
+			q.timer = time.AfterFunc(s.cfg.window(), func() { s.flushTimed(qk, q) })
+			s.queues[qk] = q
+		}
+		at[i] = slot{b: q, i: len(q.keys)}
+		s.inflight[k] = at[i]
+		q.keys = append(q.keys, k)
+		q.blobs = append(q.blobs, blobs[i])
+		if traceID != "" && !slices.Contains(q.waiters, traceID) {
+			q.waiters = append(q.waiters, traceID)
+		}
+		ran = append(ran, i)
+		if len(q.keys) >= s.cfg.maxBatch() {
+			full = append(full, s.takeLocked(qk))
+		}
 	}
-	fl := &flight{done: make(chan struct{})}
-	s.inflight[key] = fl
-	qk := qkey{backend: be.ID, model: key.Model}
-	q := s.queues[qk]
-	if q == nil {
-		q = &queue{be: be, model: key.Model, artifact: artifact}
-		s.queues[qk] = q
-	}
-	span.SetAttr("source", "batch")
-	q.items = append(q.items, &item{key: key, blob: blob, fl: fl,
-		traceID: obs.TraceIDFromContext(ctx)})
 	s.noteDepthLocked()
-	var full *queue
-	if len(q.items) >= s.cfg.maxBatch() {
-		full = s.takeLocked(qk)
-	} else if len(q.items) == 1 {
-		q.timer = time.AfterFunc(s.cfg.window(), func() { s.flushTimed(qk) })
-	}
 	s.mu.Unlock()
-	if full != nil {
-		s.launch(full)
+	s.cacheHits.Add(int64(hits))
+	s.dedupHits.Add(int64(dedups))
+	s.m.CacheHits.Add(int64(hits))
+	s.m.DedupHits.Add(int64(dedups))
+	span.SetAttr("cache_hits", hits)
+	span.SetAttr("dedup_hits", dedups)
+	span.SetAttr("queued", len(ran))
+	for _, b := range full {
+		s.launch(b)
 	}
-	return s.wait(ctx, fl, span, false)
+	return s.wait(ctx, span, classes, at, ran)
 }
 
-// wait parks on a flight until it completes or ctx dies, then stamps the
-// waiter's own sched:infer span with the batch the request rode in. Dedup
-// followers report SourceDedup with zero timing shares — they paid no
-// compute.
-func (s *Scheduler) wait(ctx context.Context, fl *flight, span *obs.Span, dedup bool) (Result, error) {
-	select {
-	case <-fl.done:
-	case <-ctx.Done():
-		return Result{}, qerr.FromContext(ctx.Err())
+// wait parks on each position's batch until it completes or ctx dies, then
+// fills in the classes and sums the Share of the positions the submission
+// queued itself. Traced, it stamps the submitter's own sched:infer span
+// with the batches it waited on: how many, the largest one's size, and
+// their submitters' trace IDs.
+func (s *Scheduler) wait(ctx context.Context, span *obs.Span, classes []int, at []slot, ran []int) ([]int, Share, error) {
+	var seen []*batch // the distinct batches waited on, kept when traced
+	var err error
+	for i, sl := range at {
+		b := sl.b
+		if b == nil {
+			continue
+		}
+		select {
+		case <-b.done:
+		case <-ctx.Done():
+			return nil, Share{}, qerr.FromContext(ctx.Err())
+		}
+		if span != nil && !slices.Contains(seen, b) {
+			seen = append(seen, b)
+		}
+		if b.err != nil {
+			err = b.err
+			break
+		}
+		classes[i] = b.classes[sl.i]
 	}
-	span.SetAttr("batch_size", fl.batch)
-	if fl.waiters != "" {
-		span.SetAttr("batch_waiters", fl.waiters)
+	if len(seen) > 0 {
+		size := 0
+		var waiters []string
+		for _, b := range seen {
+			size = max(size, len(b.keys))
+			for _, id := range b.waiters {
+				if !slices.Contains(waiters, id) {
+					waiters = append(waiters, id)
+				}
+			}
+		}
+		span.SetAttr("batches", len(seen))
+		span.SetAttr("batch_size", size)
+		if len(waiters) > 0 {
+			span.SetAttr("batch_waiters", strings.Join(waiters, ","))
+		}
 	}
-	if fl.err != nil {
-		return Result{}, fl.err
+	if err != nil {
+		return nil, Share{}, err
 	}
-	r := fl.res
-	if dedup {
-		r.Source = SourceDedup
-		r.WallSeconds, r.InferSeconds, r.DecodeSeconds = 0, 0, 0
+	share := Share{Ran: ran}
+	for _, i := range ran {
+		b := at[i].b
+		k := float64(len(b.keys))
+		share.InferSeconds += b.stats.InferSeconds / k
+		share.DecodeSeconds += b.stats.DecodeSeconds / k
+		share.WallSeconds += b.wall / k
 	}
-	return r, nil
+	return classes, share, nil
 }
 
 // takeLocked detaches a queue's pending batch (stopping its flush timer)
 // and removes the queue. Caller holds s.mu.
-func (s *Scheduler) takeLocked(qk qkey) *queue {
-	q := s.queues[qk]
-	if q == nil {
+func (s *Scheduler) takeLocked(qk qkey) *batch {
+	b := s.queues[qk]
+	if b == nil {
 		return nil
 	}
-	if q.timer != nil {
-		q.timer.Stop()
-	}
+	b.timer.Stop()
 	delete(s.queues, qk)
-	return q
+	return b
 }
 
-// flushTimed is the Window expiry path.
-func (s *Scheduler) flushTimed(qk qkey) {
+// flushTimed is the Window expiry path of batch b, queued under qk. A timer
+// that fires while b is already leaving its queue finds another batch, or
+// none, there and does nothing.
+func (s *Scheduler) flushTimed(qk qkey, b *batch) {
 	s.mu.Lock()
-	q := s.takeLocked(qk)
-	s.mu.Unlock()
-	if q != nil {
-		s.launch(q)
+	if s.queues[qk] != b {
+		s.mu.Unlock()
+		return
 	}
+	s.takeLocked(qk)
+	s.mu.Unlock()
+	s.launch(b)
 }
 
 // launch executes a detached batch on its own goroutine, tracked by the
 // drain WaitGroup.
-func (s *Scheduler) launch(q *queue) {
+func (s *Scheduler) launch(b *batch) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.runBatch(q)
+		s.runBatch(b)
 	}()
 }
 
-// runBatch executes one coalesced batch under the scheduler's base
-// context and publishes per-item results (or one shared error) to every
-// flight, then removes the keys from the single-flight index. Completed
-// predictions populate the shared cache even if some waiters have already
-// gone away — the compute happened, and the next identical request should
-// not repeat it.
-func (s *Scheduler) runBatch(q *queue) {
-	n := len(q.items)
+// runBatch executes one coalesced batch under the scheduler's base context
+// and publishes its classes (or one shared error) to every submitter
+// waiting on it, then removes its keys from the single-flight index.
+// Completed predictions populate the shared cache even if some submitters
+// have already gone away — the compute happened, and the next identical
+// request should not repeat it.
+func (s *Scheduler) runBatch(b *batch) {
+	n := len(b.keys)
 	start := time.Now()
-	idxs, stats, err := func() ([]int, BackendStats, error) {
+	classes, stats, err := func() ([]int, BackendStats, error) {
 		if ferr := s.cfg.Faults.Hit(s.baseCtx, faults.PointSchedBatch); ferr != nil {
 			return nil, BackendStats{}, fmt.Errorf("schedule: batch: %w", ferr)
 		}
-		blobs := make([][]byte, n)
-		for i, it := range q.items {
-			blobs[i] = it.blob
-		}
-		return q.be.Run(s.baseCtx, q.model, q.artifact, blobs)
+		return b.be.Run(s.baseCtx, b.model, b.artifact, b.blobs)
 	}()
 	wall := time.Since(start).Seconds()
-	if err == nil && len(idxs) != n {
+	if err == nil && len(classes) != n {
 		err = fmt.Errorf("%w: backend %s returned %d predictions for a batch of %d",
-			qerr.ErrServingUnavailable, q.be.ID, len(idxs), n)
+			qerr.ErrServingUnavailable, b.be.ID, len(classes), n)
 	}
 	s.batches.Add(1)
-	s.count(obs.MetricSchedBatches)
+	s.m.Batches.Add(1)
 	if err == nil {
 		s.executed.Add(int64(n))
 	}
@@ -461,57 +488,41 @@ func (s *Scheduler) runBatch(q *queue) {
 			break
 		}
 	}
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.Histogram(obs.MetricSchedBatchSize).Observe(float64(n))
-		s.cfg.Metrics.Histogram(obs.MetricSchedBatchSeconds).Observe(wall)
-	}
-	var waiters []string
-	seen := map[string]bool{}
-	for _, it := range q.items {
-		if it.traceID != "" && !seen[it.traceID] {
-			seen[it.traceID] = true
-			waiters = append(waiters, it.traceID)
-		}
-	}
-	waiterList := strings.Join(waiters, ",")
+	s.m.BatchSize.Observe(float64(n))
+	s.m.BatchSeconds.Observe(wall)
+	b.classes, b.stats, b.wall, b.err = classes, stats, wall, err
 	s.mu.Lock()
-	for i, it := range q.items {
-		delete(s.inflight, it.key)
-		it.fl.batch, it.fl.waiters = n, waiterList
-		if err != nil {
-			it.fl.err = err
-		} else {
-			it.fl.res = Result{
-				Class: idxs[i], Source: SourceBatch, BatchSize: n,
-				WallSeconds:   wall / float64(n),
-				InferSeconds:  stats.InferSeconds / float64(n),
-				DecodeSeconds: stats.DecodeSeconds / float64(n),
-			}
-			if s.cfg.Cache != nil {
-				s.cfg.Cache.Put(it.key, idxs[i])
-			}
+	for i, k := range b.keys {
+		delete(s.inflight, k)
+		if err == nil {
+			s.cfg.Cache.Put(k, classes[i])
 		}
-		close(it.fl.done)
 	}
 	s.noteDepthLocked()
 	s.mu.Unlock()
+	close(b.done)
+}
+
+// depthLocked is the number of keys pending in batch queues. Caller holds
+// s.mu.
+func (s *Scheduler) depthLocked() int {
+	depth := 0
+	for _, b := range s.queues {
+		depth += len(b.keys)
+	}
+	return depth
 }
 
 // noteDepthLocked mirrors the current queue depth into the gauge. Caller
 // holds s.mu.
 func (s *Scheduler) noteDepthLocked() {
-	if s.cfg.Metrics == nil {
-		return
+	if s.m.QueueDepth != nil {
+		s.m.QueueDepth.Set(float64(s.depthLocked()))
 	}
-	depth := 0
-	for _, q := range s.queues {
-		depth += len(q.items)
-	}
-	s.cfg.Metrics.Gauge(obs.MetricSchedQueueDepth).Set(float64(depth))
 }
 
 // Drain shuts the scheduler down gracefully: stop accepting submissions,
-// flush every pending queue immediately (their waiters are in-flight
+// flush every pending queue immediately (their submitters are in-flight
 // queries that deserve answers), give running batches DrainGrace to
 // finish, then cancel their context and wait them out. Idempotent and
 // safe to call concurrently; the server calls it after its own in-flight
@@ -523,17 +534,15 @@ func (s *Scheduler) Drain() {
 	s.mu.Lock()
 	already := s.draining
 	s.draining = true
-	var flush []*queue
+	var flush []*batch
 	if !already {
 		for qk := range s.queues {
-			if q := s.takeLocked(qk); q != nil {
-				flush = append(flush, q)
-			}
+			flush = append(flush, s.takeLocked(qk))
 		}
 	}
 	s.mu.Unlock()
-	for _, q := range flush {
-		s.launch(q)
+	for _, b := range flush {
+		s.launch(b)
 	}
 	done := make(chan struct{})
 	go func() {

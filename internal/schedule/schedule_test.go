@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,6 +71,16 @@ func (cb *countingBackend) seen() int {
 
 func blobN(n int) []byte { return []byte{byte(n), 0xAB} }
 
+// inferOne submits blob alone, under the model hashed model: the
+// one-key submission the concurrent tests race against each other.
+func inferOne(ctx context.Context, s *Scheduler, be *Backend, model uint64, art, blob []byte) (int, Share, error) {
+	classes, share, err := s.Infer(ctx, be, art, []Key{keyOf(model, blob)}, [][]byte{blob})
+	if err != nil {
+		return 0, share, err
+	}
+	return classes[0], share, nil
+}
+
 func TestCoalescesConcurrentSubmissions(t *testing.T) {
 	s := New(Config{MaxBatch: 64, Window: 20 * time.Millisecond})
 	defer s.Drain()
@@ -78,12 +90,12 @@ func TestCoalescesConcurrentSubmissions(t *testing.T) {
 	const n = 24
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	res := make([]Result, n)
+	res := make([]int, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res[i], errs[i] = s.Infer(context.Background(), be, keyOf(1, blobN(i)), art, blobN(i))
+			res[i], _, errs[i] = inferOne(context.Background(), s, be, 1, art, blobN(i))
 		}(i)
 	}
 	wg.Wait()
@@ -91,8 +103,8 @@ func TestCoalescesConcurrentSubmissions(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("submission %d: %v", i, errs[i])
 		}
-		if res[i].Class != i {
-			t.Fatalf("submission %d: class %d", i, res[i].Class)
+		if res[i] != i {
+			t.Fatalf("submission %d: class %d", i, res[i])
 		}
 	}
 	st := s.Stats()
@@ -118,7 +130,7 @@ func TestMaxBatchFlushesWithoutWindow(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Infer(context.Background(), be, keyOf(1, blobN(i)), []byte("a"), blobN(i)); err != nil {
+			if _, _, err := inferOne(context.Background(), s, be, 1, []byte("a"), blobN(i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -135,6 +147,137 @@ func TestMaxBatchFlushesWithoutWindow(t *testing.T) {
 	}
 }
 
+// submitRange submits blobN(lo), …, blobN(lo+n-1) as one submission
+// under model 1.
+func submitRange(ctx context.Context, s *Scheduler, be *Backend, lo, n int) ([]int, Share, error) {
+	keys := make([]Key, n)
+	blobs := make([][]byte, n)
+	for i := range blobs {
+		blobs[i] = blobN(lo + i)
+		keys[i] = keyOf(1, blobs[i])
+	}
+	return s.Infer(ctx, be, []byte("a"), keys, blobs)
+}
+
+// TestSubmissionSplitsAtMaxBatch: one submission of n keys reaches the
+// backend as ⌈n/4⌉ batches at MaxBatch 4, each a run of consecutive
+// positions, and gets its classes back in position order with every
+// position in its share.
+func TestSubmissionSplitsAtMaxBatch(t *testing.T) {
+	s := New(Config{MaxBatch: 4, Window: time.Millisecond})
+	defer s.Drain()
+	var mu sync.Mutex
+	var calls [][]int // the classes of each backend call, in call order
+	be := &Backend{ID: "recording", Run: func(_ context.Context, _ uint64, _ []byte, blobs [][]byte) ([]int, BackendStats, error) {
+		out := make([]int, len(blobs))
+		for i, b := range blobs {
+			out[i] = int(b[0])
+		}
+		mu.Lock()
+		calls = append(calls, out)
+		mu.Unlock()
+		return out, BackendStats{}, nil
+	}}
+	for _, n := range []int{1, 4, 10, 13} {
+		mu.Lock()
+		calls = nil
+		mu.Unlock()
+		classes, share, err := submitRange(context.Background(), s, be, 0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if classes[i] != i || share.Ran[i] != i {
+				t.Fatalf("n=%d: position %d got class %d, share %v", n, i, classes[i], share.Ran)
+			}
+		}
+		mu.Lock()
+		got := slices.Clone(calls)
+		mu.Unlock()
+		if len(got) != (n+3)/4 {
+			t.Fatalf("n=%d: %d backend calls, want %d", n, len(got), (n+3)/4)
+		}
+		// Full batches run concurrently, so order the calls by their first
+		// position before checking they tile the submission.
+		slices.SortFunc(got, func(a, b []int) int { return a[0] - b[0] })
+		var all []int
+		for j, c := range got {
+			if want := min(4, n-4*j); len(c) != want {
+				t.Fatalf("n=%d: batch %d holds %d keys, want %d", n, j, len(c), want)
+			}
+			all = append(all, c...)
+		}
+		for i, c := range all {
+			if c != i {
+				t.Fatalf("n=%d: batches %v are not in position order", n, got)
+			}
+		}
+	}
+}
+
+// TestConcurrentSubmissionsCoalesce: two submissions in flight at once
+// share one batch — the second fills the first's pending queue to MaxBatch
+// — and each is charged its own positions' shares of it.
+func TestConcurrentSubmissionsCoalesce(t *testing.T) {
+	s := New(Config{MaxBatch: 6, Window: time.Hour}) // only a full queue flushes
+	defer s.Drain()
+	cb := &countingBackend{}
+	be := cb.backend()
+	type outcome struct {
+		classes []int
+		share   Share
+		err     error
+	}
+	first := make(chan outcome, 1)
+	go func() {
+		classes, share, err := submitRange(context.Background(), s, be, 0, 3)
+		first <- outcome{classes, share, err}
+	}()
+	for s.Stats().QueueDepth < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	classes, share, err := submitRange(context.Background(), s, be, 3, 3)
+	a, b := <-first, outcome{classes, share, err}
+	for j, o := range []outcome{a, b} {
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if !slices.Equal(o.classes, []int{3 * j, 3*j + 1, 3*j + 2}) || !slices.Equal(o.share.Ran, []int{0, 1, 2}) {
+			t.Fatalf("submission %d: classes %v, share %+v", j, o.classes, o.share)
+		}
+		// The backend reports 1 ms per blob: half the batch's 6 ms.
+		if math.Abs(o.share.InferSeconds-0.003) > 1e-12 {
+			t.Fatalf("submission %d charged %v s of inference, want 0.003", j, o.share.InferSeconds)
+		}
+	}
+	if st := s.Stats(); st.Batches != 1 || st.MaxBatch != 6 || st.Submitted != 6 || cb.calls != 1 {
+		t.Fatalf("stats %+v after %d backend calls, want one batch of 6", st, cb.calls)
+	}
+}
+
+// TestSubmissionAnswersFromCacheAndItself: within one submission, a key
+// the shared cache holds is answered there and a repeated key rides the
+// first occurrence's flight; only the first occurrence is queued.
+func TestSubmissionAnswersFromCacheAndItself(t *testing.T) {
+	lru := cache.New[Key, int](8)
+	s := New(Config{Cache: lru, Window: time.Millisecond})
+	defer s.Drain()
+	cb := &countingBackend{}
+	x, y := blobN(5), blobN(6)
+	lru.Put(keyOf(1, y), 6)
+	classes, share, err := s.Infer(context.Background(), cb.backend(), []byte("a"),
+		[]Key{keyOf(1, x), keyOf(1, y), keyOf(1, x)}, [][]byte{x, y, x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(classes, []int{5, 6, 5}) || !slices.Equal(share.Ran, []int{0}) {
+		t.Fatalf("classes %v, share %+v", classes, share)
+	}
+	if st := s.Stats(); st.Submitted != 3 || st.CacheHits != 1 || st.DedupHits != 1 || st.Executed != 1 {
+		t.Fatalf("stats %+v, want 3 submitted: 1 cache hit, 1 dedup, 1 executed", st)
+	}
+}
+
 func TestSingleFlightDedup(t *testing.T) {
 	s := New(Config{MaxBatch: 64, Window: 20 * time.Millisecond})
 	defer s.Drain()
@@ -144,17 +287,18 @@ func TestSingleFlightDedup(t *testing.T) {
 	blob := blobN(7)
 	const n = 16
 	var wg sync.WaitGroup
-	results := make([]Result, n)
+	classes := make([]int, n)
+	shares := make([]Share, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := s.Infer(context.Background(), be, keyOf(1, blob), art, blob)
+			c, share, err := inferOne(context.Background(), s, be, 1, art, blob)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[i] = r
+			classes[i], shares[i] = c, share
 		}(i)
 	}
 	// Let every submission park, then release the backend.
@@ -166,17 +310,18 @@ func TestSingleFlightDedup(t *testing.T) {
 	if got := cb.seen(); got != 1 {
 		t.Fatalf("backend saw %d blobs, want 1 (single-flight)", got)
 	}
+	// The leader's share holds the forward pass; a follower's is empty.
 	leaders, followers := 0, 0
-	for _, r := range results {
-		if r.Class != 7 {
-			t.Fatalf("wrong class %d", r.Class)
+	for i, share := range shares {
+		if classes[i] != 7 {
+			t.Fatalf("wrong class %d", classes[i])
 		}
-		switch r.Source {
-		case SourceBatch:
+		switch len(share.Ran) {
+		case 1:
 			leaders++
-		case SourceDedup:
+		case 0:
 			followers++
-			if r.InferSeconds != 0 || r.WallSeconds != 0 {
+			if share.InferSeconds != 0 || share.WallSeconds != 0 {
 				t.Fatal("dedup follower charged compute time")
 			}
 		}
@@ -193,15 +338,15 @@ func TestSharedCacheHit(t *testing.T) {
 	cb := &countingBackend{}
 	be := cb.backend()
 	blob := blobN(3)
-	if _, err := s.Infer(context.Background(), be, keyOf(1, blob), []byte("a"), blob); err != nil {
+	if _, _, err := inferOne(context.Background(), s, be, 1, []byte("a"), blob); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Infer(context.Background(), be, keyOf(1, blob), []byte("a"), blob)
+	c, share, err := inferOne(context.Background(), s, be, 1, []byte("a"), blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Source != SourceCache || r.Class != 3 {
-		t.Fatalf("second submission: %+v, want cache hit class 3", r)
+	if st := s.Stats(); st.CacheHits != 1 || len(share.Ran) != 0 || c != 3 {
+		t.Fatalf("second submission: class %d, share %+v, stats %+v; want a cache hit of class 3", c, share, st)
 	}
 	if cb.seen() != 1 {
 		t.Fatalf("backend saw %d blobs, want 1", cb.seen())
@@ -223,18 +368,18 @@ func TestCancelledWaiterDoesNotPoisonBatch(t *testing.T) {
 	cancelCtx, cancel := context.WithCancel(context.Background())
 	victimErr := make(chan error, 1)
 	go func() {
-		_, err := s.Infer(cancelCtx, be, keyOf(1, blobN(0)), art, blobN(0))
+		_, _, err := inferOne(cancelCtx, s, be, 1, art, blobN(0))
 		victimErr <- err
 	}()
 	const mates = 6
 	var wg sync.WaitGroup
-	mateRes := make([]Result, mates)
+	mateRes := make([]int, mates)
 	mateErr := make([]error, mates)
 	for i := 0; i < mates; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			mateRes[i], mateErr[i] = s.Infer(context.Background(), be, keyOf(1, blobN(i+1)), art, blobN(i+1))
+			mateRes[i], _, mateErr[i] = inferOne(context.Background(), s, be, 1, art, blobN(i+1))
 		}(i)
 	}
 	// Wait until all 7 are parked in one in-flight batch, then cancel the
@@ -258,8 +403,8 @@ func TestCancelledWaiterDoesNotPoisonBatch(t *testing.T) {
 		if mateErr[i] != nil {
 			t.Fatalf("batchmate %d poisoned by cancelled waiter: %v", i, mateErr[i])
 		}
-		if mateRes[i].Class != i+1 {
-			t.Fatalf("batchmate %d: class %d", i, mateRes[i].Class)
+		if mateRes[i] != i+1 {
+			t.Fatalf("batchmate %d: class %d", i, mateRes[i])
 		}
 	}
 	// The victim's own forward pass still ran and populated nothing wrong:
@@ -294,7 +439,7 @@ func TestWaitersStampTheirOwnSpans(t *testing.T) {
 			defer wg.Done()
 			ctx, scope := store.Enter(ctx, "query", "query", time.Now())
 			w.traceID = obs.TraceIDFromContext(ctx)
-			_, w.err = s.Infer(ctx, be, keyOf(1, blobN(n)), art, blobN(n))
+			_, _, w.err = inferOne(ctx, s, be, 1, art, blobN(n))
 			close(inferReturned)
 			// From here on nothing orders this goroutine against the batch:
 			// Exit flattens the span tree while the backend may still run.
@@ -342,7 +487,7 @@ func TestWaitersStampTheirOwnSpans(t *testing.T) {
 			attrs = r.Attrs
 		}
 	}
-	for _, want := range []string{"source=batch", "batch_size=2", "batch_waiters=", victim.traceID, survivor.traceID} {
+	for _, want := range []string{"queued=1", "batches=1", "batch_size=2", "batch_waiters=", victim.traceID, survivor.traceID} {
 		if !strings.Contains(attrs, want) {
 			t.Fatalf("survivor's sched:infer attrs %q missing %q", attrs, want)
 		}
@@ -362,7 +507,7 @@ func TestBatchErrorSharedByAllWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Infer(context.Background(), be, keyOf(1, blobN(i)), []byte("a"), blobN(i))
+			_, _, errs[i] = inferOne(context.Background(), s, be, 1, []byte("a"), blobN(i))
 		}(i)
 	}
 	wg.Wait()
@@ -390,7 +535,7 @@ func TestBackendCountMismatchIsAvailabilityError(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Infer(context.Background(), be, keyOf(1, blobN(i)), []byte("a"), blobN(i))
+			_, _, errs[i] = inferOne(context.Background(), s, be, 1, []byte("a"), blobN(i))
 		}(i)
 	}
 	wg.Wait()
@@ -419,7 +564,7 @@ func TestDrainFlushesPendingAndRejectsNew(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Infer(context.Background(), be, keyOf(1, blobN(i)), []byte("a"), blobN(i))
+			_, _, errs[i] = inferOne(context.Background(), s, be, 1, []byte("a"), blobN(i))
 		}(i)
 	}
 	for s.Stats().QueueDepth < n {
@@ -432,7 +577,7 @@ func TestDrainFlushesPendingAndRejectsNew(t *testing.T) {
 			t.Fatalf("pre-drain waiter %d stranded: %v", i, err)
 		}
 	}
-	_, err := s.Infer(context.Background(), be, keyOf(1, blobN(9)), []byte("a"), blobN(9))
+	_, _, err := inferOne(context.Background(), s, be, 1, []byte("a"), blobN(9))
 	if !errors.Is(err, qerr.ErrServingUnavailable) {
 		t.Fatalf("post-drain submission: %v, want ErrServingUnavailable", err)
 	}
@@ -446,7 +591,7 @@ func TestSubmitFaultInjection(t *testing.T) {
 	s := New(Config{Faults: inj, Window: time.Millisecond})
 	defer s.Drain()
 	cb := &countingBackend{}
-	_, err := s.Infer(context.Background(), cb.backend(), keyOf(1, blobN(1)), []byte("a"), blobN(1))
+	_, _, err := inferOne(context.Background(), s, cb.backend(), 1, []byte("a"), blobN(1))
 	if !errors.Is(err, qerr.ErrServingUnavailable) {
 		t.Fatalf("submit fault: %v", err)
 	}
@@ -460,7 +605,7 @@ func TestBatchFaultInjection(t *testing.T) {
 	s := New(Config{Faults: inj, Window: time.Millisecond})
 	defer s.Drain()
 	cb := &countingBackend{}
-	_, err := s.Infer(context.Background(), cb.backend(), keyOf(1, blobN(1)), []byte("a"), blobN(1))
+	_, _, err := inferOne(context.Background(), s, cb.backend(), 1, []byte("a"), blobN(1))
 	if !errors.Is(err, qerr.ErrServingUnavailable) {
 		t.Fatalf("batch fault: %v", err)
 	}
@@ -474,7 +619,7 @@ func TestMetricsWired(t *testing.T) {
 	s := New(Config{Metrics: reg, Window: time.Millisecond})
 	defer s.Drain()
 	cb := &countingBackend{}
-	if _, err := s.Infer(context.Background(), cb.backend(), keyOf(1, blobN(1)), []byte("a"), blobN(1)); err != nil {
+	if _, _, err := inferOne(context.Background(), s, cb.backend(), 1, []byte("a"), blobN(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(obs.MetricSchedSubmitted).Value(); got != 1 {
@@ -535,12 +680,12 @@ func TestNativeBackendEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int, b []byte) {
 			defer wg.Done()
-			r, err := s.Infer(context.Background(), be, keyOf(artHash, b), art, b)
+			c, _, err := inferOne(context.Background(), s, be, artHash, art, b)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			got[i] = r.Class
+			got[i] = c
 		}(i, b)
 	}
 	wg.Wait()
@@ -550,12 +695,12 @@ func TestNativeBackendEndToEnd(t *testing.T) {
 		}
 	}
 	// Corrupt artifact → availability error (fallback-ladder class).
-	_, err = s.Infer(context.Background(), be, keyOf(99, blobs[0]), []byte("not a model"), blobs[0])
+	_, _, err = inferOne(context.Background(), s, be, 99, []byte("not a model"), blobs[0])
 	if !errors.Is(err, qerr.ErrServingUnavailable) {
 		t.Fatalf("corrupt artifact: %v, want ErrServingUnavailable", err)
 	}
 	// Corrupt blob → plain data error, not availability.
-	_, err = s.Infer(context.Background(), be, keyOf(artHash, []byte{1, 2, 3}), art, []byte{1, 2, 3})
+	_, _, err = inferOne(context.Background(), s, be, artHash, art, []byte{1, 2, 3})
 	if err == nil || errors.Is(err, qerr.ErrServingUnavailable) {
 		t.Fatalf("corrupt blob: %v, want a non-availability data error", err)
 	}
@@ -578,8 +723,8 @@ func TestConcurrentSoak(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 50; i++ {
 				n := rng.Intn(10)
-				r, err := s.Infer(context.Background(), be, keyOf(uint64(1+n%2), blobN(n)), []byte{byte(n % 2)}, blobN(n))
-				if err != nil || r.Class != n {
+				c, _, err := inferOne(context.Background(), s, be, uint64(1+n%2), []byte{byte(n % 2)}, blobN(n))
+				if err != nil || c != n {
 					failures.Add(1)
 				}
 			}
@@ -601,7 +746,7 @@ func TestNilSchedulerSafe(t *testing.T) {
 	if st := s.Stats(); st.Submitted != 0 {
 		t.Fatal("nil scheduler stats")
 	}
-	if _, err := s.Infer(context.Background(), &Backend{}, keyOf(1, nil), nil, nil); err == nil {
+	if _, _, err := s.Infer(context.Background(), &Backend{}, nil, []Key{keyOf(1, nil)}, [][]byte{nil}); err == nil {
 		t.Fatal("nil scheduler must reject submissions")
 	}
 }

@@ -18,7 +18,7 @@ func TestSysSchedulerTable(t *testing.T) {
 	cb := &countingBackend{}
 	be := cb.backend()
 	for i := 0; i < 3; i++ {
-		if _, err := s.Infer(context.Background(), be, keyOf(1, blobN(i)), []byte("a"), blobN(i)); err != nil {
+		if _, _, err := inferOne(context.Background(), s, be, 1, []byte("a"), blobN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

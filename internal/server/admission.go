@@ -268,6 +268,13 @@ type AdmissionStat struct {
 	Cancelled  int64
 }
 
+// running is the number of queries holding an execution slot.
+func (a *admission) running() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.inflight
+}
+
 // stats snapshots per-tenant admission state plus the controller totals.
 func (a *admission) stats() (rows []AdmissionStat, inflight, queued int, draining bool) {
 	a.mu.Lock()

@@ -707,10 +707,10 @@ func (s *Server) tenantBudget(tenant string) int64 {
 // the X-Trace-Id header.
 func (s *Server) runQuery(reqCtx context.Context, sess *Session, tenant string,
 	exec func(ctx context.Context) (*sqldb.Result, error)) (res *sqldb.Result, queued bool, traceID string, err error) {
-	reg := s.metrics()
+	m := s.metrics().ServerMetrics()
 	if err := s.enter(); err != nil {
-		if reg != nil {
-			reg.Counter(obs.MetricServerRejected).Add(1)
+		if m != nil {
+			m.Rejected.Add(1)
 		}
 		return nil, false, "", err
 	}
@@ -719,23 +719,23 @@ func (s *Server) runQuery(reqCtx context.Context, sess *Session, tenant string,
 	admitStart := time.Now()
 	release, queued, err := s.adm.Admit(reqCtx, tenant)
 	if err != nil {
-		if reg != nil {
+		if m != nil {
 			if errors.Is(err, qerr.ErrAdmissionRejected) {
-				reg.Counter(obs.MetricServerRejected).Add(1)
+				m.Rejected.Add(1)
 			}
-			reg.Counter(obs.MetricServerErrors).Add(1)
+			m.Errors.Add(1)
 		}
 		return nil, queued, "", err
 	}
 	defer release()
-	if reg != nil {
-		reg.Counter(obs.MetricServerRequests).Add(1)
-		reg.Counter(obs.MetricServerAdmitted).Add(1)
+	if m != nil {
+		m.Requests.Add(1)
+		m.Admitted.Add(1)
 		if queued {
-			reg.Counter(obs.MetricServerQueued).Add(1)
-			reg.Histogram(obs.MetricServerQueueSeconds).Observe(time.Since(admitStart).Seconds())
+			m.Queued.Add(1)
+			m.QueueSeconds.Observe(time.Since(admitStart).Seconds())
 		}
-		reg.Gauge(obs.MetricServerInflight).Set(float64(s.admInflight()))
+		m.Inflight.Set(float64(s.adm.running()))
 	}
 
 	// Context assembly: request ctx (client disconnect) merged with the
@@ -778,22 +778,17 @@ func (s *Server) runQuery(reqCtx context.Context, sess *Session, tenant string,
 	res, err = exec(ctx)
 	end := time.Now()
 	traceID = scope.Exit(end, qerr.Class(err))
-	if reg != nil {
-		reg.Histogram(obs.MetricServerRequestSeconds).ObserveExemplar(end.Sub(start).Seconds(), traceID)
+	if m != nil {
+		m.RequestSeconds.ObserveExemplar(end.Sub(start).Seconds(), traceID)
 		if traceID != "" {
-			reg.Counter(obs.MetricTraceExemplars).Add(1)
+			m.Exemplars.Add(1)
 		}
 		if err != nil {
-			reg.Counter(obs.MetricServerErrors).Add(1)
+			m.Errors.Add(1)
 		}
-		reg.Gauge(obs.MetricServerInflight).Set(float64(s.admInflight()))
+		m.Inflight.Set(float64(s.adm.running()))
 	}
 	return res, queued, traceID, err
-}
-
-func (s *Server) admInflight() int {
-	_, inflight, _, _ := s.adm.stats()
-	return inflight
 }
 
 func (s *Server) noteSessionGauge() {

@@ -208,11 +208,13 @@ func retryable(err error, attemptCtx, callerCtx context.Context) bool {
 	return false
 }
 
-// serveWithRetry runs one serving batch through the breaker and retry
-// loop. It returns the first successful attempt's results, or the last
-// error once attempts are exhausted (wrapped so errors.Is(err,
-// qerr.ErrServingUnavailable) holds for availability failures).
-func (env *Context) serveWithRetry(ctx context.Context, model uint64, artifact []byte, blobs [][]byte, span *obs.Span) ([]int, schedule.BackendStats, error) {
+// serveWithRetry is the serving backend's Run: it runs one serving batch
+// through the breaker and retry loop, each attempt after the first under a
+// retry:<n> span below the span on ctx. It returns the first successful
+// attempt's results, or the last error once attempts are exhausted
+// (wrapped so errors.Is(err, qerr.ErrServingUnavailable) holds for
+// availability failures).
+func (env *Context) serveWithRetry(ctx context.Context, model uint64, artifact []byte, blobs [][]byte) ([]int, schedule.BackendStats, error) {
 	pol := env.Retry.withDefaults()
 	seed := pol.JitterSeed
 	if seed == 0 {
@@ -236,14 +238,13 @@ func (env *Context) serveWithRetry(ctx context.Context, model uint64, artifact [
 			actx, cancel = context.WithTimeout(ctx, pol.AttemptTimeout)
 			attemptCtx = actx
 		}
-		attemptSpan := span
+		var retrySpan *obs.Span
 		if attempt > 1 {
-			attemptSpan = span.StartChild(fmt.Sprintf("retry:%d", attempt))
+			retrySpan = obs.SpanFromContext(ctx).StartChild(fmt.Sprintf("retry:%d", attempt))
+			actx = obs.ContextWithSpan(actx, retrySpan)
 		}
-		res, stats, err := env.serveBatch(actx, model, artifact, blobs, attemptSpan)
-		if attempt > 1 {
-			attemptSpan.Finish()
-		}
+		res, stats, err := env.serveBatch(actx, model, artifact, blobs)
+		retrySpan.Finish()
 		cancel()
 		env.Breaker.Record(err == nil)
 		if err == nil {

@@ -53,7 +53,6 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 		blobs[i] = c.blob
 		preds[c.videoID] = map[string]sqldb.Datum{}
 	}
-	scheduled := env.Scheduler != nil
 	var totalBytes int64
 	for _, name := range q.UDFNames {
 		b := env.Bindings[name]
@@ -61,47 +60,33 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 			return nil, bd, fmt.Errorf("strategies: no model bound for %s", name)
 		}
 		// Serving: the memo's misses cross the serving boundary as one
-		// batch, or all go to the cross-query scheduler at once, which
-		// coalesces them into serving batches shared with concurrent
-		// queries. The breaker and retry pipe guard every physical batch
-		// either way, so the fallback ladder sees the same error classes.
-		// Scheduled, only physical forward passes (SourceBatch) charge
-		// inference and overhead.
-		serve := func(miss []int, keys []InferKey) ([]int, error) {
-			batch := pick(blobs, miss)
+		// batch, on its own or coalesced by the scheduler with concurrent
+		// queries' batches. The breaker and retry pipe guard every
+		// physical batch either way, so the fallback ladder sees the same
+		// error classes. Only physical forward passes charge inference and
+		// overhead.
+		classes, err := env.infer(ctx, env.serving, b, blobs, func(batch [][]byte, run inferRun) ([]int, error) {
 			serveCtx, p := startPhase(ctx, "serving:"+name)
 			p.span.SetAttr("candidates", len(batch))
-			var classes []int
-			var share batchShare
-			var err error
-			if scheduled {
-				p.span.SetAttr("scheduled", true)
-				classes, share, err = env.schedInferAll(serveCtx, env.schedServing, b, batch, keys)
-			} else {
-				classes, share.stats, err = env.serveWithRetry(serveCtx, b.artifactHash, b.Artifact, batch, p.span)
-				share.ran = batch
-			}
+			classes, share, err := run(serveCtx)
 			if err != nil {
 				return nil, failSpans(fmt.Errorf("strategies: serving %s: %w", name, err), p.span)
 			}
-			if secs := p.end(); !scheduled {
-				share.wall = secs
-			}
+			p.end()
 			// The serving pathway pays per-call framework dispatch overhead
 			// and the heavier DL-framework model deserialization (see
 			// hwprofile). Everything that is not a forward pass is
 			// cross-system overhead, plus the batch's model load: the
 			// recorded decode's cost, since the serving loop reuses the
 			// decoded model.
-			bd.Inference += env.Profile.ScaleInference(share.stats.InferSeconds) + env.Profile.DLCallOverhead(len(share.ran))
-			bd.Loading += share.wall - share.stats.InferSeconds + env.Profile.DLLoadCost(share.stats.DecodeSeconds)
+			bd.Inference += env.Profile.ScaleInference(share.InferSeconds) + env.Profile.DLCallOverhead(len(share.Ran))
+			bd.Loading += share.WallSeconds - share.InferSeconds + env.Profile.DLLoadCost(share.DecodeSeconds)
 			totalBytes += int64(len(b.Artifact))
 			for _, blob := range batch {
 				totalBytes += int64(len(blob))
 			}
 			return classes, nil
-		}
-		classes, err := env.memoInfer(ctx, len(blobs), func(i int) InferKey { return b.inferKey(blobs[i]) }, scheduled, serve)
+		})
 		if err != nil {
 			return nil, bd, err
 		}
@@ -136,7 +121,7 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 // serving loop) surface as qerr.ErrServingUnavailable so the retry loop and
 // fallback ladder can tell them from data errors. Cancellation of ctx
 // tears both pipes down, which unblocks every goroutine — nothing leaks.
-func (env *Context) serveBatch(ctx context.Context, model uint64, artifact []byte, blobs [][]byte, span *obs.Span) ([]int, schedule.BackendStats, error) {
+func (env *Context) serveBatch(ctx context.Context, model uint64, artifact []byte, blobs [][]byte) ([]int, schedule.BackendStats, error) {
 	if err := env.Faults.Hit(ctx, faults.PointServingError); err != nil {
 		return nil, schedule.BackendStats{}, fmt.Errorf("serving: %w", err)
 	}
@@ -162,7 +147,7 @@ func (env *Context) serveBatch(ctx context.Context, model uint64, artifact []byt
 	}
 
 	go func() {
-		serveErr <- env.servingLoop(ctx, model, artifact, reqR, respW, stats, span)
+		serveErr <- env.servingLoop(ctx, model, artifact, reqR, respW, stats)
 	}()
 
 	// Application side: serialize the batch.
@@ -246,11 +231,12 @@ func (env *Context) serveBatch(ctx context.Context, model uint64, artifact []byt
 // servingLoop is the DL system: it loads the model artifact, reads
 // serialized keyframes, runs batch inference — one PredictBatch per chunk
 // of nn.MaxStack requests — and writes serialized predictions. The model
-// comes from loadModel, which decodes each artifact once.
+// comes from loadModel, which decodes each artifact once. Its spans open
+// under the span on ctx: the serving phase's, or a retry's.
 // A panic anywhere in the loop (malformed artifact, tensor shape bug) is
 // recovered and reported as a serving failure rather than crashing the
 // process.
-func (env *Context) servingLoop(ctx context.Context, hash uint64, artifact []byte, req *io.PipeReader, resp *io.PipeWriter, stats *schedule.BackendStats, span *obs.Span) (err error) {
+func (env *Context) servingLoop(ctx context.Context, hash uint64, artifact []byte, req *io.PipeReader, resp *io.PipeWriter, stats *schedule.BackendStats) (err error) {
 	defer resp.Close()
 	defer func() {
 		if r := recover(); r != nil {
@@ -262,6 +248,7 @@ func (env *Context) servingLoop(ctx context.Context, hash uint64, artifact []byt
 	if err := env.Faults.Hit(ctx, faults.PointServingHang); err != nil {
 		return fmt.Errorf("serving: %w", err)
 	}
+	span := obs.SpanFromContext(ctx)
 	decodeSpan := span.StartChild("loading:decode-model")
 	shared, decodeSecs, err := env.loadModel(hash, artifact)
 	decodeSpan.Finish()
@@ -312,7 +299,6 @@ func (env *Context) servingLoop(ctx context.Context, hash uint64, artifact []byt
 		if err != nil {
 			return fmt.Errorf("serving: requests %d to %d: %w", lo, lo+chunk-1, err)
 		}
-		stratAcctFrom(ctx).noteInfer(int64(chunk))
 		for j, idx := range idxs {
 			i := lo + j
 			// The partial-response fault kills the serving component

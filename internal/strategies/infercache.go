@@ -14,12 +14,16 @@ package strategies
 // the stored tables' versions.
 //
 // memoInfer is the one step that reads and fills the cache; the strategies
-// only say how to infer what it could not answer. Its rule:
+// only say how to infer what it could not answer. DB-UDF and DB-PyTorch
+// reach it through infer (scheduler.go), which runs the misses as one batch
+// on the strategy's backend: one scheduler submission when a scheduler is
+// armed, one Backend.Run otherwise. The DL2SQL pair runs its misses through
+// its SQL pipeline. The rule:
 //
 //   - Lookup: memoInfer looks every position's key up once, in the
-//     InferCache. The scheduler reads the same LRU again for a key it is
-//     handed (a concurrent batch may have filled it since), but with Peek,
-//     so each lookup a query makes counts one hit or one miss in
+//     InferCache. The scheduler reads the same LRU again for the keys of a
+//     submission (a concurrent batch may have filled them since), but with
+//     Peek, so each lookup a query makes counts one hit or one miss in
 //     strategies.infercache.*.
 //   - Dedup: positions sharing a missing key are inferred once.
 //   - Publish: memoInfer puts the inferred answers unless the query's

@@ -142,16 +142,16 @@ type Context struct {
 	// fast. Nil disables the breaker.
 	Breaker *Breaker
 	// Scheduler, when non-nil, routes DB-UDF and DB-PyTorch forward passes
-	// through the cross-query inference scheduler: requests from
-	// concurrent queries coalesce into batched forward passes and identical
-	// in-flight requests single-flight onto one computation. Enable with
-	// EnableScheduler; nil keeps the strategy-local inference paths.
+	// through the cross-query inference scheduler: batches from concurrent
+	// queries coalesce into shared backend calls and identical in-flight
+	// requests single-flight onto one computation. Enable with
+	// EnableScheduler; nil runs each batch on its backend directly.
 	Scheduler *schedule.Scheduler
-	// schedNative / schedServing are the scheduler backends wired by
-	// EnableScheduler: in-process batched inference for DB-UDF and the
-	// breaker-guarded serving pipe for DB-PyTorch.
-	schedNative  *schedule.Backend
-	schedServing *schedule.Backend
+	// native and serving are the backends every DB-UDF and DB-PyTorch
+	// batch runs on, scheduled or not: in-process batched inference and
+	// the breaker-guarded serving pipe. NewContext builds them.
+	native  *schedule.Backend
+	serving *schedule.Backend
 	// models holds each bound artifact's decoded model and DL2SQL stored
 	// tables, each loaded on its first use.
 	models modelStore
@@ -173,11 +173,16 @@ func (env *Context) recordBreakdown(strategy string, bd CostBreakdown) {
 
 // NewContext assembles a context over a dataset with the default profile.
 func NewContext(ds *iotdata.Dataset) *Context {
-	return &Context{
+	env := &Context{
 		Dataset:  ds,
 		Bindings: map[string]*UDFBinding{},
 		Profile:  hwprofile.EdgeCPU,
 	}
+	env.native = schedule.NewNativeBackend(env.loadModel)
+	// The serving backend runs one batch as one serveWithRetry call:
+	// breaker, retry policy, and serving fault points all apply.
+	env.serving = &schedule.Backend{ID: "serving", Run: env.serveWithRetry}
+	return env
 }
 
 // Bind registers a model for an nUDF name, compiling its artifact, and
@@ -266,8 +271,8 @@ func (ms *modelStore) entry(hash uint64) *storedEntry {
 	return e
 }
 
-// loadModel is the one model-load path of DB-UDF's nUDFs, DB-PyTorch's
-// serving loop and the scheduler's native backend. It returns the shared,
+// loadModel is the one model-load path of DB-UDF's loading phase, the
+// native backend and DB-PyTorch's serving loop. It returns the shared,
 // read-only decoded model of the artifact with the given hash — a caller
 // that traces runs a shallow copy with its own Trace — and the seconds its
 // decode took when first loaded, the strategies' model-load charge.

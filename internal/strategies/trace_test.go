@@ -12,6 +12,7 @@ import (
 	"repro/internal/colquery"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/schedule"
 )
 
 // tracedContext is testContext with a keep-all trace store armed on the
@@ -283,4 +284,47 @@ func underSpan(byID map[int]obs.SpanRow, r obs.SpanRow, name string) bool {
 		}
 	}
 	return false
+}
+
+// TestSchedulerOneSubmissionPerUDFBatch: a traced, scheduled DB-UDF run
+// submits each nUDF batch call's misses as one scheduler submission, so its
+// trace holds one sched:infer span per inference:<nudf> batch span, under
+// it and covering the whole batch — not one span per keyframe.
+func TestSchedulerOneSubmissionPerUDFBatch(t *testing.T) {
+	ctx := tracedContext(t)
+	sched := ctx.EnableScheduler(schedule.Config{})
+	defer sched.Drain()
+	q, err := colquery.GenerateAnalyzed(colquery.Type1, colquery.TemplateParams{Selectivity: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := tracedExecute(t, ctx, &DBUDF{}, q)
+	byID := map[int]obs.SpanRow{}
+	for _, r := range st.Spans {
+		byID[r.SpanID] = r
+	}
+	var batches, submissions, keys int
+	for _, r := range st.Spans {
+		switch {
+		case strings.HasPrefix(r.Name, "inference:"):
+			batches++
+		case r.Name == "sched:infer":
+			submissions++
+			parent := byID[r.ParentID]
+			if !strings.HasPrefix(parent.Name, "inference:") {
+				t.Fatalf("sched:infer under %q, want an inference:<nudf> batch span", parent.Name)
+			}
+			n := attrInt(t, r.Attrs, "keys")
+			if want := attrInt(t, parent.Attrs, "batch"); n != want {
+				t.Fatalf("sched:infer submitted %d keys of a %d-keyframe batch", n, want)
+			}
+			keys += n
+		}
+	}
+	if batches == 0 || submissions != batches {
+		t.Fatalf("%d sched:infer spans for %d nUDF batch calls, want one each", submissions, batches)
+	}
+	if got := sched.Stats().Submitted; int64(keys) != got || keys <= submissions {
+		t.Fatalf("%d submissions carried %d keys, scheduler counted %d: want several keys per submission", submissions, keys, got)
+	}
 }

@@ -9,9 +9,7 @@ import (
 
 	"repro/internal/colquery"
 	"repro/internal/faults"
-	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/schedule"
 	"repro/internal/sqldb"
 )
 
@@ -20,15 +18,16 @@ import (
 // query executes unmodified. The optimizer sees the UDF as a black box
 // (its cost and selectivity are unknown), which is exactly the limitation
 // Table III records for this approach. Context.Bind registers each nUDF
-// once; an execution hands its models and accounting to the UDF on the
-// statement context (udfRun), so concurrent executions never share them.
+// once; an execution hands its accounting to the UDF on the statement
+// context (udfRun), so concurrent executions never share it.
 type DBUDF struct{}
 
 // Name implements Strategy.
 func (s *DBUDF) Name() string { return "DB-UDF" }
 
 // errNoUDFRun is returned when SQL outside a DB-UDF execution calls a
-// bound nUDF: the UDF is in the catalog, but no models are loaded.
+// bound nUDF: the UDF is in the catalog, but no execution loaded its
+// models or accounts for its calls.
 var errNoUDFRun = errors.New("strategies: nUDF called outside a DB-UDF execution")
 
 // udfRun is one DB-UDF execution's state, carried to the bound nUDFs on
@@ -37,7 +36,6 @@ var errNoUDFRun = errors.New("strategies: nUDF called outside a DB-UDF execution
 // behind mu.
 type udfRun struct {
 	env       *Context
-	models    map[string]*nn.Model
 	querySpan *obs.Span // relational:query; nil untraced
 
 	mu            sync.Mutex
@@ -80,14 +78,14 @@ func (r *udfRun) end(t time.Time, secs float64, blobs [][]byte) {
 	r.mu.Unlock()
 }
 
-// nudfFn is the body of a bound nUDF: for a batch of calls it decodes the
-// keyframes and runs native inference, with inference time accumulating
+// nudfFn is the body of a bound nUDF: a batch of calls runs through
+// env.infer on the native backend, with inference time accumulating
 // separately from the enclosing relational execution. It holds no
 // per-query state; the run arrives with the statement context.
 func nudfFn(name string) sqldb.UDFFunc {
 	return func(ctx context.Context, calls [][]sqldb.Datum) ([]sqldb.Datum, error) {
 		r, _ := ctx.Value(udfRunKey{}).(*udfRun)
-		if r == nil || r.models[name] == nil {
+		if r == nil {
 			return nil, fmt.Errorf("%w: %s", errNoUDFRun, name)
 		}
 		blobs := make([][]byte, len(calls))
@@ -98,27 +96,13 @@ func nudfFn(name string) sqldb.UDFFunc {
 			blobs[i] = args[0].B
 		}
 		env, b := r.env, r.env.Bindings[name]
-		scheduled := env.Scheduler != nil
-		// The prediction memo's misses run as one batch: submitted to the
-		// cross-query scheduler at once, where they coalesce with other
-		// queries' requests, or through one native forward pass. Only
-		// physical forward passes charge inference time.
-		infer := func(miss []int, keys []InferKey) ([]int, error) {
-			run := pick(blobs, miss)
-			if scheduled {
-				r.begin(time.Now())
-				classes, share, err := env.schedInferAll(ctx, env.schedNative, b, run, keys)
-				r.end(time.Now(), share.stats.InferSeconds, share.ran)
-				return classes, err
-			}
+		classes, err := env.infer(ctx, env.native, b, blobs, func(batch [][]byte, run inferRun) ([]int, error) {
 			// The inference-time accounting reads double as the batch
 			// span's start/end, so tracing adds no clock reads. The batch
 			// span opens under the operator that calls the UDF, whose span
 			// the engine puts on the UDF's context; untraced, querySpan is
-			// nil and the context is not searched. Each batch runs a
-			// shallow copy of the model: layers and weights are read-only
-			// during a forward pass; only the Trace attachment point is
-			// per-call state.
+			// nil and the context is not searched. Only physical forward
+			// passes charge inference time.
 			start := time.Now()
 			r.begin(start)
 			parent := r.querySpan
@@ -128,20 +112,13 @@ func nudfFn(name string) sqldb.UDFFunc {
 				}
 			}
 			span := parent.StartChildAt("inference:"+name, start)
-			span.SetAttr("batch", len(run))
-			mc := *r.models[name]
-			mc.Trace = span
-			idxs, secs, err := schedule.PredictKeyframes(&mc, run)
+			span.SetAttr("batch", len(batch))
+			classes, share, err := run(obs.ContextWithSpan(ctx, span))
 			end := time.Now()
 			span.FinishAt(end)
-			r.end(end, secs, run)
-			if err != nil {
-				return nil, err
-			}
-			stratAcctFrom(ctx).noteInfer(int64(len(run)))
-			return idxs, nil
-		}
-		classes, err := env.memoInfer(ctx, len(blobs), func(i int) InferKey { return b.inferKey(blobs[i]) }, scheduled, infer)
+			r.end(end, share.InferSeconds, pick(batch, share.Ran))
+			return classes, err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -161,11 +138,12 @@ func (s *DBUDF) Execute(ctx context.Context, env *Context, q *colquery.Query) (*
 
 	// Loading: the database "recompilation" of each compiled artifact into
 	// an executable model, charged on every query as the recorded decode's
-	// model-load cost; loadModel decodes it only once. On GPU settings the
+	// model-load cost; loadModel decodes it only once, and the native
+	// backend runs the batches on the loaded model. On GPU settings the
 	// weights also cross the PCIe bus once. A load failure (here, the
 	// udf.decode fault point) is an availability problem — the fallback
 	// ladder degrades it to DL2SQL.
-	run := &udfRun{env: env, models: map[string]*nn.Model{}}
+	run := &udfRun{env: env}
 	_, loadSpan := obs.StartSpan(ctx, "loading:decode-models")
 	var modelBytes int64
 	var decodeSecs float64
@@ -177,11 +155,10 @@ func (s *DBUDF) Execute(ctx context.Context, env *Context, q *colquery.Query) (*
 		if err := env.Faults.Hit(ctx, faults.PointUDFDecode); err != nil {
 			return nil, bd, failSpans(fmt.Errorf("strategies: loading UDF %s: %w", name, err), loadSpan)
 		}
-		m, secs, err := env.loadModel(b.artifactHash, b.Artifact)
+		_, secs, err := env.loadModel(b.artifactHash, b.Artifact)
 		if err != nil {
 			return nil, bd, failSpans(fmt.Errorf("strategies: loading UDF %s: %w", name, err), loadSpan)
 		}
-		run.models[name] = m
 		modelBytes += int64(len(b.Artifact))
 		decodeSecs += secs
 	}
