@@ -8,8 +8,8 @@
 //	\profile        span self time per operator (sys.spans grouped by name)
 //	\profile reset  start a fresh trace store (so does \trace PATH)
 //	\parallel N     set the executor's worker degree (0 = NumCPU, 1 = serial)
-//	\cache N        enable the statement/plan cache (N entries per LRU)
-//	\cache stats    show cache hit/miss/eviction counters; \cache off disables
+//	\cache N        enable the statement store (N entries)
+//	\cache stats    show the store's hit/miss/eviction counters; \cache off disables
 //	\timing on|off  print each query's wall time
 //	\timeout DUR    per-query deadline (e.g. 500ms, 2s); \timeout off clears
 //	\faults SPEC    install a fault injector (see internal/faults spec
@@ -289,7 +289,7 @@ GROUP BY name ORDER BY self_ms DESC;`)
 		if n == 0 {
 			fmt.Println("cache disabled")
 		} else {
-			fmt.Printf("statement/plan cache enabled (%d entries per LRU)\n", n)
+			fmt.Printf("statement store enabled (%d entries)\n", n)
 		}
 		return true
 	case `\sys`:

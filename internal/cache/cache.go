@@ -4,8 +4,8 @@
 //
 // Three layers build on it (see ARCHITECTURE.md for the full contract):
 //
-//   - sqldb's prepared-statement + plan cache (keyed on normalized SQL
-//     text, invalidated by per-table version counters on DDL and DML);
+//   - sqldb's statement store (keyed on a statement's literal-free token
+//     stream; each entry holds the parsed statement and its kept plans);
 //   - the strategies layer's inference memoization (keyed on model id +
 //     input tensor hash, short-circuiting repeated nUDF_* calls);
 //   - dl2sql's materialized FeatureMap-intermediate cache (keyed on a
@@ -87,14 +87,19 @@ func (c *LRU[K, V]) Instrument(reg *obs.Registry, prefix string) {
 }
 
 // Get returns the cached value and marks it most recently used.
-func (c *LRU[K, V]) Get(key K) (V, bool) {
+func (c *LRU[K, V]) Get(key K) (V, bool) { return c.GetIf(key, nil) }
+
+// GetIf is Get for a value that match accepts (a nil match accepts every
+// value): a cached value match rejects counts as a miss and keeps its
+// place. match runs under the cache's lock.
+func (c *LRU[K, V]) GetIf(key K, match func(V) bool) (V, bool) {
 	var zero V
 	if c == nil {
 		return zero, false
 	}
 	c.mu.Lock()
 	e, ok := c.items[key]
-	if !ok {
+	if !ok || match != nil && !match(e.val) {
 		c.misses++
 		miss := c.onMiss
 		c.mu.Unlock()

@@ -52,6 +52,29 @@ func TestGetPutAndRecency(t *testing.T) {
 	}
 }
 
+// TestGetIfRejectionIsAMiss: a value GetIf's match rejects counts as a
+// miss and is neither returned nor made most recent.
+func TestGetIfRejectionIsAMiss(t *testing.T) {
+	c := New[string, int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	odd := func(v int) bool { return v%2 == 1 }
+	if v, ok := c.GetIf("a", odd); !ok || v != 1 {
+		t.Fatalf("a: got %v %v", v, ok)
+	}
+	if _, ok := c.GetIf("b", odd); ok {
+		t.Fatal("b was returned though match rejected it")
+	}
+	// "b" stayed least recent: "c" evicts it.
+	c.Put("c", 3)
+	if _, ok := c.Peek("b"); ok {
+		t.Fatal("a rejected value was made most recent")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1", st.Hits, st.Misses)
+	}
+}
+
 func TestUpdateExistingKeyDoesNotGrow(t *testing.T) {
 	c := New[string, int](2)
 	c.Put("a", 1)

@@ -1,7 +1,7 @@
 package obs
 
 // QueryHistory is the engine's fixed-size query-history ring buffer: every
-// executed statement leaves one QueryRecord behind — normalized SQL,
+// executed statement leaves one QueryRecord behind — its text,
 // strategy and fallback path, cache state, per-query resource accounting
 // (rows, bytes, morsels, UDF/inference calls), wall and busy time, and the
 // qerr error class — and the newest records overwrite the oldest once the
@@ -25,7 +25,7 @@ import (
 type QueryRecord struct {
 	// ID is the monotonically increasing sequence number assigned by Add.
 	ID int64 `json:"id"`
-	// SQL is the normalized statement text.
+	// SQL is the statement text.
 	SQL string `json:"sql"`
 	// Strategy labels strategy-level roll-up records (DB-PyTorch, DB-UDF,
 	// DL2SQL, DL2SQL-OP); plain engine statements leave it "sql".

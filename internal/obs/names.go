@@ -152,7 +152,6 @@ func KnownTraceMetric(name string) bool {
 // Cache-instrument prefixes: cache.LRU.Instrument appends ".hits",
 // ".misses", ".evictions".
 const (
-	CachePrefixStmt      = "sqldb.cache.stmt"
 	CachePrefixPlan      = "sqldb.cache.plan"
 	CachePrefixInfer     = "strategies.infercache"
 	CacheSuffixHits      = "hits"

@@ -21,7 +21,7 @@ func TestValidMetricName(t *testing.T) {
 		StrategyMetric("DB-PyTorch", "total_s"),
 		StrategyMetric("DL2SQL-OP", "queries"),
 		FallbackMetric("DB-PyTorch", "DB-UDF"),
-		CacheMetric(CachePrefixStmt, CacheSuffixHits),
+		CacheMetric(CachePrefixPlan, CacheSuffixHits),
 		CacheMetric(CachePrefixPlan, CacheSuffixMisses),
 		CacheMetric(CachePrefixInfer, CacheSuffixEvictions),
 	}

@@ -82,28 +82,27 @@ func (ec *execCtx) profScan(rows int, start time.Time) {
 	}
 }
 
-// execStmtRecorded is execStmt plus history recording. With no history or
-// trace store armed it is a plain passthrough; otherwise the statement
+// execStmtRecorded is execStmtWith plus history recording. With no history
+// or trace store armed it is a plain passthrough; otherwise the statement
 // runs with an accounting context and leaves one QueryRecord behind —
 // including on error and on recovered panic. sql is the statement's
-// recorded text; when empty, st is rendered, and only when a recorder is
-// armed.
-func (db *DB) execStmtRecorded(ctx context.Context, st Stmt, sql string, hints *QueryHints) (*Result, error) {
+// recorded text, the caller's own when it has one; when empty, st is
+// rendered, and only when a recorder is armed.
+func (db *DB) execStmtRecorded(ctx context.Context, st Stmt, sql string, hints *QueryHints, src source) (*Result, error) {
 	if db.History == nil && db.Traces == nil {
-		return db.execStmt(ctx, st, hints)
+		return db.execStmtWith(ctx, st, hints, src)
 	}
 	if sql == "" {
 		sql = st.String()
 	}
 	return db.recordQuery(ctx, sql, func(ctx context.Context) (*Result, error) {
-		return db.execStmt(ctx, st, hints)
+		return db.execStmtWith(ctx, st, hints, src)
 	})
 }
 
 // recordQuery runs fn with a fresh accounting context and records the
 // outcome into the history ring and the engine metrics. Callers must have
-// checked that db.History or db.Traces is armed (execStmtRecorded and the
-// prepared-statement fast path do).
+// checked that db.History or db.Traces is armed (execStmtRecorded does).
 //
 // Trace ownership follows obs.TraceStore.Enter: inside a served request or
 // an enclosing strategy execution the statement contributes an "sql" child

@@ -1031,6 +1031,14 @@ func (db *DB) execAgg(a *LAgg, ec *execCtx) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
+	if len(ec.args) > 0 {
+		// The aggregate matches calls, keys and items by their text: bind
+		// the block's Params first, so they match as their literals would.
+		sel, _ := RewriteSelect(&SelectStmt{Items: a.Items, GroupBy: a.GroupBy, Having: a.Having}, bindParams(argValue(ec.args)))
+		b := *a
+		b.Items, b.GroupBy, b.Having = sel.Items, sel.GroupBy, sel.Having
+		a = &b
+	}
 
 	// Collect distinct aggregate calls.
 	seen := map[string]*aggCall{}

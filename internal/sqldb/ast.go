@@ -23,9 +23,10 @@ type ColRef struct {
 // Lit is a literal constant.
 type Lit struct{ Val Datum }
 
-// Param is a positional `?` placeholder. Idx is the zero-based position in
-// statement order; values are bound at execution time through a Prepared
-// statement, so one cached plan serves every binding.
+// Param is a value bound at execution: a `?` placeholder, or a literal the
+// statement store lifted out of a text (cache.go). Idx indexes the
+// execution's arguments, which the vector compiler reads, so one kept plan
+// serves every binding.
 type Param struct{ Idx int }
 
 // BinExpr is a binary operation: arithmetic, comparison, AND/OR, string ||.

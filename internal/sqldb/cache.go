@@ -1,58 +1,63 @@
 package sqldb
 
-// The statement cache and the plan store.
+// The statement store and its kept plans.
 //
-// The statement cache (EnableCache) maps normalized SQL text to its parsed
-// AST, so a repeated text skips the lexer and parser.
+// EnableCache turns on the statement store, one LRU. Its key is a text as
+// one lexer pass reads it (scanKey): the tokens, without whitespace and
+// comments, each number and string literal replaced by its type. An entry
+// is a template: the statement parsed once with its liftable literals as
+// Params, and the plans kept for it. The literal values the same pass
+// collects bind the Params as a Prepared statement's arguments bind its
+// `?`s — the vector compiler reads a Param's value from the execution's
+// arguments, and the aggregate binds its block's Params before it matches
+// calls, keys and items by their text — so Table I's templates run with
+// other literals share one plan. A plan does not depend on a lifted
+// literal: the greedy join order reads estimates made from constant
+// textbook selectivities, and only through how they compare (SNIPPETS.md,
+// Paper 1).
 //
-// Every reused plan lives in the plan store as one entry type, keptPlan: a
-// statement's plans, one per UNION ALL branch, and the planner inputs they
-// were made from. plansFor is the one function that serves an entry or
-// plans afresh. It finds entries in two places:
+// Literals that shape a plan or a result stay literals, and a text whose
+// values differ there misses the entry: an ORDER BY or GROUP BY key that
+// is one literal (a position), LIMIT and OFFSET, the literals of an
+// unaliased SELECT item, whose text names its column, and those inside
+// scalar and IN subqueries, which the planner folds into values. TRUE,
+// FALSE and NULL are keywords and stay in the key as written, since the
+// same spelling can name a column.
 //
-//   - a Prepared statement's own handle, which a statement without `?`
-//     placeholders keeps with or without EnableCache;
-//   - the EnableCache LRU, under the SELECT's canonical rendering
-//     (SelectStmt.String(), so formatting differences share an entry; a
-//     prepared statement's placeholders stay in its text, and each
-//     execution binds its arguments into a copy of the plan).
+// The store keeps one SELECT, or EXPLAIN [ANALYZE] of one, which shares
+// the SELECT's entry. Other statements, texts with `?` and executions
+// under a JoinOrder hint parse afresh; ExecStmtContext renders a SELECT
+// and takes the text's path. A template enters the store only after an
+// execution of it succeeded. A Prepared statement holds a template — the
+// store's, when Prepare found one — and runs on its plans with or without
+// EnableCache; one with `?`s looks its text up on every execution.
 //
-// An entry is served while holds reports that planning afresh would read
-// the same inputs. Those inputs, and how the entry covers each:
+// plansFor serves a template's kept plans while holds reports that
+// planning afresh would read the same inputs:
 //
-//   - The column schemas of the tables the statement reads, bound
-//     (relations.go) or not, and the views it reads by identity. A scan's
-//     output schema is its table's, so a table re-created with the same
-//     columns plans the same.
-//   - The greedy join order. It reads each relation's estimate — a base
-//     table's row count times constant textbook filter selectivities, a
-//     derived table's 1000, either replaced by a CardOverrides hint — only
-//     through `<` and a stable sort (SNIPPETS.md, Paper 1). The entry
-//     therefore records how every pair of estimates compares, ties
-//     included, not the row counts: a write that leaves the order alone
-//     does not re-plan. The estimates are read again under each
-//     execution's own hints, so one text may run hinted and unhinted.
-//   - UDFs. Registering or removing one re-plans every entry, as either
-//     can change what a call names. UDF selectivity and cost, DelayUDFs
-//     and SymmetricJoin only matter to a statement that calls a registered
-//     UDF; such a statement's plan is stored only when made without them,
-//     and served only to executions without them.
-//   - Folded scalar and IN subqueries. foldSubquery turns their values
-//     into literals, so a plan that folded one is data and is never
-//     stored. Nor is a plan over a sys.* table, whose rows change under
-//     every plan, or one under a JoinOrder hint.
-//   - EstRows and joinSelectivity feed only EXPLAIN; a stored plan's
-//     estimates are those of its first planning.
+//   - the column schemas of the tables the statement reads, bound
+//     (relations.go) or not, and the views it reads by identity;
+//   - how every pair of the greedy join order's estimates compares, ties
+//     included — a base table's row count times constant filter
+//     selectivities, a derived table's 1000, either replaced by a
+//     CardOverrides hint — read again under each execution's hints, so a
+//     write that leaves the order alone does not re-plan;
+//   - the UDF registry's generation. UDF selectivity and cost, DelayUDFs
+//     and SymmetricJoin matter only to a statement that calls a UDF, whose
+//     plan is kept only when made without them and served only to
+//     executions without them.
 //
-// Scans resolve their tables by name at execution, so an entry runs over a
-// table written, re-created or bound under the same name without planning
-// again. Entries are immutable — execution compiles expressions per run
-// and keeps all per-run state in execCtx — so one plan serves concurrent
-// executions. A fresh plan is stored only after it executed successfully.
+// A plan that folded a scalar or IN subquery is data and is never kept,
+// nor is one over a sys.* table or under a JoinOrder hint. EstRows feeds
+// only EXPLAIN: a kept plan's estimates are its first planning's. Scans
+// resolve their tables by name at execution, and kept plans are immutable
+// — execution keeps its state in execCtx — so one plan serves concurrent
+// executions. A fresh plan is kept only after it executed successfully.
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -61,138 +66,229 @@ import (
 	"repro/internal/obs"
 )
 
-// EnableCache activates the statement cache and the plan store's LRU,
-// each bounded to capacity entries. capacity <= 0 disables both (the
-// default); a Prepared statement keeps its own entry either way. When
-// DB.Metrics is set, hit/miss/eviction counters appear under
-// "sqldb.cache.stmt.*" and "sqldb.cache.plan.*"; set Metrics before
-// calling EnableCache.
+// EnableCache activates the statement store, bounded to capacity entries.
+// capacity <= 0 disables it (the default); a Prepared statement keeps its
+// own template either way. When DB.Metrics is set, the store's hit, miss
+// and eviction counters appear under "sqldb.cache.plan.*"; set Metrics
+// before calling EnableCache.
 func (db *DB) EnableCache(capacity int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if capacity <= 0 {
-		db.stmtCache, db.planCache = nil, nil
-		return
-	}
-	db.stmtCache = cache.New[string, Stmt](capacity)
-	db.planCache = cache.New[string, *keptPlan](capacity)
-	db.stmtCache.Instrument(db.Metrics, obs.CachePrefixStmt)
-	db.planCache.Instrument(db.Metrics, obs.CachePrefixPlan)
+	store := cache.New[string, *template](capacity)
+	store.Instrument(db.Metrics, obs.CachePrefixPlan)
+	db.store.Store(store)
 }
 
 // CacheEnabled reports whether EnableCache is active.
-func (db *DB) CacheEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.planCache != nil
+func (db *DB) CacheEnabled() bool { return db.store.Load() != nil }
+
+// storeFor is the store an execution under hints looks its text up in:
+// none while the store is off or a JoinOrder hint pins the plan.
+func (db *DB) storeFor(hints *QueryHints) *cache.LRU[string, *template] {
+	if hints != nil && len(hints.JoinOrder) > 0 {
+		return nil
+	}
+	return db.store.Load()
 }
 
-// CacheStats reports the statement- and plan-cache counters.
-// PlanInvalidations counts lookups that found a stored entry — in the LRU
-// or a Prepared statement's own handle — whose planner inputs had moved,
-// so the statement planned afresh; such a lookup through the LRU first
-// counts as a plan hit in Plan.Hits.
+// CacheStats reports the statement store's counters. Stmt and Plan both
+// report the one store, whose entry holds a statement and its plans.
+// PlanInvalidations counts executions that found kept plans — in the
+// store or a Prepared statement's own template — whose planner inputs had
+// moved, so the statement planned afresh; such a lookup through the store
+// first counts as a hit.
 type CacheStats struct {
 	Stmt              cache.Stats
 	Plan              cache.Stats
 	PlanInvalidations int64
 }
 
-// CacheStats snapshots the cache counters (all zeros when disabled).
+// CacheStats snapshots the store's counters (all zeros when disabled).
 func (db *DB) CacheStats() CacheStats {
-	db.mu.RLock()
-	sc, pc := db.stmtCache, db.planCache
-	db.mu.RUnlock()
-	return CacheStats{
-		Stmt:              sc.Stats(),
-		Plan:              pc.Stats(),
-		PlanInvalidations: db.planInvalidations.Load(),
-	}
+	st := db.store.Load().Stats()
+	return CacheStats{Stmt: st, Plan: st, PlanInvalidations: db.planInvalidations.Load()}
 }
 
-// String renders the cache counters in the metrics-snapshot style.
+// String renders the counters in the metrics-snapshot style.
 func (s CacheStats) String() string {
-	return fmt.Sprintf(
-		"stmt  hits=%d misses=%d evictions=%d len=%d/%d\nplan  hits=%d misses=%d evictions=%d invalidations=%d len=%d/%d",
-		s.Stmt.Hits, s.Stmt.Misses, s.Stmt.Evictions, s.Stmt.Len, s.Stmt.Cap,
+	return fmt.Sprintf("store hits=%d misses=%d evictions=%d invalidations=%d len=%d/%d",
 		s.Plan.Hits, s.Plan.Misses, s.Plan.Evictions, s.PlanInvalidations, s.Plan.Len, s.Plan.Cap)
 }
 
-// normalizeSQL is the statement-cache key function: it collapses runs of
-// whitespace outside string literals to one space and strips the trailing
-// semicolon, so formatting differences share an entry while literal
-// contents stay significant.
-func normalizeSQL(s string) string {
+// ---- templates ----
+
+// template is a parsed statement whose Params a text's literal values and
+// a caller's arguments bind, and the plans kept for the SELECT it reads.
+// Everything but kept is immutable once made.
+type template struct {
+	stmt Stmt
+	// sels are the UNION ALL branches of the SELECT stmt reads — as
+	// SELECT, CREATE TABLE … AS or INSERT … SELECT — each planned as a
+	// block of its own; nil when it reads none.
+	sels []*SelectStmt
+	// vals are the literal values of the text parsed; Param i binds the
+	// literal in slot i, negated for the slots in neg, and Param len(vals)+n
+	// the n-th of the nuser `?`s. fixed are the slots of the literals that
+	// stay in stmt, which another text must match.
+	vals       []Datum
+	fixed, neg []int
+	nuser      int
+	kept       atomic.Pointer[keptPlan]
+}
+
+func newTemplate(st Stmt, p *parser) *template {
+	t := &template{stmt: st, vals: p.vals, nuser: p.nuser}
+	for slot, lifted := range p.lifted {
+		switch {
+		case !lifted:
+			t.fixed = append(t.fixed, slot)
+		case p.neg[slot]:
+			t.neg = append(t.neg, slot)
+		}
+	}
+	var sel *SelectStmt
+	switch s := st.(type) {
+	case *SelectStmt:
+		sel = s
+	case *CreateTableStmt:
+		sel = s.As
+	case *InsertStmt:
+		sel = s.Query
+	}
+	if sel != nil {
+		t.sels = branches(sel)
+	}
+	return t
+}
+
+// matches reports whether a text with literal values vals keeps t's fixed
+// literals.
+func (t *template) matches(vals []Datum) bool {
+	for _, slot := range t.fixed {
+		a, b := vals[slot], t.vals[slot]
+		if a.T != b.T || a.I != b.I || a.S != b.S || math.Float64bits(a.F) != math.Float64bits(b.F) {
+			return false
+		}
+	}
+	return true
+}
+
+// args are the values of t's Params for a text with literal values vals
+// and a caller's `?` arguments user.
+func (t *template) args(vals, user []Datum) []Datum {
+	switch {
+	case len(vals) == 0:
+		return user
+	case len(t.neg) == 0 && len(user) == 0:
+		return vals
+	}
+	args := append(append(make([]Datum, 0, len(vals)+len(user)), vals...), user...)
+	for _, slot := range t.neg {
+		args[slot] = signed(args[slot], true)
+	}
+	return args
+}
+
+// signed is the number v, negated when neg is set.
+func signed(v Datum, neg bool) Datum {
+	switch {
+	case !neg:
+		return v
+	case v.T == TInt:
+		return Int(-v.I)
+	}
+	return Float(-v.F)
+}
+
+// text renders t as the text with literal values vals, its `?`s kept.
+func (t *template) text(vals []Datum) string {
+	return bindStmtParams(t.stmt, argValue(t.args(vals, nil))).String()
+}
+
+// keyScan is what one lexer pass reads of a text: its store key, its
+// literal values by slot, its EXPLAIN prefix and whether it holds a `?`.
+type keyScan struct {
+	key              string
+	vals             []Datum
+	explain, analyze bool
+	params           bool
+}
+
+// scanKey lexes src once into its store key. ok is false for a text the
+// store does not keep: anything but one SELECT or EXPLAIN [ANALYZE] of
+// one, and text that does not lex (the parser then reports why).
+func scanKey(src string) (k keyScan, ok bool) {
+	l := lexer{src: src}
 	var sb strings.Builder
-	sb.Grow(len(s))
-	inStr := false
-	space := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if inStr {
-			sb.WriteByte(c)
-			if c == '\\' && i+1 < len(s) {
-				i++
-				sb.WriteByte(s[i])
-				continue
-			}
-			if c == '\'' {
-				inStr = false
-			}
+	started, ended := false, false
+	for {
+		t, err := l.next()
+		if err != nil {
+			return k, false
+		}
+		switch {
+		case t.kind == tokEOF:
+			k.key = sb.String()
+			return k, started
+		case t.kind == tokOp && t.text == ";":
+			ended = true
 			continue
-		}
-		switch c {
-		case '\'':
-			if space && sb.Len() > 0 {
-				sb.WriteByte(' ')
+		case ended:
+			return k, false // a second statement
+		case !started:
+			switch {
+			case t.is("explain") && !k.explain:
+				k.explain = true
+				continue
+			case t.is("analyze") && k.explain && !k.analyze:
+				k.analyze = true
+				continue
+			case !t.is("select"):
+				return k, false
 			}
-			space = false
-			inStr = true
-			sb.WriteByte(c)
-		case ' ', '\t', '\n', '\r':
-			space = true
+			started = true
+			sb.Grow(len(src))
 		default:
-			if space && sb.Len() > 0 {
-				sb.WriteByte(' ')
+			sb.WriteByte(' ')
+		}
+		switch t.kind {
+		case tokNumber, tokString:
+			v, err := litValue(t)
+			if err != nil {
+				return k, false
 			}
-			space = false
-			sb.WriteByte(c)
+			k.vals = append(k.vals, v)
+			sb.WriteByte('#')
+			sb.WriteString(v.T.String())
+		case tokParam:
+			k.params = true
+			sb.WriteByte('?')
+		default:
+			sb.WriteString(t.text)
 		}
 	}
-	return strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sb.String()), ";"))
 }
 
-// parseOne parses a single statement, consulting the statement cache.
-// Cached ASTs are shared across executions; every post-parse transform in
-// the engine is copy-on-write, so they stay immutable.
-func (db *DB) parseOne(sql string) (Stmt, error) {
-	db.mu.RLock()
-	sc := db.stmtCache
-	db.mu.RUnlock()
-	if sc == nil {
-		return Parse(sql)
+// template returns the store's template for a text and whether it was
+// parsed afresh, which the caller puts in the store once an execution of
+// it succeeded. The template of EXPLAIN [ANALYZE] text is its SELECT's.
+func (db *DB) template(store *cache.LRU[string, *template], src string, k keyScan) (*template, bool, error) {
+	if t, ok := store.GetIf(k.key, func(t *template) bool { return t.matches(k.vals) }); ok {
+		return t, false, nil
 	}
-	key := normalizeSQL(sql)
-	if st, ok := sc.Get(key); ok {
-		return st, nil
-	}
-	st, err := Parse(sql)
+	t, err := parseTemplate(src, k.vals)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if _, ok := st.(*SelectStmt); ok {
-		// Only SELECTs are worth keeping: DDL/DML texts (e.g. dl2sql's
-		// uniquely-named temp-table scripts) would churn the LRU.
-		sc.Put(key, st)
+	if e, ok := t.stmt.(*ExplainStmt); ok {
+		t.stmt, t.sels = e.Query, branches(e.Query)
 	}
-	return st, nil
+	return t, true, nil
 }
 
-// ---- the plan store ----
+// ---- kept plans ----
 
-// keptPlan is one stored entry: a statement's plans, one per UNION ALL
-// branch, and the planner inputs they were made from. It is immutable once
-// stored, so concurrent executions share it.
+// keptPlan is a template's kept plans, one per UNION ALL branch, and the
+// planner inputs they were made from. It is immutable once kept, so
+// concurrent executions share it.
 type keptPlan struct {
 	plans  []Plan
 	udfGen int64 // the UDF registry's generation when planning began
@@ -219,9 +315,9 @@ type keptOrder struct {
 	cmp    []int8 // compareEst of estimates i and j, for each pair i < j
 }
 
-// planNotes records, while one statement is planned, the inputs a stored
-// entry must match. Its methods do nothing on a nil receiver, which is how
-// every planning that stores nothing runs.
+// planNotes records, while one statement is planned, the inputs kept plans
+// must match. Its methods do nothing on a nil receiver, which is how every
+// planning that keeps nothing runs.
 type planNotes struct {
 	rels     []keptRel
 	orders   []keptOrder
@@ -320,7 +416,7 @@ func udfHinted(h *QueryHints) bool {
 }
 
 // callsUDF reports whether sels or a view among rels calls a registered
-// UDF. Subqueries are not entered: a plan that folds one is never stored.
+// UDF. Subqueries are not entered: a plan that folds one is never kept.
 func (db *DB) callsUDF(sels []*SelectStmt, rels []keptRel) bool {
 	found := false
 	find := func(e Expr) (Expr, error) {
@@ -341,17 +437,13 @@ func (db *DB) callsUDF(sels []*SelectStmt, rels []keptRel) bool {
 	return found
 }
 
-// storedSelect is the SELECT a statement runs, as the plan store finds it.
-type storedSelect struct {
-	sel *SelectStmt
-	// sels are sel's UNION ALL branches, each planned as a block of its
-	// own; split from sel when nil.
-	sels []*SelectStmt
-	// key is sel's canonical text, the LRU key; rendered from sel when
-	// empty.
-	key string
-	// own is a Prepared statement's own entry, or nil.
-	own *atomic.Pointer[keptPlan]
+// source is where the plans of a statement's SELECT come from: t's kept
+// plans, served under the cache state served ("hit" through the store,
+// "kept" from a Prepared statement's own template), or, without t, a
+// fresh planning.
+type source struct {
+	t      *template
+	served string
 }
 
 // branches splits a SELECT into its UNION ALL branches.
@@ -366,69 +458,48 @@ func branches(sel *SelectStmt) []*SelectStmt {
 
 func noCommit() {}
 
-// plansFor returns the plans of s's branches and where they came from:
-// s.own's entry while it holds ("kept"), else the LRU entry under s's text
-// while it holds ("hit"), else a fresh plan made under ctx and hints —
-// "miss" when the LRU is on and the plan can be stored, "bypass" when it
-// is on and the plan is never stored, "disabled" when it is off. The
-// state is noted in the statement's accounting unless the statement
-// noted one already.
+// plansFor returns the plans of sel's branches and where they came from:
+// src's kept plans while they hold (src.served), else a fresh plan made
+// under ctx and hints — "miss" when the store is on and the plan can be
+// kept, "bypass" when it is on and the plan is never kept, "disabled" when
+// it is off. The state is noted in the statement's accounting unless the
+// statement noted one already.
 //
-// A fresh plan is not stored here: the returned commit stores it —
-// replacing a stale entry — and callers invoke it only after the plans
-// executed successfully, so a statement that is cancelled, times out or
-// fails leaves no entry behind. commit does nothing for a served entry or
-// a plan that is never stored.
-func (db *DB) plansFor(ctx context.Context, s *storedSelect, hints *QueryHints) (plans []Plan, state string, commit func(), err error) {
+// A fresh plan is not kept here: the returned commit keeps it — replacing
+// a stale one — and callers invoke it only after the plans executed
+// successfully, so a statement that is cancelled, times out or fails
+// leaves no plan behind. commit does nothing for served plans or a plan
+// that is never kept.
+func (db *DB) plansFor(ctx context.Context, src source, sel *SelectStmt, hints *QueryHints) (plans []Plan, state string, commit func(), err error) {
 	if acct := acctFrom(ctx); acct.claimCacheState() {
 		defer func() { acct.cacheState = state }()
 	}
 	pinned := hints != nil && len(hints.JoinOrder) > 0
-	var stale *keptPlan
-	if !pinned && s.own != nil {
-		if k := s.own.Load(); k != nil {
+	var kept *atomic.Pointer[keptPlan]
+	var sels []*SelectStmt
+	if src.t != nil && src.t.sels != nil {
+		kept, sels = &src.t.kept, src.t.sels
+		if k := kept.Load(); k != nil && !pinned {
 			if k.holds(ctx, db, hints) {
-				return k.plans, "kept", noCommit, nil
+				return k.plans, src.served, noCommit, nil
 			}
-			stale = k
-		}
-	}
-	db.mu.RLock()
-	lru := db.planCache
-	db.mu.RUnlock()
-	key := s.key
-	if key == "" && lru != nil {
-		key = s.sel.String()
-	}
-	if !pinned && lru != nil {
-		if k, ok := lru.Get(key); ok {
-			if k != stale && k.holds(ctx, db, hints) {
-				if s.own != nil {
-					s.own.Store(k)
-				}
-				return k.plans, "hit", noCommit, nil
+			db.planInvalidations.Add(1)
+			if m := db.metrics(); m != nil {
+				m.planInvalidations.Add(1)
 			}
-			stale = k
 		}
-	}
-	if stale != nil {
-		db.planInvalidations.Add(1)
-		if m := db.metrics(); m != nil {
-			m.planInvalidations.Add(1)
-		}
+	} else {
+		sels = branches(sel)
 	}
 
+	on := db.store.Load() != nil
 	state = "disabled"
-	if lru != nil {
+	if on {
 		state = "miss"
 	}
 	var notes *planNotes
-	if !pinned && (lru != nil || s.own != nil) {
+	if !pinned && kept != nil {
 		notes = &planNotes{}
-	}
-	sels := s.sels
-	if sels == nil {
-		sels = branches(s.sel)
 	}
 	gen := db.udfGen.Load()
 	plans = make([]Plan, len(sels))
@@ -439,35 +510,24 @@ func (db *DB) plansFor(ctx context.Context, s *storedSelect, hints *QueryHints) 
 	}
 	udf := notes != nil && db.callsUDF(sels, notes.rels)
 	if notes == nil || notes.volatile || udf && udfHinted(hints) {
-		if lru != nil {
+		if on {
 			state = "bypass"
 		}
 		return plans, state, noCommit, nil
 	}
 	k := &keptPlan{plans: plans, udfGen: gen, udf: udf, rels: notes.rels, orders: notes.orders}
-	return plans, state, func() {
-		if s.own != nil {
-			s.own.Store(k)
-		}
-		if lru != nil {
-			lru.Put(key, k)
-		}
-	}, nil
+	return plans, state, func() { kept.Store(k) }, nil
 }
 
-// runStored runs s from the plan store, binding args into each plan when
-// the statement has `?` placeholders, and appends each UNION ALL branch's
+// runSelect runs sel on plans from src and appends each UNION ALL branch's
 // rows to the first's.
-func (db *DB) runStored(ctx context.Context, s *storedSelect, hints *QueryHints, args []Datum) (*Result, error) {
-	plans, _, commit, err := db.plansFor(ctx, s, hints)
+func (db *DB) runSelect(ctx context.Context, sel *SelectStmt, hints *QueryHints, src source) (*Result, error) {
+	plans, _, commit, err := db.plansFor(ctx, src, sel, hints)
 	if err != nil {
 		return nil, err
 	}
 	var res *Result
 	for i, plan := range plans {
-		if len(args) > 0 {
-			plan = bindPlanParams(plan, args)
-		}
 		br, err := db.execPlan(plan, db.newExecCtx(ctx))
 		if err == nil && i > 0 {
 			err = appendBranch(res, br)

@@ -295,6 +295,80 @@ func TestExplainWithoutCacheHasNoAnnotation(t *testing.T) {
 	}
 }
 
+// TestStoreKeyIgnoresComments: a quote inside a comment starts no string
+// in the store's key, so two texts whose string literals differ only in
+// their spaces are each answered with their own literal, whether it is
+// lifted (WHERE) or stays (an unaliased SELECT item).
+func TestStoreKeyIgnoresComments(t *testing.T) {
+	for _, comment := range []string{"-- it's\n", "/* it's */ "} {
+		cached, uncached := New(), New()
+		cached.EnableCache(8)
+		for _, db := range []*DB{cached, uncached} {
+			mustExec(t, db, "CREATE TABLE t (s String)")
+			mustExec(t, db, "INSERT INTO t VALUES ('a  b'), ('a b')")
+		}
+		answer := func(db *DB, sql string) string {
+			res, err := db.Query(sql)
+			if err != nil {
+				t.Fatalf("%q: %v", sql, err)
+			}
+			var names []string
+			for _, c := range res.Schema {
+				names = append(names, c.Name)
+			}
+			return strings.Join(names, ",") + "\n" + resultBits(res)
+		}
+		for _, lit := range []string{"'a  b'", "'a b'"} {
+			for _, sql := range []string{
+				"SELECT s FROM t " + comment + "WHERE s = " + lit,
+				"SELECT s, " + lit + " FROM t " + comment + "WHERE s = " + lit,
+			} {
+				if got, want := answer(cached, sql), answer(uncached, sql); got != want {
+					t.Errorf("%q: cached\n%s\nuncached\n%s", sql, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestExplainPrintsOwnLiterals: EXPLAIN shows the statement's own literals
+// whether its plan was made for it or served from another text's.
+func TestExplainPrintsOwnLiterals(t *testing.T) {
+	db := cacheFixture(t)
+	db.EnableCache(64)
+	for _, c := range []struct {
+		sql, state string
+		lits       []string
+	}{
+		{"EXPLAIN SELECT a FROM t WHERE a > 3 AND s = 'r1'", "cache: miss", []string{"(a > 3)", "(s = 'r1')"}},
+		{"EXPLAIN SELECT a FROM t WHERE a > 12 AND s = 'r2'", "cache: hit", []string{"(a > 12)", "(s = 'r2')"}},
+		{"EXPLAIN ANALYZE SELECT a FROM t WHERE a > 7 AND s = 'r0'", "cache: hit", []string{"(a > 7)", "(s = 'r0')"}},
+		{"SELECT a FROM t WHERE a > -4 AND s = 'x'", "", nil},
+		{"EXPLAIN SELECT a FROM t WHERE a > -5 AND s = 'x y'", "cache: hit", []string{"(a > -5)", "(s = 'x y')"}},
+	} {
+		res, err := db.Exec(c.sql)
+		if err != nil {
+			t.Fatalf("%q: %v", c.sql, err)
+		}
+		if c.state == "" {
+			continue
+		}
+		var lines []string
+		for i := 0; i < res.NumRows(); i++ {
+			lines = append(lines, res.Cols[0].Get(i).S)
+		}
+		text := strings.Join(lines, "\n")
+		if lines[0] != c.state || strings.Contains(text, "?") {
+			t.Errorf("%q:\n%s\nwant first line %q and no placeholder", c.sql, text, c.state)
+		}
+		for _, lit := range c.lits {
+			if !strings.Contains(text, lit) {
+				t.Errorf("%q:\n%s\nwant %s", c.sql, text, lit)
+			}
+		}
+	}
+}
+
 func TestPreparedStatementBindsParams(t *testing.T) {
 	db := cacheFixture(t)
 	db.EnableCache(64)
@@ -332,6 +406,39 @@ func TestPreparedStatementBindsParams(t *testing.T) {
 	}
 	if res3.NumRows() != 3 {
 		t.Fatalf("third binding rows = %d, want 3", res3.NumRows())
+	}
+}
+
+// TestPreparedPlaceholdersInAggregates: an aggregate matches its calls,
+// keys and items by their text with each `?` as its bound value, so two
+// calls that differ only in their arguments stay two, and a key repeated
+// in the SELECT list with an equal argument is one.
+func TestPreparedPlaceholdersInAggregates(t *testing.T) {
+	for _, capacity := range []int{0, 8} {
+		db := cacheFixture(t)
+		db.EnableCache(capacity)
+		ps, err := db.Prepare("SELECT sum(a * ?) x, sum(a * ?) y FROM t WHERE a < 5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ps.Query(Int(2), Int(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x, y := res.Cols[0].Get(0).I, res.Cols[1].Get(0).I; x != 20 || y != 30 {
+			t.Errorf("store of %d: sum(a * 2), sum(a * 3) = %d, %d, want 20, 30", capacity, x, y)
+		}
+		ps, err = db.Prepare("SELECT a % ? AS k, count(*) c FROM t GROUP BY a % ? ORDER BY k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err = ps.Query(Int(7), Int(7))
+		if err != nil {
+			t.Fatalf("store of %d: %v", capacity, err)
+		}
+		if got, want := resultBits(res), queryString(t, db, "SELECT a % 7 AS k, count(*) c FROM t GROUP BY a % 7 ORDER BY k"); got != want {
+			t.Errorf("store of %d: grouped by a %% ?:\n%s\nwant\n%s", capacity, got, want)
+		}
 	}
 }
 
@@ -487,16 +594,29 @@ func TestCachedResultsMatchUncachedDifferential(t *testing.T) {
 		}
 		return db
 	}
-	run := func(db *DB, sql string, hints *QueryHints, rels Relations) string {
+	run := func(db *DB, sql string, hints *QueryHints, rels Relations, args []Datum) string {
 		ctx := context.Background()
 		if rels != nil {
 			ctx = WithRelations(ctx, rels)
 		}
-		res, err := db.ExecHintedContext(ctx, sql, hints)
+		var res *Result
+		var err error
+		if args != nil {
+			var ps *Prepared
+			if ps, err = db.Prepare(sql); err == nil {
+				res, err = ps.ExecHintedContext(ctx, hints, args...)
+			}
+		} else {
+			res, err = db.ExecHintedContext(ctx, sql, hints)
+		}
 		if err != nil {
 			return "error"
 		}
-		return resultBits(res)
+		var names []string
+		for _, c := range res.Schema {
+			names = append(names, c.Name)
+		}
+		return strings.Join(names, ",") + "\n" + resultBits(res)
 	}
 	do := func(sqls ...string) func(*DB) {
 		return func(db *DB) {
@@ -545,6 +665,7 @@ func TestCachedResultsMatchUncachedDifferential(t *testing.T) {
 		query  string
 		hints  *QueryHints
 		rels   Relations
+		args   []Datum // run as a Prepared statement with these arguments
 	}{
 		// t 20 rows, u 6, w 4: w, t, u.
 		{name: "cold join", change: do("INSERT INTO u VALUES (4, 'four'), (5, 'five'), (6, 'six')",
@@ -587,24 +708,59 @@ func TestCachedResultsMatchUncachedDifferential(t *testing.T) {
 		{name: "a folded subquery", query: sub},
 		{name: "a folded subquery after a write", change: do("INSERT INTO u VALUES (30, 'big')"), query: sub},
 		{name: "a folded IN subquery after a write", change: do("DELETE FROM u WHERE a = 3"), query: "SELECT a FROM t WHERE a IN (SELECT a FROM u)"},
+		// Texts that differ only in their literals. Consecutive steps share
+		// a template, so each is served the plan the one before it made.
+		{name: "an int literal", query: "SELECT a, s FROM t WHERE a < 5 AND s <> 'r1'"},
+		{name: "another int literal", query: "SELECT a, s FROM t WHERE a < 9 AND s <> 'r2'"},
+		{name: "a negative int literal", query: "SELECT a, s FROM t WHERE a < -5 AND s <> 'r2'"},
+		{name: "a float literal", query: "SELECT a, s FROM t WHERE a < 5.5 AND s <> 'r1'"},
+		{name: "a negative float literal", query: "SELECT a, s FROM t WHERE a > - -5.5 AND s <> 'r1'"},
+		{name: "a string literal", query: "SELECT a, s FROM t WHERE a < 'x' AND s <> 'r1'"},
+		{name: "a NULL literal", query: "SELECT a, s FROM t WHERE a < NULL AND s <> 'r1'"},
+		{name: "ORDER BY an ordinal", query: "SELECT s, a FROM t WHERE a < 7 ORDER BY 1 DESC, 2"},
+		{name: "ORDER BY another ordinal", query: "SELECT s, a FROM t WHERE a < 7 ORDER BY 2 DESC, 1"},
+		{name: "a LIMIT", query: "SELECT a FROM t WHERE a > 2 ORDER BY a LIMIT 3"},
+		{name: "another LIMIT and an OFFSET", query: "SELECT a FROM t WHERE a > 2 ORDER BY a LIMIT 5 OFFSET 2"},
+		{name: "unaliased SELECT-item literals", query: "SELECT a + 1, 'x', -2.5 FROM t WHERE a < 3"},
+		{name: "other unaliased SELECT-item literals", query: "SELECT a + 2, 'y', 2.5 FROM t WHERE a < 3"},
+		{name: "aliased SELECT-item literals", query: "SELECT a + 1 AS p, 'x' AS q FROM t WHERE a < 3"},
+		{name: "other aliased SELECT-item literals", query: "SELECT a + 7 AS p, 'z' AS q FROM t WHERE a < 4"},
+		{name: "an IN list", query: "SELECT a FROM t WHERE a IN (1, 4) ORDER BY a"},
+		{name: "a longer IN list", query: "SELECT a FROM t WHERE a IN (1, 4, 17) ORDER BY a"},
+		{name: "an IN list of other values", query: "SELECT a FROM t WHERE a IN (2, 5) ORDER BY a"},
+		{name: "a literal in a folded subquery", query: "SELECT count(*) c FROM t WHERE a > (SELECT avg(a) + 1 FROM t WHERE a < 10)"},
+		{name: "another literal in a folded subquery", query: "SELECT count(*) c FROM t WHERE a > (SELECT avg(a) + 5 FROM t WHERE a < 4)"},
+		{name: "a literal in a folded IN subquery", query: "SELECT a FROM t WHERE a IN (SELECT a + 1 FROM u) ORDER BY a"},
+		{name: "another literal in a folded IN subquery", query: "SELECT a FROM t WHERE a IN (SELECT a - 1 FROM u) ORDER BY a"},
+		{name: "grouping by an expression", query: "SELECT a % 3 AS k, count(*) c, sum(b * 2) x FROM t WHERE a > 1 GROUP BY a % 3 HAVING count(*) > 2 ORDER BY k"},
+		{name: "grouping by another expression", query: "SELECT a % 4 AS k, count(*) c, sum(b * 3) x FROM t WHERE a > 5 GROUP BY a % 4 HAVING count(*) > 1 ORDER BY k"},
+		{name: "an aggregate and its HAVING twin", query: "SELECT a % 3 AS k, sum(b * 2) x FROM t GROUP BY a % 3 HAVING sum(b * 2) > 140 ORDER BY k"},
+		{name: "an aggregate unlike its HAVING twin", query: "SELECT a % 3 AS k, sum(b * 3) x FROM t GROUP BY a % 3 HAVING sum(b * 2) > 140 ORDER BY k"},
+		{name: "an item unlike its group key", query: "SELECT a % 3 AS k, count(*) c FROM t GROUP BY a % 4 ORDER BY k"},
+		{name: "a CASE", query: "SELECT a, CASE WHEN a > 3 THEN 'hi' ELSE 'lo' END AS c FROM t WHERE a < 6"},
+		{name: "another CASE", query: "SELECT a, CASE WHEN a > 1 THEN 2.5 ELSE -1 END AS c FROM t WHERE a < 6"},
+		{name: "`?` among literals", query: "SELECT a, b FROM t WHERE a > ? AND b < 12.5 AND s = ? ORDER BY a", args: []Datum{Int(2), Str("r0")}},
+		{name: "`?` among other literals", query: "SELECT a, b FROM t WHERE a > ? AND b < 18.5 AND s = ? ORDER BY a", args: []Datum{Int(0), Str("r1")}},
+		{name: "`?` in aggregates", query: "SELECT sum(a * ?) x, sum(a * ?) y, count(*) c FROM t WHERE a < 5", args: []Datum{Int(2), Int(3)}},
+		{name: "`?` in a folded subquery", query: "SELECT count(*) c FROM t WHERE a > (SELECT avg(a) FROM t WHERE a < ?) AND b > 1.5", args: []Datum{Int(9)}},
 	} {
 		if step.change != nil {
 			step.change(cached)
 			log = append(log, step.change)
 		}
-		want := run(fresh(), step.query, step.hints, step.rels)
+		want := run(fresh(), step.query, step.hints, step.rels, step.args)
 		for pass := 0; pass < 2; pass++ {
-			if got := run(cached, step.query, step.hints, step.rels); got != want {
+			if got := run(cached, step.query, step.hints, step.rels, step.args); got != want {
 				t.Fatalf("%s, pass %d: %q\ncached\n%s\nuncached\n%s", step.name, pass, step.query, got, want)
 			}
 		}
 	}
 }
 
-// TestConcurrentCachedQueries runs the same cached plans from many
-// goroutines while a writer appends to their tables, flipping the join's
-// order so its entry is replaced while others run it; meaningful under
-// -race.
+// TestConcurrentCachedQueries runs the same cached plans, and literal
+// variants of one template, from many goroutines while a writer appends to
+// their tables, flipping the join's order so its plans are replaced while
+// others run them; meaningful under -race.
 func TestConcurrentCachedQueries(t *testing.T) {
 	db := cacheFixture(t)
 	db.EnableCache(64)
@@ -624,6 +780,35 @@ func TestConcurrentCachedQueries(t *testing.T) {
 						errs <- err
 						return
 					}
+				}
+			}
+		}()
+	}
+	// Literal variants of one join template: t.a and u.a meet only at 1, 2
+	// and 3 however the writer grows both tables, so each variant's count
+	// is known while its plan is replaced under it.
+	names := []string{"one", "two", "three"}
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				below, skip := (g+i)%5, names[i%3]
+				want := int64(0)
+				for a := 1; a <= 3; a++ {
+					if a < below && names[a-1] != skip {
+						want++
+					}
+				}
+				sql := fmt.Sprintf("SELECT count(*) c FROM t, u WHERE t.a = u.a AND t.a < %d AND u.name <> '%s'", below, skip)
+				res, err := db.Query(sql)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := res.Cols[0].Get(0).I; got != want {
+					errs <- fmt.Errorf("%s: count %d, want %d", sql, got, want)
+					return
 				}
 			}
 		}()
@@ -650,25 +835,10 @@ func TestConcurrentCachedQueries(t *testing.T) {
 	}
 }
 
-func TestNormalizeSQL(t *testing.T) {
-	cases := map[string]string{
-		"SELECT  1":                        "SELECT 1",
-		"\n\tSELECT\n1 ;":                  "SELECT 1",
-		"SELECT ' a  b '":                  "SELECT ' a  b '",
-		"SELECT 'it''s  ok',  2":           "SELECT 'it''s  ok', 2",
-		`SELECT 'esc\' x  ', 1`:            `SELECT 'esc\' x  ', 1`,
-		"SELECT a FROM t WHERE s = 'x;y';": "SELECT a FROM t WHERE s = 'x;y'",
-	}
-	for in, want := range cases {
-		if got := normalizeSQL(in); got != want {
-			t.Fatalf("normalizeSQL(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // TestStatementTextRenderedOnlyWhenRecorded: with neither the query
 // history nor a trace store armed, running a parsed or prepared statement
-// allocates no more than executing it does — its text is never rendered.
+// allocates no more than executing it does — its text is never rendered;
+// a text statement is recorded under its own text.
 func TestStatementTextRenderedOnlyWhenRecorded(t *testing.T) {
 	db := cacheFixture(t)
 	ctx := context.Background()
@@ -684,12 +854,44 @@ func TestStatementTextRenderedOnlyWhenRecorded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exec := testing.AllocsPerRun(50, func() { _, _ = db.execStmt(ctx, st, nil) })
+		exec := testing.AllocsPerRun(50, func() { _, _ = db.execStmtWith(ctx, st, nil, source{}) })
 		if got := testing.AllocsPerRun(50, func() { _, _ = db.ExecStmtContext(ctx, st, nil) }); got > exec {
 			t.Errorf("%q: ExecStmtContext allocates %v per run, executing alone %v", sql, got, exec)
 		}
 		if got := testing.AllocsPerRun(50, func() { _, _ = ps.ExecContext(ctx) }); got > exec {
 			t.Errorf("%q: Prepared.ExecContext allocates %v per run, executing alone %v", sql, got, exec)
+		}
+	}
+
+	// The text entry points record the caller's own text, so even armed
+	// they render nothing: one statement costs its parse plus its recorded
+	// execution under that text, with the store off or on.
+	db.History = obs.NewQueryHistory(8)
+	for _, sql := range []string{
+		"select  a FROM u where a > 1 -- a comment",
+		"UPDATE u SET name = 'x' WHERE a > 99",
+	} {
+		st, err := Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parse := testing.AllocsPerRun(50, func() { _, _ = ParseMulti(sql) })
+		exec := testing.AllocsPerRun(50, func() { _, _ = db.execStmtRecorded(ctx, st, sql, nil, source{}) })
+		if got := testing.AllocsPerRun(50, func() { _, _ = db.ExecContext(ctx, sql) }); got > parse+exec {
+			t.Errorf("%q: recorded ExecContext allocates %v per run, parsing %v and a recorded execution %v", sql, got, parse, exec)
+		}
+	}
+	for _, capacity := range []int{0, 8} {
+		db.EnableCache(capacity)
+		for _, run := range []func(context.Context, string) (*Result, error){db.ExecContext, db.QueryContext} {
+			const sql = "select  a FROM u where a > 1 -- a comment"
+			if _, err := run(ctx, sql); err != nil {
+				t.Fatal(err)
+			}
+			recs := db.History.Snapshot()
+			if got := recs[len(recs)-1].SQL; got != sql {
+				t.Errorf("store of %d: recorded %q, want the caller's %q", capacity, got, sql)
+			}
 		}
 	}
 }

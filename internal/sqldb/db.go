@@ -32,7 +32,7 @@ type DB struct {
 	Metrics *obs.Registry
 
 	// History, when non-nil, receives one QueryRecord per statement
-	// executed through the public entry points: normalized SQL, cache
+	// executed through the public entry points: the statement text, cache
 	// state, per-query resource accounting (rows, bytes, morsels, UDF
 	// calls), wall/busy time, and error class. The sys.queries and
 	// sys.slow_queries virtual tables render it relationally. A nil
@@ -57,12 +57,10 @@ type DB struct {
 	// internal/faults.
 	Faults *faults.Injector
 
-	// stmtCache maps normalized SQL text to its parsed statement and
-	// planCache maps canonical SELECT text to a plan-store entry. Both are
-	// nil until EnableCache; see cache.go for the plan store's rule.
-	stmtCache *cache.LRU[string, Stmt]
-	planCache *cache.LRU[string, *keptPlan]
-	// planInvalidations counts lookups that found a stored entry whose
+	// store is the statement store, from a text's literal-free key to its
+	// template; nil until EnableCache (see cache.go).
+	store atomic.Pointer[cache.LRU[string, *template]]
+	// planInvalidations counts executions that found kept plans whose
 	// planner inputs had moved.
 	planInvalidations atomic.Int64
 	// handles are the engine's metric handles in Metrics (accounting.go).
@@ -214,26 +212,21 @@ func (db *DB) PlanSelect(sql string, hints *QueryHints) (Plan, error) {
 	return db.planSelect(context.Background(), sel, hints)
 }
 
-func (db *DB) execStmt(ctx context.Context, st Stmt, hints *QueryHints) (*Result, error) {
-	return db.execStmtWith(ctx, st, hints, db.runSelect)
-}
-
-// selectRunner runs the SELECT a statement reads: db.runSelect, or a
-// Prepared statement's run from the plan store.
-type selectRunner func(ctx context.Context, sel *SelectStmt, hints *QueryHints) (*Result, error)
-
-// execStmtWith executes st, running the SELECT of a SELECT, CREATE TABLE
-// … AS or INSERT … SELECT statement through run.
-func (db *DB) execStmtWith(ctx context.Context, st Stmt, hints *QueryHints, run selectRunner) (*Result, error) {
+// execStmtWith executes st, the SELECT it reads — as SELECT, EXPLAIN,
+// CREATE TABLE … AS or INSERT … SELECT — on plans from src.
+func (db *DB) execStmtWith(ctx context.Context, st Stmt, hints *QueryHints, src source) (*Result, error) {
 	switch t := st.(type) {
 	case *SelectStmt:
-		return run(ctx, t, hints)
+		return db.runSelect(ctx, t, hints, src)
 	case *CreateTableStmt:
-		return nil, db.runCreateTable(ctx, t, hints, run)
+		return nil, db.runCreateTable(ctx, t, hints, src)
 	case *CreateViewStmt:
+		if args := argsFrom(ctx); len(args) > 0 {
+			t = bindStmtParams(t, argValue(args)).(*CreateViewStmt)
+		}
 		return nil, db.runCreateView(t)
 	case *InsertStmt:
-		return nil, db.runInsert(ctx, t, hints, run)
+		return nil, db.runInsert(ctx, t, hints, src)
 	case *UpdateStmt:
 		return nil, db.runUpdate(ctx, t, hints)
 	case *DeleteStmt:
@@ -244,7 +237,7 @@ func (db *DB) execStmtWith(ctx context.Context, st Stmt, hints *QueryHints, run 
 		}
 		return nil, nil
 	case *ExplainStmt:
-		plans, state, commit, err := db.plansFor(ctx, &storedSelect{sel: t.Query}, hints)
+		plans, state, commit, err := db.plansFor(ctx, src, t.Query, hints)
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +245,9 @@ func (db *DB) execStmtWith(ctx context.Context, st Stmt, hints *QueryHints, run 
 		if len(plans) > 1 {
 			plan = &unionPlan{Branches: plans}
 		}
-		text := Explain(plan)
+		// The plan prints the statement's own literals, served or fresh.
+		args := argsFrom(ctx)
+		text := explain(plan, nil, args)
 		if t.Analyze {
 			// EXPLAIN ANALYZE executes the plan with a per-node stats
 			// collector and renders actual rows/calls/time next to the
@@ -262,13 +257,13 @@ func (db *DB) execStmtWith(ctx context.Context, st Stmt, hints *QueryHints, run 
 			if _, err := db.execPlan(plan, ec); err != nil {
 				return nil, err
 			}
-			text = ExplainAnalyze(plan, ec.nodes)
+			text = explain(plan, ec.nodes, args)
 		}
 		commit()
 		if state != "disabled" {
-			// With caching on, the first line reports where the plan came
+			// With the store on, the first line reports where the plan came
 			// from (see plansFor): "hit" from the store, "miss" planned
-			// and stored, "bypass" planned and never stored — a plan that
+			// and kept, "bypass" planned and never kept — a plan that
 			// folded a subquery, reads a sys.* table or is pinned by a
 			// JoinOrder hint, or a UDF-calling plan made under UDF hints.
 			text = "cache: " + state + "\n" + text
@@ -282,11 +277,6 @@ func (db *DB) execStmtWith(ctx context.Context, st Stmt, hints *QueryHints, run 
 		return out, nil
 	}
 	return nil, fmt.Errorf("sqldb: cannot execute statement %T", st)
-}
-
-// runSelect runs a SELECT from the plan store.
-func (db *DB) runSelect(ctx context.Context, sel *SelectStmt, hints *QueryHints) (*Result, error) {
-	return db.runStored(ctx, &storedSelect{sel: sel}, hints, nil)
 }
 
 // appendBranch appends a UNION ALL branch's rows to res, matching columns
@@ -326,7 +316,7 @@ func appendColumn(a, b *Column) (*Column, error) {
 	return out, nil
 }
 
-func (db *DB) runCreateTable(ctx context.Context, st *CreateTableStmt, hints *QueryHints, run selectRunner) error {
+func (db *DB) runCreateTable(ctx context.Context, st *CreateTableStmt, hints *QueryHints, src source) error {
 	if st.IfNotExists && db.lookupTable(st.Name) != nil {
 		return nil
 	}
@@ -334,7 +324,7 @@ func (db *DB) runCreateTable(ctx context.Context, st *CreateTableStmt, hints *Qu
 		_, err := db.CreateTable(st.Name, Schema(st.Cols))
 		return err
 	}
-	res, err := run(ctx, st.As, hints)
+	res, err := db.runSelect(ctx, st.As, hints, src)
 	if err != nil {
 		return err
 	}
@@ -408,7 +398,7 @@ func (db *DB) runCreateView(st *CreateViewStmt) error {
 	return nil
 }
 
-func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints, run selectRunner) error {
+func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints, src source) error {
 	t := db.lookupTable(st.Table)
 	if t == nil {
 		return fmt.Errorf("sqldb: no table named %q", st.Table)
@@ -431,7 +421,7 @@ func (db *DB) runInsert(ctx context.Context, st *InsertStmt, hints *QueryHints, 
 	}
 	cols := make([]*Column, len(t.Schema))
 	if st.Query != nil {
-		res, err := run(ctx, st.Query, hints)
+		res, err := db.runSelect(ctx, st.Query, hints, src)
 		if err != nil {
 			return err
 		}

@@ -72,6 +72,8 @@ type execCtx struct {
 	// acct is the statement's resource accounting, non-nil only when the
 	// DB has a query history armed (see accounting.go).
 	acct *queryAcct
+	// args are the values of the statement's Params.
+	args []Datum
 
 	// stamp is the most recent clock reading taken at an operator boundary
 	// (profAdd stores its end read here). The traced execPlan path opens and

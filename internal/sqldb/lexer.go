@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -21,6 +22,11 @@ const (
 
 type token struct {
 	kind tokKind
+	// slot numbers the number and string literals of a statement in order:
+	// the statement store keys a text by its tokens with every literal
+	// replaced by its type, and binds the literal in slot i to the i-th
+	// value the text's key scan collected (cache.go).
+	slot int32
 	text string
 	pos  int
 }
@@ -35,9 +41,10 @@ func (t token) String() string {
 
 // lexer tokenizes a SQL string.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src   string
+	pos   int
+	toks  []token
+	slots int32 // literals lexed so far
 }
 
 // lex tokenizes the whole input up front; SQL statements here are small
@@ -109,7 +116,7 @@ scan:
 					continue
 				}
 				l.pos++
-				return token{kind: tokString, text: sb.String(), pos: start}, nil
+				return l.literal(tokString, sb.String(), start), nil
 			}
 			if ch == '\\' && l.pos+1 < len(l.src) {
 				l.pos++
@@ -145,7 +152,7 @@ scan:
 				break
 			}
 		}
-		return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}, nil
+		return l.literal(tokNumber, l.src[start:l.pos], start), nil
 	case isIdentStart(r):
 		l.pos += rsize
 		for l.pos < len(l.src) {
@@ -177,6 +184,35 @@ scan:
 		}
 		return token{}, fmt.Errorf("sqldb: unexpected character %q at %d", c, start)
 	}
+}
+
+// literal numbers a number or string token with the next slot.
+func (l *lexer) literal(kind tokKind, text string, pos int) token {
+	l.slots++
+	return token{kind: kind, slot: l.slots - 1, text: text, pos: pos}
+}
+
+// is reports whether t is the keyword kw, in any case.
+func (t token) is(kw string) bool {
+	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+}
+
+// litValue is the value of a number or string token: a number with a
+// point or an exponent, or one too large for an Int64, is a Float64.
+func litValue(t token) (Datum, error) {
+	if t.kind == tokString {
+		return Str(t.text), nil
+	}
+	if !strings.ContainsAny(t.text, ".eE") {
+		if n, err := strconv.ParseInt(t.text, 10, 64); err == nil {
+			return Int(n), nil
+		}
+	}
+	f, err := strconv.ParseFloat(t.text, 64)
+	if err != nil {
+		return Datum{}, fmt.Errorf("bad number %q", t.text)
+	}
+	return Float(f), nil
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

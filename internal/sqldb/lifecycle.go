@@ -172,7 +172,7 @@ func (db *DB) newExecCtx(ctx context.Context) *execCtx {
 	if o := parallelismFrom(ctx); o > 0 {
 		deg = o
 	}
-	ec := &execCtx{span: obs.SpanFromContext(ctx), par: deg, ctx: normCtx(ctx), rels: relationsFrom(ctx), faults: db.Faults, acct: acctFrom(ctx)}
+	ec := &execCtx{span: obs.SpanFromContext(ctx), par: deg, ctx: normCtx(ctx), rels: relationsFrom(ctx), faults: db.Faults, acct: acctFrom(ctx), args: argsFrom(ctx)}
 	if b := db.effectiveBudget(ctx); b > 0 {
 		ec.memBudget = b
 		ec.charged = map[*Column]bool{}
@@ -214,15 +214,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (res *Result, err er
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	stmt, err := db.parseOne(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: Query expects a SELECT, got %T", stmt)
-	}
-	return db.execStmtRecorded(ctx, sel, "", nil)
+	return db.execText(ctx, sql, nil, true)
 }
 
 // ExecHintedContext is ExecHinted with cancellation and deadline support.
@@ -235,36 +227,12 @@ func (db *DB) ExecHintedContext(ctx context.Context, sql string, hints *QueryHin
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	db.mu.RLock()
-	sc := db.stmtCache
-	db.mu.RUnlock()
-	if sc != nil {
-		// Single cached statements skip the lexer and parser entirely;
-		// multi-statement scripts fall through to ParseMulti.
-		if st, ok := sc.Get(normalizeSQL(sql)); ok {
-			return db.execStmtRecorded(ctx, st, "", hints)
-		}
-	}
-	stmts, err := ParseMulti(sql)
-	if err != nil {
-		return nil, err
-	}
-	if sc != nil && len(stmts) == 1 {
-		if _, isSel := stmts[0].(*SelectStmt); isSel {
-			sc.Put(normalizeSQL(sql), stmts[0])
-		}
-	}
-	var last *Result
-	for _, st := range stmts {
-		last, err = db.execStmtRecorded(ctx, st, "", hints)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return last, nil
+	return db.execText(ctx, sql, hints, false)
 }
 
-// ExecStmtContext is ExecStmt with cancellation and deadline support.
+// ExecStmtContext is ExecStmt with cancellation and deadline support. With
+// the statement store on, a SELECT or EXPLAIN is rendered once and runs as
+// its text would (cache.go).
 func (db *DB) ExecStmtContext(ctx context.Context, st Stmt, hints *QueryHints) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -274,5 +242,57 @@ func (db *DB) ExecStmtContext(ctx context.Context, st Stmt, hints *QueryHints) (
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	return db.execStmtRecorded(ctx, st, "", hints)
+	switch st.(type) {
+	case *SelectStmt, *ExplainStmt:
+		if db.storeFor(hints) != nil {
+			return db.execText(ctx, st.String(), hints, false)
+		}
+	}
+	return db.execStmtRecorded(ctx, st, "", hints, source{})
+}
+
+// execText runs the statements of sql, one SELECT when query is set. One
+// SELECT, or EXPLAIN of one, runs from the statement store while it is on;
+// one statement is recorded under sql itself.
+func (db *DB) execText(ctx context.Context, sql string, hints *QueryHints, query bool) (*Result, error) {
+	if store := db.storeFor(hints); store != nil {
+		if k, ok := scanKey(sql); ok && !k.params && !(query && k.explain) {
+			t, fresh, err := db.template(store, sql, k)
+			if err != nil {
+				return nil, err
+			}
+			st := t.stmt
+			if k.explain {
+				st = &ExplainStmt{Query: t.stmt.(*SelectStmt), Analyze: k.analyze}
+			}
+			res, err := db.runTemplate(ctx, t, st, sql, t.args(k.vals, nil), "hit", hints)
+			if err == nil && fresh {
+				store.Put(k.key, t)
+			}
+			return res, err
+		}
+	}
+	stmts, err := ParseMulti(sql)
+	if err != nil {
+		return nil, err
+	}
+	if query {
+		if len(stmts) != 1 {
+			return nil, fmt.Errorf("sqldb: expected one statement, got %d", len(stmts))
+		}
+		if _, ok := stmts[0].(*SelectStmt); !ok {
+			return nil, fmt.Errorf("sqldb: Query expects a SELECT, got %T", stmts[0])
+		}
+	}
+	text := ""
+	if len(stmts) == 1 {
+		text = sql
+	}
+	var last *Result
+	for _, st := range stmts {
+		if last, err = db.execStmtRecorded(ctx, st, text, hints, source{}); err != nil {
+			return nil, err
+		}
+	}
+	return last, nil
 }

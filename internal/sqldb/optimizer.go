@@ -475,18 +475,15 @@ func (pl *planner) chooseJoinOrder(rels []planRel, pushed map[string][]Expr, equ
 }
 
 // Explain renders a plan tree for debugging and tests.
-func Explain(p Plan) string {
-	var sb strings.Builder
-	explainNode(&sb, p, 0, nil)
-	return sb.String()
-}
+func Explain(p Plan) string { return explain(p, nil, nil) }
 
-// ExplainAnalyze renders a plan tree annotated with the actual per-node
-// rows, calls, and inclusive wall time collected during execution, next to
-// the optimizer's estimates — making estimate-vs-actual skew visible.
-func ExplainAnalyze(p Plan, stats map[Plan]*NodeStats) string {
+// explain renders a plan tree with each Param as its value among args.
+// With stats, collected by EXPLAIN ANALYZE, each node also shows its actual
+// rows, calls and inclusive wall time next to the optimizer's estimates,
+// making estimate-vs-actual skew visible.
+func explain(p Plan, stats map[Plan]*NodeStats, args []Datum) string {
 	var sb strings.Builder
-	explainNode(&sb, p, 0, stats)
+	explainNode(&sb, p, 0, stats, bindParams(argValue(args)))
 	return sb.String()
 }
 
@@ -507,10 +504,17 @@ func joinKind(t *LJoin) string {
 	return kind
 }
 
-func explainNode(sb *strings.Builder, p Plan, depth int, stats map[Plan]*NodeStats) {
+func explainNode(sb *strings.Builder, p Plan, depth int, stats map[Plan]*NodeStats, bind func(Expr) (Expr, error)) {
 	indent := strings.Repeat("  ", depth)
 	// actuals appends the node's EXPLAIN ANALYZE annotation (when stats
 	// were collected) and terminates the line.
+	// filters prints a node's conditions with their Params' values.
+	filters := func(conds []Expr) {
+		for _, f := range conds {
+			f, _ = Rewrite(f, bind) // bind never fails
+			fmt.Fprintf(sb, " [%s]", f)
+		}
+	}
 	actuals := func() {
 		if stats != nil {
 			if ns := stats[p]; ns != nil {
@@ -531,9 +535,7 @@ func explainNode(sb *strings.Builder, p Plan, depth int, stats map[Plan]*NodeSta
 		fmt.Fprintf(sb, "%sScan %s as %s (est %.0f rows)", indent, t.Table, t.Alias, t.EstRows)
 		if len(t.Filters) > 0 {
 			fmt.Fprintf(sb, " filters=%d:", len(t.Filters))
-			for _, f := range t.Filters {
-				fmt.Fprintf(sb, " [%s]", f)
-			}
+			filters(t.Filters)
 		}
 		actuals()
 	case *LSysScan:
@@ -541,47 +543,45 @@ func explainNode(sb *strings.Builder, p Plan, depth int, stats map[Plan]*NodeSta
 		actuals()
 	case *LFilter:
 		fmt.Fprintf(sb, "%sFilter", indent)
-		for _, f := range t.Conds {
-			fmt.Fprintf(sb, " [%s]", f)
-		}
+		filters(t.Conds)
 		actuals()
-		explainNode(sb, t.Child, depth+1, stats)
+		explainNode(sb, t.Child, depth+1, stats, bind)
 	case *LJoin:
 		fmt.Fprintf(sb, "%s%s (est %.0f rows)", indent, joinKind(t), t.EstRows)
 		actuals()
-		explainNode(sb, t.L, depth+1, stats)
-		explainNode(sb, t.R, depth+1, stats)
+		explainNode(sb, t.L, depth+1, stats, bind)
+		explainNode(sb, t.R, depth+1, stats, bind)
 	case *LProject:
 		fmt.Fprintf(sb, "%sProject %d items", indent, len(t.Items))
 		actuals()
 		if t.Child != nil {
-			explainNode(sb, t.Child, depth+1, stats)
+			explainNode(sb, t.Child, depth+1, stats, bind)
 		}
 	case *LAgg:
 		fmt.Fprintf(sb, "%sAggregate groupby=%d items=%d", indent, len(t.GroupBy), len(t.Items))
 		actuals()
-		explainNode(sb, t.Child, depth+1, stats)
+		explainNode(sb, t.Child, depth+1, stats, bind)
 	case *LDistinct:
 		fmt.Fprintf(sb, "%sDistinct", indent)
 		actuals()
-		explainNode(sb, t.Child, depth+1, stats)
+		explainNode(sb, t.Child, depth+1, stats, bind)
 	case *LSort:
 		fmt.Fprintf(sb, "%sSort keys=%d", indent, len(t.Keys))
 		actuals()
-		explainNode(sb, t.Child, depth+1, stats)
+		explainNode(sb, t.Child, depth+1, stats, bind)
 	case *LLimit:
 		fmt.Fprintf(sb, "%sLimit %d offset %d", indent, t.N, t.Offset)
 		actuals()
-		explainNode(sb, t.Child, depth+1, stats)
+		explainNode(sb, t.Child, depth+1, stats, bind)
 	case *aliasPlan:
 		fmt.Fprintf(sb, "%sAlias", indent)
 		actuals()
-		explainNode(sb, t.Child, depth+1, stats)
+		explainNode(sb, t.Child, depth+1, stats, bind)
 	case *unionPlan:
 		fmt.Fprintf(sb, "%sUnionAll branches=%d", indent, len(t.Branches))
 		actuals()
 		for _, b := range t.Branches {
-			explainNode(sb, b, depth+1, stats)
+			explainNode(sb, b, depth+1, stats, bind)
 		}
 	default:
 		fmt.Fprintf(sb, "%s%T", indent, p)

@@ -8,10 +8,18 @@ import (
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
-	toks    []token
-	pos     int
-	src     string
-	nparams int // `?` placeholders seen so far, in statement order
+	toks []token
+	pos  int
+	src  string
+	// vals, when set, are the statement's literal values by slot, and the
+	// parser lifts the literals it may into Params: the literal in slot i
+	// becomes Param i, and the n-th `?` Param len(vals)+n. lift is off
+	// inside scalar and IN subqueries; lifted marks the slots a Param
+	// holds, neg those a unary minus negates. nuser counts the `?`s.
+	vals        []Datum
+	lift        bool
+	lifted, neg []bool
+	nuser       int
 }
 
 // Parse parses a single SQL statement.
@@ -28,11 +36,30 @@ func Parse(src string) (Stmt, error) {
 
 // ParseMulti parses a semicolon-separated statement list.
 func ParseMulti(src string) ([]Stmt, error) {
-	toks, err := lex(src)
+	_, stmts, err := parse(src, nil)
+	return stmts, err
+}
+
+// parseTemplate parses the one statement in src into a template. With
+// vals, the values of src's literals by slot, it lifts each literal that
+// shapes neither the plan nor a column's name into a Param (cache.go).
+func parseTemplate(src string, vals []Datum) (*template, error) {
+	p, stmts, err := parse(src, vals)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
+	if len(stmts) != 1 {
+		return nil, fmt.Errorf("sqldb: expected one statement, got %d", len(stmts))
+	}
+	return newTemplate(stmts[0], p), nil
+}
+
+func parse(src string, vals []Datum) (*parser, []Stmt, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := &parser{toks: toks, src: src, vals: vals, lift: vals != nil, lifted: make([]bool, len(vals)), neg: make([]bool, len(vals))}
 	var out []Stmt
 	for {
 		for p.isOp(";") {
@@ -43,17 +70,43 @@ func ParseMulti(src string) ([]Stmt, error) {
 		}
 		s, err := p.parseStmt()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out = append(out, s)
 		if !p.isOp(";") && p.cur().kind != tokEOF {
-			return nil, p.errf("expected ';' or end of input, got %q", p.cur())
+			return nil, nil, p.errf("expected ';' or end of input, got %q", p.cur())
 		}
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("sqldb: empty statement")
+		return nil, nil, fmt.Errorf("sqldb: empty statement")
 	}
-	return out, nil
+	return p, out, nil
+}
+
+// fix turns the lifted literals in e back into literals, which another text
+// must match: e's text names a column, or e is a position.
+func (p *parser) fix(e Expr) Expr {
+	if p.vals == nil {
+		return e
+	}
+	out, _ := Rewrite(e, bindParams(func(i int) (Datum, bool) {
+		if i >= len(p.vals) {
+			return Datum{}, false
+		}
+		p.lifted[i] = false
+		return signed(p.vals[i], p.neg[i]), true
+	}))
+	return out
+}
+
+// parseSubquery parses the SELECT of a scalar or IN subquery. Its literals
+// stay: the planner folds the subquery into values before the plan exists.
+func (p *parser) parseSubquery() (*SelectStmt, error) {
+	lift := p.lift
+	p.lift = false
+	sel, err := p.parseSelect()
+	p.lift = lift
+	return sel, err
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
@@ -70,10 +123,7 @@ func (p *parser) errf(format string, args ...any) error {
 
 // isKw reports whether the current token is the given keyword
 // (case-insensitive), without consuming it.
-func (p *parser) isKw(kw string) bool {
-	t := p.cur()
-	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
-}
+func (p *parser) isKw(kw string) bool { return p.cur().is(kw) }
 
 func (p *parser) eatKw(kw string) bool {
 	if p.isKw(kw) {
@@ -299,6 +349,9 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 				item.Alias = p.cur().text
 				p.pos++
 			}
+			if item.Alias == "" {
+				item.Expr = p.fix(item.Expr) // the column is named by its text
+			}
 			st.Items = append(st.Items, item)
 		}
 		if !p.eatOp(",") {
@@ -324,7 +377,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseOrdinal()
 			if err != nil {
 				return nil, err
 			}
@@ -346,7 +399,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseOrdinal()
 			if err != nil {
 				return nil, err
 			}
@@ -391,6 +444,16 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		next.UnionAll = nil
 	}
 	return st, nil
+}
+
+// parseOrdinal parses an ORDER BY or GROUP BY key. A literal key stays a
+// literal: an integer one is a position in the SELECT list.
+func (p *parser) parseOrdinal() (Expr, error) {
+	e, err := p.parseExpr()
+	if _, ok := e.(*Param); ok {
+		e = p.fix(e)
+	}
+	return e, err
 }
 
 // isSelectTerminator reports whether the current identifier is a clause
@@ -742,7 +805,7 @@ func (p *parser) parseComparison() (Expr, error) {
 			return nil, err
 		}
 		if p.isKw("select") {
-			sub, err := p.parseSelect()
+			sub, err := p.parseSubquery()
 			if err != nil {
 				return nil, err
 			}
@@ -856,12 +919,19 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lit, ok := e.(*Lit); ok {
-			switch lit.Val.T {
+		switch t := e.(type) {
+		case *Lit:
+			switch t.Val.T {
 			case TInt:
-				return &Lit{Val: Int(-lit.Val.I)}, nil
+				return &Lit{Val: Int(-t.Val.I)}, nil
 			case TFloat:
-				return &Lit{Val: Float(-lit.Val.F)}, nil
+				return &Lit{Val: Float(-t.Val.F)}, nil
+			}
+		case *Param:
+			// A lifted number stays one negative literal.
+			if t.Idx < len(p.vals) && (p.vals[t.Idx].T == TInt || p.vals[t.Idx].T == TFloat) {
+				p.neg[t.Idx] = !p.neg[t.Idx]
+				return t, nil
 			}
 		}
 		return &UnaryExpr{Op: "-", E: e}, nil
@@ -875,37 +945,26 @@ func (p *parser) parseUnary() (Expr, error) {
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.kind {
-	case tokNumber:
+	case tokNumber, tokString:
 		p.pos++
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &Lit{Val: Float(f)}, nil
+		if p.lift {
+			p.lifted[t.slot] = true
+			return &Param{Idx: int(t.slot)}, nil
 		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		v, err := litValue(t)
 		if err != nil {
-			f, ferr := strconv.ParseFloat(t.text, 64)
-			if ferr != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &Lit{Val: Float(f)}, nil
+			return nil, p.errf("%v", err)
 		}
-		return &Lit{Val: Int(n)}, nil
-	case tokString:
-		p.pos++
-		return &Lit{Val: Str(t.text)}, nil
+		return &Lit{Val: v}, nil
 	case tokParam:
 		p.pos++
-		e := &Param{Idx: p.nparams}
-		p.nparams++
-		return e, nil
+		p.nuser++
+		return &Param{Idx: len(p.vals) + p.nuser - 1}, nil
 	case tokOp:
 		if t.text == "(" {
 			p.pos++
 			if p.isKw("select") {
-				sel, err := p.parseSelect()
+				sel, err := p.parseSubquery()
 				if err != nil {
 					return nil, err
 				}

@@ -557,7 +557,7 @@ func (pl *planner) foldSubquery(e Expr) (Expr, error) {
 	switch t := e.(type) {
 	case *SubqueryExpr:
 		pl.notes.markVolatile()
-		res, err := pl.db.runSelect(pl.ctx, t.Query, pl.hints)
+		res, err := pl.db.runSelect(pl.ctx, t.Query, pl.hints, source{})
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: scalar subquery: %w", err)
 		}
@@ -581,7 +581,7 @@ func (pl *planner) foldSubquery(e Expr) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := pl.db.runSelect(pl.ctx, t.Sub, pl.hints)
+		res, err := pl.db.runSelect(pl.ctx, t.Sub, pl.hints, source{})
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: IN subquery: %w", err)
 		}

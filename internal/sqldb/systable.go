@@ -155,7 +155,7 @@ func sysResult(schema []OutCol) (*Result, []*Column) {
 func (db *DB) EnableSysCatalog() {
 	db.RegisterSysTable(sysMetricsTable())
 	db.RegisterSysTable(sysQueriesTable("sys.queries",
-		"recent statements from the query-history ring: normalized SQL, strategy, cache state, per-query resource accounting, timing, and error class",
+		"recent statements from the query-history ring: statement text, strategy, cache state, per-query resource accounting, timing, and error class",
 		func(db *DB) []queryHistRow { return historyRows(db, false) }))
 	db.RegisterSysTable(sysQueriesTable("sys.slow_queries",
 		"statements that crossed the slow-query threshold (survive main-ring churn)",
@@ -301,20 +301,17 @@ func sysCacheTable() *SysTable {
 	}
 	return &SysTable{
 		Name:        "sys.cache",
-		Description: "statement/plan cache occupancy and hit statistics (plus any registered higher-layer caches)",
+		Description: "statement store occupancy and hit statistics, one row while EnableCache is on (plus any registered higher-layer caches)",
 		Schema:      schema,
 		Scan: func(db *DB) (*Result, error) {
 			res, cols := sysResult(schema)
+			store := db.store.Load()
 			db.mu.RLock()
-			sc, pc := db.stmtCache, db.planCache
 			fns := append([]func() []CacheStat(nil), db.sysCacheFns...)
 			db.mu.RUnlock()
 			var rows []CacheStat
-			if sc != nil {
-				rows = append(rows, CacheStat{Name: "statement", Stats: sc.Stats()})
-			}
-			if pc != nil {
-				rows = append(rows, CacheStat{Name: "plan", Stats: pc.Stats()})
+			if store != nil {
+				rows = append(rows, CacheStat{Name: "statement", Stats: store.Stats()})
 			}
 			for _, fn := range fns {
 				rows = append(rows, fn()...)

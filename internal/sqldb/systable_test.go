@@ -308,10 +308,13 @@ func TestSysCacheRegisteredProviders(t *testing.T) {
 	for i := 0; i < res.NumRows(); i++ {
 		got[res.Cols[0].Get(i).S] = res.Cols[1].Get(i).I
 	}
-	for _, want := range []string{"statement", "plan", "inference"} {
+	for _, want := range []string{"statement", "inference"} {
 		if _, ok := got[want]; !ok {
 			t.Errorf("sys.cache missing row %q (got %v)", want, got)
 		}
+	}
+	if len(got) != 2 {
+		t.Errorf("sys.cache rows %v, want one for the statement store and one for inference", got)
 	}
 	if got["inference"] != 7 {
 		t.Errorf("inference hits = %d, want 7", got["inference"])

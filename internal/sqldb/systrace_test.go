@@ -94,10 +94,10 @@ func TestTraceIDJoinsQueriesToSpans(t *testing.T) {
 
 	// Every history record's trace_id must resolve to a retained trace,
 	// and the join must reach that trace's span rows. History stores the
-	// re-rendered statement, so match its canonical form.
+	// text the statement was run from.
 	j := mustExecSQL(t, db, `SELECT q.sql, s.name
 FROM sys.queries q, sys.spans s
-WHERE q.trace_id = s.trace_id AND s.span_id = 1 AND q.sql = 'SELECT count(*) AS c FROM kv'`)
+WHERE q.trace_id = s.trace_id AND s.span_id = 1 AND q.sql = 'SELECT count(*) c FROM kv'`)
 	if j.NumRows() != 1 {
 		t.Fatalf("join rows = %d, want exactly 1 root span for the count query", j.NumRows())
 	}

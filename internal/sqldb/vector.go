@@ -199,29 +199,27 @@ func (x vecExpr) eval(in *Result, s sel) (vec, error) { return x.k.eval(in, s) }
 func (x vecExpr) keep(in *Result, s sel) ([]int, error) { return keepRows(x.k, in, s) }
 
 // compileVec binds an expression to a schema; ctx is the statement's
-// context, which every UDF call receives and whose accounting counts the
-// calls.
+// context, which every UDF call receives, whose accounting counts the
+// calls and whose arguments bind its Params.
 func (db *DB) compileVec(ctx context.Context, e Expr, schema []OutCol) (vecExpr, error) {
-	return db.compileVecBuf(ctx, nil, e, schema, false)
+	return db.compileWith(vecCompiler{ctx: ctx, acct: acctFrom(ctx), args: argsFrom(ctx), schema: schema}, e)
 }
 
 // compileOp compiles an expression that the running operator of ec
 // evaluates: a UDF the expression calls gets the operator's span on its
-// context, so the spans the UDF opens nest under the operator.
+// context, so the spans the UDF opens nest under the operator. With reuse
+// set, literal and arithmetic nodes keep their result in a buffer of their
+// own that every evaluation overwrites, so the compiled expression serves
+// one goroutine and a result is valid until its next evaluation.
 func (db *DB) compileOp(ec *execCtx, e Expr, schema []OutCol, reuse bool) (vecExpr, error) {
-	return db.compileVecBuf(ec.ctx, ec.span, e, schema, reuse)
+	return db.compileWith(vecCompiler{ctx: ec.ctx, span: ec.span, acct: ec.acct, args: ec.args, schema: schema, reuse: reuse}, e)
 }
 
-// compileVecBuf is compileVec with the UDFs' parent span (nil: the one on
-// ctx); with reuse set, literal and arithmetic nodes keep their result in a
-// buffer of their own that every evaluation overwrites, so the compiled
-// expression serves one goroutine and a result is valid until its next
-// evaluation.
-func (db *DB) compileVecBuf(ctx context.Context, span *obs.Span, e Expr, schema []OutCol, reuse bool) (vecExpr, error) {
-	if ctx == nil {
-		ctx = context.Background()
+func (db *DB) compileWith(c vecCompiler, e Expr) (vecExpr, error) {
+	c.db = db
+	if c.ctx == nil {
+		c.ctx = context.Background()
 	}
-	c := vecCompiler{db: db, ctx: ctx, span: span, acct: acctFrom(ctx), schema: schema, reuse: reuse}
 	k, err := c.compile(e)
 	return vecExpr{k: k, byMorsel: c.byMorsel}, err
 }
@@ -232,6 +230,7 @@ type vecCompiler struct {
 	ctx      context.Context
 	span     *obs.Span // the evaluating operator's, nil untraced
 	acct     *queryAcct
+	args     []Datum // the execution's Param values
 	schema   []OutCol
 	reuse    bool
 	byMorsel bool // a node computes value by value
@@ -245,6 +244,9 @@ func (c *vecCompiler) compile(e Expr) (kernel, error) {
 	case *Lit:
 		return newLit(t.Val, c.reuse), nil
 	case *Param:
+		if t.Idx < len(c.args) {
+			return newLit(c.args[t.Idx], c.reuse), nil
+		}
 		return nil, fmt.Errorf("sqldb: unbound parameter ?%d — execute through Prepare and bind arguments", t.Idx+1)
 	case *SubqueryExpr:
 		return nil, fmt.Errorf("sqldb: internal: scalar subquery not resolved before compilation")

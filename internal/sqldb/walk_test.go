@@ -274,11 +274,12 @@ func TestCachedASTsImmutable(t *testing.T) {
 		}
 	}
 	for _, c := range asts {
-		fresh, err := Parse(c.sql)
+		k, _ := scanKey(c.sql)
+		fresh, err := parseTemplate(c.sql, k.vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := c.st.String(), fresh.String(); got != want {
+		if got, want := c.st.String(), fresh.stmt.String(); got != want {
 			t.Errorf("cached AST of %q changed:\nwant %s\ngot  %s", c.sql, want, got)
 		}
 		if mustParseOne(t, db, c.sql) != c.st {
@@ -287,11 +288,16 @@ func TestCachedASTsImmutable(t *testing.T) {
 	}
 }
 
+// mustParseOne returns the statement the statement store keeps for sql.
 func mustParseOne(t *testing.T, db *DB, sql string) Stmt {
 	t.Helper()
-	st, err := db.parseOne(sql)
-	if err != nil {
-		t.Fatal(err)
+	k, ok := scanKey(sql)
+	if !ok {
+		t.Fatalf("%q has no store key", sql)
 	}
-	return st
+	tmpl, found := db.store.Load().Peek(k.key)
+	if !found {
+		t.Fatalf("%q is not in the statement store", sql)
+	}
+	return tmpl.stmt
 }
