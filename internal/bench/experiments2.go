@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 	"slices"
@@ -54,12 +55,30 @@ func (s *Suite) Table5Selectivity(sels []float64) (*Table, error) {
 // Table6Depth reproduces Table VI: parameters, inference and loading cost
 // vs. ResNet depth for DL2SQL-OP, with DB-UDF / DB-PyTorch totals. The
 // relational algebra cost is omitted, as in the paper (orders of magnitude
-// below inference/loading for deep models).
+// below inference/loading for deep models). Each cell is its median over
+// table6Rounds interleaved rounds of one Type 3 query per strategy.
+// DL2SQL-OP's first use of a model stores its tables, which every later
+// run reuses, so the rounds would never see it: the store is timed apart,
+// as an arm that stores a copy of the model and drops it, and OP-Loading
+// is its median plus the query's.
 func (s *Suite) Table6Depth(depths []int) (*Table, error) {
 	t := &Table{
 		ID:      "Table VI",
 		Title:   "Performance vs. Model Depth (selectivity 0.1%-scaled, edge)",
 		Columns: []string{"Depth", "Params", "OP-Inference(s)", "OP-Loading(s)", "DB-UDF All(s)", "DB-PyTorch All(s)"},
+	}
+	q, err := colquery.GenerateAnalyzed(colquery.Type3, colquery.TemplateParams{Selectivity: s.Cfg.Selectivity})
+	if err != nil {
+		return nil, err
+	}
+	query := func(strat strategies.Strategy) func(int) (strategies.CostBreakdown, error) {
+		return func(int) (strategies.CostBreakdown, error) {
+			_, bd, err := strat.Execute(context.Background(), s.Ctx, q)
+			if err != nil {
+				err = fmt.Errorf("bench: %s on %v: %w", strat.Name(), colquery.Type3, err)
+			}
+			return bd, err
+		}
 	}
 	for _, depth := range depths {
 		m, err := modelrepo.NewResNet(depth, modelrepo.TaskDefectDetection, s.Cfg.KeyframeSide, s.Cfg.Seed)
@@ -80,21 +99,33 @@ func (s *Suite) Table6Depth(depths []int) (*Table, error) {
 		if err := s.Ctx.HintProvider.RegisterModel("nudf_detect", entry); err != nil {
 			return nil, err
 		}
-		op := &strategies.DL2SQL{Optimized: true}
-		opBD, err := s.runType(op, colquery.Type3, 1, s.Cfg.Selectivity)
+		store := func(int) (strategies.CostBreakdown, error) {
+			start := time.Now()
+			sm, err := dl2sql.NewTranslator(s.Ctx.Dataset.DB, "table6").StoreModel(m)
+			if err != nil {
+				return strategies.CostBreakdown{}, err
+			}
+			secs := time.Since(start).Seconds()
+			sm.Drop()
+			return strategies.CostBreakdown{Loading: secs}, nil
+		}
+		runs, err := measure.Rounds(table6Rounds, store,
+			query(&strategies.DL2SQL{Optimized: true}), query(&strategies.DBUDF{}), query(&strategies.DBPyTorch{}))
 		if err != nil {
 			return nil, err
 		}
-		udfBD, err := s.runType(&strategies.DBUDF{}, colquery.Type3, 1, s.Cfg.Selectivity)
-		if err != nil {
-			return nil, err
+		median := func(arm int, term func(strategies.CostBreakdown) float64) float64 {
+			xs := make([]float64, len(runs[arm]))
+			for r, bd := range runs[arm] {
+				xs[r] = term(bd)
+			}
+			return measure.Median(xs)
 		}
-		ptBD, err := s.runType(&strategies.DBPyTorch{}, colquery.Type3, 1, s.Cfg.Selectivity)
-		if err != nil {
-			return nil, err
-		}
+		loading := func(bd strategies.CostBreakdown) float64 { return bd.Loading }
+		inference := func(bd strategies.CostBreakdown) float64 { return bd.Inference }
+		total := strategies.CostBreakdown.Total
 		t.AddRow(fmt.Sprintf("%d", depth), fmt.Sprintf("%d", m.ParamCount()),
-			f4(opBD.Inference), f4(opBD.Loading), f4(udfBD.Total()), f4(ptBD.Total()))
+			f4(median(1, inference)), f4(median(0, loading)+median(1, loading)), f4(median(2, total)), f4(median(3, total)))
 	}
 	// Restore the student binding for subsequent experiments.
 	if err := s.Ctx.BindDefaults(s.Repo, s.Cfg.CalibrationSamples); err != nil {
@@ -108,6 +139,10 @@ func (s *Suite) Table6Depth(depths []int) (*Table, error) {
 	}
 	return t, nil
 }
+
+// table6Rounds is the number of measure.Rounds rounds behind each Table VI
+// cell.
+const table6Rounds = 7
 
 // Table VI's three claims, and the predicates that check them over its
 // rows (depth, params, OP-Inference, OP-Loading, DB-UDF All, DB-PyTorch

@@ -99,14 +99,12 @@ type StepCost struct {
 }
 
 // Translator compiles nn models into relational storage and executes their
-// inference as SQL against an embedded database.
+// inference as SQL against an embedded database. Its statements take no
+// optimizer hints: none calls a UDF, the only statements hints act on.
 type Translator struct {
 	DB      *sqldb.DB
 	Prefix  string // namespace for the tables StoreModel writes
 	PreJoin PreJoinStrategy
-	// Hints, when set, are passed to every generated query (the DL2SQL-OP
-	// configuration).
-	Hints *sqldb.QueryHints
 	// Ctx, when non-nil, is threaded to every generated SQL statement, so
 	// a caller's cancellation or deadline aborts the pipeline between (and,
 	// at morsel granularity, inside) steps. When it carries an active span,

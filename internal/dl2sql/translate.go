@@ -200,13 +200,13 @@ func (t *Translator) run(sm *StoredModel, inputs []*tensor.Tensor, read func(pro
 	return read(&run)
 }
 
-// execStep runs one compiled step with the translator's hints and records
-// its cost. When ctx carries an active span the step runs under its own
-// child span, opened and closed on the clock readings that time it.
+// execStep runs one compiled step and records its cost. When ctx carries
+// an active span the step runs under its own child span, opened and closed
+// on the clock readings that time it.
 func (t *Translator) execStep(ctx context.Context, s *step) (*sqldb.Result, error) {
 	start := time.Now()
 	sp := obs.SpanFromContext(ctx).StartChildAt(s.label, start)
-	res, err := s.stmt.ExecHintedContext(obs.ContextWithSpan(ctx, sp), t.Hints)
+	res, err := s.stmt.ExecContext(obs.ContextWithSpan(ctx, sp))
 	end := time.Now()
 	if err == nil {
 		sp.SetAttr("rows", res.NumRows())

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/colquery"
 	"repro/internal/dl2sql"
 	"repro/internal/faults"
 	"repro/internal/iotdata"
 	"repro/internal/obs"
+	"repro/internal/schedule"
 	"repro/internal/sqldb"
 	"repro/internal/tensor"
 )
@@ -98,63 +98,33 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	}
 	bd.Relational += cand.end()
 
-	// SQL inference per model: the prediction memo answers what it can
-	// (keyed on the model stamp, computed only when the memo asks for a
-	// key) and the misses run in sample groups, every miss in one group
-	// when batched, one per group otherwise.
+	// SQL inference per model, through the one inference call: the
+	// prediction memo answers what it can (keyed on the model stamp,
+	// computed only when the memo asks for a key) and the misses run on
+	// the model's SQL backend, never on the scheduler (see fallbackFor).
+	blobs := make([][]byte, len(cands))
 	preds := make(map[int64]map[string]sqldb.Datum, len(cands))
-	for _, c := range cands {
+	for i, c := range cands {
+		blobs[i] = c.blob
 		preds[c.videoID] = map[string]sqldb.Datum{}
 	}
 	infCtx, infSpan := obs.StartSpan(ctx, "inference")
 	for _, name := range q.UDFNames {
 		sm, b := stored[name], env.Bindings[name]
 		modelCtx, modelSpan := obs.StartSpan(infCtx, "model:"+name)
-		tr := dl2sql.NewTranslator(db, sm.Prefix)
-		tr.PreJoin, tr.Hints, tr.Ctx = s.PreJoin, h, modelCtx
-		stamp := sync.OnceValue(sm.Stamp)
-		key := func(i int) InferKey { return InferKey{Model: stamp(), Input: tensor.HashBytes(cands[i].blob)} }
-		infer := func(miss []int, _ []InferKey) ([]int, error) {
-			size := 1
-			if s.Batched {
-				size = max(len(miss), 1)
-			}
-			classes := make([]int, 0, len(miss))
-			for lo := 0; lo < len(miss); lo += size {
-				group := miss[lo:min(lo+size, len(miss))]
-				ins := make([]*tensor.Tensor, len(group))
-				for j, i := range group {
-					in, err := iotdata.KeyframeTensor(cands[i].blob)
-					if err != nil {
-						return nil, fmt.Errorf("strategies: keyframe %d: %w", cands[i].videoID, err)
-					}
-					ins[j] = in
-				}
-				wallStart := time.Now()
-				var idxs []int
-				var err error
-				if s.Batched {
-					idxs, err = tr.InferBatch(sm, ins)
-				} else {
-					var idx int
-					idx, _, err = tr.Infer(sm, ins[0])
-					idxs = []int{idx}
-				}
-				wall := time.Since(wallStart).Seconds()
+		classes, err := env.infer(ctx, nil, s.backend(db, sm), b, sync.OnceValue(sm.Stamp), blobs,
+			func(batch [][]byte, run inferRun) ([]int, error) {
+				classes, share, err := run(modelCtx)
 				if err != nil {
 					return nil, fmt.Errorf("strategies: SQL inference for %s: %w", name, err)
 				}
-				sqlSecs := tr.StepTotal().Seconds()
-				// The SQL pipeline is the inference; encoding the input
-				// into the feature-map table is data loading.
-				bd.Inference += env.Profile.ScaleRelational(sqlSecs)
-				bd.Loading += wall - sqlSecs
-				stratAcctFrom(ctx).noteInfer(int64(len(group)))
-				classes = append(classes, idxs...)
-			}
-			return classes, nil
-		}
-		classes, err := env.memoInfer(ctx, len(cands), key, false, infer)
+				// The SQL pipeline is the inference; decoding the
+				// keyframes and encoding them into the feature-map table
+				// is data loading.
+				bd.Inference += env.Profile.ScaleRelational(share.InferSeconds)
+				bd.Loading += share.WallSeconds - share.InferSeconds
+				return classes, nil
+			})
 		if err != nil {
 			return nil, bd, failSpans(err, modelSpan, infSpan)
 		}
@@ -176,6 +146,43 @@ func (s *DL2SQL) Execute(ctx context.Context, env *Context, q *colquery.Query) (
 	bd.Relational = env.Profile.ScaleRelational(bd.Relational)
 	env.recordBreakdown(s.Name(), bd)
 	return res, bd, nil
+}
+
+// backend is the SQL backend of one stored model for one query. Its Run
+// decodes the keyframes and runs them through the model's SQL pipeline
+// under PreJoin, with the context it is handed as the translator's: one
+// InferBatch over every keyframe when Batched, one per keyframe otherwise
+// (a one-input InferBatch runs the per-sample rendering). It reports the
+// summed step time as the batch's inference seconds.
+func (s *DL2SQL) backend(db *sqldb.DB, sm *dl2sql.StoredModel) *schedule.Backend {
+	return &schedule.Backend{ID: "dl2sql", Run: func(ctx context.Context, _ uint64, _ []byte, blobs [][]byte) ([]int, schedule.BackendStats, error) {
+		var stats schedule.BackendStats
+		tr := dl2sql.NewTranslator(db, sm.Prefix)
+		tr.PreJoin, tr.Ctx = s.PreJoin, ctx
+		size := 1
+		if s.Batched {
+			size = len(blobs)
+		}
+		classes := make([]int, 0, len(blobs))
+		ins := make([]*tensor.Tensor, 0, size)
+		for lo := 0; lo < len(blobs); lo += size {
+			ins = ins[:0]
+			for j, blob := range blobs[lo:min(lo+size, len(blobs))] {
+				in, err := iotdata.KeyframeTensor(blob)
+				if err != nil {
+					return nil, stats, fmt.Errorf("keyframe %d: %w", lo+j, err)
+				}
+				ins = append(ins, in)
+			}
+			idxs, err := tr.InferBatch(sm, ins)
+			stats.InferSeconds += tr.StepTotal().Seconds()
+			if err != nil {
+				return nil, stats, err
+			}
+			classes = append(classes, idxs...)
+		}
+		return classes, stats, nil
+	}}
 }
 
 // estimateRelationalSelectivity estimates the accumulated selectivity of

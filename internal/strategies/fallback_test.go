@@ -3,6 +3,7 @@ package strategies
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +11,8 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/qerr"
+	"repro/internal/schedule"
+	"repro/internal/sqldb"
 )
 
 func fallbackQuery(t *testing.T) *colquery.Query {
@@ -62,6 +65,48 @@ func TestFallbackTwoHops(t *testing.T) {
 	}
 	if got := env.Metrics.Counter("strategy.fallback.total").Value(); got != 2 {
 		t.Errorf("fallback.total = %d, want 2", got)
+	}
+}
+
+// TestDL2SQLNeverWaitsOnScheduler: DL2SQL is the fallback ladder's last
+// rung, so the draining scheduler that fails DB-UDF must not fail it too.
+// With a drained scheduler armed, DB-UDF falls back to DL2SQL, which
+// answers as a plain DL2SQL run does and submits nothing: the fallback run
+// submits exactly what DB-UDF alone submits. Serial execution keeps
+// DB-UDF's submissions the same from run to run.
+func TestDL2SQLNeverWaitsOnScheduler(t *testing.T) {
+	env := testContext(t)
+	q := fallbackQuery(t)
+	want, _, err := (&DL2SQL{}).Execute(context.Background(), env, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := env.EnableScheduler(schedule.Config{})
+	sched.Drain()
+	ctx := sqldb.WithParallelism(context.Background(), 1)
+
+	before := sched.Stats().Submitted
+	if _, _, err := (&DBUDF{}).Execute(ctx, env, q); !errors.Is(err, qerr.ErrServingUnavailable) {
+		t.Fatalf("DB-UDF on a drained scheduler: err = %v, want ErrServingUnavailable", err)
+	}
+	udfOnly := sched.Stats().Submitted - before
+	if udfOnly == 0 {
+		t.Fatal("DB-UDF submitted nothing to the scheduler")
+	}
+
+	before = sched.Stats().Submitted
+	res, bd, err := ExecuteWithFallback(ctx, env, &DBUDF{}, q)
+	if err != nil {
+		t.Fatalf("fallback from DB-UDF on a drained scheduler: %v", err)
+	}
+	if want := []string{"DB-UDF", "DL2SQL"}; !slices.Equal(bd.FallbackPath, want) {
+		t.Fatalf("FallbackPath = %v, want %v", bd.FallbackPath, want)
+	}
+	if resultKey(res) != resultKey(want) {
+		t.Fatal("fallback result differs from a plain DL2SQL run")
+	}
+	if n := sched.Stats().Submitted - before; n != udfOnly {
+		t.Fatalf("the fallback run submitted %d keyframes, DB-UDF alone %d: the DL2SQL rung used the scheduler", n, udfOnly)
 	}
 }
 

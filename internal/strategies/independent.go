@@ -65,7 +65,8 @@ func (s *DBPyTorch) Execute(ctx context.Context, env *Context, q *colquery.Query
 		// physical batch either way, so the fallback ladder sees the same
 		// error classes. Only physical forward passes charge inference and
 		// overhead.
-		classes, err := env.infer(ctx, env.serving, b, blobs, func(batch [][]byte, run inferRun) ([]int, error) {
+		model := func() uint64 { return b.artifactHash }
+		classes, err := env.infer(ctx, env.Scheduler, env.serving, b, model, blobs, func(batch [][]byte, run inferRun) ([]int, error) {
 			serveCtx, p := startPhase(ctx, "serving:"+name)
 			p.span.SetAttr("candidates", len(batch))
 			classes, share, err := run(serveCtx)

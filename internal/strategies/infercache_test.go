@@ -1,16 +1,19 @@
 package strategies
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/colquery"
 	"repro/internal/dl2sql"
 	"repro/internal/obs"
 	"repro/internal/schedule"
+	"repro/internal/tensor"
 )
 
 // TestCachedResultsMatchUncachedAllStrategies is the differential
@@ -348,26 +351,37 @@ func TestMemoScheduledUDFWarmRerunSubmitsNothing(t *testing.T) {
 	}
 }
 
-// TestMemoInferRule pins memoInfer's rule on a stub inference: with the
-// memo off every position is handed over and no key is computed; armed,
-// each distinct missing key is inferred once, and the answers are
-// published only on a live context and only when the scheduler did not
-// infer them.
+// inferKey is the prediction key DB-UDF and DB-PyTorch give one keyframe
+// under b's model.
+func (b *UDFBinding) inferKey(blob []byte) InferKey {
+	return InferKey{Model: b.artifactHash, Input: tensor.HashBytes(blob)}
+}
+
+// TestMemoInferRule pins the prediction memo's rule, which Context.infer
+// keeps, on a stub backend: with the memo off every position runs and no
+// model identity is asked for; armed, each distinct missing key is inferred
+// once, and the answers are published only on a live context and only
+// when the scheduler did not infer them — it publishes them itself.
 func TestMemoInferRule(t *testing.T) {
-	keys := []InferKey{{Model: 1, Input: 1}, {Model: 1, Input: 2}, {Model: 1, Input: 1}}
-	var ran [][]int
-	infer := func(miss []int, _ []InferKey) ([]int, error) {
-		ran = append(ran, miss)
-		out := make([]int, len(miss))
-		for j, i := range miss {
-			out[j] = int(keys[i].Input) * 10
+	blobs := [][]byte{{1}, {2}, {1}}
+	var ran [][]byte
+	be := &schedule.Backend{ID: "stub", Run: func(_ context.Context, _ uint64, _ []byte, batch [][]byte) ([]int, schedule.BackendStats, error) {
+		ran = append(ran, batch...)
+		out := make([]int, len(batch))
+		for j, blob := range batch {
+			out[j] = int(blob[0]) * 10
 		}
-		return out, nil
+		return out, schedule.BackendStats{}, nil
+	}}
+	b := &UDFBinding{Artifact: []byte("stub"), artifactHash: 1}
+	wrap := func(_ [][]byte, run inferRun) ([]int, error) {
+		classes, _, err := run(context.Background())
+		return classes, err
 	}
-	run := func(ctx context.Context, env *Context, key func(int) InferKey, scheduled bool) {
+	run := func(ctx context.Context, env *Context, sched *schedule.Scheduler, model func() uint64) {
 		t.Helper()
 		ran = nil
-		got, err := env.memoInfer(ctx, len(keys), key, scheduled, infer)
+		got, err := env.infer(ctx, sched, be, b, model, blobs, wrap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,36 +389,42 @@ func TestMemoInferRule(t *testing.T) {
 			t.Fatalf("classes %v, want %v", got, want)
 		}
 	}
-	key := func(i int) InferKey { return keys[i] }
+	model := func() uint64 { return 1 }
 
 	env := &Context{}
-	run(context.Background(), env, func(int) InferKey {
-		t.Fatal("memo off, but a key was computed")
-		return InferKey{}
-	}, false)
-	if len(ran) != 1 || !slices.Equal(ran[0], []int{0, 1, 2}) {
+	run(context.Background(), env, nil, func() uint64 {
+		t.Fatal("memo off, but the model identity was asked for")
+		return 0
+	})
+	if !slices.EqualFunc(ran, blobs, bytes.Equal) {
 		t.Fatalf("memo off inferred %v, want every position once", ran)
 	}
 
 	env.EnableInferCache(16)
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	run(done, env, key, false)
-	if len(ran) != 1 || !slices.Equal(ran[0], []int{0, 1}) {
+	run(done, env, nil, model)
+	if !slices.EqualFunc(ran, blobs[:2], bytes.Equal) {
 		t.Fatalf("inferred %v, want each distinct key once", ran)
 	}
 	if st := env.InferCacheStats(); st.Len != 0 || st.Misses != 3 {
 		t.Fatalf("done context: cache %+v, want 3 misses and nothing published", st)
 	}
-	run(context.Background(), env, key, false)
-	run(context.Background(), env, key, false)
+	run(context.Background(), env, nil, model)
+	run(context.Background(), env, nil, model)
 	if st := env.InferCacheStats(); len(ran) != 0 || st.Len != 2 || st.Hits != 3 {
 		t.Fatalf("warm rerun inferred %v with cache %+v, want 3 hits", ran, st)
 	}
 
 	env.EnableInferCache(16)
-	run(context.Background(), env, key, true)
+	shared := cache.New[InferKey, int](16)
+	sched := schedule.New(schedule.Config{Cache: shared})
+	defer sched.Drain()
+	run(context.Background(), env, sched, model)
 	if st := env.InferCacheStats(); st.Len != 0 {
 		t.Fatalf("scheduled answers published by the memo: %+v", st)
+	}
+	if n := shared.Len(); n != 2 {
+		t.Fatalf("the scheduler published %d answers, want 2", n)
 	}
 }

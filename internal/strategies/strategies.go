@@ -96,12 +96,6 @@ type UDFBinding struct {
 	artifactHash uint64
 }
 
-// inferKey is the prediction key of one keyframe under b's model, hashed
-// once per query and passed down to the caches and the scheduler.
-func (b *UDFBinding) inferKey(blob []byte) InferKey {
-	return InferKey{Model: b.artifactHash, Input: tensor.HashBytes(blob)}
-}
-
 // Context carries the shared experimental fixtures.
 type Context struct {
 	Dataset  *iotdata.Dataset
@@ -145,7 +139,8 @@ type Context struct {
 	// through the cross-query inference scheduler: batches from concurrent
 	// queries coalesce into shared backend calls and identical in-flight
 	// requests single-flight onto one computation. Enable with
-	// EnableScheduler; nil runs each batch on its backend directly.
+	// EnableScheduler; nil runs each batch on its backend directly. DL2SQL
+	// never waits on it (see fallbackFor).
 	Scheduler *schedule.Scheduler
 	// native and serving are the backends every DB-UDF and DB-PyTorch
 	// batch runs on, scheduled or not: in-process batched inference and
@@ -390,7 +385,9 @@ func All() []Strategy {
 // with a serving-availability error, the query is retried one integration
 // level tighter — DB-PyTorch falls back to DB-UDF (no serving component),
 // DB-UDF falls back to DL2SQL (no native model execution at all). DL2SQL
-// has nothing below it.
+// has nothing below it, so it never waits on the scheduler: a draining
+// scheduler fails DB-UDF with qerr.ErrServingUnavailable, and DL2SQL must
+// still answer.
 func fallbackFor(s Strategy) Strategy {
 	switch s.(type) {
 	case *DBPyTorch:

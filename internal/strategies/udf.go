@@ -96,7 +96,8 @@ func nudfFn(name string) sqldb.UDFFunc {
 			blobs[i] = args[0].B
 		}
 		env, b := r.env, r.env.Bindings[name]
-		classes, err := env.infer(ctx, env.native, b, blobs, func(batch [][]byte, run inferRun) ([]int, error) {
+		model := func() uint64 { return b.artifactHash }
+		classes, err := env.infer(ctx, env.Scheduler, env.native, b, model, blobs, func(batch [][]byte, run inferRun) ([]int, error) {
 			// The inference-time accounting reads double as the batch
 			// span's start/end, so tracing adds no clock reads. The batch
 			// span opens under the operator that calls the UDF, whose span
